@@ -2,6 +2,8 @@
 class taxonomy, bounded exploration, a termination decider, structural
 reductions between the arc-kind classes, and hardness compilers."""
 
+from types import ModuleType as _ModuleType
+
 from .net import (Arc, Diagnostic, INHIBIT, INHIBITOR_KIND, Inhibitor,
                   InvalidNetError, KIND_ORDER, Marking, Net, NetClass,
                   NotFirableError, Numeric, RESET, RESET_KIND, Reset,
@@ -26,4 +28,5 @@ from .compilers import (CounterMachine, Halt, Inc, JzDec, MinskyCompilation,
                         simulate_machine, simulate_phases)
 from .dot import export_dot
 
-__all__ = [n for n in dir() if not n.startswith("_")]
+__all__ = sorted(n for n, v in globals().items()
+                 if not n.startswith("_") and not isinstance(v, _ModuleType))

@@ -14,7 +14,7 @@ from pathlib import Path
 from . import compilers, transforms
 from .dot import export_dot
 from .ert import (BudgetExceededError, NonTerminating, Terminating, build_ert,
-                  ert_dot, verify_pump)
+                  decide_termination, ert_dot, verify_pump)
 from .explore import (EXHAUSTED, FOUND, OUT_OF_BUDGET, SearchBudget,
                       backward_cover, bounded_cover, bounded_deadlock,
                       bounded_reach, replay)
@@ -156,14 +156,17 @@ def cmd_explore(args) -> int:
 def cmd_terminate(args) -> int:
     net = _read_net(args.net)
     try:
-        ert = build_ert(net, max_nodes=args.max_nodes,
-                        stop_early=not args.full_tree)
+        if args.dot or args.full_tree:
+            ert = build_ert(net, max_nodes=args.max_nodes,
+                            stop_early=not args.full_tree)
+            v = ert.verdict
+        else:
+            v = decide_termination(net, max_nodes=args.max_nodes)
     except BudgetExceededError as e:
         print(f"OUT_OF_BUDGET {e}")
         return 1
     if args.dot:
         Path(args.dot).write_text(ert_dot(net, ert))
-    v = ert.verdict
     if isinstance(v, Terminating):
         print(f"TERMINATING tree_size={v.tree_size}")
         return 0

@@ -100,17 +100,14 @@ def check_eligible(net: Net):
             "some transition's inhibitor pre-places are not downward closed")
 
 
-def _scan(nodes, statuses, nid) -> int | None:
-    """Nearest ancestor subsuming node `nid`, or None."""
-    node = nodes[nid]
-    m1 = node.marking
-    level = node.via_index
-    anc = node.parent
+def _scan(nodes, anc, m1: Marking, level: int) -> int | None:
+    """Nearest subsuming ancestor of a new child with marking `m1`, reached
+    by a transition of index `level` from node `anc`; None if there is none.
+    `nodes[i]` has `.marking`, `.via_index` and `.parent`."""
     while anc is not None:
         a = nodes[anc]
         m2 = a.marking
-        lv = min(level, len(m1))
-        if m2[:lv] == m1[:lv] and _leq(m2, m1):
+        if m2[:level] == m1[:level] and _leq(m2, m1):
             return anc
         level = max(level, a.via_index)
         anc = a.parent
@@ -129,6 +126,15 @@ def _path_names(nodes, top: int, bottom: int) -> list:
     return names
 
 
+def _certificate(net: Net, nodes, anc: int, parent: int, leaf_via: str):
+    """NonTerminating for a leaf reached by `leaf_via` from node `parent`
+    and cut by its ancestor `anc`."""
+    stem = replay(net, net.initial, _path_names(nodes, 0, anc))
+    pump = replay(net, stem.markings[-1],
+                  _path_names(nodes, anc, parent) + [leaf_via])
+    return NonTerminating(stem, pump)
+
+
 def build_ert(net: Net, max_nodes: int = 1_000_000, rng=None,
               stop_early: bool = False) -> Ert:
     """Expand the full tree (or stop at the first subsumed leaf when
@@ -137,61 +143,124 @@ def build_ert(net: Net, max_nodes: int = 1_000_000, rng=None,
     check_eligible(net)
     tidx = {t.name: transition_index(net, t.name) for t in net.transitions}
 
-    nodes = [ErtNode(tuple(net.initial), None, None, 0, "inner")]
-    statuses = ["inner"]
-    subsumed_by = [None]
-    first_cut = None  # (leaf id, ancestor id)
-    stack = [0]
+    # A node's ErtNode is built once its status is final: when it is
+    # expanded, or at creation for a subsumed leaf.  Until then its slot in
+    # `nodes` is None and its fields wait on the stack.
+    nodes = [None]
+    stack = [(0, tuple(net.initial), None, None, 0)]
+    verdict = None
 
-    while stack:
-        nid = stack.pop()
-        succ = successors(net, nodes[nid].marking)
+    while stack and not (stop_early and verdict is not None):
+        nid, m, parent, via, vidx = stack.pop()
+        succ = successors(net, m)
         if rng is not None:
             rng.shuffle(succ)
-        if not succ:
-            statuses[nid] = "deadlock"
-            continue
-        child_ids = []
+        nodes[nid] = ErtNode(m, parent, via, vidx,
+                             "inner" if succ else "deadlock")
+        kids = []
         for name, m2 in succ:
             if len(nodes) >= max_nodes:
                 raise BudgetExceededError(
                     f"tree exceeded {max_nodes} nodes")
             cid = len(nodes)
-            nodes.append(ErtNode(m2, nid, name, tidx[name], "inner"))
-            statuses.append("inner")
-            subsumed_by.append(None)
-            anc = _scan(nodes, statuses, cid)
-            if anc is not None:
-                statuses[cid] = "subsumed"
-                subsumed_by[cid] = anc
-                if first_cut is None:
-                    first_cut = (cid, anc)
-                    if stop_early:
-                        stack = []
-                        child_ids = []
-                        break
-            else:
-                child_ids.append(cid)
-        stack.extend(reversed(child_ids))
+            anc = _scan(nodes, nid, m2, tidx[name])
+            if anc is None:
+                nodes.append(None)
+                kids.append((cid, m2, nid, name, tidx[name]))
+                continue
+            nodes.append(ErtNode(m2, nid, name, tidx[name], "subsumed", anc))
+            if verdict is None:
+                verdict = _certificate(net, nodes, anc, nid, name)
+                if stop_early:
+                    break
+        stack.extend(reversed(kids))
 
-    if first_cut is None:
+    for cid, m, parent, via, vidx in stack:  # created, never expanded
+        nodes[cid] = ErtNode(m, parent, via, vidx, "inner")
+    if verdict is None:
         verdict = Terminating(len(nodes))
-    else:
-        leaf, anc = first_cut
-        stem = replay(net, net.initial, _path_names(nodes, 0, anc))
-        pump = replay(net, stem.markings[-1], _path_names(nodes, anc, leaf))
-        verdict = NonTerminating(stem, pump)
+    return Ert(tuple(nodes), verdict)
 
-    final = tuple(
-        ErtNode(n.marking, n.parent, n.via, n.via_index, statuses[i],
-                subsumed_by[i])
-        for i, n in enumerate(nodes))
-    return Ert(final, verdict)
+
+class _Frame:
+    """A node on the current path of `decide_termination`.  `parent` is the
+    position of the frame below it, `todo` holds the children still to
+    visit (next one last) and `size` counts the tree nodes of its subtree
+    finished so far."""
+    __slots__ = ("marking", "parent", "via", "via_index", "todo", "size")
+
+    def __init__(self, marking, parent, via, via_index):
+        self.marking = marking
+        self.parent = parent
+        self.via = via
+        self.via_index = via_index
+        self.todo = []
+        self.size = 1
 
 
 def decide_termination(net: Net, max_nodes: int = 1_000_000, rng=None):
-    """Terminating(tree_size) or NonTerminating(stem, pump)."""
-    return build_ert(net, max_nodes, rng, stop_early=True).verdict
+    """Terminating(tree_size) or NonTerminating(stem, pump).  For
+    `rng=None` the result, budget error included, equals
+    `build_ert(net, max_nodes, stop_early=True).verdict`.
+
+    The walk visits the tree in build_ert's order but keeps only the
+    current path, and memoises in `done` each marking whose subtree
+    completed, with that subtree's node count.  Before the first cut a
+    completed subtree holds no cut, so every run from its marking is
+    finite.  A cut certifies an infinite run from its leaf, so no node at
+    or below that marking can be cut whatever its ancestors, and its
+    subtree (one node per run prefix) has the same size everywhere.  A
+    later occurrence therefore skips the ancestor scan and is not
+    expanded: its size is added instead.  `max_nodes` still bounds the
+    paper tree's node count."""
+    check_eligible(net)
+    tidx = {t.name: transition_index(net, t.name) for t in net.transitions}
+    done: dict = {}
+    path: list = []
+    count = 1  # tree nodes created so far, counted as build_ert counts
+
+    def push(m, via, via_index):
+        """Put node `m` on the path and create its children; return the
+        certificate if one of them is cut."""
+        nonlocal count
+        here = len(path)
+        frame = _Frame(m, here - 1 if here else None, via, via_index)
+        path.append(frame)
+        succ = successors(net, m)
+        if rng is not None:
+            rng.shuffle(succ)
+        for name, m2 in succ:
+            if count >= max_nodes:
+                raise BudgetExceededError(f"tree exceeded {max_nodes} nodes")
+            count += 1
+            if m2 not in done:
+                anc = _scan(path, here, m2, tidx[name])
+                if anc is not None:
+                    return _certificate(net, path, anc, here, name)
+            frame.todo.append((name, m2))
+        frame.todo.reverse()
+        return None
+
+    cut = push(tuple(net.initial), None, 0)
+    while cut is None and path:
+        top = path[-1]
+        if not top.todo:
+            path.pop()
+            done[top.marking] = top.size
+            if path:
+                path[-1].size += top.size
+            continue
+        name, m2 = top.todo.pop()
+        size = done.get(m2)
+        if size is None:
+            cut = push(m2, name, tidx[name])
+            continue
+        # build_ert would create the size - 1 nodes below it right now
+        if count + size - 1 > max_nodes:
+            raise BudgetExceededError(f"tree exceeded {max_nodes} nodes")
+        count += size - 1
+        top.size += size
+    return cut or Terminating(count)
 
 
 def verify_pump(net: Net, verdict) -> bool:

@@ -226,11 +226,16 @@ def _deadlock_clauses(net: Net, cap: int) -> list:
             return []  # that transition is never disabled: no deadlock
         per_t.append(opts)
 
+    # depth-first over one option per transition, with an explicit stack of
+    # (option index, place, previous assignment) so long nets cannot
+    # exhaust the interpreter's recursion limit
     clauses = []
     seen = set()
     assign: dict = {}
-
-    def rec(i: int):
+    picks = []
+    k = 0  # next option to try for transition len(picks)
+    while True:
+        i = len(picks)
         if i == len(per_t):
             key = frozenset(assign.items())
             if key not in seen:
@@ -239,30 +244,32 @@ def _deadlock_clauses(net: Net, cap: int) -> list:
                     raise TransformError(
                         f"more than {cap} deadlock clauses; raise clause_cap")
                 clauses.append(dict(assign))
-            return
-        for kind, p, j in per_t[i]:
+        elif k < len(per_t[i]):
+            kind, p, j = per_t[i][k]
             prev = assign.get(p)
             if kind == "exact":
-                if prev == ("atleast",) and j == 0:
-                    continue
-                if isinstance(prev, tuple) and prev[0] == "exact" and prev[1] != j:
-                    continue
-                assign[p] = ("exact", j)
+                ok = not ((prev == ("atleast",) and j == 0)
+                          or (isinstance(prev, tuple) and prev[0] == "exact"
+                              and prev[1] != j))
+                new = ("exact", j)
             else:
-                if prev == ("exact", 0):
-                    continue
-                if prev is None:
-                    assign[p] = ("atleast",)
-            saved = prev
-            rec(i + 1)
-            if saved is None:
-                del assign[p]
+                ok = prev != ("exact", 0)
+                new = prev or ("atleast",)
+            if ok:
+                picks.append((k, p, prev))
+                assign[p] = new
+                k = 0
             else:
-                assign[p] = saved
-        return
-
-    rec(0)
-    return clauses
+                k += 1
+            continue
+        if not picks:
+            return clauses
+        k, p, prev = picks.pop()
+        if prev is None:
+            del assign[p]
+        else:
+            assign[p] = prev
+        k += 1
 
 
 def dlf_to_reach(net: Net, clause_cap: int = 10_000) -> TransformResult:

@@ -3,6 +3,7 @@
 import pytest
 
 from xpn import cli
+from xpn.ert import build_ert, ert_dot
 from xpn.explore import bounded_cover
 from xpn.fmt import parse_net, parse_trace
 
@@ -211,6 +212,56 @@ def test_terminate_out_of_budget(run):
     assert code == 1 and out.startswith("OUT_OF_BUDGET")
 
 
+COUNTDOWN_4X3 = ("places: p0 p1 p2 p3\nmarking: p0=3 p1=3 p2=3 p3=3\n"
+                 + "".join(f"trans t{i}: in p{i} ;\n" for i in range(4)))
+
+
+@pytest.mark.parametrize("budget, code, out", [
+    ("15000", 1, "OUT_OF_BUDGET tree exceeded 15000 nodes\n"),
+    ("1107697", 0, "TERMINATING tree_size=1107697\n"),
+    ("1107696", 1, "OUT_OF_BUDGET tree exceeded 1107696 nodes\n"),
+])
+def test_terminate_budget_counts_paper_tree_nodes(run, budget, code, out):
+    # countdown (4,3): 256 markings, a tree of 1,107,697 run prefixes
+    got = run("terminate", "n.xpn", "--max-nodes", budget,
+              files={"n.xpn": COUNTDOWN_4X3})
+    assert got[:3] == (code, out, "")
+
+
+def test_terminate_dot_and_full_tree_build_the_paper_tree(run, monkeypatch,
+                                                         tmp_path):
+    calls = []
+    real = cli.build_ert
+
+    def spy(net, **kw):
+        calls.append(kw)
+        return real(net, **kw)
+
+    monkeypatch.setattr(cli, "build_ert", spy)
+    files = {"n.xpn": COUNTDOWN_4X3}
+    run("terminate", "n.xpn", "--max-nodes", "15000", files=files)
+    assert calls == []  # the verdict path builds no tree
+    code, out, _, _ = run("terminate", "n.xpn", "--max-nodes", "15000",
+                          "--full-tree", files=files)
+    assert code == 1 and out == "OUT_OF_BUDGET tree exceeded 15000 nodes\n"
+    assert calls.pop() == {"max_nodes": 15000, "stop_early": False}
+    dot = tmp_path / "t.dot"
+    code, out, _, _ = run("terminate", "n.xpn", "--max-nodes", "15000",
+                          "--dot", str(dot), files=files)
+    assert code == 1 and not dot.exists()
+    assert calls.pop() == {"max_nodes": 15000, "stop_early": True}
+
+    # with room to finish, the DOT file holds every node of the tree
+    small = "places: a b\nmarking: a=2 b=2\ntrans s: in a ;\ntrans t: in b ;\n"
+    code, out, _, _ = run("terminate", "n.xpn", "--dot", str(dot),
+                          files={"n.xpn": small})
+    assert (code, out) == (0, "TERMINATING tree_size=19\n")
+    assert calls.pop() == {"max_nodes": 1_000_000, "stop_early": True}
+    want = ert_dot(parse_net(small), build_ert(parse_net(small),
+                                               stop_early=True))
+    assert dot.read_text() == want and want.count(" [label=\"") == 19 + 18
+
+
 def test_terminate_rejects_ineligible_net(run):
     net = "places: a b\nmarking: a=1\ntrans t: in a, inh b ;\n"
     code, _, err, _ = run("terminate", "n.xpn", files={"n.xpn": net})
@@ -240,6 +291,21 @@ def test_transform_output_with_map_sidecar(run, tmp_path):
     mapping = (tmp_path / "out.xpn.map").read_text().splitlines()
     assert mapping[0] == "forward:"
     assert mapping[1:5] == ["a <- a", "b <- b", "t_busy <- 0", "lock <- 1"]
+
+
+def test_transform_dlf_to_reach_on_a_long_line(run):
+    # one deadlock clause whatever the length, found by a search that goes
+    # one level deeper per transition
+    n = 1200
+    net = (f"places: {' '.join(f'p{i}' for i in range(n + 1))}\n"
+           "marking: p0=1\n"
+           + "".join(f"trans t{i}: in p{i} ; out p{i + 1}\n" for i in range(n)))
+    code, out, err, _ = run("transform", "dlf-to-reach", "n.xpn",
+                            files={"n.xpn": net})
+    assert code == 0 and err == ""
+    result = parse_net(out)
+    assert len(result.places) == n + 4
+    assert len(result.transitions) == n + 3
 
 
 def test_transform_reach_to_dlf_needs_marking(run):

@@ -138,6 +138,20 @@ def test_full_tree_structure():
         assert n.status == ("inner" if i in kids else "deadlock")
 
 
+def test_stop_early_tree_leaves_unexpanded_nodes_inner():
+    n = parse_net("places: a b\nmarking: a=1 b=1\n"
+                  "trans s: in b ;\ntrans t: in a ; out a")
+    ert = build_ert(n, stop_early=True)
+    assert [(x.marking, x.status, x.subsumed_by) for x in ert.nodes] == [
+        ((1, 1), "inner", None),
+        ((1, 0), "inner", None),  # created before the cut, never expanded
+        ((1, 1), "subsumed", 0),
+    ]
+    assert ert_dot(n, ert).splitlines()[2:5] == [
+        '  n0 [label="1 1"];', '  n1 [label="1 0"];',
+        '  n2 [label="1 1" peripheries=2 color=red];']
+
+
 def test_verify_pump_rejects_wrong_certificates():
     assert not verify_pump(LOOP, Terminating(tree_size=1))
     v = decide_termination(LOOP)
@@ -162,6 +176,8 @@ def test_verdict_independent_of_child_order():
             assert type(v) is type(base)
             if isinstance(v, NonTerminating):
                 assert verify_pump(net, v), (net, v)
+            else:
+                assert v == base  # memoised sizes are order independent
         if isinstance(base, Terminating):
             full = build_ert(net, max_nodes=20_000,
                              rng=random.Random(99))
@@ -177,3 +193,58 @@ def test_verdict_agrees_with_exhaustive_oracle():
         assert isinstance(v, NonTerminating) == runs_forever, (net, v)
         if runs_forever:
             assert verify_pump(net, v)
+
+
+# ---------------------------------------------------------------------------
+# the memoised decider against the paper tree
+
+def countdown(n, k):
+    """n independent places holding k tokens each, one consumer apiece: a
+    terminating net whose tree (one node per run prefix) dwarfs its
+    (k+1)^n markings."""
+    places = " ".join(f"p{i}" for i in range(n))
+    marks = " ".join(f"p{i}={k}" for i in range(n))
+    trans = "".join(f"trans t{i}: in p{i} ;\n" for i in range(n))
+    return parse_net(f"places: {places}\nmarking: {marks}\n{trans}")
+
+
+def _outcome(fn, *args, **kw):
+    try:
+        return fn(*args, **kw)
+    except BudgetExceededError as e:
+        return ("budget", str(e))
+
+
+def test_memoised_decider_equals_paper_tree():
+    rng = random.Random(20261)
+    budgets_checked = 0
+    for _ in range(600):
+        net = fuzz.ert_net(rng)
+        tree = _outcome(build_ert, net, 50_000, stop_early=True)
+        if isinstance(tree, tuple):
+            continue
+        size = len(tree.nodes)
+        for budget in sorted({0, 1, 2, size // 2, size - 1, size, size + 1,
+                              50_000}):
+            want = _outcome(build_ert, net, budget, stop_early=True)
+            if not isinstance(want, tuple):
+                want = want.verdict
+            assert _outcome(decide_termination, net, budget) == want, \
+                (net, budget)
+            budgets_checked += 1
+    assert budgets_checked > 1_000
+
+
+def test_countdown_tree_sizes_are_pinned():
+    # (3,4) has 125 markings, (4,3) has 256; the tree counts run prefixes,
+    # and (4,3)'s is over the default budget of a million nodes
+    assert decide_termination(countdown(3, 4)) == Terminating(110_251)
+    big = countdown(4, 3)
+    with pytest.raises(BudgetExceededError,
+                       match="^tree exceeded 1000000 nodes$"):
+        decide_termination(big)
+    assert decide_termination(big, max_nodes=1_107_697) == \
+        Terminating(1_107_697)
+    with pytest.raises(BudgetExceededError,
+                       match="^tree exceeded 1107696 nodes$"):
+        decide_termination(big, max_nodes=1_107_696)

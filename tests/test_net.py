@@ -260,3 +260,13 @@ def test_classify_rejects_invalid():
     n = net_of(["a"], [Transition("t", {"ghost": Numeric(1)}, {})], [0])
     with pytest.raises(InvalidNetError):
         classify(n)
+
+
+def test_package_exports_names_not_submodules():
+    import types
+
+    import xpn
+    assert "successors" in xpn.__all__ and "decide_termination" in xpn.__all__
+    modules = [n for n in xpn.__all__
+               if isinstance(getattr(xpn, n), types.ModuleType)]
+    assert modules == []

@@ -2,7 +2,8 @@
 
 Exit codes: 0 for a definitive answer (including a definitive no), 1 when
 a search or tree budget ran out before an answer, 2 for usage, parse,
-validation or precondition problems.
+validation or precondition problems, and for internal errors: any other
+exception is reported as `internal error: <Type>: <message>` on stderr.
 """
 
 from __future__ import annotations
@@ -196,26 +197,32 @@ def _map_lines(net_in, result: TransformResult) -> list:
     return lines
 
 
+def _reach_target(net, args):
+    if args.marking is None:
+        raise _Fail(2, "reach-to-dlf needs a target marking (-m)")
+    return _marking_arg(net, args.net, args.marking)
+
+
+# op name -> run(net, args), in the order `--help` lists them; each entry
+# looks its reduction up on `transforms` when called
+TRANSFORM_OPS = {
+    "hir-elim": lambda net, args: transforms.hir_elim(net),
+    "hirct-elim": lambda net, args: transforms.hirct_elim(net),
+    "hir-elim-all": lambda net, args: transforms.hir_elim_all(net),
+    "dlf-to-reach": lambda net, args: transforms.dlf_to_reach(
+        net, clause_cap=args.clause_cap),
+    "reach-to-dlf": lambda net, args: transforms.reach_to_dlf(
+        net, _reach_target(net, args)),
+    "two-inh-to-reset": lambda net, args: transforms.two_inh_to_reset(net),
+    "transfer-hierarchize":
+        lambda net, args: transforms.transfer_hierarchize(net),
+}
+
+
 def cmd_transform(args) -> int:
     net = _read_net(args.net)
     try:
-        if args.op == "hir-elim":
-            result = transforms.hir_elim(net)
-        elif args.op == "hirct-elim":
-            result = transforms.hirct_elim(net)
-        elif args.op == "hir-elim-all":
-            result = transforms.hir_elim_all(net)
-        elif args.op == "dlf-to-reach":
-            result = transforms.dlf_to_reach(net, clause_cap=args.clause_cap)
-        elif args.op == "reach-to-dlf":
-            if args.marking is None:
-                raise _Fail(2, "reach-to-dlf needs a target marking (-m)")
-            target = _marking_arg(net, args.net, args.marking)
-            result = transforms.reach_to_dlf(net, target)
-        elif args.op == "two-inh-to-reset":
-            result = transforms.two_inh_to_reset(net)
-        else:
-            result = transforms.transfer_hierarchize(net)
+        result = TRANSFORM_OPS[args.op](net, args)
     except transforms.TransformError as e:
         raise _Fail(2, f"{args.op}: {e}")
 
@@ -314,9 +321,7 @@ def _parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_terminate)
 
     p = sub.add_parser("transform", help="apply a net-to-net reduction")
-    p.add_argument("op", choices=["hir-elim", "hirct-elim", "hir-elim-all",
-                                  "dlf-to-reach", "reach-to-dlf",
-                                  "two-inh-to-reset", "transfer-hierarchize"])
+    p.add_argument("op", choices=list(TRANSFORM_OPS))
     p.add_argument("net")
     p.add_argument("-o", "--output", help="output net file (.map written "
                    "alongside)")
@@ -351,6 +356,9 @@ def main(argv=None) -> int:
         return e.code
     except XpnError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except Exception as e:  # a bug, never to be mistaken for exit 1
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
 
 

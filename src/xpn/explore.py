@@ -14,9 +14,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from operator import le
 
-from .net import (Inhibitor, Marking, Net, NotFirableError, Numeric, Reset,
-                  Transfer, XpnError, fire, require_valid, successors)
+from .net import (Inhibitor, Marking, Net, XpnError, fire, require_valid,
+                  successors)
 
 FOUND = "found"
 EXHAUSTED = "exhausted"
@@ -63,7 +64,7 @@ class SearchResult:
 
 
 def _leq(a: Marking, b: Marking) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _bfs(net: Net, start: Marking, goal, budget: SearchBudget) -> SearchResult:
@@ -135,22 +136,49 @@ def bounded_deadlock(net: Net,
 # backward coverability
 
 class UpwardClosedSet:
-    """An upward-closed set of markings kept as its minimal basis."""
+    """An upward-closed set of markings kept as its minimal basis.
+
+    The basis is also indexed by token sum, since b <= m needs
+    sum(b) <= sum(m): `contains` tests only the buckets at or below the
+    probe's sum, and `add` looks for elements it dominates only above it.
+    """
 
     def __init__(self, basis=()):
         self.basis: list = []
+        self._by_sum: dict = {}  # token sum -> basis elements with that sum
         for m in basis:
             self.add(m)
 
     def contains(self, m: Marking) -> bool:
-        return any(_leq(b, m) for b in self.basis)
+        total = sum(m)
+        for s, bucket in self._by_sum.items():
+            if s <= total:
+                for b in bucket:
+                    if _leq(b, m):
+                        return True
+        return False
+
+    def minimal(self, m: Marking) -> bool:
+        """Is `m` itself an element of the current minimal basis?"""
+        return m in self._by_sum.get(sum(m), ())
 
     def add(self, m: Marking) -> bool:
         """Add ↑m; returns False if already covered."""
         m = tuple(m)
         if self.contains(m):
             return False
-        self.basis = [b for b in self.basis if not _leq(m, b)]
+        total = sum(m)
+        # an element with the same sum that m covers would equal m
+        dead = [b for s, bucket in self._by_sum.items() if s > total
+                for b in bucket if _leq(m, b)]
+        for b in dead:
+            s = sum(b)
+            bucket = self._by_sum[s]
+            bucket.remove(b)
+            if not bucket:
+                del self._by_sum[s]
+            self.basis.remove(b)
+        self._by_sum.setdefault(total, []).append(m)
         self.basis.append(m)
         return True
 
@@ -175,16 +203,16 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def _min_predecessors(net: Net, plan, target: Marking) -> list:
-    """Minimal markings m with fire(m, t) >= target, for one transition.
+def _predecessor_shape(n: int, plan) -> tuple:
+    """Compile one transition (a `Net._plan` entry) for `_min_predecessors`.
 
-    Reset and transfer arcs make the predecessor basis non-singleton: a
-    transfer target's demand can be met partly by tokens already in the
-    target place and partly by tokens arriving from each source, and the
-    minimal ways to split that demand are exactly the integer compositions.
+    Returns (pre_w, post_w, plain, killed, groups): the numeric weights
+    taken and the tokens put back per place; the places neither zeroed nor
+    fed by a transfer; the zeroed places no transfer refills; and, per
+    transfer target p, the slots whose tokens can meet p's demand (p
+    itself unless it is zeroed, then its transfer sources).
     """
-    _, numeric, inhib, resets, xfers, posts = plan
-    n = len(net.places)
+    _, numeric, _, resets, xfers, posts = plan
     pre_w = [0] * n
     for p, w in numeric:
         pre_w[p] = w
@@ -195,30 +223,36 @@ def _min_predecessors(net: Net, plan, target: Marking) -> list:
     incoming: dict = {}
     for src, tgt in xfers:
         incoming.setdefault(tgt, []).append(src)
+    plain = [p for p in range(n) if p not in zeroed and p not in incoming]
+    killed = [p for p in range(n) if p in zeroed and p not in incoming]
+    groups = [(p, ([] if p in zeroed else [p]) + incoming[p])
+              for p in sorted(incoming)]
+    return pre_w, post_w, plain, killed, groups
 
-    base = [0] * n  # fixed part of the predecessor
-    groups = []  # (slots, demand) with slots = place positions sharing it
-    for p in range(n):
-        demand = max(0, target[p] - post_w[p])
-        if p in incoming:
-            slots = ([] if p in zeroed else [p]) + incoming[p]
-            groups.append((p, slots, demand))
-        elif p in zeroed:
-            if demand > 0:
-                return []  # this transition cannot refill a zeroed place
-        else:
-            base[p] = pre_w[p] + demand
-    for p in range(n):
-        if p not in zeroed:
-            base[p] = max(base[p], pre_w[p])
+
+def _min_predecessors(shape, target: Marking) -> list:
+    """Minimal markings m with fire(m, t) >= target, for the transition
+    compiled into `shape` by `_predecessor_shape`.
+
+    Reset and transfer arcs make the predecessor basis non-singleton: a
+    transfer target's demand can be met partly by tokens already in the
+    target place and partly by tokens arriving from each source, and the
+    minimal ways to split that demand are exactly the integer compositions.
+    """
+    pre_w, post_w, plain, killed, groups = shape
+    for p in killed:
+        if target[p] > post_w[p]:
+            return []  # this transition cannot refill a zeroed place
+    base = list(pre_w)  # zeroed places take no numeric arc, so stay 0
+    for p in plain:
+        demand = target[p] - post_w[p]
+        if demand > 0:
+            base[p] += demand
 
     out = [base]
-    for p, slots, demand in groups:
-        if not slots:
-            if demand > 0:
-                return []
-            continue
-        split_axes = list(_compositions(demand, len(slots)))
+    for p, slots in groups:
+        split_axes = list(_compositions(max(0, target[p] - post_w[p]),
+                                        len(slots)))
         nxt = []
         for m in out:
             for split in split_axes:
@@ -241,14 +275,18 @@ def backward_cover(net: Net, target: Marking) -> BackwardCoverResult:
         if any(isinstance(a, Inhibitor) for a in t.pre.values()):
             raise XpnError("backward_cover does not support inhibitor arcs")
 
-    plans = net._plan()
+    shapes = [_predecessor_shape(len(net.places), plan) for plan in net._plan()]
     ucs = UpwardClosedSet([target])
     frontier = [target]
     while frontier:
         fresh = []
         for b in frontier:
-            for plan in plans:
-                for p in _min_predecessors(net, plan, b):
+            # b left the basis when a later add put some m <= b in `fresh`;
+            # pred(↑b) is contained in pred(↑m), so b has nothing to add
+            if not ucs.minimal(b):
+                continue
+            for shape in shapes:
+                for p in _min_predecessors(shape, b):
                     if ucs.add(p):
                         fresh.append(p)
         frontier = fresh

@@ -2,7 +2,7 @@
 
 import pytest
 
-from xpn import cli
+from xpn import cli, transforms
 from xpn.ert import build_ert, ert_dot
 from xpn.explore import bounded_cover
 from xpn.fmt import parse_net, parse_trace
@@ -271,6 +271,32 @@ def test_terminate_rejects_ineligible_net(run):
 # ---------------------------------------------------------------------------
 # transform
 
+@pytest.mark.parametrize("op", list(cli.TRANSFORM_OPS))
+def test_transform_op_table_dispatch(run, monkeypatch, op):
+    fn = op.replace("-", "_")
+
+    def fake(net, *args, **kwargs):
+        raise transforms.TransformError(f"{fn} called")
+
+    monkeypatch.setattr(transforms, fn, fake)
+    code, _, err, _ = run("transform", op, "n.xpn", "-m", "b=1",
+                          files={"n.xpn": CHAIN})
+    assert code == 2 and err == f"{op}: {fn} called\n"
+
+
+def test_transform_usage_lists_ops_in_order(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["transform", "bogus", "x"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert ("{hir-elim,hirct-elim,hir-elim-all,dlf-to-reach,reach-to-dlf,"
+            "two-inh-to-reset,transfer-hierarchize}") in err
+    assert err.endswith(
+        "xpn transform: error: argument op: invalid choice: 'bogus' (choose "
+        "from 'hir-elim', 'hirct-elim', 'hir-elim-all', 'dlf-to-reach', "
+        "'reach-to-dlf', 'two-inh-to-reset', 'transfer-hierarchize')\n")
+
+
 def test_transform_stdout_carries_header_and_map(run):
     code, out, _, _ = run("transform", "hir-elim", "n.xpn",
                           files={"n.xpn": HIR})
@@ -410,3 +436,14 @@ def test_export_dot_highlight(run, tmp_path):
 def test_missing_file_is_exit_two(run):
     code, _, err, _ = run("validate", "/nonexistent/net.xpn")
     assert code == 2 and err != ""
+
+
+def test_internal_error_is_exit_two(run, monkeypatch):
+    def boom(net, target):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "backward_cover", boom)
+    code, out, err, _ = run("explore", "backward-cover", "n.xpn", "-m", "b=1",
+                            files={"n.xpn": CHAIN})
+    assert code == 2 and out == ""
+    assert err == "internal error: RuntimeError: boom\n"

@@ -10,6 +10,7 @@ from xpn.explore import (
     OUT_OF_BUDGET,
     BackwardCoverResult,
     SearchBudget,
+    UpwardClosedSet,
     backward_cover,
     bounded_cover,
     bounded_deadlock,
@@ -17,7 +18,7 @@ from xpn.explore import (
     replay,
 )
 from xpn.fmt import parse_net
-from xpn.net import NotFirableError, XpnError
+from xpn.net import Net, NotFirableError, Numeric, XpnError
 
 CHAIN = parse_net("""\
 places: a b
@@ -168,3 +169,137 @@ def test_backward_cover_agrees_with_forward():
                 for b in got.basis:
                     if a != b:
                         assert not all(x <= y for x, y in zip(a, b))
+
+
+def _chain(n, with_reset):
+    """The transfer/reset chain: p0 starts with one token, a_i doubles a
+    token one place up, x_i transfers a whole place one up (paying a p0
+    token for i > 0), and r resets the last place to refill p0."""
+    lines = ["places: " + " ".join(f"p{i}" for i in range(n)),
+             "marking: p0=1"]
+    for i in range(n - 1):
+        lines.append(f"trans a{i}: in p{i} ; out p{i + 1}*2")
+        pay = ", in p0" if i else ""
+        lines.append(f"trans x{i}: xfer p{i}->p{i + 1}{pay} ;")
+    if with_reset:
+        lines.append(f"trans r: reset p{n - 1} ; out p0")
+    return parse_net("\n".join(lines) + "\n")
+
+
+# without r, a token in p_i weighs 2^(n-1-i) and the weight never grows,
+# so the minimal basis is every marking of weight above 2^(n-1)
+CHAIN_4_12_BASIS = (
+    (0, 0, 0, 12), (0, 0, 1, 10), (0, 0, 2, 8), (0, 0, 3, 6), (0, 0, 4, 4),
+    (0, 0, 5, 2), (0, 0, 6, 0), (0, 1, 0, 8), (0, 1, 1, 6), (0, 1, 2, 4),
+    (0, 1, 3, 2), (0, 1, 4, 0), (0, 2, 0, 4), (0, 2, 1, 2), (0, 2, 2, 0),
+    (0, 3, 0, 0), (1, 0, 0, 4), (1, 0, 1, 2), (1, 0, 2, 0), (1, 1, 0, 0),
+    (2, 0, 0, 0))
+CHAIN_4_10_BASIS = (
+    (0, 0, 0, 10), (0, 0, 1, 8), (0, 0, 2, 6), (0, 0, 3, 4), (0, 0, 4, 2),
+    (0, 0, 5, 0), (0, 1, 0, 6), (0, 1, 1, 4), (0, 1, 2, 2), (0, 1, 3, 0),
+    (0, 2, 0, 2), (0, 2, 1, 0), (0, 3, 0, 0), (1, 0, 0, 2), (1, 0, 1, 0),
+    (1, 1, 0, 0), (2, 0, 0, 0))
+
+
+@pytest.mark.parametrize("k, basis", [(12, CHAIN_4_12_BASIS),
+                                      (10, CHAIN_4_10_BASIS)])
+def test_backward_cover_chain_without_reset_pinned(k, basis):
+    r = backward_cover(_chain(4, False), (0, 0, 0, k))
+    assert not r.coverable
+    assert r.basis == basis
+
+
+def test_backward_cover_chain_with_reset():
+    r = backward_cover(_chain(5, True), (0, 0, 0, 0, 12))
+    assert r.coverable
+    assert r.basis == ((0, 0, 0, 0, 0),)
+
+
+class _FlatUpwardClosedSet:
+    """Reference: the basis as a flat list, every operation a full scan."""
+
+    def __init__(self):
+        self.basis = []
+
+    def contains(self, m):
+        return any(all(x <= y for x, y in zip(b, m)) for b in self.basis)
+
+    def add(self, m):
+        if self.contains(m):
+            return False
+        self.basis = [b for b in self.basis
+                      if not all(x <= y for x, y in zip(m, b))]
+        self.basis.append(m)
+        return True
+
+
+def test_upward_closed_set_matches_flat_reference():
+    rng = random.Random(1996)
+    for _ in range(80):
+        n = rng.randint(1, 5)
+        ucs, ref = UpwardClosedSet(), _FlatUpwardClosedSet()
+        added = []
+        for _ in range(rng.randint(1, 60)):
+            roll = rng.random()
+            if added and roll < 0.2:
+                m = rng.choice(added)  # duplicate
+            elif added and roll < 0.45:  # dominated by an earlier element
+                m = tuple(x + rng.randint(0, 2) for x in rng.choice(added))
+            elif added and roll < 0.7:  # dominating an earlier element
+                m = tuple(max(0, x - rng.randint(0, 2))
+                          for x in rng.choice(added))
+            else:
+                m = tuple(rng.randint(0, 4) for _ in range(n))
+            added.append(m)
+            assert ucs.add(list(m)) == ref.add(m)
+            assert sorted(ucs.basis) == sorted(ref.basis)
+            assert len(ucs.basis) == len(ref.basis)
+            assert all(ucs.minimal(b) for b in ref.basis)
+            for probe in added[-3:] + [tuple(rng.randint(0, 5)
+                                             for _ in range(n))
+                                       for _ in range(4)]:
+                assert ucs.contains(probe) == ref.contains(probe)
+                assert ucs.minimal(probe) == (probe in ref.basis)
+        assert sorted(UpwardClosedSet(added).basis) == sorted(ref.basis)
+
+
+def _conserving(net):
+    """No transition puts back more tokens than its numeric arcs take, so
+    the token total never grows and the reachable graph is finite."""
+    return all(sum(t.post.values()) <= sum(a.weight for a in t.pre.values()
+                                           if isinstance(a, Numeric))
+               for t in net.transitions)
+
+
+def test_backward_cover_agrees_with_forward_beyond_the_oracle_cap():
+    """Nets whose forward graph passes the 400-marking oracle cap, where
+    bounded_cover still ends definitively: unbounded nets where it finds
+    the target, and token-conserving nets whose initial marking is scaled
+    up until their finite graph passes the cap, where it may also
+    exhaust."""
+    rng = random.Random(1301)
+    verdicts = {FOUND: 0, EXHAUSTED: 0}
+    for _ in range(6000):
+        if min(verdicts.values()) >= 20:
+            break
+        net = fuzz.no_inhibitor_net(rng)
+        finite = _conserving(net)
+        if finite:
+            if len(net.places) < 3:
+                continue
+            k = rng.randint(6, 16)
+            net = Net(net.places, net.transitions,
+                      tuple(k * x for x in net.initial))
+        elif verdicts[FOUND] >= 20:
+            continue
+        if oracles.reach_graph(net, 400) is not None:
+            continue
+        for _ in range(4 if finite else 1):
+            target = tuple(rng.randint(0, 6) for _ in net.places)
+            fwd = bounded_cover(net, target, SearchBudget(max_steps=5000))
+            if not fwd.definitive:
+                continue
+            verdicts[fwd.status] += 1
+            assert backward_cover(net, target).coverable == fwd.found, \
+                (net, target)
+    assert min(verdicts.values()) >= 20, verdicts

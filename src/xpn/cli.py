@@ -21,7 +21,8 @@ from .explore import (EXHAUSTED, FOUND, OUT_OF_BUDGET, SearchBudget,
                       bounded_reach, replay)
 from .fmt import ParseError, format_marking, parse_marking, parse_net, \
     parse_trace, render_net, render_trace
-from .net import NotFirableError, XpnError, classify, has_errors, validate
+from .net import (InvalidNetError, NotFirableError, XpnError, classify,
+                  has_errors, require_valid, validate)
 from .transforms import TransformResult
 
 
@@ -45,13 +46,13 @@ def _parse_or_fail(path: str, text: str, parser):
         raise _Fail(2, f"{path}:{e.line}:{e.col}: error: {e.message}")
 
 
-def _read_net(path: str, check: bool = True):
+def _read_net(path: str):
     net = _parse_or_fail(path, _read_text(path), parse_net)
-    if check:
-        diags = validate(net)
-        for d in diags:
-            if d.severity == "error":
-                raise _Fail(2, f"{path}: error: {d.code}: {d.message}")
+    try:
+        require_valid(net)
+    except InvalidNetError as e:
+        d = e.errors[0]
+        raise _Fail(2, f"{path}: error: {d.code}: {d.message}")
     return net
 
 

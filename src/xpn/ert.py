@@ -21,8 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .net import (Inhibitor, Marking, Net, TRANSFER_KIND, XpnError, classify,
-                  require_valid, successors)
+from .net import Marking, Net, TRANSFER_KIND, XpnError, classify, successors
 from .explore import Trace, replay, _leq
 
 
@@ -39,10 +38,7 @@ def place_index(net: Net, place: str) -> int:
 
 
 def transition_index(net: Net, tname: str) -> int:
-    t = net.transition(tname)
-    idxs = [net.place_pos(p) + 1
-            for p, a in t.pre.items() if isinstance(a, Inhibitor)]
-    return max(idxs, default=0)
+    return net._plan_for(tname).index
 
 
 def compat(net: Net, m1: Marking, m2: Marking, level: int) -> bool:
@@ -91,7 +87,6 @@ class Ert:
 
 
 def check_eligible(net: Net):
-    require_valid(net)
     cls = classify(net)
     if TRANSFER_KIND in cls.specials:
         raise NotEligibleError("transfer arcs are not supported")
@@ -141,7 +136,7 @@ def build_ert(net: Net, max_nodes: int = 1_000_000, rng=None,
     `stop_early`).  `rng` shuffles child order; the verdict is order
     independent, which tests exploit."""
     check_eligible(net)
-    tidx = {t.name: transition_index(net, t.name) for t in net.transitions}
+    tidx = {op.name: op.index for op in net._plan()}
 
     # A node's ErtNode is built once its status is final: when it is
     # expanded, or at creation for a subsumed leaf.  Until then its slot in
@@ -214,7 +209,7 @@ def decide_termination(net: Net, max_nodes: int = 1_000_000, rng=None):
     expanded: its size is added instead.  `max_nodes` still bounds the
     paper tree's node count."""
     check_eligible(net)
-    tidx = {t.name: transition_index(net, t.name) for t in net.transitions}
+    tidx = {op.name: op.index for op in net._plan()}
     done: dict = {}
     path: list = []
     count = 1  # tree nodes created so far, counted as build_ert counts

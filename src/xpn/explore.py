@@ -16,8 +16,7 @@ from collections import deque
 from dataclasses import dataclass
 from operator import le
 
-from .net import (Inhibitor, Marking, Net, XpnError, fire, require_valid,
-                  successors)
+from .net import Marking, Net, XpnError, fire, require_valid, successors
 
 FOUND = "found"
 EXHAUSTED = "exhausted"
@@ -67,13 +66,12 @@ def _leq(a: Marking, b: Marking) -> bool:
     return all(map(le, a, b))
 
 
-def _bfs(net: Net, start: Marking, goal, budget: SearchBudget) -> SearchResult:
-    """Shared engine: `goal(marking, successor_list)` decides hits.  The hit
-    trace is replayed before returning, as a postcondition check."""
-    require_valid(net)
-    start = tuple(start)
-    if len(start) != len(net.places):
-        raise XpnError("start marking length mismatch")
+def _bfs(net: Net, goal, budget: SearchBudget) -> SearchResult:
+    """Shared engine from the initial marking: `goal(marking,
+    successor_list)` decides hits.  The hit trace is replayed before
+    returning, as a postcondition check."""
+    require_valid(net)  # so the initial marking fits the places
+    start = net.initial
     parent = {start: None}
     queue = deque([(start, 0)])
     expanded = 0
@@ -116,20 +114,20 @@ def bounded_reach(net: Net, target: Marking,
                   budget: SearchBudget = SearchBudget()) -> SearchResult:
     """Is `target` reachable (exact equality) from the initial marking?"""
     target = tuple(target)
-    return _bfs(net, net.initial, lambda m, s: m == target, budget)
+    return _bfs(net, lambda m, s: m == target, budget)
 
 
 def bounded_cover(net: Net, target: Marking,
                   budget: SearchBudget = SearchBudget()) -> SearchResult:
     """Is some marking >= `target` reachable from the initial marking?"""
     target = tuple(target)
-    return _bfs(net, net.initial, lambda m, s: _leq(target, m), budget)
+    return _bfs(net, lambda m, s: _leq(target, m), budget)
 
 
 def bounded_deadlock(net: Net,
                      budget: SearchBudget = SearchBudget()) -> SearchResult:
     """Is a marking with no firable transition reachable?"""
-    return _bfs(net, net.initial, lambda m, s: not s, budget)
+    return _bfs(net, lambda m, s: not s, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +201,7 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def _predecessor_shape(n: int, plan) -> tuple:
+def _predecessor_shape(n: int, op) -> tuple:
     """Compile one transition (a `Net._plan` entry) for `_min_predecessors`.
 
     Returns (pre_w, post_w, plain, killed, groups): the numeric weights
@@ -212,16 +210,15 @@ def _predecessor_shape(n: int, plan) -> tuple:
     transfer target p, the slots whose tokens can meet p's demand (p
     itself unless it is zeroed, then its transfer sources).
     """
-    _, numeric, _, resets, xfers, posts = plan
     pre_w = [0] * n
-    for p, w in numeric:
+    for p, w in op.numeric:
         pre_w[p] = w
     post_w = [0] * n
-    for p, w in posts:
+    for p, w in op.posts:
         post_w[p] += w
-    zeroed = set(resets) | {src for src, _ in xfers}
+    zeroed = set(op.resets) | {src for src, _ in op.xfers}
     incoming: dict = {}
-    for src, tgt in xfers:
+    for src, tgt in op.xfers:
         incoming.setdefault(tgt, []).append(src)
     plain = [p for p in range(n) if p not in zeroed and p not in incoming]
     killed = [p for p in range(n) if p in zeroed and p not in incoming]
@@ -267,15 +264,14 @@ def _min_predecessors(shape, target: Marking) -> list:
 def backward_cover(net: Net, target: Marking) -> BackwardCoverResult:
     """Exact coverability via backward saturation; inhibitor arcs are not
     supported (raises)."""
-    require_valid(net)
+    plan = net._plan()
     target = tuple(target)
     if len(target) != len(net.places):
         raise XpnError("target marking length mismatch")
-    for t in net.transitions:
-        if any(isinstance(a, Inhibitor) for a in t.pre.values()):
-            raise XpnError("backward_cover does not support inhibitor arcs")
+    if any(op.inhib for op in plan):
+        raise XpnError("backward_cover does not support inhibitor arcs")
 
-    shapes = [_predecessor_shape(len(net.places), plan) for plan in net._plan()]
+    shapes = [_predecessor_shape(len(net.places), op) for op in plan]
     ucs = UpwardClosedSet([target])
     frontier = [target]
     while frontier:

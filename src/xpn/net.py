@@ -8,13 +8,15 @@ tuples of non-negative ints indexed by hierarchy position; token counts are
 unbounded Python ints.
 
 `Net` is immutable after construction and all operations here are pure
-functions of (net, marking).
+functions of (net, marking).  Engines read a net only through its compiled
+plan (`Net._plan`), and compiling validates: an invalid net can be built and
+passed to `validate`, but firing or analysing it raises InvalidNetError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Union
+from typing import Mapping, NamedTuple, Union
 
 
 class XpnError(Exception):
@@ -22,7 +24,12 @@ class XpnError(Exception):
 
 
 class InvalidNetError(XpnError):
-    """The operation needs a net with no validation errors."""
+    """The operation needs a net with no validation errors; `errors` holds
+    the error diagnostics in `validate` order."""
+
+    def __init__(self, errors):
+        self.errors = tuple(errors)
+        super().__init__("; ".join(f"{d.code}: {d.message}" for d in self.errors))
 
 
 class UnknownTransitionError(XpnError):
@@ -142,36 +149,57 @@ class Net:
     # -- compiled firing plan ------------------------------------------------
 
     def _plan(self):
-        """Per-transition tuples of positional arc data, built lazily so that
-        invalid nets can still be constructed and validated."""
+        """The compiled form every engine reads, one `_Op` per transition in
+        declaration order.  The first call runs `validate` and raises
+        InvalidNetError on errors; a valid net's plan is cached, so each
+        `Net` is validated once.  Construction compiles nothing, so an
+        invalid net can still be built and validated."""
         if self._ops is None:
+            bad = [d for d in validate(self) if d.severity == "error"]
+            if bad:
+                raise InvalidNetError(bad)
             plan = []
             for t in self.transitions:
                 numeric, inhib, resets, xfers = [], [], [], []
                 for place, arc in t.pre.items():
-                    p = self.place_pos(place)
+                    p = self._pos[place]
                     if isinstance(arc, Numeric):
-                        if arc.weight > 0:
-                            numeric.append((p, arc.weight))
+                        numeric.append((p, arc.weight))
                     elif isinstance(arc, Inhibitor):
                         inhib.append(p)
                     elif isinstance(arc, Reset):
                         resets.append(p)
                     elif isinstance(arc, Transfer):
-                        xfers.append((p, self.place_pos(arc.target)))
+                        xfers.append((p, self._pos[arc.target]))
                     else:
                         raise XpnError(f"bad arc descriptor {arc!r}")
-                posts = [(self.place_pos(place), w) for place, w in t.post.items() if w > 0]
-                plan.append((t.name, numeric, inhib, resets, xfers, posts))
+                posts = [(self._pos[place], w) for place, w in t.post.items()]
+                plan.append(_Op(t.name, numeric, inhib, resets, xfers, posts,
+                                max(inhib, default=-1) + 1))
             object.__setattr__(self, "_ops", tuple(plan))
         return self._ops
 
     def _plan_for(self, tname: str):
+        plan = self._plan()
         try:
-            idx = self._tpos[tname]
+            return plan[self._tpos[tname]]
         except KeyError:
             raise UnknownTransitionError(f"unknown transition {tname!r}") from None
-        return self._plan()[idx]
+
+
+class _Op(NamedTuple):
+    """One compiled transition, arcs given by hierarchy position: `numeric`
+    and `posts` hold (position, weight) pairs, `xfers` (source, target)
+    pairs.  `index` is the transition index, 1 + the highest inhibitor
+    position, or 0 without inhibitor arcs."""
+
+    name: str
+    numeric: list
+    inhib: list
+    resets: list
+    xfers: list
+    posts: list
+    index: int
 
 
 # ---------------------------------------------------------------------------
@@ -213,14 +241,14 @@ def _apply(m, numeric, resets, xfers, posts) -> Marking:
 
 def is_firable(net: Net, m: Marking, tname: str) -> bool:
     _check_len(net, m)
-    _, numeric, inhib, _, _, _ = net._plan_for(tname)
-    return _enabled(m, numeric, inhib)
+    op = net._plan_for(tname)
+    return _enabled(m, op.numeric, op.inhib)
 
 
 def fire(net: Net, m: Marking, tname: str) -> Marking:
     """Fire `tname` at `m`; raises NotFirableError when disabled."""
     _check_len(net, m)
-    _, numeric, inhib, resets, xfers, posts = net._plan_for(tname)
+    _, numeric, inhib, resets, xfers, posts, _ = net._plan_for(tname)
     if not _enabled(m, numeric, inhib):
         raise NotFirableError(f"{tname} is not firable at {m}")
     return _apply(m, numeric, resets, xfers, posts)
@@ -230,7 +258,7 @@ def successors(net: Net, m: Marking) -> list:
     """All (transition name, successor marking) pairs in declaration order."""
     _check_len(net, m)
     out = []
-    for name, numeric, inhib, resets, xfers, posts in net._plan():
+    for name, numeric, inhib, resets, xfers, posts, _ in net._plan():
         if _enabled(m, numeric, inhib):
             out.append((name, _apply(m, numeric, resets, xfers, posts)))
     return out
@@ -310,9 +338,9 @@ def has_errors(diags) -> bool:
 
 
 def require_valid(net: Net):
-    bad = [d for d in validate(net) if d.severity == "error"]
-    if bad:
-        raise InvalidNetError("; ".join(f"{d.code}: {d.message}" for d in bad))
+    """Raise InvalidNetError if `validate` reports errors.  This compiles
+    the net's plan, so it validates each `Net` at most once."""
+    net._plan()
 
 
 # ---------------------------------------------------------------------------
@@ -349,47 +377,27 @@ class NetClass:
         return "+".join(parts)
 
 
-def _kind_of(arc: Arc) -> str:
-    if isinstance(arc, Inhibitor):
-        return INHIBITOR_KIND
-    if isinstance(arc, Reset):
-        return RESET_KIND
-    if isinstance(arc, Transfer):
-        return TRANSFER_KIND
-    return ""
-
-
 def classify(net: Net) -> NetClass:
-    require_valid(net)
+    plan = net._plan()
     present = set()
-    hier_ok = {k: True for k in KIND_ORDER}
+    hier_ok = dict.fromkeys(KIND_ORDER, True)
     constrained = True
-    eligible = True
-
-    for t in net.transitions:
-        special_pos = set()
-        kind_pos = {k: [] for k in KIND_ORDER}
-        for place, arc in t.pre.items():
-            k = _kind_of(arc)
-            if not k:
-                continue
-            p = net.place_pos(place)
-            special_pos.add(p)
-            kind_pos[k].append(p)
-            present.add(k)
-            if isinstance(arc, Transfer):
-                below = t.pre.get(arc.target)
-                if below is not None and not isinstance(below, Numeric):
-                    constrained = False
-        for k, positions in kind_pos.items():
-            for p in positions:
-                if not all(q in special_pos for q in range(p)):
+    for op in plan:
+        sources = [src for src, _ in op.xfers]
+        special = set(op.inhib) | set(op.resets) | set(sources)
+        low = 0  # every position below `low` carries a special arc
+        while low in special:
+            low += 1
+        for k, positions in zip(KIND_ORDER, (op.inhib, op.resets, sources)):
+            if positions:
+                present.add(k)
+                if max(positions) > low:
                     hier_ok[k] = False
-                    break
-        inh = sorted(kind_pos[INHIBITOR_KIND])
-        if inh != list(range(len(inh))):
-            eligible = False
+        if any(tgt in special for _, tgt in op.xfers):
+            constrained = False
 
     specials = tuple(k for k in KIND_ORDER if k in present)
     hierarchical = tuple(k for k in specials if hier_ok[k])
+    # inhibitor places are downward closed iff they fill 0 .. index - 1
+    eligible = all(op.index == len(op.inhib) for op in plan)
     return NetClass(specials, hierarchical, constrained, eligible)

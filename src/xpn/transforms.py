@@ -91,7 +91,6 @@ def _pick_special(net: Net, kinds) -> Transition | None:
 
 
 def _elim_one(net: Net, with_transfer: bool) -> TransformResult:
-    require_valid(net)
     cls = classify(net)
     if with_transfer:
         if not cls.constrained_transfer:
@@ -108,7 +107,11 @@ def _elim_one(net: Net, with_transfer: bool) -> TransformResult:
     t = _pick_special(net, kinds)
     if t is None:
         raise TransformError(f"no transition with a {what} pre-arc")
+    return _gadget(net, t)
 
+
+def _gadget(net: Net, t: Transition) -> TransformResult:
+    """Replace `t` by the start/drain/move/finish gadget under a lock."""
     ptaken = set(net.places)
     ttaken = {x.name for x in net.transitions}
     busy = _fresh(f"{t.name}_busy", ptaken)
@@ -183,26 +186,23 @@ def hirct_elim(net: Net) -> TransformResult:
 def hir_elim_all(net: Net) -> TransformResult:
     """Iterate hir_elim until no reset-bearing transition remains."""
     require_valid(net)
-    result = None
-    current = net
-    while _pick_special(current, (Reset,)) is not None:
-        step = hir_elim(current)
-        if result is None:
-            result = step
-        else:
-            origin = dict(step.place_origin)
-            for p, desc in result.place_origin.items():
-                if origin.get(p) == "original":
-                    origin[p] = desc
-            result = TransformResult(
-                net=step.net,
-                forward=step.forward.compose(result.forward),
-                query=result.query,
-                place_origin=origin,
-                trans_origin=step.trans_origin)
-        current = step.net
-    if result is None:
+    if _pick_special(net, (Reset,)) is None:
         raise TransformError("no transition with a reset pre-arc")
+    result = hir_elim(net)
+    # each gadget adds numeric and inhibitor arcs only, so the nets after
+    # the first step pass hir_elim's checks as well
+    while (t := _pick_special(result.net, (Reset,))) is not None:
+        step = _gadget(result.net, t)
+        origin = dict(step.place_origin)
+        for p, desc in result.place_origin.items():
+            if origin.get(p) == "original":
+                origin[p] = desc
+        result = TransformResult(
+            net=step.net,
+            forward=step.forward.compose(result.forward),
+            query=result.query,
+            place_origin=origin,
+            trans_origin=step.trans_origin)
     return result
 
 
@@ -275,7 +275,6 @@ def _deadlock_clauses(net: Net, cap: int) -> list:
 def dlf_to_reach(net: Net, clause_cap: int = 10_000) -> TransformResult:
     """Source has a reachable deadlock iff the constructed net reaches the
     goal marking (goal place holding the only token)."""
-    require_valid(net)
     cls = classify(net)
     if TRANSFER_KIND in cls.specials:
         raise TransformError("transfer arcs are not supported here")
@@ -418,7 +417,6 @@ def reach_to_dlf(net: Net, target: Marking) -> TransformResult:
 def two_inh_to_reset(net: Net) -> TransformResult:
     """Trade the first of exactly two inhibitor arcs for a reset arc, using
     a copy place that shadows the reset place's numeric traffic."""
-    require_valid(net)
     cls = classify(net)
     if cls.specials not in ((), (INHIBITOR_KIND,)):
         raise TransformError("only inhibitor arcs are allowed here")
@@ -504,7 +502,6 @@ def transfer_hierarchize(net: Net) -> TransformResult:
     order: the first transfer's source gets a shadow copy, and a mode token
     says which of the two currently represents it.  M is reachable in the
     source iff either representative marking is reachable here."""
-    require_valid(net)
     cls = classify(net)
     if cls.specials != (TRANSFER_KIND,):
         raise TransformError("exactly the transfer kind must be present")

@@ -3,7 +3,8 @@ against.  Everything here works on plain dicts and the public net
 structure only; none of it shares code with the library's firing plan,
 search engines or tree builder."""
 
-from xpn.net import Inhibitor, Numeric, Reset, Transfer
+from xpn.net import (INHIBITOR_KIND, KIND_ORDER, RESET_KIND, TRANSFER_KIND,
+                     Inhibitor, NetClass, Numeric, Reset, Transfer)
 
 
 def enabled(t, m: dict) -> bool:
@@ -214,3 +215,56 @@ def reach_set(net, cap: int) -> set:
                     nxt.append(m2)
         frontier = nxt
     return seen
+
+
+def _kind_of(arc) -> str:
+    if isinstance(arc, Inhibitor):
+        return INHIBITOR_KIND
+    if isinstance(arc, Reset):
+        return RESET_KIND
+    if isinstance(arc, Transfer):
+        return TRANSFER_KIND
+    return ""
+
+
+def classify(net) -> NetClass:
+    """The class taxonomy walked straight off the `pre` dicts of a valid
+    net, place by place."""
+    present = set()
+    hier_ok = {k: True for k in KIND_ORDER}
+    constrained = True
+    eligible = True
+
+    for t in net.transitions:
+        special_pos = set()
+        kind_pos = {k: [] for k in KIND_ORDER}
+        for place, arc in t.pre.items():
+            k = _kind_of(arc)
+            if not k:
+                continue
+            p = net.places.index(place)
+            special_pos.add(p)
+            kind_pos[k].append(p)
+            present.add(k)
+            if isinstance(arc, Transfer):
+                below = t.pre.get(arc.target)
+                if below is not None and not isinstance(below, Numeric):
+                    constrained = False
+        for k, positions in kind_pos.items():
+            for p in positions:
+                if not all(q in special_pos for q in range(p)):
+                    hier_ok[k] = False
+                    break
+        inh = sorted(kind_pos[INHIBITOR_KIND])
+        if inh != list(range(len(inh))):
+            eligible = False
+
+    specials = tuple(k for k in KIND_ORDER if k in present)
+    hierarchical = tuple(k for k in specials if hier_ok[k])
+    return NetClass(specials, hierarchical, constrained, eligible)
+
+
+def transition_index(net, t) -> int:
+    """1 + the highest position of an inhibitor pre-place of `t`, or 0."""
+    return max((net.places.index(p) + 1 for p, a in t.pre.items()
+                if isinstance(a, Inhibitor)), default=0)

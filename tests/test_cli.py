@@ -2,7 +2,7 @@
 
 import pytest
 
-from xpn import cli, transforms
+from xpn import cli, net as xpn_net, transforms
 from xpn.ert import build_ert, ert_dot
 from xpn.explore import bounded_cover
 from xpn.fmt import parse_net, parse_trace
@@ -262,6 +262,30 @@ def test_terminate_dot_and_full_tree_build_the_paper_tree(run, monkeypatch,
     assert dot.read_text() == want and want.count(" [label=\"") == 19 + 18
 
 
+@pytest.mark.parametrize("argv, out", [
+    (("terminate", "n.xpn", "--max-nodes", "0"),
+     "OUT_OF_BUDGET tree exceeded 0 nodes\n"),
+    (("terminate", "n.xpn", "--max-nodes", "-1"),
+     "OUT_OF_BUDGET tree exceeded -1 nodes\n"),
+    (("explore", "deadlock", "n.xpn", "--max-steps", "0"),
+     "OUT_OF_BUDGET expanded=0\n"),
+    (("explore", "deadlock", "n.xpn", "--max-steps", "-5"),
+     "OUT_OF_BUDGET expanded=0\n"),
+    (("explore", "reach", "n.xpn", "-m", "b=2", "--max-depth", "-1"),
+     "OUT_OF_BUDGET expanded=1\n"),
+])
+def test_zero_and_negative_budgets_run_out(run, argv, out):
+    assert run(*argv, files={"n.xpn": CHAIN})[:3] == (1, out, "")
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_zero_and_negative_clause_caps_are_refused(run, cap):
+    got = run("transform", "dlf-to-reach", "n.xpn", "--clause-cap", cap,
+              files={"n.xpn": CHAIN})
+    assert got[:3] == (2, "", f"dlf-to-reach: more than {cap} deadlock "
+                              "clauses; raise clause_cap\n")
+
+
 def test_terminate_rejects_ineligible_net(run):
     net = "places: a b\nmarking: a=1\ntrans t: in a, inh b ;\n"
     code, _, err, _ = run("terminate", "n.xpn", files={"n.xpn": net})
@@ -447,3 +471,34 @@ def test_internal_error_is_exit_two(run, monkeypatch):
                             files={"n.xpn": CHAIN})
     assert code == 2 and out == ""
     assert err == "internal error: RuntimeError: boom\n"
+
+
+# two reset-bearing transitions, so hir-elim-all builds an intermediate net
+TWO_RESETS = ("places: a b c\nmarking: a=2 b=1\n"
+              "trans t: in a, reset b ; out b\ntrans u: in b, reset c ; out c\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("terminate", "n.xpn"),
+    ("classify", "n.xpn"),
+    ("explore", "deadlock", "n.xpn"),
+    ("explore", "backward-cover", "n.xpn", "-m", "c=1"),
+    ("transform", "hir-elim", "n.xpn"),
+    ("transform", "hir-elim-all", "n.xpn"),
+    ("transform", "dlf-to-reach", "n.xpn"),
+    ("fire", "n.xpn", "t", "u"),
+    ("export-dot", "n.xpn"),
+])
+def test_each_query_validates_the_net_once(run, monkeypatch, argv):
+    calls = []
+    real = xpn_net.validate
+
+    def counting(net):
+        calls.append(net)
+        return real(net)
+
+    monkeypatch.setattr(xpn_net, "validate", counting)
+    monkeypatch.setattr(cli, "validate", counting)
+    code, _, err, _ = run(*argv, files={"n.xpn": TWO_RESETS})
+    assert (code, err) == (0, "")
+    assert len(calls) == 1

@@ -4,8 +4,10 @@ import pytest
 
 import fuzz
 import oracles
+from xpn.ert import transition_index
 from xpn.net import (
     INHIBIT,
+    KIND_ORDER,
     InvalidNetError,
     Net,
     NotFirableError,
@@ -113,6 +115,27 @@ def test_successors_in_declaration_order():
     n = net_of(["a", "b"], ts, [1, 0])
     assert successors(n, (1, 0)) == [("u", (0, 0)), ("v", (0, 1))]
     assert n.successors((0, 1)) == [("w", (0, 0))]
+
+
+@pytest.mark.parametrize("places, t, code", [
+    (["a", "b"], Transition("t", {"a": Numeric(-1)}, {"b": 1}),
+     "negative-weight"),
+    (["a", "a"], Transition("t", {"a": Numeric(1)}, {"a": 2}),
+     "duplicate-place"),
+    (["a", "b"], Transition("t", {"ghost": Numeric(1)}, {"b": 1}),
+     "unknown-place"),
+    (["a", "b"], Transition("t", {}, {"ghost": 1}), "unknown-place"),
+])
+def test_invalid_nets_can_be_validated_but_not_fired(places, t, code):
+    n = net_of(places, [t], [1, 1])
+    assert code in codes_of(n)
+    for step in (lambda: fire(n, (1, 1), "t"),
+                 lambda: is_firable(n, (1, 1), "t"),
+                 lambda: successors(n, (1, 1))):
+        with pytest.raises(InvalidNetError) as e:
+            step()
+        assert [d.code for d in e.value.errors] == [
+            d.code for d in validate(n) if d.severity == "error"]
 
 
 def test_marking_helpers_and_errors():
@@ -260,6 +283,32 @@ def test_classify_rejects_invalid():
     n = net_of(["a"], [Transition("t", {"ghost": Numeric(1)}, {})], [0])
     with pytest.raises(InvalidNetError):
         classify(n)
+
+
+def test_classify_matches_the_dict_walking_reference():
+    gens = (fuzz.spiced_net, fuzz.hier_ir_net, fuzz.hirct_net, fuzz.ert_net,
+            fuzz.two_transfer_net)
+    seen = set()
+    for seed, gen in enumerate(gens):
+        rng = random.Random(4000 + seed)
+        for _ in range(300):
+            n = gen(rng)
+            c = classify(n)
+            assert c == oracles.classify(n), (gen.__name__, n)
+            for t in n.transitions:
+                assert transition_index(n, t.name) == \
+                    oracles.transition_index(n, t)
+            seen |= {("constrained", c.constrained_transfer),
+                     ("eligible", c.ert_eligible)}
+            for k in KIND_ORDER:
+                seen.add(("special", k, k in c.specials))
+                if k in c.specials:
+                    seen.add(("hierarchical", k, k in c.hierarchical))
+    # every value of every field occurs somewhere in the corpora
+    want = {(f, v) for f in ("constrained", "eligible") for v in (True, False)}
+    want |= {(f, k, v) for f in ("special", "hierarchical")
+             for k in KIND_ORDER for v in (True, False)}
+    assert seen == want
 
 
 def test_package_exports_names_not_submodules():

@@ -4,20 +4,20 @@ reductions between the arc-kind classes, and hardness compilers."""
 
 from types import ModuleType as _ModuleType
 
-from .net import (Arc, Diagnostic, INHIBIT, INHIBITOR_KIND, Inhibitor,
-                  InvalidNetError, KIND_ORDER, Marking, Net, NetClass,
-                  NotFirableError, Numeric, RESET, RESET_KIND, Reset,
-                  TRANSFER_KIND, Transfer, Transition, UnknownTransitionError,
-                  XpnError, classify, fire, has_errors, is_firable,
-                  require_valid, successors, validate)
+from .net import (Arc, BudgetExceededError, Diagnostic, INHIBIT,
+                  INHIBITOR_KIND, Inhibitor, InvalidNetError, KIND_ORDER,
+                  Marking, Net, NetClass, NotFirableError, Numeric, RESET,
+                  RESET_KIND, Reset, TRANSFER_KIND, Transfer, Transition,
+                  UnknownTransitionError, XpnError, classify, fire,
+                  has_errors, is_firable, require_valid, successors, validate)
 from .fmt import (ParseError, format_marking, parse_marking, parse_net,
                   parse_trace, render_net, render_trace)
 from .explore import (BackwardCoverResult, SearchBudget, SearchResult, Trace,
                       UpwardClosedSet, backward_cover, bounded_cover,
                       bounded_deadlock, bounded_reach, replay)
-from .ert import (BudgetExceededError, Ert, ErtNode, NonTerminating,
-                  NotEligibleError, Terminating, build_ert, check_eligible,
-                  decide_termination, ert_dot, subsume, verify_pump)
+from .ert import (Ert, ErtNode, NonTerminating, NotEligibleError, Terminating,
+                  build_ert, check_eligible, decide_termination, ert_dot,
+                  subsume, verify_pump)
 from .transforms import (MarkingMap, TransformError, TransformResult,
                          dlf_to_reach, hir_elim, hir_elim_all, hirct_elim,
                          reach_to_dlf, transfer_hierarchize, two_inh_to_reset)

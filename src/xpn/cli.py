@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 for a definitive answer (including a definitive no), 1 when
-a search or tree budget ran out before an answer, 2 for usage, parse,
+a budget ran out first (engines raise BudgetExceededError, which `main`
+alone prints as `OUT_OF_BUDGET <message>`), 2 for usage, parse,
 validation or precondition problems, and for internal errors: any other
 exception is reported as `internal error: <Type>: <message>` on stderr.
 """
@@ -14,36 +15,33 @@ from pathlib import Path
 
 from . import compilers, transforms
 from .dot import export_dot
-from .ert import (BudgetExceededError, NonTerminating, Terminating, build_ert,
-                  decide_termination, ert_dot, verify_pump)
-from .explore import (EXHAUSTED, FOUND, OUT_OF_BUDGET, SearchBudget,
-                      backward_cover, bounded_cover, bounded_deadlock,
-                      bounded_reach, replay)
+from .ert import (NonTerminating, Terminating, build_ert, decide_termination,
+                  ert_dot, verify_pump)
+from .explore import (EXHAUSTED, FOUND, SearchBudget, backward_cover,
+                      bounded_cover, bounded_deadlock, bounded_reach, replay)
 from .fmt import ParseError, format_marking, parse_marking, parse_net, \
     parse_trace, render_net, render_trace
-from .net import (InvalidNetError, NotFirableError, XpnError, classify,
-                  has_errors, require_valid, validate)
+from .net import (BudgetExceededError, InvalidNetError, NotFirableError,
+                  XpnError, classify, has_errors, require_valid, validate)
 from .transforms import TransformResult
 
 
 class _Fail(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
+    """A usage or input problem: its message goes to stderr, exit 2."""
 
 
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text()
     except OSError as e:
-        raise _Fail(2, f"{path}: {e.strerror or e}")
+        raise _Fail(f"{path}: {e.strerror or e}")
 
 
 def _parse_or_fail(path: str, text: str, parser):
     try:
         return parser(text)
     except ParseError as e:
-        raise _Fail(2, f"{path}:{e.line}:{e.col}: error: {e.message}")
+        raise _Fail(f"{path}:{e.line}:{e.col}: error: {e.message}")
 
 
 def _read_net(path: str):
@@ -52,17 +50,23 @@ def _read_net(path: str):
         require_valid(net)
     except InvalidNetError as e:
         d = e.errors[0]
-        raise _Fail(2, f"{path}: error: {d.code}: {d.message}")
+        raise _Fail(f"{path}: error: {d.code}: {d.message}")
     return net
 
 
-def _marking_arg(net, path: str, literal: str):
+def _marking_arg(net, literal: str):
     try:
         return parse_marking(net, literal)
     except ParseError as e:
-        raise _Fail(2, f"marking literal: col {e.col}: {e.message}")
+        raise _Fail(f"marking literal: col {e.col}: {e.message}")
     except XpnError as e:
-        raise _Fail(2, f"marking literal: {e}")
+        raise _Fail(f"marking literal: {e}")
+
+
+def _target(net, args, verb: str):
+    if args.marking is None:
+        raise _Fail(f"{verb} needs a target marking (-m)")
+    return _marking_arg(net, args.marking)
 
 
 def _write_out(args, text: str):
@@ -103,12 +107,12 @@ def cmd_fire(args) -> int:
     net = _read_net(args.net)
     start = net.initial
     if args.marking is not None:
-        start = _marking_arg(net, args.net, args.marking)
+        start = _marking_arg(net, args.marking)
     names = list(args.transition)
     if args.trace_file:
         names += list(parse_trace(_read_text(args.trace_file)))
     if not names:
-        raise _Fail(2, "no transitions given")
+        raise _Fail("no transitions given")
     try:
         trace = replay(net, start, names)
     except NotFirableError as e:
@@ -121,13 +125,8 @@ def cmd_fire(args) -> int:
 def cmd_explore(args) -> int:
     net = _read_net(args.net)
     if args.mode == "backward-cover":
-        if args.marking is None:
-            raise _Fail(2, "backward-cover needs a target marking (-m)")
-        target = _marking_arg(net, args.net, args.marking)
-        try:
-            res = backward_cover(net, target)
-        except XpnError as e:
-            raise _Fail(2, str(e))
+        res = backward_cover(net, _target(net, args, args.mode),
+                             max_steps=args.max_steps)
         print("COVERABLE" if res.coverable else "UNCOVERABLE")
         for b in res.basis:
             print(format_marking(net, b))
@@ -137,11 +136,8 @@ def cmd_explore(args) -> int:
     if args.mode == "deadlock":
         res = bounded_deadlock(net, budget)
     else:
-        if args.marking is None:
-            raise _Fail(2, f"{args.mode} needs a target marking (-m)")
-        target = _marking_arg(net, args.net, args.marking)
         fn = bounded_reach if args.mode == "reach" else bounded_cover
-        res = fn(net, target, budget)
+        res = fn(net, _target(net, args, args.mode), budget)
     if res.status == FOUND:
         print(f"FOUND steps={len(res.trace.transitions)} expanded={res.expanded}")
         print(format_marking(net, res.trace.markings[-1]))
@@ -151,22 +147,17 @@ def cmd_explore(args) -> int:
     if res.status == EXHAUSTED:
         print(f"EXHAUSTED expanded={res.expanded}")
         return 0
-    print(f"OUT_OF_BUDGET expanded={res.expanded}")
-    return 1
+    raise BudgetExceededError(f"expanded={res.expanded}")
 
 
 def cmd_terminate(args) -> int:
     net = _read_net(args.net)
-    try:
-        if args.dot or args.full_tree:
-            ert = build_ert(net, max_nodes=args.max_nodes,
-                            stop_early=not args.full_tree)
-            v = ert.verdict
-        else:
-            v = decide_termination(net, max_nodes=args.max_nodes)
-    except BudgetExceededError as e:
-        print(f"OUT_OF_BUDGET {e}")
-        return 1
+    if args.dot or args.full_tree:
+        ert = build_ert(net, max_nodes=args.max_nodes,
+                        stop_early=not args.full_tree)
+        v = ert.verdict
+    else:
+        v = decide_termination(net, max_nodes=args.max_nodes)
     if args.dot:
         Path(args.dot).write_text(ert_dot(net, ert))
     if isinstance(v, Terminating):
@@ -198,12 +189,6 @@ def _map_lines(net_in, result: TransformResult) -> list:
     return lines
 
 
-def _reach_target(net, args):
-    if args.marking is None:
-        raise _Fail(2, "reach-to-dlf needs a target marking (-m)")
-    return _marking_arg(net, args.net, args.marking)
-
-
 # op name -> run(net, args), in the order `--help` lists them; each entry
 # looks its reduction up on `transforms` when called
 TRANSFORM_OPS = {
@@ -213,7 +198,7 @@ TRANSFORM_OPS = {
     "dlf-to-reach": lambda net, args: transforms.dlf_to_reach(
         net, clause_cap=args.clause_cap),
     "reach-to-dlf": lambda net, args: transforms.reach_to_dlf(
-        net, _reach_target(net, args)),
+        net, _target(net, args, "reach-to-dlf")),
     "two-inh-to-reset": lambda net, args: transforms.two_inh_to_reset(net),
     "transfer-hierarchize":
         lambda net, args: transforms.transfer_hierarchize(net),
@@ -225,7 +210,7 @@ def cmd_transform(args) -> int:
     try:
         result = TRANSFORM_OPS[args.op](net, args)
     except transforms.TransformError as e:
-        raise _Fail(2, f"{args.op}: {e}")
+        raise _Fail(f"{args.op}: {e}")
 
     header = [f"xpn transform {args.op}", f"query: {result.query}"]
     if result.goal is not None:
@@ -258,7 +243,7 @@ def cmd_compile(args) -> int:
         try:
             comp = compilers.compile_positivity(inst)
         except ValueError as e:
-            raise _Fail(2, str(e))
+            raise _Fail(str(e))
         header = ["xpn compile positivity",
                   f"census: places={len(comp.net.places)} "
                   f"transitions={len(comp.net.transitions)}",
@@ -270,9 +255,7 @@ def cmd_compile(args) -> int:
 
 def cmd_export_dot(args) -> int:
     net = _read_net(args.net)
-    highlight = ()
-    if args.highlight:
-        highlight = tuple(x for x in args.highlight.split(",") if x)
+    highlight = tuple(x for x in (args.highlight or "").split(",") if x)
     _write_out(args, export_dot(net, highlight=highlight))
     return 0
 
@@ -352,9 +335,12 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
+    except BudgetExceededError as e:
+        print(f"OUT_OF_BUDGET {e}")
+        return 1
     except _Fail as e:
         print(str(e), file=sys.stderr)
-        return e.code
+        return 2
     except XpnError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -106,31 +106,24 @@ def parse_machine(text: str) -> CounterMachine:
 def simulate_machine(cm: CounterMachine, max_configs: int = 10_000):
     """True if the machine halts, False if it provably loops (a
     configuration repeats), None if max_configs is exhausted first."""
-    q, c1, c2 = cm.start, 0, 0
+    q, c = cm.start, {1: 0, 2: 0}
     seen = set()
     for _ in range(max_configs):
-        if (q, c1, c2) in seen:
+        config = (q, c[1], c[2])
+        if config in seen:
             return False
-        seen.add((q, c1, c2))
+        seen.add(config)
         instr = cm.program[q]
         if isinstance(instr, Halt):
             return True
         if isinstance(instr, Inc):
-            if instr.counter == 1:
-                c1 += 1
-            else:
-                c2 += 1
+            c[instr.counter] += 1
             q = instr.goto
+        elif c[instr.counter] == 0:
+            q = instr.goto_zero
         else:
-            c = c1 if instr.counter == 1 else c2
-            if c == 0:
-                q = instr.goto_zero
-            else:
-                if instr.counter == 1:
-                    c1 -= 1
-                else:
-                    c2 -= 1
-                q = instr.goto_nonzero
+            c[instr.counter] -= 1
+            q = instr.goto_nonzero
     return None
 
 

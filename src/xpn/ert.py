@@ -21,12 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .net import Marking, Net, TRANSFER_KIND, XpnError, classify, successors
+from .net import (BudgetExceededError, Marking, Net, TRANSFER_KIND, XpnError,
+                  classify, successors)
 from .explore import Trace, replay, _leq
-
-
-class BudgetExceededError(XpnError):
-    """The node budget ran out before the tree was complete."""
 
 
 class NotEligibleError(XpnError):

@@ -7,16 +7,19 @@ unless the budget (or a depth cap) cut the search off, in which case the
 status is OUT_OF_BUDGET and nothing can be concluded.
 
 backward_cover saturates minimal bases of upward-closed predecessor sets
-and is exact, but only supports nets without inhibitor arcs.
+and is exact, but only supports nets without inhibitor arcs; its budget
+counts candidate predecessors and raises BudgetExceededError.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from math import comb, prod
 from operator import le
 
-from .net import Marking, Net, XpnError, fire, require_valid, successors
+from .net import (BudgetExceededError, Marking, Net, XpnError, fire,
+                  require_valid, successors)
 
 FOUND = "found"
 EXHAUSTED = "exhausted"
@@ -188,11 +191,8 @@ class BackwardCoverResult:
 
 
 def _compositions(total: int, parts: int):
-    """All ways to write `total` as an ordered sum of `parts` >= 0 ints."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
+    """All ways, in lexicographic order, to write `total` as an ordered sum
+    of `parts` >= 1 nonnegative ints."""
     if parts == 1:
         yield (total,)
         return
@@ -227,19 +227,24 @@ def _predecessor_shape(n: int, op) -> tuple:
     return pre_w, post_w, plain, killed, groups
 
 
-def _min_predecessors(shape, target: Marking) -> list:
+def _min_predecessors(shape, target: Marking, room: int):
     """Minimal markings m with fire(m, t) >= target, for the transition
-    compiled into `shape` by `_predecessor_shape`.
+    compiled into `shape` by `_predecessor_shape`; None, before any is
+    built, when there are more than `room` of them.
 
     Reset and transfer arcs make the predecessor basis non-singleton: a
     transfer target's demand can be met partly by tokens already in the
     target place and partly by tokens arriving from each source, and the
-    minimal ways to split that demand are exactly the integer compositions.
+    minimal ways to split that demand are exactly the integer compositions,
+    comb(d + k - 1, k - 1) of them for a demand d over k slots.
     """
     pre_w, post_w, plain, killed, groups = shape
     for p in killed:
         if target[p] > post_w[p]:
             return []  # this transition cannot refill a zeroed place
+    splits = [(slots, max(0, target[p] - post_w[p])) for p, slots in groups]
+    if prod(comb(d + len(s) - 1, len(s) - 1) for s, d in splits) > room:
+        return None
     base = list(pre_w)  # zeroed places take no numeric arc, so stay 0
     for p in plain:
         demand = target[p] - post_w[p]
@@ -247,9 +252,8 @@ def _min_predecessors(shape, target: Marking) -> list:
             base[p] += demand
 
     out = [base]
-    for p, slots in groups:
-        split_axes = list(_compositions(max(0, target[p] - post_w[p]),
-                                        len(slots)))
+    for slots, demand in splits:
+        split_axes = list(_compositions(demand, len(slots)))
         nxt = []
         for m in out:
             for split in split_axes:
@@ -261,9 +265,11 @@ def _min_predecessors(shape, target: Marking) -> list:
     return [tuple(m) for m in out]
 
 
-def backward_cover(net: Net, target: Marking) -> BackwardCoverResult:
+def backward_cover(net: Net, target: Marking,
+                   max_steps: int = 1_000_000) -> BackwardCoverResult:
     """Exact coverability via backward saturation; inhibitor arcs are not
-    supported (raises)."""
+    supported (raises).  Raises BudgetExceededError once the search needs
+    more than `max_steps` candidate predecessors."""
     plan = net._plan()
     target = tuple(target)
     if len(target) != len(net.places):
@@ -274,6 +280,7 @@ def backward_cover(net: Net, target: Marking) -> BackwardCoverResult:
     shapes = [_predecessor_shape(len(net.places), op) for op in plan]
     ucs = UpwardClosedSet([target])
     frontier = [target]
+    steps = 0
     while frontier:
         fresh = []
         for b in frontier:
@@ -282,7 +289,13 @@ def backward_cover(net: Net, target: Marking) -> BackwardCoverResult:
             if not ucs.minimal(b):
                 continue
             for shape in shapes:
-                for p in _min_predecessors(shape, b):
+                preds = _min_predecessors(shape, b, max_steps - steps)
+                if preds is None:
+                    raise BudgetExceededError(
+                        f"backward search exceeded {max_steps} candidate "
+                        "predecessors")
+                steps += len(preds)
+                for p in preds:
                     if ucs.add(p):
                         fresh.append(p)
         frontier = fresh

@@ -23,6 +23,10 @@ class XpnError(Exception):
     """Base class for all library errors."""
 
 
+class BudgetExceededError(XpnError):
+    """A step, node or clause budget ran out before a definitive answer."""
+
+
 class InvalidNetError(XpnError):
     """The operation needs a net with no validation errors; `errors` holds
     the error diagnostics in `validate` order."""

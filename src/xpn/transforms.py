@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .net import (INHIBIT, INHIBITOR_KIND, Inhibitor, Marking, Net, Numeric,
-                  RESET, Reset, TRANSFER_KIND, Transfer, Transition, XpnError,
-                  classify, require_valid)
+from .net import (BudgetExceededError, INHIBIT, INHIBITOR_KIND, Inhibitor,
+                  Marking, Net, Numeric, RESET, Reset, TRANSFER_KIND, Transfer,
+                  Transition, XpnError, classify, require_valid)
 
 COPY = "copy"
 CONST = "const"
@@ -241,8 +241,8 @@ def _deadlock_clauses(net: Net, cap: int) -> list:
             if key not in seen:
                 seen.add(key)
                 if len(clauses) >= cap:
-                    raise TransformError(
-                        f"more than {cap} deadlock clauses; raise clause_cap")
+                    raise BudgetExceededError(
+                        f"more than {cap} deadlock clauses")
                 clauses.append(dict(assign))
         elif k < len(per_t[i]):
             kind, p, j = per_t[i][k]
@@ -274,7 +274,8 @@ def _deadlock_clauses(net: Net, cap: int) -> list:
 
 def dlf_to_reach(net: Net, clause_cap: int = 10_000) -> TransformResult:
     """Source has a reachable deadlock iff the constructed net reaches the
-    goal marking (goal place holding the only token)."""
+    goal marking (goal place holding the only token).  More than
+    `clause_cap` deadlock clauses raise BudgetExceededError."""
     cls = classify(net)
     if TRANSFER_KIND in cls.specials:
         raise TransformError("transfer arcs are not supported here")

@@ -18,6 +18,14 @@ def finite_net(rng, gen, cap, tries=400):
     raise AssertionError(f"no net under {cap} markings in {tries} draws")
 
 
+def conserving(net):
+    """No transition puts back more tokens than its numeric arcs take, so
+    the token total never grows and the reachable graph is finite."""
+    return all(sum(t.post.values()) <= sum(a.weight for a in t.pre.values()
+                                           if isinstance(a, Numeric))
+               for t in net.transitions)
+
+
 def plain_net(rng, min_places=2, max_places=4, max_trans=4):
     n = rng.randint(min_places, max_places)
     places = [f"p{i}" for i in range(n)]

@@ -26,11 +26,10 @@ from xpn.dot import export_dot
 from xpn.ert import NonTerminating, decide_termination, verify_pump
 from xpn.explore import SearchBudget, bounded_cover
 from xpn.fmt import parse_net, render_net
-from xpn.net import Inhibitor, Numeric, Transfer
+from xpn.net import BudgetExceededError, Inhibitor, Numeric, Transfer
 from xpn.transforms import (
     CONST,
     COPY,
-    TransformError,
     dlf_to_reach,
     hir_elim,
     reach_to_dlf,
@@ -130,7 +129,7 @@ def test_criterion_04_deadlock_to_reachability():
         src, src_graph = fuzz.finite_net(rng, fuzz.hier_ir_net, 200)
         try:
             res = dlf_to_reach(src, clause_cap=500)
-        except TransformError:
+        except BudgetExceededError:  # more than 500 deadlock clauses
             continue
         tgt_graph = oracles.reach_graph(res.net, 60_000)
         assert tgt_graph is not None

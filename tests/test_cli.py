@@ -1,5 +1,12 @@
 """End-to-end CLI checks, run in process through cli.main."""
 
+import os
+import resource
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import pytest
 
 from xpn import cli, net as xpn_net, transforms
@@ -177,9 +184,10 @@ def test_explore_backward_cover(run):
 
 def test_explore_backward_cover_rejects_inhibitors(run):
     net = "places: a b\ntrans t: inh a ; out b\n"
-    code, _, err, _ = run("explore", "backward-cover", "n.xpn", "-m", "b=1",
-                          files={"n.xpn": net})
-    assert code == 2 and "inhibitor" in err
+    got = run("explore", "backward-cover", "n.xpn", "-m", "b=1",
+              files={"n.xpn": net})
+    assert got[:3] == (
+        2, "", "error: backward_cover does not support inhibitor arcs\n")
 
 
 # ---------------------------------------------------------------------------
@@ -273,17 +281,70 @@ def test_terminate_dot_and_full_tree_build_the_paper_tree(run, monkeypatch,
      "OUT_OF_BUDGET expanded=0\n"),
     (("explore", "reach", "n.xpn", "-m", "b=2", "--max-depth", "-1"),
      "OUT_OF_BUDGET expanded=1\n"),
+    (("transform", "dlf-to-reach", "n.xpn", "--clause-cap", "0"),
+     "OUT_OF_BUDGET more than 0 deadlock clauses\n"),
+    (("transform", "dlf-to-reach", "n.xpn", "--clause-cap", "-1"),
+     "OUT_OF_BUDGET more than -1 deadlock clauses\n"),
+    (("explore", "backward-cover", "n.xpn", "-m", "b=1", "--max-steps", "0"),
+     "OUT_OF_BUDGET backward search exceeded 0 candidate predecessors\n"),
+    (("explore", "backward-cover", "n.xpn", "-m", "b=1", "--max-steps", "-1"),
+     "OUT_OF_BUDGET backward search exceeded -1 candidate predecessors\n"),
 ])
 def test_zero_and_negative_budgets_run_out(run, argv, out):
     assert run(*argv, files={"n.xpn": CHAIN})[:3] == (1, out, "")
 
 
-@pytest.mark.parametrize("cap", ["0", "-1"])
-def test_zero_and_negative_clause_caps_are_refused(run, cap):
-    got = run("transform", "dlf-to-reach", "n.xpn", "--clause-cap", cap,
-              files={"n.xpn": CHAIN})
-    assert got[:3] == (2, "", f"dlf-to-reach: more than {cap} deadlock "
-                              "clauses; raise clause_cap\n")
+# the 3-place transfer chain: x1 can meet a demand on p2 in demand + 1 ways
+CHAIN3 = ("places: p0 p1 p2\nmarking: p0=1\n"
+          "trans a0: in p0 ; out p1*2\ntrans x0: xfer p0->p1 ;\n"
+          "trans a1: in p1 ; out p2*2\ntrans x1: xfer p1->p2, in p0 ;\n")
+E18 = 10**18
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+@pytest.mark.parametrize("argv, out", [
+    ((f"p2={E18}",),
+     "OUT_OF_BUDGET backward search exceeded 1000000 candidate predecessors\n"),
+    (("p2=5000", "--max-steps", "10"),
+     "OUT_OF_BUDGET backward search exceeded 10 candidate predecessors\n"),
+])
+def test_backward_cover_runs_out_on_huge_demands(tmp_path, argv, out):
+    # in a child capped at 1 GiB and 20 s: building the candidates of a
+    # 10**18 demand fails there instead of exhausting the host's memory
+    net = tmp_path / "n.xpn"
+    net.write_text(CHAIN3)
+    src = str(Path(cli.__file__).parents[1])
+    t0 = time.monotonic()
+    got = subprocess.run(
+        [sys.executable, "-m", "xpn.cli", "explore", "backward-cover",
+         str(net), "-m", *argv], capture_output=True, text=True, timeout=20,
+        preexec_fn=_limit_memory, env=dict(os.environ, PYTHONPATH=src))
+    assert (got.returncode, got.stdout, got.stderr) == (1, out, "")
+    assert time.monotonic() - t0 < 5
+
+
+# a countdown from 2 * 10**18 tokens: t moves a token from b to a, s
+# removes one from a
+BIG = (f"places: a b\nmarking: a={E18} b={E18}\n"
+       "trans s: in a ;\ntrans t: in b ; out a\n")
+
+
+def test_fire_keeps_huge_counts_exact(run):
+    got = run("fire", "n.xpn", "t", "s", "t", files={"n.xpn": BIG})
+    assert got[:3] == (0, f"a={E18 + 1} b={E18 - 2}\n", "")
+
+
+@pytest.mark.parametrize("argv, out", [
+    (("explore", "cover", "n.xpn", "-m", f"b={E18 + 1}", "--max-steps",
+      "1000"), "OUT_OF_BUDGET expanded=1000\n"),
+    (("terminate", "n.xpn", "--max-nodes", "1000"),
+     "OUT_OF_BUDGET tree exceeded 1000 nodes\n"),
+])
+def test_huge_countdowns_run_out(run, argv, out):
+    assert run(*argv, files={"n.xpn": BIG})[:3] == (1, out, "")
 
 
 def test_terminate_rejects_ineligible_net(run):
@@ -463,7 +524,7 @@ def test_missing_file_is_exit_two(run):
 
 
 def test_internal_error_is_exit_two(run, monkeypatch):
-    def boom(net, target):
+    def boom(net, target, max_steps):
         raise RuntimeError("boom")
 
     monkeypatch.setattr(cli, "backward_cover", boom)

@@ -4,6 +4,7 @@ import pytest
 
 import fuzz
 import oracles
+from xpn import explore
 from xpn.explore import (
     EXHAUSTED,
     FOUND,
@@ -18,7 +19,7 @@ from xpn.explore import (
     replay,
 )
 from xpn.fmt import parse_net
-from xpn.net import Net, NotFirableError, Numeric, XpnError
+from xpn.net import BudgetExceededError, Net, NotFirableError, XpnError
 
 CHAIN = parse_net("""\
 places: a b
@@ -215,6 +216,59 @@ def test_backward_cover_chain_with_reset():
     assert r.basis == ((0, 0, 0, 0, 0),)
 
 
+# chain (4,12) with reset generates 1,537 candidate predecessors: every one
+# goes through UpwardClosedSet.add, after the add of the target itself
+CHAIN_4_12_CANDIDATES = 1537
+
+
+def test_backward_cover_budget_counts_candidate_predecessors(monkeypatch):
+    net, target = _chain(4, True), (0, 0, 0, 12)
+    calls = []
+    real = UpwardClosedSet.add
+
+    def counting(self, m):
+        calls.append(m)
+        return real(self, m)
+
+    monkeypatch.setattr(UpwardClosedSet, "add", counting)
+    r = backward_cover(net, target, max_steps=CHAIN_4_12_CANDIDATES)
+    assert r.coverable and r.basis == ((0, 0, 0, 0),)
+    assert len(calls) == CHAIN_4_12_CANDIDATES + 1
+    budget = CHAIN_4_12_CANDIDATES - 1
+    with pytest.raises(BudgetExceededError, match=(
+            f"^backward search exceeded {budget} candidate predecessors$")):
+        backward_cover(net, target, max_steps=budget)
+
+
+def _fits_exactly(shape, target):
+    """The candidates of `shape` for `target` fit a room of their own
+    number and no less; returns that number."""
+    preds = explore._min_predecessors(shape, target, 10**9)
+    assert explore._min_predecessors(shape, target, len(preds)) == preds
+    if preds:
+        assert explore._min_predecessors(shape, target, len(preds) - 1) \
+            is None
+    return len(preds)
+
+
+def test_min_predecessors_counts_before_building():
+    # spiced nets put up to three transfer arcs into one place; the shape
+    # ignores inhibitor arcs, which backward_cover refuses beforehand
+    rng = random.Random(1996)
+    for i in range(600):
+        net = (fuzz.spiced_net if i % 2 else fuzz.no_inhibitor_net)(rng)
+        n = len(net.places)
+        for op in net._plan():
+            shape = explore._predecessor_shape(n, op)
+            for _ in range(3):
+                _fits_exactly(shape, tuple(rng.randint(0, 5) for _ in range(n)))
+    # d's demand of 4 split over d and three sources: comb(4 + 3, 3) ways
+    fan_in = parse_net("places: a b c d\n"
+                       "trans t: xfer a->d, xfer b->d, xfer c->d ; out d\n")
+    shape = explore._predecessor_shape(4, fan_in._plan()[0])
+    assert _fits_exactly(shape, (0, 0, 0, 5)) == 35
+
+
 class _FlatUpwardClosedSet:
     """Reference: the basis as a flat list, every operation a full scan."""
 
@@ -263,14 +317,6 @@ def test_upward_closed_set_matches_flat_reference():
         assert sorted(UpwardClosedSet(added).basis) == sorted(ref.basis)
 
 
-def _conserving(net):
-    """No transition puts back more tokens than its numeric arcs take, so
-    the token total never grows and the reachable graph is finite."""
-    return all(sum(t.post.values()) <= sum(a.weight for a in t.pre.values()
-                                           if isinstance(a, Numeric))
-               for t in net.transitions)
-
-
 def test_backward_cover_agrees_with_forward_beyond_the_oracle_cap():
     """Nets whose forward graph passes the 400-marking oracle cap, where
     bounded_cover still ends definitively: unbounded nets where it finds
@@ -283,7 +329,7 @@ def test_backward_cover_agrees_with_forward_beyond_the_oracle_cap():
         if min(verdicts.values()) >= 20:
             break
         net = fuzz.no_inhibitor_net(rng)
-        finite = _conserving(net)
+        finite = fuzz.conserving(net)
         if finite:
             if len(net.places) < 3:
                 continue

@@ -4,8 +4,10 @@ import pytest
 
 import fuzz
 import oracles
+from xpn.explore import EXHAUSTED, FOUND, SearchBudget, bounded_reach
 from xpn.fmt import parse_net, render_net
-from xpn.net import Inhibitor, Reset, Transfer, classify
+from xpn.net import (BudgetExceededError, Inhibitor, Net, Reset, Transfer,
+                     classify, successors)
 from xpn.transforms import (
     CONST,
     COPY,
@@ -174,6 +176,39 @@ def test_hir_elim_all_fuzz_strictly_decreasing():
         assert res.forward(src.initial) == res.net.initial
 
 
+def test_hir_elim_all_reachability_beyond_the_oracle_cap():
+    """bounded_reach(src, M) == bounded_reach(target, forward(M)), both
+    definitive, on token-conserving reset nets whose initial marking is
+    scaled until the source graph passes the 400-marking oracle cap."""
+    rng = random.Random(1996)
+    budget = SearchBudget(max_steps=200_000)
+    verdicts = {FOUND: 0, EXHAUSTED: 0}
+    nets = 0
+    while nets < 4 or min(verdicts.values()) < 5:
+        src = fuzz.hier_ir_net(rng)
+        if not fuzz.conserving(src):
+            continue
+        src = Net(src.places, src.transitions,
+                  tuple(rng.randint(4, 10) * x for x in src.initial))
+        if oracles.reach_graph(src, 400) is not None:
+            continue
+        nets += 1
+        res = hir_elim_all(src)
+        m = src.initial  # a random walk gives a reachable target
+        for _ in range(rng.randint(0, 30)):
+            succ = successors(src, m)
+            if succ:
+                m = rng.choice(succ)[1]
+        top = max(src.initial)
+        for target in (m, *(tuple(rng.randint(0, top) for _ in m)
+                            for _ in range(8))):
+            want = bounded_reach(src, target, budget)
+            got = bounded_reach(res.net, res.forward(target), budget)
+            assert want.definitive and got.definitive, (src, target)
+            assert got.status == want.status, (src, target)
+            verdicts[want.status] += 1
+
+
 # ---------------------------------------------------------------------------
 # deadlock-freedom <-> reachability
 
@@ -210,7 +245,8 @@ def test_dlf_clause_pruning():
 
 
 def test_dlf_clause_cap_and_rejection():
-    with pytest.raises(TransformError):
+    with pytest.raises(BudgetExceededError,
+                       match="^more than 1 deadlock clauses$"):
         dlf_to_reach(DLF_SRC, clause_cap=1)
     with pytest.raises(TransformError):
         dlf_to_reach(parse_net("places: a b\ntrans t: xfer a->b ;"))

@@ -12,12 +12,12 @@ from .net import (Arc, BudgetExceededError, Diagnostic, INHIBIT,
                   has_errors, is_firable, require_valid, successors, validate)
 from .fmt import (ParseError, format_marking, parse_marking, parse_net,
                   parse_trace, render_net, render_trace)
-from .explore import (BackwardCoverResult, SearchBudget, SearchResult, Trace,
+from .explore import (BackwardCoverResult, SearchResult, Trace,
                       UpwardClosedSet, backward_cover, bounded_cover,
                       bounded_deadlock, bounded_reach, replay)
 from .ert import (Ert, ErtNode, NonTerminating, NotEligibleError, Terminating,
                   build_ert, check_eligible, decide_termination, ert_dot,
-                  subsume, verify_pump)
+                  verify_pump)
 from .transforms import (MarkingMap, TransformError, TransformResult,
                          dlf_to_reach, hir_elim, hir_elim_all, hirct_elim,
                          reach_to_dlf, transfer_hierarchize, two_inh_to_reset)

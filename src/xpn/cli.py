@@ -1,10 +1,10 @@
 """Command line front end.
 
-Exit codes: 0 for a definitive answer (including a definitive no), 1 when
-a budget ran out first (engines raise BudgetExceededError, which `main`
-alone prints as `OUT_OF_BUDGET <message>`), 2 for usage, parse,
-validation or precondition problems, and for internal errors: any other
-exception is reported as `internal error: <Type>: <message>` on stderr.
+Exit codes: 0 for an answer (a no included), 1 when a budget ran out
+first (engines raise BudgetExceededError, which `main` alone prints as
+`OUT_OF_BUDGET <message>`), 2 for usage, parse, validation or
+precondition problems, and for internal errors: any other exception is
+reported as `internal error: <Type>: <message>` on stderr.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from . import compilers, transforms
 from .dot import export_dot
 from .ert import (NonTerminating, Terminating, build_ert, decide_termination,
                   ert_dot, verify_pump)
-from .explore import (EXHAUSTED, FOUND, SearchBudget, backward_cover,
-                      bounded_cover, bounded_deadlock, bounded_reach, replay)
+from .explore import (backward_cover, bounded_cover, bounded_deadlock,
+                      bounded_reach, replay)
 from .fmt import ParseError, format_marking, parse_marking, parse_net, \
     parse_trace, render_net, render_trace
 from .net import (BudgetExceededError, InvalidNetError, NotFirableError,
@@ -125,6 +125,8 @@ def cmd_fire(args) -> int:
 def cmd_explore(args) -> int:
     net = _read_net(args.net)
     if args.mode == "backward-cover":
+        if args.max_depth is not None:
+            raise _Fail("backward-cover takes no --max-depth")
         res = backward_cover(net, _target(net, args, args.mode),
                              max_steps=args.max_steps)
         print("COVERABLE" if res.coverable else "UNCOVERABLE")
@@ -132,22 +134,20 @@ def cmd_explore(args) -> int:
             print(format_marking(net, b))
         return 0
 
-    budget = SearchBudget(max_steps=args.max_steps, max_depth=args.max_depth)
+    budget = dict(max_steps=args.max_steps, max_depth=args.max_depth)
     if args.mode == "deadlock":
-        res = bounded_deadlock(net, budget)
+        res = bounded_deadlock(net, **budget)
     else:
         fn = bounded_reach if args.mode == "reach" else bounded_cover
-        res = fn(net, _target(net, args, args.mode), budget)
-    if res.status == FOUND:
-        print(f"FOUND steps={len(res.trace.transitions)} expanded={res.expanded}")
-        print(format_marking(net, res.trace.markings[-1]))
-        if args.trace:
-            Path(args.trace).write_text(render_trace(res.trace.transitions))
-        return 0
-    if res.status == EXHAUSTED:
+        res = fn(net, _target(net, args, args.mode), **budget)
+    if not res.found:
         print(f"EXHAUSTED expanded={res.expanded}")
         return 0
-    raise BudgetExceededError(f"expanded={res.expanded}")
+    print(f"FOUND steps={len(res.trace.transitions)} expanded={res.expanded}")
+    print(format_marking(net, res.trace.markings[-1]))
+    if args.trace:
+        Path(args.trace).write_text(render_trace(res.trace.transitions))
+    return 0
 
 
 def cmd_terminate(args) -> int:

@@ -30,30 +30,8 @@ class NotEligibleError(XpnError):
     """The net is outside the class this decider handles."""
 
 
-def place_index(net: Net, place: str) -> int:
-    return net.place_pos(place) + 1
-
-
 def transition_index(net: Net, tname: str) -> int:
     return net._plan_for(tname).index
-
-
-def compat(net: Net, m1: Marking, m2: Marking, level: int) -> bool:
-    """Equality on every place of index <= level, i.e. the first `level`
-    positions."""
-    level = min(level, len(net.places))
-    return m1[:level] == m2[:level]
-
-
-def subsume(net: Net, m2: Marking, m1: Marking, rho) -> bool:
-    """Does the run `rho` (replaying m2 -> m1) pump?  Checks m2 <= m1 plus
-    compatibility at the largest transition index along rho."""
-    names = tuple(rho.transitions) if isinstance(rho, Trace) else tuple(rho)
-    end = replay(net, m2, names).markings[-1]
-    if end != tuple(m1):
-        raise XpnError("rho does not lead from m2 to m1")
-    level = max((transition_index(net, n) for n in names), default=0)
-    return _leq(m2, m1) and compat(net, m2, m1, level)
 
 
 @dataclass(frozen=True)
@@ -90,6 +68,16 @@ def check_eligible(net: Net):
     if not cls.ert_eligible:
         raise NotEligibleError(
             "some transition's inhibitor pre-places are not downward closed")
+
+
+def _prepare(net: Net, max_nodes: int) -> dict:
+    """Check that the decider applies and that the root fits the node
+    budget (the root is the first node it counts); return each
+    transition's index by name."""
+    check_eligible(net)
+    if max_nodes < 1:
+        raise BudgetExceededError(f"tree exceeded {max_nodes} nodes")
+    return {op.name: op.index for op in net._plan()}
 
 
 def _scan(nodes, anc, m1: Marking, level: int) -> int | None:
@@ -132,8 +120,7 @@ def build_ert(net: Net, max_nodes: int = 1_000_000, rng=None,
     """Expand the full tree (or stop at the first subsumed leaf when
     `stop_early`).  `rng` shuffles child order; the verdict is order
     independent, which tests exploit."""
-    check_eligible(net)
-    tidx = {op.name: op.index for op in net._plan()}
+    tidx = _prepare(net, max_nodes)
 
     # A node's ErtNode is built once its status is final: when it is
     # expanded, or at creation for a subsumed leaf.  Until then its slot in
@@ -205,8 +192,7 @@ def decide_termination(net: Net, max_nodes: int = 1_000_000, rng=None):
     later occurrence therefore skips the ancestor scan and is not
     expanded: its size is added instead.  `max_nodes` still bounds the
     paper tree's node count."""
-    check_eligible(net)
-    tidx = {op.name: op.index for op in net._plan()}
+    tidx = _prepare(net, max_nodes)
     done: dict = {}
     path: list = []
     count = 1  # tree nodes created so far, counted as build_ert counts
@@ -266,10 +252,10 @@ def verify_pump(net: Net, verdict) -> bool:
         m2 = replay(net, net.initial, verdict.stem.transitions).markings[-1]
         m1 = replay(net, m2, verdict.pump.transitions).markings[-1]
         level = max(transition_index(net, n) for n in verdict.pump.transitions)
-        if not (_leq(m2, m1) and compat(net, m2, m1, level)):
+        if not (_leq(m2, m1) and m2[:level] == m1[:level]):
             return False
         m1b = replay(net, m1, verdict.pump.transitions).markings[-1]
-        return _leq(m1, m1b) and compat(net, m1, m1b, level)
+        return _leq(m1, m1b) and m1[:level] == m1b[:level]
     except XpnError:
         return False
 

@@ -2,9 +2,9 @@
 
 Forward search is breadth-first over exact markings with a visited set and
 deterministic successor order (transition declaration order), so traces are
-reproducible.  The budget counts node expansions.  A verdict is definitive
-unless the budget (or a depth cap) cut the search off, in which case the
-status is OUT_OF_BUDGET and nothing can be concluded.
+reproducible.  The budget counts node expansions: a search that would
+expand more markings than it allows, or whose depth cap cut off a
+successor, raises BudgetExceededError, since nothing can be concluded.
 
 backward_cover saturates minimal bases of upward-closed predecessor sets
 and is exact, but only supports nets without inhibitor arcs; its budget
@@ -20,10 +20,6 @@ from operator import le
 
 from .net import (BudgetExceededError, Marking, Net, XpnError, fire,
                   require_valid, successors)
-
-FOUND = "found"
-EXHAUSTED = "exhausted"
-OUT_OF_BUDGET = "out-of-budget"
 
 
 @dataclass(frozen=True)
@@ -45,34 +41,26 @@ def replay(net: Net, start: Marking, names) -> Trace:
 
 
 @dataclass(frozen=True)
-class SearchBudget:
-    max_steps: int = 1_000_000
-    max_depth: int | None = None
-
-
-@dataclass(frozen=True)
 class SearchResult:
-    status: str  # FOUND | EXHAUSTED | OUT_OF_BUDGET
-    trace: Trace | None = None
-    expanded: int = 0
+    trace: Trace | None  # None when the search exhausted the state space
+    expanded: int
 
     @property
     def found(self) -> bool:
-        return self.status == FOUND
-
-    @property
-    def definitive(self) -> bool:
-        return self.status != OUT_OF_BUDGET
+        return self.trace is not None
 
 
 def _leq(a: Marking, b: Marking) -> bool:
     return all(map(le, a, b))
 
 
-def _bfs(net: Net, goal, budget: SearchBudget) -> SearchResult:
+def _bfs(net: Net, goal, max_steps: int,
+         max_depth: int | None) -> SearchResult:
     """Shared engine from the initial marking: `goal(marking,
     successor_list)` decides hits.  The hit trace is replayed before
-    returning, as a postcondition check."""
+    returning, as a postcondition check.  Raises BudgetExceededError when
+    a marking past the `max_steps`-th would need expanding, or when the
+    depth cap cut off a successor."""
     require_valid(net)  # so the initial marking fits the places
     start = net.initial
     parent = {start: None}
@@ -91,17 +79,17 @@ def _bfs(net: Net, goal, budget: SearchBudget) -> SearchResult:
         trace = replay(net, start, names)
         if trace.markings[-1] != m:
             raise XpnError("internal error: trace replay mismatch")
-        return SearchResult(FOUND, trace, expanded)
+        return SearchResult(trace, expanded)
 
     while queue:
-        if expanded >= budget.max_steps:
-            return SearchResult(OUT_OF_BUDGET, None, expanded)
+        if expanded >= max_steps:
+            break
         m, depth = queue.popleft()
         expanded += 1
         succ = successors(net, m)
         if goal(m, succ):
             return finish(m)
-        if budget.max_depth is not None and depth >= budget.max_depth:
+        if max_depth is not None and depth >= max_depth:
             if succ:
                 pruned = True
             continue
@@ -109,28 +97,29 @@ def _bfs(net: Net, goal, budget: SearchBudget) -> SearchResult:
             if m2 not in parent:
                 parent[m2] = (m, name)
                 queue.append((m2, depth + 1))
-    status = OUT_OF_BUDGET if pruned else EXHAUSTED
-    return SearchResult(status, None, expanded)
+    if queue or pruned:
+        raise BudgetExceededError(f"expanded={expanded}")
+    return SearchResult(None, expanded)
 
 
-def bounded_reach(net: Net, target: Marking,
-                  budget: SearchBudget = SearchBudget()) -> SearchResult:
+def bounded_reach(net: Net, target: Marking, max_steps: int = 1_000_000,
+                  max_depth: int | None = None) -> SearchResult:
     """Is `target` reachable (exact equality) from the initial marking?"""
     target = tuple(target)
-    return _bfs(net, lambda m, s: m == target, budget)
+    return _bfs(net, lambda m, s: m == target, max_steps, max_depth)
 
 
-def bounded_cover(net: Net, target: Marking,
-                  budget: SearchBudget = SearchBudget()) -> SearchResult:
+def bounded_cover(net: Net, target: Marking, max_steps: int = 1_000_000,
+                  max_depth: int | None = None) -> SearchResult:
     """Is some marking >= `target` reachable from the initial marking?"""
     target = tuple(target)
-    return _bfs(net, lambda m, s: _leq(target, m), budget)
+    return _bfs(net, lambda m, s: _leq(target, m), max_steps, max_depth)
 
 
-def bounded_deadlock(net: Net,
-                     budget: SearchBudget = SearchBudget()) -> SearchResult:
+def bounded_deadlock(net: Net, max_steps: int = 1_000_000,
+                     max_depth: int | None = None) -> SearchResult:
     """Is a marking with no firable transition reachable?"""
-    return _bfs(net, lambda m, s: not s, budget)
+    return _bfs(net, lambda m, s: not s, max_steps, max_depth)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ class XpnError(Exception):
 
 
 class BudgetExceededError(XpnError):
-    """A step, node or clause budget ran out before a definitive answer."""
+    """A step, node or clause budget ran out before an answer."""
 
 
 class InvalidNetError(XpnError):

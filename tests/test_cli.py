@@ -289,9 +289,38 @@ def test_terminate_dot_and_full_tree_build_the_paper_tree(run, monkeypatch,
      "OUT_OF_BUDGET backward search exceeded 0 candidate predecessors\n"),
     (("explore", "backward-cover", "n.xpn", "-m", "b=1", "--max-steps", "-1"),
      "OUT_OF_BUDGET backward search exceeded -1 candidate predecessors\n"),
+    # the ERT root is the first node the budget counts, even when it is
+    # the whole tree
+    (("terminate", "dead.xpn", "--max-nodes", "0"),
+     "OUT_OF_BUDGET tree exceeded 0 nodes\n"),
+    (("terminate", "dead.xpn", "--max-nodes", "-1"),
+     "OUT_OF_BUDGET tree exceeded -1 nodes\n"),
+    (("terminate", "dead.xpn", "--max-nodes", "0", "--dot", "dead.dot"),
+     "OUT_OF_BUDGET tree exceeded 0 nodes\n"),
 ])
-def test_zero_and_negative_budgets_run_out(run, argv, out):
-    assert run(*argv, files={"n.xpn": CHAIN})[:3] == (1, out, "")
+def test_zero_and_negative_budgets_run_out(run, argv, out, tmp_path,
+                                           monkeypatch):
+    monkeypatch.chdir(tmp_path)  # where --dot would write
+    files = {"n.xpn": CHAIN, "dead.xpn": DEAD}
+    assert run(*argv, files=files)[:3] == (1, out, "")
+    assert not (tmp_path / "dead.dot").exists()
+
+
+DEAD = "places: a\n"  # the initial marking is a deadlock
+
+
+@pytest.mark.parametrize("argv, net", [
+    # no candidate predecessor is needed: the target is its own basis
+    (("explore", "backward-cover", "n.xpn", "-m", "a=1", "--max-steps", "-1"),
+     DEAD),
+    # a net with no deadlock clause
+    (("transform", "dlf-to-reach", "n.xpn", "--clause-cap", "-1"),
+     "places: a\ntrans t: ; out a\n"),
+])
+def test_budgets_below_one_pass_where_no_unit_is_counted(run, argv, net):
+    want = run(*argv[:-2], files={"n.xpn": net})[:3]  # default budget
+    assert want[0] == 0 and want[2] == ""
+    assert run(*argv, files={"n.xpn": net})[:3] == want
 
 
 # the 3-place transfer chain: x1 can meet a demand on p2 in demand + 1 ways
@@ -324,6 +353,12 @@ def test_backward_cover_runs_out_on_huge_demands(tmp_path, argv, out):
         preexec_fn=_limit_memory, env=dict(os.environ, PYTHONPATH=src))
     assert (got.returncode, got.stdout, got.stderr) == (1, out, "")
     assert time.monotonic() - t0 < 5
+
+
+def test_backward_cover_refuses_max_depth(run):
+    code, out, err, _ = run("explore", "backward-cover", "n.xpn", "-m", "p2=1",
+                            "--max-depth", "1", files={"n.xpn": CHAIN3})
+    assert (code, out, err) == (2, "", "backward-cover takes no --max-depth\n")
 
 
 # a countdown from 2 * 10**18 tokens: t moves a token from b to a, s
@@ -458,9 +493,9 @@ def test_compile_minsky_nonhalting_not_coverable(run):
     code, out, _, _ = run("compile", "minsky", "m.txt", files={"m.txt": SPIN})
     assert code == 0
     net = parse_net(out)
-    res = bounded_cover(net, tuple(
+    res = bounded_cover(net, tuple(  # raises if it runs out
         1 if p == "accept" else 0 for p in net.places))
-    assert res.definitive and not res.found
+    assert not res.found
 
 
 def test_compile_minsky_transfer_flag(run, tmp_path):

@@ -12,16 +12,13 @@ from xpn.ert import (
     Terminating,
     build_ert,
     check_eligible,
-    compat,
     decide_termination,
     ert_dot,
-    place_index,
-    subsume,
     transition_index,
     verify_pump,
 )
+from xpn.explore import replay
 from xpn.fmt import parse_net
-from xpn.net import XpnError
 
 LOOP = parse_net("places: a\nmarking: a=1\ntrans t: in a ; out a")
 CHAIN = parse_net("places: a\nmarking: a=3\ntrans t: in a ;")
@@ -35,30 +32,29 @@ trans cut: in a*2 ;
 
 def test_indices():
     n = parse_net("places: a b\ntrans t: inh a, in b ; out b*2")
-    assert place_index(n, "a") == 1
-    assert place_index(n, "b") == 2
     assert transition_index(n, "t") == 1
     m = parse_net("places: a b\ntrans u: in a ;")
     assert transition_index(m, "u") == 0
 
 
-def test_compat_is_prefix_equality():
-    n = parse_net("places: a b\ntrans t: in a ;")
-    assert compat(n, (1, 2), (1, 3), 1)
-    assert not compat(n, (1, 2), (2, 2), 1)
-    assert compat(n, (1, 2), (2, 3), 0)
-    assert not compat(n, (1, 2), (1, 3), 2)
-    assert compat(n, (1, 2), (1, 2), 99)  # level clamps to the place count
-
-
-def test_subsume():
-    n = parse_net("places: a b\ntrans t: inh a, in b ; out b*2")
-    assert subsume(n, (0, 1), (0, 2), ("t",))
-    # growth at an inhibited position blocks the pump
+def test_growth_at_an_inhibited_position_blocks_the_pump():
+    # u doubles a, and a's index is below u's inhibitor on b: the pump
+    # grows a place that must stay equal, so it is no certificate
     m = parse_net("places: a b\nmarking: a=1\ntrans u: inh b, in a ; out a*2")
-    assert not subsume(m, (1, 0), (2, 0), ("u",))
-    with pytest.raises(XpnError):
-        subsume(n, (0, 1), (5, 5), ("t",))
+    pump = NonTerminating(replay(m, m.initial, []),
+                          replay(m, m.initial, ["u"]))
+    assert not verify_pump(m, pump)
+    # without the inhibitor the same run pumps
+    free = parse_net("places: a b\nmarking: a=1\ntrans u: in a ; out a*2")
+    assert verify_pump(free, NonTerminating(replay(free, free.initial, []),
+                                            replay(free, free.initial, ["u"])))
+    # the first pump round alone grows a, the second keeps it: rejected
+    # from the start, accepted one step later
+    once = parse_net("places: a b\ntrans u: inh b, reset a ; out a")
+    u = replay(once, once.initial, ["u"])
+    assert not verify_pump(once, NonTerminating(replay(once, once.initial, []),
+                                                u))
+    assert verify_pump(once, NonTerminating(u, replay(once, (1, 0), ["u"])))
 
 
 def test_terminating_frozen():
@@ -117,6 +113,15 @@ def test_budget_is_an_error_not_a_verdict():
     with pytest.raises(BudgetExceededError):
         build_ert(big, max_nodes=5)
     assert decide_termination(big, max_nodes=50) == Terminating(tree_size=11)
+    # the root is the first node the budget counts, even as the whole tree
+    dead = parse_net("places: a")
+    for fn in (decide_termination, build_ert):
+        for bad in (0, -1):
+            with pytest.raises(BudgetExceededError,
+                               match=f"^tree exceeded {bad} nodes$"):
+                fn(dead, max_nodes=bad)
+    assert decide_termination(dead, max_nodes=1) == Terminating(tree_size=1)
+    assert build_ert(dead, max_nodes=1).verdict == Terminating(tree_size=1)
 
 
 def test_full_tree_structure():
@@ -224,8 +229,8 @@ def test_memoised_decider_equals_paper_tree():
         if isinstance(tree, tuple):
             continue
         size = len(tree.nodes)
-        for budget in sorted({0, 1, 2, size // 2, size - 1, size, size + 1,
-                              50_000}):
+        for budget in sorted({-1, 0, 1, 2, size // 2, size - 1, size,
+                              size + 1, 50_000}):
             want = _outcome(build_ert, net, budget, stop_early=True)
             if not isinstance(want, tuple):
                 want = want.verdict

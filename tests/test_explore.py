@@ -6,11 +6,7 @@ import fuzz
 import oracles
 from xpn import explore
 from xpn.explore import (
-    EXHAUSTED,
-    FOUND,
-    OUT_OF_BUDGET,
     BackwardCoverResult,
-    SearchBudget,
     UpwardClosedSet,
     backward_cover,
     bounded_cover,
@@ -38,27 +34,27 @@ def test_replay():
 
 def test_bounded_reach_frozen():
     r = bounded_reach(CHAIN, (0, 2))
-    assert r.status == FOUND and r.found and r.definitive
+    assert r.found
     assert r.trace.transitions == ("t", "t")
     assert r.trace.markings[-1] == (0, 2)
     r = bounded_reach(CHAIN, (2, 0))
     assert r.found and r.trace.transitions == ()
     r = bounded_reach(CHAIN, (2, 1))
-    assert r.status == EXHAUSTED and r.definitive and not r.found
-    assert r.trace is None
+    assert not r.found and r.trace is None
+    assert r.expanded == 3
 
 
 def test_bounded_cover_frozen():
     assert bounded_cover(CHAIN, (0, 1)).found
     assert bounded_cover(CHAIN, (1, 1)).found
-    assert bounded_cover(CHAIN, (0, 3)).status == EXHAUSTED
+    assert not bounded_cover(CHAIN, (0, 3)).found
 
 
 def test_bounded_deadlock_frozen():
     r = bounded_deadlock(CHAIN)
     assert r.found and r.trace.markings[-1] == (0, 2)
     loop = parse_net("places: a\nmarking: a=1\ntrans t: in a ; out a")
-    assert bounded_deadlock(loop).status == EXHAUSTED
+    assert not bounded_deadlock(loop).found
     # empty-start deadlock is the initial marking itself
     dead = parse_net("places: a\ntrans t: in a ; out a")
     r = bounded_deadlock(dead)
@@ -67,14 +63,44 @@ def test_bounded_deadlock_frozen():
 
 def test_budget_exhaustion():
     grower = parse_net("places: a\nmarking: a=1\ntrans t: in a ; out a*2")
-    r = bounded_reach(grower, (0,), SearchBudget(max_steps=50))
-    assert r.status == OUT_OF_BUDGET and not r.definitive
-    assert r.expanded <= 50
-    # a depth bound makes deep targets invisible
-    r = bounded_reach(CHAIN, (0, 2), SearchBudget(max_depth=1))
-    assert r.status == OUT_OF_BUDGET
-    r = bounded_reach(CHAIN, (1, 1), SearchBudget(max_depth=1))
-    assert r.found
+    with pytest.raises(BudgetExceededError, match="^expanded=50$"):
+        bounded_reach(grower, (0,), max_steps=50)
+    for bad in (0, -1):
+        with pytest.raises(BudgetExceededError, match="^expanded=0$"):
+            bounded_deadlock(grower, max_steps=bad)
+    # a depth bound makes deep targets invisible, so the search runs out
+    with pytest.raises(BudgetExceededError, match="^expanded=2$"):
+        bounded_reach(CHAIN, (0, 2), max_depth=1)
+    with pytest.raises(BudgetExceededError, match="^expanded=2$"):
+        bounded_deadlock(CHAIN, max_depth=1)
+    with pytest.raises(BudgetExceededError, match="^expanded=1$"):
+        bounded_cover(CHAIN, (0, 3), max_depth=0)
+    assert bounded_reach(CHAIN, (1, 1), max_depth=1).found
+    # a cap that cuts nothing off leaves the answer exact
+    r = bounded_reach(CHAIN, (2, 1), max_depth=2)
+    assert not r.found and r.expanded == 3
+
+
+def test_forward_budget_boundary_against_the_oracle():
+    """An exhausting search expands each reachable marking exactly once, so
+    it answers at max_steps = len(graph) and runs out one step below."""
+    rng = random.Random(4242)
+    for _ in range(60):
+        net, graph = fuzz.finite_net(rng, fuzz.spiced_net, 300)
+        size = len(graph)
+        maxima = [max(m[i] for m in graph) for i in range(len(net.places))]
+        miss = tuple(x + 1 for x in maxima)
+        searches = [lambda **b: bounded_reach(net, miss, **b),
+                    lambda **b: bounded_cover(net, miss, **b)]
+        if not oracles.deadlocks(graph):
+            searches.append(lambda **b: bounded_deadlock(net, **b))
+        for search in searches:
+            assert search().expanded == size, net
+            r = search(max_steps=size)
+            assert not r.found and r.expanded == size, net
+            with pytest.raises(BudgetExceededError,
+                               match=f"^expanded={size - 1}$"):
+                search(max_steps=size - 1)
 
 
 def test_search_fuzz_against_exhaustive_oracle():
@@ -92,7 +118,7 @@ def test_search_fuzz_against_exhaustive_oracle():
 
         miss = tuple(x + 1 for x in maxima)
         r = bounded_reach(net, miss)
-        assert r.status == EXHAUSTED
+        assert not r.found
 
         below = tuple(rng.randint(0, x) for x in rng.choice(keys))
         r = bounded_cover(net, below)
@@ -107,7 +133,6 @@ def test_search_fuzz_against_exhaustive_oracle():
             assert all(g >= b for g, b in
                        zip(r.trace.markings[-1], over))
         else:
-            assert r.status == EXHAUSTED
             assert not any(all(k[i] >= over[i] for i in range(len(over)))
                            for k in keys)
 
@@ -163,8 +188,7 @@ def test_backward_cover_agrees_with_forward():
                        for k in keys)
             got = backward_cover(net, target)
             assert got.coverable == want, (net, target)
-            fwd = bounded_cover(net, target)
-            assert fwd.definitive
+            fwd = bounded_cover(net, target)  # raises if it runs out
             assert fwd.found == want
             for a in got.basis:
                 for b in got.basis:
@@ -324,7 +348,7 @@ def test_backward_cover_agrees_with_forward_beyond_the_oracle_cap():
     up until their finite graph passes the cap, where it may also
     exhaust."""
     rng = random.Random(1301)
-    verdicts = {FOUND: 0, EXHAUSTED: 0}
+    verdicts = {True: 0, False: 0}  # found -> count
     for _ in range(6000):
         if min(verdicts.values()) >= 20:
             break
@@ -336,16 +360,17 @@ def test_backward_cover_agrees_with_forward_beyond_the_oracle_cap():
             k = rng.randint(6, 16)
             net = Net(net.places, net.transitions,
                       tuple(k * x for x in net.initial))
-        elif verdicts[FOUND] >= 20:
+        elif verdicts[True] >= 20:
             continue
         if oracles.reach_graph(net, 400) is not None:
             continue
         for _ in range(4 if finite else 1):
             target = tuple(rng.randint(0, 6) for _ in net.places)
-            fwd = bounded_cover(net, target, SearchBudget(max_steps=5000))
-            if not fwd.definitive:
+            try:
+                fwd = bounded_cover(net, target, max_steps=5000)
+            except BudgetExceededError:
                 continue
-            verdicts[fwd.status] += 1
+            verdicts[fwd.found] += 1
             assert backward_cover(net, target).coverable == fwd.found, \
                 (net, target)
     assert min(verdicts.values()) >= 20, verdicts

@@ -7,8 +7,8 @@ import random
 
 import fuzz
 from xpn.ert import decide_termination
-from xpn.explore import (EXHAUSTED, FOUND, SearchBudget, backward_cover,
-                         bounded_cover, bounded_deadlock, bounded_reach)
+from xpn.explore import (backward_cover, bounded_cover, bounded_deadlock,
+                         bounded_reach)
 from xpn.fmt import parse_net, render_net
 from xpn.net import (INHIBITOR_KIND, TRANSFER_KIND, Net, Transfer, Transition,
                      classify)
@@ -44,12 +44,11 @@ def answers(net, targets):
         v = decide_termination(net)
         out["terminate"] = (type(v).__name__, getattr(v, "tree_size", None))
     # each net's reachable graph fits under the step budget, so every
-    # forward answer is definitive
-    budget = SearchBudget(max_steps=1000)
-    out["deadlock"] = bounded_deadlock(net, budget).status
+    # forward answer is definitive (a search that runs out raises)
+    out["deadlock"] = bounded_deadlock(net, max_steps=1000).found
     for target in targets:
-        out["reach", target] = bounded_reach(net, target, budget).status
-        out["cover", target] = bounded_cover(net, target, budget).status
+        out["reach", target] = bounded_reach(net, target, max_steps=1000).found
+        out["cover", target] = bounded_cover(net, target, max_steps=1000).found
         if INHIBITOR_KIND not in cls.specials:
             r = backward_cover(net, target)
             out["backward", target] = (r.coverable, sorted(r.basis))
@@ -77,5 +76,5 @@ def test_renaming_places_and_reversing_transitions_change_no_answer():
     assert {v[0] for v in seen["terminate"]} >= {"Terminating",
                                                  "NonTerminating"}
     for kind in ("deadlock", "reach", "cover"):
-        assert set(seen[kind]) >= {FOUND, EXHAUSTED}, kind
+        assert set(seen[kind]) == {True, False}, kind
     assert {v[0] for v in seen["backward"]} == {True, False}

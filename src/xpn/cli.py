@@ -59,8 +59,6 @@ def _marking_arg(net, literal: str):
         return parse_marking(net, literal)
     except ParseError as e:
         raise _Fail(f"marking literal: col {e.col}: {e.message}")
-    except XpnError as e:
-        raise _Fail(f"marking literal: {e}")
 
 
 def _target(net, args, verb: str):
@@ -165,7 +163,7 @@ def cmd_terminate(args) -> int:
         return 0
     assert isinstance(v, NonTerminating)
     if not verify_pump(net, v):
-        raise XpnError("internal error: pump certificate failed to verify")
+        raise AssertionError("pump certificate failed to verify")
     print("NONTERMINATING")
     print(("stem: " + " ".join(v.stem.transitions)).rstrip())
     print(("pump: " + " ".join(v.pump.transitions)).rstrip())

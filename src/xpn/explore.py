@@ -78,7 +78,7 @@ def _bfs(net: Net, goal, max_steps: int,
         names.reverse()
         trace = replay(net, start, names)
         if trace.markings[-1] != m:
-            raise XpnError("internal error: trace replay mismatch")
+            raise AssertionError("trace replay mismatch")
         return SearchResult(trace, expanded)
 
     while queue:

@@ -173,10 +173,8 @@ class Net:
                         inhib.append(p)
                     elif isinstance(arc, Reset):
                         resets.append(p)
-                    elif isinstance(arc, Transfer):
+                    else:  # validate has rejected every other descriptor
                         xfers.append((p, self._pos[arc.target]))
-                    else:
-                        raise XpnError(f"bad arc descriptor {arc!r}")
                 posts = [(self._pos[place], w) for place, w in t.post.items()]
                 plan.append(_Op(t.name, numeric, inhib, resets, xfers, posts,
                                 max(inhib, default=-1) + 1))
@@ -326,6 +324,8 @@ def validate(net: Net) -> list:
                 elif arc.target == place:
                     warn("self-transfer",
                          f"{where}: transfer onto itself is a no-op")
+            elif not isinstance(arc, (Inhibitor, Reset)):
+                err("bad-arc", f"{where}: {arc!r} is not an arc descriptor")
         for place, w in t.post.items():
             where = f"post-arc {place!r} of {t.name!r}"
             if place not in net._pos:

@@ -6,9 +6,12 @@ alternates when one source marking has several representatives), a
 sentence saying how the source question reads off the target, and origin
 notes covering every output place and transition.
 
-New places are appended above all existing ones in the hierarchy order
-unless the construction itself dictates otherwise (transfer_hierarchize
-reorders three places at the bottom).
+Each construction builds its output net with a _Builder: the source
+places come first, in their order, each mapped to itself and noted
+"original"; every new place is appended above them together with its
+forward-map entry and origin note, so the map cannot drift out of line
+with the place list.  transfer_hierarchize is the one exception: it
+reorders three places at the bottom and assembles its maps itself.
 """
 
 from __future__ import annotations
@@ -68,6 +71,45 @@ def _fresh(base: str, taken: set) -> str:
     return name
 
 
+class _Builder:
+    """The output net of one reduction under construction."""
+
+    def __init__(self, net: Net):
+        self.source = net
+        self.places = list(net.places)
+        self.entries = identity_entries(len(net.places))
+        self.place_origin = {p: "original" for p in net.places}
+        self.transitions = []
+        self.trans_origin = {}
+        self._ptaken = set(net.places)
+        self._ttaken = {t.name for t in net.transitions}
+
+    def place(self, base: str, origin: str, value=(CONST, 0)) -> str:
+        """Append a fresh place whose forward-map entry is `value`."""
+        name = _fresh(base, self._ptaken)
+        self.places.append(name)
+        self.entries.append(value)
+        self.place_origin[name] = origin
+        return name
+
+    def trans(self, base: str, pre: dict, post: dict, origin: str):
+        """Add a new transition under a fresh name."""
+        self.keep(Transition(_fresh(base, self._ttaken), pre, post), origin)
+
+    def keep(self, t: Transition, origin: str):
+        """Add a rewritten source transition under its own name."""
+        self.transitions.append(t)
+        self.trans_origin[t.name] = origin
+
+    def result(self, query: str, goal: Marking | None = None) -> TransformResult:
+        fmap = MarkingMap(tuple(self.entries))
+        out = Net(tuple(self.places), tuple(self.transitions),
+                  fmap(self.source.initial))
+        return TransformResult(
+            net=out, forward=fmap, query=query, goal=goal,
+            place_origin=self.place_origin, trans_origin=self.trans_origin)
+
+
 def _numeric_pre(t: Transition) -> dict:
     return {p: a for p, a in t.pre.items() if isinstance(a, Numeric)}
 
@@ -112,62 +154,40 @@ def _elim_one(net: Net, with_transfer: bool) -> TransformResult:
 
 def _gadget(net: Net, t: Transition) -> TransformResult:
     """Replace `t` by the start/drain/move/finish gadget under a lock."""
-    ptaken = set(net.places)
-    ttaken = {x.name for x in net.transitions}
-    busy = _fresh(f"{t.name}_busy", ptaken)
-    lock = _fresh("lock", ptaken)
-    places = net.places + (busy, lock)
+    b = _Builder(net)
+    busy = b.place(f"{t.name}_busy",
+                   f"token held while the phases of {t.name} run")
+    lock = b.place("lock", "token held while any other transition may fire",
+                   (CONST, 1))
 
     resets = [p for p, a in t.pre.items() if isinstance(a, Reset)]
     xfers = [(p, a.target) for p, a in t.pre.items() if isinstance(a, Transfer)]
     inhibs = [p for p, a in t.pre.items() if isinstance(a, Inhibitor)]
 
-    place_origin = {p: "original" for p in net.places}
-    place_origin[busy] = f"token held while the phases of {t.name} run"
-    place_origin[lock] = "token held while any other transition may fire"
-    trans_origin = {}
-
-    transitions = []
     for u in net.transitions:
         if u.name != t.name:
-            transitions.append(_gated(u, lock))
-            trans_origin[u.name] = "original, gated on the lock"
+            b.keep(_gated(u, lock), "original, gated on the lock")
             continue
-        start = _fresh(f"{t.name}_start", ttaken)
         pre = dict(_numeric_pre(t))
         pre[lock] = Numeric(1)
-        transitions.append(Transition(start, pre, {busy: 1}))
-        trans_origin[start] = (
-            f"consumes the numeric pre-arcs of {t.name} and opens its gadget")
+        b.trans(f"{t.name}_start", pre, {busy: 1},
+                f"consumes the numeric pre-arcs of {t.name} and opens its gadget")
         for p in resets:
-            name = _fresh(f"{t.name}_drain_{p}", ttaken)
-            transitions.append(
-                Transition(name, {p: Numeric(1), busy: Numeric(1)}, {busy: 1}))
-            trans_origin[name] = f"discards one token of reset place {p}"
+            b.trans(f"{t.name}_drain_{p}", {p: Numeric(1), busy: Numeric(1)},
+                    {busy: 1}, f"discards one token of reset place {p}")
         for p, target in xfers:
-            name = _fresh(f"{t.name}_move_{p}", ttaken)
-            transitions.append(
-                Transition(name, {p: Numeric(1), busy: Numeric(1)},
-                           {target: 1, busy: 1}))
-            trans_origin[name] = f"moves one token from {p} to {target}"
-        finish = _fresh(f"{t.name}_finish", ttaken)
+            b.trans(f"{t.name}_move_{p}", {p: Numeric(1), busy: Numeric(1)},
+                    {target: 1, busy: 1}, f"moves one token from {p} to {target}")
         pre = {busy: Numeric(1)}
         for p in inhibs + resets + [p for p, _ in xfers]:
             pre[p] = INHIBIT
         post = dict(t.post)
         post[lock] = post.get(lock, 0) + 1
-        transitions.append(Transition(finish, pre, post))
-        trans_origin[finish] = (
-            f"checks the emptied places and performs the post-arcs of {t.name}")
+        b.trans(f"{t.name}_finish", pre, post,
+                f"checks the emptied places and performs the post-arcs of {t.name}")
 
-    fmap = MarkingMap(tuple(identity_entries(len(net.places))
-                            + [(CONST, 0), (CONST, 1)]))
-    out = Net(places, tuple(transitions), fmap(net.initial))
-    return TransformResult(
-        net=out, forward=fmap,
-        query=("a marking M is reachable in the source iff forward(M) is "
-               "reachable here; forward sets busy=0 lock=1"),
-        place_origin=place_origin, trans_origin=trans_origin)
+    return b.result("a marking M is reachable in the source iff forward(M) is "
+                    "reachable here; forward sets busy=0 lock=1")
 
 
 def hir_elim(net: Net) -> TransformResult:
@@ -218,7 +238,7 @@ def _deadlock_clauses(net: Net, cap: int) -> list:
         opts = []
         for place, arc in t.pre.items():
             p = net.place_pos(place)
-            if isinstance(arc, Numeric) and arc.weight > 0:
+            if isinstance(arc, Numeric):
                 opts.extend(("exact", p, j) for j in range(arc.weight))
             elif isinstance(arc, Inhibitor):
                 opts.append(("atleast", p, 1))
@@ -281,28 +301,17 @@ def dlf_to_reach(net: Net, clause_cap: int = 10_000) -> TransformResult:
         raise TransformError("transfer arcs are not supported here")
 
     clauses = _deadlock_clauses(net, clause_cap)
-    ptaken = set(net.places)
-    ttaken = {t.name for t in net.transitions}
-    live = _fresh("live", ptaken)
-    goalp = _fresh("goal", ptaken)
-
-    places = list(net.places) + [live, goalp]
-    place_origin = {p: "original" for p in net.places}
-    place_origin[live] = "token held while the source net still runs"
-    place_origin[goalp] = "token placed once a deadlock clause is certified"
-    trans_origin = {}
-
-    transitions = [_gated(t, live) for t in net.transitions]
+    b = _Builder(net)
+    live = b.place("live", "token held while the source net still runs",
+                   (CONST, 1))
+    goalp = b.place("goal", "token placed once a deadlock clause is certified")
     for t in net.transitions:
-        trans_origin[t.name] = "original, gated on live"
+        b.keep(_gated(t, live), "original, gated on live")
 
     for k, clause in enumerate(clauses):
-        cplace = _fresh(f"c{k}", ptaken)
-        places.append(cplace)
-        place_origin[cplace] = f"clause {k} in progress"
-        enter = _fresh(f"c{k}_enter", ttaken)
-        transitions.append(Transition(enter, {live: Numeric(1)}, {cplace: 1}))
-        trans_origin[enter] = f"commits to deadlock clause {k}"
+        cplace = b.place(f"c{k}", f"clause {k} in progress")
+        b.trans(f"c{k}_enter", {live: Numeric(1)}, {cplace: 1},
+                f"commits to deadlock clause {k}")
 
         check_pre = {cplace: Numeric(1)}
         for p in net.places:
@@ -311,52 +320,34 @@ def dlf_to_reach(net: Net, clause_cap: int = 10_000) -> TransformResult:
             place = net.places[pos]
             lit = clause[pos]
             if lit == ("atleast",) or lit[1] >= 1:
-                companion = _fresh(f"c{k}_{place}", ptaken)
-                places.append(companion)
-                place_origin[companion] = (
+                companion = b.place(
+                    f"c{k}_{place}",
                     f"clause {k}: witness that {place} held the right count")
                 check_pre[companion] = Numeric(1)
-                take = _fresh(f"c{k}_take_{place}", ttaken)
                 weight = 1 if lit == ("atleast",) else lit[1]
-                transitions.append(Transition(
-                    take,
-                    {place: Numeric(weight), cplace: Numeric(1)},
-                    {companion: 1, cplace: 1}))
-                trans_origin[take] = (
-                    f"clause {k}: moves {weight} token(s) out of {place}")
+                b.trans(f"c{k}_take_{place}",
+                        {place: Numeric(weight), cplace: Numeric(1)},
+                        {companion: 1, cplace: 1},
+                        f"clause {k}: moves {weight} token(s) out of {place}")
                 if lit == ("atleast",):
-                    drop = _fresh(f"c{k}_drop_{place}", ttaken)
-                    transitions.append(Transition(
-                        drop, {place: Numeric(1), cplace: Numeric(1)},
-                        {cplace: 1}))
-                    trans_origin[drop] = (
-                        f"clause {k}: discards surplus tokens of {place}")
+                    b.trans(f"c{k}_drop_{place}",
+                            {place: Numeric(1), cplace: Numeric(1)}, {cplace: 1},
+                            f"clause {k}: discards surplus tokens of {place}")
             # an exact-zero literal needs no mover: the check transition
             # already inhibits on the place
         for pos in range(len(net.places)):
             if pos not in clause:
                 place = net.places[pos]
-                drop = _fresh(f"c{k}_drop_{place}", ttaken)
-                transitions.append(Transition(
-                    drop, {place: Numeric(1), cplace: Numeric(1)}, {cplace: 1}))
-                trans_origin[drop] = (
-                    f"clause {k}: empties unconstrained place {place}")
-        checkt = _fresh(f"c{k}_check", ttaken)
-        transitions.append(Transition(checkt, check_pre, {goalp: 1}))
-        trans_origin[checkt] = f"certifies clause {k} and places the goal token"
+                b.trans(f"c{k}_drop_{place}",
+                        {place: Numeric(1), cplace: Numeric(1)}, {cplace: 1},
+                        f"clause {k}: empties unconstrained place {place}")
+        b.trans(f"c{k}_check", check_pre, {goalp: 1},
+                f"certifies clause {k} and places the goal token")
 
-    n_src = len(net.places)
-    entries = identity_entries(n_src) + [(CONST, 1), (CONST, 0)]
-    entries += [(CONST, 0)] * (len(places) - n_src - 2)
-    fmap = MarkingMap(tuple(entries))
-    goal = tuple(1 if p == goalp else 0 for p in places)
-    out = Net(tuple(places), tuple(transitions), fmap(net.initial))
-    return TransformResult(
-        net=out, forward=fmap,
-        query=("the source has a reachable deadlock iff this net reaches "
-               "the goal marking (goal=1, all else 0)"),
-        goal=goal,
-        place_origin=place_origin, trans_origin=trans_origin)
+    return b.result(
+        "the source has a reachable deadlock iff this net reaches the goal "
+        "marking (goal=1, all else 0)",
+        goal=tuple(int(p == goalp) for p in b.places))
 
 
 def reach_to_dlf(net: Net, target: Marking) -> TransformResult:
@@ -369,47 +360,30 @@ def reach_to_dlf(net: Net, target: Marking) -> TransformResult:
     if any(n < 0 for n in target):
         raise TransformError("negative target marking")
 
-    ptaken = set(net.places)
-    ttaken = {t.name for t in net.transitions}
-    gate = _fresh("gate", ptaken)
-    tick = _fresh("tick", ptaken)
-    done = _fresh("done", ptaken)
-    places = net.places + (gate, tick, done)
-
-    place_origin = {p: "original" for p in net.places}
-    place_origin[gate] = "token the source transitions borrow per firing"
-    place_origin[tick] = "keeps the net live until the final check"
-    place_origin[done] = "marks that the target was hit exactly"
-    trans_origin = {}
-
-    transitions = [_gated(t, gate) for t in net.transitions]
+    b = _Builder(net)
+    gate = b.place("gate", "token the source transitions borrow per firing",
+                   (CONST, 1))
+    tick = b.place("tick", "keeps the net live until the final check",
+                   (CONST, 1))
+    done = b.place("done", "marks that the target was hit exactly")
     for t in net.transitions:
-        trans_origin[t.name] = "original, gated"
+        b.keep(_gated(t, gate), "original, gated")
     for p in net.places:
-        name = _fresh(f"idle_{p}", ttaken)
-        transitions.append(Transition(name, {p: Numeric(1)}, {p: 1}))
-        trans_origin[name] = f"keeps the net live while {p} is nonempty"
-    spin = _fresh("spin", ttaken)
-    transitions.append(Transition(spin, {tick: Numeric(1)}, {tick: 1}))
-    trans_origin[spin] = "keeps the net live until the final check"
-    finish = _fresh("finish", ttaken)
+        b.trans(f"idle_{p}", {p: Numeric(1)}, {p: 1},
+                f"keeps the net live while {p} is nonempty")
+    b.trans("spin", {tick: Numeric(1)}, {tick: 1},
+            "keeps the net live until the final check")
     pre = {p: Numeric(n) for p, n in zip(net.places, target) if n > 0}
     pre[gate] = Numeric(1)
     pre[tick] = Numeric(1)
-    transitions.append(Transition(finish, pre, {done: 1}))
-    trans_origin[finish] = "consumes the target marking plus both control tokens"
+    b.trans("finish", pre, {done: 1},
+            "consumes the target marking plus both control tokens")
 
-    fmap = MarkingMap(tuple(identity_entries(len(net.places))
-                            + [(CONST, 1), (CONST, 1), (CONST, 0)]))
-    goal = tuple(0 for _ in net.places) + (0, 0, 1)
-    out = Net(places, tuple(transitions), fmap(net.initial))
-    return TransformResult(
-        net=out, forward=fmap,
-        query=("the target is reachable in the source iff this net has a "
-               "reachable deadlock; the only reachable deadlock is the goal "
-               "marking (done=1, all else 0)"),
-        goal=goal,
-        place_origin=place_origin, trans_origin=trans_origin)
+    return b.result(
+        "the target is reachable in the source iff this net has a reachable "
+        "deadlock; the only reachable deadlock is the goal marking (done=1, "
+        "all else 0)",
+        goal=tuple(int(p == done) for p in b.places))
 
 
 # ---------------------------------------------------------------------------
@@ -428,12 +402,13 @@ def two_inh_to_reset(net: Net) -> TransformResult:
     (i1, p2), (_i4, _q) = arcs
     t1_name = net.transitions[i1].name
 
-    ptaken = set(net.places)
-    copy = _fresh(f"{p2}_copy", ptaken)
-    places = net.places + (copy,)
-    p2_pos = net.place_pos(p2)
+    b = _Builder(net)
+    copy = b.place(
+        f"{p2}_copy",
+        f"mirrors the numeric traffic of {p2}; equality certifies that the "
+        f"reset on {t1_name} only ever fired on empty",
+        (COPY, net.place_pos(p2)))
 
-    transitions = []
     for i, t in enumerate(net.transitions):
         pre = dict(t.pre)
         if i == i1:
@@ -444,58 +419,42 @@ def two_inh_to_reset(net: Net) -> TransformResult:
         post = dict(t.post)
         if p2 in post:
             post[copy] = post[p2]
-        transitions.append(Transition(t.name, pre, post))
+        b.keep(Transition(t.name, pre, post),
+               "inhibitor traded for a reset" if i == i1
+               else "original, numeric arcs mirrored onto the copy")
 
-    entries = identity_entries(len(net.places)) + [(COPY, p2_pos)]
-    fmap = MarkingMap(tuple(entries))
-    out = Net(places, tuple(transitions), fmap(net.initial))
-    place_origin = {p: "original" for p in net.places}
-    place_origin[copy] = (
-        f"mirrors the numeric traffic of {p2}; equality certifies that the "
-        f"reset on {t1_name} only ever fired on empty")
-    trans_origin = {t.name: ("inhibitor traded for a reset" if t.name == t1_name
-                             else "original, numeric arcs mirrored onto the copy")
-                    for t in net.transitions}
-    return TransformResult(
-        net=out, forward=fmap,
-        query=("M is reachable in the source iff forward(M) is reachable "
-               f"here, where forward duplicates {p2} into {copy}"),
-        place_origin=place_origin, trans_origin=trans_origin)
+    return b.result("M is reachable in the source iff forward(M) is reachable "
+                    f"here, where forward duplicates {p2} into {copy}")
 
 
 # ---------------------------------------------------------------------------
 # two transfers -> hierarchical transfers
 
-def _split_swapper(net: Net, i2: int):
+def _split_swapper(net: Net, i2: int) -> TransformResult:
     """Make the mode-swapping transition free of numeric pre-arcs from the
     duplicated place by splitting it into an atomic consume/act pair."""
     t2 = net.transitions[i2]
-    ptaken = set(net.places)
-    ttaken = {t.name for t in net.transitions}
-    hold = _fresh("hold", ptaken)
-    mid = _fresh("mid", ptaken)
-    places = net.places + (hold, mid)
+    b = _Builder(net)
+    hold = b.place("hold", "atomic split of the swapping transition",
+                   (CONST, 1))
+    mid = b.place("mid", "atomic split of the swapping transition")
 
-    transitions = []
     for i, t in enumerate(net.transitions):
         if i != i2:
-            transitions.append(_gated(t, hold))
+            b.keep(_gated(t, hold), "original, gated on hold")
             continue
         pre_a = dict(_numeric_pre(t2))
         pre_a[hold] = Numeric(1)
-        a_name = _fresh(f"{t2.name}_a", ttaken)
-        transitions.append(Transition(a_name, pre_a, {mid: 1}))
+        b.trans(f"{t2.name}_a", pre_a, {mid: 1},
+                f"consumes the numeric pre-arcs of {t2.name}")
         pre_b = {p: a for p, a in t2.pre.items() if isinstance(a, Transfer)}
         pre_b[mid] = Numeric(1)
         post_b = dict(t2.post)
         post_b[hold] = post_b.get(hold, 0) + 1
-        b_name = _fresh(f"{t2.name}_b", ttaken)
-        transitions.append(Transition(b_name, pre_b, post_b))
+        b.trans(f"{t2.name}_b", pre_b, post_b,
+                f"performs the transfers and post-arcs of {t2.name}")
 
-    fmap = MarkingMap(tuple(identity_entries(len(net.places))
-                            + [(CONST, 1), (CONST, 0)]))
-    out = Net(places, tuple(transitions), fmap(net.initial))
-    return out, fmap, hold, mid
+    return b.result(f"{t2.name} split into an atomic consume/act pair")
 
 
 def transfer_hierarchize(net: Net) -> TransformResult:
@@ -523,11 +482,10 @@ def transfer_hierarchize(net: Net) -> TransformResult:
             f"a post-arc from {net.transitions[i2].name} into {p1} is not "
             "supported")
 
-    split_map = None
-    split_names = ()
+    split = None
     if isinstance(net.transitions[i2].pre.get(p1), Numeric):
-        net, split_map, hold, mid = _split_swapper(net, i2)
-        split_names = (hold, mid)
+        split = _split_swapper(net, i2)
+        net = split.net
         arcs = [(i, p, a.target) for i, t in enumerate(net.transitions)
                 for p, a in t.pre.items() if isinstance(a, Transfer)]
         (i1, p1, p3), (i2, p2, p4) = arcs
@@ -600,20 +558,17 @@ def transfer_hierarchize(net: Net) -> TransformResult:
             entries_b.append((COPY, pos_of[p]))
     fmap = MarkingMap(tuple(entries_a))
     bmap = MarkingMap(tuple(entries_b))
-    if split_map is not None:
-        fmap = fmap.compose(split_map)
-        bmap = bmap.compose(split_map)
-
     # initial marking: mode A representative of the (possibly split) initial
-    out = Net(tuple(places), tuple(transitions),
-              MarkingMap(tuple(entries_a))(net.initial))
+    out = Net(tuple(places), tuple(transitions), fmap(net.initial))
+    if split is not None:
+        fmap = fmap.compose(split.forward)
+        bmap = bmap.compose(split.forward)
 
-    place_origin = {p: "original" for p in net.places}
+    place_origin = (dict(split.place_origin) if split is not None
+                    else {p: "original" for p in net.places})
     place_origin[alt] = f"shadow of {p1}; holds it while mode B is active"
     place_origin[mode_a] = f"mode token: {p1} is the live representative"
     place_origin[mode_b] = f"mode token: {alt} is the live representative"
-    for p in split_names:
-        place_origin[p] = "atomic split of the swapping transition"
     trans_origin = {}
     for t, b in zip(net.transitions, b_copies):
         role = "original" if t.name not in (t1.name, t2.name) else (

@@ -569,6 +569,34 @@ def test_internal_error_is_exit_two(run, monkeypatch):
     assert err == "internal error: RuntimeError: boom\n"
 
 
+def test_unverified_pump_is_an_internal_error(run, monkeypatch):
+    monkeypatch.setattr(cli, "verify_pump", lambda net, verdict: False)
+    code, out, err, _ = run("terminate", "n.xpn", files={"n.xpn": LOOP})
+    assert code == 2 and out == ""
+    assert err.startswith("internal error: AssertionError:")
+
+
+@pytest.mark.parametrize("text, err", [
+    ("places: a\ntrans t: in a ; out b\n",
+     "n.xpn: error: unknown-place: post-arc 'b' of 't': no such place"),
+    ("places: a\nmarking: a=1\nmarking: a=2\n",
+     "n.xpn:3:10: error: duplicate marking line"),
+    ("trans t: ;\n", "n.xpn:1:7: error: transition line before places line"),
+    ("places: a\ntrans t:\n",
+     "n.xpn:2:9: error: expected ';' between pre and post arcs"),
+    ("places: a\ntrans t: foo a ;\n", "n.xpn:2:14: error: unknown arc keyword 'foo'"),
+    ("places: a\ntrans t: in a ; out a x\n",
+     "n.xpn:2:23: error: trailing text after transition"),
+    ("places: a 1b\n", "n.xpn:1:11: error: expected a place name"),
+])
+def test_unreadable_net_is_exit_two(tmp_path, monkeypatch, capsys, text, err):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "n.xpn").write_text(text)
+    assert cli.main(["classify", "n.xpn"]) == 2
+    cap = capsys.readouterr()
+    assert (cap.out, cap.err) == ("", err + "\n")
+
+
 # two reset-bearing transitions, so hir-elim-all builds an intermediate net
 TWO_RESETS = ("places: a b c\nmarking: a=2 b=1\n"
               "trans t: in a, reset b ; out b\ntrans u: in b, reset c ; out c\n")

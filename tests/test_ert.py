@@ -55,6 +55,11 @@ def test_growth_at_an_inhibited_position_blocks_the_pump():
     assert not verify_pump(once, NonTerminating(replay(once, once.initial, []),
                                                 u))
     assert verify_pump(once, NonTerminating(u, replay(once, (1, 0), ["u"])))
+    # the first round keeps the prefix (a, b), only the second grows a:
+    # (0,0,0) -> (0,0,1) -> (1,0,1)
+    late = parse_net("places: a b c\ntrans u: inh b, xfer c->a ; out c")
+    stem, pump = (replay(late, late.initial, names) for names in ([], ["u"]))
+    assert not verify_pump(late, NonTerminating(stem, pump))
 
 
 def test_terminating_frozen():

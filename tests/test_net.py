@@ -125,6 +125,7 @@ def test_successors_in_declaration_order():
     (["a", "b"], Transition("t", {"ghost": Numeric(1)}, {"b": 1}),
      "unknown-place"),
     (["a", "b"], Transition("t", {}, {"ghost": 1}), "unknown-place"),
+    (["a", "b"], Transition("t", {"a": 5}, {}), "bad-arc"),
 ])
 def test_invalid_nets_can_be_validated_but_not_fired(places, t, code):
     n = net_of(places, [t], [1, 1])

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -7,7 +8,7 @@ import oracles
 from xpn.explore import bounded_reach
 from xpn.fmt import parse_net, render_net
 from xpn.net import (BudgetExceededError, Inhibitor, Net, Reset, Transfer,
-                     classify, successors)
+                     XpnError, classify, successors)
 from xpn.transforms import (
     CONST,
     COPY,
@@ -442,3 +443,66 @@ def test_transfer_hierarchize_equivalence_fuzz():
         split_seen += "hold" in res.net.places
         check_equivalent(src, res, 120, 40_000)
     assert split_seen >= 1
+
+
+# ---------------------------------------------------------------------------
+# byte stability
+
+
+PIN_GENERATORS = ("plain_net", "spiced_net", "no_inhibitor_net", "hier_ir_net",
+                  "hirct_net", "ert_net", "two_inh_net", "two_transfer_net")
+PIN_REDUCTIONS = {
+    "hir_elim": hir_elim,
+    "hirct_elim": hirct_elim,
+    "hir_elim_all": hir_elim_all,
+    "dlf_to_reach": dlf_to_reach,
+    "reach_to_dlf": lambda net: reach_to_dlf(net, net.initial),
+    "two_inh_to_reset": two_inh_to_reset,
+    "transfer_hierarchize": transfer_hierarchize,
+}
+# sha256 of pinned_fields over the corpus in test_reductions_byte_stable
+PIN_DIGESTS = {
+    "hir_elim":
+        "e64836567cd38dc157262022b1b71b8e80732361801767978de85fd01eea4041",
+    "hirct_elim":
+        "1c157e8c5c8fb8974cbb70b18b71574049f72d8381e39d3e026b346f91788df3",
+    "hir_elim_all":
+        "9e9349bacc1d337a379cc82b41e0622a6e50a16bd4d9aadcb0a23003534a6a10",
+    "dlf_to_reach":
+        "31d227f611e5479713328919349f4aba4e10379125e0e5095884c242a35ae24d",
+    "reach_to_dlf":
+        "f25cdd631d057d413d6bbdf9f9672f9288555deccfcdacd8ad3fec3d0f561eb7",
+    "two_inh_to_reset":
+        "c6c952eff1ef090db7114cd3e9f580712d23e1cfdb4d61902c01053666a67d54",
+    "transfer_hierarchize":
+        "b4fadf3700c1c7ffdf34219b39e8655c2bd2ef3e64846efc3a23bfd0acb83367",
+}
+
+
+def pinned_fields(reduction, net) -> str:
+    """Every output field of one reduction, in order: the rendered net, the
+    maps, goal, query and both origin dicts (insertion order included), or
+    the error's type and message."""
+    try:
+        res = reduction(net)
+    except XpnError as e:
+        return f"{type(e).__name__}: {e}"
+    return "\n".join([render_net(res.net), repr(res.forward.entries),
+                      repr([m.entries for m in res.alt_forwards]),
+                      repr(res.goal), res.query,
+                      repr(list(res.place_origin.items())),
+                      repr(list(res.trans_origin.items()))])
+
+
+def test_reductions_byte_stable():
+    nets = [getattr(fuzz, gen)(random.Random(seed))
+            for gen in PIN_GENERATORS for seed in range(40)]
+    digests = {}
+    for name, reduction in PIN_REDUCTIONS.items():
+        h = hashlib.sha256()
+        for net in nets:
+            h.update(pinned_fields(reduction, net).encode() + b"\0")
+        digests[name] = h.hexdigest()
+    assert digests == PIN_DIGESTS, (
+        "a reduction's output changed on the seeded corpus; if the change is "
+        "intended, declare it in CHANGES.md and update PIN_DIGESTS")

@@ -123,8 +123,6 @@ def cmd_fire(args) -> int:
 def cmd_explore(args) -> int:
     net = _read_net(args.net)
     if args.mode == "backward-cover":
-        if args.max_depth is not None:
-            raise _Fail("backward-cover takes no --max-depth")
         res = backward_cover(net, _target(net, args, args.mode),
                              max_steps=args.max_steps)
         print("COVERABLE" if res.coverable else "UNCOVERABLE")
@@ -132,12 +130,11 @@ def cmd_explore(args) -> int:
             print(format_marking(net, b))
         return 0
 
-    budget = dict(max_steps=args.max_steps, max_depth=args.max_depth)
     if args.mode == "deadlock":
-        res = bounded_deadlock(net, **budget)
+        res = bounded_deadlock(net, max_steps=args.max_steps)
     else:
         fn = bounded_reach if args.mode == "reach" else bounded_cover
-        res = fn(net, _target(net, args, args.mode), **budget)
+        res = fn(net, _target(net, args, args.mode), max_steps=args.max_steps)
     if not res.found:
         print(f"EXHAUSTED expanded={res.expanded}")
         return 0
@@ -287,7 +284,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("net")
     p.add_argument("-m", "--marking", help="target marking literal")
     p.add_argument("--max-steps", type=int, default=1_000_000)
-    p.add_argument("--max-depth", type=int, default=None)
     p.add_argument("--trace", help="write the witness trace here")
     p.set_defaults(func=cmd_explore)
 

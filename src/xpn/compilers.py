@@ -13,8 +13,8 @@ import re
 from dataclasses import dataclass
 
 from .fmt import ParseError
-from .net import (INHIBIT, Marking, Net, Numeric, RESET, Transfer, Transition,
-                  require_valid)
+from .net import (BudgetExceededError, INHIBIT, Marking, Net, Numeric, RESET,
+                  Transfer, Transition, require_valid)
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*")
 
@@ -105,7 +105,8 @@ def parse_machine(text: str) -> CounterMachine:
 
 def simulate_machine(cm: CounterMachine, max_configs: int = 10_000):
     """True if the machine halts, False if it provably loops (a
-    configuration repeats), None if max_configs is exhausted first."""
+    configuration repeats); raises BudgetExceededError when a configuration
+    past the `max_configs`-th would need visiting."""
     q, c = cm.start, {1: 0, 2: 0}
     seen = set()
     for _ in range(max_configs):
@@ -124,7 +125,7 @@ def simulate_machine(cm: CounterMachine, max_configs: int = 10_000):
         else:
             c[instr.counter] -= 1
             q = instr.goto_nonzero
-    return None
+    raise BudgetExceededError(f"machine exceeded {max_configs} configurations")
 
 
 @dataclass(frozen=True)

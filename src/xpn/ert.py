@@ -70,13 +70,20 @@ def check_eligible(net: Net):
             "some transition's inhibitor pre-places are not downward closed")
 
 
+def _fit(nodes: int, max_nodes: int) -> int:
+    """Return the tree node count `nodes`; raise BudgetExceededError if it
+    would pass `max_nodes`."""
+    if nodes > max_nodes:
+        raise BudgetExceededError(f"tree exceeded {max_nodes} nodes")
+    return nodes
+
+
 def _prepare(net: Net, max_nodes: int) -> dict:
     """Check that the decider applies and that the root fits the node
     budget (the root is the first node it counts); return each
     transition's index by name."""
     check_eligible(net)
-    if max_nodes < 1:
-        raise BudgetExceededError(f"tree exceeded {max_nodes} nodes")
+    _fit(1, max_nodes)
     return {op.name: op.index for op in net._plan()}
 
 
@@ -138,9 +145,7 @@ def build_ert(net: Net, max_nodes: int = 1_000_000, rng=None,
                              "inner" if succ else "deadlock")
         kids = []
         for name, m2 in succ:
-            if len(nodes) >= max_nodes:
-                raise BudgetExceededError(
-                    f"tree exceeded {max_nodes} nodes")
+            _fit(len(nodes) + 1, max_nodes)
             cid = len(nodes)
             anc = _scan(nodes, nid, m2, tidx[name])
             if anc is None:
@@ -208,9 +213,7 @@ def decide_termination(net: Net, max_nodes: int = 1_000_000, rng=None):
         if rng is not None:
             rng.shuffle(succ)
         for name, m2 in succ:
-            if count >= max_nodes:
-                raise BudgetExceededError(f"tree exceeded {max_nodes} nodes")
-            count += 1
+            count = _fit(count + 1, max_nodes)
             if m2 not in done:
                 anc = _scan(path, here, m2, tidx[name])
                 if anc is not None:
@@ -234,9 +237,7 @@ def decide_termination(net: Net, max_nodes: int = 1_000_000, rng=None):
             cut = push(m2, name, tidx[name])
             continue
         # build_ert would create the size - 1 nodes below it right now
-        if count + size - 1 > max_nodes:
-            raise BudgetExceededError(f"tree exceeded {max_nodes} nodes")
-        count += size - 1
+        count = _fit(count + size - 1, max_nodes)
         top.size += size
     return cut or Terminating(count)
 

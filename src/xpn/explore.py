@@ -2,9 +2,10 @@
 
 Forward search is breadth-first over exact markings with a visited set and
 deterministic successor order (transition declaration order), so traces are
-reproducible.  The budget counts node expansions: a search that would
-expand more markings than it allows, or whose depth cap cut off a
-successor, raises BudgetExceededError, since nothing can be concluded.
+reproducible.  Its one budget counts node expansions: a search that would
+expand more markings than it allows raises BudgetExceededError, since
+nothing can be concluded.  A larger budget can turn a run-out into an
+answer but never changes an answer.
 
 backward_cover saturates minimal bases of upward-closed predecessor sets
 and is exact, but only supports nets without inhibitor arcs; its budget
@@ -54,19 +55,16 @@ def _leq(a: Marking, b: Marking) -> bool:
     return all(map(le, a, b))
 
 
-def _bfs(net: Net, goal, max_steps: int,
-         max_depth: int | None) -> SearchResult:
+def _bfs(net: Net, goal, max_steps: int) -> SearchResult:
     """Shared engine from the initial marking: `goal(marking,
     successor_list)` decides hits.  The hit trace is replayed before
     returning, as a postcondition check.  Raises BudgetExceededError when
-    a marking past the `max_steps`-th would need expanding, or when the
-    depth cap cut off a successor."""
+    a marking past the `max_steps`-th would need expanding."""
     require_valid(net)  # so the initial marking fits the places
     start = net.initial
     parent = {start: None}
-    queue = deque([(start, 0)])
+    queue = deque([start])
     expanded = 0
-    pruned = False
 
     def finish(m: Marking) -> SearchResult:
         names = []
@@ -83,43 +81,36 @@ def _bfs(net: Net, goal, max_steps: int,
 
     while queue:
         if expanded >= max_steps:
-            break
-        m, depth = queue.popleft()
+            raise BudgetExceededError(f"expanded={expanded}")
+        m = queue.popleft()
         expanded += 1
         succ = successors(net, m)
         if goal(m, succ):
             return finish(m)
-        if max_depth is not None and depth >= max_depth:
-            if succ:
-                pruned = True
-            continue
         for name, m2 in succ:
             if m2 not in parent:
                 parent[m2] = (m, name)
-                queue.append((m2, depth + 1))
-    if queue or pruned:
-        raise BudgetExceededError(f"expanded={expanded}")
+                queue.append(m2)
     return SearchResult(None, expanded)
 
 
-def bounded_reach(net: Net, target: Marking, max_steps: int = 1_000_000,
-                  max_depth: int | None = None) -> SearchResult:
+def bounded_reach(net: Net, target: Marking,
+                  max_steps: int = 1_000_000) -> SearchResult:
     """Is `target` reachable (exact equality) from the initial marking?"""
     target = tuple(target)
-    return _bfs(net, lambda m, s: m == target, max_steps, max_depth)
+    return _bfs(net, lambda m, s: m == target, max_steps)
 
 
-def bounded_cover(net: Net, target: Marking, max_steps: int = 1_000_000,
-                  max_depth: int | None = None) -> SearchResult:
+def bounded_cover(net: Net, target: Marking,
+                  max_steps: int = 1_000_000) -> SearchResult:
     """Is some marking >= `target` reachable from the initial marking?"""
     target = tuple(target)
-    return _bfs(net, lambda m, s: _leq(target, m), max_steps, max_depth)
+    return _bfs(net, lambda m, s: _leq(target, m), max_steps)
 
 
-def bounded_deadlock(net: Net, max_steps: int = 1_000_000,
-                     max_depth: int | None = None) -> SearchResult:
+def bounded_deadlock(net: Net, max_steps: int = 1_000_000) -> SearchResult:
     """Is a marking with no firable transition reachable?"""
-    return _bfs(net, lambda m, s: not s, max_steps, max_depth)
+    return _bfs(net, lambda m, s: not s, max_steps)
 
 
 # ---------------------------------------------------------------------------
@@ -128,16 +119,20 @@ def bounded_deadlock(net: Net, max_steps: int = 1_000_000,
 class UpwardClosedSet:
     """An upward-closed set of markings kept as its minimal basis.
 
-    The basis is also indexed by token sum, since b <= m needs
-    sum(b) <= sum(m): `contains` tests only the buckets at or below the
-    probe's sum, and `add` looks for elements it dominates only above it.
+    The basis is stored by token sum, since b <= m needs sum(b) <= sum(m):
+    `contains` tests only the buckets at or below the probe's sum, and
+    `add` looks for elements it dominates only above it.
     """
 
     def __init__(self, basis=()):
-        self.basis: list = []
         self._by_sum: dict = {}  # token sum -> basis elements with that sum
         for m in basis:
             self.add(m)
+
+    @property
+    def basis(self) -> list:
+        """The minimal basis, as a new list."""
+        return [b for bucket in self._by_sum.values() for b in bucket]
 
     def contains(self, m: Marking) -> bool:
         total = sum(m)
@@ -167,9 +162,7 @@ class UpwardClosedSet:
             bucket.remove(b)
             if not bucket:
                 del self._by_sum[s]
-            self.basis.remove(b)
         self._by_sum.setdefault(total, []).append(m)
-        self.basis.append(m)
         return True
 
 

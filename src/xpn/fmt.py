@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 
 from .net import (Arc, INHIBIT, Inhibitor, Marking, Net, Numeric, RESET,
-                  Reset, Transfer, Transition, XpnError)
+                  Reset, Transfer, Transition, XpnError, require_valid)
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*")
 _INT_RE = re.compile(r"[0-9]+")
@@ -222,8 +222,8 @@ def render_net(net: Net, header=()) -> str:
                 pre_items.append(f"reset {place}")
             elif isinstance(arc, Transfer):
                 pre_items.append(f"xfer {place}->{_check_name(arc.target)}")
-            else:
-                raise XpnError(f"bad arc descriptor {arc!r}")
+            else:  # validate reports it, so this raises InvalidNetError
+                require_valid(net)
         post_items = [f"{p}*{w}" for p, w in t.post.items() if _check_name(p)]
         if post_items:
             post_items[0] = "out " + post_items[0]

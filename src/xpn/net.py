@@ -287,6 +287,14 @@ def validate(net: Net) -> list:
     def warn(code, msg):
         diags.append(Diagnostic("warning", code, msg))
 
+    def weight(where, w):
+        if not isinstance(w, int):
+            err("non-integer-weight", f"{where}: weight {w!r}")
+        elif w < 0:
+            err("negative-weight", f"{where}: weight {w}")
+        elif w == 0:
+            err("zero-weight-arc", f"{where}: weight 0 must be dropped")
+
     seen = set()
     for p in net.places:
         if p in seen:
@@ -303,7 +311,10 @@ def validate(net: Net) -> list:
             f"initial marking has {len(net.initial)} entries for "
             f"{len(net.places)} places")
     for i, n in enumerate(net.initial[:len(net.places)]):
-        if n < 0:
+        if not isinstance(n, int):
+            err("non-integer-marking",
+                f"place {net.places[i]!r} starts with {n!r} tokens")
+        elif n < 0:
             err("negative-marking",
                 f"place {net.places[i]!r} starts with {n} tokens")
 
@@ -313,10 +324,7 @@ def validate(net: Net) -> list:
             if place not in net._pos:
                 err("unknown-place", f"{where}: no such place")
             if isinstance(arc, Numeric):
-                if arc.weight < 0:
-                    err("negative-weight", f"{where}: weight {arc.weight}")
-                elif arc.weight == 0:
-                    err("zero-weight-arc", f"{where}: weight 0 must be dropped")
+                weight(where, arc.weight)
             elif isinstance(arc, Transfer):
                 if arc.target not in net._pos:
                     err("dangling-transfer-target",
@@ -330,10 +338,7 @@ def validate(net: Net) -> list:
             where = f"post-arc {place!r} of {t.name!r}"
             if place not in net._pos:
                 err("unknown-place", f"{where}: no such place")
-            if w < 0:
-                err("negative-weight", f"{where}: weight {w}")
-            elif w == 0:
-                err("zero-weight-arc", f"{where}: weight 0 must be dropped")
+            weight(where, w)
     return diags
 
 

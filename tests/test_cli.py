@@ -279,7 +279,8 @@ def test_terminate_dot_and_full_tree_build_the_paper_tree(run, monkeypatch,
      "OUT_OF_BUDGET expanded=0\n"),
     (("explore", "deadlock", "n.xpn", "--max-steps", "-5"),
      "OUT_OF_BUDGET expanded=0\n"),
-    (("explore", "reach", "n.xpn", "-m", "b=2", "--max-depth", "-1"),
+    # one step short of the run to b=2
+    (("explore", "reach", "n.xpn", "-m", "b=2", "--max-steps", "1"),
      "OUT_OF_BUDGET expanded=1\n"),
     (("transform", "dlf-to-reach", "n.xpn", "--clause-cap", "0"),
      "OUT_OF_BUDGET more than 0 deadlock clauses\n"),
@@ -355,10 +356,16 @@ def test_backward_cover_runs_out_on_huge_demands(tmp_path, argv, out):
     assert time.monotonic() - t0 < 5
 
 
-def test_backward_cover_refuses_max_depth(run):
-    code, out, err, _ = run("explore", "backward-cover", "n.xpn", "-m", "p2=1",
-                            "--max-depth", "1", files={"n.xpn": CHAIN3})
-    assert (code, out, err) == (2, "", "backward-cover takes no --max-depth\n")
+def test_explore_has_no_max_depth(run, capsys):
+    # every explore mode has one budget, --max-steps
+    for mode in ("reach", "cover", "deadlock", "backward-cover"):
+        with pytest.raises(SystemExit) as exc:
+            run("explore", mode, "n.xpn", "-m", "p2=1", "--max-depth", "1",
+                files={"n.xpn": CHAIN3})
+        assert exc.value.code == 2
+        cap = capsys.readouterr()
+        assert cap.out == "" and cap.err.endswith(
+            "xpn: error: unrecognized arguments: --max-depth 1\n")
 
 
 # a countdown from 2 * 10**18 tokens: t moves a token from b to a, s
@@ -386,6 +393,35 @@ def test_terminate_rejects_ineligible_net(run):
     net = "places: a b\nmarking: a=1\ntrans t: in a, inh b ;\n"
     code, _, err, _ = run("terminate", "n.xpn", files={"n.xpn": net})
     assert code == 2 and err.startswith("error:")
+
+
+def wide_net(inhibitor: bool, n: int = 10**4) -> str:
+    """n transitions over three places; with `inhibitor` the first one
+    carries an inhibitor arc on the least place, so the net stays
+    eligible for the termination decider."""
+    lines = ["places: a b c", "marking: b=2"]
+    if inhibitor:
+        lines.append("trans u: inh a, in b ; out a")
+    lines += [f"trans t{i}: in b*{1 + i % 2}, reset c ; out c*{1 + i % 7}"
+              for i in range(n - inhibitor)]
+    return "\n".join(lines) + "\n"
+
+
+def test_every_verb_handles_ten_thousand_transitions(run):
+    files = {"n.xpn": wide_net(True), "plain.xpn": wide_net(False)}
+    t0 = time.monotonic()
+    for argv in [("validate", "n.xpn"), ("classify", "n.xpn"),
+                 ("fire", "n.xpn", "u", "t0"),
+                 ("explore", "cover", "n.xpn", "-m", "c=7"),
+                 ("explore", "deadlock", "n.xpn"),
+                 ("terminate", "n.xpn"),
+                 ("explore", "backward-cover", "plain.xpn", "-m", "c=7"),
+                 ("transform", "dlf-to-reach", "n.xpn"),
+                 ("transform", "reach-to-dlf", "n.xpn", "-m", "c=3"),
+                 ("export-dot", "n.xpn")]:
+        code, _, err, _ = run(*argv, files=files)
+        assert code in (0, 1, 2) and "internal error" not in err, argv
+    assert time.monotonic() - t0 < 60
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,8 @@ from xpn.compilers import (
 )
 from xpn.explore import bounded_cover
 from xpn.fmt import ParseError
-from xpn.net import Inhibitor, InvalidNetError, Numeric, Reset, Transfer
+from xpn.net import (BudgetExceededError, Inhibitor, InvalidNetError, Numeric,
+                     Reset, Transfer)
 
 MACHINE_TEXT = dict((name, text) for name, text, _ in machines.SUITE)
 
@@ -93,7 +94,9 @@ def test_simulate_machine_matches_oracle():
 def test_simulate_machine_budget_exhausted():
     # counter grows forever, no configuration ever repeats
     cm = parse_machine("q0: INC 1 -> q0\nqh: HALT")
-    assert simulate_machine(cm, max_configs=50) is None
+    with pytest.raises(BudgetExceededError,
+                       match="^machine exceeded 50 configurations$"):
+        simulate_machine(cm, max_configs=50)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ from xpn.fmt import (
     render_net,
     render_trace,
 )
-from xpn.net import INHIBIT, Numeric, RESET, Transfer, validate
+from xpn.net import (INHIBIT, InvalidNetError, Net, Numeric, RESET, Transfer,
+                     Transition, XpnError, validate)
 
 SAMPLE = """\
 # a net using every arc form
@@ -86,6 +87,17 @@ def test_render_header_comments():
     text = render_net(n, header=("first", "", "second"))
     assert text.splitlines()[:3] == ["# first", "#", "# second"]
     assert parse_net(text) == n
+
+
+def test_render_refuses_what_it_cannot_write():
+    with pytest.raises(XpnError, match="^name 'a b' cannot be written to "
+                                      "the text format$"):
+        render_net(Net(("a b",), (), (0,)))
+    # a non-descriptor pre-arc is reported as firing reports it
+    bad = Net(("a",), (Transition("t", {"a": 5}, {}),), (0,))
+    with pytest.raises(InvalidNetError) as exc:
+        render_net(bad)
+    assert [d.code for d in exc.value.errors] == ["bad-arc"]
 
 
 def test_roundtrip_fuzz():

@@ -1,17 +1,23 @@
 """Metamorphic checks: renaming places while keeping their order, and
 reversing the transition order, leave every engine's answer unchanged.
 Each net, original or changed, must survive a render/parse round trip
-before an engine sees it."""
+before an engine sees it.  Raising a budget may turn a run-out into an
+answer, but never changes an answer."""
 
 import random
 
+import pytest
+
 import fuzz
+import machines
+from xpn.compilers import parse_machine, simulate_machine
 from xpn.ert import decide_termination
 from xpn.explore import (backward_cover, bounded_cover, bounded_deadlock,
                          bounded_reach)
 from xpn.fmt import parse_net, render_net
-from xpn.net import (INHIBITOR_KIND, TRANSFER_KIND, Net, Transfer, Transition,
-                     classify)
+from xpn.net import (BudgetExceededError, INHIBITOR_KIND, TRANSFER_KIND, Net,
+                     Transfer, Transition, classify)
+from xpn.transforms import dlf_to_reach
 
 
 def renamed_places(net):
@@ -78,3 +84,60 @@ def test_renaming_places_and_reversing_transitions_change_no_answer():
     for kind in ("deadlock", "reach", "cover"):
         assert set(seen[kind]) == {True, False}, kind
     assert {v[0] for v in seen["backward"]} == {True, False}
+
+
+def budgeted_call(engine, rng):
+    """One seeded input for `engine`, as a function of its budget."""
+    if engine == "simulate_machine":
+        cm = parse_machine(rng.choice(machines.SUITE)[1])
+        return lambda b: simulate_machine(cm, max_configs=b)
+    gen = {"backward_cover": fuzz.no_inhibitor_net,
+           "decide_termination": fuzz.ert_net,
+           "dlf_to_reach": fuzz.hier_ir_net}.get(engine, fuzz.spiced_net)
+    graph = {}
+    while len(graph) < 6:  # so that most searches need several steps
+        net, graph = fuzz.finite_net(rng, gen, 60)
+    keys = sorted(graph)
+    maxima = [max(m[j] for m in keys) for j in range(len(net.places))]
+    target = rng.choice([rng.choice(keys), tuple(x + 1 for x in maxima)])
+    return {
+        "bounded_reach": lambda b: bounded_reach(net, target, max_steps=b),
+        "bounded_cover": lambda b: bounded_cover(net, target, max_steps=b),
+        "bounded_deadlock": lambda b: bounded_deadlock(net, max_steps=b),
+        "backward_cover": lambda b: backward_cover(net, target, max_steps=b),
+        "decide_termination": lambda b: decide_termination(net, max_nodes=b),
+        "dlf_to_reach": lambda b: dlf_to_reach(net, clause_cap=b),
+    }[engine]
+
+
+RAN_OUT = "ran out"
+
+
+def outcome(call, budget):
+    try:
+        return call(budget)
+    except BudgetExceededError:
+        return RAN_OUT
+
+
+@pytest.mark.parametrize("engine", [
+    "bounded_reach", "bounded_cover", "bounded_deadlock", "backward_cover",
+    "decide_termination", "dlf_to_reach", "simulate_machine"])
+def test_a_larger_budget_never_changes_an_answer(engine):
+    """From budget -1 up, each outcome runs out or equals the answer at an
+    ample budget, and the three budgets above the first that answers
+    answer too."""
+    rng = random.Random(engine)
+    for _ in range(30):
+        call = budgeted_call(engine, rng)
+        want = outcome(call, 10**9)
+        assert want != RAN_OUT
+        budget, answers = -1, 0
+        while answers < 4:
+            got = outcome(call, budget)
+            if got == RAN_OUT:
+                assert answers == 0, (engine, budget)
+            else:
+                assert got == want, (engine, budget)
+                answers += 1
+            budget += 1

@@ -126,6 +126,11 @@ def test_successors_in_declaration_order():
      "unknown-place"),
     (["a", "b"], Transition("t", {}, {"ghost": 1}), "unknown-place"),
     (["a", "b"], Transition("t", {"a": 5}, {}), "bad-arc"),
+    (["a", "b"], Transition("t", {"a": Numeric(1.5)}, {}),
+     "non-integer-weight"),
+    (["a", "b"], Transition("t", {"a": Numeric("x")}, {}),
+     "non-integer-weight"),
+    (["a", "b"], Transition("t", {}, {"b": "2"}), "non-integer-weight"),
 ])
 def test_invalid_nets_can_be_validated_but_not_fired(places, t, code):
     n = net_of(places, [t], [1, 1])
@@ -144,8 +149,13 @@ def test_marking_helpers_and_errors():
     assert n.marking({"b": 2}) == (0, 2)
     assert n.marking() == (0, 0)
     assert n.as_dict((1, 2)) == {"a": 1, "b": 2}
-    with pytest.raises(XpnError):
+    with pytest.raises(XpnError, match="^unknown place 'zzz'$"):
         n.marking({"zzz": 1})
+    with pytest.raises(XpnError, match="^unknown place 'zzz'$"):
+        n.place_pos("zzz")
+    with pytest.raises(UnknownTransitionError,
+                       match="^unknown transition 'nope'$"):
+        n.transition("nope")
     with pytest.raises(UnknownTransitionError):
         fire(n, (0, 0), "nope")
     with pytest.raises(XpnError):
@@ -185,6 +195,10 @@ def test_validate_duplicates():
 def test_validate_marking():
     assert "marking-length-mismatch" in codes_of(net_of(["a"], [], [0, 0]))
     assert "negative-marking" in codes_of(net_of(["a"], [], [-1]))
+    fractional = net_of(["a"], [], [1.5])
+    assert codes_of(fractional) == ["non-integer-marking"]
+    with pytest.raises(InvalidNetError):
+        require_valid(fractional)
 
 
 def test_validate_arcs():

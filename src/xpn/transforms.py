@@ -247,11 +247,29 @@ def _deadlock_clauses(net: Net, cap: int) -> list:
         per_t.append(opts)
 
     # depth-first over one option per transition, with an explicit stack of
-    # (option index, place, previous assignment) so long nets cannot
-    # exhaust the interpreter's recursion limit
+    # (option index, place, previous assignment, previous state) so long
+    # nets cannot exhaust the interpreter's recursion limit.  The
+    # completions of a (level, assignment) state depend on nothing else, so
+    # a state already fully explored has all of them in `seen` and is
+    # skipped: many transitions disabled the same way no longer multiply the
+    # search.  `state` encodes `assign` exactly as one int, `width` bits per
+    # place (0 unset, 1 at least one, j + 2 exactly j), updated in place of
+    # hashing the whole assignment at each step.  Up to the first
+    # transition with two ways to be disabled there is one path to each
+    # level, so those levels are neither stored nor looked up.
+    width = (max((j for opts in per_t for _, _, j in opts), default=0)
+             + 2).bit_length()
+
+    def code(v):
+        return 0 if v is None else 1 if v == ("atleast",) else v[1] + 2
+
+    branch = next((i for i, opts in enumerate(per_t) if len(opts) > 1),
+                  len(per_t))
     clauses = []
     seen = set()
+    done = set()  # (level, state) fully explored
     assign: dict = {}
+    state = 0
     picks = []
     k = 0  # next option to try for transition len(picks)
     while True:
@@ -276,15 +294,21 @@ def _deadlock_clauses(net: Net, cap: int) -> list:
                 ok = prev != ("exact", 0)
                 new = prev or ("atleast",)
             if ok:
-                picks.append((k, p, prev))
+                nxt = state + ((code(new) - code(prev)) << (p * width))
+                ok = i < branch or (i + 1, nxt) not in done
+            if ok:
+                picks.append((k, p, prev, state))
                 assign[p] = new
+                state = nxt
                 k = 0
             else:
                 k += 1
             continue
+        elif i > branch:
+            done.add((i, state))
         if not picks:
             return clauses
-        k, p, prev = picks.pop()
+        k, p, prev, state = picks.pop()
         if prev is None:
             del assign[p]
         else:

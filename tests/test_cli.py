@@ -335,6 +335,18 @@ def _limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
 
 
+def run_capped(*argv):
+    """(exit code, stdout, stderr) of `xpn argv` in a child capped at 1 GiB
+    and 20 s, so that a blow-up fails there instead of exhausting the
+    host's memory."""
+    src = str(Path(cli.__file__).parents[1])
+    got = subprocess.run(
+        [sys.executable, "-m", "xpn.cli", *argv], capture_output=True,
+        text=True, timeout=20, preexec_fn=_limit_memory,
+        env=dict(os.environ, PYTHONPATH=src))
+    return got.returncode, got.stdout, got.stderr
+
+
 @pytest.mark.parametrize("argv, out", [
     ((f"p2={E18}",),
      "OUT_OF_BUDGET backward search exceeded 1000000 candidate predecessors\n"),
@@ -342,18 +354,45 @@ def _limit_memory():
      "OUT_OF_BUDGET backward search exceeded 10 candidate predecessors\n"),
 ])
 def test_backward_cover_runs_out_on_huge_demands(tmp_path, argv, out):
-    # in a child capped at 1 GiB and 20 s: building the candidates of a
-    # 10**18 demand fails there instead of exhausting the host's memory
+    # building the candidates of a 10**18 demand must fail in the child
     net = tmp_path / "n.xpn"
     net.write_text(CHAIN3)
-    src = str(Path(cli.__file__).parents[1])
     t0 = time.monotonic()
-    got = subprocess.run(
-        [sys.executable, "-m", "xpn.cli", "explore", "backward-cover",
-         str(net), "-m", *argv], capture_output=True, text=True, timeout=20,
-        preexec_fn=_limit_memory, env=dict(os.environ, PYTHONPATH=src))
-    assert (got.returncode, got.stdout, got.stderr) == (1, out, "")
+    got = run_capped("explore", "backward-cover", str(net), "-m", *argv)
+    assert got == (1, out, "")
     assert time.monotonic() - t0 < 5
+
+
+N4 = 10**4
+# a 10**4-way transfer fan-in into one place, beside a countdown c that
+# takes the search past the calls after which successors are generated
+FAN_IN = (f"places: c {' '.join(f'p{i}' for i in range(N4 + 1))}\n"
+          f"marking: c=100 {' '.join(f'p{i}=1' for i in range(N4))}\n"
+          "trans d: in c ;\n"
+          f"trans t: {', '.join(f'xfer p{i}->p{N4}' for i in range(N4))} ;\n")
+# a token walking a line of 10**4 places; its 10**4 reachable markings of
+# 10**4 entries each would not fit the child's cap, so the search is
+# budgeted, well past the calls after which successors are generated
+LINE = (f"places: {' '.join(f'p{i}' for i in range(N4))}\nmarking: p0=1\n"
+        + "".join(f"trans t{i}: in p{i} ; out p{i + 1}\n"
+                  for i in range(N4 - 1)))
+
+
+@pytest.mark.parametrize("net, argv, want", [
+    (FAN_IN, (), (0, "EXHAUSTED expanded=202\n", "")),
+    (LINE, ("--max-steps", "200"), (1, "OUT_OF_BUDGET expanded=200\n", "")),
+], ids=["fan-in", "line"])
+def test_generated_successors_scale_to_ten_thousand_places(tmp_path, net,
+                                                          argv, want):
+    path = tmp_path / "n.xpn"
+    path.write_text(net)
+    assert run_capped("explore", "deadlock", str(path), *argv) == want
+    # the generated source is linear in places plus arcs: an expression
+    # per arc, runs of untouched places copied as one slice
+    parsed = parse_net(net)
+    arcs = sum(len(t.pre) + len(t.post) for t in parsed.transitions)
+    src = xpn_net._successor_source(len(parsed.places), parsed._plan())
+    assert len(src) < 64 * (len(parsed.places) + arcs)
 
 
 def test_explore_has_no_max_depth(run, capsys):

@@ -2,7 +2,8 @@
 reversing the transition order, leave every engine's answer unchanged.
 Each net, original or changed, must survive a render/parse round trip
 before an engine sees it.  Raising a budget may turn a run-out into an
-answer, but never changes an answer."""
+answer, but never changes an answer, and neither does the switch from
+interpreted to generated successors."""
 
 import random
 
@@ -16,7 +17,8 @@ from xpn.explore import (backward_cover, bounded_cover, bounded_deadlock,
                          bounded_reach)
 from xpn.fmt import parse_net, render_net
 from xpn.net import (BudgetExceededError, INHIBITOR_KIND, TRANSFER_KIND, Net,
-                     Transfer, Transition, classify)
+                     Transfer, Transition, _COMPILE_AFTER, classify,
+                     successors)
 from xpn.transforms import dlf_to_reach
 
 
@@ -141,3 +143,47 @@ def test_a_larger_budget_never_changes_an_answer(engine):
                 assert got == want, (engine, budget)
                 answers += 1
             budget += 1
+
+
+# ring (5,8): 8 tokens circling 5 places, 495 markings, no deadlock;
+# countdown (4,3): 4 places emptied one token at a time, 256 markings
+RING = ("places: p0 p1 p2 p3 p4\nmarking: p0=8\n"
+        + "".join(f"trans t{i}: in p{i} ; out p{(i + 1) % 5}\n"
+                  for i in range(5)))
+COUNTDOWN = ("places: p0 p1 p2 p3\nmarking: p0=3 p1=3 p2=3 p3=3\n"
+             + "".join(f"trans t{i}: in p{i} ;\n" for i in range(4)))
+
+
+@pytest.mark.parametrize("text, reach, cover", [
+    (RING, (0, 0, 0, 0, 8), (0, 0, 0, 0, 9)),
+    (COUNTDOWN, (0, 0, 0, 1), (0, 0, 0, 4)),
+], ids=["ring5x8", "countdown4x3"])
+def test_generated_successors_change_no_answer(text, reach, cover):
+    """Each engine on a fresh net, which switches tiers after its first
+    _COMPILE_AFTER successors calls, mid-search, equals the same engine on
+    a net warmed past that switch first: traces, expansion counts,
+    verdicts, tree sizes and budget messages alike."""
+    engines = [
+        lambda n: bounded_reach(n, reach, max_steps=15_000),
+        lambda n: bounded_cover(n, cover, max_steps=15_000),
+        lambda n: bounded_deadlock(n, max_steps=15_000),
+        lambda n: decide_termination(n, max_nodes=15_000),
+    ]
+
+    def outcomes(warm):
+        got, switched = [], []
+        for engine in engines:
+            net = parse_net(text)
+            if warm:
+                for _ in range(_COMPILE_AFTER + 1):
+                    successors(net, net.initial)
+            try:
+                got.append(engine(net))
+            except BudgetExceededError as e:
+                got.append(str(e))
+            switched.append(net._hot is not None)
+        return got, switched
+
+    (cold, switched), (warm, _) = outcomes(False), outcomes(True)
+    assert switched[:3] == [True] * 3  # every forward search switched
+    assert cold == warm

@@ -1,4 +1,7 @@
+import io
 import random
+import re
+import tokenize
 
 import pytest
 
@@ -17,6 +20,8 @@ from xpn.net import (
     Transition,
     UnknownTransitionError,
     XpnError,
+    _COMPILE_AFTER,
+    _successor_source,
     classify,
     fire,
     has_errors,
@@ -174,6 +179,106 @@ def test_fire_fuzz_against_oracle():
         want = {name: oracles.as_tuple(net, succ)
                 for name, succ in oracles.successor_pairs(net, m)}
         assert got == want
+
+
+# ---------------------------------------------------------------------------
+# the generated successor function, against the oracle and the interpreter
+
+def tiers(net):
+    """Two copies of `net`: one whose successors are still interpreted,
+    one warmed past the calls after which they run generated code."""
+    cold = Net(net.places, net.transitions, net.initial)
+    hot = Net(net.places, net.transitions, net.initial)
+    for _ in range(_COMPILE_AFTER + 1):
+        successors(hot, hot.initial)
+    assert hot._hot is not None
+    return cold, hot
+
+
+def assert_tiers_match_oracle(net, markings):
+    cold, hot = tiers(net)
+    for m in markings:
+        md = oracles.as_dict(net, m)
+        want = [(name, oracles.as_tuple(net, succ))
+                for name, succ in oracles.successor_pairs(net, md)]
+        assert successors(cold, m) == want, (net, m)
+        assert successors(hot, m) == want, (net, m)
+    assert cold._hot is None  # fewer calls than the threshold
+
+
+HUGE = (10**18, 10**18 + 1, 3 * 10**40 + 2)
+
+
+@pytest.mark.parametrize("gen", [
+    fuzz.plain_net, fuzz.spiced_net, fuzz.no_inhibitor_net, fuzz.hier_ir_net,
+    fuzz.hirct_net, fuzz.ert_net, fuzz.two_inh_net, fuzz.two_transfer_net])
+def test_generated_successors_match_the_oracle(gen):
+    rng = random.Random(gen.__name__)
+    values = (0, 1, 2, 3) + HUGE
+    for _ in range(60):
+        net = gen(rng)
+        markings = [tuple(rng.choice(values) for _ in net.places)
+                    for _ in range(12)]
+        markings.append(tuple(10**18 * n for n in net.initial))
+        assert_tiers_match_oracle(net, markings)
+
+
+def _line(n):
+    return [f"p{i}" for i in range(n)]
+
+
+@pytest.mark.parametrize("places, transitions", [
+    # self-transfer, transfer into a reset place
+    (["a", "b"], [Transition("t", {"a": Transfer("a")}, {"b": 1}),
+                  Transition("u", {"a": RESET, "b": Transfer("a")}, {})]),
+    # a transfer target that also has a numeric arc and a post
+    (["a", "b"], [Transition("t", {"a": Numeric(2), "b": Transfer("a")},
+                             {"a": 3})]),
+    # two transfers into one target, and eleven (a flat sum)
+    (["a", "b", "c"], [Transition("t", {"a": Transfer("c"),
+                                        "b": Transfer("c")}, {"c": 1})]),
+    (_line(12), [Transition("t", {p: Transfer("p11") for p in _line(11)},
+                            {"p0": 2})]),
+    # no places, one place, no transitions
+    ([], [Transition("t"), Transition("u")]),
+    (["a", "b"], []),
+    (["a"], [Transition("t", {"a": Numeric(1)}, {"a": 2}),
+             Transition("u", {"a": INHIBIT}, {"a": 1}), Transition("v")]),
+    # untouched runs of 8 and of more than 8 at the start, middle and end
+    (_line(40), [Transition("t", {"p10": Numeric(1)}, {"p20": 1}),
+                 Transition("u", {"p8": INHIBIT}, {"p17": 1}),
+                 Transition("v", {"p0": Numeric(2), "p39": RESET}, {}),
+                 Transition("w", {"p5": Transfer("p35"), "p20": Numeric(1)},
+                            {"p5": 1}),
+                 Transition("x", {"p20": Numeric(1)}, {"p20": 1}),
+                 Transition("y")]),
+])
+def test_generated_successors_hand_cases(places, transitions):
+    net = net_of(places, transitions, [0] * len(places))
+    rng = random.Random(len(places))
+    values = (0, 1, 2, 3) + HUGE
+    markings = [tuple(rng.choice(values) for _ in places) for _ in range(20)]
+    markings += [(0,) * len(places), (HUGE[-1],) * len(places)]
+    assert_tiers_match_oracle(net, markings)
+
+
+def test_generated_source_holds_no_text_of_the_net():
+    # names that are Python code reach the function only as N[i]
+    code = ["__import__('os').system('exit 3')", "a0", "m", '"""', "x\ny"]
+    pre = {code[1]: Numeric(1), code[2]: Transfer(code[3]),
+           code[0]: INHIBIT, code[4]: RESET}
+    ts = [Transition(name, pre, {code[0]: 1, code[3]: 2}) for name in code]
+    net = net_of(code, ts, [0, 1, 0, 0, 0])
+    src = _successor_source(len(net.places), net._plan())
+    toks = list(tokenize.generate_tokens(io.StringIO(src).readline))
+    assert not [t for t in toks if t.type == tokenize.STRING]
+    keywords = {"def", "succ", "m", "out", "N", "if", "and", "not", "append",
+                "return"}
+    names = {t.string for t in toks if t.type == tokenize.NAME} - keywords
+    assert all(re.fullmatch(r"a\d+", n) for n in names), names
+    cold, hot = tiers(net)
+    assert successors(hot, net.initial) == successors(cold, net.initial)
+    assert [name for name, _ in successors(hot, net.initial)] == code
 
 
 # ---------------------------------------------------------------------------

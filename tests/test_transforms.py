@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 
 import pytest
 
@@ -251,6 +252,25 @@ def test_dlf_clause_cap_and_rejection():
         dlf_to_reach(DLF_SRC, clause_cap=1)
     with pytest.raises(TransformError):
         dlf_to_reach(parse_net("places: a b\ntrans t: xfer a->b ;"))
+
+
+def test_dlf_clauses_of_alike_transitions_are_searched_once():
+    # 40 transitions, each disabled by a > 0 or b = 0: three distinct
+    # clauses, which a search of every pick sequence would find among 2**40
+    net = parse_net("places: a b\n" + "".join(
+        f"trans t{i}: inh a, in b ; out b\n" for i in range(40)))
+    t0 = time.monotonic()
+    res = dlf_to_reach(net, clause_cap=10)
+    assert time.monotonic() - t0 < 1
+    checks = [t.name for t in res.net.transitions if t.name.endswith("_check")]
+    assert checks == ["c0_check", "c1_check", "c2_check"]
+    with pytest.raises(BudgetExceededError,
+                       match="^more than 2 deadlock clauses$"):
+        dlf_to_reach(net, clause_cap=2)
+    # no transition at all: one empty clause
+    res = dlf_to_reach(parse_net("places: a\n"), clause_cap=1)
+    checks = [t.name for t in res.net.transitions if t.name.endswith("_check")]
+    assert checks == ["c0_check"]
 
 
 def test_dlf_to_reach_fuzz():

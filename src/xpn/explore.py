@@ -18,6 +18,7 @@ from collections import deque
 from dataclasses import dataclass
 from math import comb, prod
 from operator import le
+from struct import Struct, error as StructError
 
 from .net import (BudgetExceededError, Marking, Net, XpnError, fire,
                   require_valid, successors)
@@ -74,6 +75,9 @@ def _bfs(net: Net, goal, max_steps: int) -> SearchResult:
             names.append(via)
             at = prev
         names.reverse()
+        # the replay builds its own markings: free the visited ones first
+        parent.clear()
+        queue.clear()
         trace = replay(net, start, names)
         if trace.markings[-1] != m:
             raise AssertionError("trace replay mismatch")
@@ -116,54 +120,176 @@ def bounded_deadlock(net: Net, max_steps: int = 1_000_000) -> SearchResult:
 # ---------------------------------------------------------------------------
 # backward coverability
 
+# struct codes, standard sizes, for fields of 1, 2, 4 and 8 bytes; wider
+# fields are packed entry by entry
+_STRUCT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
 class UpwardClosedSet:
     """An upward-closed set of markings kept as its minimal basis.
 
-    The basis is stored by token sum, since b <= m needs sum(b) <= sum(m):
-    `contains` tests only the buckets at or below the probe's sum, and
-    `add` looks for elements it dominates only above it.
+    The basis is one int, read as a row of equal byte-aligned segments, one
+    per element.  A segment holds the element's n entries in fields of
+    `_width` bits (8, 16, 32, ...; the width doubles when an added entry
+    needs more), then one more field whose top bit is the segment's flag.
+    Every stored entry is below 2**(width - 1), so the top bit of each
+    field is free as a guard.
+
+    That lets one pass of big-int arithmetic compare a probe with every
+    element at once (SWAR, SIMD within a register).  Subtract the basis
+    from the probe replicated into every segment with its guards set: a
+    field keeps its guard exactly where the probe's entry is at least the
+    element's, and no borrow leaves a field.  Adding flag-minus-guards per
+    segment then carries into a flag exactly where all the guards survived.
+    A probe entry past the field is clamped to 2**(width - 1) - 1 first,
+    which still exceeds every stored entry.
     """
 
     def __init__(self, basis=()):
-        self._by_sum: dict = {}  # token sum -> basis elements with that sum
+        self._n = None  # places per element, fixed by the first add
+        self._count = 0  # elements, i.e. segments
+        self._bits = 0  # the basis, guard and flag bits clear
         for m in basis:
             self.add(m)
+
+    def _layout(self, width: int):
+        """Lay the basis out again with fields of `width` bits."""
+        elems = self.basis
+        n, nb = self._n, width // 8
+        self._width = width
+        code = _STRUCT_CODES.get(nb)
+        self._struct = Struct(f"<{n}{code}{nb}x") if code else None
+        self._seg = (n + 1) * nb  # bytes per segment
+        guards = (bytes(nb - 1) + b"\x80") * n + bytes(nb)
+        flags = bytes(n * nb + nb - 1) + b"\x80"
+        self._guard = int.from_bytes(guards, "little")
+        self._masks = (guards, flags)  # one segment's
+        self._bits = int.from_bytes(b"".join(map(self._pack, elems)), "little")
+        self._replicate()
+
+    def _replicate(self):
+        """Guard, flag and flag-minus-guard masks over `_count` segments."""
+        guards, flags = self._masks
+        self._guards = int.from_bytes(guards * self._count, "little")
+        self._flags = int.from_bytes(flags * self._count, "little")
+        self._fill = self._flags - self._guards
+
+    def _pack(self, m) -> bytes:
+        """One segment holding `m`; raises if an entry is negative or does
+        not fit a field."""
+        if self._struct:
+            return self._struct.pack(*m)
+        nb = self._width // 8
+        return b"".join([int.to_bytes(x, nb, "little") for x in m]) + bytes(nb)
+
+    def _unpack(self, raw: bytes) -> list:
+        if self._struct:
+            return list(self._struct.iter_unpack(raw))
+        nb, seg = self._width // 8, self._seg
+        return [tuple(int.from_bytes(raw[s + i:s + i + nb], "little")
+                      for i in range(0, seg - nb, nb))
+                for s in range(0, len(raw), seg)]
 
     @property
     def basis(self) -> list:
         """The minimal basis, as a new list."""
-        return [b for bucket in self._by_sum.values() for b in bucket]
+        if not self._count:
+            return []
+        return self._unpack(self._bits.to_bytes(self._count * self._seg,
+                                                "little"))
+
+    def _below(self, m: Marking) -> int:
+        """The flags of the segments whose element is <= m."""
+        if not self._count:
+            return 0
+        if len(m) != self._n:
+            raise XpnError("marking length mismatch")
+        try:
+            probe = int.from_bytes(self._pack(m), "little")
+        except (StructError, OverflowError):
+            probe = self._guard  # an entry past the field, or negative
+        if probe & self._guard:
+            if min(m) < 0:
+                return 0
+            cap = (1 << (self._width - 1)) - 1
+            probe = int.from_bytes(self._pack([min(x, cap) for x in m]),
+                                   "little")
+        probe = (probe | self._guard).to_bytes(self._seg, "little")
+        diff = int.from_bytes(probe * self._count, "little") - self._bits
+        return ((diff & self._guards) + self._fill) & self._flags
 
     def contains(self, m: Marking) -> bool:
-        total = sum(m)
-        for s, bucket in self._by_sum.items():
-            if s <= total:
-                for b in bucket:
-                    if _leq(b, m):
-                        return True
-        return False
+        return bool(self._below(m))
 
     def minimal(self, m: Marking) -> bool:
         """Is `m` itself an element of the current minimal basis?"""
-        return m in self._by_sum.get(sum(m), ())
+        flags = self._below(m)
+        # in an antichain, an element m has no other element below it
+        if not flags or flags & (flags - 1):
+            return False
+        bits = 8 * self._seg
+        at = (flags.bit_length() - 1) // bits * bits
+        one = (self._bits >> at) & ((1 << bits) - 1)
+        return self._unpack(one.to_bytes(self._seg, "little"))[0] == tuple(m)
 
     def add(self, m: Marking) -> bool:
         """Add ↑m; returns False if already covered."""
         m = tuple(m)
+        if self._n is None:
+            self._n = len(m)
+            self._layout(8)
+        elif len(m) != self._n:
+            raise XpnError("marking length mismatch")
+        seg = self._fit(m)
         if self.contains(m):
             return False
-        total = sum(m)
-        # an element with the same sum that m covers would equal m
-        dead = [b for s, bucket in self._by_sum.items() if s > total
-                for b in bucket if _leq(m, b)]
-        for b in dead:
-            s = sum(b)
-            bucket = self._by_sum[s]
-            bucket.remove(b)
-            if not bucket:
-                del self._by_sum[s]
-        self._by_sum.setdefault(total, []).append(m)
+        if self._count:
+            # the test of contains with the roles swapped: m replicated,
+            # subtracted from the basis with its guards set
+            diff = ((self._bits | self._guards)
+                    - int.from_bytes(seg * self._count, "little"))
+            dead = ((diff & self._guards) + self._fill) & self._flags
+            if dead:
+                self._drop(dead)
+        self._bits |= int.from_bytes(seg, "little") << (8 * self._seg
+                                                        * self._count)
+        self._count += 1
+        self._replicate()
         return True
+
+    def _fit(self, m: Marking) -> bytes:
+        """The segment holding `m`, the fields widened first if an entry
+        needs it; raises XpnError on a negative or non-integer entry."""
+        try:
+            seg = self._pack(m)
+        except (StructError, OverflowError, TypeError):
+            seg = None
+        if seg is None or int.from_bytes(seg, "little") & self._guard:
+            if not all(isinstance(x, int) and x >= 0 for x in m):
+                raise XpnError(
+                    f"marking {m} has a negative or non-integer entry")
+            width = self._width
+            while max(m) >> (width - 1):
+                width *= 2
+            self._layout(width)
+            seg = self._pack(m)
+        return seg
+
+    def _drop(self, dead: int):
+        """Splice out the segments whose flag is set in `dead`."""
+        size, seg = self._count * self._seg, self._seg
+        raw = self._bits.to_bytes(size, "little")
+        flags = dead.to_bytes(size, "little")
+        kept, start = [], 0
+        at = flags.find(0x80)
+        while at >= 0:
+            kept.append(raw[start:at + 1 - seg])
+            start = at + 1
+            at = flags.find(0x80, start)
+        kept.append(raw[start:])
+        raw = b"".join(kept)
+        self._count = len(raw) // seg
+        self._bits = int.from_bytes(raw, "little")
 
 
 @dataclass(frozen=True)

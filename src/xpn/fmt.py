@@ -92,24 +92,99 @@ def _strip_comment(raw: str) -> str:
     return raw.split("#", 1)[0]
 
 
-def parse_net(text: str) -> Net:
-    places: list = []
-    place_set: set = set()
-    initial: dict = {}
-    transitions: list = []
-    saw_places = False
-    saw_marking = False
+# One pattern per line kind, each accepting a subset of what the _Cursor
+# code accepts and meaning the same net by it; every other line, and every
+# line that breaks a rule a pattern cannot see, is read by the _Cursor code,
+# the one place that reports errors.
+_W = r"[ \t]*"
+_N = _NAME_RE.pattern
+_IN = rf"in[ \t]+{_N}(?:{_W}\*{_W}[0-9]+)?"
+_PRE = rf"(?:{_IN}|inh[ \t]+{_N}|reset[ \t]+{_N}|xfer[ \t]+{_N}{_W}->{_W}{_N})"
+_POST = rf"(?:out[ \t]+)?{_N}(?:{_W}\*{_W}[0-9]+)?"
+_PLACES_LINE = re.compile(rf"{_W}places:{_W}((?:{_N}(?:[ \t]+{_N})*)?){_W}")
+_MARKING_LINE = re.compile(rf"{_W}marking:((?:{_W}{_N}{_W}={_W}[0-9]+)*){_W}")
+_TRANS_LINE = re.compile(
+    rf"{_W}trans{_W}({_N}){_W}:{_W}((?:{_PRE}{_W},{_W})*(?:{_PRE})?){_W};"
+    rf"{_W}((?:{_POST}{_W},{_W})*(?:{_POST})?){_W}")
+_MARK_ITEM = re.compile(rf"({_N}){_W}={_W}([0-9]+)")
+_PRE_ITEM = re.compile(
+    rf"(inh|in|reset|xfer)[ \t]+({_N})(?:{_W}\*{_W}([0-9]+)|{_W}->{_W}({_N}))?")
+_POST_ITEM = re.compile(rf"(?:out[ \t]+)?({_N})(?:{_W}\*{_W}([0-9]+))?")
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw)
-        if not line.strip():
-            continue
+
+class _NetReader:
+    """The parts of a net read so far, one line at a time."""
+
+    def __init__(self):
+        self.places: list = []
+        self.place_set: set = set()
+        self.initial: dict = {}
+        self.transitions: list = []
+        self.saw_places = False
+        self.saw_marking = False
+
+    def fast(self, line: str) -> bool:
+        """Read a well-formed line by pattern; False, having changed
+        nothing, for any line the _Cursor code must read."""
+        m = _TRANS_LINE.fullmatch(line)
+        if m:
+            if not self.saw_places:
+                return False
+            pre: dict = {}
+            for kw, p, weight, target in _PRE_ITEM.findall(m[2]):
+                if kw == "in":
+                    w = int(weight) if weight else 1
+                    if not w:
+                        continue
+                    arc = Numeric(w)
+                else:
+                    arc = (INHIBIT if kw == "inh" else RESET if kw == "reset"
+                           else Transfer(target))
+                if p in pre:
+                    return False
+                pre[p] = arc
+            post: dict = {}
+            for p, weight in _POST_ITEM.findall(m[3]):
+                if p in post:
+                    return False
+                w = int(weight) if weight else 1
+                if w:
+                    post[p] = w
+            self.transitions.append(Transition(m[1], pre, post))
+            return True
+        m = _MARKING_LINE.fullmatch(line)
+        if m:
+            if not self.saw_places or self.saw_marking:
+                return False
+            counts = {}
+            for p, n in _MARK_ITEM.findall(m[1]):
+                if p not in self.place_set or p in counts:
+                    return False
+                counts[p] = int(n)
+            self.saw_marking = True
+            self.initial = counts
+            return True
+        m = _PLACES_LINE.fullmatch(line)
+        if m:
+            names = m[1].split()
+            if self.saw_places or len(set(names)) != len(names):
+                return False
+            self.saw_places = True
+            self.places = names
+            self.place_set = set(names)
+            return True
+        return False
+
+    def cursor(self, line: str, lineno: int):
+        """Read any line with the _Cursor scanner, raising ParseError at
+        the first fault."""
         cur = _Cursor(line, lineno)
+        places, place_set, initial = self.places, self.place_set, self.initial
 
         if cur.try_lit("places:"):
-            if saw_places:
+            if self.saw_places:
                 cur.fail("duplicate places line")
-            saw_places = True
+            self.saw_places = True
             while not cur.done():
                 col = cur.i
                 p = cur.name("place name")
@@ -117,14 +192,14 @@ def parse_net(text: str) -> Net:
                     raise ParseError(f"place {p!r} declared twice", lineno, col + 1)
                 place_set.add(p)
                 places.append(p)
-            continue
+            return
 
         if cur.try_lit("marking:"):
-            if not saw_places:
+            if not self.saw_places:
                 cur.fail("marking line before places line")
-            if saw_marking:
+            if self.saw_marking:
                 cur.fail("duplicate marking line")
-            saw_marking = True
+            self.saw_marking = True
             while not cur.done():
                 p = cur.name("place name")
                 if p not in place_set:
@@ -133,10 +208,10 @@ def parse_net(text: str) -> Net:
                     cur.fail(f"place {p!r} marked twice")
                 cur.lit("=")
                 initial[p] = cur.integer()
-            continue
+            return
 
         if cur.try_lit("trans"):
-            if not saw_places:
+            if not self.saw_places:
                 cur.fail("transition line before places line")
             tname = cur.name("transition name")
             cur.lit(":")
@@ -185,15 +260,22 @@ def parse_net(text: str) -> Net:
                     break
             if not cur.done():
                 cur.fail("trailing text after transition")
-            transitions.append(Transition(tname, pre, post))
-            continue
+            self.transitions.append(Transition(tname, pre, post))
+            return
 
         cur.fail("expected 'places:', 'marking:' or 'trans'")
 
-    if not saw_places:
+
+def parse_net(text: str) -> Net:
+    reader = _NetReader()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = _strip_comment(raw)
+        if line.strip() and not reader.fast(line):
+            reader.cursor(line, lineno)
+    if not reader.saw_places:
         raise ParseError("missing places line", 1, 1)
-    marking = tuple(initial.get(p, 0) for p in places)
-    return Net(tuple(places), tuple(transitions), marking)
+    marking = tuple(reader.initial.get(p, 0) for p in reader.places)
+    return Net(tuple(reader.places), tuple(reader.transitions), marking)
 
 
 def _check_name(name: str) -> str:

@@ -16,6 +16,7 @@ reorders three places at the bottom and assembles its maps itself.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .net import (BudgetExceededError, INHIBIT, INHIBITOR_KIND, Inhibitor,
@@ -233,18 +234,28 @@ def _deadlock_clauses(net: Net, cap: int) -> list:
     """DNF of "no transition can fire": per transition pick one way to be
     disabled (a numeric pre-place held under its weight, or an inhibited
     place held nonempty); prune contradictory picks, deduplicate, cap."""
+    # a transition's options, in arc order, are ("exact", p, j) for each
+    # j below a numeric arc's weight on p and ("atleast", p, 1) for an
+    # inhibitor arc on p; they are indexed, not listed, so a huge weight
+    # costs nothing before the cap applies.  Per transition: the index of
+    # each arc's first option, (kind, p) per arc, and the option count.
     per_t = []
+    top = 0  # the largest j of any option
     for t in net.transitions:
-        opts = []
+        starts, arcs, total = [], [], 0
         for place, arc in t.pre.items():
-            p = net.place_pos(place)
             if isinstance(arc, Numeric):
-                opts.extend(("exact", p, j) for j in range(arc.weight))
+                kind, count, top = "exact", arc.weight, max(top, arc.weight - 1)
             elif isinstance(arc, Inhibitor):
-                opts.append(("atleast", p, 1))
-        if not opts:
+                kind, count, top = "atleast", 1, max(top, 1)
+            else:
+                continue
+            starts.append(total)
+            arcs.append((kind, net.place_pos(place)))
+            total += count
+        if not total:
             return []  # that transition is never disabled: no deadlock
-        per_t.append(opts)
+        per_t.append((starts, arcs, total))
 
     # depth-first over one option per transition, with an explicit stack of
     # (option index, place, previous assignment, previous state) so long
@@ -257,13 +268,12 @@ def _deadlock_clauses(net: Net, cap: int) -> list:
     # hashing the whole assignment at each step.  Up to the first
     # transition with two ways to be disabled there is one path to each
     # level, so those levels are neither stored nor looked up.
-    width = (max((j for opts in per_t for _, _, j in opts), default=0)
-             + 2).bit_length()
+    width = (top + 2).bit_length()
 
     def code(v):
         return 0 if v is None else 1 if v == ("atleast",) else v[1] + 2
 
-    branch = next((i for i, opts in enumerate(per_t) if len(opts) > 1),
+    branch = next((i for i, (_, _, total) in enumerate(per_t) if total > 1),
                   len(per_t))
     clauses = []
     seen = set()
@@ -282,8 +292,11 @@ def _deadlock_clauses(net: Net, cap: int) -> list:
                     raise BudgetExceededError(
                         f"more than {cap} deadlock clauses")
                 clauses.append(dict(assign))
-        elif k < len(per_t[i]):
-            kind, p, j = per_t[i][k]
+        elif k < per_t[i][2]:
+            starts, arcs, _ = per_t[i]
+            a = bisect_right(starts, k) - 1
+            kind, p = arcs[a]
+            j = k - starts[a] if kind == "exact" else 1
             prev = assign.get(p)
             if kind == "exact":
                 ok = not ((prev == ("atleast",) and j == 0)

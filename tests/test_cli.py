@@ -363,6 +363,15 @@ def test_backward_cover_runs_out_on_huge_demands(tmp_path, argv, out):
     assert time.monotonic() - t0 < 5
 
 
+def test_dlf_to_reach_runs_out_on_huge_weights(tmp_path):
+    # one deadlock clause per token count below the weight: the clause cap
+    # must stop them before they are listed
+    net = tmp_path / "n.xpn"
+    net.write_text("places: a\ntrans t: in a*100000000 ;\n")
+    assert run_capped("transform", "dlf-to-reach", str(net)) == (
+        1, "OUT_OF_BUDGET more than 10000 deadlock clauses\n", "")
+
+
 N4 = 10**4
 # a 10**4-way transfer fan-in into one place, beside a countdown c that
 # takes the search past the calls after which successors are generated

@@ -1,4 +1,6 @@
 import random
+import sys
+import tracemalloc
 
 import pytest
 
@@ -15,7 +17,8 @@ from xpn.explore import (
     replay,
 )
 from xpn.fmt import parse_net
-from xpn.net import BudgetExceededError, Net, NotFirableError, XpnError
+from xpn.net import (BudgetExceededError, Net, NotFirableError, XpnError,
+                     _COMPILE_AFTER, successors)
 
 CHAIN = parse_net("""\
 places: a b
@@ -59,6 +62,28 @@ def test_bounded_deadlock_frozen():
     dead = parse_net("places: a\ntrans t: in a ; out a")
     r = bounded_deadlock(dead)
     assert r.found and r.trace.transitions == ()
+
+
+def test_a_found_trace_is_replayed_after_the_visited_markings_are_freed():
+    # a token walking a line of places: the trace holds every visited
+    # marking again, so keeping both through the replay doubles the peak
+    n = 800
+    net = parse_net(f"places: {' '.join(f'p{i}' for i in range(n))}\n"
+                    "marking: p0=1\n"
+                    + "".join(f"trans t{i}: in p{i} ; out p{i + 1}\n"
+                              for i in range(n - 1)))
+    # generate the successor function before measuring: its transient
+    # cost is the net's, not the search's
+    for _ in range(_COMPILE_AFTER + 1):
+        successors(net, net.initial)
+    tracemalloc.start()
+    try:
+        r = bounded_deadlock(net)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(r.trace.markings) == n
+    assert peak <= 1.3 * sum(map(sys.getsizeof, r.trace.markings))
 
 
 def test_budget_exhaustion():
@@ -155,6 +180,12 @@ def test_backward_cover_rejects_inhibitors():
         backward_cover(n, (0, 1))
     with pytest.raises(XpnError):
         backward_cover(CHAIN, (0, 1, 0))
+    # a packed basis holds nonnegative ints only
+    for bad in ((0, -1), (0, 1.5)):
+        with pytest.raises(XpnError, match="negative or non-integer entry"):
+            backward_cover(CHAIN, bad)
+        with pytest.raises(XpnError, match="negative or non-integer entry"):
+            UpwardClosedSet().add(bad)
 
 
 def test_backward_cover_unreachable():
@@ -307,12 +338,17 @@ class _FlatUpwardClosedSet:
 
 
 def test_upward_closed_set_matches_flat_reference():
+    # from the eleventh add on, some entries take a scale far past the
+    # 8-bit fields a set starts with, so the fields widen mid-sequence, and
+    # probes reach three times past every stored entry
     rng = random.Random(1996)
-    for _ in range(80):
-        n = rng.randint(1, 5)
+    for _ in range(120):
+        n = rng.randint(0, 5)
+        scale = rng.choice((300, 70_000, 2**40, 10**25, 10**40))
         ucs, ref = UpwardClosedSet(), _FlatUpwardClosedSet()
         added = []
-        for _ in range(rng.randint(1, 60)):
+        for step in range(rng.randint(1, 60)):
+            top = scale if step >= 10 and rng.random() < 0.3 else 4
             roll = rng.random()
             if added and roll < 0.2:
                 m = rng.choice(added)  # duplicate
@@ -322,15 +358,15 @@ def test_upward_closed_set_matches_flat_reference():
                 m = tuple(max(0, x - rng.randint(0, 2))
                           for x in rng.choice(added))
             else:
-                m = tuple(rng.randint(0, 4) for _ in range(n))
+                m = tuple(rng.randint(0, top) for _ in range(n))
             added.append(m)
             assert ucs.add(list(m)) == ref.add(m)
             assert sorted(ucs.basis) == sorted(ref.basis)
             assert len(ucs.basis) == len(ref.basis)
             assert all(ucs.minimal(b) for b in ref.basis)
-            for probe in added[-3:] + [tuple(rng.randint(0, 5)
-                                             for _ in range(n))
-                                       for _ in range(4)]:
+            for probe in added[-3:] + [
+                    tuple(rng.randint(0, rng.choice((5, 3 * scale)))
+                          for _ in range(n)) for _ in range(4)]:
                 assert ucs.contains(probe) == ref.contains(probe)
                 assert ucs.minimal(probe) == (probe in ref.basis)
         assert sorted(UpwardClosedSet(added).basis) == sorted(ref.basis)

@@ -1,8 +1,10 @@
 import random
+from pathlib import Path
 
 import pytest
 
 import fuzz
+from xpn import fmt
 from xpn.fmt import (
     ParseError,
     format_marking,
@@ -107,6 +109,61 @@ def test_roundtrip_fuzz():
         text = render_net(n)
         assert parse_net(text) == n
         assert render_net(parse_net(text)) == text
+
+
+def _outcome(text):
+    """The net read from `text`, arcs in their order, or the ParseError's
+    message, line and column."""
+    try:
+        net = parse_net(text)
+    except ParseError as e:
+        return e.message, e.line, e.col
+    return net.places, net.initial, [
+        (t.name, list(t.pre.items()), list(t.post.items()))
+        for t in net.transitions]
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+MUTATION_CHARS = " \t\n#,;:*=->.0_aintx"
+
+
+def test_line_patterns_read_what_the_cursor_reads(monkeypatch):
+    """parse_net reads well-formed lines by pattern: every fuzz and
+    workload net, and single-character deletions, insertions and swaps of
+    them, give the same net or the same error as the _Cursor code alone."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    rng = random.Random(2017)
+    texts = [render_net(gen(rng)) for gen in (
+        fuzz.plain_net, fuzz.spiced_net, fuzz.no_inhibitor_net,
+        fuzz.hier_ir_net, fuzz.hirct_net, fuzz.ert_net, fuzz.two_inh_net,
+        fuzz.two_transfer_net) for _ in range(10)]
+    texts += [p.read_text() for p in sorted(PERFBENCH.glob("minsky/*.xpn"))]
+    for workload in workloads.BUILDERS:
+        files = workloads.build(workload, 1)[0]
+        texts += [t for name, t in files.items() if name.endswith(".xpn")]
+
+    inputs = texts + [f"places: a b out\n{line}\n" for line in (
+        "trans t: ; out a, a*0", "trans t: in a, in a*0 ;", "transt:;out",
+        "trans t: ; out out, out*2", "trans t: inh a*2 ;", "trans t: in a, ;",
+        "trans t: xfer a -> b, reset out ; outa", "marking: a=1b=02",
+        "marking: a=1 a=2", "places: c")]
+    for text in texts:
+        lines = text.splitlines(keepends=True)
+        for _ in range(4):
+            # a window of three lines after the places and marking lines
+            at = rng.randrange(len(lines))
+            excerpt = "".join(lines[:2] + lines[max(2, at - 1):at + 2])
+            i = rng.randrange(len(excerpt) - 1)
+            inputs += [excerpt[:i] + excerpt[i + 1:],
+                       excerpt[:i] + rng.choice(MUTATION_CHARS) + excerpt[i:],
+                       excerpt[:i] + excerpt[i + 1] + excerpt[i]
+                       + excerpt[i + 2:]]
+    fast = [_outcome(t) for t in inputs]
+    monkeypatch.setattr(fmt._NetReader, "fast", lambda self, line: False)
+    assert [_outcome(t) for t in inputs] == fast
+    assert sum(isinstance(o[0], str) for o in fast) > len(inputs) // 4
 
 
 def test_marking_literals():

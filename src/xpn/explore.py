@@ -14,14 +14,16 @@ counts candidate predecessors and raises BudgetExceededError.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from itertools import compress, count
 from math import comb, prod
-from operator import le
+from operator import le, ne
 from struct import Struct, error as StructError
 
-from .net import (BudgetExceededError, Marking, Net, XpnError, fire,
-                  require_valid, successors)
+# forward search fires through `expand`; `explore.successors` stays a name
+# because perfbench/spans.py wraps it
+from .net import (BudgetExceededError, Marking, Net, XpnError, _apply,
+                  _enabled, expand, fire, require_valid, successors)
 
 
 @dataclass(frozen=True)
@@ -56,25 +58,51 @@ def _leq(a: Marking, b: Marking) -> bool:
     return all(map(le, a, b))
 
 
+def _path_names(net: Net, parent: dict, m: Marking) -> list:
+    """The transition names along the path `parent` records from the
+    initial marking to `m`.  Each step's is recovered by the interpreted
+    rule: the first transition in declaration order that fires the
+    predecessor to the marking, the one whose successor the search stored.
+    Only a transition acting on the first place where the two differ can,
+    so just those are tried."""
+    plan = net._plan()
+    acting = [[] for _ in net.places]  # per place, in declaration order
+    for op in plan:
+        for p in ({q for q, _ in op.numeric} | set(op.resets)
+                  | {q for pair in op.xfers for q in pair}
+                  | {q for q, _ in op.posts}):
+            acting[p].append(op)
+    names = []
+    at = m
+    while (prev := parent[at]) is not None:
+        d = next(compress(count(), map(ne, prev, at)), None)
+        names.append(next(
+            name for name, numeric, inhib, resets, xfers, posts, _
+            in (plan if d is None else acting[d])
+            if _enabled(prev, numeric, inhib)
+            and _apply(prev, numeric, resets, xfers, posts) == at))
+        at = prev
+    names.reverse()
+    return names
+
+
 def _bfs(net: Net, goal, max_steps: int) -> SearchResult:
-    """Shared engine from the initial marking: `goal(marking,
-    successor_list)` decides hits.  The hit trace is replayed before
-    returning, as a postcondition check.  Raises BudgetExceededError when
-    a marking past the `max_steps`-th would need expanding."""
+    """Shared engine from the initial marking: `goal(marking)` decides hits,
+    and without a goal the hits are dead markings.  Each step is `expand`,
+    which records only a successor's predecessor marking; the transition
+    names of a hit's trace are recovered from those markings, and the trace
+    is replayed before returning, as a postcondition check.  Raises
+    BudgetExceededError when a marking past the `max_steps`-th would need
+    expanding."""
     require_valid(net)  # so the initial marking fits the places
     start = net.initial
     parent = {start: None}
-    queue = deque([start])
+    queue = [start]  # every visited marking, in the order of expansion
+    push = queue.append
     expanded = 0
 
     def finish(m: Marking) -> SearchResult:
-        names = []
-        at = m
-        while parent[at] is not None:
-            prev, via = parent[at]
-            names.append(via)
-            at = prev
-        names.reverse()
+        names = _path_names(net, parent, m)
         # the replay builds its own markings: free the visited ones first
         parent.clear()
         queue.clear()
@@ -83,18 +111,13 @@ def _bfs(net: Net, goal, max_steps: int) -> SearchResult:
             raise AssertionError("trace replay mismatch")
         return SearchResult(trace, expanded)
 
-    while queue:
+    for m in queue:
         if expanded >= max_steps:
             raise BudgetExceededError(f"expanded={expanded}")
-        m = queue.popleft()
         expanded += 1
-        succ = successors(net, m)
-        if goal(m, succ):
+        dead = not expand(net, m, parent, push)
+        if goal(m) if goal else dead:
             return finish(m)
-        for name, m2 in succ:
-            if m2 not in parent:
-                parent[m2] = (m, name)
-                queue.append(m2)
     return SearchResult(None, expanded)
 
 
@@ -102,19 +125,19 @@ def bounded_reach(net: Net, target: Marking,
                   max_steps: int = 1_000_000) -> SearchResult:
     """Is `target` reachable (exact equality) from the initial marking?"""
     target = tuple(target)
-    return _bfs(net, lambda m, s: m == target, max_steps)
+    return _bfs(net, lambda m: m == target, max_steps)
 
 
 def bounded_cover(net: Net, target: Marking,
                   max_steps: int = 1_000_000) -> SearchResult:
     """Is some marking >= `target` reachable from the initial marking?"""
     target = tuple(target)
-    return _bfs(net, lambda m, s: _leq(target, m), max_steps)
+    return _bfs(net, lambda m: _leq(target, m), max_steps)
 
 
 def bounded_deadlock(net: Net, max_steps: int = 1_000_000) -> SearchResult:
     """Is a marking with no firable transition reachable?"""
-    return _bfs(net, lambda m, s: not s, max_steps)
+    return _bfs(net, None, max_steps)
 
 
 # ---------------------------------------------------------------------------

@@ -288,14 +288,21 @@ def _check_name(name: str) -> str:
 def render_net(net: Net, header=()) -> str:
     """Canonical text for `net`; `header` lines are emitted as comments."""
     lines = [f"# {h}" if h else "#" for h in header]
-    lines.append("places: " + " ".join(_check_name(p) for p in net.places))
+    checked = set()  # names already known to be writable
+
+    def name(n: str) -> str:
+        if n not in checked:
+            checked.add(_check_name(n))
+        return n
+
+    lines.append("places: " + " ".join(map(name, net.places)))
     marked = [(p, n) for p, n in zip(net.places, net.initial) if n]
     if marked:
         lines.append("marking: " + " ".join(f"{p}={n}" for p, n in marked))
     for t in net.transitions:
         pre_items = []
         for place, arc in t.pre.items():
-            _check_name(place)
+            name(place)
             if isinstance(arc, Numeric):
                 pre_items.append(f"in {place}*{arc.weight}")
             elif isinstance(arc, Inhibitor):
@@ -303,10 +310,10 @@ def render_net(net: Net, header=()) -> str:
             elif isinstance(arc, Reset):
                 pre_items.append(f"reset {place}")
             elif isinstance(arc, Transfer):
-                pre_items.append(f"xfer {place}->{_check_name(arc.target)}")
+                pre_items.append(f"xfer {place}->{name(arc.target)}")
             else:  # validate reports it, so this raises InvalidNetError
                 require_valid(net)
-        post_items = [f"{p}*{w}" for p, w in t.post.items() if _check_name(p)]
+        post_items = [f"{name(p)}*{w}" for p, w in t.post.items()]
         if post_items:
             post_items[0] = "out " + post_items[0]
         lines.append(

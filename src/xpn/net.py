@@ -13,10 +13,12 @@ plan (`Net._plan`), and compiling validates: an invalid net can be built and
 passed to `validate`, but firing or analysing it raises InvalidNetError.
 
 `fire` and `is_firable` interpret the plan (`_enabled`/`_apply`, the
-reference firing rule).  `successors` interprets it too for a net's first
-calls; once a net is hot it runs a successor function generated from the
-plan as Python source and cached on the net.  Every replayed trace is
-therefore an independent check of the generated code.
+reference firing rule).  `successors` and `expand`, the breadth-first
+search's step, interpret it too for a net's first calls; once a net is hot
+each runs a function generated from the plan as Python source and cached on
+the net.  The two keep separate call counts, so each is generated at most
+once per net.  Every replayed trace is therefore an independent check of
+the generated code.
 """
 
 from __future__ import annotations
@@ -120,6 +122,8 @@ class Net:
         object.__setattr__(self, "_ops", None)
         object.__setattr__(self, "_calls", 0)
         object.__setattr__(self, "_hot", None)
+        object.__setattr__(self, "_steps", 0)
+        object.__setattr__(self, "_step", None)
 
     # -- lookups -----------------------------------------------------------
 
@@ -276,10 +280,7 @@ def successors(net: Net, m: Marking) -> list:
     calls = net._calls + 1
     object.__setattr__(net, "_calls", calls)
     if calls > _COMPILE_AFTER:
-        namespace = {"N": tuple(op.name for op in plan)}
-        exec(compile(_successor_source(len(net.places), plan),
-                     "<xpn successors>", "exec"), namespace)
-        hot = namespace["succ"]
+        hot = _generate(net, bfs=False)
         object.__setattr__(net, "_hot", hot)
         return hot(m)
     out = []
@@ -289,12 +290,42 @@ def successors(net: Net, m: Marking) -> list:
     return out
 
 
+def expand(net: Net, m: Marking, parent: dict, push) -> int:
+    """One breadth-first step at `m`, a marking of `net`: every successor
+    not yet a key of `parent` is stored there with `m` as its value and
+    passed to `push`, in declaration order.  Returns the number of enabled
+    transitions, so 0 means `m` is dead.  A net's first `_COMPILE_AFTER`
+    steps interpret its plan; later steps run the step generated from it."""
+    step = net._step
+    if step is not None:
+        return step(m, parent, push)
+    plan = net._plan()
+    steps = net._steps + 1
+    object.__setattr__(net, "_steps", steps)
+    if steps > _COMPILE_AFTER:
+        step = _generate(net, bfs=True)
+        object.__setattr__(net, "_step", step)
+        return step(m, parent, push)
+    k = 0
+    for _, numeric, inhib, resets, xfers, posts, _ in plan:
+        if _enabled(m, numeric, inhib):
+            k += 1
+            s = _apply(m, numeric, resets, xfers, posts)
+            if s not in parent:
+                parent[s] = m
+                push(s)
+    return k
+
+
 # ---------------------------------------------------------------------------
 # the generated successor function
 
-# compile() costs about 65 us per transition and the generated function saves
-# about 1.2 us per transition per expansion, so compiling pays back after
-# about 55 expansions whatever the net's size; nets expanded fewer times (most
+# compile() costs about 55-85 us per transition for the `successors` body and
+# 60-105 us for the longer search step; either saves about 0.9-1.5 us per
+# enabled and 0.15-0.3 us per disabled transition per expansion.  So either
+# pays back after about 40-140 expansions where a good share of transitions
+# fire, and after 250-550 on a line net where one in hundreds does, whatever
+# the net's size.  One threshold serves both: nets expanded fewer times (most
 # termination queries expand 8 to 125 markings) stay interpreted.
 _COMPILE_AFTER = 64
 
@@ -311,16 +342,27 @@ def _lit(n: int) -> str:
     return int.__format__(n, "#x")
 
 
-def _successor_source(n_places: int, plan) -> str:
-    """Python source of `succ(m)`, which returns what `successors` returns.
-    It unpacks `m` into locals a0 ... a{n-1}; each transition is one `if`
-    on its numeric and inhibitor arcs, and each successor position is one
-    expression folding the five firing stages.  Transition names are read
-    from the tuple `N`, so the source holds no text of the net."""
-    lines = ["def succ(m):"]
+def _generate(net: Net, bfs: bool):
+    """Compile `_successor_source` for `net` and return its `succ`."""
+    plan = net._plan()
+    namespace = {"N": tuple(op.name for op in plan)}
+    exec(compile(_successor_source(len(net.places), plan, bfs),
+                 "<xpn successors>", "exec"), namespace)
+    return namespace["succ"]
+
+
+def _successor_source(n_places: int, plan, bfs: bool = False) -> str:
+    """Python source of `succ(m)`, which returns what `successors` returns,
+    or with `bfs` of `succ(m, P, Q)`, which does what `expand(net, m, P,
+    Q)` does.  It unpacks `m` into locals a0 ... a{n-1}; each transition
+    is one `if` on its numeric and inhibitor arcs, and each successor
+    position is one expression folding the five firing stages.  Transition
+    names are read from the tuple `N`, so the source holds no text of the
+    net."""
+    lines = ["def succ(m, P, Q):" if bfs else "def succ(m):"]
     if n_places:
         lines.append(f"    {', '.join(f'a{q}' for q in range(n_places))}, = m")
-    lines.append("    out = []")
+    lines.append("    k = 0" if bfs else "    out = []")
     for j, (_, numeric, inhib, resets, xfers, posts, _) in enumerate(plan):
         const, zeroed, moved = {}, set(resets), {}
         for p, w in numeric:
@@ -370,8 +412,13 @@ def _successor_source(n_places: int, plan) -> str:
         if test:
             lines.append(f"    if {test}:")
             indent = "        "
-        lines.append(f"{indent}out.append((N[{j}], {succ}))")
-    lines.append("    return out")
+        if bfs:
+            lines += [f"{indent}k += 1", f"{indent}s = {succ}",
+                      f"{indent}if s not in P:", f"{indent}    P[s] = m",
+                      f"{indent}    Q(s)"]
+        else:
+            lines.append(f"{indent}out.append((N[{j}], {succ}))")
+    lines.append("    return k" if bfs else "    return out")
     return "\n".join(lines) + "\n"
 
 

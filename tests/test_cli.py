@@ -144,6 +144,22 @@ def test_explore_reach_found_writes_trace(run, tmp_path):
     assert parse_trace(tr.read_text()) == ("t", "t")
 
 
+@pytest.mark.parametrize("c", [0, 100])
+def test_a_trace_names_the_first_transition_of_a_step(run, tmp_path, c):
+    # z and y fire (c=0 a=1 b=0) to the same marking: the trace names z,
+    # declared first, before and after c's countdown takes the search past
+    # the steps after which it runs generated code
+    net = (f"places: c a b\nmarking: c={c} a=1\ntrans d: in c ;\n"
+           "trans z: in a, inh c ; out b\n"
+           "trans y: in a, inh c, reset b ; out b\n")
+    tr = tmp_path / "wit.trace"
+    code, out, _, _ = run("explore", "reach", "n.xpn", "-m", "b=1",
+                          "--trace", str(tr), files={"n.xpn": net})
+    assert (code, out) == (
+        0, f"FOUND steps={c + 1} expanded={c + 2}\nc=0 a=0 b=1\n")
+    assert parse_trace(tr.read_text()) == ("d",) * c + ("z",)
+
+
 def test_explore_reach_exhausted(run):
     code, out, _, _ = run("explore", "reach", "n.xpn", "-m", "a=2 b=1",
                           files={"n.xpn": CHAIN})
@@ -396,12 +412,14 @@ def test_generated_successors_scale_to_ten_thousand_places(tmp_path, net,
     path = tmp_path / "n.xpn"
     path.write_text(net)
     assert run_capped("explore", "deadlock", str(path), *argv) == want
-    # the generated source is linear in places plus arcs: an expression
+    # both generated sources are linear in places plus arcs: an expression
     # per arc, runs of untouched places copied as one slice
     parsed = parse_net(net)
     arcs = sum(len(t.pre) + len(t.post) for t in parsed.transitions)
-    src = xpn_net._successor_source(len(parsed.places), parsed._plan())
-    assert len(src) < 64 * (len(parsed.places) + arcs)
+    for bfs in (False, True):
+        src = xpn_net._successor_source(len(parsed.places), parsed._plan(),
+                                        bfs)
+        assert len(src) < 64 * (len(parsed.places) + arcs)
 
 
 def test_explore_has_no_max_depth(run, capsys):

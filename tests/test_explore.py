@@ -18,7 +18,7 @@ from xpn.explore import (
 )
 from xpn.fmt import parse_net
 from xpn.net import (BudgetExceededError, Net, NotFirableError, XpnError,
-                     _COMPILE_AFTER, successors)
+                     _COMPILE_AFTER, expand)
 
 CHAIN = parse_net("""\
 places: a b
@@ -72,10 +72,11 @@ def test_a_found_trace_is_replayed_after_the_visited_markings_are_freed():
                     "marking: p0=1\n"
                     + "".join(f"trans t{i}: in p{i} ; out p{i + 1}\n"
                               for i in range(n - 1)))
-    # generate the successor function before measuring: its transient
-    # cost is the net's, not the search's
+    # generate the search's step before measuring: its transient cost is
+    # the net's, not the search's
     for _ in range(_COMPILE_AFTER + 1):
-        successors(net, net.initial)
+        expand(net, net.initial, {}, [].append)
+    assert net._step is not None
     tracemalloc.start()
     try:
         r = bounded_deadlock(net)
@@ -123,6 +124,22 @@ def test_forward_budget_boundary_against_the_oracle():
                 search(max_steps=size - 1)
 
 
+def bfs_path(graph, start, hit) -> tuple:
+    """The transition names of the path to `hit` that a breadth-first
+    search over the oracle graph records: each marking is reached first
+    from the earliest expanded marking, by the first transition in
+    declaration order."""
+    via = {start: None}
+    for m, edges in graph.items():  # in the order the markings were found
+        for name, m2 in edges:
+            via.setdefault(m2, (m, name))
+    names = []
+    while via[hit] is not None:
+        hit, name = via[hit]
+        names.append(name)
+    return tuple(reversed(names))
+
+
 def test_search_fuzz_against_exhaustive_oracle():
     rng = random.Random(2024)
     for _ in range(120):
@@ -135,6 +152,7 @@ def test_search_fuzz_against_exhaustive_oracle():
         assert r.found, (net, hit)
         assert r.trace.markings[-1] == hit
         assert replay(net, net.initial, r.trace.transitions).markings[-1] == hit
+        assert r.trace.transitions == bfs_path(graph, net.initial, hit)
 
         miss = tuple(x + 1 for x in maxima)
         r = bounded_reach(net, miss)

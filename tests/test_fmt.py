@@ -95,11 +95,30 @@ def test_render_refuses_what_it_cannot_write():
     with pytest.raises(XpnError, match="^name 'a b' cannot be written to "
                                       "the text format$"):
         render_net(Net(("a b",), (), (0,)))
+    # a name that only an arc of an invalid net carries is checked too
+    for arcs in (({"a b": Numeric(1)}, {}), ({}, {"a b": 1}),
+                 ({"a": Transfer("a b")}, {})):
+        with pytest.raises(XpnError, match="^name 'a b' cannot be written"):
+            render_net(Net(("a",), (Transition("t", *arcs),), (0,)))
     # a non-descriptor pre-arc is reported as firing reports it
     bad = Net(("a",), (Transition("t", {"a": 5}, {}),), (0,))
     with pytest.raises(InvalidNetError) as exc:
         render_net(bad)
     assert [d.code for d in exc.value.errors] == ["bad-arc"]
+
+
+def test_render_checks_each_name_once(monkeypatch):
+    checked = []
+
+    def check(name):
+        checked.append(name)
+        return name
+
+    monkeypatch.setattr(fmt, "_check_name", check)
+    ts = [Transition(f"t{i}", {"a": Numeric(1), "b": Transfer("a")},
+                     {"a": 1, "b": 2}) for i in range(3)]
+    render_net(Net(("a", "b"), ts, (1, 0)))
+    assert checked == ["a", "b", "t0", "t1", "t2"]
 
 
 def test_roundtrip_fuzz():

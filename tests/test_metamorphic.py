@@ -3,7 +3,7 @@ reversing the transition order, leave every engine's answer unchanged.
 Each net, original or changed, must survive a render/parse round trip
 before an engine sees it.  Raising a budget may turn a run-out into an
 answer, but never changes an answer, and neither does the switch from
-interpreted to generated successors."""
+interpreted to generated firing code."""
 
 import random
 
@@ -17,7 +17,7 @@ from xpn.explore import (backward_cover, bounded_cover, bounded_deadlock,
                          bounded_reach)
 from xpn.fmt import parse_net, render_net
 from xpn.net import (BudgetExceededError, INHIBITOR_KIND, TRANSFER_KIND, Net,
-                     Transfer, Transition, _COMPILE_AFTER, classify,
+                     Transfer, Transition, _COMPILE_AFTER, classify, expand,
                      successors)
 from xpn.transforms import dlf_to_reach
 
@@ -160,9 +160,9 @@ COUNTDOWN = ("places: p0 p1 p2 p3\nmarking: p0=3 p1=3 p2=3 p3=3\n"
 ], ids=["ring5x8", "countdown4x3"])
 def test_generated_successors_change_no_answer(text, reach, cover):
     """Each engine on a fresh net, which switches tiers after its first
-    _COMPILE_AFTER successors calls, mid-search, equals the same engine on
-    a net warmed past that switch first: traces, expansion counts,
-    verdicts, tree sizes and budget messages alike."""
+    _COMPILE_AFTER successors calls or search steps, mid-search, equals the
+    same engine on a net warmed past both switches first: traces,
+    expansion counts, verdicts, tree sizes and budget messages alike."""
     engines = [
         lambda n: bounded_reach(n, reach, max_steps=15_000),
         lambda n: bounded_cover(n, cover, max_steps=15_000),
@@ -177,11 +177,12 @@ def test_generated_successors_change_no_answer(text, reach, cover):
             if warm:
                 for _ in range(_COMPILE_AFTER + 1):
                     successors(net, net.initial)
+                    expand(net, net.initial, {}, [].append)
             try:
                 got.append(engine(net))
             except BudgetExceededError as e:
                 got.append(str(e))
-            switched.append(net._hot is not None)
+            switched.append(net._step is not None)
         return got, switched
 
     (cold, switched), (warm, _) = outcomes(False), outcomes(True)

@@ -23,6 +23,7 @@ from xpn.net import (
     _COMPILE_AFTER,
     _successor_source,
     classify,
+    expand,
     fire,
     has_errors,
     is_firable,
@@ -185,14 +186,25 @@ def test_fire_fuzz_against_oracle():
 # the generated successor function, against the oracle and the interpreter
 
 def tiers(net):
-    """Two copies of `net`: one whose successors are still interpreted,
-    one warmed past the calls after which they run generated code."""
+    """Two copies of `net`: one whose successors and search steps are still
+    interpreted, one warmed past the calls after which both run generated
+    code."""
     cold = Net(net.places, net.transitions, net.initial)
     hot = Net(net.places, net.transitions, net.initial)
     for _ in range(_COMPILE_AFTER + 1):
         successors(hot, hot.initial)
-    assert hot._hot is not None
+        expand(hot, hot.initial, {}, [].append)
+    assert hot._hot is not None and hot._step is not None
     return cold, hot
+
+
+def step(net, m, seen):
+    """What `expand` does at `m` when the markings `seen` are visited: the
+    markings it pushes, its return value and the predecessor dict after."""
+    parent = dict.fromkeys(seen)
+    pushed = []
+    k = expand(net, m, parent, pushed.append)
+    return pushed, k, parent
 
 
 def assert_tiers_match_oracle(net, markings):
@@ -203,7 +215,15 @@ def assert_tiers_match_oracle(net, markings):
                 for name, succ in oracles.successor_pairs(net, md)]
         assert successors(cold, m) == want, (net, m)
         assert successors(hot, m) == want, (net, m)
-    assert cold._hot is None  # fewer calls than the threshold
+        # the search step pushes each successor not yet visited, once, in
+        # declaration order, and counts the enabled transitions
+        for seen in ({m} | {s for _, s in want[1::3]}, ()):
+            pushed = list(dict.fromkeys(s for _, s in want if s not in seen))
+            parent = dict.fromkeys(seen)
+            parent.update((s, m) for s in pushed)
+            assert step(cold, m, seen) == (pushed, len(want), parent), (net, m)
+            assert step(hot, m, seen) == (pushed, len(want), parent), (net, m)
+    assert cold._hot is None and cold._step is None  # below the threshold
 
 
 HUGE = (10**18, 10**18 + 1, 3 * 10**40 + 2)
@@ -239,7 +259,8 @@ def _line(n):
                                         "b": Transfer("c")}, {"c": 1})]),
     (_line(12), [Transition("t", {p: Transfer("p11") for p in _line(11)},
                             {"p0": 2})]),
-    # no places, one place, no transitions
+    # no places, no transitions, one place; v fires m to m itself, which the
+    # search step counts but does not push once m is visited
     ([], [Transition("t"), Transition("u")]),
     (["a", "b"], []),
     (["a"], [Transition("t", {"a": Numeric(1)}, {"a": 2}),
@@ -252,6 +273,11 @@ def _line(n):
                             {"p5": 1}),
                  Transition("x", {"p20": Numeric(1)}, {"p20": 1}),
                  Transition("y")]),
+    # two transitions with one effect: the search step pushes it once
+    (["a", "b"], [Transition("t", {"a": Numeric(1)}, {"b": 1}),
+                  Transition("u", {"a": Numeric(1)}, {"b": 1})]),
+    # no places and no transitions
+    ([], []),
 ])
 def test_generated_successors_hand_cases(places, transitions):
     net = net_of(places, transitions, [0] * len(places))
@@ -269,16 +295,18 @@ def test_generated_source_holds_no_text_of_the_net():
            code[0]: INHIBIT, code[4]: RESET}
     ts = [Transition(name, pre, {code[0]: 1, code[3]: 2}) for name in code]
     net = net_of(code, ts, [0, 1, 0, 0, 0])
-    src = _successor_source(len(net.places), net._plan())
-    toks = list(tokenize.generate_tokens(io.StringIO(src).readline))
-    assert not [t for t in toks if t.type == tokenize.STRING]
     keywords = {"def", "succ", "m", "out", "N", "if", "and", "not", "append",
-                "return"}
-    names = {t.string for t in toks if t.type == tokenize.NAME} - keywords
-    assert all(re.fullmatch(r"a\d+", n) for n in names), names
+                "return", "P", "Q", "s", "k", "in"}
+    for bfs in (False, True):
+        src = _successor_source(len(net.places), net._plan(), bfs)
+        toks = list(tokenize.generate_tokens(io.StringIO(src).readline))
+        assert not [t for t in toks if t.type == tokenize.STRING]
+        names = {t.string for t in toks if t.type == tokenize.NAME} - keywords
+        assert all(re.fullmatch(r"a\d+", n) for n in names), names
     cold, hot = tiers(net)
     assert successors(hot, net.initial) == successors(cold, net.initial)
     assert [name for name, _ in successors(hot, net.initial)] == code
+    assert step(hot, net.initial, ()) == step(cold, net.initial, ())
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,13 @@ def _read_text(path: str) -> str:
         raise _Fail(f"{path}: {e.strerror or e}")
 
 
+def _write_file(path: str, text: str):
+    try:
+        Path(path).write_text(text)
+    except OSError as e:
+        raise _Fail(f"{path}: {e.strerror or e}")
+
+
 def _parse_or_fail(path: str, text: str, parser):
     try:
         return parser(text)
@@ -69,7 +76,7 @@ def _target(net, args, verb: str):
 
 def _write_out(args, text: str):
     if getattr(args, "output", None):
-        Path(args.output).write_text(text)
+        _write_file(args.output, text)
     else:
         sys.stdout.write(text)
 
@@ -141,7 +148,7 @@ def cmd_explore(args) -> int:
     print(f"FOUND steps={len(res.trace.transitions)} expanded={res.expanded}")
     print(format_marking(net, res.trace.markings[-1]))
     if args.trace:
-        Path(args.trace).write_text(render_trace(res.trace.transitions))
+        _write_file(args.trace, render_trace(res.trace.transitions))
     return 0
 
 
@@ -154,7 +161,7 @@ def cmd_terminate(args) -> int:
     else:
         v = decide_termination(net, max_nodes=args.max_nodes)
     if args.dot:
-        Path(args.dot).write_text(ert_dot(net, ert))
+        _write_file(args.dot, ert_dot(net, ert))
     if isinstance(v, Terminating):
         print(f"TERMINATING tree_size={v.tree_size}")
         return 0
@@ -165,9 +172,9 @@ def cmd_terminate(args) -> int:
     print(("stem: " + " ".join(v.stem.transitions)).rstrip())
     print(("pump: " + " ".join(v.pump.transitions)).rstrip())
     if args.stem:
-        Path(args.stem).write_text(render_trace(v.stem.transitions))
+        _write_file(args.stem, render_trace(v.stem.transitions))
     if args.pump:
-        Path(args.pump).write_text(render_trace(v.pump.transitions))
+        _write_file(args.pump, render_trace(v.pump.transitions))
     return 0
 
 
@@ -213,9 +220,8 @@ def cmd_transform(args) -> int:
             "goal: " + format_marking(result.net, result.goal, keep_zeros=False))
     map_lines = _map_lines(net, result)
     if args.output:
-        Path(args.output).write_text(render_net(result.net, header=header))
-        Path(args.output + ".map").write_text(
-            "\n".join(map_lines) + "\n")
+        _write_file(args.output, render_net(result.net, header=header))
+        _write_file(args.output + ".map", "\n".join(map_lines) + "\n")
         print(f"wrote {args.output} and {args.output}.map")
     else:
         sys.stdout.write(render_net(

@@ -13,6 +13,15 @@ branch ends in a deadlock and the net terminates.  The tree is finite for
 eligible nets, so running out of node budget is a resource error, not a
 verdict.
 
+One depth-first walk serves both entry points, and it keeps only the
+current path.  `decide_termination` runs it for the verdict: the walk stops
+at the first cut and memoises each marking whose subtree completed, so a
+marking met again is counted, not expanded.  `build_ert` runs it to record
+the tree: the walk memoises nothing, stores every node, and goes on past
+the first cut unless told to stop there.  Both number and count the same
+tree nodes against one node budget, so without a shuffle they reach the
+same verdict, budget error included.
+
 Eligible nets: every transition's inhibitor pre-places form a downward
 closed set, reset arcs are unrestricted, transfer arcs are absent.
 """
@@ -45,7 +54,7 @@ class NonTerminating:
     pump: Trace
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ErtNode:
     marking: Marking
     parent: int | None
@@ -78,48 +87,127 @@ def _fit(nodes: int, max_nodes: int) -> int:
     return nodes
 
 
-def _prepare(net: Net, max_nodes: int) -> dict:
-    """Check that the decider applies and that the root fits the node
-    budget (the root is the first node it counts); return each
-    transition's index by name."""
-    check_eligible(net)
-    _fit(1, max_nodes)
-    return {op.name: op.index for op in net._plan()}
+class _Frame:
+    """A node on the current path of the walk.  `id` is its number in the
+    tree, `todo` holds the children still to visit (next one last) as
+    (id, via, marking), and `size` counts the tree nodes of its subtree
+    finished so far."""
+    __slots__ = ("id", "marking", "via", "via_index", "todo", "size")
+
+    def __init__(self, nid, marking, via, via_index):
+        self.id = nid
+        self.marking = marking
+        self.via = via
+        self.via_index = via_index
+        self.todo = []
+        self.size = 1
 
 
-def _scan(nodes, anc, m1: Marking, level: int) -> int | None:
-    """Nearest subsuming ancestor of a new child with marking `m1`, reached
-    by a transition of index `level` from node `anc`; None if there is none.
-    `nodes[i]` has `.marking`, `.via_index` and `.parent`."""
-    while anc is not None:
-        a = nodes[anc]
+def _scan(path, m1: Marking, level: int) -> int | None:
+    """Position on `path` of the nearest frame that subsumes a new child of
+    the top frame with marking `m1`, reached by a transition of index
+    `level`; None if there is none."""
+    for i in range(len(path) - 1, -1, -1):
+        a = path[i]
         m2 = a.marking
         if m2[:level] == m1[:level] and _leq(m2, m1):
-            return anc
-        level = max(level, a.via_index)
-        anc = a.parent
+            return i
+        if a.via_index > level:
+            level = a.via_index
     return None
 
 
-def _path_names(nodes, top: int, bottom: int) -> list:
-    """Transition names along the tree path from node `top` down to
-    `bottom` (via edges of every node strictly below `top`)."""
-    names = []
-    at = bottom
-    while at != top:
-        names.append(nodes[at].via)
-        at = nodes[at].parent
-    names.reverse()
-    return names
-
-
-def _certificate(net: Net, nodes, anc: int, parent: int, leaf_via: str):
-    """NonTerminating for a leaf reached by `leaf_via` from node `parent`
-    and cut by its ancestor `anc`."""
-    stem = replay(net, net.initial, _path_names(nodes, 0, anc))
-    pump = replay(net, stem.markings[-1],
-                  _path_names(nodes, anc, parent) + [leaf_via])
+def _certificate(net: Net, path, anc: int, leaf_via: str):
+    """NonTerminating for a leaf reached by `leaf_via` from the top frame of
+    `path` and cut by the frame at position `anc`."""
+    names = [f.via for f in path[1:]] + [leaf_via]
+    stem = replay(net, net.initial, names[:anc])
+    pump = replay(net, stem.markings[-1], names[anc:])
     return NonTerminating(stem, pump)
+
+
+def _walk(net: Net, max_nodes: int, rng, nodes, stop_early: bool):
+    """Walk the tree depth-first, keeping only the current path, and return
+    Terminating(tree_size) or the certificate of the first cut.  `rng`
+    shuffles each node's children.
+
+    With `nodes` None the walk memoises in `done` each marking whose
+    subtree completed, with that subtree's node count; this is sound only
+    up to the first cut, so it needs `stop_early`.  Before the first cut a
+    completed subtree holds no cut, so every run from its marking is
+    finite.  A cut certifies an infinite run from its leaf, so no node at
+    or below that marking can be cut whatever its ancestors, and its
+    subtree (one node per run prefix) has the same size everywhere.  A
+    later occurrence therefore skips the ancestor scan and is not
+    expanded: its size is added instead.
+
+    With a list `nodes` (holding one slot for the root) the walk memoises
+    nothing and records the tree: node i's ErtNode goes to `nodes[i]` once
+    its status is final, when it is expanded or made as a cut leaf.  It
+    goes on past the first cut unless `stop_early`, and the nodes made but
+    never expanded stay "inner".  Either way `max_nodes` bounds the number
+    of tree nodes made, the root included."""
+    check_eligible(net)
+    _fit(1, max_nodes)
+    tidx = {op.name: op.index for op in net._plan()}
+    done: dict = {}
+    path: list = []
+    count = 1  # tree nodes made so far
+    cut = None
+
+    def push(nid, m, via, via_index):
+        """Put node `m` on the path and make its children; return whether
+        the walk stops at a cut among them."""
+        nonlocal count, cut
+        succ = successors(net, m)
+        if rng is not None:
+            rng.shuffle(succ)
+        if nodes is not None:
+            nodes[nid] = ErtNode(m, path[-1].id if path else None, via,
+                                 via_index, "inner" if succ else "deadlock")
+        frame = _Frame(nid, m, via, via_index)
+        path.append(frame)
+        for name, m2 in succ:
+            count = _fit(count + 1, max_nodes)
+            if m2 not in done:
+                anc = _scan(path, m2, tidx[name])
+                if anc is not None:
+                    if nodes is not None:
+                        nodes.append(ErtNode(m2, nid, name, tidx[name],
+                                             "subsumed", path[anc].id))
+                    cut = cut or _certificate(net, path, anc, name)
+                    if stop_early:
+                        return True
+                    continue
+            if nodes is not None:
+                nodes.append(None)
+            frame.todo.append((count - 1, name, m2))
+        frame.todo.reverse()
+        return False
+
+    stop = push(0, tuple(net.initial), None, 0)
+    while not stop and path:
+        top = path[-1]
+        if not top.todo:
+            path.pop()
+            if nodes is None:
+                done[top.marking] = top.size
+            if path:
+                path[-1].size += top.size
+            continue
+        nid, name, m2 = top.todo.pop()
+        size = done.get(m2)
+        if size is None:
+            stop = push(nid, m2, name, tidx[name])
+            continue
+        # the tree makes the size - 1 nodes below it here
+        count = _fit(count + size - 1, max_nodes)
+        top.size += size
+    if nodes is not None:
+        for f in path:
+            for nid, name, m2 in f.todo:  # made, never expanded
+                nodes[nid] = ErtNode(m2, f.id, name, tidx[name], "inner")
+    return cut or Terminating(count)
 
 
 def build_ert(net: Net, max_nodes: int = 1_000_000, rng=None,
@@ -127,119 +215,16 @@ def build_ert(net: Net, max_nodes: int = 1_000_000, rng=None,
     """Expand the full tree (or stop at the first subsumed leaf when
     `stop_early`).  `rng` shuffles child order; the verdict is order
     independent, which tests exploit."""
-    tidx = _prepare(net, max_nodes)
-
-    # A node's ErtNode is built once its status is final: when it is
-    # expanded, or at creation for a subsumed leaf.  Until then its slot in
-    # `nodes` is None and its fields wait on the stack.
     nodes = [None]
-    stack = [(0, tuple(net.initial), None, None, 0)]
-    verdict = None
-
-    while stack and not (stop_early and verdict is not None):
-        nid, m, parent, via, vidx = stack.pop()
-        succ = successors(net, m)
-        if rng is not None:
-            rng.shuffle(succ)
-        nodes[nid] = ErtNode(m, parent, via, vidx,
-                             "inner" if succ else "deadlock")
-        kids = []
-        for name, m2 in succ:
-            _fit(len(nodes) + 1, max_nodes)
-            cid = len(nodes)
-            anc = _scan(nodes, nid, m2, tidx[name])
-            if anc is None:
-                nodes.append(None)
-                kids.append((cid, m2, nid, name, tidx[name]))
-                continue
-            nodes.append(ErtNode(m2, nid, name, tidx[name], "subsumed", anc))
-            if verdict is None:
-                verdict = _certificate(net, nodes, anc, nid, name)
-                if stop_early:
-                    break
-        stack.extend(reversed(kids))
-
-    for cid, m, parent, via, vidx in stack:  # created, never expanded
-        nodes[cid] = ErtNode(m, parent, via, vidx, "inner")
-    if verdict is None:
-        verdict = Terminating(len(nodes))
+    verdict = _walk(net, max_nodes, rng, nodes, stop_early)
     return Ert(tuple(nodes), verdict)
 
 
-class _Frame:
-    """A node on the current path of `decide_termination`.  `parent` is the
-    position of the frame below it, `todo` holds the children still to
-    visit (next one last) and `size` counts the tree nodes of its subtree
-    finished so far."""
-    __slots__ = ("marking", "parent", "via", "via_index", "todo", "size")
-
-    def __init__(self, marking, parent, via, via_index):
-        self.marking = marking
-        self.parent = parent
-        self.via = via
-        self.via_index = via_index
-        self.todo = []
-        self.size = 1
-
-
 def decide_termination(net: Net, max_nodes: int = 1_000_000, rng=None):
-    """Terminating(tree_size) or NonTerminating(stem, pump).  For
-    `rng=None` the result, budget error included, equals
-    `build_ert(net, max_nodes, stop_early=True).verdict`.
-
-    The walk visits the tree in build_ert's order but keeps only the
-    current path, and memoises in `done` each marking whose subtree
-    completed, with that subtree's node count.  Before the first cut a
-    completed subtree holds no cut, so every run from its marking is
-    finite.  A cut certifies an infinite run from its leaf, so no node at
-    or below that marking can be cut whatever its ancestors, and its
-    subtree (one node per run prefix) has the same size everywhere.  A
-    later occurrence therefore skips the ancestor scan and is not
-    expanded: its size is added instead.  `max_nodes` still bounds the
-    paper tree's node count."""
-    tidx = _prepare(net, max_nodes)
-    done: dict = {}
-    path: list = []
-    count = 1  # tree nodes created so far, counted as build_ert counts
-
-    def push(m, via, via_index):
-        """Put node `m` on the path and create its children; return the
-        certificate if one of them is cut."""
-        nonlocal count
-        here = len(path)
-        frame = _Frame(m, here - 1 if here else None, via, via_index)
-        path.append(frame)
-        succ = successors(net, m)
-        if rng is not None:
-            rng.shuffle(succ)
-        for name, m2 in succ:
-            count = _fit(count + 1, max_nodes)
-            if m2 not in done:
-                anc = _scan(path, here, m2, tidx[name])
-                if anc is not None:
-                    return _certificate(net, path, anc, here, name)
-            frame.todo.append((name, m2))
-        frame.todo.reverse()
-        return None
-
-    cut = push(tuple(net.initial), None, 0)
-    while cut is None and path:
-        top = path[-1]
-        if not top.todo:
-            path.pop()
-            done[top.marking] = top.size
-            if path:
-                path[-1].size += top.size
-            continue
-        name, m2 = top.todo.pop()
-        size = done.get(m2)
-        if size is None:
-            cut = push(m2, name, tidx[name])
-            continue
-        # build_ert would create the size - 1 nodes below it right now
-        count = _fit(count + size - 1, max_nodes)
-        top.size += size
-    return cut or Terminating(count)
+    """Terminating(tree_size) or NonTerminating(stem, pump), from the walk
+    that memoises; for `rng=None` the result, budget error included,
+    equals `build_ert(net, max_nodes, stop_early=True).verdict`."""
+    return _walk(net, max_nodes, rng, None, True)
 
 
 def verify_pump(net: Net, verdict) -> bool:

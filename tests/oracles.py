@@ -1,7 +1,7 @@
 """Independent reference implementations the tests check the library
 against.  Everything here works on plain dicts and the public net
 structure only; none of it shares code with the library's firing plan,
-search engines or tree builder."""
+search engines or tree walk."""
 
 from xpn.net import (INHIBITOR_KIND, KIND_ORDER, RESET_KIND, TRANSFER_KIND,
                      Inhibitor, NetClass, Numeric, Reset, Transfer)
@@ -105,6 +105,83 @@ def terminates(net, cap: int):
     if graph is None:
         return None
     return not has_cycle(graph)
+
+
+def ert_tree(net, max_nodes: int, stop_early: bool = True, rng=None):
+    """The extended reachability tree, built naively from its definition.
+
+    A node's children are made, in declaration order (shuffled by `rng`),
+    when it is expanded, and the first child made is expanded first.  A
+    child is a subsumed leaf, not expanded, when an ancestor's marking is
+    <= its own on every place and equal to it on the first k places, k
+    being the largest transition index on the path from that ancestor down
+    to it; the nearest such ancestor is recorded.  `stop_early` makes no
+    node after the first subsumed leaf.
+
+    Returns (nodes, verdict).  nodes[i] = (marking, parent, via, status,
+    subsumed_by) in the order made, status "inner", "deadlock" or
+    "subsumed".  verdict is ("terminating", node count) or
+    ("nonterminating", stem, pump), the transition names from the root to
+    the first leaf's subsuming ancestor and on to the leaf.  Returns
+    ("budget", message) instead if more than `max_nodes` nodes are made."""
+    index = {t.name: transition_index(net, t) for t in net.transitions}
+    over = ("budget", f"tree exceeded {max_nodes} nodes")
+    if max_nodes < 1:
+        return over
+    # [marking dict, parent, via, status, subsumed_by]
+    nodes = [[as_dict(net, net.initial), None, None, "inner", None]]
+    first_leaf = None
+    stack = [0]
+    while stack and not (stop_early and first_leaf is not None):
+        i = stack.pop()
+        pairs = successor_pairs(net, nodes[i][0])
+        if rng is not None:
+            rng.shuffle(pairs)
+        if not pairs:
+            nodes[i][3] = "deadlock"
+        kids = []
+        for name, m in pairs:
+            if len(nodes) == max_nodes:
+                return over
+            nodes.append([m, i, name, "inner", None])
+            anc = _subsuming_ancestor(net, nodes, len(nodes) - 1, index)
+            if anc is None:
+                kids.append(len(nodes) - 1)
+                continue
+            nodes[-1][3:] = ["subsumed", anc]
+            if first_leaf is None:
+                first_leaf = len(nodes) - 1
+            if stop_early:
+                break
+        stack.extend(reversed(kids))
+    out = [(as_tuple(net, n[0]), *n[1:]) for n in nodes]
+    if first_leaf is None:
+        return out, ("terminating", len(nodes))
+    run = _names_from_root(nodes, first_leaf)
+    k = len(_names_from_root(nodes, nodes[first_leaf][4]))
+    return out, ("nonterminating", tuple(run[:k]), tuple(run[k:]))
+
+
+def _subsuming_ancestor(net, nodes, j, index):
+    m = nodes[j][0]
+    level = 0
+    below, anc = j, nodes[j][1]
+    while anc is not None:
+        level = max(level, index[nodes[below][2]])
+        ma = nodes[anc][0]
+        if all(ma[p] <= m[p] for p in net.places) and \
+                all(ma[p] == m[p] for p in net.places[:level]):
+            return anc
+        below, anc = anc, nodes[anc][1]
+    return None
+
+
+def _names_from_root(nodes, i) -> list:
+    names = []
+    while nodes[i][1] is not None:
+        names.append(nodes[i][2])
+        i = nodes[i][1]
+    return names[::-1]
 
 
 def deadlocks(graph) -> list:

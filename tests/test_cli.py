@@ -1,5 +1,6 @@
 """End-to-end CLI checks, run in process through cli.main."""
 
+import importlib.util
 import os
 import resource
 import subprocess
@@ -660,6 +661,22 @@ def test_missing_file_is_exit_two(run):
     assert code == 2 and err != ""
 
 
+@pytest.mark.parametrize("argv, net", [
+    (("terminate", "n.xpn", "--dot"), LOOP),
+    (("terminate", "n.xpn", "--stem"), LOOP),
+    (("terminate", "n.xpn", "--pump"), LOOP),
+    (("explore", "reach", "n.xpn", "-m", "b=2", "--trace"), CHAIN),
+    (("export-dot", "n.xpn", "-o"), CHAIN),
+    (("transform", "hir-elim", "n.xpn", "-o"), HIR),
+    (("compile", "minsky", "n.xpn", "-o"), MACHINE),
+], ids=["terminate-dot", "terminate-stem", "terminate-pump", "explore-trace",
+        "export-dot-o", "transform-o", "compile-o"])
+def test_unwritable_output_is_a_usage_error(run, tmp_path, argv, net):
+    bad = str(tmp_path / "missing" / "out")
+    code, _, err, _ = run(*argv, bad, files={"n.xpn": net})
+    assert (code, err) == (2, f"{bad}: No such file or directory\n")
+
+
 def test_internal_error_is_exit_two(run, monkeypatch):
     def boom(net, target, max_steps):
         raise RuntimeError("boom")
@@ -728,3 +745,23 @@ def test_each_query_validates_the_net_once(run, monkeypatch, argv):
     code, _, err, _ = run(*argv, files={"n.xpn": TWO_RESETS})
     assert (code, err) == (0, "")
     assert len(calls) == 1
+
+
+def test_benchmark_tracer_patches_names_that_exist():
+    # perfbench/spans.py wraps library names such as ert.successors and
+    # cli.build_ert by attribute; a rename would break its --trace run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    tracer = spans.Tracer()
+    try:  # a failed install leaves its earlier patches for uninstall
+        tracer.install()
+        patches = list(tracer._patches)
+        assert patches
+        for owner, attr, orig in patches:
+            assert getattr(owner, attr) is not orig, (owner, attr)
+    finally:
+        tracer.uninstall()
+    for owner, attr, orig in patches:
+        assert getattr(owner, attr) is orig, (owner, attr)

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import random
 
 import pytest
@@ -19,6 +21,7 @@ from xpn.ert import (
 )
 from xpn.explore import replay
 from xpn.fmt import parse_net
+from xpn.net import XpnError
 
 LOOP = parse_net("places: a\nmarking: a=1\ntrans t: in a ; out a")
 CHAIN = parse_net("places: a\nmarking: a=3\ntrans t: in a ;")
@@ -27,6 +30,35 @@ places: a
 marking: a=1
 trans grow: in a ; out a*2
 trans cut: in a*2 ;
+""")
+
+# a pump that opens only once the countdown in front of it has run out:
+# cut leaves deep in a tree of 120 nodes, the first one at node 12
+IDLE = parse_net("""\
+places: p0 p1 p2 q
+marking: p0=2 p1=2 p2=1 q=1
+trans t0: in p0 ;
+trans t1: in p1 ;
+trans t2: in p2 ;
+trans idle: inh p0, inh p1, inh p2, in q ; out q
+""")
+
+# (1,1) is reached from (0,1) and dominates both it and the root (1,0): the
+# cut names the nearest, so the stem is t1 and the pump t2
+NEAR = parse_net("""\
+places: a b
+marking: a=1
+trans t1: in a ; out b
+trans t2: in b ; out a, b
+""")
+# (1,1,0) dominates the root (0,1,0) and agrees with it on places up to w's
+# index 0, but u on the path inhibits a, where they differ: no cut, and
+# (1,1,0) is dead
+DEEP_LEVEL = parse_net("""\
+places: a b c
+marking: b=1
+trans u: inh a, in b ; out a, c
+trans w: in c ; out b
 """)
 
 
@@ -189,9 +221,10 @@ def test_verdict_independent_of_child_order():
             else:
                 assert v == base  # memoised sizes are order independent
         if isinstance(base, Terminating):
-            full = build_ert(net, max_nodes=20_000,
-                             rng=random.Random(99))
-            assert full.verdict == base  # tree size is order independent
+            full = oracles.ert_tree(net, 20_000, stop_early=False,
+                                    rng=random.Random(99))
+            # tree size is order independent
+            assert full[1] == ("terminating", base.tree_size)
 
 
 def test_verdict_agrees_with_exhaustive_oracle():
@@ -206,7 +239,7 @@ def test_verdict_agrees_with_exhaustive_oracle():
 
 
 # ---------------------------------------------------------------------------
-# the memoised decider against the paper tree
+# the walk against the paper tree of tests/oracles.py
 
 def countdown(n, k):
     """n independent places holding k tokens each, one consumer apiece: a
@@ -218,31 +251,62 @@ def countdown(n, k):
     return parse_net(f"places: {places}\nmarking: {marks}\n{trans}")
 
 
-def _outcome(fn, *args, **kw):
+def _verdict(v):
+    """A verdict in the shape tests/oracles.py gives it."""
+    if isinstance(v, Terminating):
+        return ("terminating", v.tree_size)
+    return ("nonterminating", v.stem.transitions, v.pump.transitions)
+
+
+def _decided(net, budget):
     try:
-        return fn(*args, **kw)
+        return _verdict(decide_termination(net, budget))
     except BudgetExceededError as e:
         return ("budget", str(e))
 
 
+def _recorded(net, budget, stop_early, rng):
+    try:
+        ert = build_ert(net, budget, rng, stop_early)
+    except BudgetExceededError as e:
+        return ("budget", str(e))
+    return ([(n.marking, n.parent, n.via, n.status, n.subsumed_by)
+             for n in ert.nodes], _verdict(ert.verdict))
+
+
 def test_memoised_decider_equals_paper_tree():
     rng = random.Random(20261)
+    nets = [fuzz.ert_net(rng) for _ in range(600)] + [NEAR, DEEP_LEVEL]
     budgets_checked = 0
-    for _ in range(600):
-        net = fuzz.ert_net(rng)
-        tree = _outcome(build_ert, net, 50_000, stop_early=True)
-        if isinstance(tree, tuple):
+    for net in nets:
+        tree = oracles.ert_tree(net, 50_000)
+        if tree[0] == "budget":
             continue
-        size = len(tree.nodes)
+        size = len(tree[0])
         for budget in sorted({-1, 0, 1, 2, size // 2, size - 1, size,
                               size + 1, 50_000}):
-            want = _outcome(build_ert, net, budget, stop_early=True)
-            if not isinstance(want, tuple):
-                want = want.verdict
-            assert _outcome(decide_termination, net, budget) == want, \
-                (net, budget)
+            want = oracles.ert_tree(net, budget)
+            if want[0] != "budget":
+                want = want[1]
+            assert _decided(net, budget) == want, (net, budget)
             budgets_checked += 1
     assert budgets_checked > 1_000
+
+
+def test_recorded_tree_equals_paper_tree():
+    # every node, full or stopped early, in declaration order or shuffled
+    # (both sides shuffle lists of the same lengths in the same order)
+    rng = random.Random(7304)
+    nets = [fuzz.ert_net(rng) for _ in range(300)]
+    nets += [countdown(3, 2), IDLE, NEAR, DEEP_LEVEL]
+    for net in nets:
+        for stop_early, seed, budget in itertools.product(
+                (False, True), (None, 11), (0, 12, 20_000)):
+            def shuffle():
+                return None if seed is None else random.Random(seed)
+            want = oracles.ert_tree(net, budget, stop_early, shuffle())
+            assert _recorded(net, budget, stop_early, shuffle()) == want, \
+                (net, stop_early, seed, budget)
 
 
 def test_countdown_tree_sizes_are_pinned():
@@ -258,3 +322,43 @@ def test_countdown_tree_sizes_are_pinned():
     with pytest.raises(BudgetExceededError,
                        match="^tree exceeded 1107696 nodes$"):
         decide_termination(big, max_nodes=1_107_696)
+
+
+# sha256 of ert_fields over the corpus in test_ert_byte_stable
+ERT_DIGEST = "a4a873a1ad555d956add688ff8f5f1573e4450daa722376593880626ff241569"
+
+
+def ert_fields(net) -> str:
+    """The DOT text and verdict of every tree `build_ert` draws of `net`
+    (full and stopped early, in declaration order and shuffled, at three
+    budgets), then the verdict of `decide_termination` with and without a
+    shuffle; a budget or eligibility error stands for its message."""
+    def text(fn):
+        try:
+            return fn()
+        except XpnError as e:
+            return f"{type(e).__name__}: {e}"
+
+    def tree(budget, seed, stop_early):
+        rng = None if seed is None else random.Random(seed)
+        ert = build_ert(net, budget, rng, stop_early)
+        return ert_dot(net, ert) + repr(ert.verdict)
+
+    out = [text(lambda: tree(budget, seed, stop_early))
+           for budget in (1, 40, 5_000) for seed in (None, 5)
+           for stop_early in (False, True)]
+    out += [text(lambda: repr(decide_termination(
+        net, budget, None if seed is None else random.Random(seed))))
+        for budget in (1, 40, 5_000) for seed in (None, 5)]
+    return "\n".join(out)
+
+
+def test_ert_byte_stable():
+    rng = random.Random(2017)
+    nets = [fuzz.ert_net(rng) for _ in range(300)] + [countdown(3, 2), IDLE]
+    h = hashlib.sha256()
+    for net in nets:
+        h.update(ert_fields(net).encode() + b"\0")
+    assert h.hexdigest() == ERT_DIGEST, (
+        "the tree or a verdict changed on the seeded corpus; if the change "
+        "is intended, declare it in CHANGES.md and update ERT_DIGEST")

@@ -145,10 +145,10 @@ def cmd_explore(args) -> int:
     if not res.found:
         print(f"EXHAUSTED expanded={res.expanded}")
         return 0
-    print(f"FOUND steps={len(res.trace.transitions)} expanded={res.expanded}")
-    print(format_marking(net, res.trace.markings[-1]))
     if args.trace:
         _write_file(args.trace, render_trace(res.trace.transitions))
+    print(f"FOUND steps={len(res.trace.transitions)} expanded={res.expanded}")
+    print(format_marking(net, res.trace.markings[-1]))
     return 0
 
 
@@ -168,13 +168,13 @@ def cmd_terminate(args) -> int:
     assert isinstance(v, NonTerminating)
     if not verify_pump(net, v):
         raise AssertionError("pump certificate failed to verify")
-    print("NONTERMINATING")
-    print(("stem: " + " ".join(v.stem.transitions)).rstrip())
-    print(("pump: " + " ".join(v.pump.transitions)).rstrip())
     if args.stem:
         _write_file(args.stem, render_trace(v.stem.transitions))
     if args.pump:
         _write_file(args.pump, render_trace(v.pump.transitions))
+    print("NONTERMINATING")
+    print(("stem: " + " ".join(v.stem.transitions)).rstrip())
+    print(("pump: " + " ".join(v.pump.transitions)).rstrip())
     return 0
 
 

@@ -15,15 +15,15 @@ counts candidate predecessors and raises BudgetExceededError.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, count
+from itertools import pairwise
 from math import comb, prod
-from operator import le, ne
-from struct import Struct, error as StructError
+from operator import le
+from struct import error as StructError
 
-# forward search fires through `expand`; `explore.successors` stays a name
-# because perfbench/spans.py wraps it
-from .net import (BudgetExceededError, Marking, Net, XpnError, _apply,
-                  _enabled, expand, fire, require_valid, successors)
+# forward search runs `_search`; `explore.successors` stays a name because
+# perfbench/spans.py wraps it
+from .net import (BudgetExceededError, Marking, Net, XpnError, _Fields,
+                  _apply, _enabled, _search, fire, require_valid, successors)
 
 
 @dataclass(frozen=True)
@@ -58,13 +58,14 @@ def _leq(a: Marking, b: Marking) -> bool:
     return all(map(le, a, b))
 
 
-def _path_names(net: Net, parent: dict, m: Marking) -> list:
-    """The transition names along the path `parent` records from the
-    initial marking to `m`.  Each step's is recovered by the interpreted
-    rule: the first transition in declaration order that fires the
-    predecessor to the marking, the one whose successor the search stored.
-    Only a transition acting on the first place where the two differ can,
-    so just those are tried."""
+def _path_names(net: Net, path: list, fields: _Fields) -> list:
+    """The transition names along `path`, markings packed by `fields`
+    from the initial one to a hit.  Each step's is recovered by the
+    interpreted rule: the first transition in declaration order that fires
+    the predecessor to the marking, the one whose successor the search
+    stored.  Only a transition acting on a place where the two differ can,
+    so just those acting on the first such place, the lowest set bit of
+    their XOR, are tried.  Two markings are unpacked at a time."""
     plan = net._plan()
     acting = [[] for _ in net.places]  # per place, in declaration order
     for op in plan:
@@ -73,90 +74,73 @@ def _path_names(net: Net, parent: dict, m: Marking) -> list:
                   | {q for q, _ in op.posts}):
             acting[p].append(op)
     names = []
-    at = m
-    while (prev := parent[at]) is not None:
-        d = next(compress(count(), map(ne, prev, at)), None)
+    at = fields.decode(path[0])
+    for x, y in pairwise(path):
+        prev, at, diff = at, fields.decode(y), x ^ y
+        d = ((diff & -diff).bit_length() - 1) // fields.width
         names.append(next(
             name for name, numeric, inhib, resets, xfers, posts, _
-            in (plan if d is None else acting[d])
+            in (acting[d] if diff else plan)
             if _enabled(prev, numeric, inhib)
             and _apply(prev, numeric, resets, xfers, posts) == at))
-        at = prev
-    names.reverse()
     return names
 
 
-def _bfs(net: Net, goal, max_steps: int) -> SearchResult:
-    """Shared engine from the initial marking: `goal(marking)` decides hits,
-    and without a goal the hits are dead markings.  Each step is `expand`,
-    which records only a successor's predecessor marking; the transition
-    names of a hit's trace are recovered from those markings, and the trace
-    is replayed before returning, as a postcondition check.  Raises
-    BudgetExceededError when a marking past the `max_steps`-th would need
-    expanding."""
+def _bfs(net: Net, goal: str, target, max_steps: int) -> SearchResult:
+    """Shared engine from the initial marking, `goal` and `target` as in
+    `net._search`, the target checked first.  The search records only each marking's predecessor;
+    the transition names of a hit's trace are recovered from those
+    markings, and the trace is replayed, as a postcondition check, once
+    the visited markings are freed."""
     require_valid(net)  # so the initial marking fits the places
-    start = net.initial
-    parent = {start: None}
-    queue = [start]  # every visited marking, in the order of expansion
-    push = queue.append
-    expanded = 0
-
-    def finish(m: Marking) -> SearchResult:
-        names = _path_names(net, parent, m)
-        # the replay builds its own markings: free the visited ones first
-        parent.clear()
-        queue.clear()
-        trace = replay(net, start, names)
-        if trace.markings[-1] != m:
-            raise AssertionError("trace replay mismatch")
-        return SearchResult(trace, expanded)
-
-    for m in queue:
-        if expanded >= max_steps:
-            raise BudgetExceededError(f"expanded={expanded}")
-        expanded += 1
-        dead = not expand(net, m, parent, push)
-        if goal(m) if goal else dead:
-            return finish(m)
-    return SearchResult(None, expanded)
+    if target is not None:
+        target = tuple(target)
+        if len(target) != len(net.places):
+            raise XpnError("target marking length mismatch")
+        if not all(isinstance(x, int) for x in target):
+            raise XpnError(f"target marking {target} has a non-integer entry")
+    expanded, path, fields = _search(net, net.initial, goal, target,
+                                     max_steps)
+    if path is None:
+        return SearchResult(None, expanded)
+    names = _path_names(net, path, fields)
+    hit = fields.decode(path[-1])
+    del path
+    trace = replay(net, net.initial, names)
+    if trace.markings[-1] != hit:
+        raise AssertionError("trace replay mismatch")
+    return SearchResult(trace, expanded)
 
 
 def bounded_reach(net: Net, target: Marking,
                   max_steps: int = 1_000_000) -> SearchResult:
     """Is `target` reachable (exact equality) from the initial marking?"""
-    target = tuple(target)
-    return _bfs(net, lambda m: m == target, max_steps)
+    return _bfs(net, "reach", target, max_steps)
 
 
 def bounded_cover(net: Net, target: Marking,
                   max_steps: int = 1_000_000) -> SearchResult:
     """Is some marking >= `target` reachable from the initial marking?"""
-    target = tuple(target)
-    return _bfs(net, lambda m: _leq(target, m), max_steps)
+    return _bfs(net, "cover", target, max_steps)
 
 
 def bounded_deadlock(net: Net, max_steps: int = 1_000_000) -> SearchResult:
     """Is a marking with no firable transition reachable?"""
-    return _bfs(net, None, max_steps)
+    return _bfs(net, "deadlock", None, max_steps)
 
 
 # ---------------------------------------------------------------------------
 # backward coverability
 
-# struct codes, standard sizes, for fields of 1, 2, 4 and 8 bytes; wider
-# fields are packed entry by entry
-_STRUCT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
-
-
 class UpwardClosedSet:
     """An upward-closed set of markings kept as its minimal basis.
 
     The basis is one int, read as a row of equal byte-aligned segments, one
-    per element.  A segment holds the element's n entries in fields of
-    `_width` bits (8, 16, 32, ...; the width doubles when an added entry
-    needs more), then one more field whose top bit is the segment's flag.
-    Every stored entry is below 2**(width - 1), so the top bit of each
-    field is free as a guard.
+    per element.  A segment holds the element's n entries in the fields of
+    `_fields` (widths 8, 16, 32, ... bits; the width doubles when an added
+    entry needs more), then one spare field whose top bit is the segment's
+    flag.  Every stored entry is below 2**(width - 1), so the top bit of
+    each field is free as a guard.
 
     That lets one pass of big-int arithmetic compare a probe with every
     element at once (SWAR, SIMD within a register).  Subtract the basis
@@ -175,19 +159,17 @@ class UpwardClosedSet:
         for m in basis:
             self.add(m)
 
-    def _layout(self, width: int):
-        """Lay the basis out again with fields of `width` bits."""
+    def _layout(self, fields: _Fields):
+        """Lay the basis out again in `fields`: the element's n fields
+        and one spare for the flag."""
         elems = self.basis
-        n, nb = self._n, width // 8
-        self._width = width
-        code = _STRUCT_CODES.get(nb)
-        self._struct = Struct(f"<{n}{code}{nb}x") if code else None
-        self._seg = (n + 1) * nb  # bytes per segment
-        guards = (bytes(nb - 1) + b"\x80") * n + bytes(nb)
-        flags = bytes(n * nb + nb - 1) + b"\x80"
-        self._guard = int.from_bytes(guards, "little")
+        self._fields = fields
+        self._seg = fields.size  # bytes per segment
+        guards = fields.guard.to_bytes(fields.size, "little")
+        flags = bytes(fields.size - 1) + b"\x80"
         self._masks = (guards, flags)  # one segment's
-        self._bits = int.from_bytes(b"".join(map(self._pack, elems)), "little")
+        self._bits = int.from_bytes(b"".join(map(fields.pack, elems)),
+                                    "little")
         self._replicate()
 
     def _replicate(self):
@@ -197,29 +179,13 @@ class UpwardClosedSet:
         self._flags = int.from_bytes(flags * self._count, "little")
         self._fill = self._flags - self._guards
 
-    def _pack(self, m) -> bytes:
-        """One segment holding `m`; raises if an entry is negative or does
-        not fit a field."""
-        if self._struct:
-            return self._struct.pack(*m)
-        nb = self._width // 8
-        return b"".join([int.to_bytes(x, nb, "little") for x in m]) + bytes(nb)
-
-    def _unpack(self, raw: bytes) -> list:
-        if self._struct:
-            return list(self._struct.iter_unpack(raw))
-        nb, seg = self._width // 8, self._seg
-        return [tuple(int.from_bytes(raw[s + i:s + i + nb], "little")
-                      for i in range(0, seg - nb, nb))
-                for s in range(0, len(raw), seg)]
-
     @property
     def basis(self) -> list:
         """The minimal basis, as a new list."""
         if not self._count:
             return []
-        return self._unpack(self._bits.to_bytes(self._count * self._seg,
-                                                "little"))
+        return self._fields.unpack(self._bits.to_bytes(
+            self._count * self._seg, "little"))
 
     def _below(self, m: Marking) -> int:
         """The flags of the segments whose element is <= m."""
@@ -227,17 +193,17 @@ class UpwardClosedSet:
             return 0
         if len(m) != self._n:
             raise XpnError("marking length mismatch")
+        fields = self._fields
         try:
-            probe = int.from_bytes(self._pack(m), "little")
+            probe = int.from_bytes(fields.pack(m), "little")
         except (StructError, OverflowError):
-            probe = self._guard  # an entry past the field, or negative
-        if probe & self._guard:
+            probe = fields.guard  # an entry past the field, or negative
+        if probe & fields.guard:
             if min(m) < 0:
                 return 0
-            cap = (1 << (self._width - 1)) - 1
-            probe = int.from_bytes(self._pack([min(x, cap) for x in m]),
-                                   "little")
-        probe = (probe | self._guard).to_bytes(self._seg, "little")
+            cap = fields.limit - 1
+            probe = fields.encode([min(x, cap) for x in m])
+        probe = (probe | fields.guard).to_bytes(self._seg, "little")
         diff = int.from_bytes(probe * self._count, "little") - self._bits
         return ((diff & self._guards) + self._fill) & self._flags
 
@@ -253,14 +219,14 @@ class UpwardClosedSet:
         bits = 8 * self._seg
         at = (flags.bit_length() - 1) // bits * bits
         one = (self._bits >> at) & ((1 << bits) - 1)
-        return self._unpack(one.to_bytes(self._seg, "little"))[0] == tuple(m)
+        return self._fields.read(one.to_bytes(self._seg, "little")) == tuple(m)
 
     def add(self, m: Marking) -> bool:
         """Add ↑m; returns False if already covered."""
         m = tuple(m)
         if self._n is None:
             self._n = len(m)
-            self._layout(8)
+            self._layout(_Fields(self._n, 8, spare=1))
         elif len(m) != self._n:
             raise XpnError("marking length mismatch")
         seg = self._fit(m)
@@ -284,18 +250,15 @@ class UpwardClosedSet:
         """The segment holding `m`, the fields widened first if an entry
         needs it; raises XpnError on a negative or non-integer entry."""
         try:
-            seg = self._pack(m)
+            seg = self._fields.pack(m)
         except (StructError, OverflowError, TypeError):
             seg = None
-        if seg is None or int.from_bytes(seg, "little") & self._guard:
+        if seg is None or int.from_bytes(seg, "little") & self._fields.guard:
             if not all(isinstance(x, int) and x >= 0 for x in m):
                 raise XpnError(
                     f"marking {m} has a negative or non-integer entry")
-            width = self._width
-            while max(m) >> (width - 1):
-                width *= 2
-            self._layout(width)
-            seg = self._pack(m)
+            self._layout(self._fields.fitting(max(m)))
+            seg = self._fields.pack(m)
         return seg
 
     def _drop(self, dead: int):

@@ -13,17 +13,32 @@ plan (`Net._plan`), and compiling validates: an invalid net can be built and
 passed to `validate`, but firing or analysing it raises InvalidNetError.
 
 `fire` and `is_firable` interpret the plan (`_enabled`/`_apply`, the
-reference firing rule).  `successors` and `expand`, the breadth-first
-search's step, interpret it too for a net's first calls; once a net is hot
-each runs a function generated from the plan as Python source and cached on
-the net.  The two keep separate call counts, so each is generated at most
-once per net.  Every replayed trace is therefore an independent check of
-the generated code.
+reference firing rule).  `successors` interprets it for a net's first
+calls, then runs a function generated from the plan as Python source and
+cached on the net.
+
+`_search`, the breadth-first search behind `explore`'s forward searches,
+interprets the plan on tuples for a net's first steps too.  It then packs
+every visited marking into one int (`_Fields`: a field of 8, 16, 32, ...
+bits per place, in place order) and goes on in one loop generated per net,
+goal and field width: one unpack per marking, one `if` per transition, one
+int expression per successor, and the goal test on the packed marking.
+Each field keeps spare top bits, checked by one AND before a marking is
+expanded; when an entry gets too close to overflowing, the visited
+markings are packed again at twice the width and the loop resumes where it
+stopped.  `successors` and `_search` keep separate counts, so each is
+generated at most once per net (and width).  Found traces are replayed
+through `fire`, an independent check of the generated code.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import chain, islice, repeat, starmap
+from operator import le
+from struct import Struct
 from typing import Mapping, NamedTuple, Union
 
 
@@ -123,7 +138,7 @@ class Net:
         object.__setattr__(self, "_calls", 0)
         object.__setattr__(self, "_hot", None)
         object.__setattr__(self, "_steps", 0)
-        object.__setattr__(self, "_step", None)
+        object.__setattr__(self, "_loops", {})
 
     # -- lookups -----------------------------------------------------------
 
@@ -280,7 +295,7 @@ def successors(net: Net, m: Marking) -> list:
     calls = net._calls + 1
     object.__setattr__(net, "_calls", calls)
     if calls > _COMPILE_AFTER:
-        hot = _generate(net, bfs=False)
+        hot = _generate(net)
         object.__setattr__(net, "_hot", hot)
         return hot(m)
     out = []
@@ -290,48 +305,234 @@ def successors(net: Net, m: Marking) -> list:
     return out
 
 
-def expand(net: Net, m: Marking, parent: dict, push) -> int:
-    """One breadth-first step at `m`, a marking of `net`: every successor
-    not yet a key of `parent` is stored there with `m` as its value and
-    passed to `push`, in declaration order.  Returns the number of enabled
-    transitions, so 0 means `m` is dead.  A net's first `_COMPILE_AFTER`
-    steps interpret its plan; later steps run the step generated from it."""
-    step = net._step
-    if step is not None:
-        return step(m, parent, push)
+def _search(net: Net, start: Marking, goal: str, target, max_steps: int):
+    """Breadth-first search of `net` from `start`, successors in
+    declaration order.  `goal` is "reach" (a marking equal to `target`),
+    "cover" (one at least `target` entry by entry) or "deadlock" (one
+    where no transition is enabled); `target` is a tuple of ints as long
+    as `start`, or None for a deadlock.
+
+    Returns (expanded, path, fields): the number of markings expanded,
+    then None if no marking is a hit, else the markings from `start` to
+    the first hit, packed by the `_Fields` `fields`.  Raises
+    BudgetExceededError when a marking past the `max_steps`-th would need
+    expanding.
+
+    A net's first `_COMPILE_AFTER` steps interpret its plan on tuples; the
+    search then packs the markings it has visited and goes on in the loop
+    generated for the goal and the field width (`_search_source`)."""
+    _check_len(net, start)
     plan = net._plan()
-    steps = net._steps + 1
-    object.__setattr__(net, "_steps", steps)
-    if steps > _COMPILE_AFTER:
-        step = _generate(net, bfs=True)
-        object.__setattr__(net, "_step", step)
-        return step(m, parent, push)
-    k = 0
-    for _, numeric, inhib, resets, xfers, posts, _ in plan:
-        if _enabled(m, numeric, inhib):
-            k += 1
-            s = _apply(m, numeric, resets, xfers, posts)
-            if s not in parent:
-                parent[s] = m
-                push(s)
-    return k
+    stop = min(max(max_steps, 0), sys.maxsize)
+    parent = {start: None}  # marking -> the marking it was first reached from
+    queue = [start]  # every visited marking, in the order of expansion
+    expanded, hit = 0, None
+    for m in queue:
+        if net._steps >= _COMPILE_AFTER:
+            break
+        if expanded >= stop:
+            raise BudgetExceededError(f"expanded={expanded}")
+        expanded += 1
+        object.__setattr__(net, "_steps", net._steps + 1)
+        k = 0
+        for _, numeric, inhib, resets, xfers, posts, _ in plan:
+            if _enabled(m, numeric, inhib):
+                k += 1
+                s = _apply(m, numeric, resets, xfers, posts)
+                if s not in parent:
+                    parent[s] = m
+                    queue.append(s)
+        if (not k if goal == "deadlock" else m == target if goal == "reach"
+                else all(map(le, target, m))):
+            hit = m
+            break
+    else:
+        return expanded, None, None
+    if hit is not None:  # pack just the path
+        path = _path(parent, hit)
+        fields = _Fields(len(start), 8).fitting(_top(path))
+        return expanded, fields.encode_all(path), fields
+    fields = _Fields.for_net(net, _top(parent))
+    parent = _recode(parent, fields.encode_all(parent))
+    queue = list(parent)  # the keys are the visited markings in order
+    while True:
+        run = _search_loop(net, goal, fields)
+        r = run(queue, parent, expanded, stop,
+                _packed_target(goal, target, fields))
+        if r is None:
+            break
+        expanded, hit = r
+        if hit is not None:
+            return expanded + 1, _path(parent, hit), fields
+        # queue[expanded] has an entry at or above the limit: widen
+        old, fields = fields, fields.fitting(max(fields.decode(
+            queue[expanded])))
+        parent = _recode(parent, fields.encode_all(map(old.decode, parent)))
+        queue = list(parent)
+    if len(queue) > stop:
+        raise BudgetExceededError(f"expanded={stop}")
+    return len(queue), None, fields
+
+
+def _top(markings) -> int:
+    """The largest entry of any of `markings`, 0 if there is none."""
+    return max(chain.from_iterable(markings), default=0)
+
+
+def _recode(parent: dict, keys: list) -> dict:
+    """`parent` with every marking, key and value, replaced by its new
+    code; `keys` holds the codes of the keys, in order."""
+    code = dict(zip(parent, keys))
+    return dict(zip(keys, map(code.get, parent.values())))
+
+
+def _path(parent: dict, m) -> list:
+    """The markings `parent` records from the start to `m`."""
+    path = [m]
+    while (m := parent[m]) is not None:
+        path.append(m)
+    path.reverse()
+    return path
+
+
+def _packed_target(goal: str, target, fields: "_Fields"):
+    """`target` packed for the search loop.  Every marking the loop tests
+    has its entries below `fields.limit`, so a target with an entry at or
+    above it never matches: reach then gets -1, which equals no packed
+    marking, and cover the guard bits, which cover no marking below the
+    limit."""
+    if goal == "deadlock":
+        return None
+    if goal == "cover":
+        target = [max(x, 0) for x in target]
+    if all(0 <= x < fields.limit for x in target):
+        return fields.encode(target)
+    return fields.guard if goal == "cover" else -1
+
+
+# struct codes, standard sizes, for fields of 1, 2, 4 and 8 bytes; wider
+# fields are packed entry by entry
+_STRUCT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+class _Fields:
+    """A row of `n` unsigned fields of `width` bits (8, 16, 32, ...),
+    least significant byte first, then `spare` fields left zero.  A
+    marking is packed into one row as bytes (`pack`, `unpack`, `read`) or
+    as one int (`encode`, `decode`), entry q in field q.
+
+    `limit` is the largest power of two, at most 2**(width - 1), with
+    `fan` * (limit - 1) + `post` < 2**width.  So the top bit of a field
+    holding an entry below the limit is free as a guard, and a field that
+    sums at most `fan` such entries and adds at most `post` still fits.
+    `head` has the bits at and above the limit set in every field: an int
+    ANDed with it is 0 exactly when all its entries are below the limit.
+    `guard` has the top bit of every field set."""
+
+    def __init__(self, n: int, width: int, spare: int = 0, fan: int = 1,
+                 post: int = 0):
+        nb = width // 8
+        code = _STRUCT_CODES.get(nb)
+        self.n, self.width, self.spare, self.fan, self.post = \
+            n, width, spare, fan, post
+        self.size = (n + spare) * nb  # bytes per row
+        self.struct = Struct(f"<{n}{code}{spare * nb}x") if code else None
+        # one row's entries from bytes; bound to the Struct, or to no
+        # object, so that the fields hold no reference to themselves
+        self.read = (self.struct.unpack if code
+                     else partial(_read_wide, n, nb))
+        room = ((1 << width) - 1 - post) // fan + 1
+        self.limit = (1 << min(width - 1, room.bit_length() - 1)
+                      if room > 0 else 0)
+        self.head = self._every((1 << width) - max(self.limit, 1))
+        self.guard = self._every(1 << (width - 1))
+
+    @classmethod
+    def for_net(cls, net: Net, top: int) -> "_Fields":
+        """The search's fields for `net`, with a limit above `top`: `fan`
+        is the most entries a transition sums into one place (the place's
+        own unless zeroed, plus its transfer sources), `post` the largest
+        post weight."""
+        fan, post = 1, 0
+        for op in net._plan():
+            post = max([post] + [w for _, w in op.posts])
+            if op.xfers:
+                zeroed = set(op.resets) | {src for src, _ in op.xfers}
+                into: dict = {}
+                for _, tgt in op.xfers:
+                    into[tgt] = into.get(tgt, int(tgt not in zeroed)) + 1
+                fan = max(fan, *into.values())
+        return cls(len(net.places), 8, fan=fan, post=post).fitting(top)
+
+    def _every(self, x: int) -> int:
+        """`x` in each of the `n` fields."""
+        nb = self.width // 8
+        return int.from_bytes(x.to_bytes(nb, "little") * self.n, "little")
+
+    def fitting(self, top: int) -> "_Fields":
+        """These fields, or the first doubling of their width whose limit
+        exceeds `top`."""
+        fields = self
+        while fields.limit <= top:
+            fields = _Fields(self.n, 2 * fields.width, self.spare, self.fan,
+                             self.post)
+        return fields
+
+    def pack(self, m) -> bytes:
+        """One row holding `m`; raises struct.error or OverflowError if an
+        entry is negative or does not fit a field."""
+        if self.struct:
+            return self.struct.pack(*m)
+        nb = self.width // 8
+        return (b"".join([int.to_bytes(x, nb, "little") for x in m])
+                + bytes(self.spare * nb))
+
+    def unpack(self, raw: bytes) -> list:
+        """The markings in a run of rows."""
+        if self.struct:
+            return list(self.struct.iter_unpack(raw))
+        return [self.read(raw[s:s + self.size])
+                for s in range(0, len(raw), self.size)]
+
+    def encode(self, m) -> int:
+        return int.from_bytes(self.pack(m), "little")
+
+    def decode(self, x: int) -> tuple:
+        return self.read(x.to_bytes(self.size, "little"))
+
+    def encode_all(self, ms) -> list:
+        """`encode` of each marking, the loop run by map where struct
+        packs the fields."""
+        if self.struct:
+            return list(map(int.from_bytes, starmap(self.struct.pack, ms),
+                            repeat("little")))
+        return list(map(self.encode, ms))
+
+
+
+def _read_wide(n: int, nb: int, raw: bytes) -> tuple:
+    """The first `n` fields of `nb` bytes in `raw`, for widths struct
+    has no code for."""
+    return tuple([int.from_bytes(raw[i:i + nb], "little")
+                  for i in range(0, n * nb, nb)])
 
 
 # ---------------------------------------------------------------------------
-# the generated successor function
+# generated code
 
 # compile() costs about 55-85 us per transition for the `successors` body and
-# 60-105 us for the longer search step; either saves about 0.9-1.5 us per
-# enabled and 0.15-0.3 us per disabled transition per expansion.  So either
-# pays back after about 40-140 expansions where a good share of transitions
-# fire, and after 250-550 on a line net where one in hundreds does, whatever
-# the net's size.  One threshold serves both: nets expanded fewer times (most
+# somewhat more for the search loop; either saves about 1 us per enabled and
+# 0.15-0.3 us per disabled transition per expansion.  So either pays back
+# after about 40-140 expansions where a good share of transitions fire, and
+# after 250-550 on a line net where one in hundreds does, whatever the net's
+# size.  One threshold serves both: nets expanded fewer times (most
 # termination queries expand 8 to 125 markings) stay interpreted.
 _COMPILE_AFTER = 64
 
-# a run of more than _RUN untouched places is copied as one slice of `m`, and
-# more than _RUN transfers into one place are added by one flat sum(), so the
-# source stays linear in places plus arcs and its syntax tree stays shallow
+# a run of more than _RUN untouched places is copied as one slice of a
+# tuple, more than _RUN transfers into one place are added by one flat sum(),
+# and a packed successor of more than _RUN terms is packed from its entries,
+# so the source stays linear in places plus arcs and its syntax tree shallow
 _RUN = 8
 
 
@@ -342,83 +543,215 @@ def _lit(n: int) -> str:
     return int.__format__(n, "#x")
 
 
-def _generate(net: Net, bfs: bool):
+def _generate(net: Net):
     """Compile `_successor_source` for `net` and return its `succ`."""
     plan = net._plan()
     namespace = {"N": tuple(op.name for op in plan)}
-    exec(compile(_successor_source(len(net.places), plan, bfs),
+    exec(compile(_successor_source(len(net.places), plan),
                  "<xpn successors>", "exec"), namespace)
     return namespace["succ"]
 
 
-def _successor_source(n_places: int, plan, bfs: bool = False) -> str:
-    """Python source of `succ(m)`, which returns what `successors` returns,
-    or with `bfs` of `succ(m, P, Q)`, which does what `expand(net, m, P,
-    Q)` does.  It unpacks `m` into locals a0 ... a{n-1}; each transition
-    is one `if` on its numeric and inhibitor arcs, and each successor
-    position is one expression folding the five firing stages.  Transition
-    names are read from the tuple `N`, so the source holds no text of the
-    net."""
-    lines = ["def succ(m, P, Q):" if bfs else "def succ(m):"]
-    if n_places:
-        lines.append(f"    {', '.join(f'a{q}' for q in range(n_places))}, = m")
-    lines.append("    k = 0" if bfs else "    out = []")
-    for j, (_, numeric, inhib, resets, xfers, posts, _) in enumerate(plan):
-        const, zeroed, moved = {}, set(resets), {}
-        for p, w in numeric:
-            const[p] = -w
-        for src, tgt in xfers:
-            zeroed.add(src)
-            moved.setdefault(tgt, []).append(src)
-        for p, w in posts:
-            const[p] = const.get(p, 0) + w
-        # a position's value is its own local, or 0 once zeroed, plus the
-        # transfer snapshots it receives, plus posts minus numeric weight; a
-        # reset place or transfer source has no numeric arc, so its snapshot
-        # is its own local
-        exprs = {}
-        for q in const.keys() | zeroed | moved.keys():
-            terms = [] if q in zeroed else [f"a{q}"]
-            terms += [f"a{src}" for src in moved.get(q, ())]
-            if len(terms) > _RUN:
-                e = f"sum(({', '.join(terms)}))"
-            else:
-                e = " + ".join(terms)
-            c = const.get(q, 0)
-            if not e:
-                e = _lit(c)
-            elif c:
-                e += f" {'+' if c > 0 else '-'} {_lit(abs(c))}"
-            if e != f"a{q}":  # else the arcs cancel, as in `in p ; out p`
-                exprs[q] = e
-        parts, items, i = [], [], 0
-        for q in sorted(exprs) + [n_places]:
-            if q - i > _RUN:
-                if items:
-                    parts.append(f"({', '.join(items)},)")
-                    items = []
-                parts.append(f"m[{i}:{q}]")
-            else:
-                items += [f"a{k}" for k in range(i, q)]
-            if q < n_places:
-                items.append(exprs[q])
-            i = q + 1
-        if items:
-            parts.append(f"({', '.join(items)},)")
-        succ = " + ".join(parts) if exprs else "m"
-        test = " and ".join([f"a{p} >= {_lit(w)}" for p, w in numeric]
-                            + [f"not a{p}" for p in inhib])
-        indent = "    "
-        if test:
-            lines.append(f"    if {test}:")
-            indent = "        "
-        if bfs:
-            lines += [f"{indent}k += 1", f"{indent}s = {succ}",
-                      f"{indent}if s not in P:", f"{indent}    P[s] = m",
-                      f"{indent}    Q(s)"]
+def _effects(op):
+    """One transition's effect per place: (const, zeroed, moved), the
+    posts minus the numeric weights, the reset places and transfer
+    sources, and per transfer target its sources."""
+    const, zeroed, moved = {}, set(op.resets), {}
+    for p, w in op.numeric:
+        const[p] = -w
+    for src, tgt in op.xfers:
+        zeroed.add(src)
+        moved.setdefault(tgt, []).append(src)
+    for p, w in op.posts:
+        const[p] = const.get(p, 0) + w
+    return const, zeroed, moved
+
+
+def _entries(op) -> dict:
+    """{position: expression} for each successor entry `op` changes.  A
+    position's value is its own local, or 0 once zeroed, plus the transfer
+    snapshots it receives, plus posts minus numeric weight; a reset place
+    or transfer source has no numeric arc, so its snapshot is its own
+    local."""
+    const, zeroed, moved = _effects(op)
+    exprs = {}
+    for q in const.keys() | zeroed | moved.keys():
+        terms = [] if q in zeroed else [f"a{q}"]
+        terms += [f"a{src}" for src in moved.get(q, ())]
+        if len(terms) > _RUN:
+            e = f"sum(({', '.join(terms)}))"
         else:
-            lines.append(f"{indent}out.append((N[{j}], {succ}))")
-    lines.append("    return k" if bfs else "    return out")
+            e = " + ".join(terms)
+        c = const.get(q, 0)
+        if not e:
+            e = _lit(c)
+        elif c:
+            e += f" {'+' if c > 0 else '-'} {_lit(abs(c))}"
+        if e != f"a{q}":  # else the arcs cancel, as in `in p ; out p`
+            exprs[q] = e
+    return exprs
+
+
+def _tuple_source(n_places: int, exprs: dict, base: str) -> str:
+    """A tuple expression: the tuple `base` with the entries in `exprs`
+    replaced, every other entry its local a{q} or, in runs longer than
+    _RUN, a slice of `base`."""
+    if not exprs:
+        return base
+    parts, items, i = [], [], 0
+    for q in sorted(exprs) + [n_places]:
+        if q - i > _RUN:
+            if items:
+                parts.append(f"({', '.join(items)},)")
+                items = []
+            parts.append(f"{base}[{i}:{q}]")
+        else:
+            items += [f"a{k}" for k in range(i, q)]
+        if q < n_places:
+            items.append(exprs[q])
+        i = q + 1
+    if items:
+        parts.append(f"({', '.join(items)},)")
+    return " + ".join(parts)
+
+
+def _unpack_source(n_places: int, value: str) -> str:
+    return f"{', '.join(f'a{q}' for q in range(n_places))}, = {value}"
+
+
+def _test_source(op, unsigned: bool = False) -> str:
+    """The enabling test of `op` on the locals, "" if always enabled.  On
+    `unsigned` entries a weight of 1 is tested by truth, which is cheaper."""
+    return " and ".join(
+        [f"a{p}" if unsigned and w == 1 else f"a{p} >= {_lit(w)}"
+         for p, w in op.numeric] + [f"not a{p}" for p in op.inhib])
+
+
+def _successor_source(n_places: int, plan) -> str:
+    """Python source of `succ(m)`, which returns what `successors`
+    returns.  It unpacks `m` into locals a0 ... a{n-1}; each transition is
+    one `if` on its numeric and inhibitor arcs, and each successor position
+    is one expression folding the five firing stages.  Transition names
+    are read from the tuple `N`, so the source holds no text of the net."""
+    lines = ["def succ(m):"]
+    if n_places:
+        lines.append(f"    {_unpack_source(n_places, 'm')}")
+    lines.append("    out = []")
+    for j, op in enumerate(plan):
+        succ = _tuple_source(n_places, _entries(op), "m")
+        append = f"out.append((N[{j}], {succ}))"
+        test = _test_source(op)
+        lines += [f"    if {test}:", f"        {append}"] if test \
+            else [f"    {append}"]
+    lines.append("    return out")
+    return "\n".join(lines) + "\n"
+
+
+def _search_loop(net: Net, goal: str, fields: _Fields):
+    """`_search_source` for `net`, `goal` and the width of `fields`,
+    compiled once and kept on the net."""
+    key = (goal, fields.width)
+    run = net._loops.get(key)
+    if run is None:
+        namespace = {"islice": islice, "H": fields.head, "G": fields.guard,
+                     "U": fields.read, "X": fields.encode, "B": fields.size,
+                     "E": "little"}
+        exec(compile(_search_source(len(net.places), net._plan(), goal,
+                                    fields.width), "<xpn search>", "exec"),
+             namespace)
+        run = net._loops[key] = namespace["run"]
+    return run
+
+
+def _packed_successor(op, n_places: int, width: int) -> str:
+    """The successor of the packed marking `m` under `op` as one int
+    expression, or "" if it is `m` itself.  The constant change of a run
+    of adjacent places is written (d << shift), which CPython folds when
+    small; a zeroed place subtracts (a{p} << shift) and a transfer target
+    adds its sources' locals shifted to it.  With more than _RUN such
+    terms the successor is packed (`X`) from a tuple built on the
+    unpacked `u` instead, so the work stays linear in the places."""
+    const, zeroed, moved = _effects(op)
+    consts = []  # [first place, last place, change from the first on]
+    for q, d in sorted(const.items()):
+        if d and consts and consts[-1][1] == q - 1:
+            first, _, change = consts[-1]
+            consts[-1][1:] = q, change + (d << (q - first) * width)
+        elif d:
+            consts.append([q, q, d])
+    # a self-transfer moves a place's tokens onto itself
+    minus = [p for p in sorted(zeroed) if p not in moved.get(p, ())]
+    plus = [(q, [src for src in srcs if src != q])
+            for q, srcs in sorted(moved.items())]
+    plus = [(q, srcs) for q, srcs in plus if srcs]
+    if len(consts) + len(minus) + len(plus) > _RUN:
+        return f"X({_tuple_source(n_places, _entries(op), 'u')})"
+
+    def shifted(value: str, q: int) -> str:
+        return f"({value} << {_lit(q * width)})" if q else value
+
+    out = "m"
+    if consts:
+        out += f" + ({' + '.join(shifted(_lit(d), q) for q, _, d in consts)})"
+    for q, srcs in plus:
+        total = " + ".join(f"a{s}" for s in srcs)
+        out += f" + {shifted(f'({total})', q)}"
+    for p in minus:
+        out += f" - {shifted(f'a{p}', p)}"
+    return "" if out == "m" else out
+
+
+def _search_source(n_places: int, plan, goal: str, width: int) -> str:
+    """Python source of `run(Q, P, i, stop, T)`, the breadth-first loop of
+    `_search` over markings packed in fields of `width` bits.
+
+    It expands Q[i], Q[i + 1], ... up to but not including Q[stop], while
+    Q grows: each successor not yet a key of P is stored there with its
+    predecessor as value and appended to Q.  Before expanding the i-th
+    marking it returns (i, None) if an entry is at or above the fields'
+    limit (an AND with `H`), so the caller can widen the fields and resume
+    at i.  It returns (i, m) at the first hit m, the i-th marking: one
+    equal to T for "reach", one covering T for "cover" (the guard-bit
+    subtraction of `UpwardClosedSet`), or one where no transition is
+    enabled for "deadlock".  It returns None when it runs out of queue or
+    reaches `stop`.
+
+    A marking's fields are unpacked into locals a0 ... a{n-1}, each
+    transition is one `if` on its numeric and inhibitor arcs, and each
+    successor is one int expression (`_packed_successor`).  The source
+    holds no text of the net."""
+    succs = [_packed_successor(op, n_places, width) for op in plan]
+    lines = ["def run(Q, P, i, stop, T):",
+             "    push = Q.append",
+             "    for i, m in enumerate(islice(Q, i, stop), i):",
+             "        if m & H:",
+             "            return i, None"]
+    if goal == "reach":
+        lines += ["        if m == T:", "            return i, m"]
+    elif goal == "cover":
+        lines += ["        if (m | G) - T & G == G:",
+                  "            return i, m"]
+    else:
+        lines.append("        k = 0")
+    if n_places and any(s.startswith("X(") for s in succs):
+        lines += ["        u = U(m.to_bytes(B, E))",
+                  f"        {_unpack_source(n_places, 'u')}"]
+    elif n_places:
+        unpacked = _unpack_source(n_places, "U(m.to_bytes(B, E))")
+        lines.append(f"        {unpacked}")
+    for op, succ in zip(plan, succs):
+        body = ["k = 1"] if goal == "deadlock" else []
+        if succ:
+            body += [f"s = {succ}", "if s not in P:", "    P[s] = m",
+                     "    push(s)"]
+        test = _test_source(op, unsigned=True)
+        if body and test:
+            lines.append(f"        if {test}:")
+            lines += [f"            {b}" for b in body]
+        elif body:
+            lines += [f"        {b}" for b in body]
+    if goal == "deadlock":
+        lines += ["        if not k:", "            return i, m"]
     return "\n".join(lines) + "\n"
 
 

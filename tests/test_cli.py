@@ -413,14 +413,16 @@ def test_generated_successors_scale_to_ten_thousand_places(tmp_path, net,
     path = tmp_path / "n.xpn"
     path.write_text(net)
     assert run_capped("explore", "deadlock", str(path), *argv) == want
-    # both generated sources are linear in places plus arcs: an expression
+    # the generated sources are linear in places plus arcs: an expression
     # per arc, runs of untouched places copied as one slice
     parsed = parse_net(net)
+    plan, n = parsed._plan(), len(parsed.places)
     arcs = sum(len(t.pre) + len(t.post) for t in parsed.transitions)
-    for bfs in (False, True):
-        src = xpn_net._successor_source(len(parsed.places), parsed._plan(),
-                                        bfs)
-        assert len(src) < 64 * (len(parsed.places) + arcs)
+    width = xpn_net._Fields.for_net(parsed, max(parsed.initial)).width
+    for src in [xpn_net._successor_source(n, plan)] + [
+            xpn_net._search_source(n, plan, goal, width)
+            for goal in ("reach", "cover", "deadlock")]:
+        assert len(src) < 64 * (n + arcs)
 
 
 def test_explore_has_no_max_depth(run, capsys):
@@ -672,9 +674,10 @@ def test_missing_file_is_exit_two(run):
 ], ids=["terminate-dot", "terminate-stem", "terminate-pump", "explore-trace",
         "export-dot-o", "transform-o", "compile-o"])
 def test_unwritable_output_is_a_usage_error(run, tmp_path, argv, net):
+    # every file is written before anything goes to stdout
     bad = str(tmp_path / "missing" / "out")
-    code, _, err, _ = run(*argv, bad, files={"n.xpn": net})
-    assert (code, err) == (2, f"{bad}: No such file or directory\n")
+    code, out, err, _ = run(*argv, bad, files={"n.xpn": net})
+    assert (code, out, err) == (2, "", f"{bad}: No such file or directory\n")
 
 
 def test_internal_error_is_exit_two(run, monkeypatch):

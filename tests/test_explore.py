@@ -1,3 +1,7 @@
+import contextlib
+import hashlib
+import io
+import operator
 import random
 import sys
 import tracemalloc
@@ -5,8 +9,9 @@ import tracemalloc
 import pytest
 
 import fuzz
+import machines
 import oracles
-from xpn import explore
+from xpn import cli, explore
 from xpn.explore import (
     BackwardCoverResult,
     UpwardClosedSet,
@@ -16,9 +21,9 @@ from xpn.explore import (
     bounded_reach,
     replay,
 )
-from xpn.fmt import parse_net
+from xpn.fmt import format_marking, parse_net, render_net
 from xpn.net import (BudgetExceededError, Net, NotFirableError, XpnError,
-                     _COMPILE_AFTER, expand)
+                     _COMPILE_AFTER)
 
 CHAIN = parse_net("""\
 places: a b
@@ -72,11 +77,10 @@ def test_a_found_trace_is_replayed_after_the_visited_markings_are_freed():
                     "marking: p0=1\n"
                     + "".join(f"trans t{i}: in p{i} ; out p{i + 1}\n"
                               for i in range(n - 1)))
-    # generate the search's step before measuring: its transient cost is
-    # the net's, not the search's
-    for _ in range(_COMPILE_AFTER + 1):
-        expand(net, net.initial, {}, [].append)
-    assert net._step is not None
+    # run the search once to generate its loop before measuring: that
+    # transient cost is the net's, not the search's
+    bounded_deadlock(net)
+    assert net._loops
     tracemalloc.start()
     try:
         r = bounded_deadlock(net)
@@ -100,6 +104,18 @@ def test_budget_exhaustion():
                    lambda **b: bounded_deadlock(CHAIN, **b)):
         with pytest.raises(TypeError):
             search(max_depth=1)
+
+
+def test_a_target_has_one_integer_entry_per_place():
+    # a search packs its target like its markings, so it checks it first
+    for search in (bounded_reach, bounded_cover):
+        with pytest.raises(XpnError, match="^target marking length mismatch$"):
+            search(CHAIN, (0, 2, 0))
+        with pytest.raises(XpnError, match="non-integer entry"):
+            search(CHAIN, (0, 1.5))
+    # a negative entry is covered by every marking and reached by none
+    assert bounded_cover(CHAIN, (-1, 0)).trace.transitions == ()
+    assert not bounded_reach(CHAIN, (-1, 3)).found
 
 
 def test_forward_budget_boundary_against_the_oracle():
@@ -179,6 +195,195 @@ def test_search_fuzz_against_exhaustive_oracle():
         assert r.found == bool(dead)
         if r.found:
             assert r.trace.markings[-1] in dead
+
+
+# ---------------------------------------------------------------------------
+# packed markings across field widths
+
+
+def counter(start, steps, weight=1):
+    """t adds `weight` to a, `steps` times; b, a's neighbour field, counts
+    the firings left, so a carry out of a's field would show in b."""
+    return (f"places: a b\nmarking: a={start} b={steps}\n"
+            f"trans t: in b ; out a*{weight}\n")
+
+
+def fan_in(start, steps):
+    """u moves d's tokens to b one at a time, and t transfers b and c into
+    a, so a new entry of a sums three old entries."""
+    return (f"places: a b c d\nmarking: a={start} c=3 d={steps}\n"
+            "trans u: in d ; out b\ntrans t: xfer b->a, xfer c->a ;\n")
+
+
+def warmed(net):
+    """`net` after searches of one interpreted step each, enough that its
+    next search runs the generated loop from the start."""
+    for _ in range(_COMPILE_AFTER):
+        bounded_reach(net, net.initial)
+    return net
+
+
+def run_search(net, goal, target, budget):
+    """(expanded, trace names or None) of a search, or its budget
+    message."""
+    try:
+        if goal == "deadlock":
+            r = bounded_deadlock(net, max_steps=budget)
+        else:
+            fn = bounded_reach if goal == "reach" else bounded_cover
+            r = fn(net, target, max_steps=budget)
+    except BudgetExceededError as e:
+        return str(e)
+    return r.expanded, r.trace and r.trace.transitions
+
+
+def oracle_search(graph, start, goal, target, budget):
+    """What `run_search` answers, from the oracle graph: the first hit in
+    the order the markings were found."""
+    for i, m in enumerate(graph):
+        if i >= budget:
+            return f"expanded={budget}"
+        if (not graph[m] if goal == "deadlock" else m == target
+                if goal == "reach" else all(map(operator.ge, m, target))):
+            return i + 1, bfs_path(graph, start, m)
+    return len(graph), None
+
+
+# (net, warmed first, an entry value the fields cannot take below the
+# first widening, the field widths the search goes through); the limits
+# are 2**(width - 1), or lower where a transition sums three entries (fan_in)
+# or adds a large post weight
+WIDTH_CASES = [
+    (counter(120, 20), True, 128, {8, 16}),
+    (counter(0, 20, weight=100), True, 128, {8, 16}),
+    (fan_in(55, 12), True, 64, {8, 16}),
+    (counter(2**15 - 10, 20), True, 2**15, {16, 32}),
+    (fan_in(2**14 - 10, 12), True, 2**14, {16, 32}),
+    (fan_in(2**30 - 10, 12), True, 2**30, {32, 64}),
+    (counter(2**31 - 10, 20), True, 2**31, {32, 64}),
+    (counter(2**63 - 10, 20), True, 2**63, {64, 128}),
+    (counter(2 * 10**18, 20), True, 0, {64}),
+    (counter(3 * 10**40, 20, weight=10**40), True, 0, {256}),
+    (counter(2**255 - 10, 20), True, 2**255, {256, 512}),
+    # on a cold net the first 64 steps are interpreted: a passes 127 after
+    # the switch, at it, or before it
+    (counter(60, 100), False, 128, {8, 16}),
+    (counter(63, 100), False, 128, {8, 16}),
+    (counter(64, 100), False, 128, {16}),
+    (counter(66, 100), False, 128, {16}),
+]
+
+
+@pytest.mark.parametrize("text, warm, cross, widths", WIDTH_CASES)
+def test_packed_search_across_field_widths(text, warm, cross, widths):
+    """Verdicts, expansion counts and traces equal the oracle's while the
+    fields widen, with targets that fit only after a widening or never,
+    and with budgets that stop the search just before and just after the
+    first marking that needs wider fields."""
+    base = parse_net(text)
+    graph = oracles.reach_graph(base, 400)
+    top = max(graph)  # the marking with the most tokens in a
+    miss = (top[0] + 1,) + top[1:]
+    huge = (10**600,) + top[1:]
+    low = (-5,) + top[1:]
+    # above the first limit but inside its field: a guard-bit subtraction
+    # with it would borrow from the next field
+    over = (cross + cross // 2,) + (0,) * (len(top) - 1)
+    k = next(i for i, m in enumerate(graph) if max(m) >= cross)
+    net = warmed(parse_net(text)) if warm else parse_net(text)
+    assert run_search(net, "reach", miss, 10**6) == (len(graph), None)
+    assert {width for _, width in net._loops} == widths
+    for goal, target in [("reach", top), ("reach", miss), ("reach", huge),
+                         ("cover", top), ("cover", miss), ("cover", huge),
+                         ("cover", low), ("cover", over), ("deadlock", None)]:
+        for budget in (10**6, k, k + 1):
+            if not warm:
+                net = parse_net(text)
+            assert run_search(net, goal, target, budget) == oracle_search(
+                graph, base.initial, goal, target, budget), (goal, target,
+                                                             budget)
+
+
+def ring_text(n, k):
+    """k tokens circling n places, all on p0 at the start."""
+    return (f"places: {' '.join(f'p{i}' for i in range(n))}\n"
+            f"marking: p0={k}\n"
+            + "".join(f"trans t{i}: in p{i} ; out p{(i + 1) % n}\n"
+                      for i in range(n)))
+
+
+def forward_queries():
+    """(explore argv after the net, net text) for the byte-stability
+    corpus: rings, seeded nets with all four arc kinds, the compiled
+    counter machines, and budget runs either side of the switch to
+    generated code."""
+    out = []
+    for n, k, hit in ((5, 8, "p2=3 p4=5"), (6, 12, "p1=5 p5=7")):
+        ring = ring_text(n, k)
+        out += [(("deadlock",), ring), (("reach", "-m", hit), ring),
+                (("reach", "-m", f"p0={k - 1}"), ring),
+                (("cover", "-m", f"p{n - 1}={k + 1}"), ring)]
+        for budget in ("0", "1", "64", "65"):
+            out += [(("deadlock", "--max-steps", budget), ring),
+                    (("reach", "-m", hit, "--max-steps", budget), ring),
+                    (("cover", "-m", f"p{n - 1}={k + 1}", "--max-steps",
+                      budget), ring)]
+    rng = random.Random(1309)
+    for _ in range(200):
+        net = fuzz.spiced_net(rng)
+        text = render_net(net)
+        graph = oracles.reach_graph(net, 200)
+        for mode in ("reach", "cover", "deadlock"):
+            argv = (mode, "--max-steps", "500")
+            if mode != "deadlock":
+                if graph is not None and rng.random() < 0.7:
+                    m = rng.choice(list(graph))
+                else:
+                    m = tuple(rng.randint(0, 4) for _ in net.places)
+                if mode == "cover":
+                    m = tuple(rng.randint(0, x) for x in m)
+                argv += ("-m", format_marking(net, m, keep_zeros=False))
+            out.append((argv, text))
+    return out
+
+
+def run_explore(tmp_path, argv, text):
+    """(exit code, stdout, --trace file or None) of `xpn explore`."""
+    path, trace = tmp_path / "n.xpn", tmp_path / "t.tr"
+    path.write_text(text)
+    trace.unlink(missing_ok=True)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(["explore", argv[0], str(path), *argv[1:],
+                         "--trace", str(trace)])
+    return code, out.getvalue(), trace.read_text() if trace.exists() else None
+
+
+# sha256 of the outputs over the corpus in test_forward_byte_stable
+FORWARD_DIGEST = "a38c68a00dd5486f9b92d9311632a6f79638cdc33f09f45009ca50a25859c0f0"
+
+
+def test_forward_byte_stable(tmp_path):
+    h = hashlib.sha256()
+    for argv, text in forward_queries():
+        h.update(repr((argv, run_explore(tmp_path, argv, text))).encode())
+    for name, machine, _ in machines.SUITE:
+        for flags in ((), ("--transfer",)):
+            src, net = tmp_path / "m.cm", tmp_path / "c.xpn"
+            src.write_text(machine)
+            assert cli.main(["compile", "minsky", str(src), "-o", str(net),
+                             *flags]) == 0
+            text = net.read_text()
+            cover = next(line for line in text.splitlines()
+                         if line.startswith("# cover: "))[len("# cover: "):]
+            argv = ("cover", "-m", cover, "--max-steps", "60000")
+            h.update(repr((name, flags, argv,
+                           run_explore(tmp_path, argv, text))).encode())
+    assert h.hexdigest() == FORWARD_DIGEST, (
+        "a forward search's stdout, exit code or trace changed on the "
+        "seeded corpus; if the change is intended, declare it in "
+        "CHANGES.md and update FORWARD_DIGEST")
 
 
 # ---------------------------------------------------------------------------

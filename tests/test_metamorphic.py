@@ -17,7 +17,7 @@ from xpn.explore import (backward_cover, bounded_cover, bounded_deadlock,
                          bounded_reach)
 from xpn.fmt import parse_net, render_net
 from xpn.net import (BudgetExceededError, INHIBITOR_KIND, TRANSFER_KIND, Net,
-                     Transfer, Transition, _COMPILE_AFTER, classify, expand,
+                     Transfer, Transition, _COMPILE_AFTER, _search, classify,
                      successors)
 from xpn.transforms import dlf_to_reach
 
@@ -177,12 +177,13 @@ def test_generated_successors_change_no_answer(text, reach, cover):
             if warm:
                 for _ in range(_COMPILE_AFTER + 1):
                     successors(net, net.initial)
-                    expand(net, net.initial, {}, [].append)
+                for _ in range(_COMPILE_AFTER):  # searches of one step
+                    _search(net, net.initial, "reach", net.initial, 1)
             try:
                 got.append(engine(net))
             except BudgetExceededError as e:
                 got.append(str(e))
-            switched.append(net._step is not None)
+            switched.append(bool(net._loops))
         return got, switched
 
     (cold, switched), (warm, _) = outcomes(False), outcomes(True)

@@ -1,4 +1,5 @@
 import io
+import operator
 import random
 import re
 import tokenize
@@ -20,10 +21,12 @@ from xpn.net import (
     Transition,
     UnknownTransitionError,
     XpnError,
+    BudgetExceededError,
     _COMPILE_AFTER,
+    _search,
+    _search_source,
     _successor_source,
     classify,
-    expand,
     fire,
     has_errors,
     is_firable,
@@ -186,25 +189,46 @@ def test_fire_fuzz_against_oracle():
 # the generated successor function, against the oracle and the interpreter
 
 def tiers(net):
-    """Two copies of `net`: one whose successors and search steps are still
-    interpreted, one warmed past the calls after which both run generated
-    code."""
+    """Two copies of `net`: one whose successors and searches are still
+    interpreted, one warmed past the calls and search steps after which
+    both run generated code."""
     cold = Net(net.places, net.transitions, net.initial)
     hot = Net(net.places, net.transitions, net.initial)
     for _ in range(_COMPILE_AFTER + 1):
         successors(hot, hot.initial)
-        expand(hot, hot.initial, {}, [].append)
-    assert hot._hot is not None and hot._step is not None
+    for _ in range(_COMPILE_AFTER):  # a search that hits after one step
+        _search(hot, hot.initial, "reach", hot.initial, 1)
+    assert hot._hot is not None and hot._steps == _COMPILE_AFTER
     return cold, hot
 
 
-def step(net, m, seen):
-    """What `expand` does at `m` when the markings `seen` are visited: the
-    markings it pushes, its return value and the predecessor dict after."""
-    parent = dict.fromkeys(seen)
-    pushed = []
-    k = expand(net, m, parent, pushed.append)
-    return pushed, k, parent
+def first_level(net, m, goal, target, budget):
+    """What `_search` of `net` from `m` does within `budget` steps: the
+    markings expanded and the path to the hit, unpacked, or the budget
+    message.  A cold `net` is copied first, so that it stays cold."""
+    if net._steps < _COMPILE_AFTER:
+        net = Net(net.places, net.transitions, m)
+    try:
+        expanded, path, fields = _search(net, m, goal, target, budget)
+    except BudgetExceededError as e:
+        return str(e)
+    return expanded, path and [fields.decode(x) for x in path]
+
+
+def assert_first_level(net, m, want):
+    """Searches from `m` stopping within its successors `want`, from the
+    oracle: one reach per new successor, at its place in declaration
+    order, one cover of each, and a deadlock search of one step."""
+    fresh = list(dict.fromkeys(s for _, s in want if s != m))
+    budget = len(fresh) + 1
+    for j, s in enumerate(fresh):
+        assert first_level(net, m, "reach", s, budget) == (j + 2, [m, s])
+        k = next(k for k, x in enumerate([m] + fresh)
+                 if all(map(operator.ge, x, s)))
+        assert first_level(net, m, "cover", s, budget) == (
+            k + 1, [m] if k == 0 else [m, fresh[k - 1]])
+    assert first_level(net, m, "deadlock", None, 1) == (
+        (1, [m]) if not want else "expanded=1" if fresh else (1, None))
 
 
 def assert_tiers_match_oracle(net, markings):
@@ -215,15 +239,10 @@ def assert_tiers_match_oracle(net, markings):
                 for name, succ in oracles.successor_pairs(net, md)]
         assert successors(cold, m) == want, (net, m)
         assert successors(hot, m) == want, (net, m)
-        # the search step pushes each successor not yet visited, once, in
-        # declaration order, and counts the enabled transitions
-        for seen in ({m} | {s for _, s in want[1::3]}, ()):
-            pushed = list(dict.fromkeys(s for _, s in want if s not in seen))
-            parent = dict.fromkeys(seen)
-            parent.update((s, m) for s in pushed)
-            assert step(cold, m, seen) == (pushed, len(want), parent), (net, m)
-            assert step(hot, m, seen) == (pushed, len(want), parent), (net, m)
-    assert cold._hot is None and cold._step is None  # below the threshold
+        assert_first_level(cold, m, want)
+        assert_first_level(hot, m, want)
+    assert cold._hot is None and not cold._loops  # below the threshold
+    assert hot._loops
 
 
 HUGE = (10**18, 10**18 + 1, 3 * 10**40 + 2)
@@ -296,9 +315,13 @@ def test_generated_source_holds_no_text_of_the_net():
     ts = [Transition(name, pre, {code[0]: 1, code[3]: 2}) for name in code]
     net = net_of(code, ts, [0, 1, 0, 0, 0])
     keywords = {"def", "succ", "m", "out", "N", "if", "and", "not", "append",
-                "return", "P", "Q", "s", "k", "in"}
-    for bfs in (False, True):
-        src = _successor_source(len(net.places), net._plan(), bfs)
+                "return", "run", "P", "Q", "i", "stop", "T", "push", "for",
+                "in", "enumerate", "islice", "H", "None", "G", "U", "B",
+                "E", "to_bytes", "k", "s", "u", "X", "sum"}
+    sources = [_successor_source(len(net.places), net._plan())] + [
+        _search_source(len(net.places), net._plan(), goal, width)
+        for goal in ("reach", "cover", "deadlock") for width in (8, 256)]
+    for src in sources:
         toks = list(tokenize.generate_tokens(io.StringIO(src).readline))
         assert not [t for t in toks if t.type == tokenize.STRING]
         names = {t.string for t in toks if t.type == tokenize.NAME} - keywords
@@ -306,7 +329,9 @@ def test_generated_source_holds_no_text_of_the_net():
     cold, hot = tiers(net)
     assert successors(hot, net.initial) == successors(cold, net.initial)
     assert [name for name, _ in successors(hot, net.initial)] == code
-    assert step(hot, net.initial, ()) == step(cold, net.initial, ())
+    want = successors(cold, net.initial)
+    assert_first_level(cold, net.initial, want)
+    assert_first_level(hot, net.initial, want)
 
 
 # ---------------------------------------------------------------------------

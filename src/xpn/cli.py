@@ -10,6 +10,7 @@ reported as `internal error: <Type>: <message>` on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -132,9 +133,8 @@ def cmd_explore(args) -> int:
     if args.mode == "backward-cover":
         res = backward_cover(net, _target(net, args, args.mode),
                              max_steps=args.max_steps)
-        print("COVERABLE" if res.coverable else "UNCOVERABLE")
-        for b in res.basis:
-            print(format_marking(net, b))
+        lines = ["COVERABLE" if res.coverable else "UNCOVERABLE"]
+        print("\n".join(lines + [format_marking(net, b) for b in res.basis]))
         return 0
 
     if args.mode == "deadlock":
@@ -145,10 +145,13 @@ def cmd_explore(args) -> int:
     if not res.found:
         print(f"EXHAUSTED expanded={res.expanded}")
         return 0
+    # the whole answer is text before anything is written
+    answer = (f"FOUND steps={len(res.trace.transitions)} "
+              f"expanded={res.expanded}\n"
+              + format_marking(net, res.trace.markings[-1]))
     if args.trace:
         _write_file(args.trace, render_trace(res.trace.transitions))
-    print(f"FOUND steps={len(res.trace.transitions)} expanded={res.expanded}")
-    print(format_marking(net, res.trace.markings[-1]))
+    print(answer)
     return 0
 
 
@@ -263,7 +266,13 @@ def cmd_export_dot(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first call.  Reuse
+    keeps no state between calls: each parse makes a fresh Namespace, no
+    default is mutable, `func` binds a `cmd_*` handler that looks every
+    engine up on this module when it runs, and help is formatted at the
+    terminal width of the moment."""
     ap = argparse.ArgumentParser(
         prog="xpn",
         description="Petri nets with inhibitor, reset and transfer arcs")

@@ -4,6 +4,7 @@ never reorders or renames anything."""
 
 from __future__ import annotations
 
+from .fmt import _writes_counts
 from .net import Inhibitor, Net, Numeric, Reset, Transfer
 
 
@@ -15,6 +16,7 @@ def _q(s: str) -> str:
     return '"' + _esc(s) + '"'
 
 
+@_writes_counts
 def export_dot(net: Net, highlight=()) -> str:
     """Places are circles (marking in the label), transitions boxes.
     Inhibitor arcs get a dot arrowhead, reset arcs a dashed R edge,

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from .net import (BudgetExceededError, Marking, Net, TRANSFER_KIND, XpnError,
                   classify, successors)
 from .explore import Trace, replay, _leq
+from .fmt import _writes_counts
 
 
 class NotEligibleError(XpnError):
@@ -87,16 +88,22 @@ def _fit(nodes: int, max_nodes: int) -> int:
     return nodes
 
 
+def _support(m: Marking) -> int:
+    """The places `m` marks, as a mask with bit 8*i set for place i."""
+    return int.from_bytes(bytes(map(bool, m)), "little")
+
+
 class _Frame:
     """A node on the current path of the walk.  `id` is its number in the
-    tree, `todo` holds the children still to visit (next one last) as
-    (id, via, marking), and `size` counts the tree nodes of its subtree
-    finished so far."""
-    __slots__ = ("id", "marking", "via", "via_index", "todo", "size")
+    tree, `mask` the support of its marking, `todo` holds the children
+    still to visit (next one last) as (id, via, marking), and `size`
+    counts the tree nodes of its subtree finished so far."""
+    __slots__ = ("id", "marking", "mask", "via", "via_index", "todo", "size")
 
     def __init__(self, nid, marking, via, via_index):
         self.id = nid
         self.marking = marking
+        self.mask = _support(marking)
         self.via = via
         self.via_index = via_index
         self.todo = []
@@ -106,11 +113,14 @@ class _Frame:
 def _scan(path, m1: Marking, level: int) -> int | None:
     """Position on `path` of the nearest frame that subsumes a new child of
     the top frame with marking `m1`, reached by a transition of index
-    `level`; None if there is none."""
+    `level`; None if there is none.  A frame marking a place `m1` leaves
+    empty cannot be <= `m1`, so one AND of support masks skips it."""
+    outside = ~_support(m1)
     for i in range(len(path) - 1, -1, -1):
         a = path[i]
         m2 = a.marking
-        if m2[:level] == m1[:level] and _leq(m2, m1):
+        if (not a.mask & outside and m2[:level] == m1[:level]
+                and _leq(m2, m1)):
             return i
         if a.via_index > level:
             level = a.via_index
@@ -246,6 +256,7 @@ def verify_pump(net: Net, verdict) -> bool:
         return False
 
 
+@_writes_counts
 def ert_dot(net: Net, ert: Ert) -> str:
     """DOT rendering of the tree; subsumed leaves are doubled and linked to
     the ancestor that cuts them."""

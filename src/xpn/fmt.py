@@ -15,7 +15,9 @@ canonical form that parses back to an equal net.
 
 from __future__ import annotations
 
+import functools
 import re
+import sys
 
 from .net import (Arc, INHIBIT, Inhibitor, Marking, Net, Numeric, RESET,
                   Reset, Transfer, Transition, XpnError, require_valid)
@@ -84,8 +86,13 @@ class _Cursor:
         m = _INT_RE.match(self.text, self.i)
         if not m:
             self.fail("expected a number")
+        try:
+            n = int(m.group())
+        except ValueError:  # past the interpreter's int/str digit limit
+            self.fail(f"number longer than {sys.get_int_max_str_digits()} "
+                      "digits")
         self.i = m.end()
-        return int(m.group())
+        return n
 
 
 def _strip_comment(raw: str) -> str:
@@ -125,7 +132,14 @@ class _NetReader:
 
     def fast(self, line: str) -> bool:
         """Read a well-formed line by pattern; False, having changed
-        nothing, for any line the _Cursor code must read."""
+        nothing, for any line the _Cursor code must read, one with a count
+        too long for int() included."""
+        try:
+            return self._by_pattern(line)
+        except ValueError:  # the _Cursor code reports where
+            return False
+
+    def _by_pattern(self, line: str) -> bool:
         m = _TRANS_LINE.fullmatch(line)
         if m:
             if not self.saw_places:
@@ -278,6 +292,20 @@ def parse_net(text: str) -> Net:
     return Net(tuple(reader.places), tuple(reader.transitions), marking)
 
 
+def _writes_counts(fn):
+    """Make `fn`, which writes counts as decimal text, raise XpnError
+    instead of ValueError on a count past the interpreter's int/str
+    conversion limit."""
+    @functools.wraps(fn)
+    def writer(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except ValueError:
+            raise XpnError(f"cannot write a count of more than "
+                           f"{sys.get_int_max_str_digits()} digits") from None
+    return writer
+
+
 def _check_name(name: str) -> str:
     m = _NAME_RE.fullmatch(name)
     if not m:
@@ -285,6 +313,7 @@ def _check_name(name: str) -> str:
     return name
 
 
+@_writes_counts
 def render_net(net: Net, header=()) -> str:
     """Canonical text for `net`; `header` lines are emitted as comments."""
     lines = [f"# {h}" if h else "#" for h in header]
@@ -340,6 +369,7 @@ def parse_marking(net: Net, literal: str) -> Marking:
     return net.marking(counts)
 
 
+@_writes_counts
 def format_marking(net: Net, m: Marking, keep_zeros: bool = True) -> str:
     pairs = [(p, n) for p, n in zip(net.places, m) if keep_zeros or n]
     return " ".join(f"{p}={n}" for p, n in pairs)

@@ -1,5 +1,6 @@
 """End-to-end CLI checks, run in process through cli.main."""
 
+import argparse
 import importlib.util
 import os
 import resource
@@ -448,6 +449,59 @@ def test_fire_keeps_huge_counts_exact(run):
     assert got[:3] == (0, f"a={E18 + 1} b={E18 - 2}\n", "")
 
 
+LIMIT = sys.get_int_max_str_digits()
+HUGE = "9" * (LIMIT + 1)
+no_digit_limit = pytest.mark.skipif(
+    not LIMIT, reason="int/str conversion has no digit limit here")
+
+
+@no_digit_limit
+@pytest.mark.parametrize("verb", [("validate",), ("explore", "deadlock"),
+                                  ("terminate",)])
+@pytest.mark.parametrize("text, at", [
+    (f"places: a b\nmarking: a={HUGE}\n", "2:12"),
+    (f"places: a b\ntrans t: in a*{HUGE} ; out b\n", "2:15"),
+    (f"places: a b\ntrans t: in a ; out b*{HUGE}\n", "2:23"),
+], ids=["marking", "pre-weight", "post-weight"])
+def test_counts_past_the_digit_limit_are_parse_errors(run, verb, text, at):
+    code, out, err, paths = run(*verb, "n.xpn", files={"n.xpn": text})
+    assert (code, out, err) == (
+        2, "", f"{paths['n.xpn']}:{at}: error: number longer than {LIMIT} "
+        "digits\n")
+
+
+@no_digit_limit
+def test_marking_literal_past_the_digit_limit_is_a_usage_error(run):
+    got = run("explore", "reach", "n.xpn", "-m", f"a={HUGE}",
+              files={"n.xpn": CHAIN})
+    assert got[:3] == (
+        2, "", f"marking literal: col 3: number longer than {LIMIT} digits\n")
+
+
+# each firing of t posts 10 ** (LIMIT - 1), a count of LIMIT digits, so
+# from the tenth firing on b holds one that cannot be written
+POSTS_HUGE = (f"places: a b\nmarking: a=11\n"
+              f"trans t: in a ; out b*{10 ** (LIMIT - 1)}\n")
+
+
+@no_digit_limit
+@pytest.mark.parametrize("argv", [
+    ("fire", "n.xpn", *["t"] * 11),
+    ("explore", "deadlock", "n.xpn"),
+    ("explore", "deadlock", "n.xpn", "--trace", "t.tr"),
+])
+def test_an_unwritable_answer_is_an_error_before_any_output(
+        run, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    got = run(*argv, files={"n.xpn": POSTS_HUGE})
+    assert got[:3] == (
+        2, "", f"error: cannot write a count of more than {LIMIT} digits\n")
+    assert not (tmp_path / "t.tr").exists()
+    # nine firings still write
+    assert run("fire", "n.xpn", *["t"] * 9)[:3] == (
+        0, f"a=2 b={9 * 10 ** (LIMIT - 1)}\n", "")
+
+
 @pytest.mark.parametrize("argv, out", [
     (("explore", "cover", "n.xpn", "-m", f"b={E18 + 1}", "--max-steps",
       "1000"), "OUT_OF_BUDGET expanded=1000\n"),
@@ -750,14 +804,118 @@ def test_each_query_validates_the_net_once(run, monkeypatch, argv):
     assert len(calls) == 1
 
 
-def test_benchmark_tracer_patches_names_that_exist():
-    # perfbench/spans.py wraps library names such as ert.successors and
-    # cli.build_ert by attribute; a rename would break its --trace run
+# ---------------------------------------------------------------------------
+# one parser per process
+
+def test_main_builds_its_parser_once(run, monkeypatch):
+    made = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli._parser.cache_clear()
+    for argv in [("classify", "n.xpn"), ("terminate", "n.xpn"),
+                 ("explore", "deadlock", "n.xpn"), ("classify", "n.xpn")]:
+        assert run(*argv, files={"n.xpn": CHAIN})[0] == 0
+    # one top-level parser and its one subparser per verb
+    assert made.count("xpn") == 1
+    assert len(made) == 1 + 8
+
+
+@pytest.mark.parametrize("calls", [
+    [(("terminate", "n.xpn", "--max-nodes", "1"),
+      (1, "OUT_OF_BUDGET tree exceeded 1 nodes\n")),
+     (("terminate", "n.xpn"), (0, "NONTERMINATING\nstem:\npump: t\n"))],
+    [(("explore", "reach", "n.xpn", "-m", "a=1", "--trace", "f.tr"),
+      (0, "FOUND steps=0 expanded=1\na=1\n")),
+     (("explore", "reach", "n.xpn", "-m", "a=1"),
+      (0, "FOUND steps=0 expanded=1\na=1\n"))],
+    [(("transform", "dlf-to-reach", "n.xpn", "--clause-cap", "0"),
+      (1, "OUT_OF_BUDGET more than 0 deadlock clauses\n")),
+     (("transform", "dlf-to-reach", "n.xpn"), (0, None))],
+    [(("fire", "n.xpn", "t"), (0, "a=1\n")),
+     (("fire", "n.xpn", "t", "-m", "a=5"), (0, "a=5\n")),
+     (("fire", "n.xpn", "t"), (0, "a=1\n"))],
+], ids=["max-nodes", "trace", "clause-cap", "marking"])
+def test_calls_in_sequence_share_no_arguments(run, tmp_path, monkeypatch,
+                                              calls):
+    monkeypatch.chdir(tmp_path)
+    for argv, (code, out) in calls:
+        (tmp_path / "f.tr").unlink(missing_ok=True)
+        got = run(*argv, files={"n.xpn": LOOP})
+        assert got[0] == code and got[2] == "", argv
+        assert out is None or got[1] == out, argv
+        assert (tmp_path / "f.tr").exists() == ("--trace" in argv), argv
+
+
+HELP_AND_USAGE = [("--help",), ("transform", "--help"), (),
+                  ("transform", "bogus", "x"), ("terminate",)]
+
+
+@pytest.mark.parametrize("argv", HELP_AND_USAGE,
+                         ids=["help", "transform-help", "no-arguments",
+                              "bad-choice", "no-net"])
+def test_help_and_usage_errors_repeat_byte_for_byte(capsys, monkeypatch,
+                                                    argv):
+    monkeypatch.setenv("COLUMNS", "72")
+    got = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(list(argv))
+        cap = capsys.readouterr()
+        got.append((exc.value.code, cap.out, cap.err))
+    assert got[0] == got[1]
+    assert got[0][0] in (0, 2) and (got[0][1] or got[0][2]).startswith(
+        "usage: xpn")
+    fresh = subprocess.run(
+        [sys.executable, "-m", "xpn.cli", *argv], capture_output=True,
+        text=True, timeout=20, env=dict(
+            os.environ, COLUMNS="72",
+            PYTHONPATH=str(Path(cli.__file__).parents[1])))
+    assert (fresh.returncode, fresh.stdout, fresh.stderr) == got[0]
+
+
+def _load_tracer():
+    """A Tracer from perfbench/spans.py, loaded without changing it."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    tracer = spans.Tracer()
+    return spans.Tracer()
+
+
+def test_benchmark_tracer_sees_layers_after_the_parser_is_built(run,
+                                                                tmp_path):
+    # the benchmark's warm-up query builds the parser before its tracer
+    # wraps the engines, so the parser must look them up when it runs
+    assert run("classify", "n.xpn", files={"n.xpn": CHAIN})[0] == 0
+    tracer = _load_tracer()
+    tracer.install()
+    try:
+        for argv, net in [
+                (("explore", "backward-cover", "n.xpn", "-m", "b=1"), CHAIN),
+                (("transform", "dlf-to-reach", "n.xpn"), CHAIN),
+                (("terminate", "n.xpn", "--dot", str(tmp_path / "t.dot")),
+                 LOOP)]:
+            sp = tracer.open("cli.main")
+            try:
+                assert run(*argv, files={"n.xpn": net})[0] == 0
+            finally:
+                tracer.close(sp)
+    finally:
+        tracer.uninstall()
+    names = {sp.name for sp in tracer.spans}
+    assert {"explore.backward_cover", "transforms.dlf_to_reach",
+            "ert.build_ert"} <= names
+
+
+def test_benchmark_tracer_patches_names_that_exist():
+    # perfbench/spans.py wraps library names such as ert.successors and
+    # cli.build_ert by attribute; a rename would break its --trace run
+    tracer = _load_tracer()
     try:  # a failed install leaves its earlier patches for uninstall
         tracer.install()
         patches = list(tracer._patches)

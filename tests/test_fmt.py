@@ -1,10 +1,13 @@
 import random
+import sys
 from pathlib import Path
 
 import pytest
 
 import fuzz
 from xpn import fmt
+from xpn.dot import export_dot
+from xpn.ert import build_ert, ert_dot
 from xpn.fmt import (
     ParseError,
     format_marking,
@@ -206,3 +209,52 @@ def test_trace_files():
     assert parse_trace(text) == ("t1", "t2", "t1")
     assert render_trace(("t1", "t2")) == "t1\nt2\n"
     assert parse_trace(render_trace(("a", "b", "a"))) == ("a", "b", "a")
+
+
+LIMIT = sys.get_int_max_str_digits()
+HUGE = "9" * (LIMIT + 1)
+no_digit_limit = pytest.mark.skipif(
+    not LIMIT, reason="int/str conversion has no digit limit here")
+
+
+@no_digit_limit
+@pytest.mark.parametrize("text, line, col", [
+    (f"places: a\nmarking: a={HUGE}\n", 2, 12),
+    (f"places: a\nmarking: a={HUGE} a=1\n", 2, 12),
+    (f"places: a\ntrans t: in a*{HUGE} ;\n", 2, 15),
+    (f"places: a\ntrans t: ; out a*{HUGE}\n", 2, 18),
+    # a place given twice sends the line to the _Cursor code
+    (f"places: a\ntrans t: ; out a*1, a*{HUGE}\n", 2, 23),
+])
+def test_counts_past_the_digit_limit_are_parse_errors(text, line, col):
+    # the count is reported where it starts, whichever reader meets it
+    with pytest.raises(ParseError) as exc:
+        parse_net(text)
+    assert (exc.value.message, exc.value.line, exc.value.col) == (
+        f"number longer than {LIMIT} digits", line, col)
+    with pytest.raises(ParseError) as exc:
+        parse_marking(parse_net("places: a b"), f"b = {HUGE}")
+    assert (exc.value.message, exc.value.col) == (
+        f"number longer than {LIMIT} digits", 5)
+
+
+@no_digit_limit
+def test_counts_at_the_digit_limit_round_trip():
+    most = "9" * LIMIT
+    text = (f"places: a\nmarking: a={most}\n"
+            f"trans t: in a*{most} ; out a*{most}\n")
+    assert render_net(parse_net(text)) == text
+
+
+@no_digit_limit
+def test_unwritable_counts_are_xpn_errors():
+    big = 10 ** LIMIT
+    net = Net(("a",), (Transition("t", {"a": Numeric(1)}, {"a": big}),), (1,))
+    tree = build_ert(net, stop_early=True)
+    for write in (lambda: format_marking(net, (big,)),
+                  lambda: render_net(net), lambda: export_dot(net),
+                  lambda: ert_dot(net, tree)):
+        with pytest.raises(XpnError,
+                           match=f"^cannot write a count of more than {LIMIT} "
+                           "digits$"):
+            write()

@@ -341,7 +341,13 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    ap = _parser()
+    args, extra = ap.parse_known_args(argv)
+    # an option ends `fire`'s positionals, so its transitions may follow it
+    if args.verb == "fire" and not any(w.startswith("-") for w in extra):
+        args.transition, extra = args.transition + extra, []
+    if extra:
+        ap.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.func(args)
     except BudgetExceededError as e:

@@ -88,10 +88,10 @@ def _path_names(net: Net, path: list, fields: _Fields) -> list:
 
 def _bfs(net: Net, goal: str, target, max_steps: int) -> SearchResult:
     """Shared engine from the initial marking, `goal` and `target` as in
-    `net._search`, the target checked first.  The search records only each marking's predecessor;
-    the transition names of a hit's trace are recovered from those
-    markings, and the trace is replayed, as a postcondition check, once
-    the visited markings are freed."""
+    `net._search`, the target checked first.  The search records only
+    each marking's predecessor; the transition names of a hit's trace are
+    recovered from those markings, and the trace is replayed, as a
+    postcondition check, once the visited markings are freed."""
     require_valid(net)  # so the initial marking fits the places
     if target is not None:
         target = tuple(target)

@@ -12,23 +12,21 @@ functions of (net, marking).  Engines read a net only through its compiled
 plan (`Net._plan`), and compiling validates: an invalid net can be built and
 passed to `validate`, but firing or analysing it raises InvalidNetError.
 
-`fire` and `is_firable` interpret the plan (`_enabled`/`_apply`, the
-reference firing rule).  `successors` interprets it for a net's first
-calls, then runs a function generated from the plan as Python source and
-cached on the net.
+`fire`, `is_firable` and `successors` interpret the plan (`_enabled` and
+`_apply`, the reference firing rule).
 
 `_search`, the breadth-first search behind `explore`'s forward searches,
-interprets the plan on tuples for a net's first steps too.  It then packs
-every visited marking into one int (`_Fields`: a field of 8, 16, 32, ...
-bits per place, in place order) and goes on in one loop generated per net,
-goal and field width: one unpack per marking, one `if` per transition, one
-int expression per successor, and the goal test on the packed marking.
-Each field keeps spare top bits, checked by one AND before a marking is
-expanded; when an entry gets too close to overflowing, the visited
-markings are packed again at twice the width and the loop resumes where it
-stopped.  `successors` and `_search` keep separate counts, so each is
-generated at most once per net (and width).  Found traces are replayed
-through `fire`, an independent check of the generated code.
+interprets the plan on tuples for its first `_COMPILE_AFTER` expansions
+too.  It then packs every visited marking into one int (`_Fields`: a
+field of 8, 16, 32, ... bits per place, in place order) and goes on in
+one loop generated per net, goal and field width: one unpack per
+marking, one `if` per transition, one int expression per successor, and
+the goal test on the packed marking.  Each field keeps spare top bits,
+checked by one AND before a marking is expanded; when an entry gets too
+close to overflowing, the visited markings are packed again at twice
+the width and the loop resumes where it stopped.  Each loop is compiled
+at most once per net, goal and width.  Found traces are replayed through
+`fire`, an independent check of the generated code.
 """
 
 from __future__ import annotations
@@ -135,9 +133,6 @@ class Net:
         object.__setattr__(self, "_pos", pos)
         object.__setattr__(self, "_tpos", tpos)
         object.__setattr__(self, "_ops", None)
-        object.__setattr__(self, "_calls", 0)
-        object.__setattr__(self, "_hot", None)
-        object.__setattr__(self, "_steps", 0)
         object.__setattr__(self, "_loops", {})
 
     # -- lookups -----------------------------------------------------------
@@ -254,15 +249,17 @@ def _apply(m, numeric, resets, xfers, posts) -> Marking:
     out = list(m)
     for p, w in numeric:
         out[p] -= w
-    # snapshot transfer sources after numeric consumption, then zero all
-    # reset/transfer sources, then deliver; transfers therefore never chain
-    moved = [(tgt, out[src]) for src, tgt in xfers]
     for p in resets:
         out[p] = 0
-    for src, _ in xfers:
-        out[src] = 0
-    for tgt, n in moved:
-        out[tgt] += n
+    if xfers:
+        # snapshot transfer sources after numeric consumption (a reset place
+        # is no source), then zero the sources, then deliver; transfers
+        # therefore never chain
+        moved = [(tgt, out[src]) for src, tgt in xfers]
+        for src, _ in xfers:
+            out[src] = 0
+        for tgt, n in moved:
+            out[tgt] += n
     for p, w in posts:
         out[p] += w
     return tuple(out)
@@ -284,25 +281,11 @@ def fire(net: Net, m: Marking, tname: str) -> Marking:
 
 
 def successors(net: Net, m: Marking) -> list:
-    """All (transition name, successor marking) pairs in declaration order.
-    A net's first `_COMPILE_AFTER` calls interpret its plan; later calls
-    run the successor function generated from it."""
+    """All (transition name, successor marking) pairs in declaration order."""
     _check_len(net, m)
-    hot = net._hot
-    if hot is not None:
-        return hot(m)
-    plan = net._plan()
-    calls = net._calls + 1
-    object.__setattr__(net, "_calls", calls)
-    if calls > _COMPILE_AFTER:
-        hot = _generate(net)
-        object.__setattr__(net, "_hot", hot)
-        return hot(m)
-    out = []
-    for name, numeric, inhib, resets, xfers, posts, _ in plan:
-        if _enabled(m, numeric, inhib):
-            out.append((name, _apply(m, numeric, resets, xfers, posts)))
-    return out
+    return [(name, _apply(m, numeric, resets, xfers, posts))
+            for name, numeric, inhib, resets, xfers, posts, _ in net._plan()
+            if _enabled(m, numeric, inhib)]
 
 
 def _search(net: Net, start: Marking, goal: str, target, max_steps: int):
@@ -318,9 +301,9 @@ def _search(net: Net, start: Marking, goal: str, target, max_steps: int):
     BudgetExceededError when a marking past the `max_steps`-th would need
     expanding.
 
-    A net's first `_COMPILE_AFTER` steps interpret its plan on tuples; the
-    search then packs the markings it has visited and goes on in the loop
-    generated for the goal and the field width (`_search_source`)."""
+    The first `_COMPILE_AFTER` expansions interpret the plan on tuples;
+    the search then packs the markings it has visited and goes on in the
+    loop generated for the goal and the field width (`_search_source`)."""
     _check_len(net, start)
     plan = net._plan()
     stop = min(max(max_steps, 0), sys.maxsize)
@@ -328,12 +311,11 @@ def _search(net: Net, start: Marking, goal: str, target, max_steps: int):
     queue = [start]  # every visited marking, in the order of expansion
     expanded, hit = 0, None
     for m in queue:
-        if net._steps >= _COMPILE_AFTER:
+        if expanded >= _COMPILE_AFTER:
             break
         if expanded >= stop:
             raise BudgetExceededError(f"expanded={expanded}")
         expanded += 1
-        object.__setattr__(net, "_steps", net._steps + 1)
         k = 0
         for _, numeric, inhib, resets, xfers, posts, _ in plan:
             if _enabled(m, numeric, inhib):
@@ -520,13 +502,12 @@ def _read_wide(n: int, nb: int, raw: bytes) -> tuple:
 # ---------------------------------------------------------------------------
 # generated code
 
-# compile() costs about 55-85 us per transition for the `successors` body and
-# somewhat more for the search loop; either saves about 1 us per enabled and
-# 0.15-0.3 us per disabled transition per expansion.  So either pays back
-# after about 40-140 expansions where a good share of transitions fire, and
-# after 250-550 on a line net where one in hundreds does, whatever the net's
-# size.  One threshold serves both: nets expanded fewer times (most
-# termination queries expand 8 to 125 markings) stay interpreted.
+# compile() of the search loop costs about 60-85 us per transition and saves
+# about 1 us per enabled and 0.15-0.3 us per disabled transition per
+# expansion.  So it pays back after about 40-140 expansions where a good
+# share of transitions fire, and after 250-550 on a line net where one in
+# hundreds does, whatever the net's size.  A search switches after its own
+# _COMPILE_AFTER expansions, so searches shorter than that stay interpreted.
 _COMPILE_AFTER = 64
 
 # a run of more than _RUN untouched places is copied as one slice of a
@@ -541,15 +522,6 @@ def _lit(n: int) -> str:
     ints beyond 4,300 digits, and through int's own method so that an int
     subclass cannot put other text into the source."""
     return int.__format__(n, "#x")
-
-
-def _generate(net: Net):
-    """Compile `_successor_source` for `net` and return its `succ`."""
-    plan = net._plan()
-    namespace = {"N": tuple(op.name for op in plan)}
-    exec(compile(_successor_source(len(net.places), plan),
-                 "<xpn successors>", "exec"), namespace)
-    return namespace["succ"]
 
 
 def _effects(op):
@@ -619,32 +591,13 @@ def _unpack_source(n_places: int, value: str) -> str:
     return f"{', '.join(f'a{q}' for q in range(n_places))}, = {value}"
 
 
-def _test_source(op, unsigned: bool = False) -> str:
-    """The enabling test of `op` on the locals, "" if always enabled.  On
-    `unsigned` entries a weight of 1 is tested by truth, which is cheaper."""
+def _test_source(op) -> str:
+    """The enabling test of `op` on the locals, "" if always enabled.  The
+    entries are unsigned, so a weight of 1 is tested by truth, which is
+    cheaper."""
     return " and ".join(
-        [f"a{p}" if unsigned and w == 1 else f"a{p} >= {_lit(w)}"
-         for p, w in op.numeric] + [f"not a{p}" for p in op.inhib])
-
-
-def _successor_source(n_places: int, plan) -> str:
-    """Python source of `succ(m)`, which returns what `successors`
-    returns.  It unpacks `m` into locals a0 ... a{n-1}; each transition is
-    one `if` on its numeric and inhibitor arcs, and each successor position
-    is one expression folding the five firing stages.  Transition names
-    are read from the tuple `N`, so the source holds no text of the net."""
-    lines = ["def succ(m):"]
-    if n_places:
-        lines.append(f"    {_unpack_source(n_places, 'm')}")
-    lines.append("    out = []")
-    for j, op in enumerate(plan):
-        succ = _tuple_source(n_places, _entries(op), "m")
-        append = f"out.append((N[{j}], {succ}))"
-        test = _test_source(op)
-        lines += [f"    if {test}:", f"        {append}"] if test \
-            else [f"    {append}"]
-    lines.append("    return out")
-    return "\n".join(lines) + "\n"
+        [f"a{p}" if w == 1 else f"a{p} >= {_lit(w)}" for p, w in op.numeric]
+        + [f"not a{p}" for p in op.inhib])
 
 
 def _search_loop(net: Net, goal: str, fields: _Fields):
@@ -744,7 +697,7 @@ def _search_source(n_places: int, plan, goal: str, width: int) -> str:
         if succ:
             body += [f"s = {succ}", "if s not in P:", "    P[s] = m",
                      "    push(s)"]
-        test = _test_source(op, unsigned=True)
+        test = _test_source(op)
         if body and test:
             lines.append(f"        if {test}:")
             lines += [f"            {b}" for b in body]

@@ -108,6 +108,32 @@ def test_fire_with_start_marking(run):
     assert code == 0 and out == "a=4 b=1\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("n.xpn", "-m", "a=5", "t", "t"),
+    ("n.xpn", "t", "-m", "a=5", "t"),
+    ("n.xpn", "t", "t", "-m", "a=5"),
+    ("-m", "a=5", "n.xpn", "t", "t"),
+], ids=["marking-before-transitions", "marking-between", "marking-last",
+        "marking-before-net"])
+def test_fire_takes_transitions_around_its_options(run, argv):
+    assert run("fire", *argv, files={"n.xpn": CHAIN})[:3] == (
+        0, "a=3 b=2\n", "")
+
+
+@pytest.mark.parametrize("argv, rest", [
+    (("fire", "n.xpn", "--bogus", "t"), "--bogus t"),
+    (("fire", "n.xpn", "-m", "a=5", "t", "--bogus"), "t --bogus"),
+    (("classify", "n.xpn", "t"), "t"),
+], ids=["fire-option", "fire-option-last", "classify-word"])
+def test_unrecognized_arguments_exit_2(run, capsys, argv, rest):
+    with pytest.raises(SystemExit) as exc:
+        run(*argv, files={"n.xpn": CHAIN})
+    cap = capsys.readouterr()
+    assert (exc.value.code, cap.out, cap.err) == (
+        2, "", cli._parser().format_usage()
+        + f"xpn: error: unrecognized arguments: {rest}\n")
+
+
 def test_fire_trace_file(run):
     code, out, _, _ = run("fire", "n.xpn", "--trace-file", "tr",
                           files={"n.xpn": CHAIN, "tr": "t\nt\n"})
@@ -392,14 +418,14 @@ def test_dlf_to_reach_runs_out_on_huge_weights(tmp_path):
 
 N4 = 10**4
 # a 10**4-way transfer fan-in into one place, beside a countdown c that
-# takes the search past the calls after which successors are generated
+# takes the search past the expansions after which its loop is generated
 FAN_IN = (f"places: c {' '.join(f'p{i}' for i in range(N4 + 1))}\n"
           f"marking: c=100 {' '.join(f'p{i}=1' for i in range(N4))}\n"
           "trans d: in c ;\n"
           f"trans t: {', '.join(f'xfer p{i}->p{N4}' for i in range(N4))} ;\n")
 # a token walking a line of 10**4 places; its 10**4 reachable markings of
 # 10**4 entries each would not fit the child's cap, so the search is
-# budgeted, well past the calls after which successors are generated
+# budgeted, well past the expansions after which its loop is generated
 LINE = (f"places: {' '.join(f'p{i}' for i in range(N4))}\nmarking: p0=1\n"
         + "".join(f"trans t{i}: in p{i} ; out p{i + 1}\n"
                   for i in range(N4 - 1)))
@@ -414,15 +440,14 @@ def test_generated_successors_scale_to_ten_thousand_places(tmp_path, net,
     path = tmp_path / "n.xpn"
     path.write_text(net)
     assert run_capped("explore", "deadlock", str(path), *argv) == want
-    # the generated sources are linear in places plus arcs: an expression
-    # per arc, runs of untouched places copied as one slice
+    # the generated search loops are linear in places plus arcs: an
+    # expression per arc, runs of untouched places copied as one slice
     parsed = parse_net(net)
     plan, n = parsed._plan(), len(parsed.places)
     arcs = sum(len(t.pre) + len(t.post) for t in parsed.transitions)
     width = xpn_net._Fields.for_net(parsed, max(parsed.initial)).width
-    for src in [xpn_net._successor_source(n, plan)] + [
-            xpn_net._search_source(n, plan, goal, width)
-            for goal in ("reach", "cover", "deadlock")]:
+    for goal in ("reach", "cover", "deadlock"):
+        src = xpn_net._search_source(n, plan, goal, width)
         assert len(src) < 64 * (n + arcs)
 
 
@@ -838,6 +863,8 @@ def test_main_builds_its_parser_once(run, monkeypatch):
      (("transform", "dlf-to-reach", "n.xpn"), (0, None))],
     [(("fire", "n.xpn", "t"), (0, "a=1\n")),
      (("fire", "n.xpn", "t", "-m", "a=5"), (0, "a=5\n")),
+     (("fire", "n.xpn", "t"), (0, "a=1\n")),
+     (("fire", "n.xpn", "-m", "a=5", "t"), (0, "a=5\n")),
      (("fire", "n.xpn", "t"), (0, "a=1\n"))],
 ], ids=["max-nodes", "trace", "clause-cap", "marking"])
 def test_calls_in_sequence_share_no_arguments(run, tmp_path, monkeypatch,

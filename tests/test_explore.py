@@ -12,6 +12,7 @@ import fuzz
 import machines
 import oracles
 from xpn import cli, explore
+from xpn import net as xpn_net
 from xpn.explore import (
     BackwardCoverResult,
     UpwardClosedSet,
@@ -22,8 +23,7 @@ from xpn.explore import (
     replay,
 )
 from xpn.fmt import format_marking, parse_net, render_net
-from xpn.net import (BudgetExceededError, Net, NotFirableError, XpnError,
-                     _COMPILE_AFTER)
+from xpn.net import BudgetExceededError, Net, NotFirableError, XpnError
 
 CHAIN = parse_net("""\
 places: a b
@@ -215,14 +215,6 @@ def fan_in(start, steps):
             "trans u: in d ; out b\ntrans t: xfer b->a, xfer c->a ;\n")
 
 
-def warmed(net):
-    """`net` after searches of one interpreted step each, enough that its
-    next search runs the generated loop from the start."""
-    for _ in range(_COMPILE_AFTER):
-        bounded_reach(net, net.initial)
-    return net
-
-
 def run_search(net, goal, target, budget):
     """(expanded, trace names or None) of a search, or its budget
     message."""
@@ -249,10 +241,10 @@ def oracle_search(graph, start, goal, target, budget):
     return len(graph), None
 
 
-# (net, warmed first, an entry value the fields cannot take below the
-# first widening, the field widths the search goes through); the limits
-# are 2**(width - 1), or lower where a transition sums three entries (fan_in)
-# or adds a large post weight
+# (net, searched in the generated loop from the first expansion on, an
+# entry value the fields cannot take below the first widening, the field
+# widths the search goes through); the limits are 2**(width - 1), or lower
+# where a transition sums three entries (fan_in) or adds a large post weight
 WIDTH_CASES = [
     (counter(120, 20), True, 128, {8, 16}),
     (counter(0, 20, weight=100), True, 128, {8, 16}),
@@ -265,8 +257,8 @@ WIDTH_CASES = [
     (counter(2 * 10**18, 20), True, 0, {64}),
     (counter(3 * 10**40, 20, weight=10**40), True, 0, {256}),
     (counter(2**255 - 10, 20), True, 2**255, {256, 512}),
-    # on a cold net the first 64 steps are interpreted: a passes 127 after
-    # the switch, at it, or before it
+    # a search interprets its first 64 expansions: a passes 127 after the
+    # switch, at it, or before it
     (counter(60, 100), False, 128, {8, 16}),
     (counter(63, 100), False, 128, {8, 16}),
     (counter(64, 100), False, 128, {16}),
@@ -274,8 +266,9 @@ WIDTH_CASES = [
 ]
 
 
-@pytest.mark.parametrize("text, warm, cross, widths", WIDTH_CASES)
-def test_packed_search_across_field_widths(text, warm, cross, widths):
+@pytest.mark.parametrize("text, packed, cross, widths", WIDTH_CASES)
+def test_packed_search_across_field_widths(text, packed, cross, widths,
+                                           monkeypatch):
     """Verdicts, expansion counts and traces equal the oracle's while the
     fields widen, with targets that fit only after a widening or never,
     and with budgets that stop the search just before and just after the
@@ -290,15 +283,15 @@ def test_packed_search_across_field_widths(text, warm, cross, widths):
     # with it would borrow from the next field
     over = (cross + cross // 2,) + (0,) * (len(top) - 1)
     k = next(i for i, m in enumerate(graph) if max(m) >= cross)
-    net = warmed(parse_net(text)) if warm else parse_net(text)
+    if packed:
+        monkeypatch.setattr(xpn_net, "_COMPILE_AFTER", 0)
+    net = parse_net(text)
     assert run_search(net, "reach", miss, 10**6) == (len(graph), None)
     assert {width for _, width in net._loops} == widths
     for goal, target in [("reach", top), ("reach", miss), ("reach", huge),
                          ("cover", top), ("cover", miss), ("cover", huge),
                          ("cover", low), ("cover", over), ("deadlock", None)]:
         for budget in (10**6, k, k + 1):
-            if not warm:
-                net = parse_net(text)
             assert run_search(net, goal, target, budget) == oracle_search(
                 graph, base.initial, goal, target, budget), (goal, target,
                                                              budget)
@@ -310,6 +303,34 @@ def ring_text(n, k):
             f"marking: p0={k}\n"
             + "".join(f"trans t{i}: in p{i} ; out p{(i + 1) % n}\n"
                       for i in range(n)))
+
+
+def test_each_search_switches_after_its_own_expansions(monkeypatch):
+    """A search of a net switches to the generated loop after its own
+    first 64 expansions, whatever searches of that net ran before: a
+    repeated search answers alike and reuses the compiled loop, and a
+    short search after it stays interpreted."""
+    runs = []
+    loop = xpn_net._search_loop
+    monkeypatch.setattr(xpn_net, "_search_loop",
+                        lambda *args: runs.append(args[1]) or loop(*args))
+    text = ring_text(5, 8)
+    net = parse_net(text)
+    first = bounded_deadlock(net)
+    loops = dict(net._loops)
+    second = bounded_deadlock(net)
+    assert first == second == explore.SearchResult(None, 495)
+    assert runs == ["deadlock"] * 2 and net._loops == loops
+    reach = bounded_reach(net, (0, 0, 0, 0, 8))
+    assert reach == bounded_reach(parse_net(text), (0, 0, 0, 0, 8))
+    assert reach.found and reach.expanded > 64
+    del runs[:]
+    short = bounded_reach(net, (6, 2, 0, 0, 0))
+    assert short == bounded_reach(parse_net(text), (6, 2, 0, 0, 0))
+    assert short.trace.transitions == ("t0", "t0") and short.expanded < 64
+    with pytest.raises(BudgetExceededError, match="^expanded=10$"):
+        bounded_deadlock(net, max_steps=10)
+    assert not runs
 
 
 def forward_queries():

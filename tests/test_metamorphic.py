@@ -2,8 +2,8 @@
 reversing the transition order, leave every engine's answer unchanged.
 Each net, original or changed, must survive a render/parse round trip
 before an engine sees it.  Raising a budget may turn a run-out into an
-answer, but never changes an answer, and neither does the switch from
-interpreted to generated firing code."""
+answer, but never changes an answer, and neither does the forward
+search's switch from interpreted to generated code."""
 
 import random
 
@@ -16,9 +16,9 @@ from xpn.ert import decide_termination
 from xpn.explore import (backward_cover, bounded_cover, bounded_deadlock,
                          bounded_reach)
 from xpn.fmt import parse_net, render_net
+from xpn import net as xpn_net
 from xpn.net import (BudgetExceededError, INHIBITOR_KIND, TRANSFER_KIND, Net,
-                     Transfer, Transition, _COMPILE_AFTER, _search, classify,
-                     successors)
+                     Transfer, Transition, classify)
 from xpn.transforms import dlf_to_reach
 
 
@@ -158,11 +158,13 @@ COUNTDOWN = ("places: p0 p1 p2 p3\nmarking: p0=3 p1=3 p2=3 p3=3\n"
     (RING, (0, 0, 0, 0, 8), (0, 0, 0, 0, 9)),
     (COUNTDOWN, (0, 0, 0, 1), (0, 0, 0, 4)),
 ], ids=["ring5x8", "countdown4x3"])
-def test_generated_successors_change_no_answer(text, reach, cover):
-    """Each engine on a fresh net, which switches tiers after its first
-    _COMPILE_AFTER successors calls or search steps, mid-search, equals the
-    same engine on a net warmed past both switches first: traces,
-    expansion counts, verdicts, tree sizes and budget messages alike."""
+def test_generated_successors_change_no_answer(text, reach, cover,
+                                              monkeypatch):
+    """Each engine on a fresh net, whose forward searches switch to the
+    generated loop after their first _COMPILE_AFTER expansions, equals the
+    same engine with that threshold at 0, where they run it from the
+    first expansion on: traces, expansion counts, verdicts, tree sizes
+    and budget messages alike."""
     engines = [
         lambda n: bounded_reach(n, reach, max_steps=15_000),
         lambda n: bounded_cover(n, cover, max_steps=15_000),
@@ -170,15 +172,10 @@ def test_generated_successors_change_no_answer(text, reach, cover):
         lambda n: decide_termination(n, max_nodes=15_000),
     ]
 
-    def outcomes(warm):
+    def outcomes():
         got, switched = [], []
         for engine in engines:
             net = parse_net(text)
-            if warm:
-                for _ in range(_COMPILE_AFTER + 1):
-                    successors(net, net.initial)
-                for _ in range(_COMPILE_AFTER):  # searches of one step
-                    _search(net, net.initial, "reach", net.initial, 1)
             try:
                 got.append(engine(net))
             except BudgetExceededError as e:
@@ -186,6 +183,7 @@ def test_generated_successors_change_no_answer(text, reach, cover):
             switched.append(bool(net._loops))
         return got, switched
 
-    (cold, switched), (warm, _) = outcomes(False), outcomes(True)
+    cold, switched = outcomes()
     assert switched[:3] == [True] * 3  # every forward search switched
-    assert cold == warm
+    monkeypatch.setattr(xpn_net, "_COMPILE_AFTER", 0)
+    assert outcomes()[0] == cold

@@ -8,6 +8,7 @@ import pytest
 
 import fuzz
 import oracles
+from xpn import net as xpn_net
 from xpn.ert import transition_index
 from xpn.net import (
     INHIBIT,
@@ -22,10 +23,8 @@ from xpn.net import (
     UnknownTransitionError,
     XpnError,
     BudgetExceededError,
-    _COMPILE_AFTER,
     _search,
     _search_source,
-    _successor_source,
     classify,
     fire,
     has_errors,
@@ -186,48 +185,45 @@ def test_fire_fuzz_against_oracle():
 
 
 # ---------------------------------------------------------------------------
-# the generated successor function, against the oracle and the interpreter
+# the interpreted successors and both tiers of the search, against the oracle
 
 def tiers(net):
-    """Two copies of `net`: one whose successors and searches are still
-    interpreted, one warmed past the calls and search steps after which
-    both run generated code."""
-    cold = Net(net.places, net.transitions, net.initial)
-    hot = Net(net.places, net.transitions, net.initial)
-    for _ in range(_COMPILE_AFTER + 1):
-        successors(hot, hot.initial)
-    for _ in range(_COMPILE_AFTER):  # a search that hits after one step
-        _search(hot, hot.initial, "reach", hot.initial, 1)
-    assert hot._hot is not None and hot._steps == _COMPILE_AFTER
-    return cold, hot
+    """Two copies of `net`: `cold` for searches run as the CLI runs them,
+    interpreted for their first `_COMPILE_AFTER` expansions, and `hot` for
+    searches run with that threshold at 0, in the generated loop from the
+    first expansion on (see `first_level`)."""
+    return (Net(net.places, net.transitions, net.initial),
+            Net(net.places, net.transitions, net.initial))
 
 
-def first_level(net, m, goal, target, budget):
+def first_level(net, m, goal, target, budget, packed=False):
     """What `_search` of `net` from `m` does within `budget` steps: the
     markings expanded and the path to the hit, unpacked, or the budget
-    message.  A cold `net` is copied first, so that it stays cold."""
-    if net._steps < _COMPILE_AFTER:
-        net = Net(net.places, net.transitions, m)
-    try:
-        expanded, path, fields = _search(net, m, goal, target, budget)
-    except BudgetExceededError as e:
-        return str(e)
+    message.  A `packed` search runs the generated loop from the start."""
+    with pytest.MonkeyPatch.context() as mp:
+        if packed:
+            mp.setattr(xpn_net, "_COMPILE_AFTER", 0)
+        try:
+            expanded, path, fields = _search(net, m, goal, target, budget)
+        except BudgetExceededError as e:
+            return str(e)
     return expanded, path and [fields.decode(x) for x in path]
 
 
-def assert_first_level(net, m, want):
+def assert_first_level(net, m, want, packed=False):
     """Searches from `m` stopping within its successors `want`, from the
     oracle: one reach per new successor, at its place in declaration
     order, one cover of each, and a deadlock search of one step."""
     fresh = list(dict.fromkeys(s for _, s in want if s != m))
     budget = len(fresh) + 1
     for j, s in enumerate(fresh):
-        assert first_level(net, m, "reach", s, budget) == (j + 2, [m, s])
+        assert first_level(net, m, "reach", s, budget, packed) == (
+            j + 2, [m, s])
         k = next(k for k, x in enumerate([m] + fresh)
                  if all(map(operator.ge, x, s)))
-        assert first_level(net, m, "cover", s, budget) == (
+        assert first_level(net, m, "cover", s, budget, packed) == (
             k + 1, [m] if k == 0 else [m, fresh[k - 1]])
-    assert first_level(net, m, "deadlock", None, 1) == (
+    assert first_level(net, m, "deadlock", None, 1, packed) == (
         (1, [m]) if not want else "expanded=1" if fresh else (1, None))
 
 
@@ -238,10 +234,9 @@ def assert_tiers_match_oracle(net, markings):
         want = [(name, oracles.as_tuple(net, succ))
                 for name, succ in oracles.successor_pairs(net, md)]
         assert successors(cold, m) == want, (net, m)
-        assert successors(hot, m) == want, (net, m)
         assert_first_level(cold, m, want)
-        assert_first_level(hot, m, want)
-    assert cold._hot is None and not cold._loops  # below the threshold
+        assert_first_level(hot, m, want, packed=True)
+    assert not cold._loops  # below the threshold
     assert hot._loops
 
 
@@ -308,30 +303,29 @@ def test_generated_successors_hand_cases(places, transitions):
 
 
 def test_generated_source_holds_no_text_of_the_net():
-    # names that are Python code reach the function only as N[i]
+    # names that are Python code reach no generated source: a place is its
+    # local a{q}, and the search loop names no transition
     code = ["__import__('os').system('exit 3')", "a0", "m", '"""', "x\ny"]
     pre = {code[1]: Numeric(1), code[2]: Transfer(code[3]),
            code[0]: INHIBIT, code[4]: RESET}
     ts = [Transition(name, pre, {code[0]: 1, code[3]: 2}) for name in code]
     net = net_of(code, ts, [0, 1, 0, 0, 0])
-    keywords = {"def", "succ", "m", "out", "N", "if", "and", "not", "append",
-                "return", "run", "P", "Q", "i", "stop", "T", "push", "for",
-                "in", "enumerate", "islice", "H", "None", "G", "U", "B",
-                "E", "to_bytes", "k", "s", "u", "X", "sum"}
-    sources = [_successor_source(len(net.places), net._plan())] + [
-        _search_source(len(net.places), net._plan(), goal, width)
-        for goal in ("reach", "cover", "deadlock") for width in (8, 256)]
+    keywords = {"def", "m", "if", "and", "not", "append", "return", "run",
+                "P", "Q", "i", "stop", "T", "push", "for", "in", "enumerate",
+                "islice", "H", "None", "G", "U", "B", "E", "to_bytes", "k",
+                "s", "u", "X", "sum"}
+    sources = [_search_source(len(net.places), net._plan(), goal, width)
+               for goal in ("reach", "cover", "deadlock") for width in (8, 256)]
     for src in sources:
         toks = list(tokenize.generate_tokens(io.StringIO(src).readline))
         assert not [t for t in toks if t.type == tokenize.STRING]
         names = {t.string for t in toks if t.type == tokenize.NAME} - keywords
         assert all(re.fullmatch(r"a\d+", n) for n in names), names
     cold, hot = tiers(net)
-    assert successors(hot, net.initial) == successors(cold, net.initial)
-    assert [name for name, _ in successors(hot, net.initial)] == code
     want = successors(cold, net.initial)
+    assert [name for name, _ in want] == code
     assert_first_level(cold, net.initial, want)
-    assert_first_level(hot, net.initial, want)
+    assert_first_level(hot, net.initial, want, packed=True)
 
 
 # ---------------------------------------------------------------------------

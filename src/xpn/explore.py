@@ -22,8 +22,9 @@ from struct import error as StructError
 
 # forward search runs `_search`; `explore.successors` stays a name because
 # perfbench/spans.py wraps it
-from .net import (BudgetExceededError, Marking, Net, XpnError, _Fields,
-                  _apply, _enabled, _search, fire, require_valid, successors)
+from .net import (BudgetExceededError, Marking, Net, XpnError, _effects,
+                  _Fields, _apply, _enabled, _search, fire, require_valid,
+                  successors)
 
 
 @dataclass(frozen=True)
@@ -69,9 +70,7 @@ def _path_names(net: Net, path: list, fields: _Fields) -> list:
     plan = net._plan()
     acting = [[] for _ in net.places]  # per place, in declaration order
     for op in plan:
-        for p in ({q for q, _ in op.numeric} | set(op.resets)
-                  | {q for pair in op.xfers for q in pair}
-                  | {q for q, _ in op.posts}):
+        for p in set().union(*_effects(op)):  # every place `op` acts on
             acting[p].append(op)
     names = []
     at = fields.decode(path[0])
@@ -310,10 +309,7 @@ def _predecessor_shape(n: int, op) -> tuple:
     post_w = [0] * n
     for p, w in op.posts:
         post_w[p] += w
-    zeroed = set(op.resets) | {src for src, _ in op.xfers}
-    incoming: dict = {}
-    for src, tgt in op.xfers:
-        incoming.setdefault(tgt, []).append(src)
+    _, zeroed, incoming = _effects(op)
     plain = [p for p in range(n) if p not in zeroed and p not in incoming]
     killed = [p for p in range(n) if p in zeroed and p not in incoming]
     groups = [(p, ([] if p in zeroed else [p]) + incoming[p])

@@ -20,13 +20,16 @@ interprets the plan on tuples for its first `_COMPILE_AFTER` expansions
 too.  It then packs every visited marking into one int (`_Fields`: a
 field of 8, 16, 32, ... bits per place, in place order) and goes on in
 one loop generated per net, goal and field width: one unpack per
-marking, one `if` per transition, one int expression per successor, and
-the goal test on the packed marking.  Each field keeps spare top bits,
-checked by one AND before a marking is expanded; when an entry gets too
-close to overflowing, the visited markings are packed again at twice
-the width and the loop resumes where it stopped.  Each loop is compiled
-at most once per net, goal and width.  Found traces are replayed through
-`fire`, an independent check of the generated code.
+marking, one `if` per transition, one int expression per successor (one
+list, for a transition that changes many places), and the goal test on
+the packed marking.  Each field keeps spare top bits, checked by one AND
+before a marking is expanded; when an entry gets too close to
+overflowing, the visited markings are packed again at twice the width
+and the loop resumes where it stopped.  Each loop is compiled at most
+once per net, goal and width.  The generator, the field widths and
+`explore` read what a transition does to each place from `_effects`
+alone; `_apply` reads the arcs, so replaying found traces through `fire`
+is an independent check of the generated code.
 """
 
 from __future__ import annotations
@@ -224,6 +227,22 @@ class _Op(NamedTuple):
     xfers: list
     posts: list
     index: int
+
+
+def _effects(op):
+    """The effect of firing `op` per place, the one derivation of it that
+    the generator, `_Fields` and `explore` read: (const, zeroed, moved),
+    the posts minus the numeric weights, the reset places and transfer
+    sources, and per transfer target its sources in arc order."""
+    const, zeroed, moved = {}, set(op.resets), {}
+    for p, w in op.numeric:
+        const[p] = -w
+    for src, tgt in op.xfers:
+        zeroed.add(src)
+        moved.setdefault(tgt, []).append(src)
+    for p, w in op.posts:
+        const[p] = const.get(p, 0) + w
+    return const, zeroed, moved
 
 
 # ---------------------------------------------------------------------------
@@ -437,13 +456,10 @@ class _Fields:
         post weight."""
         fan, post = 1, 0
         for op in net._plan():
+            _, zeroed, moved = _effects(op)
             post = max([post] + [w for _, w in op.posts])
-            if op.xfers:
-                zeroed = set(op.resets) | {src for src, _ in op.xfers}
-                into: dict = {}
-                for _, tgt in op.xfers:
-                    into[tgt] = into.get(tgt, int(tgt not in zeroed)) + 1
-                fan = max(fan, *into.values())
+            fan = max([fan] + [len(srcs) + (tgt not in zeroed)
+                               for tgt, srcs in moved.items()])
         return cls(len(net.places), 8, fan=fan, post=post).fitting(top)
 
     def _every(self, x: int) -> int:
@@ -510,10 +526,10 @@ def _read_wide(n: int, nb: int, raw: bytes) -> tuple:
 # _COMPILE_AFTER expansions, so searches shorter than that stay interpreted.
 _COMPILE_AFTER = 64
 
-# a run of more than _RUN untouched places is copied as one slice of a
-# tuple, more than _RUN transfers into one place are added by one flat sum(),
-# and a packed successor of more than _RUN terms is packed from its entries,
-# so the source stays linear in places plus arcs and its syntax tree shallow
+# _RUN bounds the terms of a successor's int expression (more are packed
+# from a list) and of a `+` chain of transfers into one place (more are one
+# flat sum()), so the source stays linear in places plus arcs and its syntax
+# tree shallow
 _RUN = 8
 
 
@@ -524,27 +540,11 @@ def _lit(n: int) -> str:
     return int.__format__(n, "#x")
 
 
-def _effects(op):
-    """One transition's effect per place: (const, zeroed, moved), the
-    posts minus the numeric weights, the reset places and transfer
-    sources, and per transfer target its sources."""
-    const, zeroed, moved = {}, set(op.resets), {}
-    for p, w in op.numeric:
-        const[p] = -w
-    for src, tgt in op.xfers:
-        zeroed.add(src)
-        moved.setdefault(tgt, []).append(src)
-    for p, w in op.posts:
-        const[p] = const.get(p, 0) + w
-    return const, zeroed, moved
-
-
 def _entries(op) -> dict:
     """{position: expression} for each successor entry `op` changes.  A
     position's value is its own local, or 0 once zeroed, plus the transfer
-    snapshots it receives, plus posts minus numeric weight; a reset place
-    or transfer source has no numeric arc, so its snapshot is its own
-    local."""
+    snapshots it receives, plus its const; a zeroed place has no numeric
+    arc, so its snapshot is its own local."""
     const, zeroed, moved = _effects(op)
     exprs = {}
     for q in const.keys() | zeroed | moved.keys():
@@ -564,33 +564,6 @@ def _entries(op) -> dict:
     return exprs
 
 
-def _tuple_source(n_places: int, exprs: dict, base: str) -> str:
-    """A tuple expression: the tuple `base` with the entries in `exprs`
-    replaced, every other entry its local a{q} or, in runs longer than
-    _RUN, a slice of `base`."""
-    if not exprs:
-        return base
-    parts, items, i = [], [], 0
-    for q in sorted(exprs) + [n_places]:
-        if q - i > _RUN:
-            if items:
-                parts.append(f"({', '.join(items)},)")
-                items = []
-            parts.append(f"{base}[{i}:{q}]")
-        else:
-            items += [f"a{k}" for k in range(i, q)]
-        if q < n_places:
-            items.append(exprs[q])
-        i = q + 1
-    if items:
-        parts.append(f"({', '.join(items)},)")
-    return " + ".join(parts)
-
-
-def _unpack_source(n_places: int, value: str) -> str:
-    return f"{', '.join(f'a{q}' for q in range(n_places))}, = {value}"
-
-
 def _test_source(op) -> str:
     """The enabling test of `op` on the locals, "" if always enabled.  The
     entries are unsigned, so a weight of 1 is tested by truth, which is
@@ -606,9 +579,12 @@ def _search_loop(net: Net, goal: str, fields: _Fields):
     key = (goal, fields.width)
     run = net._loops.get(key)
     if run is None:
+        pack = fields.struct and fields.struct.pack
         namespace = {"islice": islice, "H": fields.head, "G": fields.guard,
-                     "U": fields.read, "X": fields.encode, "B": fields.size,
-                     "E": "little"}
+                     "U": fields.read, "B": fields.size, "E": "little",
+                     # X packs a list successor, in one call where struct can
+                     "X": (lambda v: int.from_bytes(pack(*v), "little"))
+                     if pack else fields.encode}
         exec(compile(_search_source(len(net.places), net._plan(), goal,
                                     fields.width), "<xpn search>", "exec"),
              namespace)
@@ -616,14 +592,15 @@ def _search_loop(net: Net, goal: str, fields: _Fields):
     return run
 
 
-def _packed_successor(op, n_places: int, width: int) -> str:
-    """The successor of the packed marking `m` under `op` as one int
-    expression, or "" if it is `m` itself.  The constant change of a run
-    of adjacent places is written (d << shift), which CPython folds when
-    small; a zeroed place subtracts (a{p} << shift) and a transfer target
-    adds its sources' locals shifted to it.  With more than _RUN such
-    terms the successor is packed (`X`) from a tuple built on the
-    unpacked `u` instead, so the work stays linear in the places."""
+def _packed_successor(op, width: int) -> list:
+    """The lines that set `s` to the successor of the packed marking `m`
+    under `op`, or [] if it is `m` itself.  Mostly one line, one int
+    expression: the constant change of a run of adjacent places is written
+    (d << shift), which CPython folds when small; a zeroed place subtracts
+    (a{p} << shift) and a transfer target adds its sources' locals shifted
+    to it.  With more than _RUN such terms the successor is packed (`X`)
+    from a list instead, the unpacked `u` with each changed entry
+    (`_entries`) set, so the work stays linear in the places."""
     const, zeroed, moved = _effects(op)
     consts = []  # [first place, last place, change from the first on]
     for q, d in sorted(const.items()):
@@ -638,7 +615,9 @@ def _packed_successor(op, n_places: int, width: int) -> str:
             for q, srcs in sorted(moved.items())]
     plus = [(q, srcs) for q, srcs in plus if srcs]
     if len(consts) + len(minus) + len(plus) > _RUN:
-        return f"X({_tuple_source(n_places, _entries(op), 'u')})"
+        return (["v = [*u]"]
+                + [f"v[{q}] = {e}" for q, e in sorted(_entries(op).items())]
+                + ["s = X(v)"])
 
     def shifted(value: str, q: int) -> str:
         return f"({value} << {_lit(q * width)})" if q else value
@@ -651,7 +630,7 @@ def _packed_successor(op, n_places: int, width: int) -> str:
         out += f" + {shifted(f'({total})', q)}"
     for p in minus:
         out += f" - {shifted(f'a{p}', p)}"
-    return "" if out == "m" else out
+    return [] if out == "m" else [f"s = {out}"]
 
 
 def _search_source(n_places: int, plan, goal: str, width: int) -> str:
@@ -669,11 +648,12 @@ def _search_source(n_places: int, plan, goal: str, width: int) -> str:
     enabled for "deadlock".  It returns None when it runs out of queue or
     reaches `stop`.
 
-    A marking's fields are unpacked into locals a0 ... a{n-1}, each
+    A marking's fields are unpacked into locals a0 ... a{n-1}, kept as
+    the tuple `u` too where a successor is built from a list, each
     transition is one `if` on its numeric and inhibitor arcs, and each
-    successor is one int expression (`_packed_successor`).  The source
+    successor is set by the lines of `_packed_successor`.  The source
     holds no text of the net."""
-    succs = [_packed_successor(op, n_places, width) for op in plan]
+    succs = [_packed_successor(op, width) for op in plan]
     lines = ["def run(Q, P, i, stop, T):",
              "    push = Q.append",
              "    for i, m in enumerate(islice(Q, i, stop), i):",
@@ -686,17 +666,17 @@ def _search_source(n_places: int, plan, goal: str, width: int) -> str:
                   "            return i, m"]
     else:
         lines.append("        k = 0")
-    if n_places and any(s.startswith("X(") for s in succs):
-        lines += ["        u = U(m.to_bytes(B, E))",
-                  f"        {_unpack_source(n_places, 'u')}"]
-    elif n_places:
-        unpacked = _unpack_source(n_places, "U(m.to_bytes(B, E))")
-        lines.append(f"        {unpacked}")
+    unpacked = "U(m.to_bytes(B, E))"
+    if any("v = [*u]" in succ for succ in succs):
+        lines.append(f"        u = {unpacked}")
+        unpacked = "u"
+    if n_places:
+        names = ", ".join(f"a{q}" for q in range(n_places))
+        lines.append(f"        {names}, = {unpacked}")
     for op, succ in zip(plan, succs):
         body = ["k = 1"] if goal == "deadlock" else []
         if succ:
-            body += [f"s = {succ}", "if s not in P:", "    P[s] = m",
-                     "    push(s)"]
+            body += succ + ["if s not in P:", "    P[s] = m", "    push(s)"]
         test = _test_source(op)
         if body and test:
             lines.append(f"        if {test}:")

@@ -293,7 +293,7 @@ def _deadlock_clauses(net: Net, cap: int) -> list:
                         f"more than {cap} deadlock clauses")
                 clauses.append(dict(assign))
         elif k < per_t[i][2]:
-            starts, arcs, _ = per_t[i]
+            starts, arcs, total = per_t[i]
             a = bisect_right(starts, k) - 1
             kind, p = arcs[a]
             j = k - starts[a] if kind == "exact" else 1
@@ -314,6 +314,11 @@ def _deadlock_clauses(net: Net, cap: int) -> list:
                 assign[p] = new
                 state = nxt
                 k = 0
+            elif kind == "exact" and prev and prev[0] == "exact":
+                # only option prev[1] of this arc agrees with `prev`: go
+                # to it if it is still ahead, else past the arc
+                end = starts[a + 1] if a + 1 < len(starts) else total
+                k = min(starts[a] + prev[1] if prev[1] > j else end, end)
             else:
                 k += 1
             continue

@@ -414,6 +414,16 @@ def test_dlf_to_reach_runs_out_on_huge_weights(tmp_path):
     net.write_text("places: a\ntrans t: in a*100000000 ;\n")
     assert run_capped("transform", "dlf-to-reach", str(net)) == (
         1, "OUT_OF_BUDGET more than 10000 deadlock clauses\n", "")
+    # t1 has one option that agrees with t0's exact 0 on p1: the others are
+    # skipped, not rejected one at a time, so one clause comes out at once
+    net.write_text("places: p0 p1\nmarking: p0=2\n"
+                   "trans t0: in p1*1 ; out p1*2\n"
+                   "trans t1: in p1*1999999999999 ; out p1*2\n")
+    t0 = time.monotonic()
+    code, out, err = run_capped("transform", "dlf-to-reach", str(net),
+                                "--clause-cap", "5")
+    assert (code, err, out.count("trans c0_check:")) == (0, "", 1)
+    assert "c1_" not in out and time.monotonic() - t0 < 5
 
 
 N4 = 10**4
@@ -441,7 +451,7 @@ def test_generated_successors_scale_to_ten_thousand_places(tmp_path, net,
     path.write_text(net)
     assert run_capped("explore", "deadlock", str(path), *argv) == want
     # the generated search loops are linear in places plus arcs: an
-    # expression per arc, runs of untouched places copied as one slice
+    # expression per arc, the unpacked marking copied as one list
     parsed = parse_net(net)
     plan, n = parsed._plan(), len(parsed.places)
     arcs = sum(len(t.pre) + len(t.post) for t in parsed.transitions)

@@ -185,24 +185,30 @@ def test_fire_fuzz_against_oracle():
 
 
 # ---------------------------------------------------------------------------
-# the interpreted successors and both tiers of the search, against the oracle
+# the interpreted successors and every tier of the search, against the oracle
+
+# the module constants that searches of each copy from `tiers` run under:
+# none, so the CLI's interpreted first expansions; the generated loop from
+# the first expansion; and that loop with every successor of more than one
+# term built as a list (with _RUN at 0 a lone transfer would be sum((a3)))
+PATCHES = ({}, {"_COMPILE_AFTER": 0}, {"_COMPILE_AFTER": 0, "_RUN": 1})
+
 
 def tiers(net):
-    """Two copies of `net`: `cold` for searches run as the CLI runs them,
-    interpreted for their first `_COMPILE_AFTER` expansions, and `hot` for
-    searches run with that threshold at 0, in the generated loop from the
-    first expansion on (see `first_level`)."""
-    return (Net(net.places, net.transitions, net.initial),
-            Net(net.places, net.transitions, net.initial))
+    """Three copies of `net`, `cold`, `hot` and `listed`, searched under
+    the entries of PATCHES in turn (see `first_level`); each keeps its
+    own compiled loops."""
+    return tuple(Net(net.places, net.transitions, net.initial)
+                 for _ in PATCHES)
 
 
-def first_level(net, m, goal, target, budget, packed=False):
-    """What `_search` of `net` from `m` does within `budget` steps: the
-    markings expanded and the path to the hit, unpacked, or the budget
-    message.  A `packed` search runs the generated loop from the start."""
+def first_level(net, m, goal, target, budget, patch):
+    """What `_search` of `net` from `m` does within `budget` steps, with
+    the `xpn.net` constants in `patch` set: the markings expanded and the
+    path to the hit, unpacked, or the budget message."""
     with pytest.MonkeyPatch.context() as mp:
-        if packed:
-            mp.setattr(xpn_net, "_COMPILE_AFTER", 0)
+        for name, value in patch.items():
+            mp.setattr(xpn_net, name, value)
         try:
             expanded, path, fields = _search(net, m, goal, target, budget)
         except BudgetExceededError as e:
@@ -210,34 +216,35 @@ def first_level(net, m, goal, target, budget, packed=False):
     return expanded, path and [fields.decode(x) for x in path]
 
 
-def assert_first_level(net, m, want, packed=False):
+def assert_first_level(net, m, want, patch):
     """Searches from `m` stopping within its successors `want`, from the
     oracle: one reach per new successor, at its place in declaration
     order, one cover of each, and a deadlock search of one step."""
     fresh = list(dict.fromkeys(s for _, s in want if s != m))
     budget = len(fresh) + 1
     for j, s in enumerate(fresh):
-        assert first_level(net, m, "reach", s, budget, packed) == (
+        assert first_level(net, m, "reach", s, budget, patch) == (
             j + 2, [m, s])
         k = next(k for k, x in enumerate([m] + fresh)
                  if all(map(operator.ge, x, s)))
-        assert first_level(net, m, "cover", s, budget, packed) == (
+        assert first_level(net, m, "cover", s, budget, patch) == (
             k + 1, [m] if k == 0 else [m, fresh[k - 1]])
-    assert first_level(net, m, "deadlock", None, 1, packed) == (
+    assert first_level(net, m, "deadlock", None, 1, patch) == (
         (1, [m]) if not want else "expanded=1" if fresh else (1, None))
 
 
 def assert_tiers_match_oracle(net, markings):
-    cold, hot = tiers(net)
+    copies = tiers(net)
     for m in markings:
         md = oracles.as_dict(net, m)
         want = [(name, oracles.as_tuple(net, succ))
                 for name, succ in oracles.successor_pairs(net, md)]
-        assert successors(cold, m) == want, (net, m)
-        assert_first_level(cold, m, want)
-        assert_first_level(hot, m, want, packed=True)
+        assert successors(copies[0], m) == want, (net, m)
+        for copy, patch in zip(copies, PATCHES):
+            assert_first_level(copy, m, want, patch)
+    cold, *packed = copies
     assert not cold._loops  # below the threshold
-    assert hot._loops
+    assert all(copy._loops for copy in packed)
 
 
 HUGE = (10**18, 10**18 + 1, 3 * 10**40 + 2)
@@ -304,28 +311,35 @@ def test_generated_successors_hand_cases(places, transitions):
 
 def test_generated_source_holds_no_text_of_the_net():
     # names that are Python code reach no generated source: a place is its
-    # local a{q}, and the search loop names no transition
+    # local a{q}, and the search loop names no transition.  The last
+    # transition changes more than _RUN places, so its successor is built
+    # as a list
     code = ["__import__('os').system('exit 3')", "a0", "m", '"""', "x\ny"]
     pre = {code[1]: Numeric(1), code[2]: Transfer(code[3]),
            code[0]: INHIBIT, code[4]: RESET}
     ts = [Transition(name, pre, {code[0]: 1, code[3]: 2}) for name in code]
-    net = net_of(code, ts, [0, 1, 0, 0, 0])
+    wide = [f"z[{i}]" for i in range(xpn_net._RUN + 1)]
+    ts.append(Transition("import os", {**dict.fromkeys(wide, RESET),
+                                      code[2]: Transfer(code[3])},
+                         {code[1]: 1}))
+    net = net_of(code + wide, ts, [0, 1, 0, 0, 0] + [1] * len(wide))
     keywords = {"def", "m", "if", "and", "not", "append", "return", "run",
                 "P", "Q", "i", "stop", "T", "push", "for", "in", "enumerate",
                 "islice", "H", "None", "G", "U", "B", "E", "to_bytes", "k",
-                "s", "u", "X", "sum"}
+                "s", "u", "v", "X", "sum"}
     sources = [_search_source(len(net.places), net._plan(), goal, width)
                for goal in ("reach", "cover", "deadlock") for width in (8, 256)]
     for src in sources:
+        assert "v = [*u]" in src
         toks = list(tokenize.generate_tokens(io.StringIO(src).readline))
         assert not [t for t in toks if t.type == tokenize.STRING]
         names = {t.string for t in toks if t.type == tokenize.NAME} - keywords
         assert all(re.fullmatch(r"a\d+", n) for n in names), names
-    cold, hot = tiers(net)
-    want = successors(cold, net.initial)
-    assert [name for name, _ in want] == code
-    assert_first_level(cold, net.initial, want)
-    assert_first_level(hot, net.initial, want, packed=True)
+    copies = tiers(net)
+    want = successors(copies[0], net.initial)
+    assert [name for name, _ in want] == code + ["import os"]
+    for copy, patch in zip(copies, PATCHES):
+        assert_first_level(copy, net.initial, want, patch)
 
 
 # ---------------------------------------------------------------------------

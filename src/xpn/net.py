@@ -16,20 +16,20 @@ passed to `validate`, but firing or analysing it raises InvalidNetError.
 `_apply`, the reference firing rule).
 
 `_search`, the breadth-first search behind `explore`'s forward searches,
-interprets the plan on tuples for its first `_COMPILE_AFTER` expansions
-too.  It then packs every visited marking into one int (`_Fields`: a
-field of 8, 16, 32, ... bits per place, in place order) and goes on in
-one loop generated per net, goal and field width: one unpack per
-marking, one `if` per transition, one int expression per successor (one
-list, for a transition that changes many places), and the goal test on
-the packed marking.  Each field keeps spare top bits, checked by one AND
-before a marking is expanded; when an entry gets too close to
-overflowing, the visited markings are packed again at twice the width
-and the loop resumes where it stopped.  Each loop is compiled at most
-once per net, goal and width.  The generator, the field widths and
-`explore` read what a transition does to each place from `_effects`
-alone; `_apply` reads the arcs, so replaying found traces through `fire`
-is an independent check of the generated code.
+interprets the plan on tuples too until compiling pays (`_COMPILE_COST`).
+It then packs every visited marking into one int (`_Fields`: a field of
+8, 16, 32, ... bits per place, in place order) and goes on in one loop
+generated per net, goal and field width: one unpack per marking, one
+`if` per transition, one int expression per successor (one list, for a
+transition that changes many places), and the goal test on the packed
+marking.  Each field keeps spare top bits, checked by one AND before a
+marking is expanded; when an entry gets too close to overflowing, the
+visited markings are packed again at twice the width and the loop
+resumes where it stopped.  Each loop is compiled at most once per net,
+goal and width.  The generator, the field widths and `explore` read what
+a transition does to each place from `_effects` alone; `_apply` reads
+the arcs, so replaying found traces through `fire` is an independent
+check of the generated code.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, islice, repeat, starmap
+from itertools import chain, groupby, islice, repeat, starmap
 from operator import le
 from struct import Struct
 from typing import Mapping, NamedTuple, Union
@@ -320,29 +320,36 @@ def _search(net: Net, start: Marking, goal: str, target, max_steps: int):
     BudgetExceededError when a marking past the `max_steps`-th would need
     expanding.
 
-    The first `_COMPILE_AFTER` expansions interpret the plan on tuples;
-    the search then packs the markings it has visited and goes on in the
-    loop generated for the goal and the field width (`_search_source`)."""
+    The search interprets the plan on tuples until its rent reaches the
+    buy (`_COMPILE_COST`), then packs the markings it has visited and goes
+    on in the loop generated for the goal and the field width."""
     _check_len(net, start)
     plan = net._plan()
     stop = min(max(max_steps, 0), sys.maxsize)
     parent = {start: None}  # marking -> the marking it was first reached from
     queue = [start]  # every visited marking, in the order of expansion
     expanded, hit = 0, None
+    # op's first numeric pre-arc (p, w), or w = 0, rejects most disabled ops
+    checks = [(*(op.numeric[0] if op.numeric else (0, 0)), op) for op in plan]
+    rent, buy = 0, _COMPILE_COST * (len(plan) + 1)
     for m in queue:
-        if expanded >= _COMPILE_AFTER:
-            break
-        if expanded >= stop:
+        if expanded >= stop:  # so a spent budget compiles nothing
             raise BudgetExceededError(f"expanded={expanded}")
+        if rent >= buy:
+            break
         expanded += 1
         k = 0
-        for _, numeric, inhib, resets, xfers, posts, _ in plan:
+        for p, w, op in checks:
+            if w and m[p] < w:
+                continue
+            _, numeric, inhib, resets, xfers, posts, _ = op
             if _enabled(m, numeric, inhib):
                 k += 1
                 s = _apply(m, numeric, resets, xfers, posts)
                 if s not in parent:
                     parent[s] = m
                     queue.append(s)
+        rent += len(plan) + 4 * k
         if (not k if goal == "deadlock" else m == target if goal == "reach"
                 else all(map(le, target, m))):
             hit = m
@@ -518,13 +525,15 @@ def _read_wide(n: int, nb: int, raw: bytes) -> tuple:
 # ---------------------------------------------------------------------------
 # generated code
 
-# compile() of the search loop costs about 60-85 us per transition and saves
-# about 1 us per enabled and 0.15-0.3 us per disabled transition per
-# expansion.  So it pays back after about 40-140 expansions where a good
-# share of transitions fire, and after 250-550 on a line net where one in
-# hundreds does, whatever the net's size.  A search switches after its own
-# _COMPILE_AFTER expansions, so searches shorter than that stay interpreted.
-_COMPILE_AFTER = 64
+# Rent-or-buy (Karlin et al. 1988): a search compiles its loop once its
+# rent, the work it has interpreted, reaches the buy, the cost of compiling:
+# 55-110 us per transition (2-vCPU x86-64, CPython 3.11).  Interpreted, a
+# test its first arc fails costs 0.1 us and a fire 1 us (0.03 and 0.3 us in
+# the loop); in units of about 0.25 us the rent counts 1 per test and 4 per
+# fire, the buy _COMPILE_COST per transition and one more.  Tests count
+# above their cost, so a line of any length switches after about
+# _COMPILE_COST expansions.  Counts, not a clock: answers match on any host.
+_COMPILE_COST = 400
 
 # _RUN bounds the terms of a successor's int expression (more are packed
 # from a list) and of a `+` chain of transfers into one place (more are one
@@ -600,7 +609,8 @@ def _packed_successor(op, width: int) -> list:
     (a{p} << shift) and a transfer target adds its sources' locals shifted
     to it.  With more than _RUN such terms the successor is packed (`X`)
     from a list instead, the unpacked `u` with each changed entry
-    (`_entries`) set, so the work stays linear in the places."""
+    (`_entries`) set, a long run of adjacent literals by one slice, so
+    the work stays linear in the places."""
     const, zeroed, moved = _effects(op)
     consts = []  # [first place, last place, change from the first on]
     for q, d in sorted(const.items()):
@@ -615,9 +625,18 @@ def _packed_successor(op, width: int) -> list:
             for q, srcs in sorted(moved.items())]
     plus = [(q, srcs) for q, srcs in plus if srcs]
     if len(consts) + len(minus) + len(plus) > _RUN:
-        return (["v = [*u]"]
-                + [f"v[{q}] = {e}" for q, e in sorted(_entries(op).items())]
-                + ["s = X(v)"])
+        lines = ["v = [*u]"]
+        # more than 2 * _RUN adjacent literals (the only entries whose text
+        # starts with 0) are one slice store of one folded constant, faster
+        # to compile and run than as many stores
+        for (_, lit), run in groupby(
+                enumerate(sorted(_entries(op).items())),
+                lambda x: (x[1][0] - x[0], x[1][1][0] == "0")):
+            qs, es = zip(*(qe for _, qe in run))
+            lines += ([f"v[{qs[0]}:{qs[-1] + 1}] = {', '.join(es)},"]
+                      if lit and len(qs) > 2 * _RUN
+                      else map("v[{}] = {}".format, qs, es))
+        return lines + ["s = X(v)"]
 
     def shifted(value: str, q: int) -> str:
         return f"({value} << {_lit(q * width)})" if q else value

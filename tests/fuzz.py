@@ -226,3 +226,30 @@ def two_transfer_net(rng):
         post2 = {p: w for p, w in t2.post.items() if p != p1}
         transitions[i2] = Transition(t2.name, pre2, post2)
         return Net(net.places, tuple(transitions), net.initial)
+
+
+def busy_net(rng):
+    """All arc kinds on 4 or 5 places holding 6 to 8 tokens, each post
+    putting back at most the tokens its numeric arcs take, and some
+    transitions with no numeric arc and no post: finite, with graphs of
+    up to hundreds of markings, where a search may switch to its
+    generated loop."""
+    places = [f"p{i}" for i in range(rng.randint(4, 5))]
+    transitions = []
+    for j in range(rng.randint(3, 7)):
+        pre = {p: Numeric(rng.randint(1, 2))
+               for p in rng.sample(places, rng.choice((0, 1, 1, 2)))}
+        free = [p for p in places if p not in pre]
+        if rng.random() < 0.7:
+            pre[rng.choice(free)] = rng.choice(
+                [INHIBIT, RESET, Transfer(rng.choice(places))])
+        post = {}
+        taken = sum(a.weight for a in pre.values() if isinstance(a, Numeric))
+        for _ in range(rng.randint(min(taken, 1), taken)):
+            q = rng.choice(places)
+            post[q] = post.get(q, 0) + 1
+        transitions.append(Transition(f"t{j}", pre, post))
+    initial = [0] * len(places)
+    for _ in range(rng.randint(6, 8)):
+        initial[rng.randrange(len(places))] += 1
+    return Net(tuple(places), tuple(transitions), tuple(initial))

@@ -428,14 +428,17 @@ def test_dlf_to_reach_runs_out_on_huge_weights(tmp_path):
 
 N4 = 10**4
 # a 10**4-way transfer fan-in into one place, beside a countdown c that
-# takes the search past the expansions after which its loop is generated
+# takes the search past the point where it compiles its loop: t fires at
+# every marking and d while c lasts, so the rent reaches the buy after 120
+# of the 202 expansions
 FAN_IN = (f"places: c {' '.join(f'p{i}' for i in range(N4 + 1))}\n"
           f"marking: c=100 {' '.join(f'p{i}=1' for i in range(N4))}\n"
           "trans d: in c ;\n"
           f"trans t: {', '.join(f'xfer p{i}->p{N4}' for i in range(N4))} ;\n")
 # a token walking a line of 10**4 places; its 10**4 reachable markings of
 # 10**4 entries each would not fit the child's cap, so the search is
-# budgeted, well past the expansions after which its loop is generated
+# budgeted, past the 400 expansions after which the rent of a net with one
+# fire per marking reaches the buy and the loop is generated
 LINE = (f"places: {' '.join(f'p{i}' for i in range(N4))}\nmarking: p0=1\n"
         + "".join(f"trans t{i}: in p{i} ; out p{i + 1}\n"
                   for i in range(N4 - 1)))
@@ -443,7 +446,7 @@ LINE = (f"places: {' '.join(f'p{i}' for i in range(N4))}\nmarking: p0=1\n"
 
 @pytest.mark.parametrize("net, argv, want", [
     (FAN_IN, (), (0, "EXHAUSTED expanded=202\n", "")),
-    (LINE, ("--max-steps", "200"), (1, "OUT_OF_BUDGET expanded=200\n", "")),
+    (LINE, ("--max-steps", "600"), (1, "OUT_OF_BUDGET expanded=600\n", "")),
 ], ids=["fan-in", "line"])
 def test_generated_successors_scale_to_ten_thousand_places(tmp_path, net,
                                                           argv, want):
@@ -451,7 +454,9 @@ def test_generated_successors_scale_to_ten_thousand_places(tmp_path, net,
     path.write_text(net)
     assert run_capped("explore", "deadlock", str(path), *argv) == want
     # the generated search loops are linear in places plus arcs: an
-    # expression per arc, the unpacked marking copied as one list
+    # expression per arc, the unpacked marking copied as one list; the
+    # fan-in's 10**4 emptied sources are one slice store of literals, which
+    # compiles to one constant, and its target a store of its own
     parsed = parse_net(net)
     plan, n = parsed._plan(), len(parsed.places)
     arcs = sum(len(t.pre) + len(t.post) for t in parsed.transitions)
@@ -459,6 +464,9 @@ def test_generated_successors_scale_to_ten_thousand_places(tmp_path, net,
     for goal in ("reach", "cover", "deadlock"):
         src = xpn_net._search_source(n, plan, goal, width)
         assert len(src) < 64 * (n + arcs)
+        if net is FAN_IN:
+            assert f"v[1:{N4 + 1}] = {', '.join(['0x0'] * N4)},\n" in src
+            assert f"v[{N4 + 1}] = sum((a{N4 + 1}, a1, a2, " in src
 
 
 def test_explore_has_no_max_depth(run, capsys):

@@ -257,12 +257,19 @@ WIDTH_CASES = [
     (counter(2 * 10**18, 20), True, 0, {64}),
     (counter(3 * 10**40, 20, weight=10**40), True, 0, {256}),
     (counter(2**255 - 10, 20), True, 2**255, {256, 512}),
-    # a search interprets its first 64 expansions: a passes 127 after the
-    # switch, at it, or before it
-    (counter(60, 100), False, 128, {8, 16}),
-    (counter(63, 100), False, 128, {8, 16}),
-    (counter(64, 100), False, 128, {16}),
-    (counter(66, 100), False, 128, {16}),
+    # searched as the CLI does, where the rent of 1 test and 1 fire per
+    # expansion reaches the buy of the one transition after 160
+    # expansions: a count of 100 stays interpreted to its end
+    (counter(60, 100), False, 128, set()),
+    (counter(63, 100), False, 128, set()),
+    (counter(64, 100), False, 128, set()),
+    (counter(66, 100), False, 128, set()),
+    # and one of 200 switches with b still above 127, a passing 2**15 - 1
+    # after the switch, at it, or before it
+    (counter(2**15 - 164, 200), False, 2**15, {16, 32}),
+    (counter(2**15 - 161, 200), False, 2**15, {16, 32}),
+    (counter(2**15 - 160, 200), False, 2**15, {32}),
+    (counter(2**15 - 158, 200), False, 2**15, {32}),
 ]
 
 
@@ -284,7 +291,7 @@ def test_packed_search_across_field_widths(text, packed, cross, widths,
     over = (cross + cross // 2,) + (0,) * (len(top) - 1)
     k = next(i for i, m in enumerate(graph) if max(m) >= cross)
     if packed:
-        monkeypatch.setattr(xpn_net, "_COMPILE_AFTER", 0)
+        monkeypatch.setattr(xpn_net, "_COMPILE_COST", 0)
     net = parse_net(text)
     assert run_search(net, "reach", miss, 10**6) == (len(graph), None)
     assert {width for _, width in net._loops} == widths
@@ -306,10 +313,10 @@ def ring_text(n, k):
 
 
 def test_each_search_switches_after_its_own_expansions(monkeypatch):
-    """A search of a net switches to the generated loop after its own
-    first 64 expansions, whatever searches of that net ran before: a
-    repeated search answers alike and reuses the compiled loop, and a
-    short search after it stays interpreted."""
+    """A search of a net switches to the generated loop once its own rent
+    reaches the buy, whatever searches of that net ran before: a repeated
+    search answers alike and reuses the compiled loop, and a short search
+    after it stays interpreted."""
     runs = []
     loop = xpn_net._search_loop
     monkeypatch.setattr(xpn_net, "_search_loop",
@@ -323,21 +330,105 @@ def test_each_search_switches_after_its_own_expansions(monkeypatch):
     assert runs == ["deadlock"] * 2 and net._loops == loops
     reach = bounded_reach(net, (0, 0, 0, 0, 8))
     assert reach == bounded_reach(parse_net(text), (0, 0, 0, 0, 8))
-    assert reach.found and reach.expanded > 64
+    assert reach.found and runs == ["deadlock"] * 2 + ["reach"] * 2
     del runs[:]
     short = bounded_reach(net, (6, 2, 0, 0, 0))
     assert short == bounded_reach(parse_net(text), (6, 2, 0, 0, 0))
-    assert short.trace.transitions == ("t0", "t0") and short.expanded < 64
+    assert short.trace.transitions == ("t0", "t0")
     with pytest.raises(BudgetExceededError, match="^expanded=10$"):
         bounded_deadlock(net, max_steps=10)
     assert not runs
 
 
+def switch_point(net, graph):
+    """The expansions after which a search of `net` generates its loop by
+    the rule `xpn.net._COMPILE_COST` documents, counted on the oracle
+    graph in the search's order: the rent of one per transition tested and
+    four per fire reaches the buy of _COMPILE_COST per transition and one
+    more.  None if the graph runs out first."""
+    tests = len(net.transitions)
+    rent, buy = 0, xpn_net._COMPILE_COST * (tests + 1)
+    for e, edges in enumerate(graph.values()):
+        if rent >= buy:
+            return e
+        rent += tests + 4 * len(edges)
+    return None
+
+
+def test_a_search_compiles_once_its_rent_reaches_the_buy(monkeypatch):
+    """On seeded nets with all four arc kinds and up to 400 markings, a
+    search generates its loop exactly when it would expand a marking past
+    its switch point, with budgets either side of that point, and every
+    answer equals the oracle's and that of a copy that runs the loop from
+    its first expansion."""
+    rng = random.Random(2020)
+    stayed = switched = 0
+    for _ in range(200):
+        base, graph = fuzz.finite_net(rng, fuzz.busy_net, 400)
+        if len(graph) < 40:
+            continue
+        e = switch_point(base, graph)
+        miss = (max(map(max, graph)) + 1,) * len(base.places)
+        for goal, target in [("reach", miss),
+                             ("cover", rng.choice(list(graph))),
+                             ("deadlock", None)]:
+            for budget in (10**6, *([e, e + 1] if e is not None else [])):
+                net = Net(base.places, base.transitions, base.initial)
+                got = run_search(net, goal, target, budget)
+                want = oracle_search(graph, base.initial, goal, target, budget)
+                assert got == want, (goal, target, budget)
+                spent = got[0] if isinstance(got, tuple) else budget
+                assert bool(net._loops) == (e is not None and e < spent)
+                with monkeypatch.context() as mp:
+                    mp.setattr(xpn_net, "_COMPILE_COST", 0)
+                    hot = Net(base.places, base.transitions, base.initial)
+                    assert run_search(hot, goal, target, budget) == got
+        # some searches of more than 64 markings stay interpreted to the end
+        stayed += e is None and len(graph) > 64
+        switched += e is not None
+    assert stayed and switched
+
+
+def line_text(n):
+    """A token walking n + 1 places, one transition per step."""
+    return (f"places: {' '.join(f'p{i}' for i in range(n + 1))}\n"
+            "marking: p0=1\n"
+            + "".join(f"trans t{i}: in p{i} ; out p{i + 1}\n"
+                      for i in range(n)))
+
+
+@pytest.mark.parametrize("text, last, switch, dead", [
+    (ring_text(7, 14), (0,) * 6 + (14,), 162, (False, 38760)),
+    (line_text(2500), (0,) * 2500 + (1,), 400, (True, 2501)),
+], ids=["ring7x14", "line2500"])
+def test_long_searches_compile_once_per_goal(text, last, switch, dead,
+                                             monkeypatch):
+    """Each goal compiles one loop, once the search has expanded `switch`
+    markings: a budget of `switch` compiles nothing and one more compiles
+    the loop.  `switch_point` on the ring's oracle graph gives 162; the
+    line's rent of 2,504 per expansion reaches its buy of 400 * 2,501
+    after 400."""
+    runs = []
+    loop = xpn_net._search_loop
+    monkeypatch.setattr(xpn_net, "_search_loop",
+                        lambda *args: runs.append(args[1]) or loop(*args))
+    net = parse_net(text)
+    found = [bounded_reach(net, last), bounded_cover(net, last),
+             bounded_deadlock(net)]
+    assert runs == ["reach", "cover", "deadlock"]
+    assert found[0] == found[1] and found[0].trace.markings[-1] == last
+    assert (found[2].found, found[2].expanded) == dead
+    for budget, compiled in ((switch, []), (switch + 1, ["deadlock"])):
+        del runs[:]
+        with pytest.raises(BudgetExceededError):
+            bounded_deadlock(parse_net(text), max_steps=budget)
+        assert runs == compiled
+
+
 def forward_queries():
     """(explore argv after the net, net text) for the byte-stability
     corpus: rings, seeded nets with all four arc kinds, the compiled
-    counter machines, and budget runs either side of the switch to
-    generated code."""
+    counter machines, and budget runs of 0, 1, 64 and 65 expansions."""
     out = []
     for n, k, hit in ((5, 8, "p2=3 p4=5"), (6, 12, "p1=5 p5=7")):
         ring = ring_text(n, k)

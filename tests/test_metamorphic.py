@@ -161,10 +161,10 @@ COUNTDOWN = ("places: p0 p1 p2 p3\nmarking: p0=3 p1=3 p2=3 p3=3\n"
 def test_generated_successors_change_no_answer(text, reach, cover,
                                               monkeypatch):
     """Each engine on a fresh net, whose forward searches switch to the
-    generated loop after their first _COMPILE_AFTER expansions, equals the
-    same engine with that threshold at 0, where they run it from the
-    first expansion on: traces, expansion counts, verdicts, tree sizes
-    and budget messages alike."""
+    generated loop once their rent reaches the buy (_COMPILE_COST), equals
+    the same engine with that cost at 0, where they run it from the first
+    expansion on: traces, expansion counts, verdicts, tree sizes and
+    budget messages alike."""
     engines = [
         lambda n: bounded_reach(n, reach, max_steps=15_000),
         lambda n: bounded_cover(n, cover, max_steps=15_000),
@@ -185,5 +185,5 @@ def test_generated_successors_change_no_answer(text, reach, cover,
 
     cold, switched = outcomes()
     assert switched[:3] == [True] * 3  # every forward search switched
-    monkeypatch.setattr(xpn_net, "_COMPILE_AFTER", 0)
+    monkeypatch.setattr(xpn_net, "_COMPILE_COST", 0)
     assert outcomes()[0] == cold

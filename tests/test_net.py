@@ -188,10 +188,12 @@ def test_fire_fuzz_against_oracle():
 # the interpreted successors and every tier of the search, against the oracle
 
 # the module constants that searches of each copy from `tiers` run under:
-# none, so the CLI's interpreted first expansions; the generated loop from
-# the first expansion; and that loop with every successor of more than one
-# term built as a list (with _RUN at 0 a lone transfer would be sum((a3)))
-PATCHES = ({}, {"_COMPILE_AFTER": 0}, {"_COMPILE_AFTER": 0, "_RUN": 1})
+# none, so the CLI's interpreted first expansions, which test each
+# transition on its first numeric pre-arc, if any, before `_enabled`; the
+# generated loop from the first expansion; and that loop with every
+# successor of more than one term built as a list (with _RUN at 0 a lone
+# transfer would be sum((a3)))
+PATCHES = ({}, {"_COMPILE_COST": 0}, {"_COMPILE_COST": 0, "_RUN": 1})
 
 
 def tiers(net):

@@ -13,6 +13,11 @@ branch ends in a deadlock and the net terminates.  The tree is finite for
 eligible nets, so running out of node budget is a resource error, not a
 verdict.
 
+If no transition adds tokens, the token sum never rises along a run, so
+an ancestor <= a child equals it, and the walk looks the child up among
+the path's markings instead of scanning the path.  No marking repeats on
+a path, so both find the same ancestor and every output is the same.
+
 One depth-first walk serves both entry points, and it keeps only the
 current path.  `decide_termination` runs it for the verdict: the walk stops
 at the first cut and memoises each marking whose subtree completed, so a
@@ -31,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .net import (BudgetExceededError, Marking, Net, TRANSFER_KIND, XpnError,
-                  classify, successors)
+                  _effects, classify, successors)
 from .explore import Trace, replay, _leq
 from .fmt import _writes_counts
 
@@ -93,17 +98,26 @@ def _support(m: Marking) -> int:
     return int.from_bytes(bytes(map(bool, m)), "little")
 
 
+def _adds_no_tokens(net: Net) -> bool:
+    """Whether no transition of `net` puts back more tokens than its
+    numeric arcs take (resets only remove, transfers only move), read off
+    each transition's effect: then the token sum never rises along a
+    run."""
+    return all(sum(_effects(op)[0].values()) <= 0 for op in net._plan())
+
+
 class _Frame:
     """A node on the current path of the walk.  `id` is its number in the
-    tree, `mask` the support of its marking, `todo` holds the children
-    still to visit (next one last) as (id, via, marking), and `size`
-    counts the tree nodes of its subtree finished so far."""
+    tree, `mask` the support of its marking for `_scan` (None when the
+    walk looks ancestors up instead), `todo` holds the children still to
+    visit (next one last) as (id, via, marking), and `size` counts the
+    tree nodes of its subtree finished so far."""
     __slots__ = ("id", "marking", "mask", "via", "via_index", "todo", "size")
 
-    def __init__(self, nid, marking, via, via_index):
+    def __init__(self, nid, marking, mask, via, via_index):
         self.id = nid
         self.marking = marking
-        self.mask = _support(marking)
+        self.mask = mask
         self.via = via
         self.via_index = via_index
         self.todo = []
@@ -114,7 +128,8 @@ def _scan(path, m1: Marking, level: int) -> int | None:
     """Position on `path` of the nearest frame that subsumes a new child of
     the top frame with marking `m1`, reached by a transition of index
     `level`; None if there is none.  A frame marking a place `m1` leaves
-    empty cannot be <= `m1`, so one AND of support masks skips it."""
+    empty cannot be <= `m1`, so one AND of support masks skips it.  Used
+    only on nets that add tokens; elsewhere `_walk` looks `m1` up."""
     outside = ~_support(m1)
     for i in range(len(path) - 1, -1, -1):
         a = path[i]
@@ -141,6 +156,11 @@ def _walk(net: Net, max_nodes: int, rng, nodes, stop_early: bool):
     Terminating(tree_size) or the certificate of the first cut.  `rng`
     shuffles each node's children.
 
+    On nets that add no tokens (`_adds_no_tokens`, once per walk) `onpath`
+    maps each path marking to its position, and a child's ancestor is
+    `onpath.get(child)`: the frame `_scan` would find, as only an equal
+    marking can subsume the child and none repeats on the path.
+
     With `nodes` None the walk memoises in `done` each marking whose
     subtree completed, with that subtree's node count; this is sound only
     up to the first cut, so it needs `stop_early`.  Before the first cut a
@@ -148,7 +168,7 @@ def _walk(net: Net, max_nodes: int, rng, nodes, stop_early: bool):
     finite.  A cut certifies an infinite run from its leaf, so no node at
     or below that marking can be cut whatever its ancestors, and its
     subtree (one node per run prefix) has the same size everywhere.  A
-    later occurrence therefore skips the ancestor scan and is not
+    later occurrence therefore skips the ancestor search and is not
     expanded: its size is added instead.
 
     With a list `nodes` (holding one slot for the root) the walk memoises
@@ -162,6 +182,7 @@ def _walk(net: Net, max_nodes: int, rng, nodes, stop_early: bool):
     tidx = {op.name: op.index for op in net._plan()}
     done: dict = {}
     path: list = []
+    onpath = {} if _adds_no_tokens(net) else None
     count = 1  # tree nodes made so far
     cut = None
 
@@ -175,12 +196,17 @@ def _walk(net: Net, max_nodes: int, rng, nodes, stop_early: bool):
         if nodes is not None:
             nodes[nid] = ErtNode(m, path[-1].id if path else None, via,
                                  via_index, "inner" if succ else "deadlock")
-        frame = _Frame(nid, m, via, via_index)
+        if onpath is None:
+            frame = _Frame(nid, m, _support(m), via, via_index)
+        else:
+            onpath[m] = len(path)
+            frame = _Frame(nid, m, None, via, via_index)
         path.append(frame)
         for name, m2 in succ:
             count = _fit(count + 1, max_nodes)
             if m2 not in done:
-                anc = _scan(path, m2, tidx[name])
+                anc = (_scan(path, m2, tidx[name]) if onpath is None
+                       else onpath.get(m2))
                 if anc is not None:
                     if nodes is not None:
                         nodes.append(ErtNode(m2, nid, name, tidx[name],
@@ -200,6 +226,8 @@ def _walk(net: Net, max_nodes: int, rng, nodes, stop_early: bool):
         top = path[-1]
         if not top.todo:
             path.pop()
+            if onpath is not None:
+                del onpath[top.marking]
             if nodes is None:
                 done[top.marking] = top.size
             if path:

@@ -186,6 +186,68 @@ def ert_net(rng):
     return Net(tuple(places), tuple(transitions), initial)
 
 
+def ert_grow_net(rng):
+    """Tree-decider eligible nets that add tokens: inhibitor pre-places form
+    a prefix as in `ert_net`, post weights run from 1 to 3, and one
+    transition puts back more than its numeric arcs take, by weight and
+    not by arc count, so the termination walk must scan its ancestors.
+    The first place mostly starts empty and the others marked, so most
+    roots have children."""
+    n = rng.randint(2, 4)
+    places = [f"p{i}" for i in range(n)]
+    transitions = []
+    for j in range(rng.randint(2, 4)):
+        pre = {places[i]: INHIBIT for i in range(rng.choice((0, 0, 1, 2)))
+               if i < n - 1}
+        free = [p for p in places if p not in pre]
+        for p in rng.sample(free, min(len(free), rng.randint(1, 2))):
+            pre[p] = RESET if rng.random() < 0.2 else Numeric(rng.choice((1, 1, 2)))
+        if not any(isinstance(a, Numeric) for a in pre.values()):
+            pre[rng.choice(free)] = Numeric(1)
+        post = {p: rng.randint(1, 3)
+                for p in rng.sample(places, rng.randint(0, 2))}
+        transitions.append(Transition(f"t{j}", pre, post))
+    j = rng.randrange(len(transitions))
+    t = transitions[j]
+    post = dict(t.post)
+    short = sum(a.weight for a in t.pre.values() if isinstance(a, Numeric)) \
+        + 1 - sum(post.values())
+    if short > 0:
+        p = rng.choice(sorted(post) or places)
+        post[p] = post.get(p, 0) + short
+    transitions[j] = Transition(t.name, t.pre, post)
+    initial = (rng.choice((0, 0, 1)), *(rng.randint(1, 3) for _ in places[1:]))
+    return Net(tuple(places), tuple(transitions), initial)
+
+
+def ert_flow_net(rng):
+    """Tree-decider eligible nets that add no tokens, on 5 or 6 places
+    holding 8 to 12 tokens, p0 empty: most transitions put back all the
+    tokens their numeric arcs take, so the graph is finite but often past
+    the oracles' 400-marking cap."""
+    places = [f"p{i}" for i in range(rng.randint(5, 6))]
+    transitions = []
+    for j in range(rng.randint(4, 7)):
+        pre = {places[i]: INHIBIT
+               for i in range(rng.choice((0, 0, 0, 0, 1, 1, 2)))}
+        free = [p for p in places if p not in pre]
+        for p in rng.sample(free, rng.randint(1, 2)):
+            pre[p] = Numeric(rng.choice((1, 1, 1, 2)))
+        rest = [p for p in places if p not in pre]
+        if rest and rng.random() < 0.15:
+            pre[rng.choice(rest)] = RESET
+        taken = sum(a.weight for a in pre.values() if isinstance(a, Numeric))
+        post = {}
+        for _ in range(taken if rng.random() < 0.8 else rng.randint(0, taken)):
+            q = rng.choice(places)
+            post[q] = post.get(q, 0) + 1
+        transitions.append(Transition(f"t{j}", pre, post))
+    initial = [0] * len(places)
+    for _ in range(rng.randint(8, 12)):
+        initial[rng.randint(1, len(places) - 1)] += 1
+    return Net(tuple(places), tuple(transitions), tuple(initial))
+
+
 def two_inh_net(rng):
     """A plain net plus exactly two inhibitor pre-arcs."""
     net = plain_net(rng, min_places=2, max_places=4, max_trans=4)

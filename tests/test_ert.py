@@ -1,11 +1,13 @@
 import hashlib
 import itertools
+import math
 import random
 
 import pytest
 
 import fuzz
 import oracles
+from xpn import ert as xpn_ert
 from xpn.ert import (
     BudgetExceededError,
     Ert,
@@ -277,6 +279,8 @@ def _recorded(net, budget, stop_early, rng):
 def test_memoised_decider_equals_paper_tree():
     rng = random.Random(20261)
     nets = [fuzz.ert_net(rng) for _ in range(600)] + [NEAR, DEEP_LEVEL]
+    grow = random.Random(5)
+    nets += [fuzz.ert_grow_net(grow) for _ in range(300)]  # walk scans
     budgets_checked = 0
     for net in nets:
         tree = oracles.ert_tree(net, 50_000)
@@ -299,6 +303,8 @@ def test_recorded_tree_equals_paper_tree():
     rng = random.Random(7304)
     nets = [fuzz.ert_net(rng) for _ in range(300)]
     nets += [countdown(3, 2), IDLE, NEAR, DEEP_LEVEL]
+    grow = random.Random(6)
+    nets += [fuzz.ert_grow_net(grow) for _ in range(150)]  # walk scans
     for net in nets:
         for stop_early, seed, budget in itertools.product(
                 (False, True), (None, 11), (0, 12, 20_000)):
@@ -322,6 +328,72 @@ def test_countdown_tree_sizes_are_pinned():
     with pytest.raises(BudgetExceededError,
                        match="^tree exceeded 1107696 nodes$"):
         decide_termination(big, max_nodes=1_107_696)
+
+
+def line(n):
+    """n transitions passing one token down p0 -> p_n."""
+    places = " ".join(f"p{i}" for i in range(n + 1))
+    trans = "".join(f"trans t{i}: in p{i} ; out p{i + 1}\n" for i in range(n))
+    return parse_net(f"places: {places}\nmarking: p0=1\n{trans}")
+
+
+def test_countdown_and_line_at_decider_scale():
+    # the tree holds one node per run prefix: the prefixes that fire
+    # place i a_i times number (sum a)! / prod a_i!
+    want = sum(math.factorial(sum(a)) // math.prod(map(math.factorial, a))
+               for a in itertools.product(range(6), repeat=5))
+    assert decide_termination(countdown(5, 5), 10**40).tree_size == want
+    assert decide_termination(line(1000), 10**40) == Terminating(1001)
+
+
+def test_adds_no_tokens():
+    for net in (LOOP, CHAIN, IDLE, countdown(2, 2), line(3)):
+        assert xpn_ert._adds_no_tokens(net)
+    rpump = parse_net("places: a\ntrans t: reset a ; out a")
+    for net in (GROW, NEAR, DEEP_LEVEL, rpump):
+        assert not xpn_ert._adds_no_tokens(net)
+    rng = random.Random(1)
+    for _ in range(100):
+        assert not xpn_ert._adds_no_tokens(fuzz.ert_grow_net(rng))
+        assert xpn_ert._adds_no_tokens(fuzz.ert_flow_net(rng))
+
+
+def _past_the_cap(count):
+    """The first `count` nets of a seeded `fuzz.ert_flow_net` stream with
+    more than 400 reachable markings."""
+    rng = random.Random(8)
+    nets = []
+    while len(nets) < count:
+        net = fuzz.ert_flow_net(rng)
+        if oracles.reach_graph(net, 400) is None:
+            nets.append(net)
+    return nets
+
+
+PAST_THE_CAP = [countdown(4, 4), line(500), *_past_the_cap(8)]
+
+
+@pytest.mark.parametrize("net", PAST_THE_CAP, ids=[
+    "countdown4x4", "line500", *(f"flow{i}" for i in range(8))])
+def test_lookup_equals_forced_scan(net, monkeypatch):
+    """On a net that adds no tokens the walk looks each child up on the
+    path; forcing the ancestor scan must draw the same trees, past the
+    oracles' cap, budget errors included."""
+    assert xpn_ert._adds_no_tokens(net)
+
+    def outputs():
+        out = [_decided(net, budget) for budget in (1, 2, 300, 5_000, 10**40)]
+        out.append(_verdict(decide_termination(net, 10**40,
+                                               random.Random(3))))
+        out += [_recorded(net, budget, stop_early, rng)
+                for stop_early, budget in ((False, 2), (False, 1_000),
+                                           (True, 1_000))
+                for rng in (None, random.Random(3))]
+        return out
+
+    lookup = outputs()
+    monkeypatch.setattr(xpn_ert, "_adds_no_tokens", lambda net: False)
+    assert outputs() == lookup
 
 
 # sha256 of ert_fields over the corpus in test_ert_byte_stable

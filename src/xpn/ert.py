@@ -156,14 +156,16 @@ def _walk(net: Net, max_nodes: int, rng, nodes, stop_early: bool):
     Terminating(tree_size) or the certificate of the first cut.  `rng`
     shuffles each node's children.
 
-    On nets that add no tokens (`_adds_no_tokens`, once per walk) `onpath`
-    maps each path marking to its position, and a child's ancestor is
-    `onpath.get(child)`: the frame `_scan` would find, as only an equal
-    marking can subsume the child and none repeats on the path.
+    `seen` maps each marking on the path to ~its position (a negative
+    int), and each memoised marking to its subtree's node count: one
+    lookup of a child answers both.  On nets that add no tokens
+    (`_adds_no_tokens`, once per walk) a child's ancestor is the path
+    position `seen` holds for it: the frame `_scan` would find, as only an
+    equal marking can subsume the child and none repeats on the path.
 
-    With `nodes` None the walk memoises in `done` each marking whose
-    subtree completed, with that subtree's node count; this is sound only
-    up to the first cut, so it needs `stop_early`.  Before the first cut a
+    With `nodes` None the walk memoises each marking whose subtree
+    completed, with that subtree's node count; this is sound only up to
+    the first cut, so it needs `stop_early`.  Before the first cut a
     completed subtree holds no cut, so every run from its marking is
     finite.  A cut certifies an infinite run from its leaf, so no node at
     or below that marking can be cut whatever its ancestors, and its
@@ -172,23 +174,25 @@ def _walk(net: Net, max_nodes: int, rng, nodes, stop_early: bool):
     expanded: its size is added instead.
 
     With a list `nodes` (holding one slot for the root) the walk memoises
-    nothing and records the tree: node i's ErtNode goes to `nodes[i]` once
-    its status is final, when it is expanded or made as a cut leaf.  It
-    goes on past the first cut unless `stop_early`, and the nodes made but
-    never expanded stay "inner".  Either way `max_nodes` bounds the number
-    of tree nodes made, the root included."""
+    nothing, so a marking leaves `seen` with the path, and records the
+    tree: node i's ErtNode goes to `nodes[i]` once its status is final,
+    when it is expanded or made as a cut leaf.  It goes on past the first
+    cut unless `stop_early`, and the nodes made but never expanded stay
+    "inner".  Either way `max_nodes` bounds the number of tree nodes made,
+    the root included."""
     check_eligible(net)
     _fit(1, max_nodes)
     tidx = {op.name: op.index for op in net._plan()}
-    done: dict = {}
+    seen: dict = {}
     path: list = []
-    onpath = {} if _adds_no_tokens(net) else None
+    lookup = _adds_no_tokens(net)
     count = 1  # tree nodes made so far
     cut = None
 
     def push(nid, m, via, via_index):
-        """Put node `m` on the path and make its children; return whether
-        the walk stops at a cut among them."""
+        """Put node `m`, already in `seen` at the path's end, on the path
+        and make its children; return whether the walk stops at a cut
+        among them."""
         nonlocal count, cut
         succ = successors(net, m)
         if rng is not None:
@@ -196,17 +200,17 @@ def _walk(net: Net, max_nodes: int, rng, nodes, stop_early: bool):
         if nodes is not None:
             nodes[nid] = ErtNode(m, path[-1].id if path else None, via,
                                  via_index, "inner" if succ else "deadlock")
-        if onpath is None:
-            frame = _Frame(nid, m, _support(m), via, via_index)
-        else:
-            onpath[m] = len(path)
-            frame = _Frame(nid, m, None, via, via_index)
+        frame = _Frame(nid, m, None if lookup else _support(m), via,
+                       via_index)
         path.append(frame)
         for name, m2 in succ:
             count = _fit(count + 1, max_nodes)
-            if m2 not in done:
-                anc = (_scan(path, m2, tidx[name]) if onpath is None
-                       else onpath.get(m2))
+            at = seen.get(m2)
+            if at is None or at < 0:  # not memoised
+                if lookup:
+                    anc = None if at is None else ~at
+                else:
+                    anc = _scan(path, m2, tidx[name])
                 if anc is not None:
                     if nodes is not None:
                         nodes.append(ErtNode(m2, nid, name, tidx[name],
@@ -221,21 +225,24 @@ def _walk(net: Net, max_nodes: int, rng, nodes, stop_early: bool):
         frame.todo.reverse()
         return False
 
-    stop = push(0, tuple(net.initial), None, 0)
+    root = tuple(net.initial)
+    seen[root] = ~0
+    stop = push(0, root, None, 0)
     while not stop and path:
         top = path[-1]
         if not top.todo:
             path.pop()
-            if onpath is not None:
-                del onpath[top.marking]
             if nodes is None:
-                done[top.marking] = top.size
+                seen[top.marking] = top.size
+            else:
+                del seen[top.marking]
             if path:
                 path[-1].size += top.size
             continue
         nid, name, m2 = top.todo.pop()
-        size = done.get(m2)
-        if size is None:
+        # a child is never on the path here, or it would have been cut
+        size = seen.setdefault(m2, ~len(path))
+        if size < 0:
             stop = push(nid, m2, name, tidx[name])
             continue
         # the tree makes the size - 1 nodes below it here

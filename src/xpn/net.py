@@ -16,20 +16,23 @@ passed to `validate`, but firing or analysing it raises InvalidNetError.
 `_apply`, the reference firing rule).
 
 `_search`, the breadth-first search behind `explore`'s forward searches,
-interprets the plan on tuples too until compiling pays (`_COMPILE_COST`).
-It then packs every visited marking into one int (`_Fields`: a field of
-8, 16, 32, ... bits per place, in place order) and goes on in one loop
-generated per net, goal and field width: one unpack per marking, one
-`if` per transition, one int expression per successor (one list, for a
-transition that changes many places), and the goal test on the packed
-marking.  Each field keeps spare top bits, checked by one AND before a
-marking is expanded; when an entry gets too close to overflowing, the
-visited markings are packed again at twice the width and the loop
-resumes where it stopped.  Each loop is compiled at most once per net,
-goal and width.  The generator, the field widths and `explore` read what
-a transition does to each place from `_effects` alone; `_apply` reads
-the arcs, so replaying found traces through `fire` is an independent
-check of the generated code.
+packs every visited marking into one int from the start (`_Fields`: a
+field of 8, 16, 32, ... bits per place, in place order).  Its table tier
+(`_table_loop`) reads one row of packed ints per transition: one
+guard-bit subtraction tests the numeric arcs, one AND the inhibitor
+arcs, and a successor is one addition, one AND for the emptied places
+and one shift per transfer.  Once compiling pays (`_COMPILE_COST`) the
+search goes on in one loop generated per net, goal and field width: one
+unpack per marking, one `if` per transition, one int expression per
+successor (one list, for a transition that changes many places), and
+the goal test on the packed marking.  Each field keeps spare top bits,
+checked by one AND before a marking is expanded; when an entry gets too
+close to overflowing, the visited markings are packed again at twice the
+width and the search resumes where it stopped.  Each loop is compiled at
+most once per net, goal and width.  The table, the generator, the field
+widths and `explore` read what a transition does to each place from
+`_effects` alone; `_apply` reads the arcs, so replaying found traces
+through `fire` is an independent check of both tiers.
 """
 
 from __future__ import annotations
@@ -37,8 +40,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, groupby, islice, repeat, starmap
-from operator import le
+from itertools import groupby, islice, repeat, starmap
 from struct import Struct
 from typing import Mapping, NamedTuple, Union
 
@@ -320,61 +322,40 @@ def _search(net: Net, start: Marking, goal: str, target, max_steps: int):
     BudgetExceededError when a marking past the `max_steps`-th would need
     expanding.
 
-    The search interprets the plan on tuples until its rent reaches the
-    buy (`_COMPILE_COST`), then packs the markings it has visited and goes
-    on in the loop generated for the goal and the field width."""
+    Every marking is packed from the start.  The search runs the table
+    tier (`_table_loop`) until its rent reaches the buy (`_COMPILE_COST`
+    says how both are counted), then the loop generated for the goal and
+    the field width; both expand the same queue into the same dict, and
+    either returns to have the fields widened."""
     _check_len(net, start)
     plan = net._plan()
     stop = min(max(max_steps, 0), sys.maxsize)
-    parent = {start: None}  # marking -> the marking it was first reached from
-    queue = [start]  # every visited marking, in the order of expansion
-    expanded, hit = 0, None
-    # op's first numeric pre-arc (p, w), or w = 0, rejects most disabled ops
-    checks = [(*(op.numeric[0] if op.numeric else (0, 0)), op) for op in plan]
-    rent, buy = 0, _COMPILE_COST * (len(plan) + 1)
-    for m in queue:
-        if expanded >= stop:  # so a spent budget compiles nothing
-            raise BudgetExceededError(f"expanded={expanded}")
-        if rent >= buy:
-            break
-        expanded += 1
-        k = 0
-        for p, w, op in checks:
-            if w and m[p] < w:
-                continue
-            _, numeric, inhib, resets, xfers, posts, _ = op
-            if _enabled(m, numeric, inhib):
-                k += 1
-                s = _apply(m, numeric, resets, xfers, posts)
-                if s not in parent:
-                    parent[s] = m
-                    queue.append(s)
-        rent += len(plan) + 4 * k
-        if (not k if goal == "deadlock" else m == target if goal == "reach"
-                else all(map(le, target, m))):
-            hit = m
-            break
-    else:
-        return expanded, None, None
-    if hit is not None:  # pack just the path
-        path = _path(parent, hit)
-        fields = _Fields(len(start), 8).fitting(_top(path))
-        return expanded, fields.encode_all(path), fields
-    fields = _Fields.for_net(net, _top(parent))
-    parent = _recode(parent, fields.encode_all(parent))
-    queue = list(parent)  # the keys are the visited markings in order
-    while True:
-        run = _search_loop(net, goal, fields)
-        r = run(queue, parent, expanded, stop,
-                _packed_target(goal, target, fields))
+    fields = _Fields.for_net(net, max(start, default=0))
+    parent = {fields.encode(start): None}  # marking -> its predecessor
+    queue = list(parent)  # every visited marking, in the order of expansion
+    i, rent, buy = 0, 0, _COMPILE_COST * (len(plan) + 1)
+    while i < stop:
+        words = fields.size // 4 + 1
+        # building the table reads each op about as a test does
+        if rent + len(plan) * words < buy:
+            run, tests = _table_loop(plan, goal, fields)
+            rent, cost = rent + len(plan) * words, tests * words
+            end = min(stop, i - (rent - buy) // cost) if cost else stop
+        else:
+            run, cost, end = _search_loop(net, goal, fields), 0, stop
+        r = run(queue, parent, i, end, _packed_target(goal, target, fields))
+        del run  # so that a compile next frees the table first
         if r is None:
-            break
-        expanded, hit = r
+            if len(queue) <= end:
+                break
+            rent, i = rent + (end - i) * cost, end
+            continue
+        j, hit = r
         if hit is not None:
-            return expanded + 1, _path(parent, hit), fields
-        # queue[expanded] has an entry at or above the limit: widen
-        old, fields = fields, fields.fitting(max(fields.decode(
-            queue[expanded])))
+            return j + 1, _path(parent, hit), fields
+        # queue[j] has an entry at or above the limit: widen
+        rent, i = rent + (j - i) * cost, j
+        old, fields = fields, fields.fitting(max(fields.decode(queue[i])))
         parent = _recode(parent, fields.encode_all(map(old.decode, parent)))
         queue = list(parent)
     if len(queue) > stop:
@@ -382,9 +363,69 @@ def _search(net: Net, start: Marking, goal: str, target, max_steps: int):
     return len(queue), None, fields
 
 
-def _top(markings) -> int:
-    """The largest entry of any of `markings`, 0 if there is none."""
-    return max(chain.from_iterable(markings), default=0)
+def _table_loop(plan, goal: str, fields: "_Fields"):
+    """(run, tests): `run(Q, P, i, stop, T)` with the contract of the
+    generated loop (`_search_source`) for `plan`, `goal` and `fields`,
+    and the number of ops it tests per expansion.  It reads one row of
+    packed ints per op, taken from `_effects`: the op is enabled at m
+    when (m | g) - w & g == g, g the guard bits of its numeric pre-places
+    and w their weights, and not m & inhib, its inhibited fields.  Its
+    successor is m + d, d its packed const, less m & zero, its zeroed
+    fields, plus each transfer source's entry in m shifted to its target
+    (a source has no numeric arc, so m holds the snapshot `_apply`
+    takes).  An op with a weight at or above the limit is left out: no
+    marking the tier expands enables it."""
+    width, limit, full = fields.width, fields.limit, (1 << fields.width) - 1
+    top = 1 << (width - 1)
+    table = []
+    for op in plan:
+        g = w = 0
+        for p, x in op.numeric:
+            if x >= limit:
+                break
+            g |= top << p * width
+            w |= x << p * width
+        else:
+            const, zeroed, moved = _effects(op)
+            inhib = d = zero = 0
+            for p in op.inhib:
+                inhib |= full << p * width
+            for q, c in const.items():
+                d += c << q * width
+            for p in zeroed:
+                zero |= full << p * width
+            table.append((g, w, inhib, d, zero, [
+                (src * width, q * width)
+                for q, srcs in moved.items() for src in srcs]))
+    head, guard = fields.head, fields.guard
+    reach, cover = goal == "reach", goal == "cover"
+    deadlock = goal == "deadlock"
+
+    def run(Q, P, i, stop, T):
+        push = Q.append
+        for i, m in enumerate(islice(Q, i, stop), i):
+            if m & head:
+                return i, None
+            if (m == T if reach
+                    else cover and (m | guard) - T & guard == guard):
+                return i, m
+            k = 0
+            for g, w, inhib, d, zero, xfers in table:
+                if (m | g) - w & g == g and not m & inhib:
+                    k = 1
+                    s = m + d
+                    if zero:
+                        s -= m & zero
+                        for src, q in xfers:
+                            s += (m >> src & full) << q
+                    if s not in P:
+                        P[s] = m
+                        push(s)
+            if deadlock and not k:
+                return i, m
+        return None
+
+    return run, len(table)
 
 
 def _recode(parent: dict, keys: list) -> dict:
@@ -404,16 +445,16 @@ def _path(parent: dict, m) -> list:
 
 
 def _packed_target(goal: str, target, fields: "_Fields"):
-    """`target` packed for the search loop.  Every marking the loop tests
-    has its entries below `fields.limit`, so a target with an entry at or
-    above it never matches: reach then gets -1, which equals no packed
+    """`target` packed for either tier of the search.  Every marking they
+    test has its entries below `fields.limit`, so a target with an entry
+    at or above it never matches: reach then gets -1, which equals no packed
     marking, and cover the guard bits, which cover no marking below the
     limit."""
     if goal == "deadlock":
         return None
     if goal == "cover":
-        target = [max(x, 0) for x in target]
-    if all(0 <= x < fields.limit for x in target):
+        target = [x if x > 0 else 0 for x in target]
+    if min(target, default=0) >= 0 and max(target, default=0) < fields.limit:
         return fields.encode(target)
     return fields.guard if goal == "cover" else -1
 
@@ -461,12 +502,13 @@ class _Fields:
         is the most entries a transition sums into one place (the place's
         own unless zeroed, plus its transfer sources), `post` the largest
         post weight."""
-        fan, post = 1, 0
-        for op in net._plan():
-            _, zeroed, moved = _effects(op)
-            post = max([post] + [w for _, w in op.posts])
-            fan = max([fan] + [len(srcs) + (tgt not in zeroed)
-                               for tgt, srcs in moved.items()])
+        plan = net._plan()
+        fan, post = 1, max([w for op in plan for _, w in op.posts], default=0)
+        for op in plan:
+            if op.xfers:  # else no entry sums into another
+                _, zeroed, moved = _effects(op)
+                fan = max([fan] + [len(srcs) + (tgt not in zeroed)
+                                   for tgt, srcs in moved.items()])
         return cls(len(net.places), 8, fan=fan, post=post).fitting(top)
 
     def _every(self, x: int) -> int:
@@ -526,14 +568,19 @@ def _read_wide(n: int, nb: int, raw: bytes) -> tuple:
 # generated code
 
 # Rent-or-buy (Karlin et al. 1988): a search compiles its loop once its
-# rent, the work it has interpreted, reaches the buy, the cost of compiling:
-# 55-110 us per transition (2-vCPU x86-64, CPython 3.11).  Interpreted, a
-# test its first arc fails costs 0.1 us and a fire 1 us (0.03 and 0.3 us in
-# the loop); in units of about 0.25 us the rent counts 1 per test and 4 per
-# fire, the buy _COMPILE_COST per transition and one more.  Tests count
-# above their cost, so a line of any length switches after about
-# _COMPILE_COST expansions.  Counts, not a clock: answers match on any host.
-_COMPILE_COST = 400
+# rent, the work done in the table tier, reaches the buy, the cost of
+# compiling: 45-115 us per transition (2-vCPU x86-64, CPython 3.11).  The
+# rent counts tests, each weighed by the packed marking's size in 32-bit
+# words: one per transition to build the table, then one per transition
+# in the table at each expansion; the buy is _COMPILE_COST per transition
+# and one more.  A test-word costs the table 15-90 ns more than the loop,
+# so compiling pays after 900-1,300 test-words per transition on rings of
+# 5-7 places, the nets that search long enough to switch, and after
+# 2,300-4,000 on counter machines of 17-24, whose tests the weight
+# overstates.  A net whose table would cost the buy to build compiles at
+# once, which bounds the table's memory by the compile's.
+# Counts, not a clock: answers match on any host.
+_COMPILE_COST = 1000
 
 # _RUN bounds the terms of a successor's int expression (more are packed
 # from a list) and of a `+` chain of transfers into one place (more are one

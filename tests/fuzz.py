@@ -220,11 +220,11 @@ def ert_grow_net(rng):
     return Net(tuple(places), tuple(transitions), initial)
 
 
-def ert_flow_net(rng):
+def ert_flow_net(rng, tokens=(8, 12)):
     """Tree-decider eligible nets that add no tokens, on 5 or 6 places
-    holding 8 to 12 tokens, p0 empty: most transitions put back all the
-    tokens their numeric arcs take, so the graph is finite but often past
-    the oracles' 400-marking cap."""
+    holding `tokens` (from, to) tokens, p0 empty: most transitions put
+    back all the tokens their numeric arcs take, so the graph is finite,
+    with 8 to 12 tokens often past the oracles' 400-marking cap."""
     places = [f"p{i}" for i in range(rng.randint(5, 6))]
     transitions = []
     for j in range(rng.randint(4, 7)):
@@ -243,7 +243,7 @@ def ert_flow_net(rng):
             post[q] = post.get(q, 0) + 1
         transitions.append(Transition(f"t{j}", pre, post))
     initial = [0] * len(places)
-    for _ in range(rng.randint(8, 12)):
+    for _ in range(rng.randint(*tokens)):
         initial[rng.randint(1, len(places) - 1)] += 1
     return Net(tuple(places), tuple(transitions), tuple(initial))
 

@@ -427,18 +427,19 @@ def test_dlf_to_reach_runs_out_on_huge_weights(tmp_path):
 
 
 N4 = 10**4
-# a 10**4-way transfer fan-in into one place, beside a countdown c that
-# takes the search past the point where it compiles its loop: t fires at
-# every marking and d while c lasts, so the rent reaches the buy after 120
-# of the 202 expansions
+# a 10**4-way transfer fan-in into one place, beside a countdown c: t
+# fires at every marking and d while c lasts.  A marking is 10**4 fields
+# of 32 bits, so building the table of the two transitions would cost
+# more than the buy, and the search generates its loop at once
 FAN_IN = (f"places: c {' '.join(f'p{i}' for i in range(N4 + 1))}\n"
           f"marking: c=100 {' '.join(f'p{i}=1' for i in range(N4))}\n"
           "trans d: in c ;\n"
           f"trans t: {', '.join(f'xfer p{i}->p{N4}' for i in range(N4))} ;\n")
 # a token walking a line of 10**4 places; its 10**4 reachable markings of
 # 10**4 entries each would not fit the child's cap, so the search is
-# budgeted, past the 400 expansions after which the rent of a net with one
-# fire per marking reaches the buy and the loop is generated
+# budgeted.  A marking is 2,501 words of 32 bits, so the table of its
+# 9,999 transitions would cost more than the buy, and the loop is
+# generated at once
 LINE = (f"places: {' '.join(f'p{i}' for i in range(N4))}\nmarking: p0=1\n"
         + "".join(f"trans t{i}: in p{i} ; out p{i + 1}\n"
                   for i in range(N4 - 1)))

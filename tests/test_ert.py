@@ -276,11 +276,27 @@ def _recorded(net, budget, stop_early, rng):
              for n in ert.nodes], _verdict(ert.verdict))
 
 
+def _deep_flow_nets(seed, count):
+    """The first `count` nets of a seeded `fuzz.ert_flow_net` stream with 4
+    to 6 tokens whose full paper tree has 10 to 5,000 nodes: nets that add
+    no tokens, so the walk looks ancestors up, with deeper trees than
+    `fuzz.ert_net` mostly draws."""
+    rng = random.Random(seed)
+    nets = []
+    while len(nets) < count:
+        net = fuzz.ert_flow_net(rng, tokens=(4, 6))
+        tree = oracles.ert_tree(net, 5_000, stop_early=False)
+        if tree[0] != "budget" and len(tree[0]) >= 10:
+            nets.append(net)
+    return nets
+
+
 def test_memoised_decider_equals_paper_tree():
     rng = random.Random(20261)
     nets = [fuzz.ert_net(rng) for _ in range(600)] + [NEAR, DEEP_LEVEL]
     grow = random.Random(5)
     nets += [fuzz.ert_grow_net(grow) for _ in range(300)]  # walk scans
+    nets += _deep_flow_nets(21, 12)  # walk looks up
     budgets_checked = 0
     for net in nets:
         tree = oracles.ert_tree(net, 50_000)
@@ -305,6 +321,7 @@ def test_recorded_tree_equals_paper_tree():
     nets += [countdown(3, 2), IDLE, NEAR, DEEP_LEVEL]
     grow = random.Random(6)
     nets += [fuzz.ert_grow_net(grow) for _ in range(150)]  # walk scans
+    nets += _deep_flow_nets(22, 8)  # walk looks up
     for net in nets:
         for stop_early, seed, budget in itertools.product(
                 (False, True), (None, 11), (0, 12, 20_000)):

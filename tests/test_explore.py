@@ -241,40 +241,50 @@ def oracle_search(graph, start, goal, target, budget):
     return len(graph), None
 
 
-# (net, searched in the generated loop from the first expansion on, an
-# entry value the fields cannot take below the first widening, the field
-# widths the search goes through); the limits are 2**(width - 1), or lower
-# where a transition sums three entries (fan_in) or adds a large post weight
+# (net, the _COMPILE_COST its searches run under, None for the module's,
+# an entry value the fields cannot take below the first widening, the
+# field widths of the loops the search generates); the limits are
+# 2**(width - 1), or lower where a transition sums three entries (fan_in)
+# or adds a large post weight
+GROWING = [
+    (counter(120, 20), 128, {8, 16}),
+    (counter(0, 20, weight=100), 128, {8, 16}),
+    (fan_in(55, 12), 64, {8, 16}),
+    (counter(2**15 - 10, 20), 2**15, {16, 32}),
+    (fan_in(2**14 - 10, 12), 2**14, {16, 32}),
+    (fan_in(2**30 - 10, 12), 2**30, {32, 64}),
+    (counter(2**31 - 10, 20), 2**31, {32, 64}),
+    (counter(2**63 - 10, 20), 2**63, {64, 128}),
+    (counter(2 * 10**18, 20), 0, {64}),
+    (counter(3 * 10**40, 20, weight=10**40), 0, {256}),
+    (counter(2**255 - 10, 20), 2**255, {256, 512}),
+]
 WIDTH_CASES = [
-    (counter(120, 20), True, 128, {8, 16}),
-    (counter(0, 20, weight=100), True, 128, {8, 16}),
-    (fan_in(55, 12), True, 64, {8, 16}),
-    (counter(2**15 - 10, 20), True, 2**15, {16, 32}),
-    (fan_in(2**14 - 10, 12), True, 2**14, {16, 32}),
-    (fan_in(2**30 - 10, 12), True, 2**30, {32, 64}),
-    (counter(2**31 - 10, 20), True, 2**31, {32, 64}),
-    (counter(2**63 - 10, 20), True, 2**63, {64, 128}),
-    (counter(2 * 10**18, 20), True, 0, {64}),
-    (counter(3 * 10**40, 20, weight=10**40), True, 0, {256}),
-    (counter(2**255 - 10, 20), True, 2**255, {256, 512}),
-    # searched as the CLI does, where the rent of 1 test and 1 fire per
-    # expansion reaches the buy of the one transition after 160
-    # expansions: a count of 100 stays interpreted to its end
-    (counter(60, 100), False, 128, set()),
-    (counter(63, 100), False, 128, set()),
-    (counter(64, 100), False, 128, set()),
-    (counter(66, 100), False, 128, set()),
-    # and one of 200 switches with b still above 127, a passing 2**15 - 1
-    # after the switch, at it, or before it
-    (counter(2**15 - 164, 200), False, 2**15, {16, 32}),
-    (counter(2**15 - 161, 200), False, 2**15, {16, 32}),
-    (counter(2**15 - 160, 200), False, 2**15, {32}),
-    (counter(2**15 - 158, 200), False, 2**15, {32}),
+    # the generated loop from the first expansion on
+    *((text, 0, cross, widths) for text, cross, widths in GROWING),
+    # the table tier alone, widening as the loop does
+    *((text, 10**12, cross, set()) for text, cross, _ in GROWING),
+    # searched as the CLI does, where the rent of the one transition on a
+    # one-word marking, 1 to build the table and 1 per expansion, stays
+    # below its buy of 2 * _COMPILE_COST: a count of 100 stays in the
+    # table tier to its end
+    (counter(60, 100), None, 128, set()),
+    (counter(63, 100), None, 128, set()),
+    (counter(64, 100), None, 128, set()),
+    (counter(66, 100), None, 128, set()),
+    # with the buy at 2 * 161, a rent of 2 per expansion at 16 bits
+    # switches after 160 expansions, with b still above 127: a passes
+    # 2**15 - 1 after the switch, at it, or before it, where the rent of
+    # 3 per expansion at 32 bits switches one expansion earlier
+    (counter(2**15 - 164, 200), 161, 2**15, {16, 32}),
+    (counter(2**15 - 161, 200), 161, 2**15, {16, 32}),
+    (counter(2**15 - 160, 200), 161, 2**15, {16, 32}),
+    (counter(2**15 - 158, 200), 161, 2**15, {32}),
 ]
 
 
-@pytest.mark.parametrize("text, packed, cross, widths", WIDTH_CASES)
-def test_packed_search_across_field_widths(text, packed, cross, widths,
+@pytest.mark.parametrize("text, cost, cross, widths", WIDTH_CASES)
+def test_packed_search_across_field_widths(text, cost, cross, widths,
                                            monkeypatch):
     """Verdicts, expansion counts and traces equal the oracle's while the
     fields widen, with targets that fit only after a widening or never,
@@ -290,8 +300,8 @@ def test_packed_search_across_field_widths(text, packed, cross, widths,
     # with it would borrow from the next field
     over = (cross + cross // 2,) + (0,) * (len(top) - 1)
     k = next(i for i, m in enumerate(graph) if max(m) >= cross)
-    if packed:
-        monkeypatch.setattr(xpn_net, "_COMPILE_COST", 0)
+    if cost is not None:
+        monkeypatch.setattr(xpn_net, "_COMPILE_COST", cost)
     net = parse_net(text)
     assert run_search(net, "reach", miss, 10**6) == (len(graph), None)
     assert {width for _, width in net._loops} == widths
@@ -321,19 +331,23 @@ def test_each_search_switches_after_its_own_expansions(monkeypatch):
     loop = xpn_net._search_loop
     monkeypatch.setattr(xpn_net, "_search_loop",
                         lambda *args: runs.append(args[1]) or loop(*args))
-    text = ring_text(5, 8)
+    # ring (6,12): 6,188 markings; the rent of 6 tests of 2 words per
+    # expansion, after as many to build the table, reaches the buy of
+    # 7 * _COMPILE_COST after 583 expansions
+    text = ring_text(6, 12)
     net = parse_net(text)
     first = bounded_deadlock(net)
     loops = dict(net._loops)
     second = bounded_deadlock(net)
-    assert first == second == explore.SearchResult(None, 495)
+    assert first == second == explore.SearchResult(None, 6188)
     assert runs == ["deadlock"] * 2 and net._loops == loops
-    reach = bounded_reach(net, (0, 0, 0, 0, 8))
-    assert reach == bounded_reach(parse_net(text), (0, 0, 0, 0, 8))
+    last = (0,) * 5 + (12,)
+    reach = bounded_reach(net, last)
+    assert reach == bounded_reach(parse_net(text), last)
     assert reach.found and runs == ["deadlock"] * 2 + ["reach"] * 2
     del runs[:]
-    short = bounded_reach(net, (6, 2, 0, 0, 0))
-    assert short == bounded_reach(parse_net(text), (6, 2, 0, 0, 0))
+    short = bounded_reach(net, (10, 2, 0, 0, 0, 0))
+    assert short == bounded_reach(parse_net(text), (10, 2, 0, 0, 0, 0))
     assert short.trace.transitions == ("t0", "t0")
     with pytest.raises(BudgetExceededError, match="^expanded=10$"):
         bounded_deadlock(net, max_steps=10)
@@ -343,15 +357,17 @@ def test_each_search_switches_after_its_own_expansions(monkeypatch):
 def switch_point(net, graph):
     """The expansions after which a search of `net` generates its loop by
     the rule `xpn.net._COMPILE_COST` documents, counted on the oracle
-    graph in the search's order: the rent of one per transition tested and
-    four per fire reaches the buy of _COMPILE_COST per transition and one
-    more.  None if the graph runs out first."""
-    tests = len(net.transitions)
-    rent, buy = 0, xpn_net._COMPILE_COST * (tests + 1)
-    for e, edges in enumerate(graph.values()):
+    graph in the search's order, for markings in fields of 8 bits and
+    weights below their limit: the rent, one test per transition to build
+    the table and one per transition at each expansion, each weighed by
+    the packed marking's 32-bit words, reaches the buy of _COMPILE_COST per
+    transition and one more.  None if the graph runs out first."""
+    tests = len(net.transitions) * (len(net.places) // 4 + 1)
+    rent, buy = tests, xpn_net._COMPILE_COST * (len(net.transitions) + 1)
+    for e in range(len(graph)):
         if rent >= buy:
             return e
-        rent += tests + 4 * len(edges)
+        rent += tests
     return None
 
 
@@ -360,7 +376,9 @@ def test_a_search_compiles_once_its_rent_reaches_the_buy(monkeypatch):
     search generates its loop exactly when it would expand a marking past
     its switch point, with budgets either side of that point, and every
     answer equals the oracle's and that of a copy that runs the loop from
-    its first expansion."""
+    its first expansion.  The buy is cut to 200 per transition, so that
+    the switch falls inside these graphs."""
+    monkeypatch.setattr(xpn_net, "_COMPILE_COST", 200)
     rng = random.Random(2020)
     stayed = switched = 0
     for _ in range(200):
@@ -383,10 +401,55 @@ def test_a_search_compiles_once_its_rent_reaches_the_buy(monkeypatch):
                     mp.setattr(xpn_net, "_COMPILE_COST", 0)
                     hot = Net(base.places, base.transitions, base.initial)
                     assert run_search(hot, goal, target, budget) == got
-        # some searches of more than 64 markings stay interpreted to the end
-        stayed += e is None and len(graph) > 64
+        stayed += e is None
         switched += e is not None
     assert stayed and switched
+
+
+# hand nets for the table tier: no places; transfers that swap, chain and
+# move a place onto itself, beside a reset place that is posted to; and a
+# weight above the limit of 8-bit fields (128), whose transition the
+# table leaves out until the fields widen
+TABLE_NETS = [
+    "places:\ntrans t: ;\n",
+    ("places: a b c d\nmarking: a=3 b=2 c=1 d=1\n"
+     "trans t: xfer a->b, xfer b->a ;\n"
+     "trans u: xfer a->b, xfer b->c, in d ; out a\n"
+     "trans v: xfer c->c, in b ; out d\n"
+     "trans w: reset a, in c, in b ; out a*2\n"),
+    "places: a b c\nmarking: b=75\ntrans t: in b ; out a*2\n"
+    "trans u: in a*140 ; out c\n",
+]
+
+
+def test_table_tier_equals_the_oracle_and_the_loop(monkeypatch):
+    """The table tier alone (`_COMPILE_COST` at 10**12), which compiles
+    nothing, and the loop generated from the first expansion (at 0)
+    answer every search as the oracle does, with budgets of the whole
+    graph and of half of it: on seeded nets with all four arc kinds and
+    on TABLE_NETS."""
+    rng = random.Random(2206)
+    cases = [fuzz.finite_net(rng, gen, 400)
+             for gen in (fuzz.busy_net, fuzz.spiced_net, fuzz.hirct_net,
+                         fuzz.two_transfer_net) for _ in range(10)]
+    cases += [(net, oracles.reach_graph(net, 400))
+              for net in map(parse_net, TABLE_NETS)]
+    for base, graph in cases:
+        marks = list(graph)
+        miss = (max([x for m in marks for x in m], default=0) + 1,) * len(
+            base.places)
+        for goal, target in [("reach", rng.choice(marks)), ("reach", miss),
+                             ("cover", rng.choice(marks)), ("cover", miss),
+                             ("deadlock", None)]:
+            for budget in (10**6, max(1, len(graph) // 2)):
+                want = oracle_search(graph, base.initial, goal, target,
+                                     budget)
+                for cost in (10**12, 0):
+                    monkeypatch.setattr(xpn_net, "_COMPILE_COST", cost)
+                    net = Net(base.places, base.transitions, base.initial)
+                    assert run_search(net, goal, target, budget) == want, (
+                        base, goal, target, budget, cost)
+                    assert bool(net._loops) == (cost == 0)
 
 
 def line_text(n):
@@ -398,16 +461,18 @@ def line_text(n):
 
 
 @pytest.mark.parametrize("text, last, switch, dead", [
-    (ring_text(7, 14), (0,) * 6 + (14,), 162, (False, 38760)),
-    (line_text(2500), (0,) * 2500 + (1,), 400, (True, 2501)),
+    (ring_text(7, 14), (0,) * 6 + (14,), 571, (False, 38760)),
+    (line_text(2500), (0,) * 2500 + (1,), 1, (True, 2501)),
 ], ids=["ring7x14", "line2500"])
 def test_long_searches_compile_once_per_goal(text, last, switch, dead,
                                              monkeypatch):
     """Each goal compiles one loop, once the search has expanded `switch`
     markings: a budget of `switch` compiles nothing and one more compiles
-    the loop.  `switch_point` on the ring's oracle graph gives 162; the
-    line's rent of 2,504 per expansion reaches its buy of 400 * 2,501
-    after 400."""
+    the loop.  The ring's rent of 7 tests of 2 words per expansion, after
+    as many to build the table, reaches its buy of 8 * _COMPILE_COST after
+    571 (`switch_point`); on the line each marking is 626 words, so 2,500
+    tests to build the table and 2,500 to expand the first marking reach
+    the buy of 2,501 * _COMPILE_COST."""
     runs = []
     loop = xpn_net._search_loop
     monkeypatch.setattr(xpn_net, "_search_loop",

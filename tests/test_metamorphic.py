@@ -160,11 +160,13 @@ COUNTDOWN = ("places: p0 p1 p2 p3\nmarking: p0=3 p1=3 p2=3 p3=3\n"
 ], ids=["ring5x8", "countdown4x3"])
 def test_generated_successors_change_no_answer(text, reach, cover,
                                               monkeypatch):
-    """Each engine on a fresh net, whose forward searches switch to the
-    generated loop once their rent reaches the buy (_COMPILE_COST), equals
-    the same engine with that cost at 0, where they run it from the first
-    expansion on: traces, expansion counts, verdicts, tree sizes and
-    budget messages alike."""
+    """Each engine on a fresh net equals the same engine whatever the
+    forward searches' buy (_COMPILE_COST): at 50 per transition they
+    switch from the table tier to the generated loop some thirty
+    expansions in, at 0 they run the loop from the first expansion on,
+    and at 10**12 the table tier to their end, which these short searches
+    also do at the module's cost: traces, expansion counts, verdicts,
+    tree sizes and budget messages alike."""
     engines = [
         lambda n: bounded_reach(n, reach, max_steps=15_000),
         lambda n: bounded_cover(n, cover, max_steps=15_000),
@@ -181,9 +183,10 @@ def test_generated_successors_change_no_answer(text, reach, cover,
             except BudgetExceededError as e:
                 got.append(str(e))
             switched.append(bool(net._loops))
-        return got, switched
+        return got, switched[:3]
 
-    cold, switched = outcomes()
-    assert switched[:3] == [True] * 3  # every forward search switched
-    monkeypatch.setattr(xpn_net, "_COMPILE_COST", 0)
-    assert outcomes()[0] == cold
+    cli, switched = outcomes()
+    assert switched == [False] * 3
+    for cost, loops in ((50, True), (0, True), (10**12, False)):
+        monkeypatch.setattr(xpn_net, "_COMPILE_COST", cost)
+        assert outcomes() == (cli, [loops] * 3), cost

@@ -188,18 +188,19 @@ def test_fire_fuzz_against_oracle():
 # the interpreted successors and every tier of the search, against the oracle
 
 # the module constants that searches of each copy from `tiers` run under:
-# none, so the CLI's interpreted first expansions, which test each
-# transition on its first numeric pre-arc, if any, before `_enabled`; the
-# generated loop from the first expansion; and that loop with every
-# successor of more than one term built as a list (with _RUN at 0 a lone
-# transfer would be sum((a3)))
-PATCHES = ({}, {"_COMPILE_COST": 0}, {"_COMPILE_COST": 0, "_RUN": 1})
+# none, as the CLI runs, which is the table tier for these short searches
+# unless the marking is wide enough that the rent reaches the buy at once;
+# the table tier alone; the generated loop from the first expansion; and
+# that loop with every successor of more than one term built as a list
+# (with _RUN at 0 a lone transfer would be sum((a3)))
+PATCHES = ({}, {"_COMPILE_COST": 10**12}, {"_COMPILE_COST": 0},
+           {"_COMPILE_COST": 0, "_RUN": 1})
 
 
 def tiers(net):
-    """Three copies of `net`, `cold`, `hot` and `listed`, searched under
-    the entries of PATCHES in turn (see `first_level`); each keeps its
-    own compiled loops."""
+    """Four copies of `net`, `cli`, `table`, `hot` and `listed`, searched
+    under the entries of PATCHES in turn (see `first_level`); each keeps
+    its own compiled loops."""
     return tuple(Net(net.places, net.transitions, net.initial)
                  for _ in PATCHES)
 
@@ -244,9 +245,9 @@ def assert_tiers_match_oracle(net, markings):
         assert successors(copies[0], m) == want, (net, m)
         for copy, patch in zip(copies, PATCHES):
             assert_first_level(copy, m, want, patch)
-    cold, *packed = copies
-    assert not cold._loops  # below the threshold
-    assert all(copy._loops for copy in packed)
+    _, table, *compiled = copies
+    assert not table._loops
+    assert all(copy._loops for copy in compiled)
 
 
 HUGE = (10**18, 10**18 + 1, 3 * 10**40 + 2)
@@ -301,6 +302,20 @@ def _line(n):
                   Transition("u", {"a": Numeric(1)}, {"b": 1})]),
     # no places and no transitions
     ([], []),
+    # transfers that swap two places and that chain a -> b -> c, each
+    # source read before any is emptied; a reset place posted to
+    (["a", "b", "c"], [Transition("t", {"a": Transfer("b"),
+                                        "b": Transfer("a")}, {}),
+                       Transition("u", {"a": Transfer("b"),
+                                        "b": Transfer("c")}, {"a": 1}),
+                       Transition("v", {"a": RESET, "c": Numeric(1)},
+                                  {"a": 2, "c": 1})]),
+    # weights at or above the limit of 8-bit fields (128), which enable
+    # their transition only once the fields are wide
+    (["a", "b"], [Transition("t", {"a": Numeric(200)}, {"b": 1}),
+                  Transition("u", {"b": Numeric(10**20), "a": INHIBIT},
+                             {"a": 1}),
+                  Transition("v", {"a": Numeric(1)}, {"b": 1})]),
 ])
 def test_generated_successors_hand_cases(places, transitions):
     net = net_of(places, transitions, [0] * len(places))

@@ -690,6 +690,77 @@ def test_backward_cover_budget_counts_candidate_predecessors(monkeypatch):
         backward_cover(net, target, max_steps=budget)
 
 
+def _candidate_count(net, target, cap):
+    """The fewest candidate predecessors `backward_cover` needs for
+    `target`, found by doubling `max_steps` and then bisecting; None if
+    that is more than `cap`."""
+    lo, hi = -1, 0  # lo runs out, hi is tried next
+    while True:
+        try:
+            backward_cover(net, target, max_steps=hi)
+            break
+        except BudgetExceededError:
+            if hi >= cap:
+                return None
+            lo, hi = hi, min(max(1, 2 * hi), cap)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            backward_cover(net, target, max_steps=mid)
+            hi = mid
+        except BudgetExceededError:
+            lo = mid
+    return hi
+
+
+def backward_queries():
+    """(net, target) pairs: chains and seeded inhibitor-free nets, each
+    with a small target and with one entry at either side of the 8- and
+    16-bit field limits and at 10**18, so the fields widen before and
+    during a saturation."""
+    rng = random.Random(2317)
+    nets = [_chain(n, r) for n in (2, 3, 4) for r in (False, True)]
+    nets += [fuzz.no_inhibitor_net(random.Random(s)) for s in range(24)]
+    for net in nets:
+        n = len(net.places)
+        yield net, tuple(rng.randint(0, 3) for _ in range(n))
+        for big in (127, 128, 32767, 32768, 10**18):
+            target = [rng.randint(0, 2) for _ in range(n)]
+            target[rng.randrange(n)] = big
+            yield net, tuple(target)
+
+
+# sha256 of the outputs over the corpus in test_backward_byte_stable
+BACKWARD_DIGEST = \
+    "fee8246e9a293cdc488237ee53560b4bc81073362ad8366c7a270d545599ff41"
+
+
+def test_backward_byte_stable(tmp_path):
+    """`explore backward-cover` at budgets 1 and 5, at the exact number
+    of candidates a query needs and at one less; 400 where it needs
+    more."""
+    cap = 400
+    path = tmp_path / "n.xpn"
+    h = hashlib.sha256()
+    for net, target in backward_queries():
+        count = _candidate_count(net, target, cap)
+        budgets = ({1, 5, cap} if count is None
+                   else {1, 5, count, max(count - 1, 0)})
+        path.write_text(render_net(net))
+        for budget in sorted(budgets):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(["explore", "backward-cover", str(path),
+                                 "-m", format_marking(net, target),
+                                 "--max-steps", str(budget)])
+            h.update(repr((code, out.getvalue())).encode())
+    assert h.hexdigest() == BACKWARD_DIGEST, (
+        "backward-cover's stdout or exit code changed on the seeded corpus; "
+        "if the change is intended, declare it in CHANGES.md and update "
+        "BACKWARD_DIGEST")
+
+
 def _fits_exactly(shape, target):
     """The candidates of `shape` for `target` fit a room of their own
     number and no less; returns that number."""

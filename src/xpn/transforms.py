@@ -115,12 +115,15 @@ def _numeric_pre(t: Transition) -> dict:
     return {p: a for p, a in t.pre.items() if isinstance(a, Numeric)}
 
 
-def _gated(t: Transition, gate: str) -> Transition:
-    pre = dict(t.pre)
-    pre[gate] = Numeric(1)
+_ONE = Numeric(1)
+
+
+def _gated(t: Transition, *gates: str) -> Transition:
+    """`t` taking one token from each of `gates` and putting it back."""
     post = dict(t.post)
-    post[gate] = post.get(gate, 0) + 1
-    return Transition(t.name, pre, post)
+    for gate in gates:
+        post[gate] = post.get(gate, 0) + 1
+    return Transition(t.name, {**t.pre, **dict.fromkeys(gates, _ONE)}, post)
 
 
 # ---------------------------------------------------------------------------
@@ -150,42 +153,66 @@ def _elim_one(net: Net, with_transfer: bool) -> TransformResult:
     t = _pick_special(net, kinds)
     if t is None:
         raise TransformError(f"no transition with a {what} pre-arc")
-    return _gadget(net, t)
+    return _gadgets(net, [t])
 
 
-def _gadget(net: Net, t: Transition) -> TransformResult:
-    """Replace `t` by the start/drain/move/finish gadget under a lock."""
+def _gadgets(net: Net, elim: list) -> TransformResult:
+    """Replace each transition of `elim`, in declaration order, by the
+    start/drain/move/finish gadget under a lock of its own, in one pass.
+
+    The output is the net that eliminating them one at a time would give:
+    each r_j of `elim` gets a busy and a lock place, in order; every other
+    transition is gated on every lock; and r_j's gadget is built from r_j
+    gated on the locks of r_1 ... r_{j-1}, then gated on the later locks.
+    Each gadget's names are fresh against the names in the net at its
+    step, so r_j's own name is free again once its gadget is named."""
     b = _Builder(net)
-    busy = b.place(f"{t.name}_busy",
-                   f"token held while the phases of {t.name} run")
-    lock = b.place("lock", "token held while any other transition may fire",
-                   (CONST, 1))
-
-    resets = [p for p, a in t.pre.items() if isinstance(a, Reset)]
-    xfers = [(p, a.target) for p, a in t.pre.items() if isinstance(a, Transfer)]
-    inhibs = [p for p, a in t.pre.items() if isinstance(a, Inhibitor)]
+    pairs = {}
+    for t in elim:
+        busy = b.place(f"{t.name}_busy",
+                       f"token held while the phases of {t.name} run")
+        lock = b.place("lock",
+                       "token held while any other transition may fire",
+                       (CONST, 1))
+        pairs[t.name] = busy, lock
+    locks = [lock for _, lock in pairs.values()]
 
     for u in net.transitions:
-        if u.name != t.name:
-            b.keep(_gated(u, lock), "original, gated on the lock")
+        if u.name not in pairs:
+            b.keep(_gated(u, *locks), "original, gated on the lock")
             continue
+        busy, lock = pairs[u.name]
+        j = locks.index(lock)
+        t, later = _gated(u, *locks[:j]), locks[j + 1:]
+        resets = [p for p, a in t.pre.items() if isinstance(a, Reset)]
+        xfers = [(p, a.target) for p, a in t.pre.items()
+                 if isinstance(a, Transfer)]
+        inhibs = [p for p, a in t.pre.items() if isinstance(a, Inhibitor)]
+        last = not later
+
+        def add(base, pre, post, origin):
+            name = _fresh(base, b._ttaken)
+            b.keep(_gated(Transition(name, pre, post), *later),
+                   origin if last else "original, gated on the lock")
+
         pre = dict(_numeric_pre(t))
         pre[lock] = Numeric(1)
-        b.trans(f"{t.name}_start", pre, {busy: 1},
-                f"consumes the numeric pre-arcs of {t.name} and opens its gadget")
+        add(f"{t.name}_start", pre, {busy: 1},
+            f"consumes the numeric pre-arcs of {t.name} and opens its gadget")
         for p in resets:
-            b.trans(f"{t.name}_drain_{p}", {p: Numeric(1), busy: Numeric(1)},
-                    {busy: 1}, f"discards one token of reset place {p}")
+            add(f"{t.name}_drain_{p}", {p: Numeric(1), busy: Numeric(1)},
+                {busy: 1}, f"discards one token of reset place {p}")
         for p, target in xfers:
-            b.trans(f"{t.name}_move_{p}", {p: Numeric(1), busy: Numeric(1)},
-                    {target: 1, busy: 1}, f"moves one token from {p} to {target}")
+            add(f"{t.name}_move_{p}", {p: Numeric(1), busy: Numeric(1)},
+                {target: 1, busy: 1}, f"moves one token from {p} to {target}")
         pre = {busy: Numeric(1)}
         for p in inhibs + resets + [p for p, _ in xfers]:
             pre[p] = INHIBIT
         post = dict(t.post)
         post[lock] = post.get(lock, 0) + 1
-        b.trans(f"{t.name}_finish", pre, post,
-                f"checks the emptied places and performs the post-arcs of {t.name}")
+        add(f"{t.name}_finish", pre, post,
+            f"checks the emptied places and performs the post-arcs of {t.name}")
+        b._ttaken.discard(t.name)
 
     return b.result("a marking M is reachable in the source iff forward(M) is "
                     "reachable here; forward sets busy=0 lock=1")
@@ -205,26 +232,18 @@ def hirct_elim(net: Net) -> TransformResult:
 
 
 def hir_elim_all(net: Net) -> TransformResult:
-    """Iterate hir_elim until no reset-bearing transition remains."""
+    """Replace every reset-bearing transition by its gadget, as iterating
+    hir_elim until none remains would, in one pass (`_gadgets`)."""
     require_valid(net)
-    if _pick_special(net, (Reset,)) is None:
+    elim = [t for t in net.transitions
+            if any(isinstance(a, Reset) for a in t.pre.values())]
+    if not elim:
         raise TransformError("no transition with a reset pre-arc")
-    result = hir_elim(net)
-    # each gadget adds numeric and inhibitor arcs only, so the nets after
-    # the first step pass hir_elim's checks as well
-    while (t := _pick_special(result.net, (Reset,))) is not None:
-        step = _gadget(result.net, t)
-        origin = dict(step.place_origin)
-        for p, desc in result.place_origin.items():
-            if origin.get(p) == "original":
-                origin[p] = desc
-        result = TransformResult(
-            net=step.net,
-            forward=step.forward.compose(result.forward),
-            query=result.query,
-            place_origin=origin,
-            trans_origin=step.trans_origin)
-    return result
+    if TRANSFER_KIND in classify(net).specials:
+        raise TransformError("transfer arcs present; use hirct_elim")
+    # each gadget adds numeric and inhibitor arcs only, so iterating
+    # hir_elim would pass its checks at every later step as well
+    return _gadgets(net, elim)
 
 
 # ---------------------------------------------------------------------------

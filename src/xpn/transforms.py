@@ -188,12 +188,10 @@ def _gadgets(net: Net, elim: list) -> TransformResult:
         xfers = [(p, a.target) for p, a in t.pre.items()
                  if isinstance(a, Transfer)]
         inhibs = [p for p, a in t.pre.items() if isinstance(a, Inhibitor)]
-        last = not later
 
         def add(base, pre, post, origin):
             name = _fresh(base, b._ttaken)
-            b.keep(_gated(Transition(name, pre, post), *later),
-                   origin if last else "original, gated on the lock")
+            b.keep(_gated(Transition(name, pre, post), *later), origin)
 
         pre = dict(_numeric_pre(t))
         pre[lock] = Numeric(1)

@@ -163,6 +163,38 @@ trans t3: in b ; out a
         hir_elim_all(parse_net("places: a\ntrans t: in a ;"))
 
 
+def test_hir_elim_all_gadgets_keep_their_origins():
+    src = parse_net("""\
+places: a b c
+marking: b=1
+trans r1: reset a, in b ; out b
+trans t: in b ; out a
+trans r2: reset c, in b ; out c
+""")
+    res = hir_elim_all(src)
+    names = [t.name for t in res.net.transitions]
+    assert names == ["r1_start", "r1_drain_a", "r1_finish", "t",
+                     "r2_start", "r2_drain_c", "r2_finish"]
+    assert res.trans_origin == {
+        "r1_start": "consumes the numeric pre-arcs of r1 and opens its gadget",
+        "r1_drain_a": "discards one token of reset place a",
+        "r1_finish": "checks the emptied places and performs the post-arcs "
+                     "of r1",
+        "t": "original, gated on the lock",
+        "r2_start": "consumes the numeric pre-arcs of r2 and opens its gadget",
+        "r2_drain_c": "discards one token of reset place c",
+        "r2_finish": "checks the emptied places and performs the post-arcs "
+                     "of r2"}
+    # r1's gadget is gated on r2's lock, and r2's gadget runs under r1's
+    # lock as well as its own
+    r1_start = res.net.transition("r1_start")
+    assert list(r1_start.pre) == ["b", "lock", "lock2"]
+    assert res.net.transition("r2_start").pre.keys() == {"b", "lock",
+                                                          "lock2"}
+    assert res.net.transition("r2_finish").post == {"c": 1, "lock": 1,
+                                                    "lock2": 1}
+
+
 def test_hir_elim_all_fuzz_strictly_decreasing():
     rng = random.Random(90)
     for _ in range(25):
@@ -487,7 +519,7 @@ PIN_DIGESTS = {
     "hirct_elim":
         "1c157e8c5c8fb8974cbb70b18b71574049f72d8381e39d3e026b346f91788df3",
     "hir_elim_all":
-        "9e9349bacc1d337a379cc82b41e0622a6e50a16bd4d9aadcb0a23003534a6a10",
+        "f2b7db83fc54450c7c858168796f0feca77e10558944e2465429acb6089d28fc",
     "dlf_to_reach":
         "31d227f611e5479713328919349f4aba4e10379125e0e5095884c242a35ae24d",
     "reach_to_dlf":

@@ -15,10 +15,9 @@ counts candidate predecessors and raises BudgetExceededError.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import pairwise
-from math import comb, prod
+from itertools import pairwise, product
+from math import comb
 from operator import le
-from struct import error as StructError
 
 # forward search runs `_search`; `explore.successors` stays a name because
 # perfbench/spans.py wraps it
@@ -147,8 +146,16 @@ class UpwardClosedSet:
     field keeps its guard exactly where the probe's entry is at least the
     element's, and no borrow leaves a field.  Adding flag-minus-guards per
     segment then carries into a flag exactly where all the guards survived.
-    A probe entry past the field is clamped to 2**(width - 1) - 1 first,
-    which still exceeds every stored entry.
+    `_ones` holds a 1 at the start of each segment, so the probe packed as
+    `code` replicates as `code * _ones`, and the guard, flag and fill masks
+    are one segment's times `_ones`.
+
+    The methods on codes (`_below`, `_minimal`, `_add`) take a marking
+    packed by `_fields` with every entry below the limit; `backward_cover`
+    calls them directly.  The tuple methods encode their argument and call
+    the same ones: `add` widens the fields first where an entry needs it,
+    and `contains` and `minimal` clamp a probe entry past the field to
+    2**(width - 1) - 1, which still exceeds every stored entry.
     """
 
     def __init__(self, basis=()):
@@ -164,19 +171,24 @@ class UpwardClosedSet:
         elems = self.basis
         self._fields = fields
         self._seg = fields.size  # bytes per segment
-        guards = fields.guard.to_bytes(fields.size, "little")
-        flags = bytes(fields.size - 1) + b"\x80"
-        self._masks = (guards, flags)  # one segment's
+        self._ones = int.from_bytes(
+            (b"\x01" + bytes(fields.size - 1)) * self._count, "little")
         self._bits = int.from_bytes(b"".join(map(fields.pack, elems)),
                                     "little")
         self._replicate()
 
     def _replicate(self):
         """Guard, flag and flag-minus-guard masks over `_count` segments."""
-        guards, flags = self._masks
-        self._guards = int.from_bytes(guards * self._count, "little")
-        self._flags = int.from_bytes(flags * self._count, "little")
+        ones = self._ones
+        self._guards = self._fields.guard * ones
+        self._flags = (0x80 << 8 * self._seg - 8) * ones
         self._fill = self._flags - self._guards
+
+    def _widen(self, top: int):
+        """Widen the fields, if need be, until `top` is below their
+        limit."""
+        if top >= self._fields.limit:
+            self._layout(self._fields.fitting(top))
 
     @property
     def basis(self) -> list:
@@ -186,79 +198,80 @@ class UpwardClosedSet:
         return self._fields.unpack(self._bits.to_bytes(
             self._count * self._seg, "little"))
 
-    def _below(self, m: Marking) -> int:
-        """The flags of the segments whose element is <= m."""
-        if not self._count:
-            return 0
-        if len(m) != self._n:
-            raise XpnError("marking length mismatch")
-        fields = self._fields
-        try:
-            probe = int.from_bytes(fields.pack(m), "little")
-        except (StructError, OverflowError):
-            probe = fields.guard  # an entry past the field, or negative
-        if probe & fields.guard:
-            if min(m) < 0:
-                return 0
-            cap = fields.limit - 1
-            probe = fields.encode([min(x, cap) for x in m])
-        probe = (probe | fields.guard).to_bytes(self._seg, "little")
-        diff = int.from_bytes(probe * self._count, "little") - self._bits
+    def _below(self, code: int) -> int:
+        """The flags of the segments whose element is <= the marking
+        packed as `code`."""
+        diff = (code * self._ones | self._guards) - self._bits
         return ((diff & self._guards) + self._fill) & self._flags
 
-    def contains(self, m: Marking) -> bool:
-        return bool(self._below(m))
-
-    def minimal(self, m: Marking) -> bool:
-        """Is `m` itself an element of the current minimal basis?"""
-        flags = self._below(m)
+    def _minimal(self, code: int) -> bool:
+        """Is the marking packed as `code` an element of the basis?"""
+        flags = self._below(code)
         # in an antichain, an element m has no other element below it
         if not flags or flags & (flags - 1):
             return False
         bits = 8 * self._seg
-        at = (flags.bit_length() - 1) // bits * bits
-        one = (self._bits >> at) & ((1 << bits) - 1)
-        return self._fields.read(one.to_bytes(self._seg, "little")) == tuple(m)
+        at = flags.bit_length() - bits  # the flag tops its segment
+        return (self._bits >> at) & ((1 << bits) - 1) == code
+
+    def _add(self, code: int) -> bool:
+        """Add the up-set of the marking packed as `code`; returns False
+        if it is already covered."""
+        guards, fill, flags = self._guards, self._fill, self._flags
+        rep = code * self._ones
+        if (((rep | guards) - self._bits & guards) + fill) & flags:
+            return False
+        if self._count:
+            # the test of `_below` with the roles swapped: the basis with
+            # its guards set, less the replicated code
+            dead = (((self._bits | guards) - rep & guards) + fill) & flags
+            if dead:
+                self._drop(dead)
+        at = 8 * self._seg * self._count
+        self._bits |= code << at
+        self._ones |= 1 << at
+        self._count += 1
+        self._replicate()
+        return True
+
+    def _probe(self, m: Marking):
+        """`m` packed with each entry clamped below the limit, which keeps
+        its order against every stored entry; None if an entry is
+        negative."""
+        if len(m) != self._n:
+            raise XpnError("marking length mismatch")
+        if min(m, default=0) < 0:
+            return None
+        cap = self._fields.limit - 1
+        return self._fields.encode([x if x < cap else cap for x in m])
+
+    def contains(self, m: Marking) -> bool:
+        if not self._count:
+            return False
+        code = self._probe(m)
+        return code is not None and bool(self._below(code))
+
+    def minimal(self, m: Marking) -> bool:
+        """Is `m` itself an element of the current minimal basis?"""
+        if not self._count:
+            return False
+        code = self._probe(m)
+        return (code is not None and max(m, default=0) < self._fields.limit
+                and self._minimal(code))
 
     def add(self, m: Marking) -> bool:
-        """Add ↑m; returns False if already covered."""
+        """Add ↑m; returns False if already covered.  Raises XpnError on a
+        negative or non-integer entry."""
         m = tuple(m)
         if self._n is None:
             self._n = len(m)
             self._layout(_Fields(self._n, 8, spare=1))
         elif len(m) != self._n:
             raise XpnError("marking length mismatch")
-        seg = self._fit(m)
-        if self.contains(m):
-            return False
-        if self._count:
-            # the test of contains with the roles swapped: m replicated,
-            # subtracted from the basis with its guards set
-            diff = ((self._bits | self._guards)
-                    - int.from_bytes(seg * self._count, "little"))
-            dead = ((diff & self._guards) + self._fill) & self._flags
-            if dead:
-                self._drop(dead)
-        self._bits |= int.from_bytes(seg, "little") << (8 * self._seg
-                                                        * self._count)
-        self._count += 1
-        self._replicate()
-        return True
-
-    def _fit(self, m: Marking) -> bytes:
-        """The segment holding `m`, the fields widened first if an entry
-        needs it; raises XpnError on a negative or non-integer entry."""
-        try:
-            seg = self._fields.pack(m)
-        except (StructError, OverflowError, TypeError):
-            seg = None
-        if seg is None or int.from_bytes(seg, "little") & self._fields.guard:
-            if not all(isinstance(x, int) and x >= 0 for x in m):
-                raise XpnError(
-                    f"marking {m} has a negative or non-integer entry")
-            self._layout(self._fields.fitting(max(m)))
-            seg = self._fields.pack(m)
-        return seg
+        if not all(isinstance(x, int) and x >= 0 for x in m):
+            raise XpnError(f"marking {m} has a negative or non-integer entry")
+        self._widen(max(m, default=0))
+        return self._add(self._fields.encode(m))
 
     def _drop(self, dead: int):
         """Splice out the segments whose flag is set in `dead`."""
@@ -275,6 +288,7 @@ class UpwardClosedSet:
         raw = b"".join(kept)
         self._count = len(raw) // seg
         self._bits = int.from_bytes(raw, "little")
+        self._ones &= (1 << 8 * len(raw)) - 1
 
 
 @dataclass(frozen=True)
@@ -283,83 +297,124 @@ class BackwardCoverResult:
     basis: tuple  # minimal basis of the backward-reachable upward-closed set
 
 
-def _compositions(total: int, parts: int):
-    """All ways, in lexicographic order, to write `total` as an ordered sum
-    of `parts` >= 1 nonnegative ints."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+class _Overflow(Exception):
+    """Some candidate of `_predecessors` would have an entry at or above
+    the fields' limit; args[0] has, in each field, the largest entry any
+    of them would have there."""
 
 
-def _predecessor_shape(n: int, op) -> tuple:
-    """Compile one transition (a `Net._plan` entry) for `_min_predecessors`.
+def _rows(plan, fields: _Fields) -> list:
+    """One row per op of `plan` for `_predecessors`, at the width of
+    `fields`, whose limit exceeds every weight.  Its op's numeric weights
+    and posts, and its zeroed places and transfers from `_effects`, are
+    packed as: the numeric weights; full fields over the plain places,
+    neither zeroed nor fed by a transfer, and the posts there; full fields
+    over the killed places, zeroed and not fed by a transfer, the posts
+    there with the guard bits set, and those guard bits; and per transfer
+    target q in place order, (q's shift, q's post, the shifts of the slots
+    whose tokens can meet q's demand, one bit at the bottom of each): q
+    itself unless zeroed, then its sources in arc order.  The row ends
+    with the fields' guard bits, width and head, and a cache of the packed
+    splits of a demand over a target's slots."""
+    w, n = fields.width, fields.n
+    full, top = (1 << w) - 1, 1 << (w - 1)
+    every = fields._every(full)
+    rows = []
+    for op in plan:
+        _, zeroed, moved = _effects(op)
+        pre = sum(x << p * w for p, x in op.numeric)
+        posts = dict(op.posts)
+        plain, post, kill, kguard = every, 0, 0, 0
+        for q in zeroed | moved.keys():
+            plain ^= full << q * w
+        for q in zeroed - moved.keys():
+            kill |= full << q * w
+            kguard |= top << q * w
+        for q, x in posts.items():
+            if plain >> q * w & 1 or kill >> q * w & 1:
+                post += x << q * w
+        groups = []
+        for q, srcs in sorted(moved.items()):
+            slots = ([] if q in zeroed else [q]) + srcs
+            groups.append((q * w, posts.get(q, 0), [s * w for s in slots],
+                           sum(1 << s * w for s in slots)))
+        rows.append((pre, plain, post & plain, kill, (post & kill) | kguard,
+                     kguard, groups, fields.guard, w, fields.head, {}))
+    return rows
 
-    Returns (pre_w, post_w, plain, killed, groups): the numeric weights
-    taken and the tokens put back per place; the places neither zeroed nor
-    fed by a transfer; the zeroed places no transfer refills; and, per
-    transfer target p, the slots whose tokens can meet p's demand (p
-    itself unless it is zeroed, then its transfer sources).
-    """
-    pre_w = [0] * n
-    for p, w in op.numeric:
-        pre_w[p] = w
-    post_w = [0] * n
-    for p, w in op.posts:
-        post_w[p] += w
-    _, zeroed, incoming = _effects(op)
-    plain = [p for p in range(n) if p not in zeroed and p not in incoming]
-    killed = [p for p in range(n) if p in zeroed and p not in incoming]
-    groups = [(p, ([] if p in zeroed else [p]) + incoming[p])
-              for p in sorted(incoming)]
-    return pre_w, post_w, plain, killed, groups
+
+def _split_codes(demand: int, shifts: list) -> list:
+    """Every way to split `demand` over the fields at `shifts`, packed, in
+    lexicographic order of the parts."""
+    if len(shifts) == 1:
+        return [demand << shifts[0]]
+    first, rest = shifts[0], shifts[1:]
+    return [(e << first) + r for e in range(demand + 1)
+            for r in _split_codes(demand - e, rest)]
 
 
-def _min_predecessors(shape, target: Marking, room: int):
-    """Minimal markings m with fire(m, t) >= target, for the transition
-    compiled into `shape` by `_predecessor_shape`; None, before any is
-    built, when there are more than `room` of them.
+def _predecessors(row, x: int, room: int):
+    """The minimal markings m with fire(m, t) >= the marking packed as `x`,
+    packed, for the op t of `row` (`_rows`); None, before any is built,
+    when there are more than `room` of them.  Raises _Overflow, before any
+    is built too, when an entry of one would reach the fields' limit.
 
-    Reset and transfer arcs make the predecessor basis non-singleton: a
-    transfer target's demand can be met partly by tokens already in the
-    target place and partly by tokens arriving from each source, and the
-    minimal ways to split that demand are exactly the integer compositions,
-    comb(d + k - 1, k - 1) of them for a demand d over k slots.
-    """
-    pre_w, post_w, plain, killed, groups = shape
-    for p in killed:
-        if target[p] > post_w[p]:
-            return []  # this transition cannot refill a zeroed place
-    splits = [(slots, max(0, target[p] - post_w[p])) for p, slots in groups]
-    if prod(comb(d + len(s) - 1, len(s) - 1) for s, d in splits) > room:
+    A plain place needs t's weight plus what its post leaves of x's entry,
+    a saturating subtraction by guard bits, and a killed place at most
+    t's post.  A transfer target q's demand, what its post leaves of x's
+    entry, can be met partly by tokens already in q and partly by tokens
+    arriving from each source: the minimal ways to split it are exactly
+    the integer compositions, comb(d + k - 1, k - 1) of them for a demand
+    d over k slots.  Candidates come in the order of the splits, the first
+    target's slowest.  Every addend is below 2**(width - 1) and a field
+    takes at most two, so no sum carries out of its field."""
+    pre, plain, post, kill, kpost, kguard, groups, guard, w, head, cache = row
+    if kill and (kpost - (x & kill)) & kguard != kguard:
+        return []  # t cannot refill a zeroed place
+    c = x & plain
+    if post:
+        c = (c | guard) - post
+        keep = c & guard  # the fields where x's entry is at least the post
+        c &= keep - (keep >> w - 1)
+    c += pre
+    if not groups:
+        if c & head:
+            raise _Overflow(c)
+        return [c] if room >= 1 else None
+    full = (1 << w) - 1
+    demands, most, count = [], c, 1
+    for at, gpost, shifts, ones in groups:
+        d = (x >> at & full) - gpost
+        d = d if d > 0 else 0
+        demands.append(d)
+        most += d * ones
+        count *= comb(d + len(shifts) - 1, len(shifts) - 1)
+    if most & head:
+        raise _Overflow(most)
+    if count > room:
         return None
-    base = list(pre_w)  # zeroed places take no numeric arc, so stay 0
-    for p in plain:
-        demand = target[p] - post_w[p]
-        if demand > 0:
-            base[p] += demand
-
-    out = [base]
-    for slots, demand in splits:
-        split_axes = list(_compositions(demand, len(slots)))
-        nxt = []
-        for m in out:
-            for split in split_axes:
-                m2 = list(m)
-                for slot, extra in zip(slots, split):
-                    m2[slot] += extra
-                nxt.append(m2)
-        out = nxt
-    return [tuple(m) for m in out]
+    splits = []
+    for i, ((_, _, shifts, _), d) in enumerate(zip(groups, demands)):
+        codes = cache.get((i, d))
+        if codes is None:
+            codes = cache[i, d] = _split_codes(d, shifts)
+        splits.append(codes)
+    if len(splits) == 1:
+        return [c + s for s in splits[0]]
+    return [c + sum(s) for s in product(*splits)]
 
 
 def backward_cover(net: Net, target: Marking,
                    max_steps: int = 1_000_000) -> BackwardCoverResult:
     """Exact coverability via backward saturation; inhibitor arcs are not
     supported (raises).  Raises BudgetExceededError once the search needs
-    more than `max_steps` candidate predecessors."""
+    more than `max_steps` candidate predecessors.
+
+    The saturation runs on packed markings: the set's fields start wide
+    enough for the target and every weight of the net, and each op's
+    candidates are built from its row (`_predecessors`).  When one would
+    not fit, the fields widen, and the rows, the frontier and the fresh
+    elements are packed again."""
     plan = net._plan()
     target = tuple(target)
     if len(target) != len(net.places):
@@ -367,26 +422,40 @@ def backward_cover(net: Net, target: Marking,
     if any(op.inhib for op in plan):
         raise XpnError("backward_cover does not support inhibitor arcs")
 
-    shapes = [_predecessor_shape(len(net.places), op) for op in plan]
     ucs = UpwardClosedSet([target])
-    frontier = [target]
+    ucs._widen(max([w for op in plan for _, w in op.numeric + op.posts],
+                   default=0))
+    fields = ucs._fields
+    rows = _rows(plan, fields)
+    frontier = [fields.encode(target)]
     steps = 0
     while frontier:
         fresh = []
-        for b in frontier:
-            # b left the basis when a later add put some m <= b in `fresh`;
-            # pred(↑b) is contained in pred(↑m), so b has nothing to add
-            if not ucs.minimal(b):
+        for x in frontier:
+            # x left the basis when a later add put some m <= x in `fresh`;
+            # pred(↑x) is contained in pred(↑m), so x has nothing to add
+            if not ucs._minimal(x):
                 continue
-            for shape in shapes:
-                preds = _min_predecessors(shape, b, max_steps - steps)
+            for i in range(len(rows)):
+                try:
+                    preds = _predecessors(rows[i], x, max_steps - steps)
+                except _Overflow as e:
+                    old = fields
+                    ucs._widen(max(old.decode(e.args[0])))
+                    fields = ucs._fields
+                    rows = _rows(plan, fields)
+                    x = fields.encode(old.decode(x))
+                    for codes in (frontier, fresh):
+                        codes[:] = fields.encode_all(map(old.decode, codes))
+                    preds = _predecessors(rows[i], x, max_steps - steps)
                 if preds is None:
                     raise BudgetExceededError(
                         f"backward search exceeded {max_steps} candidate "
                         "predecessors")
                 steps += len(preds)
-                for p in preds:
-                    if ucs.add(p):
-                        fresh.append(p)
+                for c in preds:
+                    if ucs._add(c):
+                        fresh.append(c)
         frontier = fresh
-    return BackwardCoverResult(ucs.contains(net.initial), tuple(sorted(ucs.basis)))
+    return BackwardCoverResult(ucs.contains(net.initial),
+                               tuple(sorted(ucs.basis)))

@@ -3,6 +3,8 @@ against.  Everything here works on plain dicts and the public net
 structure only; none of it shares code with the library's firing plan,
 search engines or tree walk."""
 
+from math import comb, prod
+
 from xpn.net import (INHIBITOR_KIND, KIND_ORDER, RESET_KIND, TRANSFER_KIND,
                      Inhibitor, NetClass, Numeric, Reset, Transfer)
 
@@ -345,3 +347,109 @@ def transition_index(net, t) -> int:
     """1 + the highest position of an inhibitor pre-place of `t`, or 0."""
     return max((net.places.index(p) + 1 for p, a in t.pre.items()
                 if isinstance(a, Inhibitor)), default=0)
+
+
+def compositions(total: int, parts: int):
+    """All ways, in lexicographic order, to write `total` as an ordered sum
+    of `parts` >= 1 nonnegative ints."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def predecessor_shape(net, t) -> tuple:
+    """Transition `t` of `net`, read off its arcs, for `min_predecessors`;
+    inhibitor arcs are ignored, as backward coverability refuses them.
+
+    Returns (pre_w, post_w, plain, killed, groups): the numeric weights
+    taken and the tokens put back per place; the places neither zeroed nor
+    fed by a transfer; the zeroed places no transfer refills; and, per
+    transfer target p in place order, the slots whose tokens can meet p's
+    demand (p itself unless it is zeroed, then its transfer sources in arc
+    order)."""
+    pos = {p: i for i, p in enumerate(net.places)}
+    n = len(net.places)
+    pre_w, post_w = [0] * n, [0] * n
+    zeroed, incoming = set(), {}
+    for place, arc in t.pre.items():
+        p = pos[place]
+        if isinstance(arc, Numeric):
+            pre_w[p] = arc.weight
+        elif isinstance(arc, Reset):
+            zeroed.add(p)
+        elif isinstance(arc, Transfer):
+            zeroed.add(p)
+            incoming.setdefault(pos[arc.target], []).append(p)
+    for place, w in t.post.items():
+        post_w[pos[place]] += w
+    plain = [p for p in range(n) if p not in zeroed and p not in incoming]
+    killed = [p for p in range(n) if p in zeroed and p not in incoming]
+    groups = [(p, ([] if p in zeroed else [p]) + incoming[p])
+              for p in sorted(incoming)]
+    return pre_w, post_w, plain, killed, groups
+
+
+def min_predecessors(shape, target, room=float("inf")):
+    """Minimal markings m with fire(m, t) >= target, for the transition
+    read into `shape` by `predecessor_shape`, as tuples; None, before any
+    is built, when there are more than `room` of them.
+
+    A transfer target's demand can be met partly by tokens already in the
+    target place and partly by tokens arriving from each source, and the
+    minimal ways to split that demand are exactly the integer
+    compositions, comb(d + k - 1, k - 1) of them for a demand d over k
+    slots."""
+    pre_w, post_w, plain, killed, groups = shape
+    for p in killed:
+        if target[p] > post_w[p]:
+            return []  # this transition cannot refill a zeroed place
+    splits = [(slots, max(0, target[p] - post_w[p])) for p, slots in groups]
+    if prod(comb(d + len(s) - 1, len(s) - 1) for s, d in splits) > room:
+        return None
+    base = list(pre_w)  # zeroed places take no numeric arc, so stay 0
+    for p in plain:
+        demand = target[p] - post_w[p]
+        if demand > 0:
+            base[p] += demand
+    out = [base]
+    for slots, demand in splits:
+        split_axes = list(compositions(demand, len(slots)))
+        nxt = []
+        for m in out:
+            for split in split_axes:
+                m2 = list(m)
+                for slot, extra in zip(slots, split):
+                    m2[slot] += extra
+                nxt.append(m2)
+        out = nxt
+    return [tuple(m) for m in out]
+
+
+def check_basis(net, target, result):
+    """Re-check an answer of backward coverability for `target` from its
+    basis B alone, by the tuple rule: B is an antichain, the target is in
+    ↑B, every minimal predecessor of every element of B under every
+    transition is in ↑B (so ↑B holds every marking that covers the target
+    after some run), and the answer is COVERABLE exactly when the initial
+    marking is in ↑B.  Raises AssertionError on the first failure."""
+    basis = [tuple(b) for b in result.basis]
+
+    def up(m):
+        return any(all(x <= y for x, y in zip(b, m)) for b in basis)
+
+    for i, a in enumerate(basis):
+        for j, b in enumerate(basis):
+            assert i == j or not all(x <= y for x, y in zip(a, b)), \
+                f"basis not an antichain: {a} <= {b}"
+    assert up(tuple(target)), f"target {target} not in the basis' up-set"
+    shapes = [predecessor_shape(net, t) for t in net.transitions]
+    for b in basis:
+        for t, shape in zip(net.transitions, shapes):
+            for m in min_predecessors(shape, b):
+                assert up(m), (f"predecessor {m} of {b} under {t.name} "
+                               "not in the basis' up-set")
+    assert result.coverable == up(tuple(net.initial)), \
+        "the verdict disagrees with the basis"

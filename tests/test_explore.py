@@ -614,12 +614,9 @@ def test_backward_cover_agrees_with_forward():
                        for k in keys)
             got = backward_cover(net, target)
             assert got.coverable == want, (net, target)
+            oracles.check_basis(net, target, got)
             fwd = bounded_cover(net, target)  # raises if it runs out
             assert fwd.found == want
-            for a in got.basis:
-                for b in got.basis:
-                    if a != b:
-                        assert not all(x <= y for x, y in zip(a, b))
 
 
 def _chain(n, with_reset):
@@ -667,20 +664,20 @@ def test_backward_cover_chain_with_reset():
 
 
 # chain (4,12) with reset generates 1,537 candidate predecessors: every one
-# goes through UpwardClosedSet.add, after the add of the target itself
+# goes through UpwardClosedSet._add, after the add of the target itself
 CHAIN_4_12_CANDIDATES = 1537
 
 
 def test_backward_cover_budget_counts_candidate_predecessors(monkeypatch):
     net, target = _chain(4, True), (0, 0, 0, 12)
     calls = []
-    real = UpwardClosedSet.add
+    real = UpwardClosedSet._add
 
-    def counting(self, m):
-        calls.append(m)
-        return real(self, m)
+    def counting(self, code):
+        calls.append(code)
+        return real(self, code)
 
-    monkeypatch.setattr(UpwardClosedSet, "add", counting)
+    monkeypatch.setattr(UpwardClosedSet, "_add", counting)
     r = backward_cover(net, target, max_steps=CHAIN_4_12_CANDIDATES)
     assert r.coverable and r.basis == ((0, 0, 0, 0),)
     assert len(calls) == CHAIN_4_12_CANDIDATES + 1
@@ -761,33 +758,65 @@ def test_backward_byte_stable(tmp_path):
         "BACKWARD_DIGEST")
 
 
-def _fits_exactly(shape, target):
-    """The candidates of `shape` for `target` fit a room of their own
-    number and no less; returns that number."""
-    preds = explore._min_predecessors(shape, target, 10**9)
-    assert explore._min_predecessors(shape, target, len(preds)) == preds
+def _packed_predecessors(net, i, target, room=10**9, width=8):
+    """The candidates of transition i for `target` from its packed row,
+    decoded: in fields of `width` bits fitted, as backward_cover fits
+    them, to the target and every weight, and widened as it widens them
+    when a candidate would not fit.  Returns (candidates or None, whether
+    the fields widened)."""
+    plan = net._plan()
+    top = max([max(target, default=0)] + [w for op in plan
+                                          for _, w in op.numeric + op.posts])
+    fields = xpn_net._Fields(len(target), width, spare=1).fitting(top)
+    widened = False
+    while True:
+        row = explore._rows(plan, fields)[i]
+        try:
+            codes = explore._predecessors(row, fields.encode(target), room)
+        except explore._Overflow as e:
+            fields = fields.fitting(max(fields.decode(e.args[0])))
+            widened = True
+            continue
+        if codes is None:
+            return None, widened
+        return [fields.decode(c) for c in codes], widened
+
+
+def _fits_exactly(net, i, target):
+    """The packed candidates of transition i for `target` fit a room of
+    their own number and no less, and equal the tuple rule's, in order;
+    returns that number and whether the fields widened."""
+    preds, widened = _packed_predecessors(net, i, target)
+    shape = oracles.predecessor_shape(net, net.transitions[i])
+    assert preds == oracles.min_predecessors(shape, target), (net, i, target)
+    assert _packed_predecessors(net, i, target, len(preds))[0] == preds
     if preds:
-        assert explore._min_predecessors(shape, target, len(preds) - 1) \
+        assert _packed_predecessors(net, i, target, len(preds) - 1)[0] \
             is None
-    return len(preds)
+    return len(preds), widened
 
 
 def test_min_predecessors_counts_before_building():
-    # spiced nets put up to three transfer arcs into one place; the shape
-    # ignores inhibitor arcs, which backward_cover refuses beforehand
+    # spiced nets put up to three transfer arcs into one place; the rows
+    # ignore inhibitor arcs, which backward_cover refuses beforehand.
+    # Entries of 120-127 make candidates pass the 8-bit limit, so the
+    # fields widen between building a row and building its candidates
     rng = random.Random(1996)
+    widenings = 0
     for i in range(600):
         net = (fuzz.spiced_net if i % 2 else fuzz.no_inhibitor_net)(rng)
         n = len(net.places)
-        for op in net._plan():
-            shape = explore._predecessor_shape(n, op)
-            for _ in range(3):
-                _fits_exactly(shape, tuple(rng.randint(0, 5) for _ in range(n)))
+        for j in range(len(net.transitions)):
+            for k in range(4):
+                top = 5 if k < 3 else 127
+                target = tuple(rng.randint(top - 7 if k == 3 else 0, top)
+                               for _ in range(n))
+                widenings += _fits_exactly(net, j, target)[1]
+    assert widenings >= 50, widenings
     # d's demand of 4 split over d and three sources: comb(4 + 3, 3) ways
     fan_in = parse_net("places: a b c d\n"
                        "trans t: xfer a->d, xfer b->d, xfer c->d ; out d\n")
-    shape = explore._predecessor_shape(4, fan_in._plan()[0])
-    assert _fits_exactly(shape, (0, 0, 0, 5)) == 35
+    assert _fits_exactly(fan_in, 0, (0, 0, 0, 5)) == (35, False)
 
 
 class _FlatUpwardClosedSet:
@@ -873,6 +902,7 @@ def test_backward_cover_agrees_with_forward_beyond_the_oracle_cap():
             except BudgetExceededError:
                 continue
             verdicts[fwd.found] += 1
-            assert backward_cover(net, target).coverable == fwd.found, \
-                (net, target)
+            got = backward_cover(net, target)
+            assert got.coverable == fwd.found, (net, target)
+            oracles.check_basis(net, target, got)
     assert min(verdicts.values()) >= 20, verdicts

@@ -178,14 +178,15 @@ def _walk(net: Net, max_nodes: int, rng, nodes, stop_early: bool):
     tree: node i's ErtNode goes to `nodes[i]` once its status is final,
     when it is expanded or made as a cut leaf.  It goes on past the first
     cut unless `stop_early`, and the nodes made but never expanded stay
-    "inner".  Either way `max_nodes` bounds the number of tree nodes made,
-    the root included."""
+    "inner".  The nodes share one tuple per distinct marking.  Either way
+    `max_nodes` bounds the number of tree nodes made, the root included."""
     check_eligible(net)
     _fit(1, max_nodes)
     tidx = {op.name: op.index for op in net._plan()}
     seen: dict = {}
     path: list = []
     lookup = _adds_no_tokens(net)
+    canon: dict = {}  # each marking the recorded nodes hold, to itself
     count = 1  # tree nodes made so far
     cut = None
 
@@ -198,6 +199,7 @@ def _walk(net: Net, max_nodes: int, rng, nodes, stop_early: bool):
         if rng is not None:
             rng.shuffle(succ)
         if nodes is not None:
+            succ = [(name, canon.setdefault(m2, m2)) for name, m2 in succ]
             nodes[nid] = ErtNode(m, path[-1].id if path else None, via,
                                  via_index, "inner" if succ else "deadlock")
         frame = _Frame(nid, m, None if lookup else _support(m), via,
@@ -226,6 +228,7 @@ def _walk(net: Net, max_nodes: int, rng, nodes, stop_early: bool):
         return False
 
     root = tuple(net.initial)
+    canon[root] = root
     seen[root] = ~0
     stop = push(0, root, None, 0)
     while not stop and path:

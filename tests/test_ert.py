@@ -196,6 +196,26 @@ def test_stop_early_tree_leaves_unexpanded_nodes_inner():
         '  n2 [label="1 1" peripheries=2 color=red];']
 
 
+def test_recorded_nodes_share_one_tuple_per_marking():
+    # countdown-like: 4 * 4 markings, far more tree nodes
+    net = parse_net("places: a b\nmarking: a=3 b=3\n"
+                    "trans s: in a ;\ntrans t: in b ;")
+    for stop_early in (False, True):
+        ert = build_ert(net, stop_early=stop_early)
+        assert len(ert.nodes) == 69
+        canon = {}
+        for node in ert.nodes:
+            assert canon.setdefault(node.marking, node.marking) \
+                is node.marking
+        assert len(canon) == 16
+    # and so do the subsumed leaves and the inner nodes a cut leaves
+    ert = build_ert(IDLE, stop_early=True)
+    canon = {}
+    for node in ert.nodes:
+        assert canon.setdefault(node.marking, node.marking) is node.marking
+    assert len(canon) < len(ert.nodes)
+
+
 def test_verify_pump_rejects_wrong_certificates():
     assert not verify_pump(LOOP, Terminating(tree_size=1))
     v = decide_termination(LOOP)

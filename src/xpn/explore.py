@@ -9,7 +9,10 @@ answer but never changes an answer.
 
 backward_cover saturates minimal bases of upward-closed predecessor sets
 and is exact, but only supports nets without inhibitor arcs; its budget
-counts candidate predecessors and raises BudgetExceededError.
+counts candidate predecessors and raises BudgetExceededError.  It runs on
+packed markings throughout: the basis is one int (`UpwardClosedSet`), and
+each transition's minimal predecessors of a packed element are built from
+one row of packed ints per transition (`_rows`, `_predecessors`).
 """
 
 from __future__ import annotations
@@ -304,19 +307,23 @@ class _Overflow(Exception):
 
 
 def _rows(plan, fields: _Fields) -> list:
-    """One row per op of `plan` for `_predecessors`, at the width of
-    `fields`, whose limit exceeds every weight.  Its op's numeric weights
-    and posts, and its zeroed places and transfers from `_effects`, are
-    packed as: the numeric weights; full fields over the plain places,
-    neither zeroed nor fed by a transfer, and the posts there; full fields
-    over the killed places, zeroed and not fed by a transfer, the posts
-    there with the guard bits set, and those guard bits; and per transfer
-    target q in place order, (q's shift, q's post, the shifts of the slots
-    whose tokens can meet q's demand, one bit at the bottom of each): q
-    itself unless zeroed, then its sources in arc order.  The row ends
-    with the fields' guard bits, width and head, and a cache of the packed
-    splits of a demand over a target's slots."""
-    w, n = fields.width, fields.n
+    """One row per op of `plan` for `_predecessors`, packed at the width
+    of `fields`, whose limit exceeds every weight.  It reads the op's
+    numeric weights and posts, and its zeroed places and transfers from
+    `_effects`.  A place is plain if it is neither zeroed nor fed by a
+    transfer, and killed if it is zeroed and not fed.  The row holds:
+
+    - the numeric weights;
+    - full fields over the plain places, and the posts there;
+    - full fields over the killed places, the posts there with the guard
+      bits set, and those guard bits;
+    - per transfer target q, in place order: q's shift, q's post, and the
+      shifts of the slots whose tokens can meet q's demand (q itself
+      unless zeroed, then its sources in arc order), also as one bit at
+      the bottom of each slot;
+    - the fields' guard bits, width and head, and a cache of the packed
+      splits of a demand over a target's slots."""
+    w = fields.width
     full, top = (1 << w) - 1, 1 << (w - 1)
     every = fields._every(full)
     rows = []

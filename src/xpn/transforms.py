@@ -129,11 +129,11 @@ def _gated(t: Transition, *gates: str) -> Transition:
 # ---------------------------------------------------------------------------
 # reset elimination
 
-def _pick_special(net: Net, kinds) -> Transition | None:
-    for t in net.transitions:
-        if any(isinstance(a, kinds) for a in t.pre.values()):
-            return t
-    return None
+def _specials(net: Net, kinds) -> list:
+    """The transitions of `net` with a pre-arc of one of `kinds`, in
+    declaration order."""
+    return [t for t in net.transitions
+            if any(isinstance(a, kinds) for a in t.pre.values())]
 
 
 def _elim_one(net: Net, with_transfer: bool) -> TransformResult:
@@ -150,10 +150,10 @@ def _elim_one(net: Net, with_transfer: bool) -> TransformResult:
             raise TransformError("transfer arcs present; use hirct_elim")
         kinds = (Reset,)
         what = "reset"
-    t = _pick_special(net, kinds)
-    if t is None:
+    elim = _specials(net, kinds)[:1]
+    if not elim:
         raise TransformError(f"no transition with a {what} pre-arc")
-    return _gadgets(net, [t])
+    return _gadgets(net, elim)
 
 
 def _gadgets(net: Net, elim: list) -> TransformResult:
@@ -167,23 +167,21 @@ def _gadgets(net: Net, elim: list) -> TransformResult:
     Each gadget's names are fresh against the names in the net at its
     step, so r_j's own name is free again once its gadget is named."""
     b = _Builder(net)
-    pairs = {}
-    for t in elim:
-        busy = b.place(f"{t.name}_busy",
-                       f"token held while the phases of {t.name} run")
-        lock = b.place("lock",
-                       "token held while any other transition may fire",
-                       (CONST, 1))
-        pairs[t.name] = busy, lock
-    locks = [lock for _, lock in pairs.values()]
+    busy_of, locks = {}, []  # name -> (position in `elim`, busy place)
+    for j, t in enumerate(elim):
+        busy_of[t.name] = j, b.place(
+            f"{t.name}_busy", f"token held while the phases of {t.name} run")
+        locks.append(b.place(
+            "lock", "token held while any other transition may fire",
+            (CONST, 1)))
 
     for u in net.transitions:
-        if u.name not in pairs:
+        if u.name not in busy_of:
             b.keep(_gated(u, *locks), "original, gated on the lock")
             continue
-        busy, lock = pairs[u.name]
-        j = locks.index(lock)
-        t, later = _gated(u, *locks[:j]), locks[j + 1:]
+        j, busy = busy_of[u.name]
+        lock, later = locks[j], locks[j + 1:]
+        t = _gated(u, *locks[:j])
         resets = [p for p, a in t.pre.items() if isinstance(a, Reset)]
         xfers = [(p, a.target) for p, a in t.pre.items()
                  if isinstance(a, Transfer)]

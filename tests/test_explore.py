@@ -758,16 +758,16 @@ def test_backward_byte_stable(tmp_path):
         "BACKWARD_DIGEST")
 
 
-def _packed_predecessors(net, i, target, room=10**9, width=8):
+def _packed_predecessors(net, i, target, room=10**9):
     """The candidates of transition i for `target` from its packed row,
-    decoded: in fields of `width` bits fitted, as backward_cover fits
-    them, to the target and every weight, and widened as it widens them
-    when a candidate would not fit.  Returns (candidates or None, whether
-    the fields widened)."""
+    decoded: in fields fitted, as backward_cover fits them, to the target
+    and every weight, and widened as it widens them when a candidate
+    would not fit.  Returns (candidates or None, whether the fields
+    widened)."""
     plan = net._plan()
     top = max([max(target, default=0)] + [w for op in plan
                                           for _, w in op.numeric + op.posts])
-    fields = xpn_net._Fields(len(target), width, spare=1).fitting(top)
+    fields = xpn_net._Fields(len(target), 8, spare=1).fitting(top)
     widened = False
     while True:
         row = explore._rows(plan, fields)[i]
@@ -807,10 +807,8 @@ def test_min_predecessors_counts_before_building():
         net = (fuzz.spiced_net if i % 2 else fuzz.no_inhibitor_net)(rng)
         n = len(net.places)
         for j in range(len(net.transitions)):
-            for k in range(4):
-                top = 5 if k < 3 else 127
-                target = tuple(rng.randint(top - 7 if k == 3 else 0, top)
-                               for _ in range(n))
+            for lo, hi in ((0, 5), (0, 5), (0, 5), (120, 127)):
+                target = tuple(rng.randint(lo, hi) for _ in range(n))
                 widenings += _fits_exactly(net, j, target)[1]
     assert widenings >= 50, widenings
     # d's demand of 4 split over d and three sources: comb(4 + 3, 3) ways

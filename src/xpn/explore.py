@@ -135,8 +135,8 @@ def bounded_deadlock(net: Net, max_steps: int = 1_000_000) -> SearchResult:
 
 # `UpwardClosedSet._spread` replicates by one multiplication while a
 # segment has at most _MUL_BYTES bytes and copies bytes beyond.  Over 20-600
-# segments (2-vCPU x86-64, CPython 3.11) multiplying takes 0.2-0.8x the
-# copy's time at 9 bytes a segment, 0.8-1.4x at 17 and 1.7-3x at 33
+# segments (2-vCPU x86-64, CPython 3.11) multiplying takes 0.3-0.8x the
+# copy's time at 9 bytes a segment, 0.8-1.4x at 17 and 1.7-2.4x at 33
 _MUL_BYTES = 12
 
 

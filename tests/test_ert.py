@@ -471,3 +471,60 @@ def test_ert_byte_stable():
     assert h.hexdigest() == ERT_DIGEST, (
         "the tree or a verdict changed on the seeded corpus; if the change "
         "is intended, declare it in CHANGES.md and update ERT_DIGEST")
+
+
+def _width_nets():
+    """Nets whose entries cross a field width during the walk (127/128
+    and 32767/32768), terminating and pumping, a wide net that adds no
+    tokens, and wide nets that add tokens."""
+    texts = [
+        "places: a b\nmarking: a=3 b=120\ntrans t: in a ; out b*5",
+        "places: a b\nmarking: a=3 b=32760\ntrans t: in a ; out b*5",
+        # the pump opens once the growth has crossed the limit
+        "places: c b\nmarking: c=3 b=118\ntrans t: in c ; out b*5\n"
+        "trans p: inh c, in b ; out b*2",
+        "places: c b\nmarking: c=3 b=32758\ntrans t: in c ; out b*5\n"
+        "trans p: inh c, in b ; out b*2",
+        # the cut leaf is the first marking past the limit
+        "places: b\nmarking: b=126\ntrans g: in b ; out b*3",
+        # growth, resets and an inhibited pump on three places
+        "places: a b c\nmarking: a=2 b=125 c=32765\n"
+        "trans t: in a ; out b*2, c\ntrans r: in b*3, reset c ; out b*4\n"
+        "trans s: inh a, in c ; out c*2",
+        "places: a b c\nmarking: a=3 b=126\n"
+        "trans t: in a ; out b*2\ntrans u: inh a, in b*2 ; out c*3\n"
+        "trans v: inh a, inh b, in c ;",
+    ]
+    nets = [parse_net(text) for text in texts]
+    nets.append(line(300))
+    n = 150
+    places = " ".join(f"p{i}" for i in range(n + 1))
+    # one token walks down the line and doubles near its end: terminating
+    trans = "".join(
+        f"trans t{i}: in p{i} ; out p{i + 1}{'*2' if i == n - 5 else ''}\n"
+        for i in range(n))
+    nets.append(parse_net(f"places: {places}\nmarking: p0=1\n{trans}"))
+    # two tokens walk down the line; three come back, or an inhibited
+    # pump grows the last place once the first two are empty
+    trans = "".join(f"trans t{i}: in p{i} ; out p{i + 1}\n" for i in range(n))
+    nets.append(parse_net(
+        f"places: {places}\nmarking: p0=2\n{trans}"
+        f"trans z: inh p0, inh p1, in p{n} ; out p{n}*2\n"
+        f"trans back: in p{n}*2 ; out p0*3\n"))
+    nets.append(parse_net(
+        f"places: {places}\nmarking: p0=2\n{trans}"
+        f"trans back: in p{n}*2 ; out p0*3\n"))
+    return nets
+
+
+# sha256 of ert_fields over the nets of _width_nets
+ERT_WIDTH_DIGEST = "c22609f0cc8d0cdc72223211847894a7163605f8514f8cc5576c79f0fe70236a"
+
+
+def test_ert_width_byte_stable():
+    h = hashlib.sha256()
+    for net in _width_nets():
+        h.update(ert_fields(net).encode() + b"\0")
+    assert h.hexdigest() == ERT_WIDTH_DIGEST, (
+        "a tree or a verdict changed on the width corpus; if the change "
+        "is intended, declare it in CHANGES.md and update ERT_WIDTH_DIGEST")

@@ -34,9 +34,12 @@ closed set, reset arcs are unrestricted, transfer arcs are absent.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
+# `successors` is no longer called here; it stays importable from this
+# module because the benchmark's tracer wraps `ert.successors`
 from .net import (BudgetExceededError, Marking, Net, TRANSFER_KIND, XpnError,
-                  _effects, classify, successors)
+                  _Fields, _effects, _firing_rows, classify, successors)
 from .explore import Trace, replay, _leq
 from .fmt import _writes_counts
 
@@ -93,49 +96,56 @@ def _fit(nodes: int, max_nodes: int) -> int:
     return nodes
 
 
-def _support(m: Marking) -> int:
-    """The places `m` marks, as a mask with bit 8*i set for place i."""
-    return int.from_bytes(bytes(map(bool, m)), "little")
+def _adds_no_tokens(effects) -> bool:
+    """Whether no transition puts back more tokens than its numeric arcs
+    take (resets only remove, transfers only move), read off each
+    transition's `_effects` in `effects`: then the token sum never rises
+    along a run."""
+    return all(sum(const.values()) <= 0 for const, _, _ in effects)
 
 
-def _adds_no_tokens(net: Net) -> bool:
-    """Whether no transition of `net` puts back more tokens than its
-    numeric arcs take (resets only remove, transfers only move), read off
-    each transition's effect: then the token sum never rises along a
-    run."""
-    return all(sum(_effects(op)[0].values()) <= 0 for op in net._plan())
+# The walk tests only the transitions a marking's marked places index
+# when its rows, each tested in about one step per 32-bit word of the
+# packed marking, cost more than _INDEX_COST steps per place to unpack
+# the marking and merge the candidates.
+_INDEX_COST = 4
+
+
+class _Widen(Exception):
+    """A child has an entry at or above the fields' limit, the largest
+    being `top`."""
+
+    def __init__(self, top: int):
+        self.top = top
 
 
 class _Frame:
     """A node on the current path of the walk.  `id` is its number in the
-    tree, `mask` the support of its marking for `_scan` (None when the
-    walk looks ancestors up instead), `todo` holds the children still to
-    visit (next one last) as (id, via, marking), and `size` counts the
-    tree nodes of its subtree finished so far."""
-    __slots__ = ("id", "marking", "mask", "via", "via_index", "todo", "size")
+    tree, `marking` its packed marking, `todo` holds the children still to
+    visit (next one last) as (id, op position, packed marking), and `size`
+    counts the tree nodes of its subtree finished so far."""
+    __slots__ = ("id", "marking", "via", "via_index", "todo", "size")
 
-    def __init__(self, nid, marking, mask, via, via_index):
+    def __init__(self, nid, marking, via, via_index):
         self.id = nid
         self.marking = marking
-        self.mask = mask
         self.via = via
         self.via_index = via_index
         self.todo = []
         self.size = 1
 
 
-def _scan(path, m1: Marking, level: int) -> int | None:
+def _scan(path, m1: int, level: int, prefix: dict, guard: int) -> int | None:
     """Position on `path` of the nearest frame that subsumes a new child of
-    the top frame with marking `m1`, reached by a transition of index
-    `level`; None if there is none.  A frame marking a place `m1` leaves
-    empty cannot be <= `m1`, so one AND of support masks skips it.  Used
-    only on nets that add tokens; elsewhere `_walk` looks `m1` up."""
-    outside = ~_support(m1)
+    the top frame with packed marking `m1`, reached by a transition of
+    index `level`; None if there is none.  A frame subsumes it when one
+    guard-bit subtraction finds its marking <= `m1` and they agree on
+    `prefix[level]`, the fields of the first `level` places.  Used only
+    on nets that add tokens; elsewhere `_walk` looks `m1` up."""
     for i in range(len(path) - 1, -1, -1):
         a = path[i]
         m2 = a.marking
-        if (not a.mask & outside and m2[:level] == m1[:level]
-                and _leq(m2, m1)):
+        if (m1 | guard) - m2 & guard == guard and not (m1 ^ m2) & prefix[level]:
             return i
         if a.via_index > level:
             level = a.via_index
@@ -151,10 +161,62 @@ def _certificate(net: Net, path, anc: int, leaf_via: str):
     return NonTerminating(stem, pump)
 
 
+def _children(plan, rows, fields: _Fields, places: int):
+    """`children(m)`: the enabled (op position, packed successor) pairs at
+    the packed marking m, in declaration order, from the firing `rows`
+    of `plan`; it raises _Widen at a successor with an entry at or above
+    the limit.  When testing every row costs more than indexing
+    (`_INDEX_COST`), it tests only the ops with no numeric pre-arc and
+    those whose first numeric pre-place m marks."""
+    live = [(k, *row[:5]) for k, row in enumerate(rows) if row is not None]
+    head, decode = fields.head, fields.decode
+    if len(live) * (fields.size // 4 + 1) <= _INDEX_COST * places:
+        def children(m):
+            out = []
+            for k, g, w, inhib, d, zero in live:
+                if (m | g) - w & g == g and not m & inhib:
+                    s = m + d
+                    if zero:
+                        s -= m & zero
+                    if s & head:
+                        raise _Widen(max(decode(s)))
+                    out.append((k, s))
+            return out
+        return children
+
+    always, by_place = [], [[] for _ in range(places)]
+    for row in live:
+        numeric = plan[row[0]].numeric
+        (by_place[numeric[0][0]] if numeric else always).append(row)
+    read, size, at = fields.read, fields.size, range(places)
+
+    def children(m):
+        out = []
+        # rows are (position, ...) tuples: sorting merges by position
+        for k, g, w, inhib, d, zero in sorted(always + [
+                row for p in compress(at, read(m.to_bytes(size, "little")))
+                for row in by_place[p]]):
+            if (m | g) - w & g == g and not m & inhib:
+                s = m + d
+                if zero:
+                    s -= m & zero
+                if s & head:
+                    raise _Widen(max(decode(s)))
+                out.append((k, s))
+        return out
+    return children
+
+
 def _walk(net: Net, max_nodes: int, rng, nodes, stop_early: bool):
     """Walk the tree depth-first, keeping only the current path, and return
     Terminating(tree_size) or the certificate of the first cut.  `rng`
     shuffles each node's children.
+
+    Markings are packed ints (`_Fields`) from the root on, and children
+    come from one firing row per transition (`_children`).  When a child
+    has an entry at or above the fields' limit, the walk starts again at
+    the fitting width, with `rng` and `nodes` as they were given, so it
+    draws, numbers and counts as one walk at that width would.
 
     `seen` maps each marking on the path to ~its position (a negative
     int), and each memoised marking to its subtree's node count: one
@@ -182,53 +244,85 @@ def _walk(net: Net, max_nodes: int, rng, nodes, stop_early: bool):
     `max_nodes` bounds the number of tree nodes made, the root included."""
     check_eligible(net)
     _fit(1, max_nodes)
-    tidx = {op.name: op.index for op in net._plan()}
+    plan = net._plan()
+    effects = [_effects(op) for op in plan]
+    lookup = _adds_no_tokens(effects)
+    fields = _Fields.for_net(net, max(net.initial, default=0))
+    state = None if rng is None else rng.getstate()
+    while True:
+        try:
+            return _walk_at(net, plan, _firing_rows(plan, effects, fields),
+                            fields, lookup, max_nodes, rng, nodes,
+                            stop_early)
+        except _Widen as e:
+            fields = fields.fitting(e.top)
+            if rng is not None:
+                rng.setstate(state)
+            if nodes is not None:
+                nodes[:] = [None]
+
+
+def _walk_at(net: Net, plan, rows, fields: _Fields, lookup: bool,
+             max_nodes: int, rng, nodes, stop_early: bool):
+    """`_walk` at the width of `fields`, whose firing `rows` it reads."""
+    names = [op.name for op in plan]
+    levels = [op.index for op in plan]
+    width, guard = fields.width, fields.guard
+    prefix = {i: (1 << i * width) - 1 for i in {0, *levels}}
+    children = _children(plan, rows, fields, len(net.places))
     seen: dict = {}
     path: list = []
-    lookup = _adds_no_tokens(net)
-    canon: dict = {}  # each marking the recorded nodes hold, to itself
+    marking: dict = {}  # each packed marking the recorded nodes hold, decoded
     count = 1  # tree nodes made so far
     cut = None
+
+    def decoded(m):
+        t = marking.get(m)
+        if t is None:
+            t = marking[m] = fields.decode(m)
+        return t
 
     def push(nid, m, via, via_index):
         """Put node `m`, already in `seen` at the path's end, on the path
         and make its children; return whether the walk stops at a cut
         among them."""
         nonlocal count, cut
-        succ = successors(net, m)
+        succ = children(m)
         if rng is not None:
             rng.shuffle(succ)
         if nodes is not None:
-            succ = [(name, canon.setdefault(m2, m2)) for name, m2 in succ]
-            nodes[nid] = ErtNode(m, path[-1].id if path else None, via,
-                                 via_index, "inner" if succ else "deadlock")
-        frame = _Frame(nid, m, None if lookup else _support(m), via,
-                       via_index)
+            nodes[nid] = ErtNode(decoded(m), path[-1].id if path else None,
+                                 via, via_index,
+                                 "inner" if succ else "deadlock")
+        frame = _Frame(nid, m, via, via_index)
         path.append(frame)
-        for name, m2 in succ:
-            count = _fit(count + 1, max_nodes)
+        todo = frame.todo
+        for k, m2 in succ:
+            count += 1
+            if count > max_nodes:
+                _fit(count, max_nodes)
             at = seen.get(m2)
             if at is None or at < 0:  # not memoised
                 if lookup:
                     anc = None if at is None else ~at
                 else:
-                    anc = _scan(path, m2, tidx[name])
+                    anc = _scan(path, m2, levels[k], prefix, guard)
                 if anc is not None:
                     if nodes is not None:
-                        nodes.append(ErtNode(m2, nid, name, tidx[name],
-                                             "subsumed", path[anc].id))
-                    cut = cut or _certificate(net, path, anc, name)
+                        nodes.append(ErtNode(decoded(m2), nid, names[k],
+                                             levels[k], "subsumed",
+                                             path[anc].id))
+                    cut = cut or _certificate(net, path, anc, names[k])
                     if stop_early:
                         return True
                     continue
             if nodes is not None:
                 nodes.append(None)
-            frame.todo.append((count - 1, name, m2))
-        frame.todo.reverse()
+            todo.append((count - 1, k, m2))
+        todo.reverse()
         return False
 
-    root = tuple(net.initial)
-    canon[root] = root
+    root = fields.encode(net.initial)
     seen[root] = ~0
     stop = push(0, root, None, 0)
     while not stop and path:
@@ -242,19 +336,22 @@ def _walk(net: Net, max_nodes: int, rng, nodes, stop_early: bool):
             if path:
                 path[-1].size += top.size
             continue
-        nid, name, m2 = top.todo.pop()
+        nid, k, m2 = top.todo.pop()
         # a child is never on the path here, or it would have been cut
         size = seen.setdefault(m2, ~len(path))
         if size < 0:
-            stop = push(nid, m2, name, tidx[name])
+            stop = push(nid, m2, names[k], levels[k])
             continue
         # the tree makes the size - 1 nodes below it here
-        count = _fit(count + size - 1, max_nodes)
+        count += size - 1
+        if count > max_nodes:
+            _fit(count, max_nodes)
         top.size += size
     if nodes is not None:
         for f in path:
-            for nid, name, m2 in f.todo:  # made, never expanded
-                nodes[nid] = ErtNode(m2, f.id, name, tidx[name], "inner")
+            for nid, k, m2 in f.todo:  # made, never expanded
+                nodes[nid] = ErtNode(decoded(m2), f.id, names[k], levels[k],
+                                     "inner")
     return cut or Terminating(count)
 
 

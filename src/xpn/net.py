@@ -363,30 +363,29 @@ def _search(net: Net, start: Marking, goal: str, target, max_steps: int):
     return len(queue), None, fields
 
 
-def _table_loop(plan, goal: str, fields: "_Fields"):
-    """(run, tests): `run(Q, P, i, stop, T)` with the contract of the
-    generated loop (`_search_source`) for `plan`, `goal` and `fields`,
-    and the number of ops it tests per expansion.  It reads one row of
-    packed ints per op, taken from `_effects`: the op is enabled at m
-    when (m | g) - w & g == g, g the guard bits of its numeric pre-places
-    and w their weights, and not m & inhib, its inhibited fields.  Its
-    successor is m + d, d its packed const, less m & zero, its zeroed
-    fields, plus each transfer source's entry in m shifted to its target
-    (a source has no numeric arc, so m holds the snapshot `_apply`
-    takes).  An op with a weight at or above the limit is left out: no
-    marking the tier expands enables it."""
+def _firing_rows(plan, effects, fields: "_Fields") -> list:
+    """Per op of `plan`, its firing row of packed ints at the width of
+    `fields`, read off its `_effects` in `effects`: (g, w, inhib, d, zero,
+    xfers).  The op is enabled at m when (m | g) - w & g == g, g the guard
+    bits of its numeric pre-places and w their weights, and not m & inhib,
+    its inhibited fields.  Its successor is m + d, d its packed const, less
+    m & zero, its zeroed fields, plus each transfer source's entry in m
+    shifted to its target, as (source shift, target shift) in `xfers` (a
+    source has no numeric arc, so m holds the snapshot `_apply` takes).
+    An op with a weight at or above the limit gets None: no marking below
+    the limit enables it."""
     width, limit, full = fields.width, fields.limit, (1 << fields.width) - 1
     top = 1 << (width - 1)
-    table = []
-    for op in plan:
+    rows = []
+    for op, (const, zeroed, moved) in zip(plan, effects):
         g = w = 0
         for p, x in op.numeric:
             if x >= limit:
+                rows.append(None)
                 break
             g |= top << p * width
             w |= x << p * width
         else:
-            const, zeroed, moved = _effects(op)
             inhib = d = zero = 0
             for p in op.inhib:
                 inhib |= full << p * width
@@ -394,9 +393,21 @@ def _table_loop(plan, goal: str, fields: "_Fields"):
                 d += c << q * width
             for p in zeroed:
                 zero |= full << p * width
-            table.append((g, w, inhib, d, zero, [
+            rows.append((g, w, inhib, d, zero, [
                 (src * width, q * width)
                 for q, srcs in moved.items() for src in srcs]))
+    return rows
+
+
+def _table_loop(plan, goal: str, fields: "_Fields"):
+    """(run, tests): `run(Q, P, i, stop, T)` with the contract of the
+    generated loop (`_search_source`) for `plan`, `goal` and `fields`,
+    and the number of ops it tests per expansion.  It tests each op by
+    its row (`_firing_rows`), leaving out the ops no marking it expands
+    enables."""
+    table = [row for row in _firing_rows(plan, map(_effects, plan), fields)
+             if row is not None]
+    full = (1 << fields.width) - 1
     head, guard = fields.head, fields.guard
     reach, cover = goal == "reach", goal == "cover"
     deadlock = goal == "deadlock"

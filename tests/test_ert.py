@@ -23,7 +23,7 @@ from xpn.ert import (
 )
 from xpn.explore import replay
 from xpn.fmt import parse_net
-from xpn.net import XpnError
+from xpn.net import XpnError, _effects
 
 LOOP = parse_net("places: a\nmarking: a=1\ntrans t: in a ; out a")
 CHAIN = parse_net("places: a\nmarking: a=3\ntrans t: in a ;")
@@ -383,16 +383,20 @@ def test_countdown_and_line_at_decider_scale():
     assert decide_termination(line(1000), 10**40) == Terminating(1001)
 
 
+def _adds_no_tokens(net):
+    return xpn_ert._adds_no_tokens(map(_effects, net._plan()))
+
+
 def test_adds_no_tokens():
     for net in (LOOP, CHAIN, IDLE, countdown(2, 2), line(3)):
-        assert xpn_ert._adds_no_tokens(net)
+        assert _adds_no_tokens(net)
     rpump = parse_net("places: a\ntrans t: reset a ; out a")
     for net in (GROW, NEAR, DEEP_LEVEL, rpump):
-        assert not xpn_ert._adds_no_tokens(net)
+        assert not _adds_no_tokens(net)
     rng = random.Random(1)
     for _ in range(100):
-        assert not xpn_ert._adds_no_tokens(fuzz.ert_grow_net(rng))
-        assert xpn_ert._adds_no_tokens(fuzz.ert_flow_net(rng))
+        assert not _adds_no_tokens(fuzz.ert_grow_net(rng))
+        assert _adds_no_tokens(fuzz.ert_flow_net(rng))
 
 
 def _past_the_cap(count):
@@ -416,7 +420,7 @@ def test_lookup_equals_forced_scan(net, monkeypatch):
     """On a net that adds no tokens the walk looks each child up on the
     path; forcing the ancestor scan must draw the same trees, past the
     oracles' cap, budget errors included."""
-    assert xpn_ert._adds_no_tokens(net)
+    assert _adds_no_tokens(net)
 
     def outputs():
         out = [_decided(net, budget) for budget in (1, 2, 300, 5_000, 10**40)]

@@ -100,6 +100,33 @@ def has_cycle(graph) -> bool:
     return False
 
 
+def path_count(net, cap: int):
+    """The number of paths from the initial marking in the reachable
+    graph, the empty one included: the node count of a full reachability
+    tree.  None if more than `cap` markings are reachable or the graph has
+    a cycle, so that no count is finite."""
+    graph = reach_graph(net, cap)
+    if graph is None:
+        return None
+    size = {}  # marking -> its path count; None while on the stack
+    root = as_tuple(net, as_dict(net, net.initial))
+    size[root] = None
+    stack = [(root, iter(graph[root]))]
+    while stack:
+        node, it = stack[-1]
+        for _, nxt in it:
+            if nxt not in size:
+                size[nxt] = None
+                stack.append((nxt, iter(graph[nxt])))
+                break
+            if size[nxt] is None:
+                return None  # on the stack: a cycle
+        else:
+            stack.pop()
+            size[node] = 1 + sum(size[nxt] for _, nxt in graph[node])
+    return size[root]
+
+
 def terminates(net, cap: int):
     """True / False by exhaustive analysis, None if over `cap` markings.
     A finite reachable graph admits an infinite run iff it has a cycle."""

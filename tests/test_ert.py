@@ -414,27 +414,82 @@ def _past_the_cap(count):
 PAST_THE_CAP = [countdown(4, 4), line(500), *_past_the_cap(8)]
 
 
-@pytest.mark.parametrize("net", PAST_THE_CAP, ids=[
-    "countdown4x4", "line500", *(f"flow{i}" for i in range(8))])
+def _outputs(net, budgets=(1, 2, 300, 5_000, 10**40)):
+    """Verdicts of `decide_termination` at `budgets` and shuffled, and
+    trees of `build_ert` at two budgets, full and stopped early, in
+    declaration order and shuffled."""
+    out = [_decided(net, budget) for budget in budgets]
+    out.append(_verdict(decide_termination(net, 10**40, random.Random(3))))
+    out += [_recorded(net, budget, stop_early, rng)
+            for stop_early, budget in ((False, 2), (False, 1_000),
+                                       (True, 1_000))
+            for rng in (None, random.Random(3))]
+    return out
+
+
+PAST_THE_CAP_IDS = ["countdown4x4", "line500",
+                    *(f"flow{i}" for i in range(8))]
+
+
+@pytest.mark.parametrize("net", PAST_THE_CAP, ids=PAST_THE_CAP_IDS)
 def test_lookup_equals_forced_scan(net, monkeypatch):
     """On a net that adds no tokens the walk looks each child up on the
     path; forcing the ancestor scan must draw the same trees, past the
     oracles' cap, budget errors included."""
     assert _adds_no_tokens(net)
+    lookup = _outputs(net)
+    monkeypatch.setattr(xpn_ert, "_adds_no_tokens", lambda effects: False)
+    assert _outputs(net) == lookup
 
-    def outputs():
-        out = [_decided(net, budget) for budget in (1, 2, 300, 5_000, 10**40)]
-        out.append(_verdict(decide_termination(net, 10**40,
-                                               random.Random(3))))
-        out += [_recorded(net, budget, stop_early, rng)
-                for stop_early, budget in ((False, 2), (False, 1_000),
-                                           (True, 1_000))
-                for rng in (None, random.Random(3))]
-        return out
 
-    lookup = outputs()
-    monkeypatch.setattr(xpn_ert, "_adds_no_tokens", lambda net: False)
-    assert outputs() == lookup
+def _index_and_scan(net, monkeypatch, outputs):
+    """`outputs(net)` with the walk forced to test only the transitions
+    that a marking's marked places index, then forced to test them all."""
+    monkeypatch.setattr(xpn_ert, "_INDEX_COST", 0)
+    indexed = outputs(net)
+    monkeypatch.setattr(xpn_ert, "_INDEX_COST", 10**18)
+    return indexed, outputs(net)
+
+
+@pytest.mark.parametrize("net", PAST_THE_CAP, ids=PAST_THE_CAP_IDS)
+def test_index_equals_full_scan_past_the_cap(net, monkeypatch):
+    indexed, scanned = _index_and_scan(net, monkeypatch, _outputs)
+    assert indexed == scanned
+
+
+def test_index_equals_full_scan_on_width_and_growth_nets(monkeypatch):
+    rng = random.Random(41)
+    nets = _width_nets() + [fuzz.ert_grow_net(rng) for _ in range(200)]
+    for net in nets:
+        indexed, scanned = _index_and_scan(
+            net, monkeypatch, lambda net: _outputs(net, (1, 2, 40, 5_000)))
+        assert indexed == scanned, net
+
+
+def test_line_1000_at_its_budget_boundary():
+    # one node per marking; the index tests one transition per marking
+    net = line(1000)
+    assert decide_termination(net, 1001) == Terminating(1001)
+    with pytest.raises(BudgetExceededError,
+                       match="^tree exceeded 1000 nodes$"):
+        decide_termination(net, 1000)
+
+
+@pytest.mark.parametrize("net", [countdown(4, 4), countdown(5, 5), line(500),
+                                 *PAST_THE_CAP[2:]],
+                         ids=["countdown4x4", "countdown5x5", "line500",
+                              *PAST_THE_CAP_IDS[2:]])
+def test_tree_size_counts_root_paths(net):
+    """TERMINATING beyond the oracles' cap: the tree has one node per run
+    prefix, so `tree_size` is the number of paths from the root in the
+    reachable graph, counted without the walk; a net that does not
+    terminate has no such count."""
+    v = decide_termination(net, 10**40)
+    paths = oracles.path_count(net, 10**5)
+    if isinstance(v, Terminating):
+        assert paths == v.tree_size
+    else:
+        assert paths is None and verify_pump(net, v)
 
 
 # sha256 of ert_fields over the corpus in test_ert_byte_stable

@@ -253,12 +253,19 @@ def _deadlock_clauses(net: Net, cap: int) -> list:
     # j below a numeric arc's weight on p and ("atleast", p, 1) for an
     # inhibitor arc on p; they are indexed, not listed, so a huge weight
     # costs nothing before the cap applies.  Per transition: the index of
-    # each arc's first option, (kind, p) per arc, and the option count.
+    # each arc's first option, (kind, p, low) per arc, and the option
+    # count.  `low` is the least j at or above every numeric weight on p
+    # of a later transition, and at least 1: every later option on p
+    # rejects each exact j >= low alike (an exact j' < weight differs
+    # from it, an inhibitor's "at least 1" holds), so those values draw
+    # subtrees that differ only in p's value.
     per_t = []
     top = 0  # the largest j of any option
-    for t in net.transitions:
+    later: dict = {}  # place -> its largest numeric weight further on
+    for t in reversed(net.transitions):
         starts, arcs, total = [], [], 0
         for place, arc in t.pre.items():
+            p = net.place_pos(place)
             if isinstance(arc, Numeric):
                 kind, count, top = "exact", arc.weight, max(top, arc.weight - 1)
             elif isinstance(arc, Inhibitor):
@@ -266,11 +273,16 @@ def _deadlock_clauses(net: Net, cap: int) -> list:
             else:
                 continue
             starts.append(total)
-            arcs.append((kind, net.place_pos(place)))
+            arcs.append((kind, p, max(later.get(p, 0), 1)))
             total += count
         if not total:
             return []  # that transition is never disabled: no deadlock
+        for place, arc in t.pre.items():
+            if isinstance(arc, Numeric):
+                p = net.place_pos(place)
+                later[p] = max(later.get(p, 0), arc.weight)
         per_t.append((starts, arcs, total))
+    per_t.reverse()
 
     # depth-first over one option per transition, with an explicit stack of
     # (option index, place, previous assignment, previous state) so long
@@ -283,6 +295,16 @@ def _deadlock_clauses(net: Net, cap: int) -> list:
     # hashing the whole assignment at each step.  Up to the first
     # transition with two ways to be disabled there is one path to each
     # level, so those levels are neither stored nor looked up.
+    #
+    # So the clauses are the distinct completions in depth-first order,
+    # and `done` only saves work: a state it skips had every completion
+    # seen.  An exact pick j >= low of a place left unset draws the
+    # completions of the other values >= low of its arc with p's value
+    # changed.  If its subtree reached no completion and skipped no state
+    # (`leaves`, `skips`), neither do theirs, and the arc's rest is
+    # skipped.  If it added c clauses, the rest adds at least c distinct
+    # ones per value, so once c times the values left passes the cap the
+    # cap's error is raised at once.
     width = (top + 2).bit_length()
 
     def code(v):
@@ -296,10 +318,12 @@ def _deadlock_clauses(net: Net, cap: int) -> list:
     assign: dict = {}
     state = 0
     picks = []
+    leaves = skips = 0
     k = 0  # next option to try for transition len(picks)
     while True:
         i = len(picks)
         if i == len(per_t):
+            leaves += 1
             key = frozenset(assign.items())
             if key not in seen:
                 seen.add(key)
@@ -310,7 +334,7 @@ def _deadlock_clauses(net: Net, cap: int) -> list:
         elif k < per_t[i][2]:
             starts, arcs, total = per_t[i]
             a = bisect_right(starts, k) - 1
-            kind, p = arcs[a]
+            kind, p, low = arcs[a]
             j = k - starts[a] if kind == "exact" else 1
             prev = assign.get(p)
             if kind == "exact":
@@ -323,9 +347,15 @@ def _deadlock_clauses(net: Net, cap: int) -> list:
                 new = prev or ("atleast",)
             if ok:
                 nxt = state + ((code(new) - code(prev)) << (p * width))
-                ok = i < branch or (i + 1, nxt) not in done
+                if i >= branch and (i + 1, nxt) in done:
+                    ok, skips = False, skips + 1
             if ok:
-                picks.append((k, p, prev, state))
+                mark = None  # an exact value past `low`, more to come
+                if prev is None and low <= j:
+                    end = starts[a + 1] if a + 1 < len(starts) else total
+                    if k + 1 < end:
+                        mark = (leaves, skips, len(clauses), end)
+                picks.append((k, p, prev, state, mark))
                 assign[p] = new
                 state = nxt
                 k = 0
@@ -341,11 +371,17 @@ def _deadlock_clauses(net: Net, cap: int) -> list:
             done.add((i, state))
         if not picks:
             return clauses
-        k, p, prev, state = picks.pop()
+        k, p, prev, state, mark = picks.pop()
         if prev is None:
             del assign[p]
         else:
             assign[p] = prev
+        if mark is not None and mark[1] == skips:
+            if mark[0] == leaves:
+                k = mark[3] - 1  # no other value of the arc completes
+            elif (len(clauses) - mark[2]) * (mark[3] - 1 - k) > cap:
+                raise BudgetExceededError(
+                    f"more than {cap} deadlock clauses")
         k += 1
 
 

@@ -3,6 +3,7 @@ against.  Everything here works on plain dicts and the public net
 structure only; none of it shares code with the library's firing plan,
 search engines or tree walk."""
 
+from itertools import product
 from math import comb, prod
 
 from xpn.net import (INHIBITOR_KIND, KIND_ORDER, RESET_KIND, TRANSFER_KIND,
@@ -125,6 +126,50 @@ def path_count(net, cap: int):
             stack.pop()
             size[node] = 1 + sum(size[nxt] for _, nxt in graph[node])
     return size[root]
+
+
+def deadlock_clauses(net, cap: int):
+    """The DNF of "no transition can fire" as `dlf_to_reach` lists it,
+    from every combination of one way per transition to be disabled:
+    in arc order, a numeric pre-place holding exactly j tokens for each j
+    below its weight, or an inhibited place holding at least one.  The
+    distinct consistent combinations in lexicographic order, each as
+    {position: ("exact", j) or ("atleast",)} in the order its places are
+    first met; "budget" if there are more than `cap`."""
+    options = []
+    for t in net.transitions:
+        ways = []
+        for place, arc in t.pre.items():
+            p = net.places.index(place)
+            if isinstance(arc, Numeric):
+                ways += [(p, ("exact", j)) for j in range(arc.weight)]
+            elif isinstance(arc, Inhibitor):
+                ways.append((p, ("atleast",)))
+        if not ways:
+            return []
+        options.append(ways)
+    clauses, seen = [], set()
+    for combo in product(*options):
+        clause = {}
+        for p, way in combo:
+            prev = clause.get(p)
+            if way == ("atleast",):
+                if prev == ("exact", 0):
+                    break
+                clause[p] = prev or way
+            elif prev is not None and prev != way and (
+                    prev != ("atleast",) or way == ("exact", 0)):
+                break
+            else:
+                clause[p] = way
+        else:
+            key = frozenset(clause.items())
+            if key not in seen:
+                if len(clauses) == cap:
+                    return "budget"
+                seen.add(key)
+                clauses.append(clause)
+    return clauses
 
 
 def terminates(net, cap: int):

@@ -426,6 +426,27 @@ def test_dlf_to_reach_runs_out_on_huge_weights(tmp_path):
     assert "c1_" not in out and time.monotonic() - t0 < 5
 
 
+@pytest.mark.parametrize("text, code, clauses", [
+    # every exact value of p at or above 1 is rejected by t1 alike: the
+    # first one's subtree completes nothing, so the rest are skipped
+    ("places: p\ntrans t0: in p*1000000000000 ;\ntrans t1: in p*1 ;\n",
+     0, 1),
+    # each value of p completes two clauses, whatever the value: the cap's
+    # error comes at once
+    ("places: p q\ntrans t0: in p*1000000000000 ;\ntrans t1: in q*2 ;\n",
+     1, 0),
+])
+def test_dlf_to_reach_skips_alike_values_of_a_huge_weight(run, text, code,
+                                                          clauses):
+    t0 = time.perf_counter()
+    got, out, err, _ = run("transform", "dlf-to-reach", "n.xpn",
+                           "--clause-cap", "5", files={"n.xpn": text})
+    assert time.perf_counter() - t0 < 1
+    assert (got, err, out.count("_check:")) == (code, "", clauses)
+    if code:
+        assert out == "OUT_OF_BUDGET more than 5 deadlock clauses\n"
+
+
 N4 = 10**4
 # a 10**4-way transfer fan-in into one place, beside a countdown c: t
 # fires at every marking and d while c lasts.  A marking is 10**4 fields

@@ -8,8 +8,9 @@ import fuzz
 import oracles
 from xpn.explore import bounded_reach
 from xpn.fmt import parse_net, render_net
-from xpn.net import (BudgetExceededError, Inhibitor, Net, Reset, Transfer,
-                     XpnError, classify, successors)
+from xpn.net import (INHIBIT, RESET, BudgetExceededError, Inhibitor, Net,
+                     Numeric, Reset, Transfer, Transition, XpnError, classify,
+                     successors)
 from xpn.transforms import (
     CONST,
     COPY,
@@ -23,6 +24,7 @@ from xpn.transforms import (
     reach_to_dlf,
     transfer_hierarchize,
     two_inh_to_reset,
+    _deadlock_clauses,
 )
 
 
@@ -303,6 +305,41 @@ def test_dlf_clauses_of_alike_transitions_are_searched_once():
     res = dlf_to_reach(parse_net("places: a\n"), clause_cap=1)
     checks = [t.name for t in res.net.transitions if t.name.endswith("_check")]
     assert checks == ["c0_check"]
+
+
+def test_dlf_clauses_equal_the_naive_enumeration():
+    # weights up to 9 on few places, so that many exact values of a place
+    # are alike for the transitions after it and their ranges are skipped
+    rng = random.Random(2024)
+    # t1's exact p1=1 subtree skips states that the search explored
+    # before, so its clauses say nothing of the values after it: those
+    # must still be searched
+    cases = [(parse_net("places: p0 p1\ntrans t0: in p1*2, in p0*3 ;\n"
+                        "trans t1: in p1*6 ;\ntrans t2: in p0*4 ;\n"
+                        "trans t3: in p1, in p0*4 ;"), 10_000)]
+    for _ in range(1500):
+        places = [f"p{i}" for i in range(rng.randint(1, 3))]
+        transitions = []
+        for j in range(rng.randint(1, 4)):
+            pre = {}
+            for p in rng.sample(places, rng.randint(1, len(places))):
+                r = rng.random()
+                pre[p] = (INHIBIT if r < 0.2 else RESET if r < 0.3
+                          else Numeric(rng.choice((1, 1, 2, 3, 5, 9))))
+            transitions.append(Transition(f"t{j}", pre, {}))
+        cases.append((Net(tuple(places), tuple(transitions),
+                          (0,) * len(places)),
+                      rng.choice((1, 2, 3, 5, 10, 10_000))))
+    for net, cap in cases:
+        want = oracles.deadlock_clauses(net, cap)
+        try:
+            got = [list(c.items()) for c in _deadlock_clauses(net, cap)]
+        except BudgetExceededError as e:
+            assert str(e) == f"more than {cap} deadlock clauses"
+            got = "budget"
+        if want != "budget":
+            want = [list(c.items()) for c in want]
+        assert got == want, (net, cap)
 
 
 def test_dlf_to_reach_fuzz():

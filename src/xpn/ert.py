@@ -327,7 +327,20 @@ def _walk_at(net: Net, plan, rows, fields: _Fields, lookup: bool,
     stop = push(0, root, None, 0)
     while not stop and path:
         top = path[-1]
-        if not top.todo:
+        todo, here = top.todo, ~len(path)
+        while todo:
+            nid, k, m2 = todo.pop()
+            # a child is never on the path here, or it would have been cut
+            size = seen.setdefault(m2, here)
+            if size < 0:
+                stop = push(nid, m2, names[k], levels[k])
+                break
+            # the tree makes the size - 1 nodes below it here
+            count += size - 1
+            if count > max_nodes:
+                _fit(count, max_nodes)
+            top.size += size
+        else:
             path.pop()
             if nodes is None:
                 seen[top.marking] = top.size
@@ -335,18 +348,6 @@ def _walk_at(net: Net, plan, rows, fields: _Fields, lookup: bool,
                 del seen[top.marking]
             if path:
                 path[-1].size += top.size
-            continue
-        nid, k, m2 = top.todo.pop()
-        # a child is never on the path here, or it would have been cut
-        size = seen.setdefault(m2, ~len(path))
-        if size < 0:
-            stop = push(nid, m2, names[k], levels[k])
-            continue
-        # the tree makes the size - 1 nodes below it here
-        count += size - 1
-        if count > max_nodes:
-            _fit(count, max_nodes)
-        top.size += size
     if nodes is not None:
         for f in path:
             for nid, k, m2 in f.todo:  # made, never expanded

@@ -18,10 +18,11 @@ passed to `validate`, but firing or analysing it raises InvalidNetError.
 `_search`, the breadth-first search behind `explore`'s forward searches,
 packs every visited marking into one int from the start (`_Fields`: a
 field of 8, 16, 32, ... bits per place, in place order).  Its table tier
-(`_table_loop`) reads one row of packed ints per transition: one
-guard-bit subtraction tests the numeric arcs, one AND the inhibitor
-arcs, and a successor is one addition, one AND for the emptied places
-and one shift per transfer.  Once compiling pays (`_COMPILE_COST`) the
+(`_table_loop`) reads one row of packed ints per transition
+(`_firing_rows`, which the termination walk reads too): one guard-bit
+subtraction tests the numeric arcs, one AND the inhibitor arcs, and a
+successor is one addition, one AND for the emptied places and one shift
+per transfer.  Once compiling pays (`_COMPILE_COST`) the
 search goes on in one loop generated per net, goal and field width: one
 unpack per marking, one `if` per transition, one int expression per
 successor (one list, for a transition that changes many places), and
@@ -405,8 +406,7 @@ def _table_loop(plan, goal: str, fields: "_Fields"):
     and the number of ops it tests per expansion.  It tests each op by
     its row (`_firing_rows`), leaving out the ops no marking it expands
     enables."""
-    table = [row for row in _firing_rows(plan, map(_effects, plan), fields)
-             if row is not None]
+    table = list(filter(None, _firing_rows(plan, map(_effects, plan), fields)))
     full = (1 << fields.width) - 1
     head, guard = fields.head, fields.guard
     reach, cover = goal == "reach", goal == "cover"

@@ -49,10 +49,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 
-# `successors` is no longer called here; it stays importable from this
-# module because the benchmark's tracer wraps `ert.successors`
-from .net import (BudgetExceededError, Marking, Net, TRANSFER_KIND, XpnError,
-                  _Fields, _effects, _firing_rows, classify, successors)
+# `classify` and `successors` are no longer called here; they stay
+# importable from this module because the benchmark's tracer wraps
+# `ert.classify` and `ert.successors`
+from .net import (BudgetExceededError, Marking, Net, XpnError, _Fields,
+                  _effects, _firing_rows, classify, successors)
 from .explore import Trace, replay, _leq
 from .fmt import _writes_counts
 
@@ -93,10 +94,15 @@ class Ert:
 
 
 def check_eligible(net: Net):
-    cls = classify(net)
-    if TRANSFER_KIND in cls.specials:
+    """Raise NotEligibleError unless `net` has no transfer arc and every
+    transition's inhibitor pre-places are downward closed: the two facts
+    of `classify` the walk needs, read off the plan alone, as every
+    query pays for them."""
+    plan = net._plan()
+    if any(op.xfers for op in plan):
         raise NotEligibleError("transfer arcs are not supported")
-    if not cls.ert_eligible:
+    # inhibitor places are downward closed iff they fill 0 .. index - 1
+    if not all(op.index == len(op.inhib) for op in plan):
         raise NotEligibleError(
             "some transition's inhibitor pre-places are not downward closed")
 
@@ -258,7 +264,7 @@ def _walk(net: Net, max_nodes: int, rng, nodes, stop_early: bool):
     check_eligible(net)
     _fit(1, max_nodes)
     plan = net._plan()
-    effects = [_effects(op) for op in plan]
+    effects = list(map(_effects, plan))
     lookup = _adds_no_tokens(effects)
     fields = _Fields.for_net(net, max(net.initial, default=0))
     state = None if rng is None else rng.getstate()
@@ -281,7 +287,8 @@ def _walk_at(net: Net, plan, rows, fields: _Fields, lookup: bool,
     names = [op.name for op in plan]
     levels = [op.index for op in plan]
     width, guard = fields.width, fields.guard
-    prefix = {i: (1 << i * width) - 1 for i in {0, *levels}}
+    prefix = None if lookup else {i: (1 << i * width) - 1
+                                  for i in {0, *levels}}
     children = _children(plan, rows, fields, len(net.places))
     seen: dict = {}
     path: list = []

@@ -396,7 +396,7 @@ def _firing_rows(plan, effects, fields: "_Fields") -> list:
                 zero |= full << p * width
             rows.append((g, w, inhib, d, zero, [
                 (src * width, q * width)
-                for q, srcs in moved.items() for src in srcs]))
+                for q, srcs in moved.items() for src in srcs] if moved else []))
     return rows
 
 

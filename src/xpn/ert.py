@@ -107,12 +107,9 @@ def check_eligible(net: Net):
             "some transition's inhibitor pre-places are not downward closed")
 
 
-def _fit(nodes: int, max_nodes: int) -> int:
-    """Return the tree node count `nodes`; raise BudgetExceededError if it
-    would pass `max_nodes`."""
-    if nodes > max_nodes:
-        raise BudgetExceededError(f"tree exceeded {max_nodes} nodes")
-    return nodes
+def _over(max_nodes: int) -> BudgetExceededError:
+    """The error of a walk whose tree passes `max_nodes` nodes."""
+    return BudgetExceededError(f"tree exceeded {max_nodes} nodes")
 
 
 def _adds_no_tokens(effects) -> bool:
@@ -188,33 +185,21 @@ def _children(plan, rows, fields: _Fields, places: int):
     (`_INDEX_COST`), it tests only the ops with no numeric pre-arc and
     those whose first numeric pre-place m marks."""
     live = [(k, *row[:5]) for k, row in enumerate(rows) if row is not None]
-    head, decode = fields.head, fields.decode
-    if len(live) * (fields.size // 4 + 1) <= _INDEX_COST * places:
-        def children(m):
-            out = []
-            for k, g, w, inhib, d, zero in live:
-                if (m | g) - w & g == g and not m & inhib:
-                    s = m + d
-                    if zero:
-                        s -= m & zero
-                    if s & head:
-                        raise _Widen(max(decode(s)))
-                    out.append((k, s))
-            return out
-        return children
-
-    always, by_place = [], [[] for _ in range(places)]
-    for row in live:
-        numeric = plan[row[0]].numeric
-        (by_place[numeric[0][0]] if numeric else always).append(row)
-    read, size, at = fields.read, fields.size, range(places)
+    head, decode, read, size = fields.head, fields.decode, fields.read, \
+        fields.size
+    at, always, by_place = range(places), [], None
+    if len(live) * (size // 4 + 1) > _INDEX_COST * places:
+        by_place = [[] for _ in at]
+        for row in live:
+            numeric = plan[row[0]].numeric
+            (by_place[numeric[0][0]] if numeric else always).append(row)
 
     def children(m):
         out = []
         # rows are (position, ...) tuples: sorting merges by position
-        for k, g, w, inhib, d, zero in sorted(always + [
-                row for p in compress(at, read(m.to_bytes(size, "little")))
-                for row in by_place[p]]):
+        for k, g, w, inhib, d, zero in live if by_place is None else sorted(
+                always + [row for p in compress(at, read(m.to_bytes(
+                    size, "little"))) for row in by_place[p]]):
             if (m | g) - w & g == g and not m & inhib:
                 s = m + d
                 if zero:
@@ -262,7 +247,8 @@ def _walk(net: Net, max_nodes: int, rng, nodes, stop_early: bool):
     "inner".  The nodes share one tuple per distinct marking.  Either way
     `max_nodes` bounds the number of tree nodes made, the root included."""
     check_eligible(net)
-    _fit(1, max_nodes)
+    if max_nodes < 1:  # the root is the first node counted
+        raise _over(max_nodes)
     plan = net._plan()
     effects = list(map(_effects, plan))
     lookup = _adds_no_tokens(effects)
@@ -320,7 +306,7 @@ def _walk_at(net: Net, plan, rows, fields: _Fields, lookup: bool,
         for k, m2 in succ:
             count += 1
             if count > max_nodes:
-                _fit(count, max_nodes)
+                raise _over(max_nodes)
             at = seen.get(m2)
             if at is None or at < 0:  # not memoised
                 if lookup:
@@ -358,7 +344,7 @@ def _walk_at(net: Net, plan, rows, fields: _Fields, lookup: bool,
             # the tree makes the size - 1 nodes below it here
             count += size - 1
             if count > max_nodes:
-                _fit(count, max_nodes)
+                raise _over(max_nodes)
             top.size += size
         else:
             path.pop()

@@ -161,7 +161,8 @@ def _scan(path, m1: int, level: int, prefix: dict, guard: int) -> int | None:
     for i in range(len(path) - 1, -1, -1):
         a = path[i]
         m2 = a.marking
-        if (m1 | guard) - m2 & guard == guard and not (m1 ^ m2) & prefix[level]:
+        if ((m1 | guard) - m2 & guard == guard
+                and not (m1 ^ m2) & prefix[level]):
             return i
         if a.via_index > level:
             level = a.via_index

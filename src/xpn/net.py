@@ -395,8 +395,8 @@ def _firing_rows(plan, effects, fields: "_Fields") -> list:
             for p in zeroed:
                 zero |= full << p * width
             rows.append((g, w, inhib, d, zero, [
-                (src * width, q * width)
-                for q, srcs in moved.items() for src in srcs] if moved else []))
+                (src * width, q * width) for q, srcs in moved.items()
+                for src in srcs] if moved else []))
     return rows
 
 

@@ -266,27 +266,27 @@ def _deadlock_clauses(net: Net, cap: int) -> list:
         starts, arcs, total = [], [], 0
         for place, arc in t.pre.items():
             p = net.place_pos(place)
+            low = max(later.get(p, 0), 1)
             if isinstance(arc, Numeric):
                 kind, count, top = "exact", arc.weight, max(top, arc.weight - 1)
+                # t has no other arc on p, so its other arcs read `later`
+                # as it was
+                later[p] = max(low, arc.weight)
             elif isinstance(arc, Inhibitor):
                 kind, count, top = "atleast", 1, max(top, 1)
             else:
                 continue
             starts.append(total)
-            arcs.append((kind, p, max(later.get(p, 0), 1)))
+            arcs.append((kind, p, low))
             total += count
         if not total:
             return []  # that transition is never disabled: no deadlock
-        for place, arc in t.pre.items():
-            if isinstance(arc, Numeric):
-                p = net.place_pos(place)
-                later[p] = max(later.get(p, 0), arc.weight)
         per_t.append((starts, arcs, total))
     per_t.reverse()
 
     # depth-first over one option per transition, with an explicit stack of
-    # (option index, place, previous assignment, previous state) so long
-    # nets cannot exhaust the interpreter's recursion limit.  The
+    # (option index, place, previous assignment, previous state, mark) so
+    # long nets cannot exhaust the interpreter's recursion limit.  The
     # completions of a (level, assignment) state depend on nothing else, so
     # a state already fully explored has all of them in `seen` and is
     # skipped: many transitions disabled the same way no longer multiply the

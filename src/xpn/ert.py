@@ -135,20 +135,12 @@ class _Widen(Exception):
         self.top = top
 
 
-class _Frame:
-    """A node on the current path of the walk.  `id` is its number in the
-    tree, `marking` its packed marking, `todo` holds the children still to
-    visit (next one last) as (id, op position, packed marking), and `size`
-    counts the tree nodes of its subtree finished so far."""
-    __slots__ = ("id", "marking", "via", "via_index", "todo", "size")
-
-    def __init__(self, nid, marking, via, via_index):
-        self.id = nid
-        self.marking = marking
-        self.via = via
-        self.via_index = via_index
-        self.todo = []
-        self.size = 1
+# A node on the current path of the walk, a frame, is a list (cheaper to
+# make and read than an object): [id, marking, via, via_index, todo,
+# size], its number in the tree, its packed marking, the transition into
+# it and that transition's index, the children still to visit (next one
+# last) as (id, op position, packed marking), and the tree nodes of its
+# subtree finished so far.
 
 
 def _scan(path, m1: int, level: int, prefix: dict, guard: int) -> int | None:
@@ -160,19 +152,19 @@ def _scan(path, m1: int, level: int, prefix: dict, guard: int) -> int | None:
     on nets that add tokens; elsewhere `_walk` looks `m1` up."""
     for i in range(len(path) - 1, -1, -1):
         a = path[i]
-        m2 = a.marking
+        m2 = a[1]
         if ((m1 | guard) - m2 & guard == guard
                 and not (m1 ^ m2) & prefix[level]):
             return i
-        if a.via_index > level:
-            level = a.via_index
+        if a[3] > level:  # its via_index
+            level = a[3]
     return None
 
 
 def _certificate(net: Net, path, anc: int, leaf_via: str):
     """NonTerminating for a leaf reached by `leaf_via` from the top frame of
     `path` and cut by the frame at position `anc`."""
-    names = [f.via for f in path[1:]] + [leaf_via]
+    names = [f[2] for f in path[1:]] + [leaf_via]
     stem = replay(net, net.initial, names[:anc])
     pump = replay(net, stem.markings[-1], names[anc:])
     return NonTerminating(stem, pump)
@@ -298,12 +290,11 @@ def _walk_at(net: Net, plan, rows, fields: _Fields, lookup: bool,
         if rng is not None:
             rng.shuffle(succ)
         if nodes is not None:
-            nodes[nid] = ErtNode(decoded(m), path[-1].id if path else None,
+            nodes[nid] = ErtNode(decoded(m), path[-1][0] if path else None,
                                  via, via_index,
                                  "inner" if succ else "deadlock")
-        frame = _Frame(nid, m, via, via_index)
-        path.append(frame)
-        todo = frame.todo
+        todo = []
+        path.append([nid, m, via, via_index, todo, 1])
         for k, m2 in succ:
             count += 1
             if count > max_nodes:
@@ -318,7 +309,7 @@ def _walk_at(net: Net, plan, rows, fields: _Fields, lookup: bool,
                     if nodes is not None:
                         nodes.append(ErtNode(decoded(m2), nid, names[k],
                                              levels[k], "subsumed",
-                                             path[anc].id))
+                                             path[anc][0]))
                     cut = cut or _certificate(net, path, anc, names[k])
                     if stop_early:
                         return True
@@ -334,7 +325,7 @@ def _walk_at(net: Net, plan, rows, fields: _Fields, lookup: bool,
     stop = push(0, root, None, 0)
     while not stop and path:
         top = path[-1]
-        todo, here = top.todo, ~len(path)
+        todo, here = top[4], ~len(path)
         while todo:
             nid, k, m2 = todo.pop()
             # a child is never on the path here, or it would have been cut
@@ -346,19 +337,19 @@ def _walk_at(net: Net, plan, rows, fields: _Fields, lookup: bool,
             count += size - 1
             if count > max_nodes:
                 raise _over(max_nodes)
-            top.size += size
+            top[5] += size
         else:
             path.pop()
             if nodes is None:
-                seen[top.marking] = top.size
+                seen[top[1]] = top[5]
             else:
-                del seen[top.marking]
+                del seen[top[1]]
             if path:
-                path[-1].size += top.size
+                path[-1][5] += top[5]
     if nodes is not None:
         for f in path:
-            for nid, k, m2 in f.todo:  # made, never expanded
-                nodes[nid] = ErtNode(decoded(m2), f.id, names[k], levels[k],
+            for nid, k, m2 in f[4]:  # made, never expanded
+                nodes[nid] = ErtNode(decoded(m2), f[0], names[k], levels[k],
                                      "inner")
     return cut or Terminating(count)
 

@@ -53,7 +53,7 @@ from itertools import compress
 # importable from this module because the benchmark's tracer wraps
 # `ert.classify` and `ert.successors`
 from .net import (BudgetExceededError, Marking, Net, XpnError, _Fields,
-                  _effects, _firing_rows, classify, successors)
+                  _effects, _firing_rows, classify, fire, successors)
 from .explore import Trace, replay, _leq
 from .fmt import _writes_counts
 
@@ -378,13 +378,19 @@ def verify_pump(net: Net, verdict) -> bool:
         return False
     if not verdict.pump.transitions:
         return False
+    def end(m, names):  # the marking `names` fire `m` to, as replay would
+        for name in names:
+            m = fire(net, m, name)
+        return m
+
+    pump = verdict.pump.transitions
     try:
-        m2 = replay(net, net.initial, verdict.stem.transitions).markings[-1]
-        m1 = replay(net, m2, verdict.pump.transitions).markings[-1]
-        level = max(transition_index(net, n) for n in verdict.pump.transitions)
+        m2 = end(tuple(net.initial), verdict.stem.transitions)
+        m1 = end(m2, pump)
+        level = max(transition_index(net, n) for n in pump)
         if not (_leq(m2, m1) and m2[:level] == m1[:level]):
             return False
-        m1b = replay(net, m1, verdict.pump.transitions).markings[-1]
+        m1b = end(m1, pump)
         return _leq(m1, m1b) and m1[:level] == m1b[:level]
     except XpnError:
         return False

@@ -14,17 +14,18 @@ eligible nets, so running out of node budget is a resource error, not a
 verdict.
 
 The walk runs on markings packed into one int each (`net._Fields`), from
-the root on.  Each transition is one firing row of packed ints, built by
-the forward search's row builder (`net._firing_rows`): one guard-bit
-subtraction tests its numeric arcs, one AND its inhibitor arcs, and a
-child is one addition less one AND for its reset places.  An ancestor
-subsumes a child when one guard-bit subtraction finds it <= the child
-and one AND finds them equal on the prefix.  On nets whose rows cost more
-to test than to index, the walk tests only the transitions whose first
-numeric pre-place a marking marks (and those with none).  A child with an
-entry near its field's limit starts the walk again at a wider field.
-Markings are decoded only for the recorded nodes, once per distinct
-marking; certificates are replayed by the interpreted firing rule.
+the root on.  Each transition is one firing row of packed ints, made by
+the same function as the forward search's rows (`net._firing_rows`): one
+guard-bit subtraction tests its numeric arcs, one AND its inhibitor arcs,
+and a child is one addition less one AND for its reset places.  An
+ancestor subsumes a child when one guard-bit subtraction finds it <= the
+child and one AND finds them equal on the prefix.  On nets whose rows
+cost more to test than to index, the walk tests only the transitions
+whose first numeric pre-place a marking marks (and those with none).  A
+child with an entry near its field's limit starts the walk again at a
+wider field.  Markings are decoded only for the recorded nodes, once per
+distinct marking; certificates are replayed by the interpreted firing
+rule.
 
 If no transition adds tokens, the token sum never rises along a run, so
 an ancestor <= a child equals it, and the walk looks the child up among

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import sys
 from pathlib import Path
@@ -70,6 +71,20 @@ def test_unknown_arc_place_is_a_validation_matter():
     ("places: a\ntrans t: xfer a - b ;", 2, 17, "expected '->'"),
     ("", 1, 1, "missing places line"),
     ("places: a\nplaces: b", 2, 9, "duplicate places line"),
+    ("places: a\ntrans t in a ;", 2, 9, "expected ':'"),
+    ("places: a\ntrans : ;", 2, 7, "expected a transition name"),
+    ("places: a\ntrans1: ;", 2, 6, "expected a transition name"),
+    ("trans t: ;", 1, 7, "transition line before places line"),
+    ("transt: ;", 1, 6, "transition line before places line"),
+    ("places: a\ntrans t: in a* ;", 2, 16, "expected a number"),
+    ("places: a\nmarking: a 1", 2, 12, "expected '='"),
+    ("places: a\nmarking: a=x", 2, 12, "expected a number"),
+    ("places: a\ntrans t: in a ; a b", 2, 19,
+     "trailing text after transition"),
+    ("places: a\nmarking: a=1\nmarking: a=2", 3, 10, "duplicate marking line"),
+    ("places: a 1", 1, 11, "expected a place name"),
+    ("places : a", 1, 1, "expected 'places:', 'marking:' or 'trans'"),
+    ("places: a\ntrans t: 5 ;", 2, 10, "expected a arc keyword"),
 ])
 def test_parse_errors_carry_positions(text, line, col, needle):
     with pytest.raises(ParseError) as exc:
@@ -148,32 +163,46 @@ def _outcome(text):
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 MUTATION_CHARS = " \t\n#,;:*=->.0_aintx"
 
+# Whole texts beside the fuzz nets: lines on the edges of the grammar.
+HAND_TEXTS = [f"places: a b out\n{line}\n" for line in (
+    "trans t: ; out a, a*0", "trans t: in a, in a*0 ;", "transt:;out",
+    "trans t: ; out out, out*2", "trans t: inh a*2 ;", "trans t: in a, ;",
+    "trans t: xfer a -> b, reset out ; outa", "marking: a=1b=02",
+    "marking: a=1 a=2", "places: c", "transt1: ;", "transfer: ;",
+    "trans t: in a*0, in a ;", "trans t: ; out a, a*0, a",
+    "trans t: ; out a*0, a", "trans\tt\t:\tin\ta\t;\tb\t \t",
+    "marking:a=1 b=2  ", "marking: a = 1", "marking : a=1", "places : a",
+    "trans t: in a *2 ; b * 3", "trans t: out a ;", "trans t: ; out",
+    "trans t: ; out*2", "trans t: ; out b*2, out out", "trans t: ; a b",
+    "trans t: in a b ;", "trans t: xfer a->b->a ;", "trans t: in a*01 ;",
+    "trans t:: ;", "trans t: ; ;", "trans t: in a ,; b ,", "trans  : ;",
+    "trans t: in 1a ;", "trans t: in a*-1 ;", "trans t: in a ; b=1",
+    "marking: a=1, b=2", "marking: =1", "marking: a=", "marking:",
+    "trans t: in a, inh a ;", "trans t: reset a, xfer a->b ;",
+    "trans t: inh a, in a*0 ;", "trans t: xfer a->b, xfer a->a ;",
+    "trans.t: ;", "trans_t: ;", "trans9: ;", "trans t: é ;", "places:",
+)] + ["", "# only a comment\n", "\n\n  \t\n", "places:\n",
+      "trans t: ;\nplaces: a", "marking: a=1\nplaces: a",
+      "places: a\n  trans t: in a ;  # comment ; b\n",
+      "places: a#b\nmarking: a=2", "places a", "places: a b c a",
+      "places: a\n\xa0\n", "places: a\xa0", "\xa0places: a",
+      "places: a\ntrans t: in a ;\u3000", "places: a\r\nmarking: a=1\r",
+      "places: a\nmarking: a=1\nmarking: a=2", "places: é"]
 
-def test_line_patterns_read_what_the_cursor_reads(monkeypatch):
-    """parse_net reads well-formed lines by pattern: every fuzz and
-    workload net, and single-character deletions, insertions and swaps of
-    them, give the same net or the same error as the _Cursor code alone."""
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    import workloads
 
+def _parse_corpus():
+    """Fuzz nets rendered to text, the hand texts, and single-character
+    deletions, insertions and swaps in windows of the fuzz texts."""
     rng = random.Random(2017)
     texts = [render_net(gen(rng)) for gen in (
         fuzz.plain_net, fuzz.spiced_net, fuzz.no_inhibitor_net,
-        fuzz.hier_ir_net, fuzz.hirct_net, fuzz.ert_net, fuzz.two_inh_net,
-        fuzz.two_transfer_net) for _ in range(10)]
-    texts += [p.read_text() for p in sorted(PERFBENCH.glob("minsky/*.xpn"))]
-    for workload in workloads.BUILDERS:
-        files = workloads.build(workload, 1)[0]
-        texts += [t for name, t in files.items() if name.endswith(".xpn")]
-
-    inputs = texts + [f"places: a b out\n{line}\n" for line in (
-        "trans t: ; out a, a*0", "trans t: in a, in a*0 ;", "transt:;out",
-        "trans t: ; out out, out*2", "trans t: inh a*2 ;", "trans t: in a, ;",
-        "trans t: xfer a -> b, reset out ; outa", "marking: a=1b=02",
-        "marking: a=1 a=2", "places: c")]
+        fuzz.hier_ir_net, fuzz.hirct_net, fuzz.ert_net, fuzz.ert_grow_net,
+        fuzz.ert_flow_net, fuzz.two_inh_net, fuzz.two_transfer_net,
+        fuzz.busy_net) for _ in range(12)]
+    inputs = texts + HAND_TEXTS
     for text in texts:
         lines = text.splitlines(keepends=True)
-        for _ in range(4):
+        for _ in range(6):
             # a window of three lines after the places and marking lines
             at = rng.randrange(len(lines))
             excerpt = "".join(lines[:2] + lines[max(2, at - 1):at + 2])
@@ -182,10 +211,42 @@ def test_line_patterns_read_what_the_cursor_reads(monkeypatch):
                        excerpt[:i] + rng.choice(MUTATION_CHARS) + excerpt[i:],
                        excerpt[:i] + excerpt[i + 1] + excerpt[i]
                        + excerpt[i + 2:]]
-    fast = [_outcome(t) for t in inputs]
-    monkeypatch.setattr(fmt._NetReader, "fast", lambda self, line: False)
-    assert [_outcome(t) for t in inputs] == fast
-    assert sum(isinstance(o[0], str) for o in fast) > len(inputs) // 4
+    return inputs
+
+
+# sha256 of _outcome over the corpus in test_parse_byte_stable
+PARSE_DIGEST = "d59d67d8f3446137e92d552261706fd36ffc3097f5d5f859c1649e543d6b34e5"
+
+
+def test_parse_byte_stable():
+    """Every net and every error (message, line, column) that parse_net
+    reads from the seeded corpus is pinned by one digest."""
+    outcomes = [_outcome(t) for t in _parse_corpus()]
+    assert sum(isinstance(o[0], str) for o in outcomes) > len(outcomes) // 4
+    h = hashlib.sha256()
+    for o in outcomes:
+        h.update(repr(o).encode() + b"\0")
+    assert h.hexdigest() == PARSE_DIGEST, (
+        "a net or an error changed on the seeded corpus; if the change is "
+        "intended, declare it in CHANGES.md and update PARSE_DIGEST")
+
+
+def test_workload_nets_round_trip(monkeypatch):
+    """Every counter-machine and benchmark workload net parses, renders
+    and parses back to the same net and the same text."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    texts = [p.read_text() for p in sorted(PERFBENCH.glob("minsky/*.xpn"))]
+    for workload in workloads.BUILDERS:
+        files = workloads.build(workload, 1)[0]
+        texts += [t for name, t in files.items() if name.endswith(".xpn")]
+    assert texts
+    for text in texts:
+        net = parse_net(text)
+        once = render_net(net)
+        assert parse_net(once) == net
+        assert render_net(parse_net(once)) == once
 
 
 def test_marking_literals():

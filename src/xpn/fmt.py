@@ -11,19 +11,36 @@ The places line is required and comes first; its order is the hierarchy
 order (leftmost is least).  The marking line is optional (default all
 zero).  Weight 0 arcs are treated as absent.  render_net() emits a
 canonical form that parses back to an equal net.
+
+One reader serves parse_net and parse_marking.  A single pattern splits
+each comment-stripped line (or marking literal) into tokens: a name, a
+count, "->" or any other non-blank character.  One walk over those tokens
+reads the line.  A ParseError carries the line and the 1-based column of
+the token the walk stopped at; that column is worked out only on failure.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import re
+import string
 import sys
 
 from .net import (Arc, INHIBIT, Inhibitor, Marking, Net, Numeric, RESET,
                   Reset, Transfer, Transition, XpnError, require_valid)
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*")
-_INT_RE = re.compile(r"[0-9]+")
+_NAME = r"[A-Za-z_][A-Za-z0-9_.]*"
+_NAME_RE = re.compile(_NAME)
+# One token: a name, a count, "->" or any other non-blank character.  The
+# empty match at the end closes every token list; finditer, run from the
+# same offset, gives the k-th token's column.
+_TOKEN = re.compile(rf"{_NAME}|[0-9]+|->|[^ \t]|\Z")
+_NAME_START = frozenset(string.ascii_letters + "_")
+_DIGITS = frozenset(string.digits)
+_PRE_KINDS = frozenset(("in", "inh", "reset", "xfer"))
+# one numeric arc per weight, shared as INHIBIT and RESET are
+_numeric = functools.lru_cache(maxsize=256)(Numeric)
 
 
 class ParseError(XpnError):
@@ -34,262 +51,174 @@ class ParseError(XpnError):
         self.col = col
 
 
-class _Cursor:
-    """Single-line scanner that reports 1-based columns on failure."""
-
-    def __init__(self, text: str, lineno: int, start: int = 0):
-        self.text = text
-        self.lineno = lineno
-        self.i = start
-
-    def _skip_ws(self):
-        while self.i < len(self.text) and self.text[self.i] in " \t":
-            self.i += 1
-
-    def done(self) -> bool:
-        self._skip_ws()
-        return self.i >= len(self.text)
-
-    def fail(self, message: str):
-        self._skip_ws()
-        raise ParseError(message, self.lineno, self.i + 1)
-
-    def peek(self, s: str) -> bool:
-        self._skip_ws()
-        return self.text.startswith(s, self.i)
-
-    def lit(self, s: str):
-        if not self.peek(s):
-            self.fail(f"expected {s!r}")
-        self.i += len(s)
-
-    def try_lit(self, s: str) -> bool:
-        if self.peek(s):
-            self.i += len(s)
-            return True
-        return False
-
-    def peek_name(self) -> bool:
-        self._skip_ws()
-        return bool(_NAME_RE.match(self.text, self.i))
-
-    def name(self, what: str = "name") -> str:
-        self._skip_ws()
-        m = _NAME_RE.match(self.text, self.i)
-        if not m:
-            self.fail(f"expected a {what}")
-        self.i = m.end()
-        return m.group()
-
-    def integer(self) -> int:
-        self._skip_ws()
-        m = _INT_RE.match(self.text, self.i)
-        if not m:
-            self.fail("expected a number")
-        try:
-            n = int(m.group())
-        except ValueError:  # past the interpreter's int/str digit limit
-            self.fail(f"number longer than {sys.get_int_max_str_digits()} "
-                      "digits")
-        self.i = m.end()
-        return n
+class _Fault(Exception):
+    """A parse fault: its message and the index of the token it is at."""
 
 
-def _strip_comment(raw: str) -> str:
-    return raw.split("#", 1)[0]
+def _fail(fault: _Fault, text: str, pos: int, lineno: int):
+    """Raise `fault`, met in the tokens of `text` from offset `pos`, as a
+    ParseError at that token's column."""
+    message, k = fault.args
+    at = next(itertools.islice(_TOKEN.finditer(text, pos), k, None))
+    raise ParseError(message, lineno, at.start() + 1) from None
 
 
-# One pattern per line kind, each accepting a subset of what the _Cursor
-# code accepts and meaning the same net by it; every other line, and every
-# line that breaks a rule a pattern cannot see, is read by the _Cursor code,
-# the one place that reports errors.
-_W = r"[ \t]*"
-_N = _NAME_RE.pattern
-_IN = rf"in[ \t]+{_N}(?:{_W}\*{_W}[0-9]+)?"
-_PRE = rf"(?:{_IN}|inh[ \t]+{_N}|reset[ \t]+{_N}|xfer[ \t]+{_N}{_W}->{_W}{_N})"
-_POST = rf"(?:out[ \t]+)?{_N}(?:{_W}\*{_W}[0-9]+)?"
-_PLACES_LINE = re.compile(rf"{_W}places:{_W}((?:{_N}(?:[ \t]+{_N})*)?){_W}")
-_MARKING_LINE = re.compile(rf"{_W}marking:((?:{_W}{_N}{_W}={_W}[0-9]+)*){_W}")
-_TRANS_LINE = re.compile(
-    rf"{_W}trans{_W}({_N}){_W}:{_W}((?:{_PRE}{_W},{_W})*(?:{_PRE})?){_W};"
-    rf"{_W}((?:{_POST}{_W},{_W})*(?:{_POST})?){_W}")
-_MARK_ITEM = re.compile(rf"({_N}){_W}={_W}([0-9]+)")
-_PRE_ITEM = re.compile(
-    rf"(inh|in|reset|xfer)[ \t]+({_N})(?:{_W}\*{_W}([0-9]+)|{_W}->{_W}({_N}))?")
-_POST_ITEM = re.compile(rf"(?:out[ \t]+)?({_N})(?:{_W}\*{_W}([0-9]+))?")
+def _too_long(toks: list) -> _Fault:
+    """The fault of a count whose int() raised ValueError, being past the
+    interpreter's int/str digit limit.  It is the first such count in
+    `toks`: the walk reads tokens in order and converts each count it
+    reads."""
+    limit = sys.get_int_max_str_digits()
+    k = next(k for k, tok in enumerate(toks)
+             if tok[:1] in _DIGITS and len(tok) > limit)
+    return _Fault(f"number longer than {limit} digits", k)
 
 
-class _NetReader:
-    """The parts of a net read so far, one line at a time."""
+def _counts(toks: list, known, unknown: str, twice: str) -> dict:
+    """The "place=count" pairs of `toks`; `unknown` and `twice` word the
+    faults of a place not in `known` and of one given twice."""
+    counts: dict = {}
+    i = 0
+    while p := toks[i]:
+        if p[0] not in _NAME_START:
+            raise _Fault("expected a place name", i)
+        if p not in known:
+            raise _Fault(unknown.format(p), i + 1)
+        if p in counts:
+            raise _Fault(twice.format(p), i + 1)
+        if toks[i + 1] != "=":
+            raise _Fault("expected '='", i + 1)
+        if (n := toks[i + 2])[:1] not in _DIGITS:
+            raise _Fault("expected a number", i + 2)
+        counts[p] = int(n)
+        i += 3
+    return counts
 
-    def __init__(self):
-        self.places: list = []
-        self.place_set: set = set()
-        self.initial: dict = {}
-        self.transitions: list = []
-        self.saw_places = False
-        self.saw_marking = False
 
-    def fast(self, line: str) -> bool:
-        """Read a well-formed line by pattern; False, having changed
-        nothing, for any line the _Cursor code must read, one with a count
-        too long for int() included."""
-        try:
-            return self._by_pattern(line)
-        except ValueError:  # the _Cursor code reports where
-            return False
-
-    def _by_pattern(self, line: str) -> bool:
-        m = _TRANS_LINE.fullmatch(line)
-        if m:
-            if not self.saw_places:
-                return False
-            pre: dict = {}
-            for kw, p, weight, target in _PRE_ITEM.findall(m[2]):
-                if kw == "in":
-                    w = int(weight) if weight else 1
-                    if not w:
-                        continue
-                    arc = Numeric(w)
-                else:
-                    arc = (INHIBIT if kw == "inh" else RESET if kw == "reset"
-                           else Transfer(target))
-                if p in pre:
-                    return False
-                pre[p] = arc
-            post: dict = {}
-            for p, weight in _POST_ITEM.findall(m[3]):
-                if p in post:
-                    return False
-                w = int(weight) if weight else 1
-                if w:
-                    post[p] = w
-            self.transitions.append(Transition(m[1], pre, post))
-            return True
-        m = _MARKING_LINE.fullmatch(line)
-        if m:
-            if not self.saw_places or self.saw_marking:
-                return False
-            counts = {}
-            for p, n in _MARK_ITEM.findall(m[1]):
-                if p not in self.place_set or p in counts:
-                    return False
-                counts[p] = int(n)
-            self.saw_marking = True
-            self.initial = counts
-            return True
-        m = _PLACES_LINE.fullmatch(line)
-        if m:
-            names = m[1].split()
-            if self.saw_places or len(set(names)) != len(names):
-                return False
-            self.saw_places = True
-            self.places = names
-            self.place_set = set(names)
-            return True
-        return False
-
-    def cursor(self, line: str, lineno: int):
-        """Read any line with the _Cursor scanner, raising ParseError at
-        the first fault."""
-        cur = _Cursor(line, lineno)
-        places, place_set, initial = self.places, self.place_set, self.initial
-
-        if cur.try_lit("places:"):
-            if self.saw_places:
-                cur.fail("duplicate places line")
-            self.saw_places = True
-            while not cur.done():
-                col = cur.i
-                p = cur.name("place name")
-                if p in place_set:
-                    raise ParseError(f"place {p!r} declared twice", lineno, col + 1)
-                place_set.add(p)
-                places.append(p)
-            return
-
-        if cur.try_lit("marking:"):
-            if not self.saw_places:
-                cur.fail("marking line before places line")
-            if self.saw_marking:
-                cur.fail("duplicate marking line")
-            self.saw_marking = True
-            while not cur.done():
-                p = cur.name("place name")
-                if p not in place_set:
-                    cur.fail(f"unknown place {p!r} in marking")
-                if p in initial:
-                    cur.fail(f"place {p!r} marked twice")
-                cur.lit("=")
-                initial[p] = cur.integer()
-            return
-
-        if cur.try_lit("trans"):
-            if not self.saw_places:
-                cur.fail("transition line before places line")
-            tname = cur.name("transition name")
-            cur.lit(":")
-            pre: dict = {}
-            post: dict = {}
-
-            def add_pre(place: str, arc: Arc, at: _Cursor):
-                if place in pre:
-                    at.fail(f"place {place!r} has two pre-arc descriptors")
-                pre[place] = arc
-
-            while not cur.peek(";"):
-                if cur.done():
-                    cur.fail("expected ';' between pre and post arcs")
-                kw = cur.name("arc keyword")
-                if kw == "in":
-                    p = cur.name("place name")
-                    w = cur.integer() if cur.try_lit("*") else 1
-                    if w > 0:
-                        add_pre(p, Numeric(w), cur)
-                elif kw == "inh":
-                    add_pre(cur.name("place name"), INHIBIT, cur)
-                elif kw == "reset":
-                    add_pre(cur.name("place name"), RESET, cur)
-                elif kw == "xfer":
-                    p = cur.name("place name")
-                    cur.lit("->")
-                    add_pre(p, Transfer(cur.name("place name")), cur)
-                else:
-                    cur.fail(f"unknown arc keyword {kw!r}")
-                if not cur.try_lit(","):
-                    break
-            cur.lit(";")
-            while not cur.done():
-                w = cur.name("place name")
-                if w == "out" and cur.peek_name():
-                    p = cur.name("place name")
-                else:
-                    p = w
-                weight = cur.integer() if cur.try_lit("*") else 1
-                if p in post:
-                    cur.fail(f"place {p!r} has two post-arcs")
-                if weight > 0:
-                    post[p] = weight
-                if not cur.try_lit(","):
-                    break
-            if not cur.done():
-                cur.fail("trailing text after transition")
-            self.transitions.append(Transition(tname, pre, post))
-            return
-
-        cur.fail("expected 'places:', 'marking:' or 'trans'")
+def _transition(toks: list) -> Transition:
+    """The transition whose tokens, after "trans", are `toks`."""
+    if (name := toks[0])[:1] not in _NAME_START:
+        raise _Fault("expected a transition name", 0)
+    if toks[1] != ":":
+        raise _Fault("expected ':'", 1)
+    pre: dict = {}
+    i = 2
+    while (kw := toks[i]) != ";":
+        if kw not in _PRE_KINDS:
+            if not kw:
+                raise _Fault("expected ';' between pre and post arcs", i)
+            if kw[0] not in _NAME_START:
+                raise _Fault("expected a arc keyword", i)
+            raise _Fault(f"unknown arc keyword {kw!r}", i + 1)
+        if (p := toks[i + 1])[:1] not in _NAME_START:
+            raise _Fault("expected a place name", i + 1)
+        i += 2
+        if kw == "in":
+            w = 1
+            if toks[i] == "*":
+                if (w := toks[i + 1])[:1] not in _DIGITS:
+                    raise _Fault("expected a number", i + 1)
+                w = int(w)
+                i += 2
+            arc = _numeric(w) if w else None  # weight 0: no arc
+        elif kw == "xfer":
+            if toks[i] != "->":
+                raise _Fault("expected '->'", i)
+            if (target := toks[i + 1])[:1] not in _NAME_START:
+                raise _Fault("expected a place name", i + 1)
+            arc = Transfer(target)
+            i += 2
+        else:
+            arc = INHIBIT if kw == "inh" else RESET
+        if arc:
+            if p in pre:
+                raise _Fault(f"place {p!r} has two pre-arc descriptors", i)
+            pre[p] = arc
+        if toks[i] != ",":
+            break
+        i += 1
+    if toks[i] != ";":
+        raise _Fault("expected ';'", i)
+    i += 1
+    post: dict = {}
+    while p := toks[i]:
+        if p[0] not in _NAME_START:
+            raise _Fault("expected a place name", i)
+        i += 1
+        if p == "out" and toks[i][:1] in _NAME_START:
+            p = toks[i]
+            i += 1
+        w = 1
+        if toks[i] == "*":
+            if (w := toks[i + 1])[:1] not in _DIGITS:
+                raise _Fault("expected a number", i + 1)
+            w = int(w)
+            i += 2
+        if p in post:
+            raise _Fault(f"place {p!r} has two post-arcs", i)
+        if w:
+            post[p] = w
+        if toks[i] != ",":
+            break
+        i += 1
+    if toks[i]:
+        raise _Fault("trailing text after transition", i)
+    return Transition(name, pre, post)
 
 
 def parse_net(text: str) -> Net:
-    reader = _NetReader()
+    places: list = []
+    place_set: set = set()
+    initial = None
+    transitions = []
+    saw_places = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw)
-        if line.strip() and not reader.fast(line):
-            reader.cursor(line, lineno)
-    if not reader.saw_places:
+        line = raw.split("#", 1)[0]
+        if not line.strip():
+            continue
+        # `pos` is the offset the line's tokens are read from
+        pos = len(line) - len(line.lstrip(" \t"))
+        try:
+            if line.startswith("trans", pos):
+                pos += 5
+                toks = _TOKEN.findall(line, pos)
+                if not saw_places:
+                    raise _Fault("transition line before places line", 0)
+                transitions.append(_transition(toks))
+            elif line.startswith("places:", pos):
+                pos += 7
+                toks = _TOKEN.findall(line, pos)
+                if saw_places:
+                    raise _Fault("duplicate places line", 0)
+                saw_places = True
+                places = toks[:-1]
+                for k, p in enumerate(places):
+                    if p[0] not in _NAME_START:
+                        raise _Fault("expected a place name", k)
+                    if p in place_set:
+                        raise _Fault(f"place {p!r} declared twice", k)
+                    place_set.add(p)
+            elif line.startswith("marking:", pos):
+                pos += 8
+                toks = _TOKEN.findall(line, pos)
+                if not saw_places:
+                    raise _Fault("marking line before places line", 0)
+                if initial is not None:
+                    raise _Fault("duplicate marking line", 0)
+                initial = _counts(toks, place_set,
+                                  "unknown place {!r} in marking",
+                                  "place {!r} marked twice")
+            else:
+                raise _Fault("expected 'places:', 'marking:' or 'trans'", 0)
+        except _Fault as fault:
+            _fail(fault, line, pos, lineno)
+        except ValueError:
+            _fail(_too_long(toks), line, pos, lineno)
+    if not saw_places:
         raise ParseError("missing places line", 1, 1)
-    marking = tuple(reader.initial.get(p, 0) for p in reader.places)
-    return Net(tuple(reader.places), tuple(reader.transitions), marking)
+    initial = initial or {}
+    marking = tuple(initial.get(p, 0) for p in places)
+    return Net(tuple(places), tuple(transitions), marking)
 
 
 def _writes_counts(fn):
@@ -356,16 +285,14 @@ def render_net(net: Net, header=()) -> str:
 # marking literals ("p1=3 p2=0") and trace files
 
 def parse_marking(net: Net, literal: str) -> Marking:
-    counts: dict = {}
-    cur = _Cursor(literal, 1)
-    while not cur.done():
-        p = cur.name("place name")
-        if p not in net._pos:
-            cur.fail(f"unknown place {p!r}")
-        if p in counts:
-            cur.fail(f"place {p!r} given twice")
-        cur.lit("=")
-        counts[p] = cur.integer()
+    toks = _TOKEN.findall(literal)
+    try:
+        counts = _counts(toks, net._pos,
+                         "unknown place {!r}", "place {!r} given twice")
+    except _Fault as fault:
+        _fail(fault, literal, 0, 1)
+    except ValueError:
+        _fail(_too_long(toks), literal, 0, 1)
     return net.marking(counts)
 
 
@@ -378,7 +305,7 @@ def format_marking(net: Net, m: Marking, keep_zeros: bool = True) -> str:
 def parse_trace(text: str) -> tuple:
     names = []
     for raw in text.splitlines():
-        line = _strip_comment(raw).strip()
+        line = raw.split("#", 1)[0].strip()
         if line:
             names.append(line)
     return tuple(names)

@@ -284,11 +284,13 @@ no_digit_limit = pytest.mark.skipif(
     (f"places: a\nmarking: a={HUGE} a=1\n", 2, 12),
     (f"places: a\ntrans t: in a*{HUGE} ;\n", 2, 15),
     (f"places: a\ntrans t: ; out a*{HUGE}\n", 2, 18),
-    # a place given twice sends the line to the _Cursor code
+    # the count is read before the second post-arc on a is refused
     (f"places: a\ntrans t: ; out a*1, a*{HUGE}\n", 2, 23),
+    # of two long counts, the first is reported
+    (f"places: a b\ntrans t: in a*1 ; out b*{HUGE}, a*{HUGE}\n", 2, 25),
 ])
 def test_counts_past_the_digit_limit_are_parse_errors(text, line, col):
-    # the count is reported where it starts, whichever reader meets it
+    # the count is reported where it starts
     with pytest.raises(ParseError) as exc:
         parse_net(text)
     assert (exc.value.message, exc.value.line, exc.value.col) == (

@@ -12,11 +12,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .fmt import ParseError
+from .fmt import ParseError, _NAME_RE
 from .net import (BudgetExceededError, INHIBIT, Marking, Net, Numeric, RESET,
                   Transfer, Transition, require_valid)
-
-_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*")
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +61,7 @@ def parse_machine(text: str) -> CounterMachine:
         if not line:
             continue
         m = re.match(r"(\w[\w.]*)\s*:\s*(.*)$", line)
-        if not m or not _NAME.fullmatch(m.group(1)):
+        if not m or not _NAME_RE.fullmatch(m.group(1)):
             raise ParseError("expected 'STATE: INSTRUCTION'", ln, 1)
         name, body = m.group(1), m.group(2).strip()
         if name in program:

@@ -231,8 +231,7 @@ def hir_elim_all(net: Net) -> TransformResult:
     """Replace every reset-bearing transition by its gadget, as iterating
     hir_elim until none remains would, in one pass (`_gadgets`)."""
     require_valid(net)
-    elim = [t for t in net.transitions
-            if any(isinstance(a, Reset) for a in t.pre.values())]
+    elim = _specials(net, (Reset,))
     if not elim:
         raise TransformError("no transition with a reset pre-arc")
     if TRANSFER_KIND in classify(net).specials:

@@ -12,11 +12,9 @@ order (leftmost is least).  The marking line is optional (default all
 zero).  Weight 0 arcs are treated as absent.  render_net() emits a
 canonical form that parses back to an equal net.
 
-One reader serves parse_net and parse_marking.  A single pattern splits
-each comment-stripped line (or marking literal) into tokens: a name, a
-count, "->" or any other non-blank character.  One walk over those tokens
-reads the line.  A ParseError carries the line and the 1-based column of
-the token the walk stopped at; that column is worked out only on failure.
+parse_net and parse_marking split a line into tokens by one pattern and
+read it in one walk over them; a ParseError's 1-based column, that of the
+token the walk stopped at, is worked out only on failure.
 """
 
 from __future__ import annotations

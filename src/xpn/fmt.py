@@ -106,7 +106,7 @@ def _transition(toks: list) -> Transition:
             if not kw:
                 raise _Fault("expected ';' between pre and post arcs", i)
             if kw[0] not in _NAME_START:
-                raise _Fault("expected a arc keyword", i)
+                raise _Fault("expected an arc keyword", i)
             raise _Fault(f"unknown arc keyword {kw!r}", i + 1)
         if (p := toks[i + 1])[:1] not in _NAME_START:
             raise _Fault("expected a place name", i + 1)

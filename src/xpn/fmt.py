@@ -25,8 +25,8 @@ import re
 import string
 import sys
 
-from .net import (Arc, INHIBIT, Inhibitor, Marking, Net, Numeric, RESET,
-                  Reset, Transfer, Transition, XpnError, require_valid)
+from .net import (INHIBIT, Inhibitor, Marking, Net, Numeric, RESET, Reset,
+                  Transfer, XpnError, _record, require_valid)
 
 _NAME = r"[A-Za-z_][A-Za-z0-9_.]*"
 _NAME_RE = re.compile(_NAME)
@@ -93,13 +93,16 @@ def _counts(toks: list, known, unknown: str, twice: str) -> dict:
     return counts
 
 
-def _transition(toks: list) -> Transition:
-    """The transition whose tokens, after "trans", are `toks`."""
+def _transition(toks: list, own: dict) -> tuple:
+    """The record (`net._record`) of the transition whose tokens, after
+    "trans", are `toks`; a declared place is given as its string in `own`,
+    which maps each declared name to it."""
     if (name := toks[0])[:1] not in _NAME_START:
         raise _Fault("expected a transition name", 0)
     if toks[1] != ":":
         raise _Fault("expected ':'", 1)
-    pre: dict = {}
+    pre, post = [], []  # place, descriptor or weight, place, ...
+    seen = set()  # the places of the arcs read so far, pre-arcs then post
     i = 2
     while (kw := toks[i]) != ";":
         if kw not in _PRE_KINDS:
@@ -129,16 +132,17 @@ def _transition(toks: list) -> Transition:
         else:
             arc = INHIBIT if kw == "inh" else RESET
         if arc:
-            if p in pre:
+            if p in seen:
                 raise _Fault(f"place {p!r} has two pre-arc descriptors", i)
-            pre[p] = arc
+            seen.add(p)
+            pre += own.get(p, p), arc
         if toks[i] != ",":
             break
         i += 1
     if toks[i] != ";":
         raise _Fault("expected ';'", i)
     i += 1
-    post: dict = {}
+    seen.clear()
     while p := toks[i]:
         if p[0] not in _NAME_START:
             raise _Fault("expected a place name", i)
@@ -152,23 +156,24 @@ def _transition(toks: list) -> Transition:
                 raise _Fault("expected a number", i + 1)
             w = int(w)
             i += 2
-        if p in post:
+        if p in seen:
             raise _Fault(f"place {p!r} has two post-arcs", i)
         if w:
-            post[p] = w
+            seen.add(p)
+            post += own.get(p, p), w
         if toks[i] != ",":
             break
         i += 1
     if toks[i]:
         raise _Fault("trailing text after transition", i)
-    return Transition(name, pre, post)
+    return _record(name, pre, post)
 
 
 def parse_net(text: str) -> Net:
     places: list = []
-    place_set: set = set()
+    own: dict = {}  # each declared place's name to its one string
     initial = None
-    transitions = []
+    records = []
     saw_places = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
@@ -182,7 +187,7 @@ def parse_net(text: str) -> Net:
                 toks = _TOKEN.findall(line, pos)
                 if not saw_places:
                     raise _Fault("transition line before places line", 0)
-                transitions.append(_transition(toks))
+                records.append(_transition(toks, own))
             elif line.startswith("places:", pos):
                 pos += 7
                 toks = _TOKEN.findall(line, pos)
@@ -193,9 +198,9 @@ def parse_net(text: str) -> Net:
                 for k, p in enumerate(places):
                     if p[0] not in _NAME_START:
                         raise _Fault("expected a place name", k)
-                    if p in place_set:
+                    if p in own:
                         raise _Fault(f"place {p!r} declared twice", k)
-                    place_set.add(p)
+                    own[p] = p
             elif line.startswith("marking:", pos):
                 pos += 8
                 toks = _TOKEN.findall(line, pos)
@@ -203,7 +208,7 @@ def parse_net(text: str) -> Net:
                     raise _Fault("marking line before places line", 0)
                 if initial is not None:
                     raise _Fault("duplicate marking line", 0)
-                initial = _counts(toks, place_set,
+                initial = _counts(toks, own,
                                   "unknown place {!r} in marking",
                                   "place {!r} marked twice")
             else:
@@ -216,7 +221,7 @@ def parse_net(text: str) -> Net:
         raise ParseError("missing places line", 1, 1)
     initial = initial or {}
     marking = tuple(initial.get(p, 0) for p in places)
-    return Net(tuple(places), tuple(transitions), marking)
+    return Net._of_records(tuple(places), tuple(records), marking)
 
 
 def _writes_counts(fn):

@@ -11,6 +11,9 @@ unbounded Python ints.
 functions of (net, marking).  Engines read a net only through its compiled
 plan (`Net._plan`), and compiling validates: an invalid net can be built and
 passed to `validate`, but firing or analysing it raises InvalidNetError.
+A net read from text (`Net._of_records`) holds one flat record per
+transition; its plan is compiled from the records, and its `Transition`s
+are built only when `transitions` is first read.
 
 `fire`, `is_firable` and `successors` interpret the plan (`_enabled` and
 `_apply`, the reference firing rule).
@@ -132,14 +135,32 @@ class Net:
         object.__setattr__(self, "places", tuple(self.places))
         object.__setattr__(self, "transitions", tuple(self.transitions))
         object.__setattr__(self, "initial", tuple(self.initial))
-        pos = {p: i for i, p in enumerate(self.places)}
+        self._index(t.name for t in self.transitions)
+
+    @classmethod
+    def _of_records(cls, places: tuple, records: tuple, initial: tuple):
+        """The net `fmt.parse_net` reads, one `_record` per transition in
+        `records`; `transitions` is built from them when first read."""
+        net = object.__new__(cls)
+        net.__dict__.update(places=places, initial=initial, _records=records)
+        net._index(rec[0] for rec in records)
+        return net
+
+    def _index(self, names):
         tpos = {}
-        for i, t in enumerate(self.transitions):
-            tpos.setdefault(t.name, i)
-        object.__setattr__(self, "_pos", pos)
-        object.__setattr__(self, "_tpos", tpos)
-        object.__setattr__(self, "_ops", None)
-        object.__setattr__(self, "_loops", {})
+        for i, name in enumerate(names):
+            tpos.setdefault(name, i)
+        self.__dict__.update(_pos={p: i for i, p in enumerate(self.places)},
+                             _tpos=tpos, _ops=None, _loops={})
+
+    def __getattr__(self, name):
+        # only a net read from records lacks `transitions`, until now
+        if name != "transitions" or "_records" not in self.__dict__:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        ts = tuple(map(_transition, self._records))
+        object.__setattr__(self, "transitions", ts)
+        return ts
 
     # -- lookups -----------------------------------------------------------
 
@@ -184,30 +205,53 @@ class Net:
         """The compiled form every engine reads, one `_Op` per transition in
         declaration order.  The first call runs `validate` and raises
         InvalidNetError on errors; a valid net's plan is cached, so each
-        `Net` is validated once.  Construction compiles nothing, so an
-        invalid net can still be built and validated."""
+        `Net` is validated at most once.  A net read from records is
+        compiled from them and validated only when a transition name
+        repeats or an arc names no place, the errors the reader leaves to
+        `validate`.  Construction compiles nothing, so an invalid net can
+        still be built and validated."""
         if self._ops is None:
-            bad = [d for d in validate(self) if d.severity == "error"]
-            if bad:
-                raise InvalidNetError(bad)
-            plan = []
-            for t in self.transitions:
-                numeric, inhib, resets, xfers = [], [], [], []
-                for place, arc in t.pre.items():
-                    p = self._pos[place]
-                    if isinstance(arc, Numeric):
-                        numeric.append((p, arc.weight))
-                    elif isinstance(arc, Inhibitor):
-                        inhib.append(p)
-                    elif isinstance(arc, Reset):
-                        resets.append(p)
-                    else:  # validate has rejected every other descriptor
-                        xfers.append((p, self._pos[arc.target]))
-                posts = [(self._pos[place], w) for place, w in t.post.items()]
-                plan.append(_Op(t.name, numeric, inhib, resets, xfers, posts,
-                                max(inhib, default=-1) + 1))
+            plan = self._records_plan()
+            if plan is None:
+                bad = [d for d in validate(self) if d.severity == "error"]
+                if bad:
+                    raise InvalidNetError(bad)
+                plan = [self._op(t.name, t.pre.items(), t.post.items())
+                        for t in self.transitions]
             object.__setattr__(self, "_ops", tuple(plan))
         return self._ops
+
+    def _records_plan(self):
+        """The plan of a net read from records, or None for a net built in
+        code and for one whose transition names repeat or whose arc names
+        an undeclared place."""
+        records = self.__dict__.get("_records")
+        if records is None or len(self._tpos) < len(records):
+            return None
+        try:
+            return [self._op(rec[0], *_arcs(rec)) for rec in records]
+        except KeyError:
+            return None
+
+    def _op(self, name: str, pre, post):
+        """The `_Op` of transition `name`, its pre- and post-arcs given as
+        (place, descriptor) and (place, weight) pairs; KeyError on a place
+        or transfer target that is not declared."""
+        numeric, inhib, resets, xfers = [], [], [], []
+        pos = self._pos
+        for place, arc in pre:
+            p = pos[place]
+            if isinstance(arc, Numeric):
+                numeric.append((p, arc.weight))
+            elif isinstance(arc, Inhibitor):
+                inhib.append(p)
+            elif isinstance(arc, Reset):
+                resets.append(p)
+            else:  # validate has rejected every other descriptor
+                xfers.append((p, pos[arc.target]))
+        posts = [(pos[place], w) for place, w in post]
+        return _Op(name, numeric, inhib, resets, xfers, posts,
+                   max(inhib, default=-1) + 1)
 
     def _plan_for(self, tname: str):
         plan = self._plan()
@@ -215,6 +259,29 @@ class Net:
             return plan[self._tpos[tname]]
         except KeyError:
             raise UnknownTransitionError(f"unknown transition {tname!r}") from None
+
+
+def _record(name: str, pre: list, post: list) -> tuple:
+    """The record of a transition: one flat tuple of its name, its number
+    of pre-arcs, then the items of `pre` and `post`, its pre-arcs as place
+    and descriptor and its post-arcs as place and weight, in arc order."""
+    return (name, len(pre) // 2, *pre, *post)
+
+
+def _arcs(rec) -> tuple:
+    """The pre- and post-arcs of the record `rec` (`_record`), as
+    iterators of (place, descriptor) and (place, weight) pairs."""
+    k = 2 + 2 * rec[1]
+    return zip(rec[2:k:2], rec[3:k:2]), zip(rec[k::2], rec[k + 1::2])
+
+
+def _transition(rec) -> Transition:
+    """The `Transition` of the record `rec`, whose dicts, built here, it
+    owns without the copy `Transition.__post_init__` makes."""
+    t = object.__new__(Transition)
+    pre, post = _arcs(rec)
+    t.__dict__.update(name=rec[0], pre=dict(pre), post=dict(post))
+    return t
 
 
 class _Op(NamedTuple):

@@ -838,6 +838,20 @@ def test_unreadable_net_is_exit_two(tmp_path, monkeypatch, capsys, text, err):
     assert (cap.out, cap.err) == ("", err + "\n")
 
 
+@pytest.fixture
+def parsed(monkeypatch):
+    """The nets `cli` reads from files, in the order it reads them."""
+    nets = []
+    real = cli.parse_net
+
+    def parsing(text):
+        nets.append(real(text))
+        return nets[-1]
+
+    monkeypatch.setattr(cli, "parse_net", parsing)
+    return nets
+
+
 # two reset-bearing transitions, so hir-elim-all builds an intermediate net
 TWO_RESETS = ("places: a b c\nmarking: a=2 b=1\n"
               "trans t: in a, reset b ; out b\ntrans u: in b, reset c ; out c\n")
@@ -854,7 +868,9 @@ TWO_RESETS = ("places: a b c\nmarking: a=2 b=1\n"
     ("fire", "n.xpn", "t", "u"),
     ("export-dot", "n.xpn"),
 ])
-def test_each_query_validates_the_net_once(run, monkeypatch, argv):
+def test_each_query_validates_the_net_once(run, monkeypatch, parsed, argv):
+    """At most once, and never the net read from the file: a clean parsed
+    net compiles its plan from its records without `validate`."""
     calls = []
     real = xpn_net.validate
 
@@ -866,7 +882,27 @@ def test_each_query_validates_the_net_once(run, monkeypatch, argv):
     monkeypatch.setattr(cli, "validate", counting)
     code, _, err, _ = run(*argv, files={"n.xpn": TWO_RESETS})
     assert (code, err) == (0, "")
-    assert len(calls) == 1
+    assert len(parsed) == 1
+    assert len(calls) <= 1
+    assert not any(net is parsed[0] for net in calls)
+
+
+@pytest.mark.parametrize("argv", [
+    ("terminate", "n.xpn"),
+    ("classify", "n.xpn"),
+    ("explore", "reach", "n.xpn", "-m", "a=1 c=1"),
+    ("explore", "cover", "n.xpn", "-m", "c=1"),
+    ("explore", "deadlock", "n.xpn"),
+    ("explore", "backward-cover", "n.xpn", "-m", "c=1"),
+    ("fire", "n.xpn", "t", "u"),
+])
+def test_engines_build_no_transitions(run, parsed, argv):
+    """The engines read a parsed net through its plan alone, so its
+    `Transition` objects are never built."""
+    code, _, err, _ = run(*argv, files={"n.xpn": TWO_RESETS})
+    assert (code, err) == (0, "")
+    assert [net._ops is not None for net in parsed] == [True]
+    assert "transitions" not in vars(parsed[0])
 
 
 # ---------------------------------------------------------------------------

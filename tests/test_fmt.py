@@ -1,6 +1,7 @@
 import hashlib
 import random
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -231,9 +232,9 @@ def test_parse_byte_stable():
         "intended, declare it in CHANGES.md and update PARSE_DIGEST")
 
 
-def test_workload_nets_round_trip(monkeypatch):
-    """Every counter-machine and benchmark workload net parses, renders
-    and parses back to the same net and the same text."""
+def _workload_texts(monkeypatch) -> list:
+    """The counter-machine nets and every net of each benchmark workload at
+    seed 1."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import workloads
 
@@ -242,11 +243,71 @@ def test_workload_nets_round_trip(monkeypatch):
         files = workloads.build(workload, 1)[0]
         texts += [t for name, t in files.items() if name.endswith(".xpn")]
     assert texts
-    for text in texts:
+    return texts
+
+
+def test_workload_nets_round_trip(monkeypatch):
+    """Every counter-machine and benchmark workload net parses, renders
+    and parses back to the same net and the same text."""
+    for text in _workload_texts(monkeypatch):
         net = parse_net(text)
         once = render_net(net)
         assert parse_net(once) == net
         assert render_net(parse_net(once)) == once
+
+
+def _arc_lists(net) -> list:
+    return [(t.name, list(t.pre.items()), list(t.post.items()))
+            for t in net.transitions]
+
+
+def test_parsed_and_built_nets_agree(monkeypatch):
+    """A parsed net, compiled from its records, and the same net built in
+    code, compiled from its transitions, have equal plans, transitions in
+    the same arc order and the same errors."""
+    compiled = invalid = 0
+    for text in _parse_corpus() + _workload_texts(monkeypatch):
+        try:
+            net = parse_net(text)
+        except ParseError:
+            continue
+        try:
+            plan = net._plan()
+        except InvalidNetError as e:
+            plan = e.errors
+            invalid += 1
+        else:
+            assert "transitions" not in vars(net)
+            compiled += 1
+        built = Net(net.places, net.transitions, net.initial)
+        try:
+            assert built._plan() == plan
+        except InvalidNetError as e:
+            assert e.errors == plan
+        assert _arc_lists(built) == _arc_lists(net)
+        assert built == net
+    assert compiled > 500 and invalid > 100
+
+
+def test_parsed_net_holds_records():
+    """A parsed line of 580 transitions `in p_i ; out p_(i+1)` holds one
+    small record per transition until its transitions are read."""
+    n = 580
+    text = (f"places: {' '.join(f'p{i}' for i in range(n + 1))}\n"
+            "marking: p0=1\n"
+            + "".join(f"trans t{i}: in p{i} ; out p{i + 1}\n"
+                      for i in range(n)))
+    tracemalloc.start()
+    try:
+        net = parse_net(text)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 400 * n
+    assert "transitions" not in vars(net)
+    assert net.transition("t7") == Transition("t7", {"p7": Numeric(1)},
+                                              {"p8": 1})
+    assert net.transitions[7] is net.transition("t7")
 
 
 def test_marking_literals():

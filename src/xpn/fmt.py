@@ -177,7 +177,7 @@ def parse_net(text: str) -> Net:
     saw_places = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
-        if not line.strip():
+        if not line.strip(" \t"):  # the blanks that separate tokens
             continue
         # `pos` is the offset the line's tokens are read from
         pos = len(line) - len(line.lstrip(" \t"))

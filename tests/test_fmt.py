@@ -86,6 +86,11 @@ def test_unknown_arc_place_is_a_validation_matter():
     ("places: a 1", 1, 11, "expected a place name"),
     ("places : a", 1, 1, "expected 'places:', 'marking:' or 'trans'"),
     ("places: a\ntrans t: 5 ;", 2, 10, "expected an arc keyword"),
+    # only spaces and tabs separate tokens, so only they make a line blank
+    ("places: a\n\xa0\n", 2, 1, "expected 'places:', 'marking:' or 'trans'"),
+    ("places: a\n \t\x1f\n", 2, 3,
+     "expected 'places:', 'marking:' or 'trans'"),
+    ("places: a\xa0b", 1, 10, "expected a place name"),
 ])
 def test_parse_errors_carry_positions(text, line, col, needle):
     with pytest.raises(ParseError) as exc:
@@ -216,7 +221,7 @@ def _parse_corpus():
 
 
 # sha256 of _outcome over the corpus in test_parse_byte_stable
-PARSE_DIGEST = "252660b7dce609db1a6a243f66a35ea8c2dbda84ec444b47bd8a00d406cc6593"
+PARSE_DIGEST = "43fc591c053af8030b5cbce638643a751d000810697e6b88b9087b802ff6e71a"
 
 
 def test_parse_byte_stable():

@@ -271,7 +271,11 @@ def test_parsed_and_built_nets_agree(monkeypatch):
     code, compiled from its transitions, have equal plans, transitions in
     the same arc order and the same errors."""
     compiled = invalid = 0
-    for text in _parse_corpus() + _workload_texts(monkeypatch):
+    # each error the reader leaves to validate, alone and together
+    unchecked = [f"places: a b\n{lines}\n" for lines in (
+        "trans t: ;\ntrans t: in a ;", "trans t: in c ;", "trans t: ; out c",
+        "trans t: xfer a->c ;", "trans t: in c ;\ntrans u: ;\ntrans t: ;")]
+    for text in _parse_corpus() + _workload_texts(monkeypatch) + unchecked:
         try:
             net = parse_net(text)
         except ParseError:

@@ -154,11 +154,11 @@ class Net:
                              _tpos=tpos, _ops=None, _loops={})
 
     def __getattr__(self, name):
-        # only a net read from records lacks `transitions`, until now
+        # only a net read from records lacks `transitions`, until read
         if name != "transitions" or "_records" not in self.__dict__:
             raise AttributeError(
                 f"{type(self).__name__!r} object has no attribute {name!r}")
-        ts = tuple(map(_transition, self._records))
+        ts = tuple(map(_from_record, self._records))
         object.__setattr__(self, "transitions", ts)
         return ts
 
@@ -275,7 +275,7 @@ def _arcs(rec) -> tuple:
     return zip(rec[2:k:2], rec[3:k:2]), zip(rec[k::2], rec[k + 1::2])
 
 
-def _transition(rec) -> Transition:
+def _from_record(rec) -> Transition:
     """The `Transition` of the record `rec`, whose dicts, built here, it
     owns without the copy `Transition.__post_init__` makes."""
     t = object.__new__(Transition)

@@ -154,6 +154,11 @@ def test_roundtrip_fuzz():
         assert render_net(parse_net(text)) == text
 
 
+def _arc_lists(net) -> list:
+    return [(t.name, list(t.pre.items()), list(t.post.items()))
+            for t in net.transitions]
+
+
 def _outcome(text):
     """The net read from `text`, arcs in their order, or the ParseError's
     message, line and column."""
@@ -161,9 +166,7 @@ def _outcome(text):
         net = parse_net(text)
     except ParseError as e:
         return e.message, e.line, e.col
-    return net.places, net.initial, [
-        (t.name, list(t.pre.items()), list(t.post.items()))
-        for t in net.transitions]
+    return net.places, net.initial, _arc_lists(net)
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -259,11 +262,6 @@ def test_workload_nets_round_trip(monkeypatch):
         once = render_net(net)
         assert parse_net(once) == net
         assert render_net(parse_net(once)) == once
-
-
-def _arc_lists(net) -> list:
-    return [(t.name, list(t.pre.items()), list(t.post.items()))
-            for t in net.transitions]
 
 
 def test_parsed_and_built_nets_agree(monkeypatch):

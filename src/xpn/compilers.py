@@ -10,38 +10,42 @@ per iteration exactly while all iterates stay nonnegative.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .fmt import ParseError, _NAME_RE
 from .net import (BudgetExceededError, INHIBIT, Marking, Net, Numeric, RESET,
-                  Transfer, Transition, require_valid)
+                  Transfer, Transition, _Value, _set, require_valid)
 
 
 # ---------------------------------------------------------------------------
 # two-counter machines
 
-@dataclass(frozen=True)
-class Inc:
-    counter: int
-    goto: str
+class Inc(_Value):
+    __slots__ = _fields = ("counter", "goto")
+
+    def __init__(self, counter: int, goto: str):
+        _set(self, "counter", counter)
+        _set(self, "goto", goto)
 
 
-@dataclass(frozen=True)
-class JzDec:
-    counter: int
-    goto_zero: str
-    goto_nonzero: str
+class JzDec(_Value):
+    __slots__ = _fields = ("counter", "goto_zero", "goto_nonzero")
+
+    def __init__(self, counter: int, goto_zero: str, goto_nonzero: str):
+        _set(self, "counter", counter)
+        _set(self, "goto_zero", goto_zero)
+        _set(self, "goto_nonzero", goto_nonzero)
 
 
-@dataclass(frozen=True)
-class Halt:
-    pass
+class Halt(_Value):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CounterMachine:
-    states: tuple          # state names in declaration order
-    program: dict          # name -> Inc | JzDec | Halt
+class CounterMachine(_Value):
+    __slots__ = _fields = ("states", "program")
+
+    def __init__(self, states: tuple, program: dict):
+        _set(self, "states", states)  # state names in declaration order
+        _set(self, "program", program)  # name -> Inc | JzDec | Halt
 
     @property
     def start(self) -> str:
@@ -126,14 +130,18 @@ def simulate_machine(cm: CounterMachine, max_configs: int = 10_000):
     raise BudgetExceededError(f"machine exceeded {max_configs} configurations")
 
 
-@dataclass(frozen=True)
-class MinskyCompilation:
-    net: Net
-    cover_target: Marking
-    accept: str
-    budget: str
-    counters: tuple
-    state_place: dict
+class MinskyCompilation(_Value):
+    __slots__ = _fields = ("net", "cover_target", "accept", "budget",
+                           "counters", "state_place")
+
+    def __init__(self, net: Net, cover_target: Marking, accept: str,
+                 budget: str, counters: tuple, state_place: dict):
+        _set(self, "net", net)
+        _set(self, "cover_target", cover_target)
+        _set(self, "accept", accept)
+        _set(self, "budget", budget)
+        _set(self, "counters", counters)
+        _set(self, "state_place", state_place)
 
 
 def compile_minsky(cm: CounterMachine, transfer: bool = False) -> MinskyCompilation:
@@ -219,10 +227,13 @@ def compile_minsky(cm: CounterMachine, transfer: bool = False) -> MinskyCompilat
 # ---------------------------------------------------------------------------
 # matrix positivity
 
-@dataclass(frozen=True)
-class PositivityInstance:
-    matrix: tuple    # rows; entry [j][i] feeds component j from component i
-    v0: tuple
+class PositivityInstance(_Value):
+    __slots__ = _fields = ("matrix", "v0")
+
+    def __init__(self, matrix: tuple, v0: tuple):
+        # rows; entry [j][i] feeds component j from component i
+        _set(self, "matrix", matrix)
+        _set(self, "v0", v0)
 
     @property
     def n(self) -> int:
@@ -280,19 +291,27 @@ def first_violation(inst: PositivityInstance, limit: int):
     return None
 
 
-@dataclass(frozen=True)
-class PositivityCompilation:
-    net: Net
-    instance: PositivityInstance
-    fuel: str
-    refuel: str
-    v_places: tuple
-    nv_places: tuple
-    w_places: dict        # (i, j) -> place, 1-based
-    mul_names: tuple
-    acc_names: dict       # (i, j) -> transition, nonzero entries only
-    restart: str
-    colsums: tuple
+class PositivityCompilation(_Value):
+    __slots__ = _fields = ("net", "instance", "fuel", "refuel", "v_places",
+                           "nv_places", "w_places", "mul_names", "acc_names",
+                           "restart", "colsums")
+
+    def __init__(self, net: Net, instance: PositivityInstance, fuel: str,
+                 refuel: str, v_places: tuple, nv_places: tuple,
+                 w_places: dict, mul_names: tuple, acc_names: dict,
+                 restart: str, colsums: tuple):
+        _set(self, "net", net)
+        _set(self, "instance", instance)
+        _set(self, "fuel", fuel)
+        _set(self, "refuel", refuel)
+        _set(self, "v_places", v_places)
+        _set(self, "nv_places", nv_places)
+        _set(self, "w_places", w_places)  # (i, j) -> place, 1-based
+        _set(self, "mul_names", mul_names)
+        # (i, j) -> transition, nonzero entries only
+        _set(self, "acc_names", acc_names)
+        _set(self, "restart", restart)
+        _set(self, "colsums", colsums)
 
 
 def compile_positivity(inst: PositivityInstance) -> PositivityCompilation:
@@ -359,10 +378,13 @@ def compile_positivity(inst: PositivityInstance) -> PositivityCompilation:
         acc_names=acc_names, restart="restart", colsums=colsums)
 
 
-@dataclass(frozen=True)
-class PhaseReport:
-    u_vectors: tuple      # u_vectors[k] = vector held in v1..vn after k phases
-    trace: tuple          # transition names fired, in order
+class PhaseReport(_Value):
+    __slots__ = _fields = ("u_vectors", "trace")
+
+    def __init__(self, u_vectors: tuple, trace: tuple):
+        # u_vectors[k] = vector held in v1..vn after k phases
+        _set(self, "u_vectors", u_vectors)
+        _set(self, "trace", trace)  # transition names fired, in order
 
 
 def simulate_phases(comp: PositivityCompilation, k: int) -> PhaseReport:

@@ -47,14 +47,14 @@ closed set, reset arcs are unrestricted, transfer arcs are absent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 
 # `classify` and `successors` are no longer called here; they stay
 # importable from this module because the benchmark's tracer wraps
 # `ert.classify` and `ert.successors`
 from .net import (BudgetExceededError, Marking, Net, XpnError, _Fields,
-                  _effects, _firing_rows, classify, fire, successors)
+                  _Value, _effects, _firing_rows, _set, classify, fire,
+                  successors)
 from .explore import Trace, replay, _leq
 from .fmt import _writes_counts
 
@@ -67,31 +67,41 @@ def transition_index(net: Net, tname: str) -> int:
     return net._plan_for(tname).index
 
 
-@dataclass(frozen=True)
-class Terminating:
-    tree_size: int
+class Terminating(_Value):
+    __slots__ = _fields = ("tree_size",)
+
+    def __init__(self, tree_size: int):
+        _set(self, "tree_size", tree_size)
 
 
-@dataclass(frozen=True)
-class NonTerminating:
-    stem: Trace
-    pump: Trace
+class NonTerminating(_Value):
+    __slots__ = _fields = ("stem", "pump")
+
+    def __init__(self, stem: Trace, pump: Trace):
+        _set(self, "stem", stem)
+        _set(self, "pump", pump)
 
 
-@dataclass(frozen=True, slots=True)
-class ErtNode:
-    marking: Marking
-    parent: int | None
-    via: str | None  # transition into this node
-    via_index: int  # its transition index
-    status: str  # "inner" | "deadlock" | "subsumed"
-    subsumed_by: int | None = None
+class ErtNode(_Value):
+    __slots__ = _fields = ("marking", "parent", "via", "via_index", "status",
+                           "subsumed_by")
+
+    def __init__(self, marking: Marking, parent: int | None, via: str | None,
+                 via_index: int, status: str, subsumed_by: int | None = None):
+        _set(self, "marking", marking)
+        _set(self, "parent", parent)
+        _set(self, "via", via)  # transition into this node
+        _set(self, "via_index", via_index)  # its transition index
+        _set(self, "status", status)  # "inner" | "deadlock" | "subsumed"
+        _set(self, "subsumed_by", subsumed_by)
 
 
-@dataclass(frozen=True)
-class Ert:
-    nodes: tuple
-    verdict: object  # Terminating | NonTerminating
+class Ert(_Value):
+    __slots__ = _fields = ("nodes", "verdict")
+
+    def __init__(self, nodes: tuple, verdict):
+        _set(self, "nodes", nodes)
+        _set(self, "verdict", verdict)  # Terminating | NonTerminating
 
 
 def check_eligible(net: Net):

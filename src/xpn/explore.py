@@ -17,25 +17,26 @@ one row of packed ints per transition (`_rows`, `_predecessors`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import pairwise, product
 from math import comb
 from operator import le
 
 # forward search runs `_search`; `explore.successors` stays a name because
 # perfbench/spans.py wraps it
-from .net import (BudgetExceededError, Marking, Net, XpnError, _effects,
-                  _Fields, _apply, _enabled, _search, fire, require_valid,
-                  successors)
+from .net import (BudgetExceededError, Marking, Net, XpnError, _Value,
+                  _effects, _Fields, _apply, _enabled, _search, _set, fire,
+                  require_valid, successors)
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(_Value):
     """A replayed run: markings[0] is the start, markings[i+1] the marking
     after transitions[i]."""
 
-    transitions: tuple
-    markings: tuple
+    __slots__ = _fields = ("transitions", "markings")
+
+    def __init__(self, transitions: tuple, markings: tuple):
+        _set(self, "transitions", transitions)
+        _set(self, "markings", markings)
 
 
 def replay(net: Net, start: Marking, names) -> Trace:
@@ -47,10 +48,12 @@ def replay(net: Net, start: Marking, names) -> Trace:
     return Trace(tuple(names), tuple(ms))
 
 
-@dataclass(frozen=True)
-class SearchResult:
-    trace: Trace | None  # None when the search exhausted the state space
-    expanded: int
+class SearchResult(_Value):
+    __slots__ = _fields = ("trace", "expanded")
+
+    def __init__(self, trace: Trace | None, expanded: int):
+        _set(self, "trace", trace)  # None when the search exhausted the space
+        _set(self, "expanded", expanded)
 
     @property
     def found(self) -> bool:
@@ -312,10 +315,13 @@ class UpwardClosedSet:
         self._fill = self._flags - self._guards
 
 
-@dataclass(frozen=True)
-class BackwardCoverResult:
-    coverable: bool
-    basis: tuple  # minimal basis of the backward-reachable upward-closed set
+class BackwardCoverResult(_Value):
+    __slots__ = _fields = ("coverable", "basis")
+
+    def __init__(self, coverable: bool, basis: tuple):
+        _set(self, "coverable", coverable)
+        # minimal basis of the backward-reachable upward-closed set
+        _set(self, "basis", basis)
 
 
 class _Overflow(Exception):

@@ -42,7 +42,6 @@ through `fire` is an independent check of both tiers.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
 from functools import partial
 from itertools import groupby, islice, repeat, starmap
 from struct import Struct
@@ -75,32 +74,82 @@ class NotFirableError(XpnError):
 
 
 # ---------------------------------------------------------------------------
+# value classes
+
+_set = object.__setattr__
+
+
+class _Value:
+    """Base of the immutable value classes.  A subclass names its fields in
+    order in `_fields` (its `__slots__` too, except `Net`) and sets them
+    in its own `__init__` through `object.__setattr__`.  Assigning or
+    deleting an attribute raises AttributeError; `==` holds between two
+    instances of one class with equal fields; the hash is the hash of the
+    field tuple, so an instance whose fields hold a dict is unhashable;
+    `repr` reads `Name(field=value, ...)`; pickling and copying rebuild an
+    instance from its fields, passed by position."""
+
+    __slots__ = ()
+    _fields = ()
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __repr__(self):
+        fields = ", ".join([f"{f}={getattr(self, f)!r}" for f in self._fields])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._astuple()
+
+
+# ---------------------------------------------------------------------------
 # arc descriptors
 
-@dataclass(frozen=True)
-class Numeric:
+class Numeric(_Value):
     """Ordinary weighted pre-arc.  Weight 0 means "no arc" and is dropped by
     the parser; validate() flags it if constructed directly."""
 
-    weight: int
+    __slots__ = _fields = ("weight",)
+
+    def __init__(self, weight: int):
+        _set(self, "weight", weight)
 
 
-@dataclass(frozen=True)
-class Inhibitor:
+class Inhibitor(_Value):
     """Enables the transition only while the place is empty."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class Reset:
+
+class Reset(_Value):
     """Empties the place when the transition fires; never disables it."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class Transfer:
+
+class Transfer(_Value):
     """Moves the whole content of the place to `target` when the transition
     fires; never disables it."""
 
-    target: str
+    __slots__ = _fields = ("target",)
+
+    def __init__(self, target: str):
+        _set(self, "target", target)
 
 
 Arc = Union[Numeric, Inhibitor, Reset, Transfer]
@@ -111,30 +160,33 @@ RESET = Reset()
 Marking = tuple  # tuple[int, ...] indexed by hierarchy position
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(_Value):
     """One transition: `pre` maps place name to an arc descriptor, `post`
-    maps place name to a positive weight."""
+    maps place name to a positive weight.  Each is copied into a dict of
+    the transition's own."""
 
-    name: str
-    pre: Mapping[str, Arc] = field(default_factory=dict)
-    post: Mapping[str, int] = field(default_factory=dict)
+    __slots__ = _fields = ("name", "pre", "post")
 
-    def __post_init__(self):
-        object.__setattr__(self, "pre", dict(self.pre))
-        object.__setattr__(self, "post", dict(self.post))
+    def __init__(self, name: str, pre: Mapping[str, Arc] = (),
+                 post: Mapping[str, int] = ()):
+        _set(self, "name", name)
+        _set(self, "pre", dict(pre))
+        _set(self, "post", dict(post))
 
 
-@dataclass(frozen=True)
-class Net:
-    places: tuple  # tuple[str, ...]; position is the hierarchy order
-    transitions: tuple  # tuple[Transition, ...] in declaration order
-    initial: Marking
+class Net(_Value):
+    """`places` is a tuple of names, whose positions are the hierarchy
+    order; `transitions` a tuple of `Transition`s in declaration order;
+    `initial` the initial marking.  The fields live in the instance's
+    `__dict__`, beside the caches: the index of names, the plan and the
+    generated loops."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "places", tuple(self.places))
-        object.__setattr__(self, "transitions", tuple(self.transitions))
-        object.__setattr__(self, "initial", tuple(self.initial))
+    _fields = ("places", "transitions", "initial")
+
+    def __init__(self, places: tuple, transitions: tuple, initial: Marking):
+        _set(self, "places", tuple(places))
+        _set(self, "transitions", tuple(transitions))
+        _set(self, "initial", tuple(initial))
         self._index(t.name for t in self.transitions)
 
     @classmethod
@@ -159,7 +211,7 @@ class Net:
             raise AttributeError(
                 f"{type(self).__name__!r} object has no attribute {name!r}")
         ts = tuple(map(_from_record, self._records))
-        object.__setattr__(self, "transitions", ts)
+        _set(self, "transitions", ts)
         return ts
 
     # -- lookups -----------------------------------------------------------
@@ -218,7 +270,7 @@ class Net:
                     raise InvalidNetError(bad)
                 plan = [self._op(t.name, t.pre.items(), t.post.items())
                         for t in self.transitions]
-            object.__setattr__(self, "_ops", tuple(plan))
+            _set(self, "_ops", tuple(plan))
         return self._ops
 
     def _records_plan(self):
@@ -275,12 +327,20 @@ def _arcs(rec) -> tuple:
     return zip(rec[2:k:2], rec[3:k:2]), zip(rec[k::2], rec[k + 1::2])
 
 
+# `Transition`'s slot setters: called directly, they skip the lookup by
+# name that `object.__setattr__` makes
+_set_name, _set_pre, _set_post = (
+    Transition.name.__set__, Transition.pre.__set__, Transition.post.__set__)
+
+
 def _from_record(rec) -> Transition:
     """The `Transition` of the record `rec`, whose dicts, built here, it
-    owns without the copy `Transition.__post_init__` makes."""
+    owns without the copy `Transition.__init__` makes."""
     t = object.__new__(Transition)
     pre, post = _arcs(rec)
-    t.__dict__.update(name=rec[0], pre=dict(pre), post=dict(post))
+    _set_name(t, rec[0])
+    _set_pre(t, dict(pre))
+    _set_post(t, dict(post))
     return t
 
 
@@ -709,7 +769,9 @@ def _test_source(op) -> str:
 
 def _search_loop(net: Net, goal: str, fields: _Fields):
     """`_search_source` for `net`, `goal` and the width of `fields`,
-    compiled once and kept on the net."""
+    compiled once and kept on the net.  `run` is taken out of the
+    namespace that is its globals, so that no reference cycle holds it:
+    a dropped net frees its loops by reference counting."""
     key = (goal, fields.width)
     run = net._loops.get(key)
     if run is None:
@@ -722,7 +784,7 @@ def _search_loop(net: Net, goal: str, fields: _Fields):
         exec(compile(_search_source(len(net.places), net._plan(), goal,
                                     fields.width), "<xpn search>", "exec"),
              namespace)
-        run = net._loops[key] = namespace["run"]
+        run = net._loops[key] = namespace.pop("run")
     return run
 
 
@@ -835,11 +897,13 @@ def _search_source(n_places: int, plan, goal: str, width: int) -> str:
 # ---------------------------------------------------------------------------
 # validation
 
-@dataclass(frozen=True)
-class Diagnostic:
-    severity: str  # "error" | "warning"
-    code: str
-    message: str
+class Diagnostic(_Value):
+    __slots__ = _fields = ("severity", "code", "message")
+
+    def __init__(self, severity: str, code: str, message: str):
+        _set(self, "severity", severity)  # "error" | "warning"
+        _set(self, "code", code)
+        _set(self, "message", message)
 
 
 def validate(net: Net) -> list:
@@ -927,8 +991,7 @@ TRANSFER_KIND = "transfer"
 KIND_ORDER = (INHIBITOR_KIND, RESET_KIND, TRANSFER_KIND)
 
 
-@dataclass(frozen=True)
-class NetClass:
+class NetClass(_Value):
     """Which special arc kinds occur, and how disciplined they are.
 
     A kind is hierarchical when every arc of that kind sits above an
@@ -938,10 +1001,16 @@ class NetClass:
     pre-places form a downward-closed set on their own.
     """
 
-    specials: tuple  # subset of KIND_ORDER, in that order
-    hierarchical: tuple  # the kinds from `specials` that respect the order
-    constrained_transfer: bool
-    ert_eligible: bool
+    __slots__ = _fields = ("specials", "hierarchical", "constrained_transfer",
+                           "ert_eligible")
+
+    def __init__(self, specials: tuple, hierarchical: tuple,
+                 constrained_transfer: bool, ert_eligible: bool):
+        _set(self, "specials", specials)  # subset of KIND_ORDER, in that order
+        # the kinds from `specials` that respect the order
+        _set(self, "hierarchical", hierarchical)
+        _set(self, "constrained_transfer", constrained_transfer)
+        _set(self, "ert_eligible", ert_eligible)
 
     def label(self) -> str:
         if not self.specials:

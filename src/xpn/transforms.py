@@ -17,11 +17,11 @@ reorders three places at the bottom and assembles its maps itself.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
 
 from .net import (BudgetExceededError, INHIBIT, INHIBITOR_KIND, Inhibitor,
                   Marking, Net, Numeric, RESET, Reset, TRANSFER_KIND, Transfer,
-                  Transition, XpnError, classify, require_valid)
+                  Transition, XpnError, _Value, _set, classify,
+                  require_valid)
 
 COPY = "copy"
 CONST = "const"
@@ -31,11 +31,13 @@ class TransformError(XpnError):
     pass
 
 
-@dataclass(frozen=True)
-class MarkingMap:
+class MarkingMap(_Value):
     """Per target position either ("copy", source_pos) or ("const", n)."""
 
-    entries: tuple
+    __slots__ = _fields = ("entries",)
+
+    def __init__(self, entries: tuple):
+        _set(self, "entries", entries)
 
     def __call__(self, m: Marking) -> Marking:
         return tuple(m[a] if k == COPY else a for k, a in self.entries)
@@ -51,15 +53,21 @@ def identity_entries(n: int) -> list:
     return [(COPY, i) for i in range(n)]
 
 
-@dataclass(frozen=True)
-class TransformResult:
-    net: Net
-    forward: MarkingMap
-    query: str
-    goal: Marking | None = None
-    alt_forwards: tuple = ()
-    place_origin: dict = field(default_factory=dict)
-    trans_origin: dict = field(default_factory=dict)
+class TransformResult(_Value):
+    __slots__ = _fields = ("net", "forward", "query", "goal", "alt_forwards",
+                           "place_origin", "trans_origin")
+
+    def __init__(self, net: Net, forward: MarkingMap, query: str,
+                 goal: Marking | None = None, alt_forwards: tuple = (),
+                 place_origin: dict | None = None,
+                 trans_origin: dict | None = None):
+        _set(self, "net", net)
+        _set(self, "forward", forward)
+        _set(self, "query", query)
+        _set(self, "goal", goal)
+        _set(self, "alt_forwards", alt_forwards)
+        _set(self, "place_origin", {} if place_origin is None else place_origin)
+        _set(self, "trans_origin", {} if trans_origin is None else trans_origin)
 
 
 def _fresh(base: str, taken: set) -> str:

@@ -981,6 +981,22 @@ def test_help_and_usage_errors_repeat_byte_for_byte(capsys, monkeypatch,
     assert (fresh.returncode, fresh.stdout, fresh.stderr) == got[0]
 
 
+def test_importing_the_cli_loads_no_dataclasses_or_inspect():
+    """A CLI process answers one query, so its start-up is most of its
+    time: importing xpn.cli must not load `dataclasses`, nor `inspect`
+    and the modules it imports."""
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import xpn.cli\n"
+            "print(sorted({'dataclasses', 'inspect'}\n"
+            "             & (sys.modules.keys() - before)))\n")
+    got = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        timeout=20, env=dict(os.environ,
+                             PYTHONPATH=str(Path(cli.__file__).parents[1])))
+    assert (got.returncode, got.stdout, got.stderr) == (0, "[]\n", "")
+
+
 def _load_tracer():
     """A Tracer from perfbench/spans.py, loaded without changing it."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"

@@ -1,10 +1,14 @@
 import contextlib
+import copy
+import gc
 import hashlib
 import io
 import operator
+import pickle
 import random
 import sys
 import tracemalloc
+import weakref
 
 import pytest
 
@@ -13,6 +17,7 @@ import machines
 import oracles
 from xpn import cli, explore
 from xpn import net as xpn_net
+from xpn.ert import decide_termination
 from xpn.explore import (
     BackwardCoverResult,
     UpwardClosedSet,
@@ -352,6 +357,42 @@ def test_each_search_switches_after_its_own_expansions(monkeypatch):
     with pytest.raises(BudgetExceededError, match="^expanded=10$"):
         bounded_deadlock(net, max_steps=10)
     assert not runs
+
+
+def test_a_dropped_net_frees_its_loop_without_the_collector():
+    """The generated loop is in no reference cycle: with the cyclic
+    collector off, it dies with the net that compiled it."""
+    net = parse_net(ring_text(6, 12))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert bounded_deadlock(net) == explore.SearchResult(None, 6188)
+        (run,) = net._loops.values()
+        dead = weakref.ref(run)
+        del run, net
+        assert dead() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_nets_pickle_and_copy_before_and_after_searches():
+    """A net pickles and copies whatever its caches hold: fresh, with a
+    compiled search loop, and after the termination walk; each copy
+    equals its source and answers alike."""
+    text = ring_text(6, 12)
+    fresh, searched, decided = (parse_net(text) for _ in range(3))
+    assert bounded_deadlock(searched) == explore.SearchResult(None, 6188)
+    assert searched._loops
+    verdict = decide_termination(decided)
+    for net in (fresh, searched, decided):
+        for clone in (pickle.loads(pickle.dumps(net)), copy.copy(net),
+                      copy.deepcopy(net)):
+            assert type(clone) is Net and clone is not net
+            assert clone == net and repr(clone) == repr(net)
+            assert decide_termination(clone) == verdict
+            assert bounded_reach(clone, (0,) * 5 + (12,)) \
+                == bounded_reach(fresh, (0,) * 5 + (12,))
 
 
 def switch_point(net, graph):

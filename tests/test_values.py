@@ -137,6 +137,8 @@ def test_no_assignment_or_deletion(cls, fields, text, hashable):
             setattr(obj, name, 0)
         with pytest.raises(AttributeError):
             delattr(obj, name)
+    with pytest.raises(AttributeError):
+        obj.extra = 0
     assert obj == cls(*fields.values())
 
 

@@ -5,6 +5,9 @@ first (engines raise BudgetExceededError, which `main` alone prints as
 `OUT_OF_BUDGET <message>`), 2 for usage, parse, validation or
 precondition problems, and for internal errors: any other exception is
 reported as `internal error: <Type>: <message>` on stderr.
+
+A verb imports the engine modules it runs on its first call, so `explore`,
+say, never compiles `ert`, `transforms`, `compilers` or `dot`.
 """
 
 from __future__ import annotations
@@ -12,19 +15,39 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from pathlib import Path
 
-from . import compilers, transforms
-from .dot import export_dot
-from .ert import (NonTerminating, Terminating, build_ert, decide_termination,
-                  ert_dot, verify_pump)
-from .explore import (backward_cover, bounded_cover, bounded_deadlock,
-                      bounded_reach, replay)
 from .fmt import ParseError, format_marking, parse_marking, parse_net, \
     parse_trace, render_net, render_trace
 from .net import (BudgetExceededError, InvalidNetError, NotFirableError,
                   XpnError, classify, has_errors, require_valid, validate)
-from .transforms import TransformResult
+
+# module -> the names of it that verbs run; `_need` binds them and the module
+# as globals here, keeping a name already bound, such as a tracer's wrapper
+_LAZY = {
+    "explore": ("backward_cover", "bounded_cover", "bounded_deadlock",
+                "bounded_reach", "replay"),
+    "ert": ("NonTerminating", "Terminating", "build_ert", "decide_termination",
+            "ert_dot", "verify_pump"),
+    "transforms": (), "compilers": (), "dot": ("export_dot",),
+}
+
+
+def _need(module: str):
+    if module in globals():
+        return
+    __import__(f"{__package__}.{module}")
+    mod = sys.modules[f"{__package__}.{module}"]
+    for name in _LAZY[module]:
+        globals().setdefault(name, getattr(mod, name))
+    globals()[module] = mod
+
+
+def __getattr__(name):
+    for module, names in _LAZY.items():
+        if name == module or name in names:
+            _need(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class _Fail(Exception):
@@ -33,14 +56,16 @@ class _Fail(Exception):
 
 def _read_text(path: str) -> str:
     try:
-        return Path(path).read_text()
+        with open(path) as f:
+            return f.read()
     except OSError as e:
         raise _Fail(f"{path}: {e.strerror or e}")
 
 
 def _write_file(path: str, text: str):
     try:
-        Path(path).write_text(text)
+        with open(path, "w") as f:
+            f.write(text)
     except OSError as e:
         raise _Fail(f"{path}: {e.strerror or e}")
 
@@ -110,6 +135,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_fire(args) -> int:
+    _need("explore")
     net = _read_net(args.net)
     start = net.initial
     if args.marking is not None:
@@ -129,6 +155,7 @@ def cmd_fire(args) -> int:
 
 
 def cmd_explore(args) -> int:
+    _need("explore")
     net = _read_net(args.net)
     if args.mode == "backward-cover":
         res = backward_cover(net, _target(net, args, args.mode),
@@ -156,6 +183,7 @@ def cmd_explore(args) -> int:
 
 
 def cmd_terminate(args) -> int:
+    _need("ert")
     net = _read_net(args.net)
     if args.dot or args.full_tree:
         ert = build_ert(net, max_nodes=args.max_nodes,
@@ -181,7 +209,7 @@ def cmd_terminate(args) -> int:
     return 0
 
 
-def _map_lines(net_in, result: TransformResult) -> list:
+def _map_lines(net_in, result: transforms.TransformResult) -> list:
     lines = []
     maps = [("forward", result.forward)]
     maps += [(f"alt{i if i > 1 else ''}", m)
@@ -211,6 +239,7 @@ TRANSFORM_OPS = {
 
 
 def cmd_transform(args) -> int:
+    _need("transforms")
     net = _read_net(args.net)
     try:
         result = TRANSFORM_OPS[args.op](net, args)
@@ -233,6 +262,7 @@ def cmd_transform(args) -> int:
 
 
 def cmd_compile(args) -> int:
+    _need("compilers")
     text = _read_text(args.source)
     if args.kind == "minsky":
         cm = _parse_or_fail(args.source, text, compilers.parse_machine)
@@ -258,6 +288,7 @@ def cmd_compile(args) -> int:
 
 
 def cmd_export_dot(args) -> int:
+    _need("dot")
     net = _read_net(args.net)
     highlight = tuple(x for x in (args.highlight or "").split(",") if x)
     _write_out(args, export_dot(net, highlight=highlight))

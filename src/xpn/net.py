@@ -42,10 +42,11 @@ through `fire` is an independent check of both tiers.
 from __future__ import annotations
 
 import sys
+from collections import namedtuple
+from collections.abc import Mapping
 from functools import partial
 from itertools import groupby, islice, repeat, starmap
 from struct import Struct
-from typing import Mapping, NamedTuple, Union
 
 
 class XpnError(Exception):
@@ -152,7 +153,7 @@ class Transfer(_Value):
         _set(self, "target", target)
 
 
-Arc = Union[Numeric, Inhibitor, Reset, Transfer]
+Arc = Numeric | Inhibitor | Reset | Transfer
 
 INHIBIT = Inhibitor()
 RESET = Reset()
@@ -344,19 +345,11 @@ def _from_record(rec) -> Transition:
     return t
 
 
-class _Op(NamedTuple):
-    """One compiled transition, arcs given by hierarchy position: `numeric`
-    and `posts` hold (position, weight) pairs, `xfers` (source, target)
-    pairs.  `index` is the transition index, 1 + the highest inhibitor
-    position, or 0 without inhibitor arcs."""
-
-    name: str
-    numeric: list
-    inhib: list
-    resets: list
-    xfers: list
-    posts: list
-    index: int
+# one compiled transition, arcs given by hierarchy position: `numeric` and
+# `posts` hold (position, weight) pairs, `xfers` (source, target) pairs;
+# `index` is the transition index, 1 + the highest inhibitor position, or 0
+# without inhibitor arcs
+_Op = namedtuple("_Op", "name numeric inhib resets xfers posts index")
 
 
 def _effects(op):

@@ -782,6 +782,16 @@ def test_missing_file_is_exit_two(run):
     assert code == 2 and err != ""
 
 
+@pytest.mark.parametrize("path, why", [
+    ("", "No such file or directory"), ("n.xpn/", "Not a directory")])
+def test_a_path_is_opened_as_given(tmp_path, monkeypatch, capsys, path, why):
+    # no normalising: "" is not ".", and a trailing slash names a directory
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "n.xpn").write_text(CHAIN)
+    assert cli.main(["validate", path]) == 2
+    assert capsys.readouterr().err == f"{path}: {why}\n"
+
+
 @pytest.mark.parametrize("argv, net", [
     (("terminate", "n.xpn", "--dot"), LOOP),
     (("terminate", "n.xpn", "--stem"), LOOP),
@@ -981,6 +991,14 @@ def test_help_and_usage_errors_repeat_byte_for_byte(capsys, monkeypatch,
     assert (fresh.returncode, fresh.stdout, fresh.stderr) == got[0]
 
 
+def _fresh(*args, cwd=None):
+    """A new interpreter run with `args`, importing xpn from this tree."""
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=20,
+        cwd=cwd, env=dict(os.environ,
+                          PYTHONPATH=str(Path(cli.__file__).parents[1])))
+
+
 def test_importing_the_cli_loads_no_dataclasses_or_inspect():
     """A CLI process answers one query, so its start-up is most of its
     time: importing xpn.cli must not load `dataclasses`, nor `inspect`
@@ -990,11 +1008,85 @@ def test_importing_the_cli_loads_no_dataclasses_or_inspect():
             "import xpn.cli\n"
             "print(sorted({'dataclasses', 'inspect'}\n"
             "             & (sys.modules.keys() - before)))\n")
-    got = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True,
-        timeout=20, env=dict(os.environ,
-                             PYTHONPATH=str(Path(cli.__file__).parents[1])))
+    got = _fresh("-c", code)
     assert (got.returncode, got.stdout, got.stderr) == (0, "[]\n", "")
+
+
+def test_importing_the_cli_loads_no_typing_or_pathlib():
+    # without `site`, whose start-up may import both, nothing else does
+    got = _fresh("-S", "-c", "import sys, xpn.cli\n"
+                 "print(sorted({'typing', 'pathlib'} & sys.modules.keys()))")
+    assert (got.returncode, got.stdout, got.stderr) == (0, "[]\n", "")
+
+
+# a verb form -> the engine modules it loads besides xpn, cli, fmt and net
+VERB_MODULES = [
+    (("validate", "n.xpn"), ()),
+    (("classify", "n.xpn"), ()),
+    (("fire", "n.xpn", "t"), ("explore",)),
+    (("explore", "deadlock", "n.xpn"), ("explore",)),
+    (("explore", "backward-cover", "n.xpn", "-m", "b=1"), ("explore",)),
+    (("terminate", "n.xpn"), ("ert", "explore")),
+    (("transform", "dlf-to-reach", "n.xpn"), ("transforms",)),
+    (("compile", "minsky", "m.txt"), ("compilers",)),
+    (("export-dot", "n.xpn"), ("dot",)),
+]
+
+
+@pytest.mark.parametrize("argv, engines", VERB_MODULES,
+                         ids=[" ".join(a[:2]) for a, _ in VERB_MODULES])
+def test_a_verb_loads_only_the_modules_it_runs(tmp_path, argv, engines):
+    (tmp_path / "n.xpn").write_text(CHAIN)
+    (tmp_path / "m.txt").write_text(MACHINE)
+    got = _fresh("-c", "import sys\nfrom xpn import cli\n"
+                 "code = cli.main(sys.argv[1:])\n"
+                 "print(*sorted(m for m in sys.modules if m[:4] == 'xpn.'))\n"
+                 "sys.exit(code)", *argv, cwd=tmp_path)
+    assert (got.returncode, got.stderr) == (0, "")
+    loaded = got.stdout.splitlines()[-1].split()
+    assert loaded == sorted(f"xpn.{m}"
+                            for m in ("cli", "fmt", "net", *engines))
+
+
+def test_a_tracer_installed_before_any_verb_keeps_its_wrappers(tmp_path):
+    # perfbench/spans.py wraps names such as cli.build_ert by attribute
+    # before the first query binds them; the verbs must run the wrappers
+    (tmp_path / "n.xpn").write_text(LOOP)
+    spans = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    script = f"""
+import importlib.util, sys
+spec = importlib.util.spec_from_file_location("spans", {str(spans)!r})
+spans = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(spans)
+from xpn import cli
+tracer = spans.Tracer()
+tracer.install()
+patched = [(attr, orig) for owner, attr, orig in tracer._patches
+           if owner is cli]
+for argv in (["terminate", "n.xpn", "--dot", "t.dot"],
+             ["explore", "deadlock", "n.xpn"], ["export-dot", "n.xpn"]):
+    assert cli.main(argv) == 0, argv
+tracer.uninstall()
+print(*sorted({{sp.name for sp in tracer.spans}}))
+print(*sorted(attr for attr, orig in patched
+              if getattr(cli, attr) is not orig
+              or not orig.__module__.startswith("xpn.")))
+"""
+    got = _fresh("-c", script, cwd=tmp_path)
+    assert (got.returncode, got.stderr) == (0, "")
+    *_, names, unrestored = got.stdout.splitlines()
+    assert {"ert.build_ert", "explore.bfs", "dot.export_dot"} <= set(
+        names.split())
+    assert unrestored == ""
+
+
+def test_a_name_set_before_any_verb_is_kept(tmp_path):
+    # a verb's first call binds the names it runs, but none already set
+    (tmp_path / "n.xpn").write_text(CHAIN)
+    got = _fresh("-c", "from xpn import cli\n"
+                 "cli.export_dot = lambda net, highlight: 'stub\\n'\n"
+                 "cli.main(['export-dot', 'n.xpn'])", cwd=tmp_path)
+    assert (got.returncode, got.stdout, got.stderr) == (0, "stub\n", "")
 
 
 def _load_tracer():

@@ -517,3 +517,19 @@ def test_package_exports_names_not_submodules():
     modules = [n for n in xpn.__all__
                if isinstance(getattr(xpn, n), types.ModuleType)]
     assert modules == []
+
+
+def test_package_surface():
+    # the public names are imported from their modules on first use
+    import hashlib
+
+    import xpn
+    assert len(xpn.__all__) == 81 and xpn.__all__ == sorted(xpn.__all__)
+    assert hashlib.sha256(" ".join(xpn.__all__).encode()).hexdigest(
+        ).startswith("1a5f224cfdef5cbb")
+    star = {}
+    exec("from xpn import *", star)
+    assert set(xpn.__all__) <= star.keys() and set(xpn.__all__) <= set(dir(xpn))
+    assert all(star[n] is getattr(xpn, n) for n in xpn.__all__)
+    with pytest.raises(AttributeError):
+        xpn.no_such_name

@@ -103,7 +103,7 @@ IDS = [f"{cls.__name__}-{i}" for i, (cls, *_) in enumerate(CASES)]
 def test_every_public_value_class_has_a_case():
     import xpn
     from xpn.explore import UpwardClosedSet
-    exported = {v for v in map(vars(xpn).get, xpn.__all__)
+    exported = {v for v in (getattr(xpn, n) for n in xpn.__all__)
                 if isinstance(v, type) and v.__module__.startswith("xpn.")
                 and not issubclass(v, Exception) and v is not UpwardClosedSet}
     assert exported == {cls for cls, *_ in CASES}

@@ -1,8 +1,10 @@
 """End-to-end CLI checks, run in process through cli.main."""
 
 import argparse
+import hashlib
 import importlib.util
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -989,6 +991,89 @@ def test_help_and_usage_errors_repeat_byte_for_byte(capsys, monkeypatch,
             os.environ, COLUMNS="72",
             PYTHONPATH=str(Path(cli.__file__).parents[1])))
     assert (fresh.returncode, fresh.stdout, fresh.stderr) == got[0]
+
+
+# ---------------------------------------------------------------------------
+# byte identity: every workload query and every help and usage text, pinned
+# by one digest each; an intended change updates the digest and is declared
+# in CHANGES.md
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _outcome(capsys, argv) -> bytes:
+    """(argv, exit code, stdout, stderr) of one in-process call, as bytes
+    to hash."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as e:
+        code = e.code
+    cap = capsys.readouterr()
+    return repr((list(argv), code, cap.out, cap.err)).encode() + b"\0"
+
+
+# sha256 of _outcome over every query of every benchmark workload, warm-up
+# first, at seeds 1 and 7
+WORKLOAD_DIGEST = (
+    "65f51652e2351abccc6c3d9ec2ce54e5391d5de27d7b264a0f7a0b29415fe87a")
+
+
+def test_workload_queries_byte_stable(capsys, monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+
+    monkeypatch.chdir(tmp_path)
+    h = hashlib.sha256()
+    for seed in (1, 7):
+        for workload in workloads.BUILDERS:
+            files, warm, queries = workloads.build(workload, seed)
+            for name, text in files.items():
+                (tmp_path / name).write_text(text)
+            for q in [warm, *queries]:
+                h.update(_outcome(capsys, q["argv"]))
+    assert h.hexdigest() == WORKLOAD_DIGEST, (
+        "an exit code or an output of a workload query changed; if the "
+        "change is intended, declare it in CHANGES.md and update "
+        "WORKLOAD_DIGEST")
+
+
+VERBS = ("validate", "classify", "fire", "explore", "terminate", "transform",
+         "compile", "export-dot")
+# no invalid choice: its message quotes the choices on 3.13.0 and not on
+# 3.13.13, so it changes within a minor version
+HELP_CASES = [("--help",), *[(verb, "--help") for verb in VERBS], (),
+              ("terminate",), ("terminate", "n.xpn", "--max-nodes", "x"),
+              ("fire", "n.xpn", "-m"), ("validate", "n.xpn", "--nope")]
+
+# sha256 of _outcome over HELP_CASES at COLUMNS=80, per Python minor version
+# (argparse formats help differently across versions); the keys are the
+# versions CI runs, as test_help_digest_covers_every_ci_python checks
+HELP_DIGEST = {
+    "3.10": "505b9ab49e30873f24107ec93f33ee3b71ae841eee6be2029c6803627c9c3197",
+    "3.11": "505b9ab49e30873f24107ec93f33ee3b71ae841eee6be2029c6803627c9c3197",
+    "3.12": "505b9ab49e30873f24107ec93f33ee3b71ae841eee6be2029c6803627c9c3197",
+    "3.13": "505bf280901c0a5f42408c75f1ecb9f2a56848c90b7c52235dcd74c3b33f54e6",
+}
+
+
+def test_help_and_usage_byte_stable(capsys, monkeypatch):
+    version = "%d.%d" % sys.version_info[:2]
+    if version not in HELP_DIGEST:
+        pytest.skip(f"HELP_DIGEST has no digest for Python {version}")
+    monkeypatch.setenv("COLUMNS", "80")
+    h = hashlib.sha256()
+    for argv in HELP_CASES:
+        h.update(_outcome(capsys, argv))
+    assert h.hexdigest() == HELP_DIGEST[version], (
+        "a help or usage text changed; if the change is intended, declare "
+        "it in CHANGES.md and update HELP_DIGEST")
+
+
+def test_help_digest_covers_every_ci_python():
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
+    matrix = re.search(r"python-version:\s*\[([^\]]*)\]", workflow)
+    assert matrix, "no python-version matrix in tier1.yml"
+    assert sorted(re.findall(r'"([^"]+)"', matrix[1])) == sorted(HELP_DIGEST)
 
 
 def _fresh(*args, cwd=None):

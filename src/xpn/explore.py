@@ -24,8 +24,9 @@ from operator import le
 # forward search runs `_search`; `explore.successors` stays a name because
 # perfbench/spans.py wraps it
 from .net import (BudgetExceededError, Marking, Net, XpnError, _Value,
-                  _effects, _Fields, _apply, _enabled, _search, _set, fire,
-                  require_valid, successors)
+                  _effects, _apply, _enabled, _set, fire, require_valid,
+                  successors)
+from .packed import _Fields, _search
 
 
 class Trace(_Value):
@@ -92,7 +93,7 @@ def _path_names(net: Net, path: list, fields: _Fields) -> list:
 
 def _bfs(net: Net, goal: str, target, max_steps: int) -> SearchResult:
     """Shared engine from the initial marking, `goal` and `target` as in
-    `net._search`, the target checked first.  The search records only
+    `packed._search`, the target checked first.  The search records only
     each marking's predecessor; the transition names of a hit's trace are
     recovered from those markings, and the trace is replayed, as a
     postcondition check, once the visited markings are freed."""

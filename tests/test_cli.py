@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from xpn import cli, net as xpn_net, transforms
+from xpn import cli, net as xpn_net, packed, transforms
 from xpn.ert import build_ert, ert_dot
 from xpn.explore import bounded_cover
 from xpn.fmt import parse_net, parse_trace
@@ -484,9 +484,9 @@ def test_generated_successors_scale_to_ten_thousand_places(tmp_path, net,
     parsed = parse_net(net)
     plan, n = parsed._plan(), len(parsed.places)
     arcs = sum(len(t.pre) + len(t.post) for t in parsed.transitions)
-    width = xpn_net._Fields.for_net(parsed, max(parsed.initial)).width
+    width = packed._Fields.for_net(parsed, max(parsed.initial)).width
     for goal in ("reach", "cover", "deadlock"):
-        src = xpn_net._search_source(n, plan, goal, width)
+        src = packed._search_source(n, plan, goal, width)
         assert len(src) < 64 * (n + arcs)
         if net is FAN_IN:
             assert f"v[1:{N4 + 1}] = {', '.join(['0x0'] * N4)},\n" in src
@@ -1108,10 +1108,11 @@ def test_importing_the_cli_loads_no_typing_or_pathlib():
 VERB_MODULES = [
     (("validate", "n.xpn"), ()),
     (("classify", "n.xpn"), ()),
-    (("fire", "n.xpn", "t"), ("explore",)),
-    (("explore", "deadlock", "n.xpn"), ("explore",)),
-    (("explore", "backward-cover", "n.xpn", "-m", "b=1"), ("explore",)),
-    (("terminate", "n.xpn"), ("ert", "explore")),
+    (("fire", "n.xpn", "t"), ("explore", "packed")),
+    (("explore", "deadlock", "n.xpn"), ("explore", "packed")),
+    (("explore", "backward-cover", "n.xpn", "-m", "b=1"),
+     ("explore", "packed")),
+    (("terminate", "n.xpn"), ("ert", "explore", "packed")),
     (("transform", "dlf-to-reach", "n.xpn"), ("transforms",)),
     (("compile", "minsky", "m.txt"), ("compilers",)),
     (("export-dot", "n.xpn"), ("dot",)),

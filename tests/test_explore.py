@@ -16,7 +16,7 @@ import fuzz
 import machines
 import oracles
 from xpn import cli, explore
-from xpn import net as xpn_net
+from xpn import packed
 from xpn.ert import decide_termination
 from xpn.explore import (
     BackwardCoverResult,
@@ -306,7 +306,7 @@ def test_packed_search_across_field_widths(text, cost, cross, widths,
     over = (cross + cross // 2,) + (0,) * (len(top) - 1)
     k = next(i for i, m in enumerate(graph) if max(m) >= cross)
     if cost is not None:
-        monkeypatch.setattr(xpn_net, "_COMPILE_COST", cost)
+        monkeypatch.setattr(packed, "_COMPILE_COST", cost)
     net = parse_net(text)
     assert run_search(net, "reach", miss, 10**6) == (len(graph), None)
     assert {width for _, width in net._loops} == widths
@@ -333,8 +333,8 @@ def test_each_search_switches_after_its_own_expansions(monkeypatch):
     search answers alike and reuses the compiled loop, and a short search
     after it stays interpreted."""
     runs = []
-    loop = xpn_net._search_loop
-    monkeypatch.setattr(xpn_net, "_search_loop",
+    loop = packed._search_loop
+    monkeypatch.setattr(packed, "_search_loop",
                         lambda *args: runs.append(args[1]) or loop(*args))
     # ring (6,12): 6,188 markings; the rent of 6 tests of 2 words per
     # expansion, after as many to build the table, reaches the buy of
@@ -397,14 +397,14 @@ def test_nets_pickle_and_copy_before_and_after_searches():
 
 def switch_point(net, graph):
     """The expansions after which a search of `net` generates its loop by
-    the rule `xpn.net._COMPILE_COST` documents, counted on the oracle
+    the rule `xpn.packed._COMPILE_COST` documents, counted on the oracle
     graph in the search's order, for markings in fields of 8 bits and
     weights below their limit: the rent, one test per transition to build
     the table and one per transition at each expansion, each weighed by
     the packed marking's 32-bit words, reaches the buy of _COMPILE_COST per
     transition and one more.  None if the graph runs out first."""
     tests = len(net.transitions) * (len(net.places) // 4 + 1)
-    rent, buy = tests, xpn_net._COMPILE_COST * (len(net.transitions) + 1)
+    rent, buy = tests, packed._COMPILE_COST * (len(net.transitions) + 1)
     for e in range(len(graph)):
         if rent >= buy:
             return e
@@ -419,7 +419,7 @@ def test_a_search_compiles_once_its_rent_reaches_the_buy(monkeypatch):
     answer equals the oracle's and that of a copy that runs the loop from
     its first expansion.  The buy is cut to 200 per transition, so that
     the switch falls inside these graphs."""
-    monkeypatch.setattr(xpn_net, "_COMPILE_COST", 200)
+    monkeypatch.setattr(packed, "_COMPILE_COST", 200)
     rng = random.Random(2020)
     stayed = switched = 0
     for _ in range(200):
@@ -439,7 +439,7 @@ def test_a_search_compiles_once_its_rent_reaches_the_buy(monkeypatch):
                 spent = got[0] if isinstance(got, tuple) else budget
                 assert bool(net._loops) == (e is not None and e < spent)
                 with monkeypatch.context() as mp:
-                    mp.setattr(xpn_net, "_COMPILE_COST", 0)
+                    mp.setattr(packed, "_COMPILE_COST", 0)
                     hot = Net(base.places, base.transitions, base.initial)
                     assert run_search(hot, goal, target, budget) == got
         stayed += e is None
@@ -486,7 +486,7 @@ def test_table_tier_equals_the_oracle_and_the_loop(monkeypatch):
                 want = oracle_search(graph, base.initial, goal, target,
                                      budget)
                 for cost in (10**12, 0):
-                    monkeypatch.setattr(xpn_net, "_COMPILE_COST", cost)
+                    monkeypatch.setattr(packed, "_COMPILE_COST", cost)
                     net = Net(base.places, base.transitions, base.initial)
                     assert run_search(net, goal, target, budget) == want, (
                         base, goal, target, budget, cost)
@@ -515,8 +515,8 @@ def test_long_searches_compile_once_per_goal(text, last, switch, dead,
     tests to build the table and 2,500 to expand the first marking reach
     the buy of 2,501 * _COMPILE_COST."""
     runs = []
-    loop = xpn_net._search_loop
-    monkeypatch.setattr(xpn_net, "_search_loop",
+    loop = packed._search_loop
+    monkeypatch.setattr(packed, "_search_loop",
                         lambda *args: runs.append(args[1]) or loop(*args))
     net = parse_net(text)
     found = [bounded_reach(net, last), bounded_cover(net, last),
@@ -808,7 +808,7 @@ def _packed_predecessors(net, i, target, room=10**9):
     plan = net._plan()
     top = max([max(target, default=0)] + [w for op in plan
                                           for _, w in op.numeric + op.posts])
-    fields = xpn_net._Fields(len(target), 8, spare=1).fitting(top)
+    fields = packed._Fields(len(target), 8, spare=1).fitting(top)
     widened = False
     while True:
         row = explore._rows(plan, fields)[i]

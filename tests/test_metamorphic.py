@@ -16,7 +16,7 @@ from xpn.ert import decide_termination
 from xpn.explore import (backward_cover, bounded_cover, bounded_deadlock,
                          bounded_reach)
 from xpn.fmt import parse_net, render_net
-from xpn import net as xpn_net
+from xpn import packed
 from xpn.net import (BudgetExceededError, INHIBITOR_KIND, TRANSFER_KIND, Net,
                      Transfer, Transition, classify)
 from xpn.transforms import dlf_to_reach
@@ -188,5 +188,5 @@ def test_generated_successors_change_no_answer(text, reach, cover,
     cli, switched = outcomes()
     assert switched == [False] * 3
     for cost, loops in ((50, True), (0, True), (10**12, False)):
-        monkeypatch.setattr(xpn_net, "_COMPILE_COST", cost)
+        monkeypatch.setattr(packed, "_COMPILE_COST", cost)
         assert outcomes() == (cli, [loops] * 3), cost

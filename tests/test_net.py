@@ -8,7 +8,7 @@ import pytest
 
 import fuzz
 import oracles
-from xpn import net as xpn_net
+from xpn import packed
 from xpn.ert import transition_index
 from xpn.net import (
     INHIBIT,
@@ -23,8 +23,6 @@ from xpn.net import (
     UnknownTransitionError,
     XpnError,
     BudgetExceededError,
-    _search,
-    _search_source,
     classify,
     fire,
     has_errors,
@@ -33,6 +31,7 @@ from xpn.net import (
     successors,
     validate,
 )
+from xpn.packed import _search, _search_source
 
 
 def net_of(places, transitions, initial):
@@ -207,11 +206,11 @@ def tiers(net):
 
 def first_level(net, m, goal, target, budget, patch):
     """What `_search` of `net` from `m` does within `budget` steps, with
-    the `xpn.net` constants in `patch` set: the markings expanded and the
+    the `xpn.packed` constants in `patch` set: the markings expanded and the
     path to the hit, unpacked, or the budget message."""
     with pytest.MonkeyPatch.context() as mp:
         for name, value in patch.items():
-            mp.setattr(xpn_net, name, value)
+            mp.setattr(packed, name, value)
         try:
             expanded, path, fields = _search(net, m, goal, target, budget)
         except BudgetExceededError as e:
@@ -335,7 +334,7 @@ def test_generated_source_holds_no_text_of_the_net():
     pre = {code[1]: Numeric(1), code[2]: Transfer(code[3]),
            code[0]: INHIBIT, code[4]: RESET}
     ts = [Transition(name, pre, {code[0]: 1, code[3]: 2}) for name in code]
-    wide = [f"z[{i}]" for i in range(xpn_net._RUN + 1)]
+    wide = [f"z[{i}]" for i in range(packed._RUN + 1)]
     ts.append(Transition("import os", {**dict.fromkeys(wide, RESET),
                                       code[2]: Transfer(code[3])},
                          {code[1]: 1}))

@@ -8,13 +8,13 @@ _EXPORTS = {
     "net": "Arc BudgetExceededError Diagnostic INHIBIT INHIBITOR_KIND "
            "Inhibitor InvalidNetError KIND_ORDER Marking Net NetClass "
            "NotFirableError Numeric RESET RESET_KIND Reset TRANSFER_KIND "
-           "Transfer Transition UnknownTransitionError XpnError classify "
-           "fire has_errors is_firable require_valid successors validate",
+           "Trace Transfer Transition UnknownTransitionError XpnError "
+           "classify fire has_errors is_firable replay require_valid "
+           "successors validate",
     "fmt": "ParseError format_marking parse_marking parse_net parse_trace "
            "render_net render_trace",
-    "explore": "BackwardCoverResult SearchResult Trace UpwardClosedSet "
-               "backward_cover bounded_cover bounded_deadlock bounded_reach "
-               "replay",
+    "explore": "BackwardCoverResult SearchResult UpwardClosedSet "
+               "backward_cover bounded_cover bounded_deadlock bounded_reach",
     "ert": "Ert ErtNode NonTerminating NotEligibleError Terminating build_ert "
            "check_eligible decide_termination ert_dot verify_pump",
     "transforms": "MarkingMap TransformError TransformResult dlf_to_reach "

@@ -19,13 +19,14 @@ import sys
 from .fmt import ParseError, format_marking, parse_marking, parse_net, \
     parse_trace, render_net, render_trace
 from .net import (BudgetExceededError, InvalidNetError, NotFirableError,
-                  XpnError, classify, has_errors, require_valid, validate)
+                  XpnError, classify, has_errors, replay, require_valid,
+                  validate)
 
 # module -> the names of it that verbs run; `_need` binds them and the module
 # as globals here, keeping a name already bound, such as a tracer's wrapper
 _LAZY = {
     "explore": ("backward_cover", "bounded_cover", "bounded_deadlock",
-                "bounded_reach", "replay"),
+                "bounded_reach"),
     "ert": ("NonTerminating", "Terminating", "build_ert", "decide_termination",
             "ert_dot", "verify_pump"),
     "transforms": (), "compilers": (), "dot": ("export_dot",),
@@ -135,7 +136,6 @@ def cmd_classify(args) -> int:
 
 
 def cmd_fire(args) -> int:
-    _need("explore")
     net = _read_net(args.net)
     start = net.initial
     if args.marking is not None:

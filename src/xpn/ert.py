@@ -52,9 +52,8 @@ from itertools import compress
 # `classify` and `successors` are no longer called here; they stay
 # importable from this module because the benchmark's tracer wraps
 # `ert.classify` and `ert.successors`
-from .net import (BudgetExceededError, Marking, Net, XpnError, _Value,
-                  _effects, _set, classify, fire, successors)
-from .explore import Trace, replay, _leq
+from .net import (BudgetExceededError, Marking, Net, Trace, XpnError, _Value,
+                  _effects, _leq, _set, classify, fire, replay, successors)
 from .packed import _Fields, _firing_rows
 from .fmt import _writes_counts
 

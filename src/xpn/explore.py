@@ -19,34 +19,14 @@ from __future__ import annotations
 
 from itertools import pairwise, product
 from math import comb
-from operator import le
 
 # forward search runs `_search`; `explore.successors` stays a name because
-# perfbench/spans.py wraps it
-from .net import (BudgetExceededError, Marking, Net, XpnError, _Value,
-                  _effects, _apply, _enabled, _set, fire, require_valid,
-                  successors)
+# perfbench/spans.py wraps it, and `Trace`, `replay` and `_leq` because
+# they were defined here
+from .net import (BudgetExceededError, Marking, Net, Trace, XpnError, _Value,
+                  _apply, _effects, _enabled, _leq, _set, replay,
+                  require_valid, successors)
 from .packed import _Fields, _search
-
-
-class Trace(_Value):
-    """A replayed run: markings[0] is the start, markings[i+1] the marking
-    after transitions[i]."""
-
-    __slots__ = _fields = ("transitions", "markings")
-
-    def __init__(self, transitions: tuple, markings: tuple):
-        _set(self, "transitions", transitions)
-        _set(self, "markings", markings)
-
-
-def replay(net: Net, start: Marking, names) -> Trace:
-    """Fire `names` in order from `start`; raises NotFirableError if the
-    sequence is not a run."""
-    ms = [tuple(start)]
-    for name in names:
-        ms.append(fire(net, ms[-1], name))
-    return Trace(tuple(names), tuple(ms))
 
 
 class SearchResult(_Value):
@@ -59,10 +39,6 @@ class SearchResult(_Value):
     @property
     def found(self) -> bool:
         return self.trace is not None
-
-
-def _leq(a: Marking, b: Marking) -> bool:
-    return all(map(le, a, b))
 
 
 def _path_names(net: Net, path: list, fields: _Fields) -> list:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Mapping
+from operator import le
 
 
 class XpnError(Exception):
@@ -404,6 +405,30 @@ def successors(net: Net, m: Marking) -> list:
     return [(name, _apply(m, numeric, resets, xfers, posts))
             for name, numeric, inhib, resets, xfers, posts, _ in net._plan()
             if _enabled(m, numeric, inhib)]
+
+
+class Trace(_Value):
+    """A replayed run: markings[0] is the start, markings[i+1] the marking
+    after transitions[i]."""
+
+    __slots__ = _fields = ("transitions", "markings")
+
+    def __init__(self, transitions: tuple, markings: tuple):
+        _set(self, "transitions", transitions)
+        _set(self, "markings", markings)
+
+
+def replay(net: Net, start: Marking, names) -> Trace:
+    """Fire `names` in order from `start`; raises NotFirableError if the
+    sequence is not a run."""
+    ms = [tuple(start)]
+    for name in names:
+        ms.append(fire(net, ms[-1], name))
+    return Trace(tuple(names), tuple(ms))
+
+
+def _leq(a: Marking, b: Marking) -> bool:
+    return all(map(le, a, b))
 
 
 # ---------------------------------------------------------------------------

@@ -1108,11 +1108,11 @@ def test_importing_the_cli_loads_no_typing_or_pathlib():
 VERB_MODULES = [
     (("validate", "n.xpn"), ()),
     (("classify", "n.xpn"), ()),
-    (("fire", "n.xpn", "t"), ("explore", "packed")),
+    (("fire", "n.xpn", "t"), ()),
     (("explore", "deadlock", "n.xpn"), ("explore", "packed")),
     (("explore", "backward-cover", "n.xpn", "-m", "b=1"),
      ("explore", "packed")),
-    (("terminate", "n.xpn"), ("ert", "explore", "packed")),
+    (("terminate", "n.xpn"), ("ert", "packed")),
     (("transform", "dlf-to-reach", "n.xpn"), ("transforms",)),
     (("compile", "minsky", "m.txt"), ("compilers",)),
     (("export-dot", "n.xpn"), ("dot",)),

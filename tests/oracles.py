@@ -505,8 +505,16 @@ def check_basis(net, target, result):
     basis B alone, by the tuple rule: B is an antichain, the target is in
     ↑B, every minimal predecessor of every element of B under every
     transition is in ↑B (so ↑B holds every marking that covers the target
-    after some run), and the answer is COVERABLE exactly when the initial
-    marking is in ↑B.  Raises AssertionError on the first failure."""
+    after some run), every element of B is the target or such a
+    predecessor (so ↑B holds no other marking), and the answer is
+    COVERABLE exactly when the initial marking is in ↑B.  Raises
+    AssertionError on the first failure.
+
+    A correct basis passes, although a search drops an element c once it
+    finds a smaller c': each minimal predecessor m of c that B keeps is
+    at or above a minimal predecessor of c', which is in ↑B, so at or
+    above an element of B; B is an antichain, so that element is m, and
+    m is a minimal predecessor of c'."""
     basis = [tuple(b) for b in result.basis]
 
     def up(m):
@@ -518,10 +526,15 @@ def check_basis(net, target, result):
                 f"basis not an antichain: {a} <= {b}"
     assert up(tuple(target)), f"target {target} not in the basis' up-set"
     shapes = [predecessor_shape(net, t) for t in net.transitions]
+    preds = {tuple(target)}
     for b in basis:
         for t, shape in zip(net.transitions, shapes):
             for m in min_predecessors(shape, b):
                 assert up(m), (f"predecessor {m} of {b} under {t.name} "
                                "not in the basis' up-set")
+                preds.add(tuple(m))
+    for b in basis:
+        assert b in preds, (f"basis element {b} is neither the target nor a "
+                            "minimal predecessor of a basis element")
     assert result.coverable == up(tuple(net.initial)), \
         "the verdict disagrees with the basis"

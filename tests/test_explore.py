@@ -15,8 +15,7 @@ import pytest
 import fuzz
 import machines
 import oracles
-from xpn import cli, explore
-from xpn import packed
+from xpn import cli, explore, packed
 from xpn.ert import decide_termination
 from xpn.explore import (
     BackwardCoverResult,
@@ -658,6 +657,19 @@ def test_backward_cover_agrees_with_forward():
             oracles.check_basis(net, target, got)
             fwd = bounded_cover(net, target)  # raises if it runs out
             assert fwd.found == want
+
+
+def test_check_basis_rejects_an_element_that_is_no_predecessor():
+    # t0 empties p0, so no marking fires to one that covers (1, 1); (0, 2)
+    # keeps the basis inductive but is no predecessor of anything in it
+    net = parse_net("places: p0 p1\ntrans t0: xfer p0->p1, in p1*1 ;\n")
+    target = (1, 1)
+    with pytest.raises(AssertionError, match="neither the target"):
+        oracles.check_basis(net, target, BackwardCoverResult(
+            False, ((0, 2), (1, 1))))
+    got = backward_cover(net, target)
+    assert (got.coverable, got.basis) == (False, ((1, 1),))
+    oracles.check_basis(net, target, got)
 
 
 def _chain(n, with_reset):

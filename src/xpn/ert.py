@@ -13,9 +13,9 @@ branch ends in a deadlock and the net terminates.  The tree is finite for
 eligible nets, so running out of node budget is a resource error, not a
 verdict.
 
-The walk runs on markings packed into one int each (`net._Fields`), from
+The walk runs on markings packed into one int each (`packed._Fields`), from
 the root on.  Each transition is one firing row of packed ints, made by
-the same function as the forward search's rows (`net._firing_rows`): one
+the same function as the forward search's rows (`packed._firing_rows`): one
 guard-bit subtraction tests its numeric arcs, one AND its inhibitor arcs,
 and a child is one addition less one AND for its reset places.  An
 ancestor subsumes a child when one guard-bit subtraction finds it <= the

@@ -16,7 +16,10 @@ transition; its plan is compiled from the records, and its `Transition`s
 are built only when `transitions` is first read.
 
 `fire`, `is_firable` and `successors` interpret the plan (`_enabled` and
-`_apply`, the reference firing rule).
+`_apply`, the reference firing rule), and `replay` fires a sequence into a
+`Trace`, the check every engine's certificate passes.  The packed search
+kernel that `explore` and `ert` run is in `packed`, which this module does
+not import: a verb that runs no search does not compile it.
 """
 
 from __future__ import annotations

@@ -1,4 +1,7 @@
-"""`_search`, the breadth-first search behind `explore`'s forward searches,
+"""The packed search kernel: markings packed into one int each, firing
+rows of packed ints, and the forward search with its generated loops.
+
+`_search`, the breadth-first search behind `explore`'s forward searches,
 packs every visited marking into one int from the start (`_Fields`: a
 field of 8, 16, 32, ... bits per place, in place order).  Its table tier
 (`_table_loop`) reads one row of packed ints per transition
@@ -15,8 +18,8 @@ close to overflowing, the visited markings are packed again at twice the
 width and the search resumes where it stopped.  Each loop is compiled at
 most once per net, goal and width.  The table, the generator, the field
 widths and `explore` read what a transition does to each place from
-`_effects` alone; `_apply` reads the arcs, so replaying found traces
-through `fire` is an independent check of both tiers.
+`net._effects` alone; `net._apply` reads the arcs, so replaying found
+traces through `fire` is an independent check of both tiers.
 """
 
 from __future__ import annotations

@@ -21,8 +21,8 @@ from itertools import pairwise, product
 from math import comb
 
 # forward search runs `_search`; `explore.successors` stays a name because
-# perfbench/spans.py wraps it, and `Trace`, `replay` and `_leq` because
-# they were defined here
+# perfbench/spans.py wraps it, and `Trace`, `replay` and `_leq` for callers
+# that import them from here
 from .net import (BudgetExceededError, Marking, Net, Trace, XpnError, _Value,
                   _apply, _effects, _enabled, _leq, _set, replay,
                   require_valid, successors)

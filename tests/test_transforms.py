@@ -494,7 +494,17 @@ trans t1: xfer p1->p3 ;
 trans t2: in p1, xfer p2->p3 ; out p3
 """)
     res = transfer_hierarchize(src)
-    assert "hold" in res.net.places and "mid" in res.net.places
+    assert res.net.places == ("p1", "p1_alt", "p2", "p3", "hold", "mid",
+                              "modeA", "modeB")
+    assert [t.name for t in res.net.transitions] == [
+        "t1", "t2_a", "t2_b", "t1_alt", "t2_a_alt", "t2_b_alt"]
+    assert res.forward.entries == (
+        (COPY, 0), (CONST, 0), (COPY, 1), (COPY, 2), (CONST, 1), (CONST, 0),
+        (CONST, 1), (CONST, 0))
+    assert res.alt_forwards[0].entries == (
+        (CONST, 0), (COPY, 0), (COPY, 1), (COPY, 2), (CONST, 1), (CONST, 0),
+        (CONST, 0), (CONST, 1))
+    assert res.net.initial == (1, 0, 2, 0, 1, 0, 1, 0)
     check_origins(res)
     check_equivalent(src, res, 100, 20_000)
 
@@ -595,3 +605,53 @@ def test_reductions_byte_stable():
     assert digests == PIN_DIGESTS, (
         "a reduction's output changed on the seeded corpus; if the change is "
         "intended, declare it in CHANGES.md and update PIN_DIGESTS")
+
+
+def colliding_names(rng, net):
+    """`net` with some places renamed onto the names transfer_hierarchize
+    makes (hold, mid, modeA, modeB, <p>_alt of another place) and some
+    transitions onto <t>_alt, <t>_a or <t>_b of another transition."""
+    places = list(net.places)
+    for i in rng.sample(range(len(places)), rng.randint(1, len(places))):
+        pool = ["hold", "mid", "modeA", "modeB"] + [
+            f"{p}_alt" for j, p in enumerate(places) if j != i]
+        places[i] = rng.choice([n for n in pool if n not in places])
+    names = [t.name for t in net.transitions]
+    for i in rng.sample(range(len(names)), rng.randint(1, len(names))):
+        pool = [f"{t}{s}" for j, t in enumerate(names) if j != i
+                for s in ("_alt", "_a", "_b")]
+        names[i] = rng.choice([n for n in pool if n not in names])
+    pmap = dict(zip(net.places, places))
+    return Net(places, [
+        Transition(name, {pmap[p]: Transfer(pmap[a.target])
+                          if isinstance(a, Transfer) else a
+                          for p, a in t.pre.items()},
+                   {pmap[p]: w for p, w in t.post.items()})
+        for name, t in zip(names, net.transitions)], net.initial)
+
+
+# sha256 of pinned_fields over the corpus in
+# test_transfer_hierarchize_colliding_names_byte_stable
+COLLISION_DIGEST = (
+    "0173f56919fe81c1b95da4be895d9160e83455c5d78fac9030f070d63ba35611")
+
+
+def test_transfer_hierarchize_colliding_names_byte_stable():
+    h = hashlib.sha256()
+    split = suffixed = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        net = colliding_names(rng, fuzz.two_transfer_net(rng))
+        h.update(pinned_fields(transfer_hierarchize, net).encode() + b"\0")
+        res = transfer_hierarchize(net)
+        split += len(res.net.places) == len(net.places) + 5
+        new = ({p for p in res.net.places} - set(net.places),
+               {t.name for t in res.net.transitions}
+               - {t.name for t in net.transitions})
+        suffixed += all(any(n[-1].isdigit() for n in ns) for ns in new)
+    # the corpus runs the split path, and fresh names step past a taken one
+    assert split >= 50 and suffixed >= 50, (split, suffixed)
+    assert h.hexdigest() == COLLISION_DIGEST, (
+        "transfer_hierarchize's output changed on the colliding-name corpus; "
+        "if the change is intended, declare it in CHANGES.md and update "
+        "COLLISION_DIGEST")

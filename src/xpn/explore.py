@@ -21,11 +21,11 @@ from itertools import pairwise, product
 from math import comb
 
 # forward search runs `_search`; `explore.successors` stays a name because
-# perfbench/spans.py wraps it, and `Trace`, `replay` and `_leq` for callers
-# that import them from here
+# perfbench/spans.py wraps it.  `Trace` and `replay` serve this module, and
+# callers import them from here too
 from .net import (BudgetExceededError, Marking, Net, Trace, XpnError, _Value,
-                  _apply, _effects, _enabled, _leq, _set, replay,
-                  require_valid, successors)
+                  _apply, _effects, _enabled, _set, replay, require_valid,
+                  successors)
 from .packed import _Fields, _search
 
 

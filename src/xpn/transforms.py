@@ -10,8 +10,7 @@ Each construction builds its output net with a _Builder: the source
 places come first, in their order, each mapped to itself and noted
 "original"; every new place is appended above them together with its
 forward-map entry and origin note, so the map cannot drift out of line
-with the place list.  transfer_hierarchize is the one exception: it
-reorders three places at the bottom and assembles its maps itself.
+with the place list.
 """
 
 from __future__ import annotations
@@ -81,7 +80,9 @@ def _fresh(base: str, taken: set) -> str:
 
 
 class _Builder:
-    """The output net of one reduction under construction."""
+    """The output net of one reduction under construction.  `lead` moves
+    places to the bottom of the order, and `result` can make the one
+    alternate map; each keeps the map entries in line with the places."""
 
     def __init__(self, net: Net):
         self.source = net
@@ -110,12 +111,25 @@ class _Builder:
         self.transitions.append(t)
         self.trans_origin[t.name] = origin
 
-    def result(self, query: str, goal: Marking | None = None) -> TransformResult:
+    def lead(self, *names: str):
+        """Move `names` to the bottom of the place order, in that order,
+        each with its forward-map entry."""
+        entry = dict(zip(self.places, self.entries))
+        self.places = [*names, *(p for p in self.places if p not in names)]
+        self.entries = [entry[p] for p in self.places]
+
+    def result(self, query: str, goal: Marking | None = None,
+               alt: dict | None = None) -> TransformResult:
+        """The finished reduction; `alt` ({place: entry}) makes the one
+        alternate map, the forward map with those places' entries
+        replaced."""
         fmap = MarkingMap(tuple(self.entries))
         out = Net(tuple(self.places), tuple(self.transitions),
                   fmap(self.source.initial))
+        alts = () if alt is None else (MarkingMap(tuple(
+            alt.get(p, e) for p, e in zip(self.places, self.entries))),)
         return TransformResult(
-            net=out, forward=fmap, query=query, goal=goal,
+            net=out, forward=fmap, query=query, goal=goal, alt_forwards=alts,
             place_origin=self.place_origin, trans_origin=self.trans_origin)
 
 
@@ -530,33 +544,6 @@ def two_inh_to_reset(net: Net) -> TransformResult:
 # ---------------------------------------------------------------------------
 # two transfers -> hierarchical transfers
 
-def _split_swapper(net: Net, i2: int) -> TransformResult:
-    """Make the mode-swapping transition free of numeric pre-arcs from the
-    duplicated place by splitting it into an atomic consume/act pair."""
-    t2 = net.transitions[i2]
-    b = _Builder(net)
-    hold = b.place("hold", "atomic split of the swapping transition",
-                   (CONST, 1))
-    mid = b.place("mid", "atomic split of the swapping transition")
-
-    for i, t in enumerate(net.transitions):
-        if i != i2:
-            b.keep(_gated(t, hold), "original, gated on hold")
-            continue
-        pre_a = dict(_numeric_pre(t2))
-        pre_a[hold] = Numeric(1)
-        b.trans(f"{t2.name}_a", pre_a, {mid: 1},
-                f"consumes the numeric pre-arcs of {t2.name}")
-        pre_b = {p: a for p, a in t2.pre.items() if isinstance(a, Transfer)}
-        pre_b[mid] = Numeric(1)
-        post_b = dict(t2.post)
-        post_b[hold] = post_b.get(hold, 0) + 1
-        b.trans(f"{t2.name}_b", pre_b, post_b,
-                f"performs the transfers and post-arcs of {t2.name}")
-
-    return b.result(f"{t2.name} split into an atomic consume/act pair")
-
-
 def transfer_hierarchize(net: Net) -> TransformResult:
     """Reorder and duplicate so that both transfer arcs respect the place
     order: the first transfer's source gets a shadow copy, and a mode token
@@ -577,108 +564,73 @@ def transfer_hierarchize(net: Net) -> TransformResult:
     if p4 == p1:
         raise TransformError(
             f"the swapping transition may not transfer into {p1}")
-    if net.transitions[i2].post.get(p1):
-        raise TransformError(
-            f"a post-arc from {net.transitions[i2].name} into {p1} is not "
-            "supported")
-
-    split = None
-    if isinstance(net.transitions[i2].pre.get(p1), Numeric):
-        split = _split_swapper(net, i2)
-        net = split.net
-        arcs = [(i, p, a.target) for i, t in enumerate(net.transitions)
-                for p, a in t.pre.items() if isinstance(a, Transfer)]
-        (i1, p1, p3), (i2, p2, p4) = arcs
-
-    t1 = net.transitions[i1]
     t2 = net.transitions[i2]
+    if t2.post.get(p1):
+        raise TransformError(
+            f"a post-arc from {t2.name} into {p1} is not supported")
 
-    ptaken = set(net.places)
-    ttaken = {t.name for t in net.transitions}
-    alt = _fresh(f"{p1}_alt", ptaken)
-    mode_a = _fresh("modeA", ptaken)
-    mode_b = _fresh("modeB", ptaken)
+    b = _Builder(net)
+    ts = list(net.transitions)
+    if isinstance(t2.pre.get(p1), Numeric):
+        # the swapper may not consume from the duplicated place: split it
+        # into an atomic consume/act pair, the others gated on hold
+        hold = b.place("hold", "atomic split of the swapping transition",
+                       (CONST, 1))
+        mid = b.place("mid", "atomic split of the swapping transition")
+        pre_a = _numeric_pre(t2)
+        pre_a[hold] = _ONE
+        pre_b = {p: a for p, a in t2.pre.items() if isinstance(a, Transfer)}
+        pre_b[mid] = _ONE
+        post_b = dict(t2.post)
+        post_b[hold] = post_b.get(hold, 0) + 1
+        ts = [_gated(t, hold) for t in ts[:i2]] + [
+            Transition(_fresh(f"{t2.name}_a", b._ttaken), pre_a, {mid: 1}),
+            Transition(_fresh(f"{t2.name}_b", b._ttaken), pre_b, post_b)] + [
+            _gated(t, hold) for t in ts[i2 + 1:]]
+        b._ttaken.discard(t2.name)
+        i2 += 1
 
-    rest = [p for p in net.places if p not in (p1, p2)]
-    places = [p1, alt, p2] + rest + [mode_a, mode_b]
+    alt = b.place(f"{p1}_alt", f"shadow of {p1}; holds it while mode B is "
+                  "active")
+    mode_a = b.place("modeA", f"mode token: {p1} is the live representative",
+                     (CONST, 1))
+    mode_b = b.place("modeB", f"mode token: {alt} is the live representative")
+    b.lead(p1, alt, p2)
 
-    def subst(p: str) -> str:
-        return alt if p == p1 else p
-
-    def build_copy(t: Transition, mode: str) -> Transition:
-        b_side = mode == "B"
-        pre = {}
-        for p, a in t.pre.items():
-            p_ = subst(p) if b_side else p
-            if isinstance(a, Transfer):
-                a = Transfer(subst(a.target) if b_side else a.target)
-            pre[p_] = a
-        post = {}
-        for p, w in t.post.items():
-            post[subst(p) if b_side else p] = w
-        if t.name == t1.name:
+    def arcs_of(t: Transition, i: int, b_side: bool):
+        """The pre and post arcs of `t`'s copy for mode B or mode A."""
+        if b_side:
+            pre = {alt if p == p1 else p:
+                   Transfer(alt if a.target == p1 else a.target)
+                   if isinstance(a, Transfer) else a
+                   for p, a in t.pre.items()}
+            post = {alt if p == p1 else p: w for p, w in t.post.items()}
+        else:
+            pre, post = dict(t.pre), dict(t.post)
+        if i == i1:
             # shadow transfer so the source pair stays downward closed
-            if b_side:
-                pre[p1] = Transfer(p3)
-            else:
-                pre[alt] = Transfer(p3)
-        if t.name == t2.name:
+            pre[p1 if b_side else alt] = Transfer(p3)
+        elif i == i2:
             pre[p1] = Transfer(alt)
             pre[alt] = Transfer(p1)
         gate_in = mode_b if b_side else mode_a
-        swaps = t.name == t2.name
-        gate_out = (mode_a if b_side else mode_b) if swaps else gate_in
-        pre[gate_in] = Numeric(1)
+        gate_out = (mode_a if b_side else mode_b) if i == i2 else gate_in
+        pre[gate_in] = _ONE
         post[gate_out] = post.get(gate_out, 0) + 1
-        name = t.name if not b_side else _fresh(f"{t.name}_alt", ttaken)
-        return Transition(name, pre, post)
+        return pre, post
 
-    transitions = [build_copy(t, "A") for t in net.transitions]
-    b_copies = [build_copy(t, "B") for t in net.transitions]
-    transitions += b_copies
+    for i, t in enumerate(ts):
+        role = ("first transfer, shadow arc added" if i == i1 else
+                "second transfer, swaps the mode and the representatives"
+                if i == i2 else "original")
+        b.keep(Transition(t.name, *arcs_of(t, i, False)),
+               f"{role} (mode A copy)")
+        b.trans(f"{t.name}_alt", *arcs_of(t, i, True), f"{role} (mode B copy)")
+    # the mode-A copies, then the mode-B copies
+    b.transitions = b.transitions[::2] + b.transitions[1::2]
 
-    pos_of = {p: i for i, p in enumerate(net.places)}
-    entries_a = []
-    entries_b = []
-    for p in places:
-        if p == alt:
-            entries_a.append((CONST, 0))
-            entries_b.append((COPY, pos_of[p1]))
-        elif p == p1:
-            entries_a.append((COPY, pos_of[p1]))
-            entries_b.append((CONST, 0))
-        elif p == mode_a:
-            entries_a.append((CONST, 1))
-            entries_b.append((CONST, 0))
-        elif p == mode_b:
-            entries_a.append((CONST, 0))
-            entries_b.append((CONST, 1))
-        else:
-            entries_a.append((COPY, pos_of[p]))
-            entries_b.append((COPY, pos_of[p]))
-    fmap = MarkingMap(tuple(entries_a))
-    bmap = MarkingMap(tuple(entries_b))
-    # initial marking: mode A representative of the (possibly split) initial
-    out = Net(tuple(places), tuple(transitions), fmap(net.initial))
-    if split is not None:
-        fmap = fmap.compose(split.forward)
-        bmap = bmap.compose(split.forward)
-
-    place_origin = (dict(split.place_origin) if split is not None
-                    else {p: "original" for p in net.places})
-    place_origin[alt] = f"shadow of {p1}; holds it while mode B is active"
-    place_origin[mode_a] = f"mode token: {p1} is the live representative"
-    place_origin[mode_b] = f"mode token: {alt} is the live representative"
-    trans_origin = {}
-    for t, b in zip(net.transitions, b_copies):
-        role = "original" if t.name not in (t1.name, t2.name) else (
-            "first transfer, shadow arc added" if t.name == t1.name
-            else "second transfer, swaps the mode and the representatives")
-        trans_origin[t.name] = f"{role} (mode A copy)"
-        trans_origin[b.name] = f"{role} (mode B copy)"
-
-    query = ("M is reachable in the source iff forward(M) or alt_forward(M) "
-             "is reachable here (mode A and mode B representatives)")
-    return TransformResult(
-        net=out, forward=fmap, query=query, alt_forwards=(bmap,),
-        place_origin=place_origin, trans_origin=trans_origin)
+    return b.result(
+        "M is reachable in the source iff forward(M) or alt_forward(M) is "
+        "reachable here (mode A and mode B representatives)",
+        alt={p1: (CONST, 0), alt: (COPY, net.place_pos(p1)),
+             mode_a: (CONST, 0), mode_b: (CONST, 1)})

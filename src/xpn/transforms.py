@@ -570,7 +570,7 @@ def transfer_hierarchize(net: Net) -> TransformResult:
             f"a post-arc from {t2.name} into {p1} is not supported")
 
     b = _Builder(net)
-    ts = list(net.transitions)
+    ts = net.transitions
     if isinstance(t2.pre.get(p1), Numeric):
         # the swapper may not consume from the duplicated place: split it
         # into an atomic consume/act pair, the others gated on hold
@@ -583,10 +583,10 @@ def transfer_hierarchize(net: Net) -> TransformResult:
         pre_b[mid] = _ONE
         post_b = dict(t2.post)
         post_b[hold] = post_b.get(hold, 0) + 1
-        ts = [_gated(t, hold) for t in ts[:i2]] + [
+        ts = [_gated(t, hold) for t in ts]
+        ts[i2:i2 + 1] = [
             Transition(_fresh(f"{t2.name}_a", b._ttaken), pre_a, {mid: 1}),
-            Transition(_fresh(f"{t2.name}_b", b._ttaken), pre_b, post_b)] + [
-            _gated(t, hold) for t in ts[i2 + 1:]]
+            Transition(_fresh(f"{t2.name}_b", b._ttaken), pre_b, post_b)]
         b._ttaken.discard(t2.name)
         i2 += 1
 
@@ -626,7 +626,7 @@ def transfer_hierarchize(net: Net) -> TransformResult:
         b.keep(Transition(t.name, *arcs_of(t, i, False)),
                f"{role} (mode A copy)")
         b.trans(f"{t.name}_alt", *arcs_of(t, i, True), f"{role} (mode B copy)")
-    # the mode-A copies, then the mode-B copies
+    # the origins alternate between the modes, the net lists mode A first
     b.transitions = b.transitions[::2] + b.transitions[1::2]
 
     return b.result(

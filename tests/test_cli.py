@@ -1077,6 +1077,90 @@ def test_help_digest_covers_every_ci_python():
     assert sorted(re.findall(r'"([^"]+)"', matrix[1])) == sorted(HELP_DIGEST)
 
 
+# ---------------------------------------------------------------------------
+# argument parsing: `main` must parse every argv as the top-level parser
+# alone does, which hands everything after the verb to that verb's parser
+
+# help in several places, `--`, `=`, abbreviated and ambiguous options,
+# `fire`'s transitions around its options, bad values and unknown words,
+# and every verb bare and with --help
+DISPATCH_CASES = [
+    (), ("-h",), ("--help",), ("--he",), ("-h", "terminate"),
+    ("--", "terminate", "n.xpn"), ("bogus",), ("Terminate", "n.xpn"),
+    ("--max-nodes", "5", "terminate", "n.xpn"),
+    *[(verb,) for verb in VERBS], *[(verb, "--help") for verb in VERBS],
+    ("terminate", "n.xpn"), ("terminate", "n.xpn", "-h"),
+    ("terminate", "-h", "n.xpn"), ("terminate", "n.xpn", "--help", "--bogus"),
+    ("terminate", "n.xpn", "--max-nodes=5"),
+    ("terminate", "n.xpn", "--max-n", "5"),
+    ("terminate", "n.xpn", "--max-nodes", "x"),
+    ("terminate", "n.xpn", "--max-nodes", "-3"),
+    ("terminate", "--", "n.xpn"), ("terminate", "n.xpn", "--", "x"),
+    ("terminate", "n.xpn", "--full", "--dot", "t.dot", "--stem=s",
+     "--pump", "p"),
+    ("terminate", "n.xpn", "n2.xpn"),
+    ("fire", "n.xpn", "t", "-m", "a=5", "t"),
+    ("fire", "-m", "a=5", "n.xpn", "t"), ("fire", "n.xpn", "t", "--bogus"),
+    ("fire", "n.xpn", "--bogus", "t"), ("fire", "n.xpn", "--trace", "tr", "t"),
+    ("fire", "n.xpn", "t", "--", "u"), ("fire", "n.xpn", "-m"),
+    ("fire", "n.xpn", "-5"),
+    ("explore", "reach", "n.xpn", "-ma=1"),
+    ("explore", "reach", "-h"), ("explore", "bogus", "n.xpn"),
+    ("explore", "cover", "n.xpn", "--m", "c=1"),
+    ("explore", "deadlock", "n.xpn", "--max-steps=-5", "--trace", "f.tr"),
+    ("explore", "backward-cover", "n.xpn", "-m", "-x"),
+    ("transform", "hir-elim", "n.xpn", "-o", "out.xpn"),
+    ("transform", "reach-to-dlf", "n.xpn", "--marking=a=1"),
+    ("transform", "dlf-to-reach", "n.xpn", "--clause-cap", "1_000"),
+    ("compile", "minsky", "m.txt", "--transfer"),
+    ("compile", "minsky", "m.txt", "--transfer=1"),
+    ("compile", "positivity", "p.txt", "-o", "x"),
+    ("export-dot", "n.xpn", "--highlight=t,u", "-o", "x.dot"),
+    ("classify", "n.xpn", "extra"), ("validate", "n.xpn", "--nope"),
+    ("validate", "--", "-n.xpn"), ("validate", "-n.xpn"),
+]
+
+
+def _top_level_parse(argv):
+    """The Namespace `main` hands its verb when the top-level parser alone
+    parses `argv`; SystemExit where that parse stops."""
+    ap = cli._parser()
+    args, extra = ap.parse_known_args(argv)
+    if args.verb == "fire" and not any(w.startswith("-") for w in extra):
+        args.transition, extra = args.transition + extra, []
+    if extra:
+        ap.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
+
+
+def _verb_parsers():
+    ap = cli._parser()
+    sub, = [a for a in ap._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+@pytest.mark.parametrize("argv", DISPATCH_CASES,
+                         ids=[" ".join(a) or "-" for a in DISPATCH_CASES])
+def test_main_parses_as_the_top_level_parser(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    given = []  # each verb records the Namespace it is handed
+    for p in _verb_parsers().values():
+        monkeypatch.setitem(p._defaults, "func", given.append)
+
+    def outcome(parse):
+        given.clear()
+        try:
+            code = parse(list(argv))
+        except SystemExit as e:
+            code = e.code
+        cap = capsys.readouterr()
+        return code, cap.out, cap.err, [list(vars(a).items()) for a in given]
+
+    want = outcome(lambda a: given.append(_top_level_parse(a)))
+    assert outcome(cli.main) == want
+    assert want[1] or want[2] or want[3]
+
+
 def _fresh(*args, cwd=None):
     """A new interpreter run with `args`, importing xpn from this tree."""
     return subprocess.run(

@@ -56,11 +56,17 @@ class _Fail(Exception):
 
 
 def _read_text(path: str) -> str:
+    """The UTF-8 text of the file `path`, whatever the locale; its line
+    ends stay as they are, as every reader splits with `splitlines`."""
     try:
-        with open(path) as f:
-            return f.read()
+        with open(path, "rb") as f:
+            data = f.read()
     except OSError as e:
         raise _Fail(f"{path}: {e.strerror or e}")
+    try:
+        return data.decode()
+    except UnicodeDecodeError as e:
+        raise _Fail(f"{path}: error: not UTF-8 text at byte {e.start}")
 
 
 def _write_file(path: str, text: str):
@@ -298,12 +304,13 @@ def cmd_export_dot(args) -> int:
 # ---------------------------------------------------------------------------
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The one parser of this process, built on the first call.  Reuse
-    keeps no state between calls: each parse makes a fresh Namespace, no
-    default is mutable, `func` binds a `cmd_*` handler that looks every
-    engine up on this module when it runs, and help is formatted at the
-    terminal width of the moment."""
+def _parser() -> tuple:
+    """(the top-level parser, {verb: its subparser}): the one parser of
+    this process, built on the first call.  Reuse keeps no state between
+    calls: each parse makes a fresh Namespace, no default is mutable,
+    `func` binds a `cmd_*` handler that looks every engine up on this
+    module when it runs, and help is formatted at the terminal width of
+    the moment."""
     ap = argparse.ArgumentParser(
         prog="xpn",
         description="Petri nets with inhibitor, reset and transfer arcs")
@@ -368,12 +375,20 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--highlight", help="comma separated transition names")
     p.set_defaults(func=cmd_export_dot)
 
-    return ap
+    return ap, sub.choices
 
 
 def main(argv=None) -> int:
-    ap = _parser()
-    args, extra = ap.parse_known_args(argv)
+    ap, verbs = _parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the top-level parser would hand all after the verb to the verb's
+    # parser; one pass makes the same Namespace and the same messages
+    verb = verbs.get(argv[0]) if argv else None
+    if verb is None:
+        args, extra = ap.parse_known_args(argv)
+    else:
+        args, extra = verb.parse_known_args(
+            argv[1:], argparse.Namespace(verb=argv[0]))
     # an option ends `fire`'s positionals, so its transitions may follow it
     if args.verb == "fire" and not any(w.startswith("-") for w in extra):
         args.transition, extra = args.transition + extra, []

@@ -1,6 +1,7 @@
 """End-to-end CLI checks, run in process through cli.main."""
 
 import argparse
+import contextlib
 import hashlib
 import importlib.util
 import os
@@ -132,7 +133,7 @@ def test_unrecognized_arguments_exit_2(run, capsys, argv, rest):
         run(*argv, files={"n.xpn": CHAIN})
     cap = capsys.readouterr()
     assert (exc.value.code, cap.out, cap.err) == (
-        2, "", cli._parser().format_usage()
+        2, "", cli._parser()[0].format_usage()
         + f"xpn: error: unrecognized arguments: {rest}\n")
 
 
@@ -851,6 +852,35 @@ def test_unreadable_net_is_exit_two(tmp_path, monkeypatch, capsys, text, err):
     assert (cap.out, cap.err) == ("", err + "\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ("validate", "bad"), ("classify", "bad"), ("fire", "bad", "t"),
+    ("explore", "deadlock", "bad"), ("terminate", "bad"),
+    ("transform", "hir-elim", "bad"), ("export-dot", "bad"),
+    ("fire", "n.xpn", "--trace-file", "bad"), ("compile", "minsky", "bad"),
+    ("compile", "positivity", "bad")], ids=" ".join)
+def test_a_file_that_is_not_utf8_is_an_input_error(tmp_path, monkeypatch,
+                                                    capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "n.xpn").write_text(CHAIN)
+    (tmp_path / "bad").write_bytes(b"places: a\xff b\n")
+    assert cli.main(list(argv)) == 2
+    cap = capsys.readouterr()
+    assert (cap.out, cap.err) == ("", "bad: error: not UTF-8 text at byte 9\n")
+
+
+@pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_line_ends_and_utf8_comments_read_as_before(run, end):
+    # every reader splits lines itself, so a file is read without newline
+    # translation; a comment may hold any UTF-8 text
+    net = "places: a b  # café ∎\nmarking: a=2\ntrans t: in a ; out b\n"
+    for argv in [("classify", "n.xpn"), ("terminate", "n.xpn"),
+                 ("fire", "n.xpn", "--trace-file", "tr")]:
+        want = run(*argv, files={"n.xpn": net, "tr": "t\nt\n"})[:3]
+        assert want[0] == 0
+        assert run(*argv, files={"n.xpn": net.replace("\n", end),
+                                 "tr": f"t{end}t{end}"})[:3] == want
+
+
 @pytest.fixture
 def parsed(monkeypatch):
     """The nets `cli` reads from files, in the order it reads them."""
@@ -1124,7 +1154,7 @@ DISPATCH_CASES = [
 def _top_level_parse(argv):
     """The Namespace `main` hands its verb when the top-level parser alone
     parses `argv`; SystemExit where that parse stops."""
-    ap = cli._parser()
+    ap = cli._parser()[0]
     args, extra = ap.parse_known_args(argv)
     if args.verb == "fire" and not any(w.startswith("-") for w in extra):
         args.transition, extra = args.transition + extra, []
@@ -1133,18 +1163,12 @@ def _top_level_parse(argv):
     return args
 
 
-def _verb_parsers():
-    ap = cli._parser()
-    sub, = [a for a in ap._actions if isinstance(a, argparse._SubParsersAction)]
-    return sub.choices
-
-
 @pytest.mark.parametrize("argv", DISPATCH_CASES,
                          ids=[" ".join(a) or "-" for a in DISPATCH_CASES])
 def test_main_parses_as_the_top_level_parser(capsys, monkeypatch, argv):
     monkeypatch.setenv("COLUMNS", "80")
     given = []  # each verb records the Namespace it is handed
-    for p in _verb_parsers().values():
+    for p in cli._parser()[1].values():
         monkeypatch.setitem(p._defaults, "func", given.append)
 
     def outcome(parse):
@@ -1159,6 +1183,27 @@ def test_main_parses_as_the_top_level_parser(capsys, monkeypatch, argv):
     want = outcome(lambda a: given.append(_top_level_parse(a)))
     assert outcome(cli.main) == want
     assert want[1] or want[2] or want[3]
+
+
+@pytest.mark.parametrize("argv", [
+    ("terminate", "n.xpn"), ("explore", "reach", "n.xpn", "-m", "a=1"),
+    ("fire", "n.xpn", "t", "--bogus"), ("validate", "--help"), ("compile",)])
+def test_a_verb_first_call_parses_once(run, monkeypatch, argv):
+    """The verb's own parser reads it; the top-level parser parses only
+    an argv that does not start with a verb."""
+    ap = cli._parser()[0]
+    top = []
+    real = ap.parse_known_args
+
+    def parsing(args, namespace=None):
+        top.append(args[0])
+        return real(args, namespace)
+
+    monkeypatch.setattr(ap, "parse_known_args", parsing)
+    for first in (argv, ("-h", *argv)):
+        with contextlib.suppress(SystemExit):
+            run(*first, files={"n.xpn": CHAIN})
+    assert top == ["-h"]
 
 
 def _fresh(*args, cwd=None):

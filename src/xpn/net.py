@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Mapping
+from itertools import chain
 from operator import le
 
 
@@ -241,17 +242,20 @@ class Net(_Value):
         `Net` is validated at most once.  A net read from records is
         compiled from them and validated only when a transition name
         repeats or an arc names no place, the errors the reader leaves to
-        `validate`.  Construction compiles nothing, so an invalid net can
-        still be built and validated."""
+        `validate`; a net built in code is validated, then compiled from
+        the records of its transitions.  Construction compiles nothing, so
+        an invalid net can still be built and validated."""
         if self._ops is None:
             plan = self._records_plan()
             if plan is None:
                 bad = [d for d in validate(self) if d.severity == "error"]
                 if bad:
                     raise InvalidNetError(bad)
-                plan = [self._op(t.name, t.pre.items(), t.post.items())
-                        for t in self.transitions]
-            _set(self, "_ops", tuple(plan))
+                plan = _compile(self._pos, [
+                    _record(t.name, [*chain.from_iterable(t.pre.items())],
+                            [*chain.from_iterable(t.post.items())])
+                    for t in self.transitions])
+            _set(self, "_ops", plan)
         return self._ops
 
     def _records_plan(self):
@@ -262,29 +266,9 @@ class Net(_Value):
         if records is None or len(self._tpos) < len(records):
             return None
         try:
-            return [self._op(rec[0], *_arcs(rec)) for rec in records]
+            return _compile(self._pos, records)
         except KeyError:
             return None
-
-    def _op(self, name: str, pre, post):
-        """The `_Op` of transition `name`, its pre- and post-arcs given as
-        (place, descriptor) and (place, weight) pairs; KeyError on a place
-        or transfer target that is not declared."""
-        numeric, inhib, resets, xfers = [], [], [], []
-        pos = self._pos
-        for place, arc in pre:
-            p = pos[place]
-            if isinstance(arc, Numeric):
-                numeric.append((p, arc.weight))
-            elif isinstance(arc, Inhibitor):
-                inhib.append(p)
-            elif isinstance(arc, Reset):
-                resets.append(p)
-            else:  # validate has rejected every other descriptor
-                xfers.append((p, pos[arc.target]))
-        posts = [(pos[place], w) for place, w in post]
-        return _Op(name, numeric, inhib, resets, xfers, posts,
-                   max(inhib, default=-1) + 1)
 
     def _plan_for(self, tname: str):
         plan = self._plan()
@@ -301,13 +285,6 @@ def _record(name: str, pre: list, post: list) -> tuple:
     return (name, len(pre) // 2, *pre, *post)
 
 
-def _arcs(rec) -> tuple:
-    """The pre- and post-arcs of the record `rec` (`_record`), as
-    iterators of (place, descriptor) and (place, weight) pairs."""
-    k = 2 + 2 * rec[1]
-    return zip(rec[2:k:2], rec[3:k:2]), zip(rec[k::2], rec[k + 1::2])
-
-
 # `Transition`'s slot setters: called directly, they skip the lookup by
 # name that `object.__setattr__` makes
 _set_name, _set_pre, _set_post = (
@@ -318,10 +295,10 @@ def _from_record(rec) -> Transition:
     """The `Transition` of the record `rec`, whose dicts, built here, it
     owns without the copy `Transition.__init__` makes."""
     t = object.__new__(Transition)
-    pre, post = _arcs(rec)
+    k = 2 + 2 * rec[1]
     _set_name(t, rec[0])
-    _set_pre(t, dict(pre))
-    _set_post(t, dict(post))
+    _set_pre(t, dict(zip(rec[2:k:2], rec[3:k:2])))
+    _set_post(t, dict(zip(rec[k::2], rec[k + 1::2])))
     return t
 
 
@@ -330,6 +307,31 @@ def _from_record(rec) -> Transition:
 # `index` is the transition index, 1 + the highest inhibitor position, or 0
 # without inhibitor arcs
 _Op = namedtuple("_Op", "name numeric inhib resets xfers posts index")
+
+
+def _compile(pos: dict, records) -> tuple:
+    """The `_Op` of each record in `records` (`_record`), its places
+    numbered by `pos`; KeyError on a place or transfer target that is not
+    in `pos`.  Every plan is compiled here."""
+    plan = []
+    for rec in records:
+        numeric, inhib, resets, xfers = [], [], [], []
+        k = 2 + 2 * rec[1]
+        for i in range(2, k, 2):
+            p, arc = pos[rec[i]], rec[i + 1]
+            if isinstance(arc, Numeric):
+                numeric.append((p, arc.weight))
+            elif isinstance(arc, Inhibitor):
+                inhib.append(p)
+            elif isinstance(arc, Reset):
+                resets.append(p)
+            else:  # validate has rejected every other descriptor
+                xfers.append((p, pos[arc.target]))
+        plan.append(_Op(rec[0], numeric, inhib, resets, xfers,
+                        [(pos[rec[i]], rec[i + 1])
+                         for i in range(k, len(rec), 2)],
+                        max(inhib, default=-1) + 1))
+    return tuple(plan)
 
 
 def _effects(op):

@@ -10,6 +10,7 @@ import fuzz
 import oracles
 from xpn import packed
 from xpn.ert import transition_index
+from xpn.fmt import parse_net, render_net
 from xpn.net import (
     INHIBIT,
     KIND_ORDER,
@@ -408,6 +409,30 @@ def test_require_valid_raises_on_errors_only():
     ok = net_of(["a"], [Transition("t", {"a": Numeric(1)}, {})], [0])
     assert validate(ok) == []
     require_valid(ok)
+
+
+def test_built_nets_compile_as_their_parsed_twins():
+    """One compiler makes every plan: a net built in code and the net
+    parsed from its text have equal plans, transfer arcs included, and an
+    arc on an undeclared place raises the same InvalidNetError in both."""
+    rng = random.Random(34)
+    transfers = 0
+    for _ in range(30):
+        for gen in (fuzz.spiced_net, fuzz.hirct_net, fuzz.two_transfer_net,
+                    fuzz.busy_net, fuzz.ert_net):
+            net = gen(rng)
+            assert parse_net(render_net(net))._plan() == net._plan()
+            transfers += any(op.xfers for op in net._plan())
+    assert transfers > 30
+    for t in (Transition("t", {"a": Numeric(1), "ghost": INHIBIT}, {"a": 1}),
+              Transition("t", {"a": Transfer("ghost")}, {}),
+              Transition("t", {}, {"ghost": 2})):
+        built = net_of(["a"], [t], [1])
+        with pytest.raises(InvalidNetError) as want:
+            built._plan()
+        with pytest.raises(InvalidNetError) as got:
+            parse_net(render_net(built))._plan()
+        assert got.value.errors == want.value.errors
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,7 @@ from itertools import compress
 # importable from this module because the benchmark's tracer wraps
 # `ert.classify` and `ert.successors`
 from .net import (BudgetExceededError, Marking, Net, Trace, XpnError, _Value,
-                  _effects, _leq, _set, classify, fire, replay, successors)
+                  _leq, _set, classify, fire, replay, successors)
 from .packed import _Fields, _firing_rows
 from .fmt import _writes_counts
 
@@ -109,10 +109,10 @@ def check_eligible(net: Net):
     of `classify` the walk needs, read off the plan alone, as every
     query pays for them."""
     plan = net._plan()
-    if any(op.xfers for op in plan):
+    if any([op.xfers for op in plan]):
         raise NotEligibleError("transfer arcs are not supported")
     # inhibitor places are downward closed iff they fill 0 .. index - 1
-    if not all(op.index == len(op.inhib) for op in plan):
+    if any([op.index != len(op.inhib) for op in plan]):
         raise NotEligibleError(
             "some transition's inhibitor pre-places are not downward closed")
 
@@ -122,12 +122,19 @@ def _over(max_nodes: int) -> BudgetExceededError:
     return BudgetExceededError(f"tree exceeded {max_nodes} nodes")
 
 
-def _adds_no_tokens(effects) -> bool:
-    """Whether no transition puts back more tokens than its numeric arcs
-    take (resets only remove, transfers only move), read off each
-    transition's `_effects` in `effects`: then the token sum never rises
-    along a run."""
-    return all(sum(const.values()) <= 0 for const, _, _ in effects)
+def _adds_no_tokens(plan) -> bool:
+    """Whether no op of `plan` puts back more tokens than its numeric
+    arcs take (resets only remove, transfers only move): then the token
+    sum never rises along a run."""
+    for op in plan:
+        gain = 0
+        for _, w in op.posts:
+            gain += w
+        for _, w in op.numeric:
+            gain -= w
+        if gain > 0:
+            return False
+    return True
 
 
 # The walk tests only the transitions a marking's marked places index
@@ -187,7 +194,7 @@ def _children(plan, rows, fields: _Fields, places: int):
     the limit.  When testing every row costs more than indexing
     (`_INDEX_COST`), it tests only the ops with no numeric pre-arc and
     those whose first numeric pre-place m marks."""
-    live = [(k, *row[:5]) for k, row in enumerate(rows) if row is not None]
+    live = [(k, *row) for k, row in enumerate(rows) if row is not None]
     head, decode, read, size = fields.head, fields.decode, fields.read, \
         fields.size
     at, always, by_place = range(places), [], None
@@ -200,7 +207,7 @@ def _children(plan, rows, fields: _Fields, places: int):
     def children(m):
         out = []
         # rows are (position, ...) tuples: sorting merges by position
-        for k, g, w, inhib, d, zero in live if by_place is None else sorted(
+        for k, g, w, inhib, d, zero, _ in live if by_place is None else sorted(
                 always + [row for p in compress(at, read(m.to_bytes(
                     size, "little"))) for row in by_place[p]]):
             if (m | g) - w & g == g and not m & inhib:
@@ -253,15 +260,13 @@ def _walk(net: Net, max_nodes: int, rng, nodes, stop_early: bool):
     if max_nodes < 1:  # the root is the first node counted
         raise _over(max_nodes)
     plan = net._plan()
-    effects = list(map(_effects, plan))
-    lookup = _adds_no_tokens(effects)
+    lookup = _adds_no_tokens(plan)
     fields = _Fields.for_net(net, max(net.initial, default=0))
     state = None if rng is None else rng.getstate()
     while True:
         try:
-            return _walk_at(net, plan, _firing_rows(plan, effects, fields),
-                            fields, lookup, max_nodes, rng, nodes,
-                            stop_early)
+            return _walk_at(net, plan, _firing_rows(plan, fields), fields,
+                            lookup, max_nodes, rng, nodes, stop_early)
         except _Widen as e:
             fields = fields.fitting(e.top)
             if rng is not None:

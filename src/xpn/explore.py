@@ -326,7 +326,7 @@ def _rows(plan, fields: _Fields) -> list:
       splits of a demand over a target's slots."""
     w = fields.width
     full, top = (1 << w) - 1, 1 << (w - 1)
-    every = fields._every(full)
+    every = fields.ones * full
     rows = []
     for op in plan:
         _, zeroed, moved = _effects(op)

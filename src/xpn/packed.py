@@ -16,10 +16,11 @@ the goal test on the packed marking.  Each field keeps spare top bits,
 checked by one AND before a marking is expanded; when an entry gets too
 close to overflowing, the visited markings are packed again at twice the
 width and the search resumes where it stopped.  Each loop is compiled at
-most once per net, goal and width.  The table, the generator, the field
-widths and `explore` read what a transition does to each place from
-`net._effects` alone; `net._apply` reads the arcs, so replaying found
-traces through `fire` is an independent check of both tiers.
+most once per net, goal and width.  The generator, the field widths and
+`explore` read what a transition does to each place from `net._effects`
+alone, and a firing row packs the same effect from the arcs;
+`net._apply` reads the arcs on its own, so replaying found traces
+through `fire` is an independent check of both tiers.
 """
 
 from __future__ import annotations
@@ -86,21 +87,21 @@ def _search(net: Net, start: Marking, goal: str, target, max_steps: int):
     return len(queue), None, fields
 
 
-def _firing_rows(plan, effects, fields: "_Fields") -> list:
+def _firing_rows(plan, fields: "_Fields") -> list:
     """Per op of `plan`, its firing row of packed ints at the width of
-    `fields`, read off its `_effects` in `effects`: (g, w, inhib, d, zero,
-    xfers).  The op is enabled at m when (m | g) - w & g == g, g the guard
-    bits of its numeric pre-places and w their weights, and not m & inhib,
-    its inhibited fields.  Its successor is m + d, d its packed const, less
-    m & zero, its zeroed fields, plus each transfer source's entry in m
-    shifted to its target, as (source shift, target shift) in `xfers` (a
-    source has no numeric arc, so m holds the snapshot `_apply` takes).
-    An op with a weight at or above the limit gets None: no marking below
-    the limit enables it."""
+    `fields`: (g, w, inhib, d, zero, xfers).  The op is enabled at m when
+    (m | g) - w & g == g, g the guard bits of its numeric pre-places and w
+    their weights, and not m & inhib, its inhibited fields.  Its successor
+    is m + d, d its packed posts less w (its `_effects` const, packed),
+    less m & zero, its reset places and transfer sources, plus each
+    transfer source's entry in m shifted to its target, as (source shift,
+    target shift) in `xfers` (a source has no numeric arc, so m holds the
+    snapshot `_apply` takes).  An op with a weight at or above the limit
+    gets None: no marking below the limit enables it."""
     width, limit, full = fields.width, fields.limit, (1 << fields.width) - 1
     top = 1 << (width - 1)
     rows = []
-    for op, (const, zeroed, moved) in zip(plan, effects):
+    for op in plan:
         g = w = 0
         for p, x in op.numeric:
             if x >= limit:
@@ -112,13 +113,15 @@ def _firing_rows(plan, effects, fields: "_Fields") -> list:
             inhib = d = zero = 0
             for p in op.inhib:
                 inhib |= full << p * width
-            for q, c in const.items():
-                d += c << q * width
-            for p in zeroed:
+            for p, x in op.posts:
+                d += x << p * width
+            for p in op.resets:
                 zero |= full << p * width
-            rows.append((g, w, inhib, d, zero, [
-                (src * width, q * width) for q, srcs in moved.items()
-                for src in srcs] if moved else []))
+            xfers = []
+            for src, q in op.xfers:
+                zero |= full << src * width
+                xfers.append((src * width, q * width))
+            rows.append((g, w, inhib, d - w, zero, xfers))
     return rows
 
 
@@ -128,7 +131,7 @@ def _table_loop(plan, goal: str, fields: "_Fields"):
     and the number of ops it tests per expansion.  It tests each op by
     its row (`_firing_rows`), leaving out the ops no marking it expands
     enables."""
-    table = list(filter(None, _firing_rows(plan, map(_effects, plan), fields)))
+    table = list(filter(None, _firing_rows(plan, fields)))
     full = (1 << fields.width) - 1
     head, guard = fields.head, fields.guard
     reach, cover = goal == "reach", goal == "cover"
@@ -209,7 +212,8 @@ class _Fields:
     sums at most `fan` such entries and adds at most `post` still fits.
     `head` has the bits at and above the limit set in every field: an int
     ANDed with it is 0 exactly when all its entries are below the limit.
-    `guard` has the top bit of every field set."""
+    `guard` has the top bit of every field set, and `ones` the bottom bit:
+    x * ones holds x in every field, for x below 2**width."""
 
     def __init__(self, n: int, width: int, spare: int = 0, fan: int = 1,
                  post: int = 0):
@@ -226,8 +230,9 @@ class _Fields:
         room = ((1 << width) - 1 - post) // fan + 1
         self.limit = (1 << min(width - 1, room.bit_length() - 1)
                       if room > 0 else 0)
-        self.head = self._every((1 << width) - max(self.limit, 1))
-        self.guard = self._every(1 << (width - 1))
+        self.ones = ((1 << width * n) - 1) // ((1 << width) - 1)
+        self.head = self.ones * ((1 << width) - max(self.limit, 1))
+        self.guard = self.ones << (width - 1)
 
     @classmethod
     def for_net(cls, net: Net, top: int) -> "_Fields":
@@ -243,11 +248,6 @@ class _Fields:
                 fan = max([fan] + [len(srcs) + (tgt not in zeroed)
                                    for tgt, srcs in moved.items()])
         return cls(len(net.places), 8, fan=fan, post=post).fitting(top)
-
-    def _every(self, x: int) -> int:
-        """`x` in each of the `n` fields."""
-        nb = self.width // 8
-        return int.from_bytes(x.to_bytes(nb, "little") * self.n, "little")
 
     def fitting(self, top: int) -> "_Fields":
         """These fields, or the first doubling of their width whose limit

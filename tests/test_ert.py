@@ -23,7 +23,7 @@ from xpn.ert import (
 )
 from xpn.explore import replay
 from xpn.fmt import parse_net
-from xpn.net import XpnError, _effects
+from xpn.net import XpnError
 
 LOOP = parse_net("places: a\nmarking: a=1\ntrans t: in a ; out a")
 CHAIN = parse_net("places: a\nmarking: a=3\ntrans t: in a ;")
@@ -384,7 +384,7 @@ def test_countdown_and_line_at_decider_scale():
 
 
 def _adds_no_tokens(net):
-    return xpn_ert._adds_no_tokens(map(_effects, net._plan()))
+    return xpn_ert._adds_no_tokens(net._plan())
 
 
 def test_adds_no_tokens():

@@ -59,7 +59,7 @@ def _read_text(path: str) -> str:
     """The UTF-8 text of the file `path`, whatever the locale; its line
     ends stay as they are, as every reader splits with `splitlines`."""
     try:
-        with open(path, "rb") as f:
+        with open(path, "rb", buffering=0) as f:
             data = f.read()
     except OSError as e:
         raise _Fail(f"{path}: {e.strerror or e}")

@@ -315,7 +315,7 @@ def _compile(pos: dict, records) -> tuple:
     in `pos`.  Every plan is compiled here."""
     plan = []
     for rec in records:
-        numeric, inhib, resets, xfers = [], [], [], []
+        numeric, inhib, resets, xfers, posts = [], [], [], [], []
         k = 2 + 2 * rec[1]
         for i in range(2, k, 2):
             p, arc = pos[rec[i]], rec[i + 1]
@@ -327,10 +327,10 @@ def _compile(pos: dict, records) -> tuple:
                 resets.append(p)
             else:  # validate has rejected every other descriptor
                 xfers.append((p, pos[arc.target]))
-        plan.append(_Op(rec[0], numeric, inhib, resets, xfers,
-                        [(pos[rec[i]], rec[i + 1])
-                         for i in range(k, len(rec), 2)],
-                        max(inhib, default=-1) + 1))
+        for i in range(k, len(rec), 2):
+            posts.append((pos[rec[i]], rec[i + 1]))
+        plan.append(_Op(rec[0], numeric, inhib, resets, xfers, posts,
+                        max(inhib) + 1 if inhib else 0))
     return tuple(plan)
 
 

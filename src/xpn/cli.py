@@ -6,6 +6,13 @@ first (engines raise BudgetExceededError, which `main` alone prints as
 precondition problems, and for internal errors: any other exception is
 reported as `internal error: <Type>: <message>` on stderr.
 
+An argv that starts with a verb is parsed by that verb's own subparser
+alone, into the Namespace and with the messages the top-level parser
+would give; any other argv (empty, `-h`, `--`, an unknown word) goes
+through the top-level parser.  Input files are read as UTF-8 whatever the
+locale, their line ends as they are; a file that is not UTF-8 text is an
+input problem (`<path>: error: not UTF-8 text at byte <n>`, exit 2).
+
 A verb imports the engine modules it runs on its first call, so `explore`,
 say, never compiles `ert`, `transforms`, `compilers` or `dot`.
 """

@@ -251,10 +251,11 @@ class Net(_Value):
                 bad = [d for d in validate(self) if d.severity == "error"]
                 if bad:
                     raise InvalidNetError(bad)
-                plan = _compile(self._pos, [
+                # one record at a time, each freed once compiled
+                plan = _compile(self._pos, (
                     _record(t.name, [*chain.from_iterable(t.pre.items())],
                             [*chain.from_iterable(t.post.items())])
-                    for t in self.transitions])
+                    for t in self.transitions))
             _set(self, "_ops", plan)
         return self._ops
 

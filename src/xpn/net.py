@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Mapping
-from itertools import chain
 from operator import le
 
 
@@ -252,10 +251,7 @@ class Net(_Value):
                 if bad:
                     raise InvalidNetError(bad)
                 # one record at a time, each freed once compiled
-                plan = _compile(self._pos, (
-                    _record(t.name, [*chain.from_iterable(t.pre.items())],
-                            [*chain.from_iterable(t.post.items())])
-                    for t in self.transitions))
+                plan = _compile(self._pos, map(_to_record, self.transitions))
             _set(self, "_ops", plan)
         return self._ops
 
@@ -290,6 +286,16 @@ def _record(name: str, pre: list, post: list) -> tuple:
 # name that `object.__setattr__` makes
 _set_name, _set_pre, _set_post = (
     Transition.name.__set__, Transition.pre.__set__, Transition.post.__set__)
+
+
+def _to_record(t: Transition) -> tuple:
+    """The record (`_record`) of the `Transition` `t`."""
+    pre, post = [], []
+    for item in t.pre.items():
+        pre += item
+    for item in t.post.items():
+        post += item
+    return _record(t.name, pre, post)
 
 
 def _from_record(rec) -> Transition:

@@ -1296,6 +1296,19 @@ print(*sorted(attr for attr, orig in patched
     assert unrestored == ""
 
 
+def test_a_file_is_read_as_utf8_whatever_the_locale(tmp_path):
+    # the C locale without coercion or UTF-8 mode decodes text files as
+    # ASCII; the CLI reads its inputs as UTF-8 all the same
+    (tmp_path / "n.xpn").write_text("places: a  # café\n", encoding="utf-8")
+    got = subprocess.run(
+        [sys.executable, "-c", "import sys\nfrom xpn import cli\n"
+         "sys.exit(cli.main(['validate', 'n.xpn']))"],
+        capture_output=True, text=True, timeout=20, cwd=tmp_path,
+        env=dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0",
+                 PYTHONUTF8="0", PYTHONPATH=str(Path(cli.__file__).parents[1])))
+    assert (got.returncode, got.stdout, got.stderr) == (0, "n.xpn: ok\n", "")
+
+
 def test_a_name_set_before_any_verb_is_kept(tmp_path):
     # a verb's first call binds the names it runs, but none already set
     (tmp_path / "n.xpn").write_text(CHAIN)

@@ -169,6 +169,10 @@ def cmd_fire(args) -> int:
 
 def cmd_explore(args) -> int:
     _need("explore")
+    if args.mode == "deadlock" and args.marking is not None:
+        raise _Fail("deadlock takes no target marking (-m)")
+    if args.mode == "backward-cover" and args.trace is not None:
+        raise _Fail("backward-cover takes no --trace")
     net = _read_net(args.net)
     if args.mode == "backward-cover":
         res = backward_cover(net, _target(net, args, args.mode),

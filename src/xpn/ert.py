@@ -23,9 +23,9 @@ child and one AND finds them equal on the prefix.  On nets whose rows
 cost more to test than to index, the walk tests only the transitions
 whose first numeric pre-place a marking marks (and those with none).  A
 child with an entry near its field's limit starts the walk again at a
-wider field.  Markings are decoded only for the recorded nodes, once per
-distinct marking; certificates are replayed by the interpreted firing
-rule.
+wider field (the widening protocol of `packed`).  Markings are decoded
+only for the recorded nodes, once per distinct marking; certificates are
+replayed by the interpreted firing rule.
 
 If no transition adds tokens, the token sum never rises along a run, so
 an ancestor <= a child equals it, and the walk looks the child up among
@@ -54,7 +54,7 @@ from itertools import compress
 # `ert.classify` and `ert.successors`
 from .net import (BudgetExceededError, Marking, Net, Trace, XpnError, _Value,
                   _leq, _set, classify, fire, replay, successors)
-from .packed import _Fields, _firing_rows
+from .packed import _Fields, _Widen, _firing_rows
 from .fmt import _writes_counts
 
 
@@ -144,14 +144,6 @@ def _adds_no_tokens(plan) -> bool:
 _INDEX_COST = 4
 
 
-class _Widen(Exception):
-    """A child has an entry at or above the fields' limit, the largest
-    being `top`."""
-
-    def __init__(self, top: int):
-        self.top = top
-
-
 # A node on the current path of the walk, a frame, is a list (cheaper to
 # make and read than an object): [id, marking, via, via_index, todo,
 # size], its number in the tree, its packed marking, the transition into
@@ -190,13 +182,12 @@ def _certificate(net: Net, path, anc: int, leaf_via: str):
 def _children(plan, rows, fields: _Fields, places: int):
     """`children(m)`: the enabled (op position, packed successor) pairs at
     the packed marking m, in declaration order, from the firing `rows`
-    of `plan`; it raises _Widen at a successor with an entry at or above
-    the limit.  When testing every row costs more than indexing
-    (`_INDEX_COST`), it tests only the ops with no numeric pre-arc and
-    those whose first numeric pre-place m marks."""
+    of `plan`; it raises `packed._Widen` with a successor that has an
+    entry at or above the limit.  When testing every row costs more than
+    indexing (`_INDEX_COST`), it tests only the ops with no numeric
+    pre-arc and those whose first numeric pre-place m marks."""
     live = [(k, *row) for k, row in enumerate(rows) if row is not None]
-    head, decode, read, size = fields.head, fields.decode, fields.read, \
-        fields.size
+    head, read, size = fields.head, fields.read, fields.size
     at, always, by_place = range(places), [], None
     if len(live) * (size // 4 + 1) > _INDEX_COST * places:
         by_place = [[] for _ in at]
@@ -215,7 +206,7 @@ def _children(plan, rows, fields: _Fields, places: int):
                 if zero:
                     s -= m & zero
                 if s & head:
-                    raise _Widen(max(decode(s)))
+                    raise _Widen(s)
                 out.append((k, s))
         return out
     return children
@@ -228,9 +219,9 @@ def _walk(net: Net, max_nodes: int, rng, nodes, stop_early: bool):
 
     Markings are packed ints (`_Fields`) from the root on, and children
     come from one firing row per transition (`_children`).  When a child
-    has an entry at or above the fields' limit, the walk starts again at
-    the fitting width, with `rng` and `nodes` as they were given, so it
-    draws, numbers and counts as one walk at that width would.
+    needs wider fields (`packed`'s widening), the walk starts again with
+    `rng` and `nodes` as they were given, so it draws, numbers and counts
+    as one walk at that width would.
 
     `seen` maps each marking on the path to ~its position (a negative
     int), and each memoised marking to its subtree's node count: one
@@ -268,7 +259,7 @@ def _walk(net: Net, max_nodes: int, rng, nodes, stop_early: bool):
             return _walk_at(net, plan, _firing_rows(plan, fields), fields,
                             lookup, max_nodes, rng, nodes, stop_early)
         except _Widen as e:
-            fields = fields.fitting(e.top)
+            fields = fields.wider(e.args[0])
             if rng is not None:
                 rng.setstate(state)
             if nodes is not None:

@@ -12,7 +12,8 @@ and is exact, but only supports nets without inhibitor arcs; its budget
 counts candidate predecessors and raises BudgetExceededError.  It runs on
 packed markings throughout: the basis is one int (`UpwardClosedSet`), and
 each transition's minimal predecessors of a packed element are built from
-one row of packed ints per transition (`_rows`, `_predecessors`).
+one row of packed ints per transition (`_rows`, `_predecessors`).  Both
+searches widen their fields by the protocol of `packed`.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from math import comb
 from .net import (BudgetExceededError, Marking, Net, Trace, XpnError, _Value,
                   _apply, _effects, _enabled, _set, replay, require_valid,
                   successors)
-from .packed import _Fields, _search
+from .packed import _Fields, _Widen, _search
 
 
 class SearchResult(_Value):
@@ -67,6 +68,17 @@ def _path_names(net: Net, path: list, fields: _Fields) -> list:
     return names
 
 
+def _target(net: Net, target, cover: bool) -> tuple:
+    """`target` as a tuple, checked to have one integer entry per place,
+    for every search; a cover's negative entries are 0, covered alike."""
+    target = tuple(target)
+    if len(target) != len(net.places):
+        raise XpnError("target marking length mismatch")
+    if not all([isinstance(x, int) for x in target]):
+        raise XpnError(f"target marking {target} has a non-integer entry")
+    return tuple([x if x > 0 else 0 for x in target]) if cover else target
+
+
 def _bfs(net: Net, goal: str, target, max_steps: int) -> SearchResult:
     """Shared engine from the initial marking, `goal` and `target` as in
     `packed._search`, the target checked first.  The search records only
@@ -75,11 +87,7 @@ def _bfs(net: Net, goal: str, target, max_steps: int) -> SearchResult:
     postcondition check, once the visited markings are freed."""
     require_valid(net)  # so the initial marking fits the places
     if target is not None:
-        target = tuple(target)
-        if len(target) != len(net.places):
-            raise XpnError("target marking length mismatch")
-        if not all(isinstance(x, int) for x in target):
-            raise XpnError(f"target marking {target} has a non-integer entry")
+        target = _target(net, target, goal == "cover")
     expanded, path, fields = _search(net, net.initial, goal, target,
                                      max_steps)
     if path is None:
@@ -143,10 +151,10 @@ class UpwardClosedSet:
 
     The methods on codes (`_below`, `_minimal`, `_add`) take a marking
     packed by `_fields` with every entry below the limit; `backward_cover`
-    calls them directly.  The tuple methods encode their argument and call
-    the same ones: `add` widens the fields first where an entry needs it,
-    and `contains` and `minimal` clamp a probe entry past the field to
-    2**(width - 1) - 1, which still exceeds every stored entry.
+    calls them directly.  The tuple methods check and encode their argument
+    (`_probe`) and call the same ones: `add` widens the fields first where
+    an entry needs it, and `contains` and `minimal` clamp a probe entry past
+    the field to 2**(width - 1) - 1, which still exceeds every stored entry.
     """
 
     def __init__(self, basis=()):
@@ -178,12 +186,6 @@ class UpwardClosedSet:
             return x * self._ones
         return int.from_bytes(x.to_bytes(self._seg, "little") * self._count,
                               "little")
-
-    def _widen(self, top: int):
-        """Widen the fields, if need be, until `top` is below their
-        limit."""
-        if top >= self._fields.limit:
-            self._layout(self._fields.fitting(top))
 
     @property
     def basis(self) -> list:
@@ -231,44 +233,39 @@ class UpwardClosedSet:
         self._count += 1
         return True
 
-    def _probe(self, m: Marking):
+    def _probe(self, m: tuple) -> int:
         """`m` packed with each entry clamped below the limit, which keeps
-        its order against every stored entry; None if an entry is
-        negative."""
+        its order against every stored entry; raises XpnError unless `m`
+        has one nonnegative integer entry per place."""
         if len(m) != self._n:
             raise XpnError("marking length mismatch")
-        if min(m, default=0) < 0:
-            return None
+        if not all([isinstance(x, int) and x >= 0 for x in m]):
+            raise XpnError(f"marking {m} has a negative or non-integer entry")
         cap = self._fields.limit - 1
         return self._fields.encode([x if x < cap else cap for x in m])
 
     def contains(self, m: Marking) -> bool:
-        if not self._count:
-            return False
-        code = self._probe(m)
-        return code is not None and bool(self._below(code))
+        """Is `m` in the set?  Raises XpnError as `add` does."""
+        return bool(self._count and self._below(self._probe(tuple(m))))
 
     def minimal(self, m: Marking) -> bool:
-        """Is `m` itself an element of the current minimal basis?"""
-        if not self._count:
-            return False
-        code = self._probe(m)
-        return (code is not None and max(m, default=0) < self._fields.limit
-                and self._minimal(code))
+        """Is `m` itself an element of the current minimal basis?  Raises
+        XpnError as `add` does."""
+        return bool(self._count) and self._minimal(self._probe(tuple(m))) \
+            and max(m, default=0) < self._fields.limit
 
     def add(self, m: Marking) -> bool:
         """Add ↑m; returns False if already covered.  Raises XpnError on a
-        negative or non-integer entry."""
+        length mismatch or a negative or non-integer entry."""
         m = tuple(m)
         if self._n is None:
             self._n = len(m)
             self._layout(_Fields(self._n, 8, spare=1))
-        elif len(m) != self._n:
-            raise XpnError("marking length mismatch")
-        if not all(isinstance(x, int) and x >= 0 for x in m):
-            raise XpnError(f"marking {m} has a negative or non-integer entry")
-        self._widen(max(m, default=0))
-        return self._add(self._fields.encode(m))
+        code, top = self._probe(m), max(m, default=0)
+        if top >= self._fields.limit:
+            self._layout(self._fields.fitting(top))
+            code = self._fields.encode(m)
+        return self._add(code)
 
     def _drop(self, dead: int):
         """Splice out the segments whose flag is set in `dead`."""
@@ -299,12 +296,6 @@ class BackwardCoverResult(_Value):
         _set(self, "coverable", coverable)
         # minimal basis of the backward-reachable upward-closed set
         _set(self, "basis", basis)
-
-
-class _Overflow(Exception):
-    """Some candidate of `_predecessors` would have an entry at or above
-    the fields' limit; args[0] has, in each field, the largest entry any
-    of them would have there."""
 
 
 def _rows(plan, fields: _Fields) -> list:
@@ -364,8 +355,9 @@ def _split_codes(demand: int, shifts: list) -> list:
 def _predecessors(row, x: int, room: int):
     """The minimal markings m with fire(m, t) >= the marking packed as `x`,
     packed, for the op t of `row` (`_rows`); None, before any is built,
-    when there are more than `room` of them.  Raises _Overflow, before any
-    is built too, when an entry of one would reach the fields' limit.
+    when there are more than `room` of them.  Raises `packed._Widen`,
+    before any is built too, when an entry of one would reach the fields'
+    limit: args[0] has, in each field, the largest entry any would have.
 
     A plain place needs t's weight plus what its post leaves of x's entry,
     a saturating subtraction by guard bits, and a killed place at most
@@ -387,7 +379,7 @@ def _predecessors(row, x: int, room: int):
     c += pre
     if not groups:
         if c & head:
-            raise _Overflow(c)
+            raise _Widen(c)
         return [c] if room >= 1 else None
     full = (1 << w) - 1
     demands, most, count = [], c, 1
@@ -398,7 +390,7 @@ def _predecessors(row, x: int, room: int):
         most += d * ones
         count *= comb(d + len(shifts) - 1, len(shifts) - 1)
     if most & head:
-        raise _Overflow(most)
+        raise _Widen(most)
     if count > room:
         return None
     splits = []
@@ -416,24 +408,23 @@ def backward_cover(net: Net, target: Marking,
                    max_steps: int = 1_000_000) -> BackwardCoverResult:
     """Exact coverability via backward saturation; inhibitor arcs are not
     supported (raises).  Raises BudgetExceededError once the search needs
-    more than `max_steps` candidate predecessors.
+    more than `max_steps` candidate predecessors.  The target is checked,
+    and a negative entry is 0, as for `bounded_cover`.
 
     The saturation runs on packed markings: the set's fields start wide
     enough for the target and every weight of the net, and each op's
     candidates are built from its row (`_predecessors`).  When one would
-    not fit, the fields widen, and the rows, the frontier and the fresh
-    elements are packed again."""
+    not fit, the fields widen by the protocol of `packed`, and the rows,
+    the frontier and the fresh elements are packed again."""
     plan = net._plan()
-    target = tuple(target)
-    if len(target) != len(net.places):
-        raise XpnError("target marking length mismatch")
+    target = _target(net, target, True)
     if any(op.inhib for op in plan):
         raise XpnError("backward_cover does not support inhibitor arcs")
 
     ucs = UpwardClosedSet([target])
-    ucs._widen(max([w for op in plan for _, w in op.numeric + op.posts],
-                   default=0))
-    fields = ucs._fields
+    top = max([w for op in plan for _, w in op.numeric + op.posts], default=0)
+    if (fields := ucs._fields.fitting(top)) is not ucs._fields:
+        ucs._layout(fields)
     rows = _rows(plan, fields)
     frontier = [fields.encode(target)]
     steps = 0
@@ -447,14 +438,13 @@ def backward_cover(net: Net, target: Marking,
             for i in range(len(rows)):
                 try:
                     preds = _predecessors(rows[i], x, max_steps - steps)
-                except _Overflow as e:
-                    old = fields
-                    ucs._widen(max(old.decode(e.args[0])))
-                    fields = ucs._fields
+                except _Widen as e:
+                    old, fields = fields, fields.wider(e.args[0])
+                    ucs._layout(fields)
                     rows = _rows(plan, fields)
-                    x = fields.encode(old.decode(x))
+                    x, = fields.recode(old, [x])
                     for codes in (frontier, fresh):
-                        codes[:] = fields.encode_all(map(old.decode, codes))
+                        codes[:] = fields.recode(old, codes)
                     preds = _predecessors(rows[i], x, max_steps - steps)
                 if preds is None:
                     raise BudgetExceededError(

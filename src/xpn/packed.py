@@ -12,15 +12,22 @@ per transfer.  Once compiling pays (`_COMPILE_COST`) the
 search goes on in one loop generated per net, goal and field width: one
 unpack per marking, one `if` per transition, one int expression per
 successor (one list, for a transition that changes many places), and
-the goal test on the packed marking.  Each field keeps spare top bits,
-checked by one AND before a marking is expanded; when an entry gets too
-close to overflowing, the visited markings are packed again at twice the
-width and the search resumes where it stopped.  Each loop is compiled at
-most once per net, goal and width.  The generator, the field widths and
-`explore` read what a transition does to each place from `net._effects`
-alone, and a firing row packs the same effect from the arcs;
-`net._apply` reads the arcs on its own, so replaying found traces
-through `fire` is an independent check of both tiers.
+the goal test on the packed marking.  Each loop is compiled at most once
+per net, goal and width.  The generator, the field widths and `explore`
+read what a transition does to each place from `net._effects` alone,
+and a firing row packs the same effect from the arcs; `net._apply` reads
+the arcs on its own, so replaying found traces through `fire` is an
+independent check of both tiers.
+
+Widening, one protocol for the forward search, the termination walk
+(`ert`) and backward coverability (`explore`).  Each field keeps spare top
+bits, so one AND with `_Fields.head` finds an entry at or above the limit.
+The engine asks for wider fields with that packed marking: a forward loop
+returns (i, None) for its i-th marking, and the walk's children and the
+predecessors raise `_Widen`.  The engine takes `_Fields.wider` of it,
+packs what it keeps again by `_Fields.recode`, and goes on: the search and
+the saturation where they stopped, the walk from its root with its draws
+and node numbers as they were.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ def _search(net: Net, start: Marking, goal: str, target, max_steps: int):
     declaration order.  `goal` is "reach" (a marking equal to `target`),
     "cover" (one at least `target` entry by entry) or "deadlock" (one
     where no transition is enabled); `target` is a tuple of ints as long
-    as `start`, or None for a deadlock.
+    as `start` (nonnegative for a cover), or None for a deadlock.
 
     Returns (expanded, path, fields): the number of markings expanded,
     then None if no marking is a hit, else the markings from `start` to
@@ -50,7 +57,7 @@ def _search(net: Net, start: Marking, goal: str, target, max_steps: int):
     tier (`_table_loop`) until its rent reaches the buy (`_COMPILE_COST`
     says how both are counted), then the loop generated for the goal and
     the field width; both expand the same queue into the same dict, and
-    either returns to have the fields widened."""
+    either returns to have the fields widened (the module's protocol)."""
     _check_len(net, start)
     plan = net._plan()
     stop = min(max(max_steps, 0), sys.maxsize)
@@ -79,8 +86,9 @@ def _search(net: Net, start: Marking, goal: str, target, max_steps: int):
             return j + 1, _path(parent, hit), fields
         # queue[j] has an entry at or above the limit: widen
         rent, i = rent + (j - i) * cost, j
-        old, fields = fields, fields.fitting(max(fields.decode(queue[i])))
-        parent = _recode(parent, fields.encode_all(map(old.decode, parent)))
+        old, fields = fields, fields.wider(queue[i])
+        code = dict(zip(parent, fields.recode(old, parent)))
+        parent = {code[m]: code.get(p) for m, p in parent.items()}
         queue = list(parent)
     if len(queue) > stop:
         raise BudgetExceededError(f"expanded={stop}")
@@ -164,13 +172,6 @@ def _table_loop(plan, goal: str, fields: "_Fields"):
     return run, len(table)
 
 
-def _recode(parent: dict, keys: list) -> dict:
-    """`parent` with every marking, key and value, replaced by its new
-    code; `keys` holds the codes of the keys, in order."""
-    code = dict(zip(parent, keys))
-    return dict(zip(keys, map(code.get, parent.values())))
-
-
 def _path(parent: dict, m) -> list:
     """The markings `parent` records from the start to `m`."""
     path = [m]
@@ -188,11 +189,14 @@ def _packed_target(goal: str, target, fields: "_Fields"):
     limit."""
     if goal == "deadlock":
         return None
-    if goal == "cover":
-        target = [x if x > 0 else 0 for x in target]
     if min(target, default=0) >= 0 and max(target, default=0) < fields.limit:
         return fields.encode(target)
     return fields.guard if goal == "cover" else -1
+
+
+class _Widen(Exception):
+    """The widening request (see the module): args[0] is a marking, packed
+    by the raiser's fields, with an entry at or above their limit."""
 
 
 # struct codes, standard sizes, for fields of 1, 2, 4 and 8 bytes; wider
@@ -258,6 +262,15 @@ class _Fields:
                              self.post)
         return fields
 
+    def wider(self, code: int) -> "_Fields":
+        """`fitting` for the entries of the marking packed as `code`; raises
+        AssertionError if no wider, as a refit that widens nothing spins."""
+        top = max(self.decode(code))
+        fields = self.fitting(top)
+        if fields.width <= self.width:
+            raise AssertionError(f"no wider fields for an entry of {top}")
+        return fields
+
     def pack(self, m) -> bytes:
         """One row holding `m`; raises struct.error or OverflowError if an
         entry is negative or does not fit a field."""
@@ -280,9 +293,10 @@ class _Fields:
     def decode(self, x: int) -> tuple:
         return self.read(x.to_bytes(self.size, "little"))
 
-    def encode_all(self, ms) -> list:
-        """`encode` of each marking, the loop run by map where struct
-        packs the fields."""
+    def recode(self, old: "_Fields", codes) -> list:
+        """The markings packed as `codes` by `old`, packed by these
+        fields; the loop runs in map where struct packs them."""
+        ms = map(old.decode, codes)
         if self.struct:
             return list(map(int.from_bytes, starmap(self.struct.pack, ms),
                             repeat("little")))
@@ -442,12 +456,12 @@ def _search_source(n_places: int, plan, goal: str, width: int) -> str:
     Q grows: each successor not yet a key of P is stored there with its
     predecessor as value and appended to Q.  Before expanding the i-th
     marking it returns (i, None) if an entry is at or above the fields'
-    limit (an AND with `H`), so the caller can widen the fields and resume
-    at i.  It returns (i, m) at the first hit m, the i-th marking: one
-    equal to T for "reach", one covering T for "cover" (the guard-bit
-    subtraction of `UpwardClosedSet`), or one where no transition is
-    enabled for "deadlock".  It returns None when it runs out of queue or
-    reaches `stop`.
+    limit (an AND with `H`), the module's widening request, so the caller
+    can widen the fields and resume at i.  It returns (i, m) at the first
+    hit m, the i-th marking: one equal to T for "reach", one covering T
+    for "cover" (the guard-bit subtraction of `UpwardClosedSet`), or one
+    where no transition is enabled for "deadlock".  It returns None when
+    it runs out of queue or reaches `stop`.
 
     A marking's fields are unpacked into locals a0 ... a{n-1}, kept as
     the tuple `u` too where a successor is built from a list, each

@@ -237,6 +237,28 @@ def test_explore_backward_cover_rejects_inhibitors(run):
         2, "", "error: backward_cover does not support inhibitor arcs\n")
 
 
+def test_explore_refuses_an_option_its_mode_ignores(run, tmp_path):
+    # deadlock has no target and backward-cover no witness trace; each is
+    # refused before the net is read, so nothing else is reported
+    tr = tmp_path / "t.txt"
+    for argv, err in [
+            (("deadlock", "n.xpn", "-m", "b=1"),
+             "deadlock takes no target marking (-m)\n"),
+            (("deadlock", "missing.xpn", "-m", ""),
+             "deadlock takes no target marking (-m)\n"),
+            (("backward-cover", "n.xpn", "-m", "b=1", "--trace", str(tr)),
+             "backward-cover takes no --trace\n"),
+            (("backward-cover", "n.xpn", "--trace", ""),
+             "backward-cover takes no --trace\n")]:
+        got = run("explore", *argv, files={"n.xpn": CHAIN})
+        assert got[:3] == (2, "", err), argv
+    assert not tr.exists()
+    # the options each mode takes still work
+    assert run("explore", "deadlock", "n.xpn", "--trace", str(tr),
+               files={"n.xpn": CHAIN})[0] == 0
+    assert tr.read_text() == "t\nt\n"
+
+
 # ---------------------------------------------------------------------------
 # terminate
 

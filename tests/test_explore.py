@@ -111,15 +111,20 @@ def test_budget_exhaustion():
 
 
 def test_a_target_has_one_integer_entry_per_place():
-    # a search packs its target like its markings, so it checks it first
-    for search in (bounded_reach, bounded_cover):
+    # a search packs its target like its markings, so it checks it first;
+    # forward and backward searches check it alike
+    for search in (bounded_reach, bounded_cover, backward_cover):
         with pytest.raises(XpnError, match="^target marking length mismatch$"):
             search(CHAIN, (0, 2, 0))
-        with pytest.raises(XpnError, match="non-integer entry"):
+        with pytest.raises(XpnError, match=(
+                r"^target marking \(0, 1\.5\) has a non-integer entry$")):
             search(CHAIN, (0, 1.5))
     # a negative entry is covered by every marking and reached by none
     assert bounded_cover(CHAIN, (-1, 0)).trace.transitions == ()
     assert not bounded_reach(CHAIN, (-1, 3)).found
+    assert backward_cover(CHAIN, (-1, 0)) == BackwardCoverResult(
+        True, ((0, 0),))
+    assert backward_cover(CHAIN, (-7, 2)) == backward_cover(CHAIN, (0, 2))
 
 
 def test_forward_budget_boundary_against_the_oracle():
@@ -623,8 +628,6 @@ def test_backward_cover_rejects_inhibitors():
     # a packed basis holds nonnegative ints only
     for bad in ((0, -1), (0, 1.5)):
         with pytest.raises(XpnError, match="negative or non-integer entry"):
-            backward_cover(CHAIN, bad)
-        with pytest.raises(XpnError, match="negative or non-integer entry"):
             UpwardClosedSet().add(bad)
 
 
@@ -657,6 +660,11 @@ def test_backward_cover_agrees_with_forward():
             oracles.check_basis(net, target, got)
             fwd = bounded_cover(net, target)  # raises if it runs out
             assert fwd.found == want
+            # a negative entry asks as much as 0, of either search
+            low = tuple(x - 3 if x == 0 else x for x in target)
+            if low != target:
+                assert backward_cover(net, low) == got, (net, low)
+                assert bounded_cover(net, low).found == want
 
 
 def test_check_basis_rejects_an_element_that_is_no_predecessor():
@@ -826,8 +834,8 @@ def _packed_predecessors(net, i, target, room=10**9):
         row = explore._rows(plan, fields)[i]
         try:
             codes = explore._predecessors(row, fields.encode(target), room)
-        except explore._Overflow as e:
-            fields = fields.fitting(max(fields.decode(e.args[0])))
+        except packed._Widen as e:
+            fields = fields.wider(e.args[0])
             widened = True
             continue
         if codes is None:
@@ -921,6 +929,77 @@ def test_upward_closed_set_matches_flat_reference():
                 assert ucs.contains(probe) == ref.contains(probe)
                 assert ucs.minimal(probe) == (probe in ref.basis)
         assert sorted(UpwardClosedSet(added).basis) == sorted(ref.basis)
+
+
+def test_upward_closed_set_refuses_a_bad_entry_alike():
+    # every tuple method checks its argument as `add` does; an empty set
+    # holds nothing, whatever is asked
+    ucs = UpwardClosedSet([(1, 2)])
+    for bad in ((1.5, 2), ("x", 2), (-1, 2), (1, None)):
+        for method in (ucs.add, ucs.contains, ucs.minimal):
+            with pytest.raises(XpnError, match=(
+                    "^marking .* has a negative or non-integer entry$")):
+                method(bad)
+        assert not UpwardClosedSet().contains(bad)
+        assert not UpwardClosedSet().minimal(bad)
+    for method in (ucs.add, ucs.contains, ucs.minimal):
+        with pytest.raises(XpnError, match="^marking length mismatch$"):
+            method((1, 2, 3))
+    assert ucs.basis == [(1, 2)]
+    assert ucs.contains((1, 2)) and ucs.minimal([1, 2])
+    assert ucs.contains((2, 10**30)) and not ucs.minimal((2, 10**30))
+
+
+def test_backward_cover_widens_in_the_middle_of_its_saturation(monkeypatch):
+    """Two a-tokens make one b-token, so covering b=100 needs 200 tokens
+    in a: the predecessors pass the 8-bit fields' limit of 127 on the way,
+    and the fields widen once the saturation is well under way."""
+    widenings = []
+    real = packed._Fields.wider
+    monkeypatch.setattr(packed._Fields, "wider",
+                        lambda self, code: widenings.append(code)
+                        or real(self, code))
+    text = "places: a b\nmarking: a={}\ntrans t: in a*2 ; out b\n"
+    basis = tuple(sorted((2 * k, 100 - k) for k in range(101)))
+    for a, coverable in ((199, False), (200, True)):
+        net = parse_net(text.format(a))
+        widenings.clear()
+        assert backward_cover(net, (0, 100)) == BackwardCoverResult(
+            coverable, basis)
+        assert widenings
+        assert bounded_cover(net, (0, 100)).found == coverable
+
+
+def test_backward_cover_widened_at_any_candidate_answers_alike(monkeypatch):
+    """A widening forced before the k-th call for candidates, for every k
+    of a run, leaves the verdict and the basis as they were: the set, the
+    rows, the element being expanded, the frontier and the fresh elements
+    are all packed again."""
+    rng = random.Random(2026)
+    real = explore._predecessors
+    forced = 0
+    for _ in range(40):
+        net = fuzz.no_inhibitor_net(rng)
+        target = tuple(rng.randint(0, 3) for _ in net.places)
+        calls = []
+        monkeypatch.setattr(explore, "_predecessors",
+                            lambda *a: calls.append(1) or real(*a))
+        want = backward_cover(net, target)
+        for k in range(1, min(len(calls), 60) + 1):
+            left = [k]
+
+            def widening(row, x, room):
+                left[0] -= 1
+                if not left[0]:
+                    # a field of the row's head is at or above the limit
+                    raise packed._Widen(row[9])
+                return real(row, x, room)
+
+            monkeypatch.setattr(explore, "_predecessors", widening)
+            assert backward_cover(net, target) == want, (net, target, k)
+            forced += 1
+        monkeypatch.undo()
+    assert forced >= 300, forced
 
 
 def test_backward_cover_agrees_with_forward_beyond_the_oracle_cap():

@@ -20,10 +20,9 @@ _EXPORTS = {
     "transforms": "MarkingMap TransformError TransformResult dlf_to_reach "
                   "hir_elim hir_elim_all hirct_elim reach_to_dlf "
                   "transfer_hierarchize two_inh_to_reset",
-    "compilers": "CounterMachine Halt Inc JzDec MinskyCompilation PhaseReport "
+    "compilers": "CounterMachine Halt Inc JzDec MinskyCompilation "
                  "PositivityCompilation PositivityInstance compile_minsky "
-                 "compile_positivity first_violation iterates parse_machine "
-                 "parse_positivity simulate_machine simulate_phases",
+                 "compile_positivity parse_machine parse_positivity",
     "dot": "export_dot",
 }
 _HOME = {name: module for module, names in _EXPORTS.items()

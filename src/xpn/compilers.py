@@ -12,8 +12,8 @@ from __future__ import annotations
 import re
 
 from .fmt import ParseError, _NAME_RE
-from .net import (BudgetExceededError, INHIBIT, Marking, Net, Numeric, RESET,
-                  Transfer, Transition, _Value, _set, require_valid)
+from .net import (INHIBIT, Marking, Net, Numeric, RESET, Transfer, Transition,
+                  _Value, _set, require_valid)
 
 
 # ---------------------------------------------------------------------------
@@ -103,31 +103,6 @@ def parse_machine(text: str) -> CounterMachine:
                 raise ParseError(f"state {q} jumps to undefined state {tgt}",
                                  1, 1)
     return CounterMachine(tuple(states), program)
-
-
-def simulate_machine(cm: CounterMachine, max_configs: int = 10_000):
-    """True if the machine halts, False if it provably loops (a
-    configuration repeats); raises BudgetExceededError when a configuration
-    past the `max_configs`-th would need visiting."""
-    q, c = cm.start, {1: 0, 2: 0}
-    seen = set()
-    for _ in range(max_configs):
-        config = (q, c[1], c[2])
-        if config in seen:
-            return False
-        seen.add(config)
-        instr = cm.program[q]
-        if isinstance(instr, Halt):
-            return True
-        if isinstance(instr, Inc):
-            c[instr.counter] += 1
-            q = instr.goto
-        elif c[instr.counter] == 0:
-            q = instr.goto_zero
-        else:
-            c[instr.counter] -= 1
-            q = instr.goto_nonzero
-    raise BudgetExceededError(f"machine exceeded {max_configs} configurations")
 
 
 class MinskyCompilation(_Value):
@@ -269,28 +244,6 @@ def parse_positivity(text: str) -> PositivityInstance:
     return PositivityInstance(rows, v0)
 
 
-def iterate(matrix, v):
-    return tuple(sum(row[i] * v[i] for i in range(len(v))) for row in matrix)
-
-
-def iterates(inst: PositivityInstance, k: int) -> list:
-    """[v0, M v0, ..., M^k v0] with exact integer arithmetic."""
-    out = [tuple(inst.v0)]
-    for _ in range(k):
-        out.append(iterate(inst.matrix, out[-1]))
-    return out
-
-
-def first_violation(inst: PositivityInstance, limit: int):
-    """Smallest k <= limit with M^k v0 not entrywise nonnegative, or None."""
-    v = tuple(inst.v0)
-    for k in range(1, limit + 1):
-        v = iterate(inst.matrix, v)
-        if any(x < 0 for x in v):
-            return k
-    return None
-
-
 class PositivityCompilation(_Value):
     __slots__ = _fields = ("net", "instance", "fuel", "refuel", "v_places",
                            "nv_places", "w_places", "mul_names", "acc_names",
@@ -377,55 +330,3 @@ def compile_positivity(inst: PositivityInstance) -> PositivityCompilation:
         v_places=v, nv_places=nv, w_places=w, mul_names=tuple(mul_names),
         acc_names=acc_names, restart="restart", colsums=colsums)
 
-
-class PhaseReport(_Value):
-    __slots__ = _fields = ("u_vectors", "trace")
-
-    def __init__(self, u_vectors: tuple, trace: tuple):
-        # u_vectors[k] = vector held in v1..vn after k phases
-        _set(self, "u_vectors", u_vectors)
-        _set(self, "trace", trace)  # transition names fired, in order
-
-
-def simulate_phases(comp: PositivityCompilation, k: int) -> PhaseReport:
-    """Drive k full phases on the canonical schedule (all mul firings,
-    then sign-positive acc firings, then sign-negative ones, then the
-    restart) and report the vector after each phase.  Requires every
-    iterate up to M^k v0 to be nonnegative; the schedule would jam
-    otherwise, that case is for reachability analysis, not this driver."""
-    inst = comp.instance
-    n = inst.n
-    vecs = iterates(inst, k)
-    for idx, vec in enumerate(vecs):
-        if any(x < 0 for x in vec):
-            raise ValueError(f"iterate {idx} has a negative entry: {vec}")
-
-    net = comp.net
-    m = net.initial
-    trace = []
-    vpos = [net.place_pos(p) for p in comp.v_places]
-
-    def fire(name, times):
-        nonlocal m
-        for _ in range(times):
-            m = net.fire(m, name)
-            trace.append(name)
-
-    for phase in range(k):
-        u = vecs[phase]
-        for i in range(1, n + 1):
-            fire(comp.mul_names[i - 1], u[i - 1])
-        for positive in (True, False):
-            for i in range(1, n + 1):
-                for j in range(1, n + 1):
-                    entry = inst.matrix[j - 1][i - 1]
-                    if entry == 0 or (entry > 0) != positive:
-                        continue
-                    fire(comp.acc_names[i, j], abs(entry) * u[i - 1])
-        fire(comp.restart, 1)
-        got = tuple(m[p] for p in vpos)
-        if got != tuple(vecs[phase + 1]):
-            raise AssertionError(
-                f"phase {phase + 1} ended at {got}, expected {vecs[phase + 1]}")
-
-    return PhaseReport(u_vectors=tuple(vecs), trace=tuple(trace))

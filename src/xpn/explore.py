@@ -22,8 +22,8 @@ from itertools import pairwise, product
 from math import comb
 
 # forward search runs `_search`; `explore.successors` stays a name because
-# perfbench/spans.py wraps it.  `Trace` and `replay` serve this module, and
-# callers import them from here too
+# perfbench/spans.py wraps it.  `Trace` serves this module; callers import
+# it and `replay` from here too
 from .net import (BudgetExceededError, Marking, Net, Trace, XpnError, _Value,
                   _apply, _effects, _enabled, _set, replay, require_valid,
                   successors)
@@ -49,7 +49,8 @@ def _path_names(net: Net, path: list, fields: _Fields) -> list:
     the predecessor to the marking, the one whose successor the search
     stored.  Only a transition acting on a place where the two differ can,
     so just those acting on the first such place, the lowest set bit of
-    their XOR, are tried.  Two markings are unpacked at a time."""
+    their XOR, are tried; a step none explains raises AssertionError.  Two
+    markings are unpacked at a time."""
     plan = net._plan()
     acting = [[] for _ in net.places]  # per place, in declaration order
     for op in plan:
@@ -60,11 +61,14 @@ def _path_names(net: Net, path: list, fields: _Fields) -> list:
     for x, y in pairwise(path):
         prev, at, diff = at, fields.decode(y), x ^ y
         d = ((diff & -diff).bit_length() - 1) // fields.width
-        names.append(next(
-            name for name, numeric, inhib, resets, xfers, posts, _
-            in (acting[d] if diff else plan)
-            if _enabled(prev, numeric, inhib)
-            and _apply(prev, numeric, resets, xfers, posts) == at))
+        for name, numeric, inhib, resets, xfers, posts, _ in (
+                acting[d] if diff else plan):
+            if (_enabled(prev, numeric, inhib)
+                    and _apply(prev, numeric, resets, xfers, posts) == at):
+                break
+        else:
+            raise AssertionError("trace replay mismatch")
+        names.append(name)
     return names
 
 
@@ -81,10 +85,9 @@ def _target(net: Net, target, cover: bool) -> tuple:
 
 def _bfs(net: Net, goal: str, target, max_steps: int) -> SearchResult:
     """Shared engine from the initial marking, `goal` and `target` as in
-    `packed._search`, the target checked first.  The search records only
-    each marking's predecessor; the transition names of a hit's trace are
-    recovered from those markings, and the trace is replayed, as a
-    postcondition check, once the visited markings are freed."""
+    `packed._search`, the target checked first.  A hit's trace is fired
+    once, by the interpreted rule (`_path_names`); then its markings are
+    unpacked, each packed one released once unpacked."""
     require_valid(net)  # so the initial marking fits the places
     if target is not None:
         target = _target(net, target, goal == "cover")
@@ -92,13 +95,12 @@ def _bfs(net: Net, goal: str, target, max_steps: int) -> SearchResult:
                                      max_steps)
     if path is None:
         return SearchResult(None, expanded)
-    names = _path_names(net, path, fields)
-    hit = fields.decode(path[-1])
-    del path
-    trace = replay(net, net.initial, names)
-    if trace.markings[-1] != hit:
-        raise AssertionError("trace replay mismatch")
-    return SearchResult(trace, expanded)
+    names, markings = _path_names(net, path, fields), [net.initial]
+    path.reverse()
+    path.pop()
+    while path:
+        markings.append(fields.decode(path.pop()))
+    return SearchResult(Trace(tuple(names), tuple(markings)), expanded)
 
 
 def bounded_reach(net: Net, target: Marking,

@@ -16,8 +16,8 @@ the goal test on the packed marking.  Each loop is compiled at most once
 per net, goal and width.  The generator, the field widths and `explore`
 read what a transition does to each place from `net._effects` alone,
 and a firing row packs the same effect from the arcs; `net._apply` reads
-the arcs on its own, so replaying found traces through `fire` is an
-independent check of both tiers.
+the arcs on its own, so recovering each step of a found trace by it
+(`explore._path_names`) is an independent check of both tiers.
 
 Widening, one protocol for the forward search, the termination walk
 (`ert`) and backward coverability (`explore`).  Each field keeps spare top

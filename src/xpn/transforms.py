@@ -41,12 +41,6 @@ class MarkingMap(_Value):
     def __call__(self, m: Marking) -> Marking:
         return tuple(m[a] if k == COPY else a for k, a in self.entries)
 
-    def compose(self, inner: "MarkingMap") -> "MarkingMap":
-        out = []
-        for k, a in self.entries:
-            out.append(inner.entries[a] if k == COPY else (k, a))
-        return MarkingMap(tuple(out))
-
 
 def identity_entries(n: int) -> list:
     return [(COPY, i) for i in range(n)]
@@ -471,6 +465,9 @@ def reach_to_dlf(net: Net, target: Marking) -> TransformResult:
     target = tuple(target)
     if len(target) != len(net.places):
         raise TransformError("target marking length mismatch")
+    if not all(isinstance(n, int) for n in target):
+        raise TransformError(
+            f"target marking {target} has a non-integer entry")
     if any(n < 0 for n in target):
         raise TransformError("negative target marking")
 

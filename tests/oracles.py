@@ -1,13 +1,15 @@
 """Independent reference implementations the tests check the library
 against.  Everything here works on plain dicts and the public net
 structure only; none of it shares code with the library's firing plan,
-search engines or tree walk."""
+search engines or tree walk.  The one exception, `positivity_phases`,
+fires a schedule through the library's `replay`: it checks what the
+positivity compiler builds, not the firing rule."""
 
 from itertools import product
 from math import comb, prod
 
 from xpn.net import (INHIBITOR_KIND, KIND_ORDER, RESET_KIND, TRANSFER_KIND,
-                     Inhibitor, NetClass, Numeric, Reset, Transfer)
+                     Inhibitor, NetClass, Numeric, Reset, Transfer, replay)
 
 
 def enabled(t, m: dict) -> bool:
@@ -329,6 +331,39 @@ def mat_iterates(rows, v0, k):
     out = [tuple(v0)]
     for _ in range(k):
         out.append(mat_apply(rows, out[-1]))
+    return out
+
+
+def first_violation(inst, limit: int):
+    """Smallest k <= limit with M^k v0 not entrywise nonnegative, or None,
+    for a `PositivityInstance`."""
+    return next((k for k, v in enumerate(mat_iterates(
+        inst.matrix, inst.v0, limit)) if min(v) < 0), None)
+
+
+def positivity_phases(comp, k: int) -> list:
+    """The vector in v1..vn of a `compile_positivity` result's net after
+    each of `k` phases, from v0 on.  A phase fires the canonical schedule
+    for the vector u it starts from through `replay`, one run of a
+    transition at a time: each mul_i u_i times, then each acc_ij of a
+    positive entry |m_ji| u_i times, then those of negative entries, then
+    the restart.  A phase whose iterate has a negative entry jams, and
+    `replay` raises NotFirableError."""
+    net, rows = comp.net, comp.instance.matrix
+    vpos = [net.place_pos(p) for p in comp.v_places]
+    m = net.initial
+    out = [tuple(m[p] for p in vpos)]
+    for _ in range(k):
+        u = out[-1]
+        runs = list(zip(comp.mul_names, u))
+        for positive in (True, False):
+            runs += [(name, abs(rows[j - 1][i - 1]) * u[i - 1])
+                     for (i, j), name in comp.acc_names.items()
+                     if (rows[j - 1][i - 1] > 0) == positive]
+        runs.append((comp.restart, 1))
+        for name, times in runs:
+            m = replay(net, m, [name] * times).markings[-1]
+        out.append(tuple(m[p] for p in vpos))
     return out
 
 

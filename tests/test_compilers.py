@@ -1,8 +1,6 @@
 """Compilers: counter machines to coverability, matrix positivity to
 termination-flavoured reachability."""
 
-import random
-
 import pytest
 
 import machines
@@ -15,17 +13,12 @@ from xpn.compilers import (
     PositivityInstance,
     compile_minsky,
     compile_positivity,
-    first_violation,
-    iterates,
     parse_machine,
     parse_positivity,
-    simulate_machine,
-    simulate_phases,
 )
 from xpn.explore import bounded_cover
 from xpn.fmt import ParseError
-from xpn.net import (BudgetExceededError, Inhibitor, InvalidNetError, Numeric,
-                     Reset, Transfer)
+from xpn.net import InvalidNetError, NotFirableError
 
 MACHINE_TEXT = dict((name, text) for name, text, _ in machines.SUITE)
 
@@ -47,7 +40,7 @@ def oracle_program(cm: CounterMachine) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# counter machine parsing and simulation
+# counter machine parsing
 
 def test_parse_machine_basics():
     cm = parse_machine(MACHINE_TEXT["count_down"])
@@ -81,22 +74,6 @@ def test_parse_machine_errors(text, fragment, line):
         parse_machine(text)
     assert fragment in str(err.value)
     assert err.value.line == line
-
-
-def test_simulate_machine_matches_oracle():
-    for name, text, halts in machines.SUITE:
-        cm = parse_machine(text)
-        assert simulate_machine(cm) is halts, name
-        assert oracles.run_machine(oracle_program(cm), cm.start,
-                                   10_000) is halts, name
-
-
-def test_simulate_machine_budget_exhausted():
-    # counter grows forever, no configuration ever repeats
-    cm = parse_machine("q0: INC 1 -> q0\nqh: HALT")
-    with pytest.raises(BudgetExceededError,
-                       match="^machine exceeded 50 configurations$"):
-        simulate_machine(cm, max_configs=50)
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +122,8 @@ def test_compile_minsky_rejects_colliding_state_names():
 def test_halting_iff_coverable():
     for name, text, halts in machines.SUITE:
         cm = parse_machine(text)
+        assert oracles.run_machine(oracle_program(cm), cm.start,
+                                   10_000) is halts, name
         for transfer in (False, True):
             comp = compile_minsky(cm, transfer=transfer)
             # raises BudgetExceededError unless the answer is definitive
@@ -166,7 +145,7 @@ def test_budget_dominates_counters():
 
 
 # ---------------------------------------------------------------------------
-# positivity parsing and iteration
+# positivity parsing
 
 def test_parse_positivity_round_trip():
     inst = parse_positivity(
@@ -191,22 +170,10 @@ def test_parse_positivity_errors(text, fragment, line):
     assert err.value.line == line
 
 
-def test_iterates_match_oracle():
-    rng = random.Random(20260818)
-    for _ in range(60):
-        n = rng.randint(1, 3)
-        rows = tuple(tuple(rng.randint(-4, 4) for _ in range(n))
-                     for _ in range(n))
-        v0 = tuple(rng.randint(0, 3) for _ in range(n))
-        inst = PositivityInstance(rows, v0)
-        assert tuple(iterates(inst, 6)) == tuple(
-            oracles.mat_iterates(rows, v0, 6))
-
-
 def test_first_violation_frozen():
-    assert first_violation(FIG3, 10) == 1  # M v0 = (4, -11, 0)
-    assert first_violation(FIB, 50) is None
-    assert first_violation(
+    assert oracles.first_violation(FIG3, 10) == 1  # M v0 = (4, -11, 0)
+    assert oracles.first_violation(FIB, 50) is None
+    assert oracles.first_violation(
         PositivityInstance(((1, -1), (1, 0)), (3, 1)), 10) == 2
 
 
@@ -244,17 +211,15 @@ def test_compile_positivity_rejects_negative_start():
 
 
 def test_simulate_phases_fibonacci():
-    rep = simulate_phases(compile_positivity(FIB), 8)
-    assert rep.u_vectors == tuple(
-        oracles.mat_iterates(FIB.matrix, FIB.v0, 8))
-    assert rep.u_vectors[-1] == (34, 55)
-    assert rep.trace.count("restart") == 8
+    vectors = oracles.positivity_phases(compile_positivity(FIB), 8)
+    assert vectors == oracles.mat_iterates(FIB.matrix, FIB.v0, 8)
+    assert vectors[-1] == (34, 55)
 
 
 def test_simulate_phases_rejects_violating_instance():
-    with pytest.raises(ValueError) as err:
-        simulate_phases(compile_positivity(FIG3), 3)
-    assert "iterate 1" in str(err.value)
+    # M v0 = (4, -11, 0): the first phase's negative accumulators starve
+    with pytest.raises(NotFirableError, match="^acc"):
+        oracles.positivity_phases(compile_positivity(FIG3), 3)
 
 
 @pytest.mark.parametrize("inst,k0,cap", [
@@ -264,7 +229,7 @@ def test_simulate_phases_rejects_violating_instance():
 def test_violating_instance_jams(inst, k0, cap):
     # a negative iterate starves the accumulators mid-phase: the net has a
     # finite acyclic state space and the restart fires at most k0 - 1 times
-    assert first_violation(inst, 10) == k0
+    assert oracles.first_violation(inst, 10) == k0
     comp = compile_positivity(inst)
     graph = oracles.reach_graph(comp.net, cap)
     assert graph is not None

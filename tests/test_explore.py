@@ -75,7 +75,7 @@ def test_bounded_deadlock_frozen():
 
 def test_a_found_trace_is_replayed_after_the_visited_markings_are_freed():
     # a token walking a line of places: the trace holds every visited
-    # marking again, so keeping both through the replay doubles the peak
+    # marking again, so keeping both while it is built doubles the peak
     n = 800
     net = parse_net(f"places: {' '.join(f'p{i}' for i in range(n))}\n"
                     "marking: p0=1\n"
@@ -92,7 +92,23 @@ def test_a_found_trace_is_replayed_after_the_visited_markings_are_freed():
     finally:
         tracemalloc.stop()
     assert len(r.trace.markings) == n
-    assert peak <= 1.3 * sum(map(sys.getsizeof, r.trace.markings))
+    # each packed marking on the path is released once unpacked: holding
+    # them all to the end reads about 1.08 here, releasing them 1.01
+    assert peak <= 1.04 * sum(map(sys.getsizeof, r.trace.markings))
+
+
+def test_an_unexplained_step_of_a_found_path_fails_the_trace(monkeypatch):
+    # the search's path is checked step by step by the interpreted rule:
+    # (2, 0) -> (0, 2) is no firing of t
+    def skip_a_step(net, start, goal, target, max_steps):
+        expanded, path, fields = packed._search(net, start, goal, target,
+                                                max_steps)
+        return expanded, [path[0], path[-1]], fields
+
+    assert len(bounded_reach(CHAIN, (0, 2)).trace.transitions) == 2
+    monkeypatch.setattr(explore, "_search", skip_a_step)
+    with pytest.raises(AssertionError, match="^trace replay mismatch$"):
+        bounded_reach(CHAIN, (0, 2))
 
 
 def test_budget_exhaustion():

@@ -10,8 +10,6 @@ import random
 import pytest
 
 import fuzz
-import machines
-from xpn.compilers import parse_machine, simulate_machine
 from xpn.ert import decide_termination
 from xpn.explore import (backward_cover, bounded_cover, bounded_deadlock,
                          bounded_reach)
@@ -90,9 +88,6 @@ def test_renaming_places_and_reversing_transitions_change_no_answer():
 
 def budgeted_call(engine, rng):
     """One seeded input for `engine`, as a function of its budget."""
-    if engine == "simulate_machine":
-        cm = parse_machine(rng.choice(machines.SUITE)[1])
-        return lambda b: simulate_machine(cm, max_configs=b)
     gen = {"backward_cover": fuzz.no_inhibitor_net,
            "decide_termination": fuzz.ert_net,
            "dlf_to_reach": fuzz.hier_ir_net}.get(engine, fuzz.spiced_net)
@@ -124,7 +119,7 @@ def outcome(call, budget):
 
 @pytest.mark.parametrize("engine", [
     "bounded_reach", "bounded_cover", "bounded_deadlock", "backward_cover",
-    "decide_termination", "dlf_to_reach", "simulate_machine"])
+    "decide_termination", "dlf_to_reach"])
 def test_a_larger_budget_never_changes_an_answer(engine):
     """From budget -1 up, each outcome runs out or equals the answer at an
     ample budget, and the three budgets above the first that answers

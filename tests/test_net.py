@@ -545,12 +545,26 @@ def test_package_exports_names_not_submodules():
 
 def test_package_surface():
     # the public names are imported from their modules on first use
-    import hashlib
-
     import xpn
-    assert len(xpn.__all__) == 81 and xpn.__all__ == sorted(xpn.__all__)
-    assert hashlib.sha256(" ".join(xpn.__all__).encode()).hexdigest(
-        ).startswith("1a5f224cfdef5cbb")
+    assert xpn.__all__ == [
+        "Arc", "BackwardCoverResult", "BudgetExceededError", "CounterMachine",
+        "Diagnostic", "Ert", "ErtNode", "Halt", "INHIBIT", "INHIBITOR_KIND",
+        "Inc", "Inhibitor", "InvalidNetError", "JzDec", "KIND_ORDER",
+        "Marking", "MarkingMap", "MinskyCompilation", "Net", "NetClass",
+        "NonTerminating", "NotEligibleError", "NotFirableError", "Numeric",
+        "ParseError", "PositivityCompilation", "PositivityInstance", "RESET",
+        "RESET_KIND", "Reset", "SearchResult", "TRANSFER_KIND", "Terminating",
+        "Trace", "Transfer", "TransformError", "TransformResult",
+        "Transition", "UnknownTransitionError", "UpwardClosedSet", "XpnError",
+        "backward_cover", "bounded_cover", "bounded_deadlock",
+        "bounded_reach", "build_ert", "check_eligible", "classify",
+        "compile_minsky", "compile_positivity", "decide_termination",
+        "dlf_to_reach", "ert_dot", "export_dot", "fire", "format_marking",
+        "has_errors", "hir_elim", "hir_elim_all", "hirct_elim", "is_firable",
+        "parse_machine", "parse_marking", "parse_net", "parse_positivity",
+        "parse_trace", "reach_to_dlf", "render_net", "render_trace", "replay",
+        "require_valid", "successors", "transfer_hierarchize",
+        "two_inh_to_reset", "validate", "verify_pump"]
     star = {}
     exec("from xpn import *", star)
     assert set(xpn.__all__) <= star.keys() and set(xpn.__all__) <= set(dir(xpn))

@@ -75,14 +75,6 @@ def test_marking_map_call():
     assert MarkingMap(tuple(identity_entries(3)))((5, 6, 7)) == (5, 6, 7)
 
 
-def test_marking_map_compose():
-    inner = MarkingMap(((COPY, 0), (CONST, 2)))
-    outer = MarkingMap(((COPY, 1), (COPY, 0), (CONST, 9)))
-    both = outer.compose(inner)
-    for m in [(0,), (3,), (11,)]:
-        assert both(m) == outer(inner(m))
-
-
 # ---------------------------------------------------------------------------
 # reset elimination
 
@@ -370,6 +362,12 @@ def test_reach_to_dlf_frozen():
         reach_to_dlf(src, (0,))
     with pytest.raises(TransformError):
         reach_to_dlf(src, (0, -1))
+    # worded as the searches word it
+    for target, text in (((0, 1.5), r"\(0, 1\.5\)"),
+                         ((0, "1"), r"\(0, '1'\)")):
+        with pytest.raises(TransformError, match=(
+                rf"^target marking {text} has a non-integer entry$")):
+            reach_to_dlf(src, target)
 
 
 def test_reach_to_dlf_fuzz():

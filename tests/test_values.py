@@ -11,7 +11,7 @@ import pytest
 from xpn import (BackwardCoverResult, CounterMachine, Diagnostic, Ert,
                  ErtNode, Halt, INHIBIT, Inc, Inhibitor, JzDec, MarkingMap,
                  MinskyCompilation, Net, NetClass, NonTerminating, Numeric,
-                 PhaseReport, PositivityCompilation, PositivityInstance, RESET,
+                 PositivityCompilation, PositivityInstance, RESET,
                  Reset, SearchResult, Terminating, Trace, Transfer,
                  TransformResult, Transition)
 
@@ -93,8 +93,6 @@ CASES = [
      "v_places=('v1',), nv_places=('nv1',), w_places={}, "
      "mul_names=('mul1',), acc_names={}, restart='restart', colsums=(1,))",
      False),
-    (PhaseReport, {"u_vectors": ((2,),), "trace": ("mul1",)},
-     "PhaseReport(u_vectors=((2,),), trace=('mul1',))", True),
 ]
 
 IDS = [f"{cls.__name__}-{i}" for i, (cls, *_) in enumerate(CASES)]
@@ -107,7 +105,7 @@ def test_every_public_value_class_has_a_case():
                 if isinstance(v, type) and v.__module__.startswith("xpn.")
                 and not issubclass(v, Exception) and v is not UpwardClosedSet}
     assert exported == {cls for cls, *_ in CASES}
-    assert len(exported) == 25
+    assert len(exported) == 24
 
 
 @pytest.mark.parametrize("cls, fields, text, hashable", CASES, ids=IDS)
@@ -159,7 +157,7 @@ def test_equality_is_per_class():
     assert Numeric(1) == Numeric(1) and Numeric(1) != Numeric(2)
     assert Numeric(3) != Terminating(3)
     assert Halt() == Halt() and Halt() != Inhibitor()
-    assert Trace((), ()) != PhaseReport((), ())
+    assert Trace((), ()) != PositivityInstance((), ())
     assert len({INHIBIT, Inhibitor(), RESET, Reset()}) == 2
 
 

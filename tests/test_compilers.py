@@ -76,6 +76,14 @@ def test_parse_machine_errors(text, fragment, line):
     assert err.value.line == line
 
 
+def test_simulate_machine_matches_oracle():
+    # the oracle's direct run of every suite machine agrees with its label
+    for name, text, halts in machines.SUITE:
+        cm = parse_machine(text)
+        assert oracles.run_machine(oracle_program(cm), cm.start,
+                                   10_000) is halts, name
+
+
 # ---------------------------------------------------------------------------
 # counter machine compilation
 
@@ -122,8 +130,6 @@ def test_compile_minsky_rejects_colliding_state_names():
 def test_halting_iff_coverable():
     for name, text, halts in machines.SUITE:
         cm = parse_machine(text)
-        assert oracles.run_machine(oracle_program(cm), cm.start,
-                                   10_000) is halts, name
         for transfer in (False, True):
             comp = compile_minsky(cm, transfer=transfer)
             # raises BudgetExceededError unless the answer is definitive

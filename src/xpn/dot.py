@@ -4,16 +4,8 @@ never reorders or renames anything."""
 
 from __future__ import annotations
 
-from .fmt import _writes_counts
+from .fmt import _esc, _q, _writes_counts
 from .net import Inhibitor, Net, Numeric, Reset, Transfer
-
-
-def _esc(s: str) -> str:
-    return s.replace("\\", "\\\\").replace('"', '\\"')
-
-
-def _q(s: str) -> str:
-    return '"' + _esc(s) + '"'
 
 
 @_writes_counts

@@ -53,9 +53,9 @@ from itertools import compress
 # importable from this module because the benchmark's tracer wraps
 # `ert.classify` and `ert.successors`
 from .net import (BudgetExceededError, Marking, Net, Trace, XpnError, _Value,
-                  _leq, _set, classify, fire, replay, successors)
+                  _ert_fault, _leq, _set, classify, fire, replay, successors)
 from .packed import _Fields, _Widen, _firing_rows
-from .fmt import _writes_counts
+from .fmt import _q, _writes_counts
 
 
 class NotEligibleError(XpnError):
@@ -104,17 +104,12 @@ class Ert(_Value):
 
 
 def check_eligible(net: Net):
-    """Raise NotEligibleError unless `net` has no transfer arc and every
-    transition's inhibitor pre-places are downward closed: the two facts
-    of `classify` the walk needs, read off the plan alone, as every
-    query pays for them."""
-    plan = net._plan()
-    if any([op.xfers for op in plan]):
-        raise NotEligibleError("transfer arcs are not supported")
-    # inhibitor places are downward closed iff they fill 0 .. index - 1
-    if any([op.index != len(op.inhib) for op in plan]):
-        raise NotEligibleError(
-            "some transition's inhibitor pre-places are not downward closed")
+    """Raise NotEligibleError, with the reason `_ert_fault` gives, unless
+    `classify(net).ert_eligible`: no transfer arc, and every transition's
+    inhibitor pre-places downward closed."""
+    fault = _ert_fault(net._plan())
+    if fault:
+        raise NotEligibleError(fault)
 
 
 def _over(max_nodes: int) -> BudgetExceededError:
@@ -407,6 +402,8 @@ def ert_dot(net: Net, ert: Ert) -> str:
     """DOT rendering of the tree; subsumed leaves are doubled and linked to
     the ancestor that cuts them."""
     lines = ["digraph ert {", "  node [fontname=\"Helvetica\"];"]
+    # each transition name quoted once
+    label_of = {v: _q(v) for v in {n.via for n in ert.nodes} - {None}}
     for i, n in enumerate(ert.nodes):
         label = " ".join(str(c) for c in n.marking)
         extra = ""
@@ -417,7 +414,7 @@ def ert_dot(net: Net, ert: Ert) -> str:
         lines.append(f"  n{i} [label=\"{label}\"{extra}];")
     for i, n in enumerate(ert.nodes):
         if n.parent is not None:
-            lines.append(f"  n{n.parent} -> n{i} [label=\"{n.via}\"];")
+            lines.append(f"  n{n.parent} -> n{i} [label={label_of[n.via]}];")
         if n.subsumed_by is not None:
             lines.append(
                 f"  n{i} -> n{n.subsumed_by} [style=dashed color=red "

@@ -12,13 +12,14 @@ and is exact, but only supports nets without inhibitor arcs; its budget
 counts candidate predecessors and raises BudgetExceededError.  It runs on
 packed markings throughout: the basis is one int (`UpwardClosedSet`), and
 each transition's minimal predecessors of a packed element are built from
-one row of packed ints per transition (`_rows`, `_predecessors`).  Both
+one row of packed ints per transition (`_predecessors`), which `_rows`
+builds from the transition's firing row (`packed._firing_rows`).  Both
 searches widen their fields by the protocol of `packed`.
 """
 
 from __future__ import annotations
 
-from itertools import pairwise, product
+from itertools import product
 from math import comb
 
 # forward search runs `_search`; `explore.successors` stays a name because
@@ -27,7 +28,7 @@ from math import comb
 from .net import (BudgetExceededError, Marking, Net, Trace, XpnError, _Value,
                   _apply, _effects, _enabled, _set, replay, require_valid,
                   successors)
-from .packed import _Fields, _Widen, _search
+from .packed import _Fields, _Widen, _firing_rows, _search
 
 
 class SearchResult(_Value):
@@ -40,36 +41,6 @@ class SearchResult(_Value):
     @property
     def found(self) -> bool:
         return self.trace is not None
-
-
-def _path_names(net: Net, path: list, fields: _Fields) -> list:
-    """The transition names along `path`, markings packed by `fields`
-    from the initial one to a hit.  Each step's is recovered by the
-    interpreted rule: the first transition in declaration order that fires
-    the predecessor to the marking, the one whose successor the search
-    stored.  Only a transition acting on a place where the two differ can,
-    so just those acting on the first such place, the lowest set bit of
-    their XOR, are tried; a step none explains raises AssertionError.  Two
-    markings are unpacked at a time."""
-    plan = net._plan()
-    acting = [[] for _ in net.places]  # per place, in declaration order
-    for op in plan:
-        for p in set().union(*_effects(op)):  # every place `op` acts on
-            acting[p].append(op)
-    names = []
-    at = fields.decode(path[0])
-    for x, y in pairwise(path):
-        prev, at, diff = at, fields.decode(y), x ^ y
-        d = ((diff & -diff).bit_length() - 1) // fields.width
-        for name, numeric, inhib, resets, xfers, posts, _ in (
-                acting[d] if diff else plan):
-            if (_enabled(prev, numeric, inhib)
-                    and _apply(prev, numeric, resets, xfers, posts) == at):
-                break
-        else:
-            raise AssertionError("trace replay mismatch")
-        names.append(name)
-    return names
 
 
 def _target(net: Net, target, cover: bool) -> tuple:
@@ -85,9 +56,14 @@ def _target(net: Net, target, cover: bool) -> tuple:
 
 def _bfs(net: Net, goal: str, target, max_steps: int) -> SearchResult:
     """Shared engine from the initial marking, `goal` and `target` as in
-    `packed._search`, the target checked first.  A hit's trace is fired
-    once, by the interpreted rule (`_path_names`); then its markings are
-    unpacked, each packed one released once unpacked."""
+    `packed._search`, the target checked first.  A hit's trace is built in
+    one pass over the packed path, each marking popped off it and unpacked
+    once, and each step fired by the interpreted rule: the first
+    transition in declaration order that fires the predecessor to the
+    marking, the one whose successor the search stored.  Only a transition
+    acting on a place where the two differ can, so just those acting on
+    the first such place, the lowest set bit of their XOR, are tried; a
+    step none explains raises AssertionError."""
     require_valid(net)  # so the initial marking fits the places
     if target is not None:
         target = _target(net, target, goal == "cover")
@@ -95,11 +71,28 @@ def _bfs(net: Net, goal: str, target, max_steps: int) -> SearchResult:
                                      max_steps)
     if path is None:
         return SearchResult(None, expanded)
-    names, markings = _path_names(net, path, fields), [net.initial]
+    plan, names, markings, acting = net._plan(), [], [net.initial], None
     path.reverse()
-    path.pop()
+    x = path.pop()
     while path:
-        markings.append(fields.decode(path.pop()))
+        y = path.pop()
+        prev, at, diff = markings[-1], fields.decode(y), x ^ y
+        if acting is None:  # per place, the ops acting on it, in order
+            acting = [[] for _ in net.places]
+            for op in plan:
+                for p in set().union(*_effects(op)):
+                    acting[p].append(op)
+        d = ((diff & -diff).bit_length() - 1) // fields.width
+        for name, numeric, inhib, resets, xfers, posts, _ in (
+                acting[d] if diff else plan):
+            if (_enabled(prev, numeric, inhib)
+                    and _apply(prev, numeric, resets, xfers, posts) == at):
+                break
+        else:
+            raise AssertionError("trace replay mismatch")
+        names.append(name)
+        markings.append(at)
+        x = y
     return SearchResult(Trace(tuple(names), tuple(markings)), expanded)
 
 
@@ -302,10 +295,11 @@ class BackwardCoverResult(_Value):
 
 def _rows(plan, fields: _Fields) -> list:
     """One row per op of `plan` for `_predecessors`, packed at the width
-    of `fields`, whose limit exceeds every weight.  It reads the op's
-    numeric weights and posts, and its zeroed places and transfers from
-    `_effects`.  A place is plain if it is neither zeroed nor fed by a
-    transfer, and killed if it is zeroed and not fed.  The row holds:
+    of `fields`, whose limit exceeds every weight, and built from the op's
+    firing row (`packed._firing_rows`): its weights `w`, its posts
+    `d + w`, its zeroed fields `zero` and its transfers `xfers`.  A place
+    is plain if it is neither zeroed nor fed by a transfer, and killed if
+    it is zeroed and not fed.  The row holds:
 
     - the numeric weights;
     - full fields over the plain places, and the posts there;
@@ -317,30 +311,24 @@ def _rows(plan, fields: _Fields) -> list:
       the bottom of each slot;
     - the fields' guard bits, width and head, and a cache of the packed
       splits of a demand over a target's slots."""
-    w = fields.width
-    full, top = (1 << w) - 1, 1 << (w - 1)
-    every = fields.ones * full
+    w, guard = fields.width, fields.guard
+    full = (1 << w) - 1
     rows = []
-    for op in plan:
-        _, zeroed, moved = _effects(op)
-        pre = sum(x << p * w for p, x in op.numeric)
-        posts = dict(op.posts)
-        plain, post, kill, kguard = every, 0, 0, 0
-        for q in zeroed | moved.keys():
-            plain ^= full << q * w
-        for q in zeroed - moved.keys():
-            kill |= full << q * w
-            kguard |= top << q * w
-        for q, x in posts.items():
-            if plain >> q * w & 1 or kill >> q * w & 1:
-                post += x << q * w
+    for _, pre, _, d, zero, xfers in _firing_rows(plan, fields):
+        posts, fed = d + pre, {}  # target shift -> its source shifts
+        for src, q in xfers:
+            fed.setdefault(q, []).append(src)
+        targets = sum([full << q for q in fed])
+        plain = fields.ones * full & ~(zero | targets)
+        kill = zero & ~targets
+        kguard = kill & guard
         groups = []
-        for q, srcs in sorted(moved.items()):
-            slots = ([] if q in zeroed else [q]) + srcs
-            groups.append((q * w, posts.get(q, 0), [s * w for s in slots],
-                           sum(1 << s * w for s in slots)))
-        rows.append((pre, plain, post & plain, kill, (post & kill) | kguard,
-                     kguard, groups, fields.guard, w, fields.head, {}))
+        for q, srcs in sorted(fed.items()):
+            slots = srcs if zero >> q & 1 else [q] + srcs
+            groups.append((q, posts >> q & full, slots,
+                           sum([1 << s for s in slots])))
+        rows.append((pre, plain, posts & plain, kill, posts & kill | kguard,
+                     kguard, groups, guard, w, fields.head, {}))
     return rows
 
 

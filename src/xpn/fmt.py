@@ -238,6 +238,16 @@ def _writes_counts(fn):
     return writer
 
 
+def _esc(s: str) -> str:
+    """`s` escaped for a quoted DOT string."""
+    return s.replace("\\", "\\\\").replace('"', '\\"')
+
+
+def _q(s: str) -> str:
+    """`s` as a quoted DOT string, for both DOT writers."""
+    return '"' + _esc(s) + '"'
+
+
 def _check_name(name: str) -> str:
     m = _NAME_RE.fullmatch(name)
     if not m:

@@ -546,8 +546,9 @@ class NetClass(_Value):
     A kind is hierarchical when every arc of that kind sits above an
     unbroken run of special arcs: if place p carries such an arc into t,
     every place below p carries some non-numeric arc into t too.
-    `ert_eligible` is the stricter per-transition condition that inhibitor
-    pre-places form a downward-closed set on their own.
+    `ert_eligible` says whether the termination walk takes the net: no
+    transfer arc, and each transition's inhibitor pre-places form a
+    downward-closed set on their own (`_ert_fault`).
     """
 
     __slots__ = _fields = ("specials", "hierarchical", "constrained_transfer",
@@ -591,6 +592,17 @@ def classify(net: Net) -> NetClass:
 
     specials = tuple(k for k in KIND_ORDER if k in present)
     hierarchical = tuple(k for k in specials if hier_ok[k])
+    return NetClass(specials, hierarchical, constrained,
+                    _ert_fault(plan) is None)
+
+
+def _ert_fault(plan):
+    """Why the termination walk refuses `plan`, or None if it takes it:
+    the one definition of ERT eligibility, for `classify` and
+    `ert.check_eligible`."""
+    if any([op.xfers for op in plan]):
+        return "transfer arcs are not supported"
     # inhibitor places are downward closed iff they fill 0 .. index - 1
-    eligible = all(op.index == len(op.inhib) for op in plan)
-    return NetClass(specials, hierarchical, constrained, eligible)
+    if any([op.index != len(op.inhib) for op in plan]):
+        return "some transition's inhibitor pre-places are not downward closed"
+    return None

@@ -5,19 +5,20 @@ rows of packed ints, and the forward search with its generated loops.
 packs every visited marking into one int from the start (`_Fields`: a
 field of 8, 16, 32, ... bits per place, in place order).  Its table tier
 (`_table_loop`) reads one row of packed ints per transition
-(`_firing_rows`, which the termination walk reads too): one guard-bit
-subtraction tests the numeric arcs, one AND the inhibitor arcs, and a
-successor is one addition, one AND for the emptied places and one shift
-per transfer.  Once compiling pays (`_COMPILE_COST`) the
-search goes on in one loop generated per net, goal and field width: one
-unpack per marking, one `if` per transition, one int expression per
-successor (one list, for a transition that changes many places), and
-the goal test on the packed marking.  Each loop is compiled at most once
-per net, goal and width.  The generator, the field widths and `explore`
-read what a transition does to each place from `net._effects` alone,
+(`_firing_rows`, which all three packed engines read: this search, the
+termination walk, and backward coverability, whose rows `explore._rows`
+builds from them): one guard-bit subtraction tests the numeric arcs, one
+AND the inhibitor arcs, and a successor is one addition, one AND for the
+emptied places and one shift per transfer.  Once compiling pays
+(`_COMPILE_COST`) the search goes on in one loop generated per net, goal
+and field width: one unpack per marking, one `if` per transition, one int
+expression per successor (one list, for a transition that changes many
+places), and the goal test on the packed marking.  Each loop is compiled
+at most once per net, goal and width.  The generator and the field
+widths read what a transition does to each place from `net._effects`,
 and a firing row packs the same effect from the arcs; `net._apply` reads
 the arcs on its own, so recovering each step of a found trace by it
-(`explore._path_names`) is an independent check of both tiers.
+(`explore._bfs`) is an independent check of both tiers.
 
 Widening, one protocol for the forward search, the termination walk
 (`ert`) and backward coverability (`explore`).  Each field keeps spare top

@@ -2,14 +2,15 @@
 against.  Everything here works on plain dicts and the public net
 structure only; none of it shares code with the library's firing plan,
 search engines or tree walk.  The one exception, `positivity_phases`,
-fires a schedule through the library's `replay`: it checks what the
+fires a schedule through the library's `fire`: it checks what the
 positivity compiler builds, not the firing rule."""
 
 from itertools import product
 from math import comb, prod
 
 from xpn.net import (INHIBITOR_KIND, KIND_ORDER, RESET_KIND, TRANSFER_KIND,
-                     Inhibitor, NetClass, Numeric, Reset, Transfer, replay)
+                     Inhibitor, NetClass, Numeric, Reset, Transfer)
+from xpn.net import fire as lib_fire
 
 
 def enabled(t, m: dict) -> bool:
@@ -344,11 +345,11 @@ def first_violation(inst, limit: int):
 def positivity_phases(comp, k: int) -> list:
     """The vector in v1..vn of a `compile_positivity` result's net after
     each of `k` phases, from v0 on.  A phase fires the canonical schedule
-    for the vector u it starts from through `replay`, one run of a
-    transition at a time: each mul_i u_i times, then each acc_ij of a
+    for the vector u it starts from through the library's `fire`, keeping
+    only the current marking: each mul_i u_i times, then each acc_ij of a
     positive entry |m_ji| u_i times, then those of negative entries, then
     the restart.  A phase whose iterate has a negative entry jams, and
-    `replay` raises NotFirableError."""
+    `fire` raises NotFirableError."""
     net, rows = comp.net, comp.instance.matrix
     vpos = [net.place_pos(p) for p in comp.v_places]
     m = net.initial
@@ -362,7 +363,8 @@ def positivity_phases(comp, k: int) -> list:
                      if (rows[j - 1][i - 1] > 0) == positive]
         runs.append((comp.restart, 1))
         for name, times in runs:
-            m = replay(net, m, [name] * times).markings[-1]
+            for _ in range(times):
+                m = lib_fire(net, m, name)
         out.append(tuple(m[p] for p in vpos))
     return out
 
@@ -441,8 +443,10 @@ def classify(net) -> NetClass:
                 if not all(q in special_pos for q in range(p)):
                     hier_ok[k] = False
                     break
+        # the termination walk takes no transfer arc, and inhibitor
+        # pre-places only as a downward-closed set
         inh = sorted(kind_pos[INHIBITOR_KIND])
-        if inh != list(range(len(inh))):
+        if kind_pos[TRANSFER_KIND] or inh != list(range(len(inh))):
             eligible = False
 
     specials = tuple(k for k in KIND_ORDER if k in present)

@@ -91,6 +91,15 @@ def test_classify_specials(run):
     assert lines[4] == "ert-eligible: yes"
 
 
+def test_classify_says_a_transfer_net_is_not_ert_eligible(run):
+    # as `terminate` refuses it
+    net = "places: a b\nmarking: a=1\ntrans t: xfer a->b ; out a\n"
+    code, out, _, _ = run("classify", "n.xpn", files={"n.xpn": net})
+    assert code == 0 and out.splitlines()[4] == "ert-eligible: no"
+    code, out, err, _ = run("terminate", "n.xpn", files={"n.xpn": net})
+    assert code == 2 and err == "error: transfer arcs are not supported\n"
+
+
 def test_usage_error_is_exit_two():
     with pytest.raises(SystemExit) as err:
         cli.main(["no-such-verb"])

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import random
+import re
 
 import pytest
 
@@ -21,9 +22,10 @@ from xpn.ert import (
     transition_index,
     verify_pump,
 )
+from xpn.dot import export_dot
 from xpn.explore import replay
 from xpn.fmt import parse_net
-from xpn.net import XpnError
+from xpn.net import Net, Numeric, Transition, XpnError, classify
 
 LOOP = parse_net("places: a\nmarking: a=1\ntrans t: in a ; out a")
 CHAIN = parse_net("places: a\nmarking: a=3\ntrans t: in a ;")
@@ -147,6 +149,26 @@ def test_eligibility():
         decide_termination(parse_net("places: a b\ntrans t: inh b, in a ;"))
 
 
+def test_classify_and_check_eligible_agree_on_the_fuzz_corpora():
+    # one predicate decides both, so a net `classify` calls eligible is
+    # one the walk takes, on every generator's nets
+    gens = [g for name, g in vars(fuzz).items()
+            if name.endswith("_net") and name != "finite_net"]
+    seen = set()
+    for seed, gen in enumerate(gens):
+        rng = random.Random(3900 + seed)
+        for _ in range(150):
+            n = gen(rng)
+            try:
+                check_eligible(n)
+                takes = True
+            except NotEligibleError:
+                takes = False
+            assert classify(n).ert_eligible == takes, (gen.__name__, n)
+            seen.add(takes)
+    assert seen == {True, False}
+
+
 def test_budget_is_an_error_not_a_verdict():
     big = parse_net("places: a\nmarking: a=10\ntrans t: in a ;")
     with pytest.raises(BudgetExceededError):
@@ -180,6 +202,17 @@ def test_full_tree_structure():
     kids = {n.parent for n in ert.nodes if n.parent is not None}
     for i, n in enumerate(ert.nodes):
         assert n.status == ("inner" if i in kids else "deadlock")
+
+
+def test_ert_dot_quotes_names_as_export_dot_does():
+    # names the .xpn reader refuses but a net built in code may hold
+    names = ['t"x', "a\\b", 'q\\"']
+    n = Net(("a",), [Transition(t, {"a": Numeric(1)}, {"a": 1})
+                     for t in names], (1,))
+    quoted = r'("(?:[^"\\]|\\.)*")'
+    boxes = re.findall(r"shape=box label=" + quoted, export_dot(n))
+    edges = re.findall(r"-> n\d+ \[label=" + quoted, ert_dot(n, build_ert(n)))
+    assert edges == boxes == ['"t\\"x"', '"a\\\\b"', '"q\\\\\\""']
 
 
 def test_stop_early_tree_leaves_unexpanded_nodes_inner():

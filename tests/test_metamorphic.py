@@ -15,8 +15,8 @@ from xpn.explore import (backward_cover, bounded_cover, bounded_deadlock,
                          bounded_reach)
 from xpn.fmt import parse_net, render_net
 from xpn import packed
-from xpn.net import (BudgetExceededError, INHIBITOR_KIND, TRANSFER_KIND, Net,
-                     Transfer, Transition, classify)
+from xpn.net import (BudgetExceededError, INHIBITOR_KIND, Net, Transfer,
+                     Transition, classify)
 from xpn.transforms import dlf_to_reach
 
 
@@ -46,7 +46,7 @@ def answers(net, targets):
     net = back
     cls = classify(net)
     out = {"classify": cls}
-    if cls.ert_eligible and TRANSFER_KIND not in cls.specials:
+    if cls.ert_eligible:
         v = decide_termination(net)
         out["terminate"] = (type(v).__name__, getattr(v, "tree_size", None))
     # each net's reachable graph fits under the step budget, so every

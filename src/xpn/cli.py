@@ -23,39 +23,32 @@ import argparse
 import functools
 import sys
 
+from . import _EXPORTS, _HOME
 from .fmt import ParseError, format_marking, parse_marking, parse_net, \
     parse_trace, render_net, render_trace
 from .net import (BudgetExceededError, InvalidNetError, NotFirableError,
                   XpnError, classify, has_errors, replay, require_valid,
                   validate)
 
-# module -> the names of it that verbs run; `_need` binds them and the module
-# as globals here, keeping a name already bound, such as a tracer's wrapper
-_LAZY = {
-    "explore": ("backward_cover", "bounded_cover", "bounded_deadlock",
-                "bounded_reach"),
-    "ert": ("NonTerminating", "Terminating", "build_ert", "decide_termination",
-            "ert_dot", "verify_pump"),
-    "transforms": (), "compilers": (), "dot": ("export_dot",),
-}
-
 
 def _need(module: str):
+    """Bind `module` and its names in `xpn._EXPORTS` as globals here,
+    keeping a name already bound, such as a tracer's wrapper."""
     if module in globals():
         return
     __import__(f"{__package__}.{module}")
     mod = sys.modules[f"{__package__}.{module}"]
-    for name in _LAZY[module]:
+    for name in _EXPORTS[module].split():
         globals().setdefault(name, getattr(mod, name))
     globals()[module] = mod
 
 
 def __getattr__(name):
-    for module, names in _LAZY.items():
-        if name == module or name in names:
-            _need(module)
-            return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _HOME.get(name, name if name in _EXPORTS else None)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _need(module)
+    return globals()[name]
 
 
 class _Fail(Exception):

@@ -14,16 +14,16 @@ eligible nets, so running out of node budget is a resource error, not a
 verdict.
 
 The walk runs on markings packed into one int each (`packed._Fields`), from
-the root on.  Each transition is one firing row of packed ints, made by
-the same function as the forward search's rows (`packed._firing_rows`): one
+the root on.  It reads the firing table of the forward search's table tier
+(`packed._table`): one row of packed ints per transition, where one
 guard-bit subtraction tests its numeric arcs, one AND its inhibitor arcs,
-and a child is one addition less one AND for its reset places.  An
-ancestor subsumes a child when one guard-bit subtraction finds it <= the
-child and one AND finds them equal on the prefix.  On nets whose rows
-cost more to test than to index, the walk tests only the transitions
-whose first numeric pre-place a marking marks (and those with none).  A
-child with an entry near its field's limit starts the walk again at a
-wider field (the widening protocol of `packed`).  Markings are decoded
+and a child is one addition less one AND for its reset places; the table's
+one cost rule decides when a marking tests only the transitions whose
+first numeric pre-place it marks (and those with none).  An ancestor
+subsumes a child when one guard-bit subtraction finds it <= the child and
+one AND finds them equal on the prefix.  A child with an entry near its
+field's limit starts the walk again at a wider field (the widening
+protocol of `packed`).  Markings are decoded
 only for the recorded nodes, once per distinct marking; certificates are
 replayed by the interpreted firing rule.
 
@@ -47,14 +47,12 @@ closed set, reset arcs are unrestricted, transfer arcs are absent.
 
 from __future__ import annotations
 
-from itertools import compress
-
 # `classify` and `successors` are no longer called here; they stay
 # importable from this module because the benchmark's tracer wraps
 # `ert.classify` and `ert.successors`
 from .net import (BudgetExceededError, Marking, Net, Trace, XpnError, _Value,
                   _ert_fault, _leq, _set, classify, fire, replay, successors)
-from .packed import _Fields, _Widen, _firing_rows
+from .packed import _Fields, _Widen, _table
 from .fmt import _q, _writes_counts
 
 
@@ -132,13 +130,6 @@ def _adds_no_tokens(plan) -> bool:
     return True
 
 
-# The walk tests only the transitions a marking's marked places index
-# when its rows, each tested in about one step per 32-bit word of the
-# packed marking, cost more than _INDEX_COST steps per place to unpack
-# the marking and merge the candidates.
-_INDEX_COST = 4
-
-
 # A node on the current path of the walk, a frame, is a list (cheaper to
 # make and read than an object): [id, marking, via, via_index, todo,
 # size], its number in the tree, its packed marking, the transition into
@@ -174,46 +165,13 @@ def _certificate(net: Net, path, anc: int, leaf_via: str):
     return NonTerminating(stem, pump)
 
 
-def _children(plan, rows, fields: _Fields, places: int):
-    """`children(m)`: the enabled (op position, packed successor) pairs at
-    the packed marking m, in declaration order, from the firing `rows`
-    of `plan`; it raises `packed._Widen` with a successor that has an
-    entry at or above the limit.  When testing every row costs more than
-    indexing (`_INDEX_COST`), it tests only the ops with no numeric
-    pre-arc and those whose first numeric pre-place m marks."""
-    live = [(k, *row) for k, row in enumerate(rows) if row is not None]
-    head, read, size = fields.head, fields.read, fields.size
-    at, always, by_place = range(places), [], None
-    if len(live) * (size // 4 + 1) > _INDEX_COST * places:
-        by_place = [[] for _ in at]
-        for row in live:
-            numeric = plan[row[0]].numeric
-            (by_place[numeric[0][0]] if numeric else always).append(row)
-
-    def children(m):
-        out = []
-        # rows are (position, ...) tuples: sorting merges by position
-        for k, g, w, inhib, d, zero, _ in live if by_place is None else sorted(
-                always + [row for p in compress(at, read(m.to_bytes(
-                    size, "little"))) for row in by_place[p]]):
-            if (m | g) - w & g == g and not m & inhib:
-                s = m + d
-                if zero:
-                    s -= m & zero
-                if s & head:
-                    raise _Widen(s)
-                out.append((k, s))
-        return out
-    return children
-
-
 def _walk(net: Net, max_nodes: int, rng, nodes, stop_early: bool):
     """Walk the tree depth-first, keeping only the current path, and return
     Terminating(tree_size) or the certificate of the first cut.  `rng`
     shuffles each node's children.
 
     Markings are packed ints (`_Fields`) from the root on, and children
-    come from one firing row per transition (`_children`).  When a child
+    come from the firing table (`packed._table`).  When a child
     needs wider fields (`packed`'s widening), the walk starts again with
     `rng` and `nodes` as they were given, so it draws, numbers and counts
     as one walk at that width would.
@@ -251,8 +209,8 @@ def _walk(net: Net, max_nodes: int, rng, nodes, stop_early: bool):
     state = None if rng is None else rng.getstate()
     while True:
         try:
-            return _walk_at(net, plan, _firing_rows(plan, fields), fields,
-                            lookup, max_nodes, rng, nodes, stop_early)
+            return _walk_at(net, plan, fields, lookup, max_nodes, rng, nodes,
+                            stop_early)
         except _Widen as e:
             fields = fields.wider(e.args[0])
             if rng is not None:
@@ -261,15 +219,16 @@ def _walk(net: Net, max_nodes: int, rng, nodes, stop_early: bool):
                 nodes[:] = [None]
 
 
-def _walk_at(net: Net, plan, rows, fields: _Fields, lookup: bool,
-             max_nodes: int, rng, nodes, stop_early: bool):
-    """`_walk` at the width of `fields`, whose firing `rows` it reads."""
+def _walk_at(net: Net, plan, fields: _Fields, lookup: bool, max_nodes: int,
+             rng, nodes, stop_early: bool):
+    """`_walk` at the width of `fields`, on the firing table (`_table`)
+    of `plan` there."""
     names = [op.name for op in plan]
     levels = [op.index for op in plan]
-    width, guard = fields.width, fields.guard
+    width, guard, head = fields.width, fields.guard, fields.head
     prefix = None if lookup else {i: (1 << i * width) - 1
                                   for i in {0, *levels}}
-    children = _children(plan, rows, fields, len(net.places))
+    rows, pick = _table(plan, fields)
     seen: dict = {}
     path: list = []
     marking: dict = {}  # each packed marking the recorded nodes hold, decoded
@@ -284,10 +243,18 @@ def _walk_at(net: Net, plan, rows, fields: _Fields, lookup: bool,
 
     def push(nid, m, via, via_index):
         """Put node `m`, already in `seen` at the path's end, on the path
-        and make its children; return whether the walk stops at a cut
-        among them."""
+        and make its children, raising `_Widen` with one that needs wider
+        fields; return whether the walk stops at a cut among them."""
         nonlocal count, cut
-        succ = children(m)
+        succ = []
+        for k, g, w, inhib, d, zero, _ in rows if pick is None else pick(m):
+            if (m | g) - w & g == g and not m & inhib:
+                s = m + d
+                if zero:
+                    s -= m & zero
+                if s & head:
+                    raise _Widen(s)
+                succ.append((k, s))
         if rng is not None:
             rng.shuffle(succ)
         if nodes is not None:

@@ -314,7 +314,7 @@ def _rows(plan, fields: _Fields) -> list:
     w, guard = fields.width, fields.guard
     full = (1 << w) - 1
     rows = []
-    for _, pre, _, d, zero, xfers in _firing_rows(plan, fields):
+    for _, _, pre, _, d, zero, xfers in _firing_rows(plan, fields):
         posts, fed = d + pre, {}  # target shift -> its source shifts
         for src, q in xfers:
             fed.setdefault(q, []).append(src)

@@ -257,8 +257,9 @@ def _check_name(name: str) -> str:
 
 @_writes_counts
 def render_net(net: Net, header=()) -> str:
-    """Canonical text for `net`; `header` lines are emitted as comments."""
-    lines = [f"# {h}" if h else "#" for h in header]
+    """Canonical text for `net`; each line of `header`'s entries a comment."""
+    lines = [f"# {h}" if h else "#"
+             for entry in header for h in entry.splitlines() or [""]]
     checked = set()  # names already known to be writable
 
     def name(n: str) -> str:

@@ -159,8 +159,8 @@ class Net(_Value):
     """`places` is a tuple of names, whose positions are the hierarchy
     order; `transitions` a tuple of `Transition`s in declaration order;
     `initial` the initial marking.  The fields live in the instance's
-    `__dict__`, beside the caches: the index of names, the plan and the
-    generated loops."""
+    `__dict__`, beside the caches: the index of names, the plan, the
+    packed search's base fields and its generated loops."""
 
     _fields = ("places", "transitions", "initial")
 
@@ -184,7 +184,7 @@ class Net(_Value):
         for i, name in enumerate(names):
             tpos.setdefault(name, i)
         self.__dict__.update(_pos={p: i for i, p in enumerate(self.places)},
-                             _tpos=tpos, _ops=None, _loops={})
+                             _tpos=tpos, _ops=None, _base=None, _loops={})
 
     def __getattr__(self, name):
         # only a net read from records lacks `transitions`, until read

@@ -9,7 +9,10 @@ field of 8, 16, 32, ... bits per place, in place order).  Its table tier
 termination walk, and backward coverability, whose rows `explore._rows`
 builds from them): one guard-bit subtraction tests the numeric arcs, one
 AND the inhibitor arcs, and a successor is one addition, one AND for the
-emptied places and one shift per transfer.  Once compiling pays
+emptied places and one shift per transfer.  The table tier and the
+termination walk read one firing table (`_table`), and one cost rule
+(`_INDEX_COST`) decides for both when a marking tests every row and when
+only the rows its marked places index.  Once compiling pays
 (`_COMPILE_COST`) the search goes on in one loop generated per net, goal
 and field width: one unpack per marking, one `if` per transition, one int
 expression per successor (one list, for a transition that changes many
@@ -35,10 +38,11 @@ from __future__ import annotations
 
 import sys
 from functools import partial
-from itertools import groupby, islice, repeat, starmap
+from itertools import compress, groupby, islice, repeat, starmap
 from struct import Struct
 
-from .net import BudgetExceededError, Marking, Net, _check_len, _effects
+from .net import (BudgetExceededError, Marking, Net, _check_len, _effects,
+                  _set)
 
 
 def _search(net: Net, start: Marking, goal: str, target, max_steps: int):
@@ -98,19 +102,20 @@ def _search(net: Net, start: Marking, goal: str, target, max_steps: int):
 
 def _firing_rows(plan, fields: "_Fields") -> list:
     """Per op of `plan`, its firing row of packed ints at the width of
-    `fields`: (g, w, inhib, d, zero, xfers).  The op is enabled at m when
-    (m | g) - w & g == g, g the guard bits of its numeric pre-places and w
-    their weights, and not m & inhib, its inhibited fields.  Its successor
-    is m + d, d its packed posts less w (its `_effects` const, packed),
-    less m & zero, its reset places and transfer sources, plus each
-    transfer source's entry in m shifted to its target, as (source shift,
-    target shift) in `xfers` (a source has no numeric arc, so m holds the
-    snapshot `_apply` takes).  An op with a weight at or above the limit
-    gets None: no marking below the limit enables it."""
+    `fields`, led by its position k: (k, g, w, inhib, d, zero, xfers).
+    The op is enabled at m when (m | g) - w & g == g, g the guard bits of
+    its numeric pre-places and w their weights, and not m & inhib, its
+    inhibited fields.  Its successor is m + d, d its packed posts less w
+    (its `_effects` const, packed), less m & zero, its reset places and
+    transfer sources, plus each transfer source's entry in m shifted to
+    its target, as (source shift, target shift) in `xfers` (a source has
+    no numeric arc, so m holds the snapshot `_apply` takes).  An op with a
+    weight at or above the limit gets None: no marking below the limit
+    enables it."""
     width, limit, full = fields.width, fields.limit, (1 << fields.width) - 1
     top = 1 << (width - 1)
     rows = []
-    for op in plan:
+    for k, op in enumerate(plan):
         g = w = 0
         for p, x in op.numeric:
             if x >= limit:
@@ -130,17 +135,46 @@ def _firing_rows(plan, fields: "_Fields") -> list:
             for src, q in op.xfers:
                 zero |= full << src * width
                 xfers.append((src * width, q * width))
-            rows.append((g, w, inhib, d - w, zero, xfers))
+            rows.append((k, g, w, inhib, d - w, zero, xfers))
     return rows
+
+
+# A table indexes its rows by place when they, each tested in about one
+# step per 32-bit word of the packed marking, cost more than _INDEX_COST
+# steps per place to unpack the marking and merge the candidates.
+_INDEX_COST = 4
+
+
+def _table(plan, fields: "_Fields"):
+    """(rows, pick), the firing table of `plan` at the width of `fields`
+    that the table tier and the termination walk read.  `rows` are the
+    firing rows (`_firing_rows`) of the ops some marking below the limit
+    enables.  `pick` is None if testing them all is cheaper
+    (`_INDEX_COST`); else `pick(m)` gives the rows of the ops with no
+    numeric pre-arc and of those whose first numeric pre-place the packed
+    m marks, in declaration order."""
+    rows = list(filter(None, _firing_rows(plan, fields)))
+    at, size = range(fields.n), fields.size
+    if len(rows) * (size // 4 + 1) <= _INDEX_COST * fields.n:
+        return rows, None
+    always, by_place, read = [], [[] for _ in at], fields.read
+    for row in rows:
+        numeric = plan[row[0]].numeric
+        (by_place[numeric[0][0]] if numeric else always).append(row)
+
+    def pick(m):
+        # rows are (position, ...) tuples: sorting merges by position
+        return sorted(always + [row for p in compress(at, read(m.to_bytes(
+            size, "little"))) for row in by_place[p]])
+    return rows, pick
 
 
 def _table_loop(plan, goal: str, fields: "_Fields"):
     """(run, tests): `run(Q, P, i, stop, T)` with the contract of the
     generated loop (`_search_source`) for `plan`, `goal` and `fields`,
-    and the number of ops it tests per expansion.  It tests each op by
-    its row (`_firing_rows`), leaving out the ops no marking it expands
-    enables."""
-    table = list(filter(None, _firing_rows(plan, fields)))
+    and the number of ops it tests per expansion.  It tests the rows of
+    the table (`_table`) that each marking picks, or all of them."""
+    rows, pick = _table(plan, fields)
     full = (1 << fields.width) - 1
     head, guard = fields.head, fields.guard
     reach, cover = goal == "reach", goal == "cover"
@@ -155,7 +189,8 @@ def _table_loop(plan, goal: str, fields: "_Fields"):
                     else cover and (m | guard) - T & guard == guard):
                 return i, m
             k = 0
-            for g, w, inhib, d, zero, xfers in table:
+            for _, g, w, inhib, d, zero, xfers in (
+                    rows if pick is None else pick(m)):
                 if (m | g) - w & g == g and not m & inhib:
                     k = 1
                     s = m + d
@@ -170,7 +205,7 @@ def _table_loop(plan, goal: str, fields: "_Fields"):
                 return i, m
         return None
 
-    return run, len(table)
+    return run, len(rows)
 
 
 def _path(parent: dict, m) -> list:
@@ -241,10 +276,12 @@ class _Fields:
 
     @classmethod
     def for_net(cls, net: Net, top: int) -> "_Fields":
-        """The search's fields for `net`, with a limit above `top`: `fan`
-        is the most entries a transition sums into one place (the place's
-        own unless zeroed, plus its transfer sources), `post` the largest
-        post weight."""
+        """The search's fields for `net`, with a limit above `top`: its
+        fields of 8 bits (kept on it as `_base`) fitted.  `fan` is the most
+        entries a transition sums into one place (the place's own unless
+        zeroed, plus its transfer sources), `post` the largest post weight."""
+        if net._base is not None:
+            return net._base.fitting(top)
         plan = net._plan()
         fan, post = 1, max([w for op in plan for _, w in op.posts], default=0)
         for op in plan:
@@ -252,7 +289,8 @@ class _Fields:
                 _, zeroed, moved = _effects(op)
                 fan = max([fan] + [len(srcs) + (tgt not in zeroed)
                                    for tgt, srcs in moved.items()])
-        return cls(len(net.places), 8, fan=fan, post=post).fitting(top)
+        _set(net, "_base", cls(len(net.places), 8, fan=fan, post=post))
+        return net._base.fitting(top)
 
     def fitting(self, top: int) -> "_Fields":
         """These fields, or the first doubling of their width whose limit

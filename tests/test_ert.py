@@ -8,7 +8,7 @@ import pytest
 
 import fuzz
 import oracles
-from xpn import ert as xpn_ert
+from xpn import ert as xpn_ert, packed
 from xpn.ert import (
     BudgetExceededError,
     Ert,
@@ -478,9 +478,9 @@ def test_lookup_equals_forced_scan(net, monkeypatch):
 def _index_and_scan(net, monkeypatch, outputs):
     """`outputs(net)` with the walk forced to test only the transitions
     that a marking's marked places index, then forced to test them all."""
-    monkeypatch.setattr(xpn_ert, "_INDEX_COST", 0)
+    monkeypatch.setattr(packed, "_INDEX_COST", 0)
     indexed = outputs(net)
-    monkeypatch.setattr(xpn_ert, "_INDEX_COST", 10**18)
+    monkeypatch.setattr(packed, "_INDEX_COST", 10**18)
     return indexed, outputs(net)
 
 

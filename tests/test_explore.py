@@ -9,6 +9,7 @@ import random
 import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -622,6 +623,37 @@ def test_forward_byte_stable(tmp_path):
         "a forward search's stdout, exit code or trace changed on the "
         "seeded corpus; if the change is intended, declare it in "
         "CHANGES.md and update FORWARD_DIGEST")
+
+
+def test_table_index_equals_full_scan(tmp_path, monkeypatch):
+    """The table tier alone (`_COMPILE_COST` at 10**12) gives the same
+    stdout, expansion counts included, exit code and trace whether every
+    table is indexed by place (`_INDEX_COST` at 0) or scanned whole: on
+    the `forward_queries` corpus, the compiled machines the benchmark
+    reads and line(500)."""
+    queries = forward_queries()
+    minsky = Path(__file__).resolve().parents[1] / "perfbench" / "minsky"
+    for path in sorted(minsky.glob("*.xpn")):
+        queries.append((("cover", "-m", "accept=1"), path.read_text()))
+    line = line_text(500)
+    queries += [(("deadlock",), line), (("reach", "-m", "p500=1"), line),
+                (("cover", "-m", "p250=1", "--max-steps", "100"), line)]
+    table, picked = packed._table, []
+
+    def spy(plan, fields):
+        rows, pick = table(plan, fields)
+        picked.append(pick is not None)
+        return rows, pick
+    monkeypatch.setattr(packed, "_table", spy)
+    monkeypatch.setattr(packed, "_COMPILE_COST", 10**12)
+    outs = []
+    for cost in (0, 10**18):
+        monkeypatch.setattr(packed, "_INDEX_COST", cost)
+        del picked[:]
+        outs.append([run_explore(tmp_path, argv, text)
+                     for argv, text in queries])
+        assert any(picked) == (cost == 0)
+    assert outs[0] == outs[1]
 
 
 # ---------------------------------------------------------------------------

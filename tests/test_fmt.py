@@ -115,6 +115,17 @@ def test_render_header_comments():
     assert parse_net(text) == n
 
 
+def test_render_comments_every_line_of_a_header_entry():
+    # the reader splits lines as str.splitlines does, so each such line
+    # of an entry is a comment of its own
+    n = parse_net("places: a b\nmarking: b=2\ntrans t: in b ; out a\n")
+    text = render_net(n, header=["x\ny", "one\r\n\ntwo\n", "u\u2028v\x85w"])
+    assert text.splitlines()[:8] == ["# x", "# y", "# one", "#", "# two",
+                                     "# u", "# v", "# w"]
+    assert parse_net(text) == n
+    assert render_net(parse_net(text)) == render_net(n)
+
+
 def test_render_refuses_what_it_cannot_write():
     with pytest.raises(XpnError, match="^name 'a b' cannot be written to "
                                       "the text format$"):

@@ -190,17 +190,19 @@ def test_fire_fuzz_against_oracle():
 # the module constants that searches of each copy from `tiers` run under:
 # none, as the CLI runs, which is the table tier for these short searches
 # unless the marking is wide enough that the rent reaches the buy at once;
-# the table tier alone; the generated loop from the first expansion; and
-# that loop with every successor of more than one term built as a list
-# (with _RUN at 0 a lone transfer would be sum((a3)))
-PATCHES = ({}, {"_COMPILE_COST": 10**12}, {"_COMPILE_COST": 0},
+# the table tier alone; the table tier alone with every table indexed by
+# place; the generated loop from the first expansion; and that loop with
+# every successor of more than one term built as a list (with _RUN at 0 a
+# lone transfer would be sum((a3)))
+PATCHES = ({}, {"_COMPILE_COST": 10**12},
+           {"_COMPILE_COST": 10**12, "_INDEX_COST": 0}, {"_COMPILE_COST": 0},
            {"_COMPILE_COST": 0, "_RUN": 1})
 
 
 def tiers(net):
-    """Four copies of `net`, `cli`, `table`, `hot` and `listed`, searched
-    under the entries of PATCHES in turn (see `first_level`); each keeps
-    its own compiled loops."""
+    """Five copies of `net`, `cli`, `table`, `indexed`, `hot` and
+    `listed`, searched under the entries of PATCHES in turn (see
+    `first_level`); each keeps its own compiled loops."""
     return tuple(Net(net.places, net.transitions, net.initial)
                  for _ in PATCHES)
 
@@ -245,8 +247,8 @@ def assert_tiers_match_oracle(net, markings):
         assert successors(copies[0], m) == want, (net, m)
         for copy, patch in zip(copies, PATCHES):
             assert_first_level(copy, m, want, patch)
-    _, table, *compiled = copies
-    assert not table._loops
+    _, table, indexed, *compiled = copies
+    assert not table._loops and not indexed._loops
     assert all(copy._loops for copy in compiled)
 
 

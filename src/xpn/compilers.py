@@ -12,28 +12,24 @@ from __future__ import annotations
 import re
 
 from .fmt import ParseError, _NAME_RE
-from .net import (INHIBIT, Marking, Net, Numeric, RESET, Transfer, Transition,
-                  _Value, _set, require_valid)
+from .net import (INHIBIT, Net, Numeric, RESET, Transfer, Transition,
+                  _ONE, _Value, require_valid)
 
 
 # ---------------------------------------------------------------------------
 # two-counter machines
 
 class Inc(_Value):
-    __slots__ = _fields = ("counter", "goto")
+    """Add one to `counter`, then go to state `goto`."""
 
-    def __init__(self, counter: int, goto: str):
-        _set(self, "counter", counter)
-        _set(self, "goto", goto)
+    __slots__ = _fields = ("counter", "goto")
 
 
 class JzDec(_Value):
-    __slots__ = _fields = ("counter", "goto_zero", "goto_nonzero")
+    """Go to `goto_zero` if `counter` is 0, else take one from it and go to
+    `goto_nonzero`."""
 
-    def __init__(self, counter: int, goto_zero: str, goto_nonzero: str):
-        _set(self, "counter", counter)
-        _set(self, "goto_zero", goto_zero)
-        _set(self, "goto_nonzero", goto_nonzero)
+    __slots__ = _fields = ("counter", "goto_zero", "goto_nonzero")
 
 
 class Halt(_Value):
@@ -41,11 +37,10 @@ class Halt(_Value):
 
 
 class CounterMachine(_Value):
-    __slots__ = _fields = ("states", "program")
+    """`states` are the state names in declaration order, the first the
+    start; `program` maps each name to its Inc | JzDec | Halt."""
 
-    def __init__(self, states: tuple, program: dict):
-        _set(self, "states", states)  # state names in declaration order
-        _set(self, "program", program)  # name -> Inc | JzDec | Halt
+    __slots__ = _fields = ("states", "program")
 
     @property
     def start(self) -> str:
@@ -106,17 +101,11 @@ def parse_machine(text: str) -> CounterMachine:
 
 
 class MinskyCompilation(_Value):
+    """`compile_minsky`'s net: `cover_target` marks the `accept` place, and
+    `state_place` maps a state name to its place."""
+
     __slots__ = _fields = ("net", "cover_target", "accept", "budget",
                            "counters", "state_place")
-
-    def __init__(self, net: Net, cover_target: Marking, accept: str,
-                 budget: str, counters: tuple, state_place: dict):
-        _set(self, "net", net)
-        _set(self, "cover_target", cover_target)
-        _set(self, "accept", accept)
-        _set(self, "budget", budget)
-        _set(self, "counters", counters)
-        _set(self, "state_place", state_place)
 
 
 def compile_minsky(cm: CounterMachine, transfer: bool = False) -> MinskyCompilation:
@@ -152,40 +141,40 @@ def compile_minsky(cm: CounterMachine, transfer: bool = False) -> MinskyCompilat
         if isinstance(instr, Inc):
             c = counters[instr.counter - 1]
             transitions.append(Transition(
-                f"{q}_inc", {here: Numeric(1)},
+                f"{q}_inc", {here: _ONE},
                 {state_place[instr.goto]: 1, c: 1, "S": 1}))
         elif isinstance(instr, JzDec):
             c = counters[instr.counter - 1]
             transitions.append(Transition(
-                f"{q}_dec", {here: Numeric(1), c: Numeric(1), "S": Numeric(1)},
+                f"{q}_dec", {here: _ONE, c: _ONE, "S": _ONE},
                 {state_place[instr.goto_nonzero]: 1}))
             transitions.append(Transition(
-                f"{q}_go", {here: Numeric(1)},
+                f"{q}_go", {here: _ONE},
                 {f"{q}_mid": 1, f"z{instr.counter}_pick": 1}))
             transitions.append(Transition(
                 f"{q}_zero",
-                {f"{q}_mid": Numeric(1), f"z{instr.counter}_done": Numeric(1)},
+                {f"{q}_mid": _ONE, f"z{instr.counter}_done": _ONE},
                 {state_place[instr.goto_zero]: 1}))
         else:
             transitions.append(Transition(
-                "merge", {here: Numeric(1), "C1": Numeric(1)},
+                "merge", {here: _ONE, "C1": _ONE},
                 {here: 1, "C2": 1}))
             transitions.append(Transition(
-                "to_drain", {here: Numeric(1)}, {f"{q}_drain": 1}))
+                "to_drain", {here: _ONE}, {f"{q}_drain": 1}))
             transitions.append(Transition(
                 "drain",
-                {f"{q}_drain": Numeric(1), "S": Numeric(1), "C2": Numeric(1)},
+                {f"{q}_drain": _ONE, "S": _ONE, "C2": _ONE},
                 {f"{q}_drain": 1}))
             transitions.append(Transition(
-                "to_check", {f"{q}_drain": Numeric(1)}, {f"{q}_check": 1}))
+                "to_check", {f"{q}_drain": _ONE}, {f"{q}_check": 1}))
             transitions.append(Transition(
-                "accept_now", {f"{q}_check": Numeric(1), "S": INHIBIT},
+                "accept_now", {f"{q}_check": _ONE, "S": INHIBIT},
                 {"accept": 1}))
     for r in used:
         c = counters[r - 1]
         wipe_arc = Transfer(f"dump{r}") if transfer else RESET
         transitions.append(Transition(
-            f"wipe{r}", {f"z{r}_pick": Numeric(1), c: wipe_arc},
+            f"wipe{r}", {f"z{r}_pick": _ONE, c: wipe_arc},
             {f"z{r}_done": 1}))
 
     initial = tuple(1 if p == state_place[cm.start] else 0 for p in places)
@@ -203,12 +192,10 @@ def compile_minsky(cm: CounterMachine, transfer: bool = False) -> MinskyCompilat
 # matrix positivity
 
 class PositivityInstance(_Value):
-    __slots__ = _fields = ("matrix", "v0")
+    """The iteration of `matrix`, a tuple of rows whose entry [j][i] feeds
+    component j from component i, from the start vector `v0`."""
 
-    def __init__(self, matrix: tuple, v0: tuple):
-        # rows; entry [j][i] feeds component j from component i
-        _set(self, "matrix", matrix)
-        _set(self, "v0", v0)
+    __slots__ = _fields = ("matrix", "v0")
 
     @property
     def n(self) -> int:
@@ -245,26 +232,12 @@ def parse_positivity(text: str) -> PositivityInstance:
 
 
 class PositivityCompilation(_Value):
+    """`compile_positivity`'s net and its names: `w_places` maps (i, j),
+    1-based, to a place, `acc_names` to a transition (nonzero entries)."""
+
     __slots__ = _fields = ("net", "instance", "fuel", "refuel", "v_places",
                            "nv_places", "w_places", "mul_names", "acc_names",
                            "restart", "colsums")
-
-    def __init__(self, net: Net, instance: PositivityInstance, fuel: str,
-                 refuel: str, v_places: tuple, nv_places: tuple,
-                 w_places: dict, mul_names: tuple, acc_names: dict,
-                 restart: str, colsums: tuple):
-        _set(self, "net", net)
-        _set(self, "instance", instance)
-        _set(self, "fuel", fuel)
-        _set(self, "refuel", refuel)
-        _set(self, "v_places", v_places)
-        _set(self, "nv_places", nv_places)
-        _set(self, "w_places", w_places)  # (i, j) -> place, 1-based
-        _set(self, "mul_names", mul_names)
-        # (i, j) -> transition, nonzero entries only
-        _set(self, "acc_names", acc_names)
-        _set(self, "restart", restart)
-        _set(self, "colsums", colsums)
 
 
 def compile_positivity(inst: PositivityInstance) -> PositivityCompilation:
@@ -294,7 +267,7 @@ def compile_positivity(inst: PositivityInstance) -> PositivityCompilation:
         post = {w[i, j]: abs(inst.matrix[j - 1][i - 1])
                 for j in range(1, n + 1) if inst.matrix[j - 1][i - 1] != 0}
         mul_names.append(f"mul{i}")
-        transitions.append(Transition(f"mul{i}", {v[i - 1]: Numeric(1)}, post))
+        transitions.append(Transition(f"mul{i}", {v[i - 1]: _ONE}, post))
     acc_names = {}
     for i in range(1, n + 1):
         for j in range(1, n + 1):
@@ -303,14 +276,14 @@ def compile_positivity(inst: PositivityInstance) -> PositivityCompilation:
                 continue
             name = f"acc{i}_{j}"
             acc_names[i, j] = name
-            pre = {w[i, j]: Numeric(1), "fuel": Numeric(1)}
+            pre = {w[i, j]: _ONE, "fuel": _ONE}
             post = {}
             if entry > 0:
                 post[nv[j - 1]] = 1
                 if colsums[j - 1]:
                     post["refuel"] = colsums[j - 1]
             else:
-                pre[nv[j - 1]] = Numeric(1)
+                pre[nv[j - 1]] = _ONE
                 if colsums[j - 1]:
                     pre["refuel"] = Numeric(colsums[j - 1])
             transitions.append(Transition(name, pre, post))

@@ -24,7 +24,7 @@ def export_dot(net: Net, highlight=()) -> str:
     for i, t in enumerate(net.transitions):
         style = " color=red penwidth=2" if t.name in hi else ""
         out.append(f"  t{i} [shape=box label={_q(t.name)}{style}];")
-    pos = {p: i for i, p in enumerate(net.places)}
+    pos = net._pos
     for i, t in enumerate(net.transitions):
         for p in sorted(t.pre, key=pos.__getitem__):
             arc = t.pre[p]

@@ -50,8 +50,8 @@ from __future__ import annotations
 # `classify` and `successors` are no longer called here; they stay
 # importable from this module because the benchmark's tracer wraps
 # `ert.classify` and `ert.successors`
-from .net import (BudgetExceededError, Marking, Net, Trace, XpnError, _Value,
-                  _ert_fault, _leq, _set, classify, fire, replay, successors)
+from .net import (BudgetExceededError, Marking, Net, XpnError, _Value,
+                  _ert_fault, _leq, classify, fire, replay, successors)
 from .packed import _Fields, _Widen, _table
 from .fmt import _q, _writes_counts
 
@@ -65,40 +65,34 @@ def transition_index(net: Net, tname: str) -> int:
 
 
 class Terminating(_Value):
-    __slots__ = _fields = ("tree_size",)
+    """The verdict that every run ends; the tree has `tree_size` nodes."""
 
-    def __init__(self, tree_size: int):
-        _set(self, "tree_size", tree_size)
+    __slots__ = _fields = ("tree_size",)
 
 
 class NonTerminating(_Value):
-    __slots__ = _fields = ("stem", "pump")
+    """The verdict of an infinite run: the `Trace` `stem`, then `pump`."""
 
-    def __init__(self, stem: Trace, pump: Trace):
-        _set(self, "stem", stem)
-        _set(self, "pump", pump)
+    __slots__ = _fields = ("stem", "pump")
 
 
 class ErtNode(_Value):
+    """A tree node, entered from node `parent` by the transition `via`, of
+    index `via_index`; `status` is "inner" | "deadlock" | "subsumed", and
+    `subsumed_by` the node that subsumes it, None by default."""
+
     __slots__ = _fields = ("marking", "parent", "via", "via_index", "status",
                            "subsumed_by")
 
     def __init__(self, marking: Marking, parent: int | None, via: str | None,
                  via_index: int, status: str, subsumed_by: int | None = None):
-        _set(self, "marking", marking)
-        _set(self, "parent", parent)
-        _set(self, "via", via)  # transition into this node
-        _set(self, "via_index", via_index)  # its transition index
-        _set(self, "status", status)  # "inner" | "deadlock" | "subsumed"
-        _set(self, "subsumed_by", subsumed_by)
+        super().__init__(marking, parent, via, via_index, status, subsumed_by)
 
 
 class Ert(_Value):
-    __slots__ = _fields = ("nodes", "verdict")
+    """A recorded tree's `nodes`; `verdict` is Terminating | NonTerminating."""
 
-    def __init__(self, nodes: tuple, verdict):
-        _set(self, "nodes", nodes)
-        _set(self, "verdict", verdict)  # Terminating | NonTerminating
+    __slots__ = _fields = ("nodes", "verdict")
 
 
 def check_eligible(net: Net):

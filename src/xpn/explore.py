@@ -26,17 +26,16 @@ from math import comb
 # perfbench/spans.py wraps it.  `Trace` serves this module; callers import
 # it and `replay` from here too
 from .net import (BudgetExceededError, Marking, Net, Trace, XpnError, _Value,
-                  _apply, _effects, _enabled, _set, replay, require_valid,
+                  _apply, _effects, _enabled, replay, require_valid,
                   successors)
 from .packed import _Fields, _Widen, _firing_rows, _search
 
 
 class SearchResult(_Value):
-    __slots__ = _fields = ("trace", "expanded")
+    """A forward search's answer: the `trace` to a hit, None when the
+    search exhausted the space, and the markings it `expanded`."""
 
-    def __init__(self, trace: Trace | None, expanded: int):
-        _set(self, "trace", trace)  # None when the search exhausted the space
-        _set(self, "expanded", expanded)
+    __slots__ = _fields = ("trace", "expanded")
 
     @property
     def found(self) -> bool:
@@ -285,12 +284,10 @@ class UpwardClosedSet:
 
 
 class BackwardCoverResult(_Value):
-    __slots__ = _fields = ("coverable", "basis")
+    """`backward_cover`'s answer, and the minimal `basis` of the
+    backward-reachable upward-closed set."""
 
-    def __init__(self, coverable: bool, basis: tuple):
-        _set(self, "coverable", coverable)
-        # minimal basis of the backward-reachable upward-closed set
-        _set(self, "basis", basis)
+    __slots__ = _fields = ("coverable", "basis")
 
 
 def _rows(plan, fields: _Fields) -> list:

@@ -62,16 +62,35 @@ _set = object.__setattr__
 
 class _Value:
     """Base of the immutable value classes.  A subclass names its fields in
-    order in `_fields` (its `__slots__` too, except `Net`) and sets them
-    in its own `__init__` through `object.__setattr__`.  Assigning or
-    deleting an attribute raises AttributeError; `==` holds between two
-    instances of one class with equal fields; the hash is the hash of the
-    field tuple, so an instance whose fields hold a dict is unhashable;
-    `repr` reads `Name(field=value, ...)`; pickling and copying rebuild an
-    instance from its fields, passed by position."""
+    order in `_fields` (its `__slots__` too, except `Net`), and `__init__`
+    binds them by position, then by keyword; a subclass overrides it only
+    to convert an argument or supply a default.  Assigning or deleting an
+    attribute raises AttributeError; `==` holds between two instances of
+    one class with equal fields; the hash is the hash of the field tuple,
+    so an instance whose fields hold a dict is unhashable; `repr` reads
+    `Name(field=value, ...)`; pickling and copying rebuild an instance
+    from its fields, passed by position."""
 
     __slots__ = ()
     _fields = ()
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{type(self).__name__}() takes {len(fields)} "
+                            f"fields but {len(args)} were given")
+        i = 0  # an index, not zip(), whose object costs more per call
+        for value in args:
+            _set(self, fields[i], value)
+            i += 1
+        for name in fields[i:]:
+            if name not in kwargs:
+                raise TypeError(
+                    f"{type(self).__name__}() missing field {name!r}")
+            _set(self, name, kwargs.pop(name))
+        for name in kwargs:  # left over: given twice, or no field
+            why = "got {!r} twice" if name in fields else "has no field {!r}"
+            raise TypeError(f"{type(self).__name__}() " + why.format(name))
 
     def _astuple(self) -> tuple:
         return tuple([getattr(self, f) for f in self._fields])
@@ -107,9 +126,6 @@ class Numeric(_Value):
 
     __slots__ = _fields = ("weight",)
 
-    def __init__(self, weight: int):
-        _set(self, "weight", weight)
-
 
 class Inhibitor(_Value):
     """Enables the transition only while the place is empty."""
@@ -129,14 +145,12 @@ class Transfer(_Value):
 
     __slots__ = _fields = ("target",)
 
-    def __init__(self, target: str):
-        _set(self, "target", target)
-
 
 Arc = Numeric | Inhibitor | Reset | Transfer
 
 INHIBIT = Inhibitor()
 RESET = Reset()
+_ONE = Numeric(1)  # the weight-1 arc that the reductions and compilers build
 
 Marking = tuple  # tuple[int, ...] indexed by hierarchy position
 
@@ -150,6 +164,8 @@ class Transition(_Value):
 
     def __init__(self, name: str, pre: Mapping[str, Arc] = (),
                  post: Mapping[str, int] = ()):
+        # stored here, not by the slower `_Value.__init__`: the reductions
+        # build thousands of transitions per run
         _set(self, "name", name)
         _set(self, "pre", dict(pre))
         _set(self, "post", dict(post))
@@ -165,9 +181,7 @@ class Net(_Value):
     _fields = ("places", "transitions", "initial")
 
     def __init__(self, places: tuple, transitions: tuple, initial: Marking):
-        _set(self, "places", tuple(places))
-        _set(self, "transitions", tuple(transitions))
-        _set(self, "initial", tuple(initial))
+        super().__init__(tuple(places), tuple(transitions), tuple(initial))
         self._index(t.name for t in self.transitions)
 
     @classmethod
@@ -425,10 +439,6 @@ class Trace(_Value):
 
     __slots__ = _fields = ("transitions", "markings")
 
-    def __init__(self, transitions: tuple, markings: tuple):
-        _set(self, "transitions", transitions)
-        _set(self, "markings", markings)
-
 
 def replay(net: Net, start: Marking, names) -> Trace:
     """Fire `names` in order from `start`; raises NotFirableError if the
@@ -447,12 +457,9 @@ def _leq(a: Marking, b: Marking) -> bool:
 # validation
 
 class Diagnostic(_Value):
-    __slots__ = _fields = ("severity", "code", "message")
+    """A finding of `validate`; `severity` is "error" | "warning"."""
 
-    def __init__(self, severity: str, code: str, message: str):
-        _set(self, "severity", severity)  # "error" | "warning"
-        _set(self, "code", code)
-        _set(self, "message", message)
+    __slots__ = _fields = ("severity", "code", "message")
 
 
 def validate(net: Net) -> list:
@@ -546,6 +553,8 @@ class NetClass(_Value):
     A kind is hierarchical when every arc of that kind sits above an
     unbroken run of special arcs: if place p carries such an arc into t,
     every place below p carries some non-numeric arc into t too.
+    `specials` is the subset of KIND_ORDER that occurs, in that order, and
+    `hierarchical` the kinds from `specials` that respect the order.
     `ert_eligible` says whether the termination walk takes the net: no
     transfer arc, and each transition's inhibitor pre-places form a
     downward-closed set on their own (`_ert_fault`).
@@ -553,14 +562,6 @@ class NetClass(_Value):
 
     __slots__ = _fields = ("specials", "hierarchical", "constrained_transfer",
                            "ert_eligible")
-
-    def __init__(self, specials: tuple, hierarchical: tuple,
-                 constrained_transfer: bool, ert_eligible: bool):
-        _set(self, "specials", specials)  # subset of KIND_ORDER, in that order
-        # the kinds from `specials` that respect the order
-        _set(self, "hierarchical", hierarchical)
-        _set(self, "constrained_transfer", constrained_transfer)
-        _set(self, "ert_eligible", ert_eligible)
 
     def label(self) -> str:
         if not self.specials:

@@ -19,8 +19,7 @@ from bisect import bisect_right
 
 from .net import (BudgetExceededError, INHIBIT, INHIBITOR_KIND, Inhibitor,
                   Marking, Net, Numeric, RESET, Reset, TRANSFER_KIND, Transfer,
-                  Transition, XpnError, _Value, _set, classify,
-                  require_valid)
+                  Transition, XpnError, _ONE, _Value, classify, require_valid)
 
 COPY = "copy"
 CONST = "const"
@@ -34,9 +33,6 @@ class MarkingMap(_Value):
     """Per target position either ("copy", source_pos) or ("const", n)."""
 
     __slots__ = _fields = ("entries",)
-
-    def __init__(self, entries: tuple):
-        _set(self, "entries", entries)
 
     def __call__(self, m: Marking) -> Marking:
         return tuple(m[a] if k == COPY else a for k, a in self.entries)
@@ -54,13 +50,9 @@ class TransformResult(_Value):
                  goal: Marking | None = None, alt_forwards: tuple = (),
                  place_origin: dict | None = None,
                  trans_origin: dict | None = None):
-        _set(self, "net", net)
-        _set(self, "forward", forward)
-        _set(self, "query", query)
-        _set(self, "goal", goal)
-        _set(self, "alt_forwards", alt_forwards)
-        _set(self, "place_origin", {} if place_origin is None else place_origin)
-        _set(self, "trans_origin", {} if trans_origin is None else trans_origin)
+        super().__init__(net, forward, query, goal, alt_forwards,
+                         {} if place_origin is None else place_origin,
+                         {} if trans_origin is None else trans_origin)
 
 
 def _fresh(base: str, taken: set) -> str:
@@ -129,9 +121,6 @@ class _Builder:
 
 def _numeric_pre(t: Transition) -> dict:
     return {p: a for p, a in t.pre.items() if isinstance(a, Numeric)}
-
-
-_ONE = Numeric(1)
 
 
 def _gated(t: Transition, *gates: str) -> Transition:
@@ -208,16 +197,16 @@ def _gadgets(net: Net, elim: list) -> TransformResult:
             b.keep(_gated(Transition(name, pre, post), *later), origin)
 
         pre = dict(_numeric_pre(t))
-        pre[lock] = Numeric(1)
+        pre[lock] = _ONE
         add(f"{t.name}_start", pre, {busy: 1},
             f"consumes the numeric pre-arcs of {t.name} and opens its gadget")
         for p in resets:
-            add(f"{t.name}_drain_{p}", {p: Numeric(1), busy: Numeric(1)},
+            add(f"{t.name}_drain_{p}", {p: _ONE, busy: _ONE},
                 {busy: 1}, f"discards one token of reset place {p}")
         for p, target in xfers:
-            add(f"{t.name}_move_{p}", {p: Numeric(1), busy: Numeric(1)},
+            add(f"{t.name}_move_{p}", {p: _ONE, busy: _ONE},
                 {target: 1, busy: 1}, f"moves one token from {p} to {target}")
-        pre = {busy: Numeric(1)}
+        pre = {busy: _ONE}
         for p in inhibs + resets + [p for p, _ in xfers]:
             pre[p] = INHIBIT
         post = dict(t.post)
@@ -418,10 +407,10 @@ def dlf_to_reach(net: Net, clause_cap: int = 10_000) -> TransformResult:
 
     for k, clause in enumerate(clauses):
         cplace = b.place(f"c{k}", f"clause {k} in progress")
-        b.trans(f"c{k}_enter", {live: Numeric(1)}, {cplace: 1},
+        b.trans(f"c{k}_enter", {live: _ONE}, {cplace: 1},
                 f"commits to deadlock clause {k}")
 
-        check_pre = {cplace: Numeric(1)}
+        check_pre = {cplace: _ONE}
         for p in net.places:
             check_pre[p] = INHIBIT
         for pos in sorted(clause):
@@ -431,15 +420,15 @@ def dlf_to_reach(net: Net, clause_cap: int = 10_000) -> TransformResult:
                 companion = b.place(
                     f"c{k}_{place}",
                     f"clause {k}: witness that {place} held the right count")
-                check_pre[companion] = Numeric(1)
+                check_pre[companion] = _ONE
                 weight = 1 if lit == ("atleast",) else lit[1]
                 b.trans(f"c{k}_take_{place}",
-                        {place: Numeric(weight), cplace: Numeric(1)},
+                        {place: Numeric(weight), cplace: _ONE},
                         {companion: 1, cplace: 1},
                         f"clause {k}: moves {weight} token(s) out of {place}")
                 if lit == ("atleast",):
                     b.trans(f"c{k}_drop_{place}",
-                            {place: Numeric(1), cplace: Numeric(1)}, {cplace: 1},
+                            {place: _ONE, cplace: _ONE}, {cplace: 1},
                             f"clause {k}: discards surplus tokens of {place}")
             # an exact-zero literal needs no mover: the check transition
             # already inhibits on the place
@@ -447,7 +436,7 @@ def dlf_to_reach(net: Net, clause_cap: int = 10_000) -> TransformResult:
             if pos not in clause:
                 place = net.places[pos]
                 b.trans(f"c{k}_drop_{place}",
-                        {place: Numeric(1), cplace: Numeric(1)}, {cplace: 1},
+                        {place: _ONE, cplace: _ONE}, {cplace: 1},
                         f"clause {k}: empties unconstrained place {place}")
         b.trans(f"c{k}_check", check_pre, {goalp: 1},
                 f"certifies clause {k} and places the goal token")
@@ -480,13 +469,13 @@ def reach_to_dlf(net: Net, target: Marking) -> TransformResult:
     for t in net.transitions:
         b.keep(_gated(t, gate), "original, gated")
     for p in net.places:
-        b.trans(f"idle_{p}", {p: Numeric(1)}, {p: 1},
+        b.trans(f"idle_{p}", {p: _ONE}, {p: 1},
                 f"keeps the net live while {p} is nonempty")
-    b.trans("spin", {tick: Numeric(1)}, {tick: 1},
+    b.trans("spin", {tick: _ONE}, {tick: 1},
             "keeps the net live until the final check")
     pre = {p: Numeric(n) for p, n in zip(net.places, target) if n > 0}
-    pre[gate] = Numeric(1)
-    pre[tick] = Numeric(1)
+    pre[gate] = _ONE
+    pre[tick] = _ONE
     b.trans("finish", pre, {done: 1},
             "consumes the target marking plus both control tokens")
 

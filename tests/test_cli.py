@@ -1,6 +1,7 @@
 """End-to-end CLI checks, run in process through cli.main."""
 
 import argparse
+import ast
 import contextlib
 import hashlib
 import importlib.util
@@ -1263,6 +1264,17 @@ def test_importing_the_cli_loads_no_typing_or_pathlib():
     got = _fresh("-S", "-c", "import sys, xpn.cli\n"
                  "print(sorted({'typing', 'pathlib'} & sys.modules.keys()))")
     assert (got.returncode, got.stdout, got.stderr) == (0, "[]\n", "")
+
+
+def test_the_package_holds_no_assert_statement():
+    # `python -O` strips an assert; a check the package relies on raises
+    # AssertionError explicitly instead
+    src = Path(cli.__file__).parent
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text("utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 # a verb form -> the engine modules it loads besides xpn, cli, fmt and net

@@ -667,6 +667,23 @@ def test_backward_cover_frozen_basis():
     assert r.basis == ((0, 2), (1, 1), (2, 0))
 
 
+def test_backward_cover_widens_the_set_for_a_weight(monkeypatch):
+    # the target fits 8-bit fields, the weight 200 does not: the set is
+    # laid out at 8 bits, then again at 16 before the first step
+    widths = []
+    layout = UpwardClosedSet._layout
+    monkeypatch.setattr(UpwardClosedSet, "_layout", lambda ucs, fields: (
+        widths.append(fields.width), layout(ucs, fields))[1])
+    for a, coverable in ((199, False), (200, True)):
+        net = parse_net(f"places: a b\nmarking: a={a}\n"
+                        "trans t: in a*200 ; out b\n")
+        widths.clear()
+        r = backward_cover(net, (0, 1))
+        assert widths == [8, 16]
+        assert r == BackwardCoverResult(coverable, ((0, 1), (200, 0)))
+        assert bounded_cover(net, (0, 1)).found == coverable
+
+
 def test_backward_cover_rejects_inhibitors():
     n = parse_net("places: a b\ntrans t: inh a ; out b")
     with pytest.raises(XpnError):

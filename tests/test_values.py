@@ -190,3 +190,42 @@ def test_transition_and_net_copy_their_arguments():
     assert net == NET
     assert (net.places, net.transitions, net.initial) \
         == (("a", "b"), (T,), (1, 0))
+
+
+# the classes that bind their fields through `_Value.__init__` alone
+SHARED = [case for case in CASES if "__init__" not in vars(case[0])]
+
+
+@pytest.mark.parametrize("cls, fields, text, hashable", SHARED,
+                         ids=[cls.__name__ for cls, *_ in SHARED])
+def test_the_shared_initializer_rejects_a_bad_binding(cls, fields, text,
+                                                      hashable):
+    values = list(fields.values())
+    with pytest.raises(TypeError, match="takes"):
+        cls(*values, 0)
+    with pytest.raises(TypeError, match="has no field 'extra'"):
+        cls(*values, extra=0)
+    if not fields:
+        return
+    first, last = next(iter(fields)), list(fields)[-1]
+    with pytest.raises(TypeError, match=f"missing field '{last}'"):
+        cls(*values[:-1])
+    with pytest.raises(TypeError, match=f"missing field '{first}'"):
+        cls(**dict(list(fields.items())[1:]))
+    with pytest.raises(TypeError, match=f"got '{first}' twice"):
+        cls(*values, **{first: values[0]})
+    with pytest.raises(TypeError, match=f"got '{first}' twice"):
+        cls(*values[:1], **fields)
+
+
+def test_only_classes_that_convert_or_default_define_init():
+    import xpn.compilers, xpn.ert, xpn.explore, xpn.transforms  # noqa: F401
+    from xpn.net import _Value
+    classes, todo = set(), [_Value]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            classes.add(sub)
+            todo.append(sub)
+    assert {cls for cls in classes if "__init__" in vars(cls)} \
+        == {Net, Transition, TransformResult, ErtNode}
+    assert classes == {cls for cls, *_ in CASES}

@@ -23,9 +23,9 @@ first numeric pre-place it marks (and those with none).  An ancestor
 subsumes a child when one guard-bit subtraction finds it <= the child and
 one AND finds them equal on the prefix.  A child with an entry near its
 field's limit starts the walk again at a wider field (the widening
-protocol of `packed`).  Markings are decoded
-only for the recorded nodes, once per distinct marking; certificates are
-replayed by the interpreted firing rule.
+protocol of `packed`).  Markings are decoded only for the recorded nodes,
+once per distinct marking.  The walk checks a certificate where it makes
+it, by the interpreted firing rule.
 
 If no transition adds tokens, the token sum never rises along a run, so
 an ancestor <= a child equals it, and the walk looks the child up among
@@ -51,7 +51,7 @@ from __future__ import annotations
 # importable from this module because the benchmark's tracer wraps
 # `ert.classify` and `ert.successors`
 from .net import (BudgetExceededError, Marking, Net, XpnError, _Value,
-                  _ert_fault, _leq, classify, fire, replay, successors)
+                  _ert_fault, _leq, classify, replay, successors)
 from .packed import _Fields, _Widen, _table
 from .fmt import _q, _writes_counts
 
@@ -150,19 +150,39 @@ def _scan(path, m1: int, level: int, prefix: dict, guard: int) -> int | None:
     return None
 
 
+def _pumped(net: Net, stem, pump):
+    """The one check of a NONTERMINATING certificate, by the interpreted
+    firing rule: NonTerminating(stem trace, pump trace) if the names `stem`
+    fire from the initial marking and the nonempty `pump` twice after them,
+    each round ending >= its start and equal to it up to the pump's largest
+    transition index; None otherwise."""
+    if not pump:
+        return None
+    try:
+        stem = replay(net, net.initial, stem)
+        pump = replay(net, stem.markings[-1], pump)
+        again = replay(net, pump.markings[-1], pump.transitions)
+    except XpnError:
+        return None
+    level = max(transition_index(net, n) for n in pump.transitions)
+    kept = all(_leq(start, end) and start[:level] == end[:level]
+               for start, *_, end in (pump.markings, again.markings))
+    return NonTerminating(stem, pump) if kept else None
+
+
 def _certificate(net: Net, path, anc: int, leaf_via: str):
-    """NonTerminating for a leaf reached by `leaf_via` from the top frame of
-    `path` and cut by the frame at position `anc`."""
+    """The NonTerminating that `_pumped` checks for a leaf reached by
+    `leaf_via` from the top frame of `path`, cut by the frame at `anc`."""
     names = [f[2] for f in path[1:]] + [leaf_via]
-    stem = replay(net, net.initial, names[:anc])
-    pump = replay(net, stem.markings[-1], names[anc:])
-    return NonTerminating(stem, pump)
+    if (verdict := _pumped(net, names[:anc], names[anc:])) is None:
+        raise AssertionError("pump certificate failed to verify")
+    return verdict
 
 
 def _walk(net: Net, max_nodes: int, rng, nodes, stop_early: bool):
     """Walk the tree depth-first, keeping only the current path, and return
-    Terminating(tree_size) or the certificate of the first cut.  `rng`
-    shuffles each node's children.
+    Terminating(tree_size) or the checked certificate of the first cut
+    (AssertionError if it fails).  `rng` shuffles each node's children.
 
     Markings are packed ints (`_Fields`) from the root on, and children
     come from the firing table (`packed._table`).  When a child
@@ -319,43 +339,25 @@ def _walk_at(net: Net, plan, fields: _Fields, lookup: bool, max_nodes: int,
 def build_ert(net: Net, max_nodes: int = 1_000_000, rng=None,
               stop_early: bool = False) -> Ert:
     """Expand the full tree (or stop at the first subsumed leaf when
-    `stop_early`).  `rng` shuffles child order; the verdict is order
-    independent, which tests exploit."""
+    `stop_early`).  `rng` shuffles child order; the verdict, checked if
+    NonTerminating, is order independent, which tests exploit."""
     nodes = [None]
     verdict = _walk(net, max_nodes, rng, nodes, stop_early)
     return Ert(tuple(nodes), verdict)
 
 
 def decide_termination(net: Net, max_nodes: int = 1_000_000, rng=None):
-    """Terminating(tree_size) or NonTerminating(stem, pump), from the walk
-    that memoises; for `rng=None` the result, budget error included,
-    equals `build_ert(net, max_nodes, stop_early=True).verdict`."""
+    """Terminating(tree_size) or NonTerminating(stem, pump), checked (else
+    AssertionError), by the walk that memoises; with `rng=None`, budget
+    errors too, as `build_ert(net, max_nodes, stop_early=True).verdict`."""
     return _walk(net, max_nodes, rng, None, True)
 
 
 def verify_pump(net: Net, verdict) -> bool:
-    """Independent certificate check: replay the stem, replay the pump
-    twice, and confirm the subsumption conditions recur."""
-    if not isinstance(verdict, NonTerminating):
-        return False
-    if not verdict.pump.transitions:
-        return False
-    def end(m, names):  # the marking `names` fire `m` to, as replay would
-        for name in names:
-            m = fire(net, m, name)
-        return m
-
-    pump = verdict.pump.transitions
-    try:
-        m2 = end(tuple(net.initial), verdict.stem.transitions)
-        m1 = end(m2, pump)
-        level = max(transition_index(net, n) for n in pump)
-        if not (_leq(m2, m1) and m2[:level] == m1[:level]):
-            return False
-        m1b = end(m1, pump)
-        return _leq(m1, m1b) and m1[:level] == m1b[:level]
-    except XpnError:
-        return False
+    """Whether `verdict` is the NonTerminating that `_pumped` makes from its
+    names: the check, with its traces' markings compared to the fired ones."""
+    return isinstance(verdict, NonTerminating) and verdict == _pumped(
+        net, verdict.stem.transitions, verdict.pump.transitions)
 
 
 @_writes_counts

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from xpn import cli, net as xpn_net, packed, transforms
+from xpn import cli, ert as xpn_ert, net as xpn_net, packed, transforms
 from xpn.ert import build_ert, ert_dot
 from xpn.explore import bounded_cover
 from xpn.fmt import parse_net, parse_trace
@@ -857,10 +857,40 @@ def test_internal_error_is_exit_two(run, monkeypatch):
 
 
 def test_unverified_pump_is_an_internal_error(run, monkeypatch):
-    monkeypatch.setattr(cli, "verify_pump", lambda net, verdict: False)
+    monkeypatch.setattr(xpn_ert, "_pumped", lambda net, stem, pump: None)
     code, out, err, _ = run("terminate", "n.xpn", files={"n.xpn": LOOP})
     assert code == 2 and out == ""
     assert err.startswith("internal error: AssertionError:")
+
+
+def test_unverified_pump_writes_no_file(run, monkeypatch, tmp_path):
+    # the certificate is checked before --dot, --stem or --pump writes
+    monkeypatch.setattr(xpn_ert, "_pumped", lambda net, stem, pump: None)
+    outs = [tmp_path / x for x in ("t.dot", "s.trace", "p.trace")]
+    code, out, err, _ = run("terminate", "n.xpn", "--dot", str(outs[0]),
+                            "--stem", str(outs[1]), "--pump", str(outs[2]),
+                            files={"n.xpn": LOOP})
+    assert code == 2 and out == ""
+    assert err.startswith("internal error: AssertionError:")
+    assert not any(p.exists() for p in outs)
+
+
+def test_terminate_fires_the_stem_once_and_the_pump_twice(run, monkeypatch):
+    # the interpreted rule fires a certificate only to check it: the stem
+    # s once, then the pump t twice
+    fired = []
+    apply = xpn_net._apply
+
+    def counted(*args):
+        fired.append(args)
+        return apply(*args)
+
+    monkeypatch.setattr(xpn_net, "_apply", counted)
+    net = ("places: a b\nmarking: a=1\n"
+           "trans s: in a ; out b\ntrans t: in b ; out b\n")
+    code, out, _, _ = run("terminate", "n.xpn", files={"n.xpn": net})
+    assert (code, out) == (0, "NONTERMINATING\nstem: s\npump: t\n")
+    assert len(fired) == 3
 
 
 @pytest.mark.parametrize("text, err", [

@@ -258,6 +258,25 @@ def test_verify_pump_rejects_wrong_certificates():
     assert not verify_pump(LOOP, empty)
 
 
+def test_verify_pump_rejects_markings_the_names_do_not_fire_to():
+    # LOOP's certificate names, with markings that are not its run
+    Trace = type(decide_termination(LOOP).stem)
+    forged = NonTerminating(Trace((), ((7,),)), Trace(("t",), ((9,), (9,))))
+    assert not verify_pump(LOOP, forged)
+
+
+def test_unchecked_certificate_is_an_internal_error(monkeypatch):
+    # the walk checks the certificate it makes, so no entry point returns
+    # one that fails the check
+    monkeypatch.setattr(xpn_ert, "_pumped", lambda net, stem, pump: None)
+    with pytest.raises(AssertionError, match="failed to verify"):
+        decide_termination(LOOP)
+    for stop_early in (True, False):
+        with pytest.raises(AssertionError, match="failed to verify"):
+            build_ert(LOOP, stop_early=stop_early)
+    assert decide_termination(CHAIN) == Terminating(tree_size=4)
+
+
 def replay_swap(trace, names):
     return type(trace)(tuple(names), trace.markings)
 

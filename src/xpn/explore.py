@@ -26,8 +26,8 @@ from math import comb
 # perfbench/spans.py wraps it.  `Trace` serves this module; callers import
 # it and `replay` from here too
 from .net import (BudgetExceededError, Marking, Net, Trace, XpnError, _Value,
-                  _apply, _effects, _enabled, replay, require_valid,
-                  successors)
+                  _apply, _effects, _enabled, _marking, _target, replay,
+                  require_valid, successors)
 from .packed import _Fields, _Widen, _firing_rows, _search
 
 
@@ -42,30 +42,23 @@ class SearchResult(_Value):
         return self.trace is not None
 
 
-def _target(net: Net, target, cover: bool) -> tuple:
-    """`target` as a tuple, checked to have one integer entry per place,
-    for every search; a cover's negative entries are 0, covered alike."""
-    target = tuple(target)
-    if len(target) != len(net.places):
-        raise XpnError("target marking length mismatch")
-    if not all([isinstance(x, int) for x in target]):
-        raise XpnError(f"target marking {target} has a non-integer entry")
-    return tuple([x if x > 0 else 0 for x in target]) if cover else target
+def _covered(net: Net, target) -> tuple:
+    """A cover's `target`, checked, each negative entry read as 0."""
+    return tuple([x if x > 0 else 0 for x in _target(target, len(net.places))])
 
 
 def _bfs(net: Net, goal: str, target, max_steps: int) -> SearchResult:
     """Shared engine from the initial marking, `goal` and `target` as in
-    `packed._search`, the target checked first.  A hit's trace is built in
-    one pass over the packed path, each marking popped off it and unpacked
-    once, and each step fired by the interpreted rule: the first
-    transition in declaration order that fires the predecessor to the
-    marking, the one whose successor the search stored.  Only a transition
-    acting on a place where the two differ can, so just those acting on
-    the first such place, the lowest set bit of their XOR, are tried; a
-    step none explains raises AssertionError."""
+    `packed._search`, the target checked by the caller.  A hit's
+    trace is built in one pass over the packed path, each marking popped
+    off it and unpacked once, and each step fired by the interpreted rule:
+    the first transition in declaration order that fires the predecessor
+    to the marking, the one whose successor the search stored.  The two
+    differ, as the search stores no marking twice, and only a transition
+    acting on a place where they differ can, so just those acting on the
+    first such place, the lowest set bit of their XOR, are tried; a step
+    none explains raises AssertionError."""
     require_valid(net)  # so the initial marking fits the places
-    if target is not None:
-        target = _target(net, target, goal == "cover")
     expanded, path, fields = _search(net, net.initial, goal, target,
                                      max_steps)
     if path is None:
@@ -82,8 +75,7 @@ def _bfs(net: Net, goal: str, target, max_steps: int) -> SearchResult:
                 for p in set().union(*_effects(op)):
                     acting[p].append(op)
         d = ((diff & -diff).bit_length() - 1) // fields.width
-        for name, numeric, inhib, resets, xfers, posts, _ in (
-                acting[d] if diff else plan):
+        for name, numeric, inhib, resets, xfers, posts, _ in acting[d]:
             if (_enabled(prev, numeric, inhib)
                     and _apply(prev, numeric, resets, xfers, posts) == at):
                 break
@@ -98,13 +90,13 @@ def _bfs(net: Net, goal: str, target, max_steps: int) -> SearchResult:
 def bounded_reach(net: Net, target: Marking,
                   max_steps: int = 1_000_000) -> SearchResult:
     """Is `target` reachable (exact equality) from the initial marking?"""
-    return _bfs(net, "reach", target, max_steps)
+    return _bfs(net, "reach", _target(target, len(net.places)), max_steps)
 
 
 def bounded_cover(net: Net, target: Marking,
                   max_steps: int = 1_000_000) -> SearchResult:
     """Is some marking >= `target` reachable from the initial marking?"""
-    return _bfs(net, "cover", target, max_steps)
+    return _bfs(net, "cover", _covered(net, target), max_steps)
 
 
 def bounded_deadlock(net: Net, max_steps: int = 1_000_000) -> SearchResult:
@@ -145,10 +137,10 @@ class UpwardClosedSet:
 
     The methods on codes (`_below`, `_minimal`, `_add`) take a marking
     packed by `_fields` with every entry below the limit; `backward_cover`
-    calls them directly.  The tuple methods check and encode their argument
-    (`_probe`) and call the same ones: `add` widens the fields first where
-    an entry needs it, and `contains` and `minimal` clamp a probe entry past
-    the field to 2**(width - 1) - 1, which still exceeds every stored entry.
+    calls them directly.  The tuple methods `add`, `contains` and `minimal`
+    check their argument as `fire` checks a marking (`net._marking`), pack
+    it (`_code`) and call the same ones; where an entry of the argument is
+    at or above the limit, the set is first laid out again in wider fields.
     """
 
     def __init__(self, basis=()):
@@ -227,39 +219,30 @@ class UpwardClosedSet:
         self._count += 1
         return True
 
-    def _probe(self, m: tuple) -> int:
-        """`m` packed with each entry clamped below the limit, which keeps
-        its order against every stored entry; raises XpnError unless `m`
-        has one nonnegative integer entry per place."""
-        if len(m) != self._n:
-            raise XpnError("marking length mismatch")
-        if not all([isinstance(x, int) and x >= 0 for x in m]):
-            raise XpnError(f"marking {m} has a negative or non-integer entry")
-        cap = self._fields.limit - 1
-        return self._fields.encode([x if x < cap else cap for x in m])
+    def _code(self, m) -> int:
+        """`m`, checked by `net._marking`, packed by `_fields`, which
+        widen first where an entry of `m` needs it."""
+        m = _marking(m, self._n)
+        if (top := max(m, default=0)) >= self._fields.limit:
+            self._layout(self._fields.fitting(top))
+        return self._fields.encode(m)
 
     def contains(self, m: Marking) -> bool:
         """Is `m` in the set?  Raises XpnError as `add` does."""
-        return bool(self._count and self._below(self._probe(tuple(m))))
+        return bool(self._count and self._below(self._code(m)))
 
     def minimal(self, m: Marking) -> bool:
         """Is `m` itself an element of the current minimal basis?  Raises
         XpnError as `add` does."""
-        return bool(self._count) and self._minimal(self._probe(tuple(m))) \
-            and max(m, default=0) < self._fields.limit
+        return bool(self._count) and self._minimal(self._code(m))
 
     def add(self, m: Marking) -> bool:
-        """Add ↑m; returns False if already covered.  Raises XpnError on a
-        length mismatch or a negative or non-integer entry."""
-        m = tuple(m)
+        """Add ↑m; returns False if already covered.  Raises XpnError as
+        `fire` does unless `m` is a marking of the set's length."""
         if self._n is None:
-            self._n = len(m)
+            self._n = len(m := tuple(m))
             self._layout(_Fields(self._n, 8, spare=1))
-        code, top = self._probe(m), max(m, default=0)
-        if top >= self._fields.limit:
-            self._layout(self._fields.fitting(top))
-            code = self._fields.encode(m)
-        return self._add(code)
+        return self._add(self._code(m))
 
     def _drop(self, dead: int):
         """Splice out the segments whose flag is set in `dead`."""
@@ -404,7 +387,7 @@ def backward_cover(net: Net, target: Marking,
     not fit, the fields widen by the protocol of `packed`, and the rows,
     the frontier and the fresh elements are packed again."""
     plan = net._plan()
-    target = _target(net, target, True)
+    target = _covered(net, target)
     if any(op.inhib for op in plan):
         raise XpnError("backward_cover does not support inhibitor arcs")
 

@@ -17,9 +17,11 @@ are built only when `transitions` is first read.
 
 `fire`, `is_firable` and `successors` interpret the plan (`_enabled` and
 `_apply`, the reference firing rule), and `replay` fires a sequence into a
-`Trace`, the check every engine's certificate passes.  The packed search
-kernel that `explore` and `ert` run is in `packed`, which this module does
-not import: a verb that runs no search does not compile it.
+`Trace`, the check every engine's certificate passes.  A marking given to
+any entry point is checked by `_target`, or by `_marking` for a state.
+The packed search kernel that `explore` and `ert` run is in `packed`,
+which this module does not import: a verb that runs no search does not
+compile it.
 """
 
 from __future__ import annotations
@@ -164,7 +166,7 @@ class Transition(_Value):
 
     def __init__(self, name: str, pre: Mapping[str, Arc] = (),
                  post: Mapping[str, int] = ()):
-        # stored here, not by the slower `_Value.__init__`: the reductions
+        # stored here, not by the slower `_Value.__init__`: the compilers
         # build thousands of transitions per run
         _set(self, "name", name)
         _set(self, "pre", dict(pre))
@@ -228,12 +230,11 @@ class Net(_Value):
         places get 0."""
         counts = counts or {}
         for name in counts:
-            if name not in self._pos:
-                raise XpnError(f"unknown place {name!r}")
+            self.place_pos(name)  # raises on an unknown place
         return tuple(counts.get(p, 0) for p in self.places)
 
     def as_dict(self, m: Marking) -> dict:
-        return {p: m[i] for i, p in enumerate(self.places)}
+        return dict(zip(self.places, _target(m, len(self.places))))
 
     # -- firing, delegating to the module-level functions --------------------
 
@@ -312,15 +313,21 @@ def _to_record(t: Transition) -> tuple:
     return _record(t.name, pre, post)
 
 
-def _from_record(rec) -> Transition:
-    """The `Transition` of the record `rec`, whose dicts, built here, it
-    owns without the copy `Transition.__init__` makes."""
+def _transition_of(name: str, pre: dict, post: dict) -> Transition:
+    """The `Transition` owning `pre` and `post`, dicts its caller built
+    for it alone, without the copies `Transition.__init__` makes."""
     t = object.__new__(Transition)
-    k = 2 + 2 * rec[1]
-    _set_name(t, rec[0])
-    _set_pre(t, dict(zip(rec[2:k:2], rec[3:k:2])))
-    _set_post(t, dict(zip(rec[k::2], rec[k + 1::2])))
+    _set_name(t, name)
+    _set_pre(t, pre)
+    _set_post(t, post)
     return t
+
+
+def _from_record(rec) -> Transition:
+    """The `Transition` of the record `rec`."""
+    k = 2 + 2 * rec[1]
+    return _transition_of(rec[0], dict(zip(rec[2:k:2], rec[3:k:2])),
+                          dict(zip(rec[k::2], rec[k + 1::2])))
 
 
 # one compiled transition, arcs given by hierarchy position: `numeric` and
@@ -374,10 +381,24 @@ def _effects(op):
 # ---------------------------------------------------------------------------
 # firing semantics
 
-def _check_len(net: Net, m: Marking):
-    if len(m) != len(net.places):
-        raise XpnError(
-            f"marking has {len(m)} entries, net has {len(net.places)} places")
+def _target(m, n: int) -> Marking:
+    """`m` as a tuple, once it has `n` entries, all ints (XpnError if
+    not): the one check of a search's target, and through `_marking` of a
+    state."""
+    m = tuple(m)
+    if len(m) != n:
+        raise XpnError(f"marking has {len(m)} entries for {n} places")
+    if not all([isinstance(x, int) for x in m]):
+        raise XpnError(f"marking {m} has a non-integer entry")
+    return m
+
+
+def _marking(m, n: int) -> Marking:
+    """`_target` of `m`, a state: it also refuses a negative entry."""
+    m = _target(m, n)
+    if m and min(m) < 0:
+        raise XpnError(f"marking {m} has a negative entry")
+    return m
 
 
 def _enabled(m, numeric, inhib) -> bool:
@@ -411,23 +432,27 @@ def _apply(m, numeric, resets, xfers, posts) -> Marking:
 
 
 def is_firable(net: Net, m: Marking, tname: str) -> bool:
-    _check_len(net, m)
+    m = _marking(m, len(net.places))
     op = net._plan_for(tname)
     return _enabled(m, op.numeric, op.inhib)
 
 
-def fire(net: Net, m: Marking, tname: str) -> Marking:
-    """Fire `tname` at `m`; raises NotFirableError when disabled."""
-    _check_len(net, m)
+def _fire(net: Net, m: Marking, tname: str) -> Marking:
+    """`fire` of a marking already checked by `_marking`."""
     _, numeric, inhib, resets, xfers, posts, _ = net._plan_for(tname)
     if not _enabled(m, numeric, inhib):
         raise NotFirableError(f"{tname} is not firable at {m}")
     return _apply(m, numeric, resets, xfers, posts)
 
 
+def fire(net: Net, m: Marking, tname: str) -> Marking:
+    """Fire `tname` at `m`; raises NotFirableError when disabled."""
+    return _fire(net, _marking(m, len(net.places)), tname)
+
+
 def successors(net: Net, m: Marking) -> list:
     """All (transition name, successor marking) pairs in declaration order."""
-    _check_len(net, m)
+    m = _marking(m, len(net.places))
     return [(name, _apply(m, numeric, resets, xfers, posts))
             for name, numeric, inhib, resets, xfers, posts, _ in net._plan()
             if _enabled(m, numeric, inhib)]
@@ -442,10 +467,10 @@ class Trace(_Value):
 
 def replay(net: Net, start: Marking, names) -> Trace:
     """Fire `names` in order from `start`; raises NotFirableError if the
-    sequence is not a run."""
-    ms = [tuple(start)]
+    sequence is not a run.  `start` is checked once, not each step."""
+    ms = [_marking(start, len(net.places))]
     for name in names:
-        ms.append(fire(net, ms[-1], name))
+        ms.append(_fire(net, ms[-1], name))
     return Trace(tuple(names), tuple(ms))
 
 

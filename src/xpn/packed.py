@@ -41,8 +41,7 @@ from functools import partial
 from itertools import compress, groupby, islice, repeat, starmap
 from struct import Struct
 
-from .net import (BudgetExceededError, Marking, Net, _check_len, _effects,
-                  _set)
+from .net import BudgetExceededError, Marking, Net, _effects, _set
 
 
 def _search(net: Net, start: Marking, goal: str, target, max_steps: int):
@@ -62,8 +61,8 @@ def _search(net: Net, start: Marking, goal: str, target, max_steps: int):
     tier (`_table_loop`) until its rent reaches the buy (`_COMPILE_COST`
     says how both are counted), then the loop generated for the goal and
     the field width; both expand the same queue into the same dict, and
-    either returns to have the fields widened (the module's protocol)."""
-    _check_len(net, start)
+    either returns to have the fields widened (the module's protocol).
+    `start` and `target` come checked, by `explore`'s searches."""
     plan = net._plan()
     stop = min(max(max_steps, 0), sys.maxsize)
     fields = _Fields.for_net(net, max(start, default=0))

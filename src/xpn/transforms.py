@@ -19,7 +19,8 @@ from bisect import bisect_right
 
 from .net import (BudgetExceededError, INHIBIT, INHIBITOR_KIND, Inhibitor,
                   Marking, Net, Numeric, RESET, Reset, TRANSFER_KIND, Transfer,
-                  Transition, XpnError, _ONE, _Value, classify, require_valid)
+                  Transition, XpnError, _ONE, _Value, _marking, _transition_of,
+                  classify, require_valid)
 
 COPY = "copy"
 CONST = "const"
@@ -89,8 +90,9 @@ class _Builder:
         return name
 
     def trans(self, base: str, pre: dict, post: dict, origin: str):
-        """Add a new transition under a fresh name."""
-        self.keep(Transition(_fresh(base, self._ttaken), pre, post), origin)
+        """Add a new transition under a fresh name; it owns `pre`, `post`."""
+        self.keep(_transition_of(_fresh(base, self._ttaken), pre, post),
+                  origin)
 
     def keep(self, t: Transition, origin: str):
         """Add a rewritten source transition under its own name."""
@@ -123,12 +125,13 @@ def _numeric_pre(t: Transition) -> dict:
     return {p: a for p, a in t.pre.items() if isinstance(a, Numeric)}
 
 
-def _gated(t: Transition, *gates: str) -> Transition:
-    """`t` taking one token from each of `gates` and putting it back."""
-    post = dict(t.post)
+def _gated(name: str, pre: dict, post: dict, *gates: str) -> Transition:
+    """The transition `name` with arcs `pre` and `post`, taking one token
+    from each of `gates` and putting it back; it owns dicts of its own."""
+    post = dict(post)
     for gate in gates:
         post[gate] = post.get(gate, 0) + 1
-    return Transition(t.name, {**t.pre, **dict.fromkeys(gates, _ONE)}, post)
+    return _transition_of(name, {**pre, **dict.fromkeys(gates, _ONE)}, post)
 
 
 # ---------------------------------------------------------------------------
@@ -182,21 +185,21 @@ def _gadgets(net: Net, elim: list) -> TransformResult:
 
     for u in net.transitions:
         if u.name not in busy_of:
-            b.keep(_gated(u, *locks), "original, gated on the lock")
+            b.keep(_gated(u.name, u.pre, u.post, *locks),
+                   "original, gated on the lock")
             continue
         j, busy = busy_of[u.name]
         lock, later = locks[j], locks[j + 1:]
-        t = _gated(u, *locks[:j])
+        t = _gated(u.name, u.pre, u.post, *locks[:j])
         resets = [p for p, a in t.pre.items() if isinstance(a, Reset)]
         xfers = [(p, a.target) for p, a in t.pre.items()
                  if isinstance(a, Transfer)]
         inhibs = [p for p, a in t.pre.items() if isinstance(a, Inhibitor)]
 
         def add(base, pre, post, origin):
-            name = _fresh(base, b._ttaken)
-            b.keep(_gated(Transition(name, pre, post), *later), origin)
+            b.keep(_gated(_fresh(base, b._ttaken), pre, post, *later), origin)
 
-        pre = dict(_numeric_pre(t))
+        pre = _numeric_pre(t)
         pre[lock] = _ONE
         add(f"{t.name}_start", pre, {busy: 1},
             f"consumes the numeric pre-arcs of {t.name} and opens its gadget")
@@ -403,7 +406,8 @@ def dlf_to_reach(net: Net, clause_cap: int = 10_000) -> TransformResult:
                    (CONST, 1))
     goalp = b.place("goal", "token placed once a deadlock clause is certified")
     for t in net.transitions:
-        b.keep(_gated(t, live), "original, gated on live")
+        b.keep(_gated(t.name, t.pre, t.post, live),
+               "original, gated on live")
 
     for k, clause in enumerate(clauses):
         cplace = b.place(f"c{k}", f"clause {k} in progress")
@@ -449,16 +453,10 @@ def dlf_to_reach(net: Net, clause_cap: int = 10_000) -> TransformResult:
 
 def reach_to_dlf(net: Net, target: Marking) -> TransformResult:
     """Target reachable in the source iff the constructed net has a
-    reachable deadlock; that deadlock is unique (done=1, all else 0)."""
+    reachable deadlock; that deadlock is unique (done=1, all else 0).
+    The target is a state, checked as `fire` checks one (XpnError)."""
     require_valid(net)
-    target = tuple(target)
-    if len(target) != len(net.places):
-        raise TransformError("target marking length mismatch")
-    if not all(isinstance(n, int) for n in target):
-        raise TransformError(
-            f"target marking {target} has a non-integer entry")
-    if any(n < 0 for n in target):
-        raise TransformError("negative target marking")
+    target = _marking(target, len(net.places))
 
     b = _Builder(net)
     gate = b.place("gate", "token the source transitions borrow per firing",
@@ -467,7 +465,7 @@ def reach_to_dlf(net: Net, target: Marking) -> TransformResult:
                    (CONST, 1))
     done = b.place("done", "marks that the target was hit exactly")
     for t in net.transitions:
-        b.keep(_gated(t, gate), "original, gated")
+        b.keep(_gated(t.name, t.pre, t.post, gate), "original, gated")
     for p in net.places:
         b.trans(f"idle_{p}", {p: _ONE}, {p: 1},
                 f"keeps the net live while {p} is nonempty")
@@ -519,7 +517,7 @@ def two_inh_to_reset(net: Net) -> TransformResult:
         post = dict(t.post)
         if p2 in post:
             post[copy] = post[p2]
-        b.keep(Transition(t.name, pre, post),
+        b.keep(_transition_of(t.name, pre, post),
                "inhibitor traded for a reset" if i == i1
                else "original, numeric arcs mirrored onto the copy")
 
@@ -569,10 +567,10 @@ def transfer_hierarchize(net: Net) -> TransformResult:
         pre_b[mid] = _ONE
         post_b = dict(t2.post)
         post_b[hold] = post_b.get(hold, 0) + 1
-        ts = [_gated(t, hold) for t in ts]
+        ts = [_gated(t.name, t.pre, t.post, hold) for t in ts]
         ts[i2:i2 + 1] = [
-            Transition(_fresh(f"{t2.name}_a", b._ttaken), pre_a, {mid: 1}),
-            Transition(_fresh(f"{t2.name}_b", b._ttaken), pre_b, post_b)]
+            _transition_of(_fresh(f"{t2.name}_a", b._ttaken), pre_a, {mid: 1}),
+            _transition_of(_fresh(f"{t2.name}_b", b._ttaken), pre_b, post_b)]
         b._ttaken.discard(t2.name)
         i2 += 1
 
@@ -609,7 +607,7 @@ def transfer_hierarchize(net: Net) -> TransformResult:
         role = ("first transfer, shadow arc added" if i == i1 else
                 "second transfer, swaps the mode and the representatives"
                 if i == i2 else "original")
-        b.keep(Transition(t.name, *arcs_of(t, i, False)),
+        b.keep(_transition_of(t.name, *arcs_of(t, i, False)),
                f"{role} (mode A copy)")
         b.trans(f"{t.name}_alt", *arcs_of(t, i, True), f"{role} (mode B copy)")
     # the origins alternate between the modes, the net lists mode A first

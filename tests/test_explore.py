@@ -127,23 +127,6 @@ def test_budget_exhaustion():
             search(max_depth=1)
 
 
-def test_a_target_has_one_integer_entry_per_place():
-    # a search packs its target like its markings, so it checks it first;
-    # forward and backward searches check it alike
-    for search in (bounded_reach, bounded_cover, backward_cover):
-        with pytest.raises(XpnError, match="^target marking length mismatch$"):
-            search(CHAIN, (0, 2, 0))
-        with pytest.raises(XpnError, match=(
-                r"^target marking \(0, 1\.5\) has a non-integer entry$")):
-            search(CHAIN, (0, 1.5))
-    # a negative entry is covered by every marking and reached by none
-    assert bounded_cover(CHAIN, (-1, 0)).trace.transitions == ()
-    assert not bounded_reach(CHAIN, (-1, 3)).found
-    assert backward_cover(CHAIN, (-1, 0)) == BackwardCoverResult(
-        True, ((0, 0),))
-    assert backward_cover(CHAIN, (-7, 2)) == backward_cover(CHAIN, (0, 2))
-
-
 def test_forward_budget_boundary_against_the_oracle():
     """An exhausting search expands each reachable marking exactly once, so
     it answers at max_steps = len(graph) and runs out one step below."""
@@ -690,10 +673,6 @@ def test_backward_cover_rejects_inhibitors():
         backward_cover(n, (0, 1))
     with pytest.raises(XpnError):
         backward_cover(CHAIN, (0, 1, 0))
-    # a packed basis holds nonnegative ints only
-    for bad in ((0, -1), (0, 1.5)):
-        with pytest.raises(XpnError, match="negative or non-integer entry"):
-            UpwardClosedSet().add(bad)
 
 
 def test_backward_cover_unreachable():
@@ -994,25 +973,6 @@ def test_upward_closed_set_matches_flat_reference():
                 assert ucs.contains(probe) == ref.contains(probe)
                 assert ucs.minimal(probe) == (probe in ref.basis)
         assert sorted(UpwardClosedSet(added).basis) == sorted(ref.basis)
-
-
-def test_upward_closed_set_refuses_a_bad_entry_alike():
-    # every tuple method checks its argument as `add` does; an empty set
-    # holds nothing, whatever is asked
-    ucs = UpwardClosedSet([(1, 2)])
-    for bad in ((1.5, 2), ("x", 2), (-1, 2), (1, None)):
-        for method in (ucs.add, ucs.contains, ucs.minimal):
-            with pytest.raises(XpnError, match=(
-                    "^marking .* has a negative or non-integer entry$")):
-                method(bad)
-        assert not UpwardClosedSet().contains(bad)
-        assert not UpwardClosedSet().minimal(bad)
-    for method in (ucs.add, ucs.contains, ucs.minimal):
-        with pytest.raises(XpnError, match="^marking length mismatch$"):
-            method((1, 2, 3))
-    assert ucs.basis == [(1, 2)]
-    assert ucs.contains((1, 2)) and ucs.minimal([1, 2])
-    assert ucs.contains((2, 10**30)) and not ucs.minimal((2, 10**30))
 
 
 def test_backward_cover_widens_in_the_middle_of_its_saturation(monkeypatch):

@@ -10,6 +10,13 @@ import fuzz
 import oracles
 from xpn import packed
 from xpn.ert import transition_index
+from xpn.explore import (
+    BackwardCoverResult,
+    UpwardClosedSet,
+    backward_cover,
+    bounded_cover,
+    bounded_reach,
+)
 from xpn.fmt import parse_net, render_net
 from xpn.net import (
     INHIBIT,
@@ -28,11 +35,13 @@ from xpn.net import (
     fire,
     has_errors,
     is_firable,
+    replay,
     require_valid,
     successors,
     validate,
 )
 from xpn.packed import _search, _search_source
+from xpn.transforms import reach_to_dlf
 
 
 def net_of(places, transitions, initial):
@@ -170,6 +179,90 @@ def test_marking_helpers_and_errors():
         fire(n, (0, 0, 0), "t")
     with pytest.raises(XpnError):
         is_firable(n, (0,), "t")
+
+
+# every public entry point that takes a marking: its name, what the
+# marking is to it (a state, or a search's target, whose entries may be
+# negative) and a call
+MARKED = parse_net("""\
+places: a b
+marking: a=2
+trans t: in a ; out b
+trans r: in b, reset a ; out b
+""")
+ENTRY_POINTS = {
+    "fire": ("state", lambda m: fire(MARKED, m, "t")),
+    "is_firable": ("state", lambda m: is_firable(MARKED, m, "t")),
+    "successors": ("state", lambda m: successors(MARKED, m)),
+    "replay": ("state", lambda m: replay(MARKED, m, ["t", "r"])),
+    "replay-nothing": ("state", lambda m: replay(MARKED, m, [])),
+    "Net.fire": ("state", lambda m: MARKED.fire(m, "r")),
+    "Net.is_firable": ("state", lambda m: MARKED.is_firable(m, "r")),
+    "Net.successors": ("state", lambda m: MARKED.successors(m)),
+    "Net.as_dict": ("target", lambda m: MARKED.as_dict(m)),
+    "reach_to_dlf": ("state", lambda m: reach_to_dlf(MARKED, m)),
+    "UpwardClosedSet.add": (
+        "state", lambda m: UpwardClosedSet([(1, 2)]).add(m)),
+    "UpwardClosedSet.contains": (
+        "state", lambda m: UpwardClosedSet([(1, 2)]).contains(m)),
+    "UpwardClosedSet.minimal": (
+        "state", lambda m: UpwardClosedSet([(1, 2)]).minimal(m)),
+    "bounded_reach": ("target", lambda m: bounded_reach(MARKED, m)),
+    "bounded_cover": ("target", lambda m: bounded_cover(MARKED, m)),
+    "backward_cover": ("target", lambda m: backward_cover(MARKED, m)),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_every_entry_point_checks_a_marking_alike(entry):
+    kind, call = ENTRY_POINTS[entry]
+    # one check in `net` (`_target`, and `_marking` for a state) words
+    # every fault alike, wherever the marking comes in
+    bad = [((0,), "has 1 entries for 2 places"),
+           ((0, 1, 0), "has 3 entries for 2 places"),
+           ((1.5, 0), "{} has a non-integer entry"),
+           ((0, "1"), "{} has a non-integer entry"),
+           ((None, 0), "{} has a non-integer entry"),
+           ((2.5, -1), "{} has a non-integer entry")]
+    if kind == "state":
+        bad += [((-1, 0), "{} has a negative entry"),
+                ((0, -4), "{} has a negative entry")]
+    for m, why in bad:
+        with pytest.raises(XpnError, match=(
+                "^" + re.escape("marking " + why.format(m)) + "$")):
+            call(m)
+        with pytest.raises(XpnError):
+            call(list(m))
+    call([1, 1])  # any sequence of ints is a marking
+    if kind == "target":
+        call((-1, 0))
+
+
+def test_the_marking_check_by_example():
+    # the firing functions compute on markings in N^P only
+    n = MARKED
+    with pytest.raises(XpnError, match=r"^marking \(1\.5, 0\) has a non"):
+        fire(n, (1.5, 0), "t")
+    with pytest.raises(XpnError, match=r"^marking \(-4, 0\) has a neg"):
+        fire(n, (-4, 0), "r")
+    with pytest.raises(XpnError, match=r"^marking \(2\.5, -1\) has a non"):
+        successors(n, (2.5, -1))
+    # a search's target may hold a negative entry: every marking covers
+    # it as it covers 0 there, and none reaches it
+    assert bounded_cover(n, (-1, 0)).trace.transitions == ()
+    assert not bounded_reach(n, (-1, 3)).found
+    assert backward_cover(n, (-1, 0)) == BackwardCoverResult(True, ((0, 0),))
+    assert backward_cover(n, (-7, 2)) == backward_cover(n, (0, 2))
+    # an empty set holds nothing, whatever is asked; a probe entry past the
+    # set's fields lays the set out again, in wider fields
+    for m in ((1.5, 2), (-1, 2), (1, 2, 3)):
+        assert not UpwardClosedSet().contains(m)
+        assert not UpwardClosedSet().minimal(m)
+    ucs = UpwardClosedSet([(1, 2)])
+    assert ucs.contains((2, 10**30)) and not ucs.minimal((2, 10**30))
+    assert ucs._fields.limit > 10**30
+    assert ucs.basis == [(1, 2)]
+    assert ucs.contains((1, 2)) and ucs.minimal([1, 2])
 
 
 def test_fire_fuzz_against_oracle():

@@ -71,7 +71,7 @@ def _read_text(path: str) -> str:
 
 def _write_file(path: str, text: str):
     try:
-        with open(path, "w") as f:
+        with open(path, "w", encoding="utf-8") as f:
             f.write(text)
     except OSError as e:
         raise _Fail(f"{path}: {e.strerror or e}")

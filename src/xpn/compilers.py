@@ -12,8 +12,8 @@ from __future__ import annotations
 import re
 
 from .fmt import ParseError, _NAME_RE
-from .net import (INHIBIT, Net, Numeric, RESET, Transfer, Transition,
-                  _ONE, _Value, require_valid)
+from .net import (INHIBIT, Net, Numeric, RESET, Transfer, _ONE, _Value,
+                  _transition_of, require_valid)
 
 
 # ---------------------------------------------------------------------------
@@ -140,42 +140,39 @@ def compile_minsky(cm: CounterMachine, transfer: bool = False) -> MinskyCompilat
         here = state_place[q]
         if isinstance(instr, Inc):
             c = counters[instr.counter - 1]
-            transitions.append(Transition(
+            transitions.append(_transition_of(
                 f"{q}_inc", {here: _ONE},
                 {state_place[instr.goto]: 1, c: 1, "S": 1}))
         elif isinstance(instr, JzDec):
             c = counters[instr.counter - 1]
-            transitions.append(Transition(
+            transitions.append(_transition_of(
                 f"{q}_dec", {here: _ONE, c: _ONE, "S": _ONE},
                 {state_place[instr.goto_nonzero]: 1}))
-            transitions.append(Transition(
+            transitions.append(_transition_of(
                 f"{q}_go", {here: _ONE},
                 {f"{q}_mid": 1, f"z{instr.counter}_pick": 1}))
-            transitions.append(Transition(
+            transitions.append(_transition_of(
                 f"{q}_zero",
                 {f"{q}_mid": _ONE, f"z{instr.counter}_done": _ONE},
                 {state_place[instr.goto_zero]: 1}))
         else:
-            transitions.append(Transition(
-                "merge", {here: _ONE, "C1": _ONE},
-                {here: 1, "C2": 1}))
-            transitions.append(Transition(
+            transitions.append(_transition_of(
+                "merge", {here: _ONE, "C1": _ONE}, {here: 1, "C2": 1}))
+            transitions.append(_transition_of(
                 "to_drain", {here: _ONE}, {f"{q}_drain": 1}))
-            transitions.append(Transition(
-                "drain",
-                {f"{q}_drain": _ONE, "S": _ONE, "C2": _ONE},
+            transitions.append(_transition_of(
+                "drain", {f"{q}_drain": _ONE, "S": _ONE, "C2": _ONE},
                 {f"{q}_drain": 1}))
-            transitions.append(Transition(
+            transitions.append(_transition_of(
                 "to_check", {f"{q}_drain": _ONE}, {f"{q}_check": 1}))
-            transitions.append(Transition(
+            transitions.append(_transition_of(
                 "accept_now", {f"{q}_check": _ONE, "S": INHIBIT},
                 {"accept": 1}))
     for r in used:
         c = counters[r - 1]
         wipe_arc = Transfer(f"dump{r}") if transfer else RESET
-        transitions.append(Transition(
-            f"wipe{r}", {f"z{r}_pick": _ONE, c: wipe_arc},
-            {f"z{r}_done": 1}))
+        transitions.append(_transition_of(
+            f"wipe{r}", {f"z{r}_pick": _ONE, c: wipe_arc}, {f"z{r}_done": 1}))
 
     initial = tuple(1 if p == state_place[cm.start] else 0 for p in places)
     net = Net(tuple(places), tuple(transitions), initial)
@@ -267,7 +264,7 @@ def compile_positivity(inst: PositivityInstance) -> PositivityCompilation:
         post = {w[i, j]: abs(inst.matrix[j - 1][i - 1])
                 for j in range(1, n + 1) if inst.matrix[j - 1][i - 1] != 0}
         mul_names.append(f"mul{i}")
-        transitions.append(Transition(f"mul{i}", {v[i - 1]: _ONE}, post))
+        transitions.append(_transition_of(f"mul{i}", {v[i - 1]: _ONE}, post))
     acc_names = {}
     for i in range(1, n + 1):
         for j in range(1, n + 1):
@@ -286,11 +283,11 @@ def compile_positivity(inst: PositivityInstance) -> PositivityCompilation:
                 pre[nv[j - 1]] = _ONE
                 if colsums[j - 1]:
                     pre["refuel"] = Numeric(colsums[j - 1])
-            transitions.append(Transition(name, pre, post))
+            transitions.append(_transition_of(name, pre, post))
     restart_pre = {"fuel": INHIBIT, "refuel": Transfer("fuel")}
     for j in range(1, n + 1):
         restart_pre[nv[j - 1]] = Transfer(v[j - 1])
-    transitions.append(Transition("restart", restart_pre, {}))
+    transitions.append(_transition_of("restart", restart_pre, {}))
 
     fuel0 = sum(colsums[i] * inst.v0[i] for i in range(n))
     counts = {"fuel": fuel0}

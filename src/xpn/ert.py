@@ -52,7 +52,7 @@ from __future__ import annotations
 # `ert.classify` and `ert.successors`
 from .net import (BudgetExceededError, Marking, Net, XpnError, _Value,
                   _ert_fault, _leq, classify, replay, successors)
-from .packed import _Fields, _Widen, _table
+from .packed import _Fields, _Widen, _table, _widening
 from .fmt import _q, _writes_counts
 
 
@@ -185,8 +185,8 @@ def _walk(net: Net, max_nodes: int, rng, nodes, stop_early: bool):
     (AssertionError if it fails).  `rng` shuffles each node's children.
 
     Markings are packed ints (`_Fields`) from the root on, and children
-    come from the firing table (`packed._table`).  When a child
-    needs wider fields (`packed`'s widening), the walk starts again with
+    come from the firing table (`packed._table`).  When a child needs
+    wider fields, the walk starts again there (`packed._widening`) with
     `rng` and `nodes` as they were given, so it draws, numbers and counts
     as one walk at that width would.
 
@@ -219,18 +219,17 @@ def _walk(net: Net, max_nodes: int, rng, nodes, stop_early: bool):
         raise _over(max_nodes)
     plan = net._plan()
     lookup = _adds_no_tokens(plan)
-    fields = _Fields.for_net(net, max(net.initial, default=0))
     state = None if rng is None else rng.getstate()
-    while True:
-        try:
-            return _walk_at(net, plan, fields, lookup, max_nodes, rng, nodes,
-                            stop_early)
-        except _Widen as e:
-            fields = fields.wider(e.args[0])
-            if rng is not None:
-                rng.setstate(state)
-            if nodes is not None:
-                nodes[:] = [None]
+
+    def attempt(fields):
+        if rng is not None:
+            rng.setstate(state)
+        if nodes is not None:
+            nodes[:] = [None]
+        return _walk_at(net, plan, fields, lookup, max_nodes, rng, nodes,
+                        stop_early)
+    return _widening(_Fields.for_net(net, max(net.initial, default=0)),
+                     attempt)
 
 
 def _walk_at(net: Net, plan, fields: _Fields, lookup: bool, max_nodes: int,

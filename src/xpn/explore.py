@@ -219,9 +219,13 @@ class UpwardClosedSet:
         self._count += 1
         return True
 
-    def _code(self, m) -> int:
+    def _code(self, m) -> int | None:
         """`m`, checked by `net._marking`, packed by `_fields`, which
-        widen first where an entry of `m` needs it."""
+        widen first where an entry of `m` needs it; None for a set never
+        added to, which holds nothing and knows no length to check."""
+        if self._n is None:
+            _marking(m := tuple(m), len(m))
+            return None
         m = _marking(m, self._n)
         if (top := max(m, default=0)) >= self._fields.limit:
             self._layout(self._fields.fitting(top))
@@ -229,12 +233,12 @@ class UpwardClosedSet:
 
     def contains(self, m: Marking) -> bool:
         """Is `m` in the set?  Raises XpnError as `add` does."""
-        return bool(self._count and self._below(self._code(m)))
+        return (code := self._code(m)) is not None and bool(self._below(code))
 
     def minimal(self, m: Marking) -> bool:
         """Is `m` itself an element of the current minimal basis?  Raises
         XpnError as `add` does."""
-        return bool(self._count) and self._minimal(self._code(m))
+        return (code := self._code(m)) is not None and self._minimal(code)
 
     def add(self, m: Marking) -> bool:
         """Add ↑m; returns False if already covered.  Raises XpnError as
@@ -385,7 +389,10 @@ def backward_cover(net: Net, target: Marking,
     enough for the target and every weight of the net, and each op's
     candidates are built from its row (`_predecessors`).  When one would
     not fit, the fields widen by the protocol of `packed`, and the rows,
-    the frontier and the fresh elements are packed again."""
+    the frontier and the fresh elements are packed again.  Unlike the
+    forward search and the walk, it does not start again: a late widening
+    would repeat most of its work (2.8x the time on the doubling ring
+    `t_i: in p_i*2 ; out p_{i+1}`, `r: in p2 ; out p0` to `p2=40`)."""
     plan = net._plan()
     target = _covered(net, target)
     if any(op.inhib for op in plan):

@@ -226,12 +226,13 @@ class Net(_Value):
             raise UnknownTransitionError(f"unknown transition {name!r}") from None
 
     def marking(self, counts: Mapping[str, int] | None = None) -> Marking:
-        """Build a marking tuple from a {place: count} mapping; absent
-        places get 0."""
+        """Build a marking tuple from a {place: count} mapping, checked by
+        `_marking`; absent places get 0."""
         counts = counts or {}
         for name in counts:
             self.place_pos(name)  # raises on an unknown place
-        return tuple(counts.get(p, 0) for p in self.places)
+        return _marking([counts.get(p, 0) for p in self.places],
+                        len(self.places))
 
     def as_dict(self, m: Marking) -> dict:
         return dict(zip(self.places, _target(m, len(self.places))))

@@ -26,19 +26,19 @@ the arcs on its own, so recovering each step of a found trace by it
 Widening, one protocol for the forward search, the termination walk
 (`ert`) and backward coverability (`explore`).  Each field keeps spare top
 bits, so one AND with `_Fields.head` finds an entry at or above the limit.
-The engine asks for wider fields with that packed marking: a forward loop
-returns (i, None) for its i-th marking, and the walk's children and the
-predecessors raise `_Widen`.  The engine takes `_Fields.wider` of it,
-packs what it keeps again by `_Fields.recode`, and goes on: the search and
-the saturation where they stopped, the walk from its root with its draws
-and node numbers as they were.
+The engine that meets one raises `_Widen` with its packed marking: the
+forward loops for the marking they would expand, the walk for a child,
+the saturation for a predecessor.  The search and the walk start again at
+`_Fields.wider` of it (`_widening`), the walk with its draws and node
+numbers as they were; the saturation packs what it keeps again by
+`_Fields.recode` and goes on where it stopped.
 """
 
 from __future__ import annotations
 
 import sys
 from functools import partial
-from itertools import compress, groupby, islice, repeat, starmap
+from itertools import compress, groupby, islice
 from struct import Struct
 
 from .net import BudgetExceededError, Marking, Net, _effects, _set
@@ -55,48 +55,50 @@ def _search(net: Net, start: Marking, goal: str, target, max_steps: int):
     then None if no marking is a hit, else the markings from `start` to
     the first hit, packed by the `_Fields` `fields`.  Raises
     BudgetExceededError when a marking past the `max_steps`-th would need
-    expanding.
-
-    Every marking is packed from the start.  The search runs the table
-    tier (`_table_loop`) until its rent reaches the buy (`_COMPILE_COST`
-    says how both are counted), then the loop generated for the goal and
-    the field width; both expand the same queue into the same dict, and
-    either returns to have the fields widened (the module's protocol).
-    `start` and `target` come checked, by `explore`'s searches."""
-    plan = net._plan()
+    expanding.  `start` and `target` come checked, by `explore`'s
+    searches.  It runs at one width (`_search_at`), and from the start
+    again at each wider one (`_widening`)."""
     stop = min(max(max_steps, 0), sys.maxsize)
-    fields = _Fields.for_net(net, max(start, default=0))
+    return _widening(_Fields.for_net(net, max(start, default=0)),
+                     partial(_search_at, net, start, goal, target, stop))
+
+
+def _search_at(net: Net, start: Marking, goal: str, target, stop: int,
+               fields: "_Fields"):
+    """`_search` at the width of `fields`, expanding at most `stop`
+    markings: the table tier (`_table_loop`) until its rent reaches the
+    buy (`_COMPILE_COST`), then the loop generated for the goal and the
+    width, both on one queue and one dict."""
+    plan = net._plan()
     parent = {fields.encode(start): None}  # marking -> its predecessor
     queue = list(parent)  # every visited marking, in the order of expansion
-    i, rent, buy = 0, 0, _COMPILE_COST * (len(plan) + 1)
-    while i < stop:
-        words = fields.size // 4 + 1
-        # building the table reads each op about as a test does
-        if rent + len(plan) * words < buy:
-            run, tests = _table_loop(plan, goal, fields)
-            rent, cost = rent + len(plan) * words, tests * words
-            end = min(stop, i - (rent - buy) // cost) if cost else stop
-        else:
-            run, cost, end = _search_loop(net, goal, fields), 0, stop
-        r = run(queue, parent, i, end, _packed_target(goal, target, fields))
+    aim = _packed_target(goal, target, fields)
+    words = fields.size // 4 + 1
+    # the buy less the rent of building the table, a test per op
+    left = _COMPILE_COST * (len(plan) + 1) - len(plan) * words
+    i, hit = 0, None
+    if left > 0:
+        run, tests = _table_loop(plan, goal, fields)
+        i = min(stop, -(-left // (tests * words))) if tests else stop
+        hit = run(queue, parent, 0, i, aim)
         del run  # so that a compile next frees the table first
-        if r is None:
-            if len(queue) <= end:
-                break
-            rent, i = rent + (end - i) * cost, end
-            continue
-        j, hit = r
-        if hit is not None:
-            return j + 1, _path(parent, hit), fields
-        # queue[j] has an entry at or above the limit: widen
-        rent, i = rent + (j - i) * cost, j
-        old, fields = fields, fields.wider(queue[i])
-        code = dict(zip(parent, fields.recode(old, parent)))
-        parent = {code[m]: code.get(p) for m, p in parent.items()}
-        queue = list(parent)
+    if hit is None and i < min(stop, len(queue)):
+        hit = _search_loop(net, goal, fields)(queue, parent, i, stop, aim)
+    if hit is not None:
+        return hit[0] + 1, _path(parent, hit[1]), fields
     if len(queue) > stop:
         raise BudgetExceededError(f"expanded={stop}")
     return len(queue), None, fields
+
+
+def _widening(fields: "_Fields", attempt):
+    """`attempt(fields)`, run again from the start at `_Fields.wider` of
+    each `_Widen` it raises: the one retry loop of the protocol."""
+    while True:
+        try:
+            return attempt(fields)
+        except _Widen as e:
+            fields = fields.wider(e.args[0])
 
 
 def _firing_rows(plan, fields: "_Fields") -> list:
@@ -183,7 +185,7 @@ def _table_loop(plan, goal: str, fields: "_Fields"):
         push = Q.append
         for i, m in enumerate(islice(Q, i, stop), i):
             if m & head:
-                return i, None
+                raise _Widen(m)
             if (m == T if reach
                     else cover and (m | guard) - T & guard == guard):
                 return i, m
@@ -333,12 +335,8 @@ class _Fields:
 
     def recode(self, old: "_Fields", codes) -> list:
         """The markings packed as `codes` by `old`, packed by these
-        fields; the loop runs in map where struct packs them."""
-        ms = map(old.decode, codes)
-        if self.struct:
-            return list(map(int.from_bytes, starmap(self.struct.pack, ms),
-                            repeat("little")))
-        return list(map(self.encode, ms))
+        fields."""
+        return [self.encode(old.decode(code)) for code in codes]
 
 
 
@@ -352,9 +350,10 @@ def _read_wide(n: int, nb: int, raw: bytes) -> tuple:
 # ---------------------------------------------------------------------------
 # generated code
 
-# Rent-or-buy (Karlin et al. 1988): a search compiles its loop once its
-# rent, the work done in the table tier, reaches the buy, the cost of
-# compiling: 45-115 us per transition (2-vCPU x86-64, CPython 3.11).  The
+# Rent-or-buy (Karlin et al. 1988): a search at one width compiles its
+# loop once its rent, the work done in the table tier at that width,
+# reaches the buy, the cost of compiling: 45-115 us per transition
+# (2-vCPU x86-64, CPython 3.11).  The
 # rent counts tests, each weighed by the packed marking's size in 32-bit
 # words: one per transition to build the table, then one per transition
 # in the table at each expansion; the buy is _COMPILE_COST per transition
@@ -423,8 +422,9 @@ def _search_loop(net: Net, goal: str, fields: _Fields):
     run = net._loops.get(key)
     if run is None:
         pack = fields.struct and fields.struct.pack
-        namespace = {"islice": islice, "H": fields.head, "G": fields.guard,
-                     "U": fields.read, "B": fields.size, "E": "little",
+        namespace = {"islice": islice, "W": _Widen, "H": fields.head,
+                     "G": fields.guard, "U": fields.read, "B": fields.size,
+                     "E": "little",
                      # X packs a list successor, in one call where struct can
                      "X": (lambda v: int.from_bytes(pack(*v), "little"))
                      if pack else fields.encode}
@@ -492,14 +492,14 @@ def _search_source(n_places: int, plan, goal: str, width: int) -> str:
 
     It expands Q[i], Q[i + 1], ... up to but not including Q[stop], while
     Q grows: each successor not yet a key of P is stored there with its
-    predecessor as value and appended to Q.  Before expanding the i-th
-    marking it returns (i, None) if an entry is at or above the fields'
-    limit (an AND with `H`), the module's widening request, so the caller
-    can widen the fields and resume at i.  It returns (i, m) at the first
-    hit m, the i-th marking: one equal to T for "reach", one covering T
-    for "cover" (the guard-bit subtraction of `UpwardClosedSet`), or one
-    where no transition is enabled for "deadlock".  It returns None when
-    it runs out of queue or reaches `stop`.
+    predecessor as value and appended to Q.  Before expanding a marking m
+    it raises W(m), the module's widening request `_Widen`, if an entry
+    is at or above the fields' limit (an AND with `H`).  It returns (i, m)
+    at the first hit m, the i-th marking: one equal to T for "reach", one
+    covering T for "cover" (the guard-bit subtraction of
+    `UpwardClosedSet`), or one where no transition is enabled for
+    "deadlock".  It returns None when it runs out of queue or reaches
+    `stop`.
 
     A marking's fields are unpacked into locals a0 ... a{n-1}, kept as
     the tuple `u` too where a successor is built from a list, each
@@ -511,7 +511,7 @@ def _search_source(n_places: int, plan, goal: str, width: int) -> str:
              "    push = Q.append",
              "    for i, m in enumerate(islice(Q, i, stop), i):",
              "        if m & H:",
-             "            return i, None"]
+             "            raise W(m)"]
     if goal == "reach":
         lines += ["        if m == T:", "            return i, m"]
     elif goal == "cover":

@@ -1307,6 +1307,26 @@ def test_the_package_holds_no_assert_statement():
     assert found == []
 
 
+def test_the_package_opens_files_in_binary_or_utf8():
+    # text mode without `encoding=` reads and writes in the locale's
+    # encoding; the CLI reads bytes and decodes them as UTF-8
+    src = Path(cli.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "open"):
+                continue
+            keywords = {k.arg: k.value for k in node.keywords}
+            mode = node.args[1] if len(node.args) > 1 else keywords.get(
+                "mode")
+            binary = isinstance(mode, ast.Constant) and "b" in mode.value
+            if not binary and "encoding" not in keywords:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 # a verb form -> the engine modules it loads besides xpn, cli, fmt and net
 VERB_MODULES = [
     (("validate", "n.xpn"), ()),

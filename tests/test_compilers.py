@@ -18,7 +18,7 @@ from xpn.compilers import (
 )
 from xpn.explore import bounded_cover
 from xpn.fmt import ParseError
-from xpn.net import InvalidNetError, NotFirableError
+from xpn.net import InvalidNetError, NotFirableError, Transition
 
 MACHINE_TEXT = dict((name, text) for name, text, _ in machines.SUITE)
 
@@ -119,6 +119,22 @@ def test_compile_minsky_transfer_variant_shape():
                           transfer=True)
     assert census(comp.net) == {"Numeric": 17, "Inhibitor": 1, "Transfer": 1}
     assert len(comp.net.places) == 14  # extra sink place for swept tokens
+
+
+def test_the_compilers_build_no_transition_by_its_constructor(
+        monkeypatch):
+    # `Transition(...)` copies its pre and post dicts; a compiler builds
+    # them for the transition alone and hands them over
+    # (`net._transition_of`)
+    calls = []
+    init = Transition.__init__
+    monkeypatch.setattr(Transition, "__init__", lambda self, *args, **kw:
+                        calls.append(args) or init(self, *args, **kw))
+    for _, text, _ in machines.SUITE:
+        for transfer in (False, True):
+            compile_minsky(parse_machine(text), transfer=transfer)
+    compile_positivity(FIG3)
+    assert calls == []
 
 
 def test_compile_minsky_rejects_colliding_state_names():

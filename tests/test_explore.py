@@ -281,14 +281,21 @@ WIDTH_CASES = [
     (counter(63, 100), None, 128, set()),
     (counter(64, 100), None, 128, set()),
     (counter(66, 100), None, 128, set()),
-    # with the buy at 2 * 161, a rent of 2 per expansion at 16 bits
-    # switches after 160 expansions, with b still above 127: a passes
-    # 2**15 - 1 after the switch, at it, or before it, where the rent of
-    # 3 per expansion at 32 bits switches one expansion earlier
+    # with the buy at 2 * 161, a rent of 2 to build the table and 2 per
+    # expansion at 16 bits switches after 160 expansions, with b still
+    # above 127: a passes 2**15 - 1 after the switch, at it, or before
+    # it.  The search then starts again at 32 bits with no rent, where 3
+    # to build the table and 3 per expansion switch after 107, so it
+    # generates the 32-bit loop whether or not it generated the 16-bit one
     (counter(2**15 - 164, 200), 161, 2**15, {16, 32}),
     (counter(2**15 - 161, 200), 161, 2**15, {16, 32}),
     (counter(2**15 - 160, 200), 161, 2**15, {16, 32}),
     (counter(2**15 - 158, 200), 161, 2**15, {32}),
+    # the rent starts again at each width: a passes 2**15 - 1 after 50
+    # expansions and the search ends after 115, past the 32-bit switch
+    # at 107; rent carried from 16 bits, 2 + 2 * 50, would reach the buy
+    # only after 123
+    (counter(2**15 - 50, 114), 161, 2**15, {32}),
 ]
 
 

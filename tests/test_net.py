@@ -247,17 +247,29 @@ def test_the_marking_check_by_example():
         fire(n, (-4, 0), "r")
     with pytest.raises(XpnError, match=r"^marking \(2\.5, -1\) has a non"):
         successors(n, (2.5, -1))
+    # a marking built from counts is checked as it is built
+    for counts, why in (({"a": 1.5}, "(1.5, 0) has a non-integer"),
+                        ({"a": -1}, "(-1, 0) has a negative"),
+                        ({"a": None}, "(None, 0) has a non-integer")):
+        with pytest.raises(XpnError, match=(
+                "^" + re.escape(f"marking {why} entry") + "$")):
+            n.marking(counts)
     # a search's target may hold a negative entry: every marking covers
     # it as it covers 0 there, and none reaches it
     assert bounded_cover(n, (-1, 0)).trace.transitions == ()
     assert not bounded_reach(n, (-1, 3)).found
     assert backward_cover(n, (-1, 0)) == BackwardCoverResult(True, ((0, 0),))
     assert backward_cover(n, (-7, 2)) == backward_cover(n, (0, 2))
-    # an empty set holds nothing, whatever is asked; a probe entry past the
-    # set's fields lays the set out again, in wider fields
-    for m in ((1.5, 2), (-1, 2), (1, 2, 3)):
-        assert not UpwardClosedSet().contains(m)
-        assert not UpwardClosedSet().minimal(m)
+    # an empty set holds nothing, and knows no length yet, but checks a
+    # probe's entries as `add` does; a probe entry past the set's fields
+    # lays the set out again, in wider fields
+    for m in ((1.5, 2), (-1, 2)):
+        with pytest.raises(XpnError, match=r"^marking \(.*\) has a n"):
+            UpwardClosedSet().contains(m)
+        with pytest.raises(XpnError, match=r"^marking \(.*\) has a n"):
+            UpwardClosedSet().minimal(m)
+    assert not UpwardClosedSet().contains((1, 2, 3))
+    assert not UpwardClosedSet().minimal((1, 2, 3))
     ucs = UpwardClosedSet([(1, 2)])
     assert ucs.contains((2, 10**30)) and not ucs.minimal((2, 10**30))
     assert ucs._fields.limit > 10**30
@@ -438,7 +450,7 @@ def test_generated_source_holds_no_text_of_the_net():
     keywords = {"def", "m", "if", "and", "not", "append", "return", "run",
                 "P", "Q", "i", "stop", "T", "push", "for", "in", "enumerate",
                 "islice", "H", "None", "G", "U", "B", "E", "to_bytes", "k",
-                "s", "u", "v", "X", "sum"}
+                "s", "u", "v", "X", "sum", "raise", "W"}
     sources = [_search_source(len(net.places), net._plan(), goal, width)
                for goal in ("reach", "cover", "deadlock") for width in (8, 256)]
     for src in sources:

@@ -177,8 +177,8 @@ class Net(_Value):
     """`places` is a tuple of names, whose positions are the hierarchy
     order; `transitions` a tuple of `Transition`s in declaration order;
     `initial` the initial marking.  The fields live in the instance's
-    `__dict__`, beside the caches: the index of names, the plan, the
-    packed search's base fields and its generated loops."""
+    `__dict__`, beside the caches: the index of names, the plan and the
+    packed search's base fields."""
 
     _fields = ("places", "transitions", "initial")
 
@@ -200,7 +200,7 @@ class Net(_Value):
         for i, name in enumerate(names):
             tpos.setdefault(name, i)
         self.__dict__.update(_pos={p: i for i, p in enumerate(self.places)},
-                             _tpos=tpos, _ops=None, _base=None, _loops={})
+                             _tpos=tpos, _ops=None, _base=None)
 
     def __getattr__(self, name):
         # only a net read from records lacks `transitions`, until read
@@ -365,7 +365,7 @@ def _compile(pos: dict, records) -> tuple:
 
 def _effects(op):
     """The effect of firing `op` per place, the one derivation of it that
-    the generator, `_Fields` and `explore` read: (const, zeroed, moved),
+    `packed._Fields` and `explore` read: (const, zeroed, moved),
     the posts minus the numeric weights, the reset places and transfer
     sources, and per transfer target its sources in arc order."""
     const, zeroed, moved = {}, set(op.resets), {}

@@ -295,7 +295,7 @@ def busy_net(rng):
     putting back at most the tokens its numeric arcs take, and some
     transitions with no numeric arc and no post: finite, with graphs of
     up to hundreds of markings, where a search may switch to its
-    generated loop."""
+    memo tier."""
     places = [f"p{i}" for i in range(rng.randint(4, 5))]
     transitions = []
     for j in range(rng.randint(3, 7)):
@@ -315,3 +315,42 @@ def busy_net(rng):
     for _ in range(rng.randint(6, 8)):
         initial[rng.randrange(len(places))] += 1
     return Net(tuple(places), tuple(transitions), tuple(initial))
+
+
+def threshold_net(rng):
+    """Places tested at several thresholds beside every way a transition
+    empties places: p0 is read at weight 1, at weight 2 and by an
+    inhibitor arc, and the other transitions move a token, reset a place,
+    transfer two places into one, chain transfers p -> q -> r, or move a
+    place onto itself.  4 or 5 places hold 6 to 9 tokens, and each post
+    puts back at most the tokens its numeric arcs take, some of them into
+    `bank`, a place that only gains tokens: it starts at 0 or just below a
+    limit of 8-bit fields (64 or 128), so some searches must widen them."""
+    ps = [f"p{i}" for i in range(rng.randint(4, 5))]
+
+    def post(taken):
+        out = {}
+        for _ in range(rng.randint(0, taken)):
+            q = rng.choice(ps)
+            out[q] = out.get(q, 0) + 1
+        return out
+    transitions = [Transition("one", {"p0": Numeric(1)}, post(1)),
+                   Transition("two", {"p0": Numeric(2)},
+                              {"bank": 1, rng.choice(ps[1:]): 1}),
+                   Transition("none", {"p0": INHIBIT, "p1": Numeric(1)},
+                              {"p0": 1})]
+    for j in range(rng.randint(3, 5)):
+        a, b, c, d = rng.sample(ps, 4)
+        pre = rng.choice([{a: Numeric(1)}, {a: RESET},
+                          {a: Transfer(c), b: Transfer(c)},
+                          {a: Transfer(b), b: Transfer(c)}, {a: Transfer(a)},
+                          {a: Transfer("bank")}])
+        if rng.random() < 0.7:
+            pre[d] = Numeric(rng.randint(1, 2))
+        taken = sum(x.weight for x in pre.values() if isinstance(x, Numeric))
+        transitions.append(Transition(f"t{j}", pre, post(taken)))
+    rng.shuffle(transitions)
+    initial = [0] * len(ps) + [rng.choice((0, 61, 62, 63, 125, 126, 127))]
+    for _ in range(rng.randint(6, 9)):
+        initial[rng.randrange(len(ps))] += 1
+    return Net(tuple(ps + ["bank"]), tuple(transitions), tuple(initial))

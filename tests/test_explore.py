@@ -82,10 +82,10 @@ def test_a_found_trace_is_replayed_after_the_visited_markings_are_freed():
                     "marking: p0=1\n"
                     + "".join(f"trans t{i}: in p{i} ; out p{i + 1}\n"
                               for i in range(n - 1)))
-    # run the search once to generate its loop before measuring: that
-    # transient cost is the net's, not the search's
+    # run the search once before measuring, so that the net's plan and
+    # base fields, which it keeps, are built: that cost is the net's, not
+    # the search's
     bounded_deadlock(net)
-    assert net._loops
     tracemalloc.start()
     try:
         r = bounded_deadlock(net)
@@ -224,6 +224,20 @@ def fan_in(start, steps):
             "trans u: in d ; out b\ntrans t: xfer b->a, xfer c->a ;\n")
 
 
+@pytest.fixture
+def memo_runs(monkeypatch):
+    """The (goal, field width) of each search, at each width, that goes
+    on in the memo tier (`packed._memo_loop`), in the order they switch."""
+    runs = []
+    memo_loop = packed._memo_loop
+
+    def spy(plan, rows, pick, goal, fields):
+        runs.append((goal, fields.width))
+        return memo_loop(plan, rows, pick, goal, fields)
+    monkeypatch.setattr(packed, "_memo_loop", spy)
+    return runs
+
+
 def run_search(net, goal, target, budget):
     """(expanded, trace names or None) of a search, or its budget
     message."""
@@ -250,9 +264,9 @@ def oracle_search(graph, start, goal, target, budget):
     return len(graph), None
 
 
-# (net, the _COMPILE_COST its searches run under, None for the module's,
+# (net, the _MEMO_COST its searches run under, None for the module's,
 # an entry value the fields cannot take below the first widening, the
-# field widths of the loops the search generates); the limits are
+# field widths at which the search goes on in the memo tier); the limits are
 # 2**(width - 1), or lower where a transition sums three entries (fan_in)
 # or adds a large post weight
 GROWING = [
@@ -269,13 +283,13 @@ GROWING = [
     (counter(2**255 - 10, 20), 2**255, {256, 512}),
 ]
 WIDTH_CASES = [
-    # the generated loop from the first expansion on
+    # the memo tier from the first expansion on
     *((text, 0, cross, widths) for text, cross, widths in GROWING),
-    # the table tier alone, widening as the loop does
+    # the table tier alone, widening as the memo tier does
     *((text, 10**12, cross, set()) for text, cross, _ in GROWING),
     # searched as the CLI does, where the rent of the one transition on a
     # one-word marking, 1 to build the table and 1 per expansion, stays
-    # below its buy of 2 * _COMPILE_COST: a count of 100 stays in the
+    # below its buy of 2 * _MEMO_COST: a count of 100 stays in the
     # table tier to its end
     (counter(60, 100), None, 128, set()),
     (counter(63, 100), None, 128, set()),
@@ -286,7 +300,7 @@ WIDTH_CASES = [
     # above 127: a passes 2**15 - 1 after the switch, at it, or before
     # it.  The search then starts again at 32 bits with no rent, where 3
     # to build the table and 3 per expansion switch after 107, so it
-    # generates the 32-bit loop whether or not it generated the 16-bit one
+    # runs the 32-bit memo tier whether or not it ran the 16-bit one
     (counter(2**15 - 164, 200), 161, 2**15, {16, 32}),
     (counter(2**15 - 161, 200), 161, 2**15, {16, 32}),
     (counter(2**15 - 160, 200), 161, 2**15, {16, 32}),
@@ -301,7 +315,7 @@ WIDTH_CASES = [
 
 @pytest.mark.parametrize("text, cost, cross, widths", WIDTH_CASES)
 def test_packed_search_across_field_widths(text, cost, cross, widths,
-                                           monkeypatch):
+                                           monkeypatch, memo_runs):
     """Verdicts, expansion counts and traces equal the oracle's while the
     fields widen, with targets that fit only after a widening or never,
     and with budgets that stop the search just before and just after the
@@ -317,10 +331,10 @@ def test_packed_search_across_field_widths(text, cost, cross, widths,
     over = (cross + cross // 2,) + (0,) * (len(top) - 1)
     k = next(i for i, m in enumerate(graph) if max(m) >= cross)
     if cost is not None:
-        monkeypatch.setattr(packed, "_COMPILE_COST", cost)
+        monkeypatch.setattr(packed, "_MEMO_COST", cost)
     net = parse_net(text)
     assert run_search(net, "reach", miss, 10**6) == (len(graph), None)
-    assert {width for _, width in net._loops} == widths
+    assert {width for _, width in memo_runs} == widths
     for goal, target in [("reach", top), ("reach", miss), ("reach", huge),
                          ("cover", top), ("cover", miss), ("cover", huge),
                          ("cover", low), ("cover", over), ("deadlock", None)]:
@@ -338,29 +352,25 @@ def ring_text(n, k):
                       for i in range(n)))
 
 
-def test_each_search_switches_after_its_own_expansions(monkeypatch):
-    """A search of a net switches to the generated loop once its own rent
+def test_each_search_switches_after_its_own_expansions(memo_runs):
+    """A search of a net switches to the memo tier once its own rent
     reaches the buy, whatever searches of that net ran before: a repeated
-    search answers alike and reuses the compiled loop, and a short search
-    after it stays interpreted."""
-    runs = []
-    loop = packed._search_loop
-    monkeypatch.setattr(packed, "_search_loop",
-                        lambda *args: runs.append(args[1]) or loop(*args))
+    search answers alike and switches again, and a short search after it
+    stays in the table tier."""
+    runs = memo_runs
     # ring (6,12): 6,188 markings; the rent of 6 tests of 2 words per
     # expansion, after as many to build the table, reaches the buy of
-    # 7 * _COMPILE_COST after 583 expansions
+    # 7 * _MEMO_COST after 583 expansions
     text = ring_text(6, 12)
     net = parse_net(text)
     first = bounded_deadlock(net)
-    loops = dict(net._loops)
     second = bounded_deadlock(net)
     assert first == second == explore.SearchResult(None, 6188)
-    assert runs == ["deadlock"] * 2 and net._loops == loops
+    assert runs == [("deadlock", 8)] * 2
     last = (0,) * 5 + (12,)
     reach = bounded_reach(net, last)
     assert reach == bounded_reach(parse_net(text), last)
-    assert reach.found and runs == ["deadlock"] * 2 + ["reach"] * 2
+    assert reach.found and runs == [("deadlock", 8)] * 2 + [("reach", 8)] * 2
     del runs[:]
     short = bounded_reach(net, (10, 2, 0, 0, 0, 0))
     assert short == bounded_reach(parse_net(text), (10, 2, 0, 0, 0, 0))
@@ -370,31 +380,42 @@ def test_each_search_switches_after_its_own_expansions(monkeypatch):
     assert not runs
 
 
-def test_a_dropped_net_frees_its_loop_without_the_collector():
-    """The generated loop is in no reference cycle: with the cyclic
-    collector off, it dies with the net that compiled it."""
+def test_a_dropped_net_frees_its_loop_without_the_collector(monkeypatch):
+    """The memo tier's loop, and the memo its closure holds, are in no
+    reference cycle: with the cyclic collector off, they die with the
+    search that built them, and the net keeps only its plan and base
+    fields."""
+    refs = []
+    memo_loop = packed._memo_loop
+
+    def spy(*args):
+        run = memo_loop(*args)
+        refs.append(weakref.ref(run))
+        return run
+    monkeypatch.setattr(packed, "_memo_loop", spy)
     net = parse_net(ring_text(6, 12))
+    caches = set(net.__dict__)
     enabled = gc.isenabled()
     gc.disable()
     try:
         assert bounded_deadlock(net) == explore.SearchResult(None, 6188)
-        (run,) = net._loops.values()
-        dead = weakref.ref(run)
-        del run, net
+        (dead,) = refs
         assert dead() is None
     finally:
         if enabled:
             gc.enable()
+    assert set(net.__dict__) == caches
+    assert net._ops is not None and net._base is not None
 
 
 def test_nets_pickle_and_copy_before_and_after_searches():
-    """A net pickles and copies whatever its caches hold: fresh, with a
-    compiled search loop, and after the termination walk; each copy
-    equals its source and answers alike."""
+    """A net pickles and copies whatever its caches hold: fresh, with the
+    plan and base fields a long search leaves, and after the termination
+    walk; each copy equals its source and answers alike."""
     text = ring_text(6, 12)
     fresh, searched, decided = (parse_net(text) for _ in range(3))
     assert bounded_deadlock(searched) == explore.SearchResult(None, 6188)
-    assert searched._loops
+    assert searched._ops is not None and searched._base is not None
     verdict = decide_termination(decided)
     for net in (fresh, searched, decided):
         for clone in (pickle.loads(pickle.dumps(net)), copy.copy(net),
@@ -407,15 +428,15 @@ def test_nets_pickle_and_copy_before_and_after_searches():
 
 
 def switch_point(net, graph):
-    """The expansions after which a search of `net` generates its loop by
-    the rule `xpn.packed._COMPILE_COST` documents, counted on the oracle
+    """The expansions after which a search of `net` goes on in the memo
+    tier by the rule `xpn.packed._MEMO_COST` documents, counted on the oracle
     graph in the search's order, for markings in fields of 8 bits and
     weights below their limit: the rent, one test per transition to build
     the table and one per transition at each expansion, each weighed by
-    the packed marking's 32-bit words, reaches the buy of _COMPILE_COST per
+    the packed marking's 32-bit words, reaches the buy of _MEMO_COST per
     transition and one more.  None if the graph runs out first."""
     tests = len(net.transitions) * (len(net.places) // 4 + 1)
-    rent, buy = tests, packed._COMPILE_COST * (len(net.transitions) + 1)
+    rent, buy = tests, packed._MEMO_COST * (len(net.transitions) + 1)
     for e in range(len(graph)):
         if rent >= buy:
             return e
@@ -423,14 +444,15 @@ def switch_point(net, graph):
     return None
 
 
-def test_a_search_compiles_once_its_rent_reaches_the_buy(monkeypatch):
+def test_a_search_compiles_once_its_rent_reaches_the_buy(monkeypatch,
+                                                         memo_runs):
     """On seeded nets with all four arc kinds and up to 400 markings, a
-    search generates its loop exactly when it would expand a marking past
-    its switch point, with budgets either side of that point, and every
-    answer equals the oracle's and that of a copy that runs the loop from
-    its first expansion.  The buy is cut to 200 per transition, so that
-    the switch falls inside these graphs."""
-    monkeypatch.setattr(packed, "_COMPILE_COST", 200)
+    search goes on in the memo tier exactly when it would expand a
+    marking past its switch point, with budgets either side of that
+    point, and every answer equals the oracle's and that of a copy that
+    runs the memo tier from its first expansion.  The buy is cut to 200
+    per transition, so that the switch falls inside these graphs."""
+    monkeypatch.setattr(packed, "_MEMO_COST", 200)
     rng = random.Random(2020)
     stayed = switched = 0
     for _ in range(200):
@@ -444,13 +466,14 @@ def test_a_search_compiles_once_its_rent_reaches_the_buy(monkeypatch):
                              ("deadlock", None)]:
             for budget in (10**6, *([e, e + 1] if e is not None else [])):
                 net = Net(base.places, base.transitions, base.initial)
+                del memo_runs[:]
                 got = run_search(net, goal, target, budget)
                 want = oracle_search(graph, base.initial, goal, target, budget)
                 assert got == want, (goal, target, budget)
                 spent = got[0] if isinstance(got, tuple) else budget
-                assert bool(net._loops) == (e is not None and e < spent)
+                assert bool(memo_runs) == (e is not None and e < spent)
                 with monkeypatch.context() as mp:
-                    mp.setattr(packed, "_COMPILE_COST", 0)
+                    mp.setattr(packed, "_MEMO_COST", 0)
                     hot = Net(base.places, base.transitions, base.initial)
                     assert run_search(hot, goal, target, budget) == got
         stayed += e is None
@@ -474,12 +497,12 @@ TABLE_NETS = [
 ]
 
 
-def test_table_tier_equals_the_oracle_and_the_loop(monkeypatch):
-    """The table tier alone (`_COMPILE_COST` at 10**12), which compiles
-    nothing, and the loop generated from the first expansion (at 0)
-    answer every search as the oracle does, with budgets of the whole
-    graph and of half of it: on seeded nets with all four arc kinds and
-    on TABLE_NETS."""
+def test_table_tier_equals_the_oracle_and_the_loop(monkeypatch, memo_runs):
+    """The table tier alone (`_MEMO_COST` at 10**12), which never
+    switches, and the memo tier from the first expansion (at 0) answer
+    every search as the oracle does, with budgets of the whole graph and
+    of half of it: on seeded nets with all four arc kinds and on
+    TABLE_NETS."""
     rng = random.Random(2206)
     cases = [fuzz.finite_net(rng, gen, 400)
              for gen in (fuzz.busy_net, fuzz.spiced_net, fuzz.hirct_net,
@@ -497,11 +520,58 @@ def test_table_tier_equals_the_oracle_and_the_loop(monkeypatch):
                 want = oracle_search(graph, base.initial, goal, target,
                                      budget)
                 for cost in (10**12, 0):
-                    monkeypatch.setattr(packed, "_COMPILE_COST", cost)
+                    monkeypatch.setattr(packed, "_MEMO_COST", cost)
                     net = Net(base.places, base.transitions, base.initial)
+                    del memo_runs[:]
                     assert run_search(net, goal, target, budget) == want, (
                         base, goal, target, budget, cost)
-                    assert bool(net._loops) == (cost == 0)
+                    assert bool(memo_runs) == (cost == 0)
+
+
+def test_memo_tier_equals_the_table_tier_and_the_oracle(monkeypatch,
+                                                        memo_runs):
+    """The memo tier alone (`_MEMO_COST` at 0), the table tier alone (at
+    10**12) and the oracle answer every search alike, with every table
+    scanned whole or indexed, and every transfer moved by a shift or from
+    one unpack of the marking (`_INDEX_COST` at 10**18 or 0), and with
+    budgets of the whole graph, of half of it and of one marking: on
+    seeded `fuzz.threshold_net`s, where one place carries two weights and
+    an inhibitor arc, beside resets, transfer fan-ins, chains and
+    self-transfers, and where some searches widen their fields."""
+    wider, widened = packed._Fields.wider, []
+
+    def spy(fields, code):
+        # no entry here needs more than 16 bits; a wider request comes
+        # from a successor below 0, which borrows from the next field
+        assert fields.width < 16, fields.decode(code)
+        widened.append(code)
+        return wider(fields, code)
+    monkeypatch.setattr(packed._Fields, "wider", spy)
+    rng = random.Random(4646)
+    nets = 40
+    wide = 0
+    for _ in range(nets):
+        base, graph = fuzz.finite_net(rng, fuzz.threshold_net, 400)
+        marks = list(graph)
+        miss = (max([x for m in marks for x in m]) + 1,) * len(base.places)
+        del widened[:]
+        for goal, target in [("reach", rng.choice(marks)), ("reach", miss),
+                             ("cover", rng.choice(marks)), ("cover", miss),
+                             ("deadlock", None)]:
+            for budget in (10**6, max(1, len(graph) // 2), 1):
+                want = oracle_search(graph, base.initial, goal, target,
+                                     budget)
+                for memo, index in [(0, 0), (0, 10**18), (10**12, 0),
+                                    (10**12, 10**18)]:
+                    monkeypatch.setattr(packed, "_MEMO_COST", memo)
+                    monkeypatch.setattr(packed, "_INDEX_COST", index)
+                    net = Net(base.places, base.transitions, base.initial)
+                    del memo_runs[:]
+                    assert run_search(net, goal, target, budget) == want, (
+                        base, goal, target, budget, memo, index)
+                    assert bool(memo_runs) == (memo == 0)
+        wide += bool(widened)
+    assert 0 < wide < nets
 
 
 def line_text(n):
@@ -517,29 +587,26 @@ def line_text(n):
     (line_text(2500), (0,) * 2500 + (1,), 1, (True, 2501)),
 ], ids=["ring7x14", "line2500"])
 def test_long_searches_compile_once_per_goal(text, last, switch, dead,
-                                             monkeypatch):
-    """Each goal compiles one loop, once the search has expanded `switch`
-    markings: a budget of `switch` compiles nothing and one more compiles
-    the loop.  The ring's rent of 7 tests of 2 words per expansion, after
-    as many to build the table, reaches its buy of 8 * _COMPILE_COST after
-    571 (`switch_point`); on the line each marking is 626 words, so 2,500
-    tests to build the table and 2,500 to expand the first marking reach
-    the buy of 2,501 * _COMPILE_COST."""
-    runs = []
-    loop = packed._search_loop
-    monkeypatch.setattr(packed, "_search_loop",
-                        lambda *args: runs.append(args[1]) or loop(*args))
+                                             memo_runs):
+    """Each goal's search switches to the memo tier once, after it has
+    expanded `switch` markings: a budget of `switch` stays in the table
+    tier and one more switches.  The ring's rent of 7 tests of 2 words per
+    expansion, after as many to build the table, reaches its buy of
+    8 * _MEMO_COST after 571 (`switch_point`); on the line each marking is
+    626 words, so 2,500 tests to build the table and 2,500 to expand the
+    first marking reach the buy of 2,501 * _MEMO_COST."""
+    runs = memo_runs
     net = parse_net(text)
     found = [bounded_reach(net, last), bounded_cover(net, last),
              bounded_deadlock(net)]
-    assert runs == ["reach", "cover", "deadlock"]
+    assert [goal for goal, _ in runs] == ["reach", "cover", "deadlock"]
     assert found[0] == found[1] and found[0].trace.markings[-1] == last
     assert (found[2].found, found[2].expanded) == dead
-    for budget, compiled in ((switch, []), (switch + 1, ["deadlock"])):
+    for budget, switched in ((switch, []), (switch + 1, ["deadlock"])):
         del runs[:]
         with pytest.raises(BudgetExceededError):
             bounded_deadlock(parse_net(text), max_steps=budget)
-        assert runs == compiled
+        assert [goal for goal, _ in runs] == switched
 
 
 def forward_queries():
@@ -616,7 +683,7 @@ def test_forward_byte_stable(tmp_path):
 
 
 def test_table_index_equals_full_scan(tmp_path, monkeypatch):
-    """The table tier alone (`_COMPILE_COST` at 10**12) gives the same
+    """The table tier alone (`_MEMO_COST` at 10**12) gives the same
     stdout, expansion counts included, exit code and trace whether every
     table is indexed by place (`_INDEX_COST` at 0) or scanned whole: on
     the `forward_queries` corpus, the compiled machines the benchmark
@@ -635,7 +702,7 @@ def test_table_index_equals_full_scan(tmp_path, monkeypatch):
         picked.append(pick is not None)
         return rows, pick
     monkeypatch.setattr(packed, "_table", spy)
-    monkeypatch.setattr(packed, "_COMPILE_COST", 10**12)
+    monkeypatch.setattr(packed, "_MEMO_COST", 10**12)
     outs = []
     for cost in (0, 10**18):
         monkeypatch.setattr(packed, "_INDEX_COST", cost)

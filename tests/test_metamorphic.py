@@ -156,12 +156,12 @@ COUNTDOWN = ("places: p0 p1 p2 p3\nmarking: p0=3 p1=3 p2=3 p3=3\n"
 def test_generated_successors_change_no_answer(text, reach, cover,
                                               monkeypatch):
     """Each engine on a fresh net equals the same engine whatever the
-    forward searches' buy (_COMPILE_COST): at 50 per transition they
-    switch from the table tier to the generated loop some thirty
-    expansions in, at 0 they run the loop from the first expansion on,
-    and at 10**12 the table tier to their end, which these short searches
-    also do at the module's cost: traces, expansion counts, verdicts,
-    tree sizes and budget messages alike."""
+    forward searches' buy (_MEMO_COST): at 50 per transition they
+    switch from the table tier to the memo tier some thirty expansions
+    in, at 0 they run the memo tier from the first expansion on, and at
+    10**12 the table tier to their end, which these short searches also
+    do at the module's cost: traces, expansion counts, verdicts, tree
+    sizes and budget messages alike."""
     engines = [
         lambda n: bounded_reach(n, reach, max_steps=15_000),
         lambda n: bounded_cover(n, cover, max_steps=15_000),
@@ -169,19 +169,24 @@ def test_generated_successors_change_no_answer(text, reach, cover,
         lambda n: decide_termination(n, max_nodes=15_000),
     ]
 
+    memo_loop, runs = packed._memo_loop, []
+    monkeypatch.setattr(packed, "_memo_loop",
+                        lambda *args: runs.append(args) or memo_loop(*args))
+
     def outcomes():
         got, switched = [], []
         for engine in engines:
             net = parse_net(text)
+            del runs[:]
             try:
                 got.append(engine(net))
             except BudgetExceededError as e:
                 got.append(str(e))
-            switched.append(bool(net._loops))
+            switched.append(bool(runs))
         return got, switched[:3]
 
     cli, switched = outcomes()
     assert switched == [False] * 3
     for cost, loops in ((50, True), (0, True), (10**12, False)):
-        monkeypatch.setattr(packed, "_COMPILE_COST", cost)
+        monkeypatch.setattr(packed, "_MEMO_COST", cost)
         assert outcomes() == (cli, [loops] * 3), cost

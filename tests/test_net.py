@@ -1,8 +1,6 @@
-import io
 import operator
 import random
 import re
-import tokenize
 
 import pytest
 
@@ -40,7 +38,7 @@ from xpn.net import (
     successors,
     validate,
 )
-from xpn.packed import _search, _search_source
+from xpn.packed import _search
 from xpn.transforms import reach_to_dlf
 
 
@@ -296,18 +294,21 @@ def test_fire_fuzz_against_oracle():
 # none, as the CLI runs, which is the table tier for these short searches
 # unless the marking is wide enough that the rent reaches the buy at once;
 # the table tier alone; the table tier alone with every table indexed by
-# place; the generated loop from the first expansion; and that loop with
-# every successor of more than one term built as a list (with _RUN at 0 a
-# lone transfer would be sum((a3)))
-PATCHES = ({}, {"_COMPILE_COST": 10**12},
-           {"_COMPILE_COST": 10**12, "_INDEX_COST": 0}, {"_COMPILE_COST": 0},
-           {"_COMPILE_COST": 0, "_RUN": 1})
+# place; the memo tier from the first expansion, which on these small
+# nets scans its table and moves transfers by shifts; and the memo tier
+# with every table indexed and every transfer moved from one unpack of
+# the marking
+PATCHES = ({}, {"_MEMO_COST": 10**12},
+           {"_MEMO_COST": 10**12, "_INDEX_COST": 0}, {"_MEMO_COST": 0},
+           {"_MEMO_COST": 0, "_INDEX_COST": 0})
+# the patch of each search in `first_level` that went on in the memo tier
+MEMO_RUNS = []
 
 
 def tiers(net):
     """Five copies of `net`, `cli`, `table`, `indexed`, `hot` and
-    `listed`, searched under the entries of PATCHES in turn (see
-    `first_level`); each keeps its own compiled loops."""
+    `unpacked`, searched under the entries of PATCHES in turn (see
+    `first_level`)."""
     return tuple(Net(net.places, net.transitions, net.initial)
                  for _ in PATCHES)
 
@@ -315,10 +316,14 @@ def tiers(net):
 def first_level(net, m, goal, target, budget, patch):
     """What `_search` of `net` from `m` does within `budget` steps, with
     the `xpn.packed` constants in `patch` set: the markings expanded and the
-    path to the hit, unpacked, or the budget message."""
+    path to the hit, unpacked, or the budget message.  A search that goes
+    on in the memo tier adds `patch` to MEMO_RUNS."""
+    memo_loop = packed._memo_loop
     with pytest.MonkeyPatch.context() as mp:
         for name, value in patch.items():
             mp.setattr(packed, name, value)
+        mp.setattr(packed, "_memo_loop",
+                   lambda *args: MEMO_RUNS.append(patch) or memo_loop(*args))
         try:
             expanded, path, fields = _search(net, m, goal, target, budget)
         except BudgetExceededError as e:
@@ -345,6 +350,7 @@ def assert_first_level(net, m, want, patch):
 
 def assert_tiers_match_oracle(net, markings):
     copies = tiers(net)
+    del MEMO_RUNS[:]
     for m in markings:
         md = oracles.as_dict(net, m)
         want = [(name, oracles.as_tuple(net, succ))
@@ -352,9 +358,9 @@ def assert_tiers_match_oracle(net, markings):
         assert successors(copies[0], m) == want, (net, m)
         for copy, patch in zip(copies, PATCHES):
             assert_first_level(copy, m, want, patch)
-    _, table, indexed, *compiled = copies
-    assert not table._loops and not indexed._loops
-    assert all(copy._loops for copy in compiled)
+    _, table, indexed, *memo = PATCHES
+    assert table not in MEMO_RUNS and indexed not in MEMO_RUNS
+    assert all(patch in MEMO_RUNS for patch in memo)
 
 
 HUGE = (10**18, 10**18 + 1, 3 * 10**40 + 2)
@@ -378,6 +384,10 @@ def _line(n):
     return [f"p{i}" for i in range(n)]
 
 
+CODE = ["__import__('os').system('exit 3')", "a0", "m", '"""', "x\ny"]
+WIDE = [f"z[{i}]" for i in range(9)]
+
+
 @pytest.mark.parametrize("places, transitions", [
     # self-transfer, transfer into a reset place
     (["a", "b"], [Transition("t", {"a": Transfer("a")}, {"b": 1}),
@@ -385,7 +395,7 @@ def _line(n):
     # a transfer target that also has a numeric arc and a post
     (["a", "b"], [Transition("t", {"a": Numeric(2), "b": Transfer("a")},
                              {"a": 3})]),
-    # two transfers into one target, and eleven (a flat sum)
+    # two transfers into one target, and eleven
     (["a", "b", "c"], [Transition("t", {"a": Transfer("c"),
                                         "b": Transfer("c")}, {"c": 1})]),
     (_line(12), [Transition("t", {p: Transfer("p11") for p in _line(11)},
@@ -396,7 +406,7 @@ def _line(n):
     (["a", "b"], []),
     (["a"], [Transition("t", {"a": Numeric(1)}, {"a": 2}),
              Transition("u", {"a": INHIBIT}, {"a": 1}), Transition("v")]),
-    # untouched runs of 8 and of more than 8 at the start, middle and end
+    # places no transition touches, in runs at the start, middle and end
     (_line(40), [Transition("t", {"p10": Numeric(1)}, {"p20": 1}),
                  Transition("u", {"p8": INHIBIT}, {"p17": 1}),
                  Transition("v", {"p0": Numeric(2), "p39": RESET}, {}),
@@ -423,6 +433,15 @@ def _line(n):
                   Transition("u", {"b": Numeric(10**20), "a": INHIBIT},
                              {"a": 1}),
                   Transition("v", {"a": Numeric(1)}, {"b": 1})]),
+    # names that are Python code, each arc kind on them, and a transition
+    # that resets nine places beside a transfer
+    (CODE + WIDE, [Transition(name, {CODE[1]: Numeric(1),
+                                     CODE[2]: Transfer(CODE[3]),
+                                     CODE[0]: INHIBIT, CODE[4]: RESET},
+                              {CODE[0]: 1, CODE[3]: 2}) for name in CODE]
+     + [Transition("import os", {**dict.fromkeys(WIDE, RESET),
+                                 CODE[2]: Transfer(CODE[3])},
+                   {CODE[1]: 1})]),
 ])
 def test_generated_successors_hand_cases(places, transitions):
     net = net_of(places, transitions, [0] * len(places))
@@ -431,39 +450,6 @@ def test_generated_successors_hand_cases(places, transitions):
     markings = [tuple(rng.choice(values) for _ in places) for _ in range(20)]
     markings += [(0,) * len(places), (HUGE[-1],) * len(places)]
     assert_tiers_match_oracle(net, markings)
-
-
-def test_generated_source_holds_no_text_of_the_net():
-    # names that are Python code reach no generated source: a place is its
-    # local a{q}, and the search loop names no transition.  The last
-    # transition changes more than _RUN places, so its successor is built
-    # as a list
-    code = ["__import__('os').system('exit 3')", "a0", "m", '"""', "x\ny"]
-    pre = {code[1]: Numeric(1), code[2]: Transfer(code[3]),
-           code[0]: INHIBIT, code[4]: RESET}
-    ts = [Transition(name, pre, {code[0]: 1, code[3]: 2}) for name in code]
-    wide = [f"z[{i}]" for i in range(packed._RUN + 1)]
-    ts.append(Transition("import os", {**dict.fromkeys(wide, RESET),
-                                      code[2]: Transfer(code[3])},
-                         {code[1]: 1}))
-    net = net_of(code + wide, ts, [0, 1, 0, 0, 0] + [1] * len(wide))
-    keywords = {"def", "m", "if", "and", "not", "append", "return", "run",
-                "P", "Q", "i", "stop", "T", "push", "for", "in", "enumerate",
-                "islice", "H", "None", "G", "U", "B", "E", "to_bytes", "k",
-                "s", "u", "v", "X", "sum", "raise", "W"}
-    sources = [_search_source(len(net.places), net._plan(), goal, width)
-               for goal in ("reach", "cover", "deadlock") for width in (8, 256)]
-    for src in sources:
-        assert "v = [*u]" in src
-        toks = list(tokenize.generate_tokens(io.StringIO(src).readline))
-        assert not [t for t in toks if t.type == tokenize.STRING]
-        names = {t.string for t in toks if t.type == tokenize.NAME} - keywords
-        assert all(re.fullmatch(r"a\d+", n) for n in names), names
-    copies = tiers(net)
-    want = successors(copies[0], net.initial)
-    assert [name for name, _ in want] == code + ["import os"]
-    for copy, patch in zip(copies, PATCHES):
-        assert_first_level(copy, net.initial, want, patch)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ eligible nets, so running out of node budget is a resource error, not a
 verdict.
 
 The walk runs on markings packed into one int each (`packed._Fields`), from
-the root on.  It reads the firing table of the forward search's table tier
+the root on.  It reads the firing table of the forward search
 (`packed._table`): one row of packed ints per transition, where one
 guard-bit subtraction tests its numeric arcs, one AND its inhibitor arcs,
 and a child is one addition less one AND for its reset places; the table's

@@ -1,26 +1,26 @@
 """The packed search kernel: markings packed into one int each, firing
-rows of packed ints, and the forward search with its two tiers.
+rows of packed ints, and the forward search.
 
 `_search`, the breadth-first search behind `explore`'s forward searches,
 packs every visited marking into one int (`_Fields`: a field of 8, 16,
-32, ... bits per place, in place order).  Its table tier (`_table_loop`)
-reads one firing row of packed ints per transition (`_firing_rows`, also
-read by the termination walk and, through `explore._rows`, backward
-coverability): one guard-bit subtraction tests the numeric arcs, one AND
-the inhibitor arcs, and a successor is one addition, one AND for the
-emptied places and one shift per transfer.  The search and the walk read
-one firing table (`_table`), where one cost rule (`_INDEX_COST`) decides
-when a marking tests every row and when only those its marked places
-index.  Once the memo pays (`_MEMO_COST`), the search goes on in its memo
-tier (`_memo_loop`), which tests each row once per class of markings.
-`net._apply` reads the arcs on its own, so recovering each step of a
-found trace by it (`explore._bfs`) checks both tiers.
+32, ... bits per place, in place order).  It reads one firing row of
+packed ints per transition (`_firing_rows`, also read by the termination
+walk and, through `explore._rows`, backward coverability): one
+guard-bit subtraction tests the numeric arcs, one AND the inhibitor
+arcs, and a successor is one addition, one AND for the emptied places
+and one shift per transfer.  The search and the walk read one firing
+table (`_table`), where one cost rule (`_INDEX_COST`) decides when a
+marking tests every row and when only those its marked places index.
+From its first expansion the search runs its memo tier (`_memo_loop`),
+which tests each row once per class of markings.  `net._apply` reads
+the arcs on its own, so recovering each step of a found trace by it
+(`explore._bfs`) checks the search.
 
 Widening, one protocol for the forward search, the termination walk
 (`ert`) and backward coverability (`explore`).  Each field keeps spare top
 bits, so one AND with `_Fields.head` finds an entry at or above the limit.
 The engine that meets one raises `_Widen` with its packed marking: the
-forward tiers for the marking they would expand, the walk for a child,
+forward search for the marking it would expand, the walk for a child,
 the saturation for a predecessor.  The search and the walk start again at
 `_Fields.wider` of it (`_widening`), the walk with its draws and node
 numbers as they were; the saturation packs what it keeps again by
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import sys
 from functools import partial
-from itertools import compress, islice, zip_longest
+from itertools import compress, islice
 from struct import Struct
 
 from .net import BudgetExceededError, Marking, Net, _effects, _set
@@ -56,38 +56,16 @@ def _search(net: Net, start: Marking, goal: str, target, max_steps: int):
                      partial(_search_at, net, start, goal, target, stop))
 
 
-# Rent-or-buy (Karlin et al. 1988): a search at one width goes on in the
-# memo tier once its rent, the work of the table tier at that width,
-# reaches the buy, _MEMO_COST per transition and one more.  The rent
-# counts tests, each weighed by the packed marking's 32-bit words: one per
-# transition to build the table, then one per row at each expansion.  The
-# memo pays where markings far outnumber their classes, and on nets so
-# wide that the rent reaches the buy at once; a short search meets a new
-# class at most of its markings.  The buy keeps the value fitted when it
-# priced compiling a loop per net: a switch after 64 expansions made the
-# mixed nets up to 9% slower.  Counts, not a clock: answers match anywhere.
-_MEMO_COST = 1000
-
-
 def _search_at(net: Net, start: Marking, goal: str, target, stop: int,
                fields: "_Fields"):
     """`_search` at the width of `fields`, expanding at most `stop`
-    markings: the table tier (`_table_loop`) until its rent reaches the
-    buy (`_MEMO_COST`), then the memo tier (`_memo_loop`), on one table."""
+    markings: the memo tier (`_memo_loop`) on that width's firing table
+    (`_table`), from the first expansion."""
     plan = net._plan()
     parent = {fields.encode(start): None}  # marking -> its predecessor
     queue = list(parent)  # every visited marking, in the order of expansion
-    aim = _packed_target(goal, target, fields)
-    rows, pick = _table(plan, fields)
-    words = fields.size // 4 + 1
-    # the buy less the rent of building the table, a test per op
-    left = _MEMO_COST * (len(plan) + 1) - len(plan) * words
-    i = (0 if left <= 0 else stop if not rows
-         else min(stop, -(-left // (len(rows) * words))))
-    hit = _table_loop(rows, pick, goal, fields)(queue, parent, 0, i, aim)
-    if hit is None and i < min(stop, len(queue)):
-        hit = _memo_loop(plan, rows, pick, goal, fields)(queue, parent, i,
-                                                         stop, aim)
+    hit = _memo_loop(plan, *_table(plan, fields), goal, fields)(
+        queue, parent, stop, _packed_target(goal, target, fields))
     if hit is not None:
         return hit[0] + 1, _path(parent, hit[1]), fields
     if len(queue) > stop:
@@ -153,7 +131,7 @@ _INDEX_COST = 4
 
 def _table(plan, fields: "_Fields"):
     """(rows, pick), the firing table of `plan` at the width of `fields`
-    that both tiers of the search and the termination walk read.  `rows`
+    that the search and the termination walk read.  `rows`
     are the firing rows (`_firing_rows`) of the ops some marking below the
     limit enables.  `pick` is None if testing them all is cheaper
     (`_INDEX_COST`); else `pick(m)` gives the rows of the ops with no
@@ -175,59 +153,26 @@ def _table(plan, fields: "_Fields"):
     return rows, pick
 
 
-def _table_loop(rows, pick, goal: str, fields: "_Fields"):
-    """`run(Q, P, i, stop, T)`, `_search`'s loop on the table (`rows`,
-    `pick`) at the width of `fields`: it expands Q[i], Q[i + 1], ... up to
+def _memo_loop(plan, rows, pick, goal: str, fields: "_Fields"):
+    """`run(Q, P, stop, T)`, `_search`'s loop on the table (`rows`,
+    `pick`) at the width of `fields`: it expands Q[0], Q[1], ... up to
     Q[stop], excluded, as Q grows, storing each successor not yet a key of
     P there with its predecessor and appending it to Q.  It raises
     `_Widen(m)` before expanding an m with an entry at or above the limit,
     and returns (i, m) at the first hit, the i-th marking: m == T for
     "reach", m covering T for "cover", no row enabled for "deadlock"; None
-    once Q runs out or at `stop`."""
-    full, head, guard = (1 << fields.width) - 1, fields.head, fields.guard
-    reach, cover = goal == "reach", goal == "cover"
-    deadlock = goal == "deadlock"
+    once Q runs out or at `stop`.
 
-    def run(Q, P, i, stop, T):
-        push = Q.append
-        for i, m in enumerate(islice(Q, i, stop), i):
-            if m & head:
-                raise _Widen(m)
-            if (m == T if reach
-                    else cover and (m | guard) - T & guard == guard):
-                return i, m
-            k = 0
-            for _, g, w, inhib, d, zero, xfers in (
-                    rows if pick is None else pick(m)):
-                if (m | g) - w & g == g and not m & inhib:
-                    k = 1
-                    s = m + d
-                    if zero:
-                        s -= m & zero
-                        for src, q in xfers:
-                            s += (m >> src & full) << q
-                    if s not in P:
-                        P[s] = m
-                        push(s)
-            if deadlock and not k:
-                return i, m
-        return None
+    It tests each row once per class of markings.  Per place, the class
+    says which of the thresholds the arcs test there (each numeric weight,
+    and 1 for an inhibitor arc) the entry meets.  With the j-th threshold
+    of each place in layer j, as guard bits g and g less the thresholds c,
+    the key is m + c & g summed over the layers: per place, the count of
+    thresholds met times the guard bit.  Entries, thresholds and so counts
+    are below the limit, so m + c carries out of no field and the counts
+    stay apart in the sum: markings with one key enable the same rows.
 
-    return run
-
-
-def _memo_loop(plan, rows, pick, goal: str, fields: "_Fields"):
-    """`run` of `_table_loop` on the same table, testing each row once per
-    class of markings.  Per place, the class says which of the thresholds
-    the arcs test there (each numeric weight, and 1 for an inhibitor arc)
-    the entry meets.  With the j-th threshold of each place in layer j, as
-    guard bits g and g less the thresholds c, the key is m + c & g summed
-    over the layers: per place, the count of thresholds met times the
-    guard bit.  Entries, thresholds and so counts are below the limit, so
-    m + c carries out of no field and the counts stay apart in the sum:
-    markings with one key enable the same rows.
-
-    A class keeps (steps, incs) for the rows it enables, in order: per row
+    A class keeps acts and incs for the rows it enables, in order: per row
     that zeroes a place, the increments d of the rows before it that zero
     none, then its own (d, keep, shifts, groups), and the increments after
     the last such row.  Its successor is m & keep, its zeroed fields
@@ -238,40 +183,35 @@ def _memo_loop(plan, rows, pick, goal: str, fields: "_Fields"):
     full, head, guard = (1 << width) - 1, fields.head, fields.guard
     reach, cover = goal == "reach", goal == "cover"
     deadlock = goal == "deadlock"
-    marks = [set() for _ in range(fields.n)]
-    for op in [plan[row[0]] for row in rows]:
-        for p, x in op.numeric + [(q, 1) for q in op.inhib]:
-            marks[p].add(x)
-    layers = []
-    for layer in zip_longest(*map(sorted, marks), fillvalue=0):
-        g = fields.encode([x and 1 for x in layer]) << width - 1
-        layers.append((g, g - fields.encode(layer)))
-    (g0, c0), *layers = layers or [(0, 0)]
+    marks = {(p, 1) for row in rows for p in plan[row[0]].inhib}
+    for row in rows:
+        marks.update(plan[row[0]].numeric)
+    top, layers, seen = 1 << width - 1, [[0, 0]], {}
+    for p, x in marks:  # the j-th threshold of each place in layer j
+        j = seen[p] = seen.get(p, -1) + 1
+        if j == len(layers):
+            layers.append([0, 0])
+        layers[j][0] |= top << p * width
+        layers[j][1] |= top - x << p * width
+    (g0, c0), *layers = layers
     cheap = _INDEX_COST * fields.n // (size // 4 + 1)
+    every = fields.ones * full  # every field's bits
     steps = {}  # position of a row that zeroes -> (d, keep, shifts, groups)
     for k, _, _, _, d, zero, xfers in rows:
-        if zero:
+        if zero and len(xfers) <= cheap:
+            steps[k] = d, every ^ zero, xfers, ()
+        elif zero:
             groups = {}
-            for src, q in xfers if len(xfers) > cheap else ():
+            for src, q in xfers:
                 groups.setdefault(q, []).append(src // width)
-            steps[k] = (d, fields.ones * full ^ zero,
-                        () if groups else xfers, list(groups.items()))
-    memo = {}  # class key -> (steps, incs) of the rows it enables
+            steps[k] = d, every ^ zero, (), list(groups.items())
+    # class key -> [acts, incs] of the rows it enables: lists, as the
+    # interpreter keeps up to 2,000 freed tuples of each length for reuse
+    memo = {}
 
-    def learn(m, key):
-        acts, incs = [], []
-        for k, g, w, inhib, d, zero, _ in rows if pick is None else pick(m):
-            if (m | g) - w & g == g and not m & inhib:
-                if zero:
-                    acts.append((incs, *steps[k]))
-                    incs = []
-                else:
-                    incs.append(d)
-        return memo.setdefault(key, (acts, incs))
-
-    def run(Q, P, i, stop, T):
+    def run(Q, P, stop, T):
         push = Q.append
-        for i, m in enumerate(islice(Q, i, stop), i):
+        for i, m in enumerate(islice(Q, stop)):
             if m & head:
                 raise _Widen(m)
             if (m == T if reach
@@ -281,9 +221,22 @@ def _memo_loop(plan, rows, pick, goal: str, fields: "_Fields"):
             if layers:
                 for g, c in layers:
                     key += m + c & g
-            acts, incs = memo.get(key) or learn(m, key)
+            known = memo.get(key)
+            if known is None:  # the class's first marking: test each row
+                acts, incs = [], []
+                for k, g, w, inhib, d, zero, _ in (
+                        rows if pick is None else pick(m)):
+                    if (m | g) - w & g == g and not m & inhib:
+                        if zero:
+                            acts.append((incs, steps[k]))
+                            incs = []
+                        else:
+                            incs.append(d)
+                memo[key] = [acts, incs]
+            else:
+                acts, incs = known
             if acts:
-                for before, d, keep, shifts, groups in acts:
+                for before, (d, keep, shifts, groups) in acts:
                     for e in before:
                         s = m + e
                         if s not in P:
@@ -321,8 +274,8 @@ def _path(parent: dict, m) -> list:
 
 
 def _packed_target(goal: str, target, fields: "_Fields"):
-    """`target` packed for either tier of the search.  Every marking they
-    test has its entries below `fields.limit`, so a target with an entry
+    """`target` packed for the search.  Every marking it tests has its
+    entries below `fields.limit`, so a target with an entry
     at or above it never matches: reach then gets -1, which equals no packed
     marking, and cover the guard bits, which cover no marking below the
     limit."""

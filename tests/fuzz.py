@@ -294,8 +294,7 @@ def busy_net(rng):
     """All arc kinds on 4 or 5 places holding 6 to 8 tokens, each post
     putting back at most the tokens its numeric arcs take, and some
     transitions with no numeric arc and no post: finite, with graphs of
-    up to hundreds of markings, where a search may switch to its
-    memo tier."""
+    up to hundreds of markings."""
     places = [f"p{i}" for i in range(rng.randint(4, 5))]
     transitions = []
     for j in range(rng.randint(3, 7)):

@@ -485,9 +485,7 @@ def test_dlf_to_reach_skips_alike_values_of_a_huge_weight(run, text, code,
 N4 = 10**4
 # a 10**4-way transfer fan-in into one place, beside a countdown c: t
 # fires at every marking and d while c lasts.  A marking is 10**4 fields
-# of 32 bits, so building the table of the two transitions would cost
-# more than the buy, and the search runs the memo tier from its first
-# expansion, where t moves its 10**4 transfers from one unpack of the
+# of 32 bits, so t moves its 10**4 transfers from one unpack of the
 # marking
 FAN_IN = (f"places: c {' '.join(f'p{i}' for i in range(N4 + 1))}\n"
           f"marking: c=100 {' '.join(f'p{i}=1' for i in range(N4))}\n"
@@ -496,8 +494,7 @@ FAN_IN = (f"places: c {' '.join(f'p{i}' for i in range(N4 + 1))}\n"
 # a token walking a line of 10**4 places; its 10**4 reachable markings of
 # 10**4 entries each would not fit the child's cap, so the search is
 # budgeted.  A marking is 2,501 words of 32 bits, so the table of its
-# 9,999 transitions would cost more than the buy, and the search runs
-# the memo tier from its first expansion
+# 9,999 transitions is indexed by place
 LINE = (f"places: {' '.join(f'p{i}' for i in range(N4))}\nmarking: p0=1\n"
         + "".join(f"trans t{i}: in p{i} ; out p{i + 1}\n"
                   for i in range(N4 - 1)))

@@ -28,7 +28,8 @@ from xpn.explore import (
     replay,
 )
 from xpn.fmt import format_marking, parse_net, render_net
-from xpn.net import BudgetExceededError, Net, NotFirableError, XpnError
+from xpn.net import (BudgetExceededError, Net, NotFirableError, Reset,
+                     Transfer, XpnError)
 
 CHAIN = parse_net("""\
 places: a b
@@ -226,8 +227,8 @@ def fan_in(start, steps):
 
 @pytest.fixture
 def memo_runs(monkeypatch):
-    """The (goal, field width) of each search, at each width, that goes
-    on in the memo tier (`packed._memo_loop`), in the order they switch."""
+    """The (goal, field width) of each memo tier (`packed._memo_loop`)
+    that searches build, one per search and width, in the order built."""
     runs = []
     memo_loop = packed._memo_loop
 
@@ -264,9 +265,8 @@ def oracle_search(graph, start, goal, target, budget):
     return len(graph), None
 
 
-# (net, the _MEMO_COST its searches run under, None for the module's,
-# an entry value the fields cannot take below the first widening, the
-# field widths at which the search goes on in the memo tier); the limits are
+# (net, an entry value the fields cannot take below the first widening,
+# the field widths the search runs the memo tier at); the limits are
 # 2**(width - 1), or lower where a transition sums three entries (fan_in)
 # or adds a large post weight
 GROWING = [
@@ -283,39 +283,25 @@ GROWING = [
     (counter(2**255 - 10, 20), 2**255, {256, 512}),
 ]
 WIDTH_CASES = [
-    # the memo tier from the first expansion on
-    *((text, 0, cross, widths) for text, cross, widths in GROWING),
-    # the table tier alone, widening as the memo tier does
-    *((text, 10**12, cross, set()) for text, cross, _ in GROWING),
-    # searched as the CLI does, where the rent of the one transition on a
-    # one-word marking, 1 to build the table and 1 per expansion, stays
-    # below its buy of 2 * _MEMO_COST: a count of 100 stays in the
-    # table tier to its end
-    (counter(60, 100), None, 128, set()),
-    (counter(63, 100), None, 128, set()),
-    (counter(64, 100), None, 128, set()),
-    (counter(66, 100), None, 128, set()),
-    # with the buy at 2 * 161, a rent of 2 to build the table and 2 per
-    # expansion at 16 bits switches after 160 expansions, with b still
-    # above 127: a passes 2**15 - 1 after the switch, at it, or before
-    # it.  The search then starts again at 32 bits with no rent, where 3
-    # to build the table and 3 per expansion switch after 107, so it
-    # runs the 32-bit memo tier whether or not it ran the 16-bit one
-    (counter(2**15 - 164, 200), 161, 2**15, {16, 32}),
-    (counter(2**15 - 161, 200), 161, 2**15, {16, 32}),
-    (counter(2**15 - 160, 200), 161, 2**15, {16, 32}),
-    (counter(2**15 - 158, 200), 161, 2**15, {32}),
-    # the rent starts again at each width: a passes 2**15 - 1 after 50
-    # expansions and the search ends after 115, past the 32-bit switch
-    # at 107; rent carried from 16 bits, 2 + 2 * 50, would reach the buy
-    # only after 123
-    (counter(2**15 - 50, 114), 161, 2**15, {32}),
+    *GROWING,
+    # longer searches, where a passes the limit after 68, 65, 64 and 62
+    # expansions of 100 at 8 bits, and after 164, 161, 160, 158 and 50 at
+    # 16 bits; each search starts again at the wider fields with a memo
+    # of its own
+    (counter(60, 100), 128, {8, 16}),
+    (counter(63, 100), 128, {8, 16}),
+    (counter(64, 100), 128, {8, 16}),
+    (counter(66, 100), 128, {8, 16}),
+    (counter(2**15 - 164, 200), 2**15, {16, 32}),
+    (counter(2**15 - 161, 200), 2**15, {16, 32}),
+    (counter(2**15 - 160, 200), 2**15, {16, 32}),
+    (counter(2**15 - 158, 200), 2**15, {16, 32}),
+    (counter(2**15 - 50, 114), 2**15, {16, 32}),
 ]
 
 
-@pytest.mark.parametrize("text, cost, cross, widths", WIDTH_CASES)
-def test_packed_search_across_field_widths(text, cost, cross, widths,
-                                           monkeypatch, memo_runs):
+@pytest.mark.parametrize("text, cross, widths", WIDTH_CASES)
+def test_packed_search_across_field_widths(text, cross, widths, memo_runs):
     """Verdicts, expansion counts and traces equal the oracle's while the
     fields widen, with targets that fit only after a widening or never,
     and with budgets that stop the search just before and just after the
@@ -330,8 +316,6 @@ def test_packed_search_across_field_widths(text, cost, cross, widths,
     # with it would borrow from the next field
     over = (cross + cross // 2,) + (0,) * (len(top) - 1)
     k = next(i for i, m in enumerate(graph) if max(m) >= cross)
-    if cost is not None:
-        monkeypatch.setattr(packed, "_MEMO_COST", cost)
     net = parse_net(text)
     assert run_search(net, "reach", miss, 10**6) == (len(graph), None)
     assert {width for _, width in memo_runs} == widths
@@ -352,16 +336,13 @@ def ring_text(n, k):
                       for i in range(n)))
 
 
-def test_each_search_switches_after_its_own_expansions(memo_runs):
-    """A search of a net switches to the memo tier once its own rent
-    reaches the buy, whatever searches of that net ran before: a repeated
-    search answers alike and switches again, and a short search after it
-    stays in the table tier."""
+def test_each_search_runs_its_own_memo(memo_runs):
+    """Every search of a net builds its own memo tier and runs it from its
+    first expansion, whatever searches of that net ran before: a repeated
+    search answers alike and builds one again, and so do a short search
+    and one that its budget stops."""
     runs = memo_runs
-    # ring (6,12): 6,188 markings; the rent of 6 tests of 2 words per
-    # expansion, after as many to build the table, reaches the buy of
-    # 7 * _MEMO_COST after 583 expansions
-    text = ring_text(6, 12)
+    text = ring_text(6, 12)  # 6,188 markings
     net = parse_net(text)
     first = bounded_deadlock(net)
     second = bounded_deadlock(net)
@@ -377,7 +358,7 @@ def test_each_search_switches_after_its_own_expansions(memo_runs):
     assert short.trace.transitions == ("t0", "t0")
     with pytest.raises(BudgetExceededError, match="^expanded=10$"):
         bounded_deadlock(net, max_steps=10)
-    assert not runs
+    assert runs == [("reach", 8)] * 2 + [("deadlock", 8)]
 
 
 def test_a_dropped_net_frees_its_loop_without_the_collector(monkeypatch):
@@ -427,61 +408,7 @@ def test_nets_pickle_and_copy_before_and_after_searches():
                 == bounded_reach(fresh, (0,) * 5 + (12,))
 
 
-def switch_point(net, graph):
-    """The expansions after which a search of `net` goes on in the memo
-    tier by the rule `xpn.packed._MEMO_COST` documents, counted on the oracle
-    graph in the search's order, for markings in fields of 8 bits and
-    weights below their limit: the rent, one test per transition to build
-    the table and one per transition at each expansion, each weighed by
-    the packed marking's 32-bit words, reaches the buy of _MEMO_COST per
-    transition and one more.  None if the graph runs out first."""
-    tests = len(net.transitions) * (len(net.places) // 4 + 1)
-    rent, buy = tests, packed._MEMO_COST * (len(net.transitions) + 1)
-    for e in range(len(graph)):
-        if rent >= buy:
-            return e
-        rent += tests
-    return None
-
-
-def test_a_search_compiles_once_its_rent_reaches_the_buy(monkeypatch,
-                                                         memo_runs):
-    """On seeded nets with all four arc kinds and up to 400 markings, a
-    search goes on in the memo tier exactly when it would expand a
-    marking past its switch point, with budgets either side of that
-    point, and every answer equals the oracle's and that of a copy that
-    runs the memo tier from its first expansion.  The buy is cut to 200
-    per transition, so that the switch falls inside these graphs."""
-    monkeypatch.setattr(packed, "_MEMO_COST", 200)
-    rng = random.Random(2020)
-    stayed = switched = 0
-    for _ in range(200):
-        base, graph = fuzz.finite_net(rng, fuzz.busy_net, 400)
-        if len(graph) < 40:
-            continue
-        e = switch_point(base, graph)
-        miss = (max(map(max, graph)) + 1,) * len(base.places)
-        for goal, target in [("reach", miss),
-                             ("cover", rng.choice(list(graph))),
-                             ("deadlock", None)]:
-            for budget in (10**6, *([e, e + 1] if e is not None else [])):
-                net = Net(base.places, base.transitions, base.initial)
-                del memo_runs[:]
-                got = run_search(net, goal, target, budget)
-                want = oracle_search(graph, base.initial, goal, target, budget)
-                assert got == want, (goal, target, budget)
-                spent = got[0] if isinstance(got, tuple) else budget
-                assert bool(memo_runs) == (e is not None and e < spent)
-                with monkeypatch.context() as mp:
-                    mp.setattr(packed, "_MEMO_COST", 0)
-                    hot = Net(base.places, base.transitions, base.initial)
-                    assert run_search(hot, goal, target, budget) == got
-        stayed += e is None
-        switched += e is not None
-    assert stayed and switched
-
-
-# hand nets for the table tier: no places; transfers that swap, chain and
+# hand nets for the firing table: no places; transfers that swap, chain and
 # move a place onto itself, beside a reset place that is posted to; and a
 # weight above the limit of 8-bit fields (128), whose transition the
 # table leaves out until the fields widen
@@ -497,12 +424,10 @@ TABLE_NETS = [
 ]
 
 
-def test_table_tier_equals_the_oracle_and_the_loop(monkeypatch, memo_runs):
-    """The table tier alone (`_MEMO_COST` at 10**12), which never
-    switches, and the memo tier from the first expansion (at 0) answer
-    every search as the oracle does, with budgets of the whole graph and
-    of half of it: on seeded nets with all four arc kinds and on
-    TABLE_NETS."""
+def test_the_search_equals_the_oracle_on_seeded_and_hand_nets(memo_runs):
+    """The search answers as the oracle does, with budgets of the whole
+    graph and of half of it, and runs the memo tier in each search: on
+    seeded nets with all four arc kinds and on TABLE_NETS."""
     rng = random.Random(2206)
     cases = [fuzz.finite_net(rng, gen, 400)
              for gen in (fuzz.busy_net, fuzz.spiced_net, fuzz.hirct_net,
@@ -519,34 +444,38 @@ def test_table_tier_equals_the_oracle_and_the_loop(monkeypatch, memo_runs):
             for budget in (10**6, max(1, len(graph) // 2)):
                 want = oracle_search(graph, base.initial, goal, target,
                                      budget)
-                for cost in (10**12, 0):
-                    monkeypatch.setattr(packed, "_MEMO_COST", cost)
-                    net = Net(base.places, base.transitions, base.initial)
-                    del memo_runs[:]
-                    assert run_search(net, goal, target, budget) == want, (
-                        base, goal, target, budget, cost)
-                    assert bool(memo_runs) == (cost == 0)
+                net = Net(base.places, base.transitions, base.initial)
+                del memo_runs[:]
+                assert run_search(net, goal, target, budget) == want, (
+                    base, goal, target, budget)
+                assert memo_runs
 
 
-def test_memo_tier_equals_the_table_tier_and_the_oracle(monkeypatch,
-                                                        memo_runs):
-    """The memo tier alone (`_MEMO_COST` at 0), the table tier alone (at
-    10**12) and the oracle answer every search alike, with every table
-    scanned whole or indexed, and every transfer moved by a shift or from
-    one unpack of the marking (`_INDEX_COST` at 10**18 or 0), and with
-    budgets of the whole graph, of half of it and of one marking: on
+@pytest.fixture
+def widened(monkeypatch):
+    """The packed markings at which searches widen their fields, each
+    asserted to come from fields of 8 bits: no entry in the nets that
+    use this needs more than 16, so a wider request comes from a
+    successor below 0, which borrows from the next field."""
+    wider, codes = packed._Fields.wider, []
+
+    def spy(fields, code):
+        assert fields.width < 16, fields.decode(code)
+        codes.append(code)
+        return wider(fields, code)
+    monkeypatch.setattr(packed._Fields, "wider", spy)
+    return codes
+
+
+def test_memo_tier_equals_the_oracle_indexed_or_scanned(monkeypatch,
+                                                        memo_runs, widened):
+    """The memo tier and the oracle answer every search alike, with every
+    table scanned whole or indexed, and every transfer moved by a shift or
+    from one unpack of the marking (`_INDEX_COST` at 10**18 or 0), and
+    with budgets of the whole graph, of half of it and of one marking: on
     seeded `fuzz.threshold_net`s, where one place carries two weights and
     an inhibitor arc, beside resets, transfer fan-ins, chains and
     self-transfers, and where some searches widen their fields."""
-    wider, widened = packed._Fields.wider, []
-
-    def spy(fields, code):
-        # no entry here needs more than 16 bits; a wider request comes
-        # from a successor below 0, which borrows from the next field
-        assert fields.width < 16, fields.decode(code)
-        widened.append(code)
-        return wider(fields, code)
-    monkeypatch.setattr(packed._Fields, "wider", spy)
     rng = random.Random(4646)
     nets = 40
     wide = 0
@@ -561,17 +490,68 @@ def test_memo_tier_equals_the_table_tier_and_the_oracle(monkeypatch,
             for budget in (10**6, max(1, len(graph) // 2), 1):
                 want = oracle_search(graph, base.initial, goal, target,
                                      budget)
-                for memo, index in [(0, 0), (0, 10**18), (10**12, 0),
-                                    (10**12, 10**18)]:
-                    monkeypatch.setattr(packed, "_MEMO_COST", memo)
+                for index in (0, 10**18):
                     monkeypatch.setattr(packed, "_INDEX_COST", index)
                     net = Net(base.places, base.transitions, base.initial)
                     del memo_runs[:]
                     assert run_search(net, goal, target, budget) == want, (
-                        base, goal, target, budget, memo, index)
-                    assert bool(memo_runs) == (memo == 0)
+                        base, goal, target, budget, index)
+                    assert memo_runs
         wide += bool(widened)
     assert 0 < wide < nets
+
+
+def countdown_text(n, k):
+    """n places of k tokens each, every transition taking one from its
+    place: (k + 1)**n markings, one deadlock."""
+    return (f"places: {' '.join(f'p{i}' for i in range(n))}\n"
+            f"marking: {' '.join(f'p{i}={k}' for i in range(n))}\n"
+            + "".join(f"trans t{i}: in p{i} ;\n" for i in range(n)))
+
+
+def past_the_cap():
+    """(net, its oracle graph) for nets whose graphs pass the oracles'
+    400-marking cap: ring (6,12), 6,188 markings; countdown (5,5), 7,776;
+    ring (7,14), 38,760; and the first two seeded `fuzz.threshold_net`s
+    of 401 to 6,000 markings with both a reset and a transfer arc
+    (1,195 and 895)."""
+    cases = [(net, oracles.reach_graph(net, 40_000)) for net in map(
+        parse_net, [ring_text(6, 12), countdown_text(5, 5),
+                    ring_text(7, 14)])]
+    rng = random.Random(4700)
+    while len(cases) < 5:
+        net = fuzz.threshold_net(rng)
+        graph = oracles.reach_graph(net, 6000)
+        kinds = {type(arc) for t in net.transitions for arc in t.pre.values()}
+        if graph and len(graph) > 400 and {Reset, Transfer} <= kinds:
+            cases.append((net, graph))
+    return cases
+
+
+def test_memo_tier_equals_the_oracle_past_the_cap(memo_runs, widened):
+    """Beyond the 400-marking cap of the other differentials, every search
+    equals the oracle's, searched in declaration order: verdict, expansion
+    count and the trace of each hit, with budgets of the whole graph, of
+    half of it and of one marking, each search in the memo tier from its
+    first expansion.  The threshold nets test p0 at 1 (an inhibitor and a
+    weight) and at 2, so a class key must count both thresholds there."""
+    rng = random.Random(4747)
+    cases = past_the_cap()
+    assert [len(graph) for _, graph in cases] == [6188, 7776, 38760, 1195,
+                                                  895]
+    for base, graph in cases:
+        marks = list(graph)
+        miss = (max([x for m in marks for x in m]) + 1,) * len(base.places)
+        for goal, target in [("reach", rng.choice(marks)), ("reach", miss),
+                             ("cover", rng.choice(marks)), ("cover", miss),
+                             ("deadlock", None)]:
+            for budget in (len(graph), len(graph) // 2, 1):
+                net = Net(base.places, base.transitions, base.initial)
+                del memo_runs[:]
+                assert run_search(net, goal, target, budget) == \
+                    oracle_search(graph, base.initial, goal, target,
+                                  budget), (base, goal, target, budget)
+                assert [g for g, _ in memo_runs][:1] == [goal]
 
 
 def line_text(n):
@@ -582,31 +562,26 @@ def line_text(n):
                       for i in range(n)))
 
 
-@pytest.mark.parametrize("text, last, switch, dead", [
-    (ring_text(7, 14), (0,) * 6 + (14,), 571, (False, 38760)),
-    (line_text(2500), (0,) * 2500 + (1,), 1, (True, 2501)),
+@pytest.mark.parametrize("text, last, dead", [
+    (ring_text(7, 14), (0,) * 6 + (14,), (False, 38760)),
+    (line_text(2500), (0,) * 2500 + (1,), (True, 2501)),
 ], ids=["ring7x14", "line2500"])
-def test_long_searches_compile_once_per_goal(text, last, switch, dead,
-                                             memo_runs):
-    """Each goal's search switches to the memo tier once, after it has
-    expanded `switch` markings: a budget of `switch` stays in the table
-    tier and one more switches.  The ring's rent of 7 tests of 2 words per
-    expansion, after as many to build the table, reaches its buy of
-    8 * _MEMO_COST after 571 (`switch_point`); on the line each marking is
-    626 words, so 2,500 tests to build the table and 2,500 to expand the
-    first marking reach the buy of 2,501 * _MEMO_COST."""
+def test_long_searches_compile_once_per_goal(text, last, dead, memo_runs):
+    """Each goal's search of a long net builds one memo tier, at the
+    first field width, and runs it from its first expansion to its end;
+    so does a search that a budget of one marking stops.  The line's
+    markings are 626 words wide, so its table is indexed by place."""
     runs = memo_runs
     net = parse_net(text)
     found = [bounded_reach(net, last), bounded_cover(net, last),
              bounded_deadlock(net)]
-    assert [goal for goal, _ in runs] == ["reach", "cover", "deadlock"]
+    assert runs == [("reach", 8), ("cover", 8), ("deadlock", 8)]
     assert found[0] == found[1] and found[0].trace.markings[-1] == last
     assert (found[2].found, found[2].expanded) == dead
-    for budget, switched in ((switch, []), (switch + 1, ["deadlock"])):
-        del runs[:]
-        with pytest.raises(BudgetExceededError):
-            bounded_deadlock(parse_net(text), max_steps=budget)
-        assert [goal for goal, _ in runs] == switched
+    del runs[:]
+    with pytest.raises(BudgetExceededError, match="^expanded=1$"):
+        bounded_deadlock(parse_net(text), max_steps=1)
+    assert runs == [("deadlock", 8)]
 
 
 def forward_queries():
@@ -683,11 +658,10 @@ def test_forward_byte_stable(tmp_path):
 
 
 def test_table_index_equals_full_scan(tmp_path, monkeypatch):
-    """The table tier alone (`_MEMO_COST` at 10**12) gives the same
-    stdout, expansion counts included, exit code and trace whether every
-    table is indexed by place (`_INDEX_COST` at 0) or scanned whole: on
-    the `forward_queries` corpus, the compiled machines the benchmark
-    reads and line(500)."""
+    """The search gives the same stdout, expansion counts included, exit
+    code and trace whether every table is indexed by place (`_INDEX_COST`
+    at 0) or scanned whole: on the `forward_queries` corpus, the compiled
+    machines the benchmark reads and line(500)."""
     queries = forward_queries()
     minsky = Path(__file__).resolve().parents[1] / "perfbench" / "minsky"
     for path in sorted(minsky.glob("*.xpn")):
@@ -702,7 +676,6 @@ def test_table_index_equals_full_scan(tmp_path, monkeypatch):
         picked.append(pick is not None)
         return rows, pick
     monkeypatch.setattr(packed, "_table", spy)
-    monkeypatch.setattr(packed, "_MEMO_COST", 10**12)
     outs = []
     for cost in (0, 10**18):
         monkeypatch.setattr(packed, "_INDEX_COST", cost)

@@ -2,8 +2,8 @@
 reversing the transition order, leave every engine's answer unchanged.
 Each net, original or changed, must survive a render/parse round trip
 before an engine sees it.  Raising a budget may turn a run-out into an
-answer, but never changes an answer, and neither does the forward
-search's switch from interpreted to generated code."""
+answer, but never changes an answer, and neither does indexing the
+firing table by place in place of scanning it whole."""
 
 import random
 
@@ -155,13 +155,13 @@ COUNTDOWN = ("places: p0 p1 p2 p3\nmarking: p0=3 p1=3 p2=3 p3=3\n"
 ], ids=["ring5x8", "countdown4x3"])
 def test_generated_successors_change_no_answer(text, reach, cover,
                                               monkeypatch):
-    """Each engine on a fresh net equals the same engine whatever the
-    forward searches' buy (_MEMO_COST): at 50 per transition they
-    switch from the table tier to the memo tier some thirty expansions
-    in, at 0 they run the memo tier from the first expansion on, and at
-    10**12 the table tier to their end, which these short searches also
-    do at the module's cost: traces, expansion counts, verdicts, tree
-    sizes and budget messages alike."""
+    """Each engine on a fresh net equals the same engine whatever its
+    firing table's index rule (`_INDEX_COST`): at 0 every table is
+    indexed by place and every transfer moved from one unpack of the
+    marking, at 10**18 every table is scanned whole, and these short
+    searches also scan at the module's rule: traces, expansion counts,
+    verdicts, tree sizes and budget messages alike.  Each forward search
+    runs the memo tier."""
     engines = [
         lambda n: bounded_reach(n, reach, max_steps=15_000),
         lambda n: bounded_cover(n, cover, max_steps=15_000),
@@ -174,7 +174,7 @@ def test_generated_successors_change_no_answer(text, reach, cover,
                         lambda *args: runs.append(args) or memo_loop(*args))
 
     def outcomes():
-        got, switched = [], []
+        got, memo = [], []
         for engine in engines:
             net = parse_net(text)
             del runs[:]
@@ -182,11 +182,11 @@ def test_generated_successors_change_no_answer(text, reach, cover,
                 got.append(engine(net))
             except BudgetExceededError as e:
                 got.append(str(e))
-            switched.append(bool(runs))
-        return got, switched[:3]
+            memo.append(bool(runs))
+        return got, memo
 
-    cli, switched = outcomes()
-    assert switched == [False] * 3
-    for cost, loops in ((50, True), (0, True), (10**12, False)):
-        monkeypatch.setattr(packed, "_MEMO_COST", cost)
-        assert outcomes() == (cli, [loops] * 3), cost
+    cli = outcomes()
+    assert cli[1] == [True] * 3 + [False]
+    for cost in (0, 10**18):
+        monkeypatch.setattr(packed, "_INDEX_COST", cost)
+        assert outcomes() == cli, cost

@@ -64,7 +64,6 @@ def _bfs(net: Net, goal: str, target, max_steps: int) -> SearchResult:
     if path is None:
         return SearchResult(None, expanded)
     plan, names, markings, acting = net._plan(), [], [net.initial], None
-    path.reverse()
     x = path.pop()
     while path:
         y = path.pop()

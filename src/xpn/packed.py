@@ -11,8 +11,8 @@ arcs, and a successor is one addition, one AND for the emptied places
 and one shift per transfer.  The search and the walk read one firing
 table (`_table`), where one cost rule (`_INDEX_COST`) decides when a
 marking tests every row and when only those its marked places index.
-From its first expansion the search runs its memo tier (`_memo_loop`),
-which tests each row once per class of markings.  `net._apply` reads
+The search (`_search_at`) tests each row once per class of markings,
+keeping the rows each class enables in a memo.  `net._apply` reads
 the arcs on its own, so recovering each step of a found trace by it
 (`explore._bfs`) checks the search.
 
@@ -45,8 +45,8 @@ def _search(net: Net, start: Marking, goal: str, target, max_steps: int):
     as `start` (nonnegative for a cover), or None for a deadlock.
 
     Returns (expanded, path, fields): the number of markings expanded,
-    then None if no marking is a hit, else the markings from `start` to
-    the first hit, packed by the `_Fields` `fields`.  Raises
+    then None if no marking is a hit, else the markings from the first
+    hit back to `start`, packed by the `_Fields` `fields`.  Raises
     BudgetExceededError when a marking past the `max_steps`-th would need
     expanding.  `start` and `target` come checked, by `explore`'s
     searches.  It runs at one width (`_search_at`), and from the start
@@ -59,109 +59,8 @@ def _search(net: Net, start: Marking, goal: str, target, max_steps: int):
 def _search_at(net: Net, start: Marking, goal: str, target, stop: int,
                fields: "_Fields"):
     """`_search` at the width of `fields`, expanding at most `stop`
-    markings: the memo tier (`_memo_loop`) on that width's firing table
-    (`_table`), from the first expansion."""
-    plan = net._plan()
-    parent = {fields.encode(start): None}  # marking -> its predecessor
-    queue = list(parent)  # every visited marking, in the order of expansion
-    hit = _memo_loop(plan, *_table(plan, fields), goal, fields)(
-        queue, parent, stop, _packed_target(goal, target, fields))
-    if hit is not None:
-        return hit[0] + 1, _path(parent, hit[1]), fields
-    if len(queue) > stop:
-        raise BudgetExceededError(f"expanded={stop}")
-    return len(queue), None, fields
-
-
-def _widening(fields: "_Fields", attempt):
-    """`attempt(fields)`, run again from the start at `_Fields.wider` of
-    each `_Widen` it raises: the one retry loop of the protocol."""
-    while True:
-        try:
-            return attempt(fields)
-        except _Widen as e:
-            fields = fields.wider(e.args[0])
-
-
-def _firing_rows(plan, fields: "_Fields") -> list:
-    """Per op of `plan`, its firing row of packed ints at the width of
-    `fields`, led by its position k: (k, g, w, inhib, d, zero, xfers).
-    The op is enabled at m when (m | g) - w & g == g, g the guard bits of
-    its numeric pre-places and w their weights, and not m & inhib, its
-    inhibited fields.  Its successor is m + d, d its packed posts less w
-    (its `_effects` const, packed), less m & zero, its reset places and
-    transfer sources, plus each transfer source's entry in m shifted to
-    its target, as (source shift, target shift) in `xfers` (a source has
-    no numeric arc, so m holds the snapshot `_apply` takes).  An op with a
-    weight at or above the limit gets None: no marking below the limit
-    enables it."""
-    width, limit, full = fields.width, fields.limit, (1 << fields.width) - 1
-    top = 1 << (width - 1)
-    rows = []
-    for k, op in enumerate(plan):
-        g = w = 0
-        for p, x in op.numeric:
-            if x >= limit:
-                rows.append(None)
-                break
-            g |= top << p * width
-            w |= x << p * width
-        else:
-            inhib = d = zero = 0
-            for p in op.inhib:
-                inhib |= full << p * width
-            for p, x in op.posts:
-                d += x << p * width
-            for p in op.resets:
-                zero |= full << p * width
-            xfers = []
-            for src, q in op.xfers:
-                zero |= full << src * width
-                xfers.append((src * width, q * width))
-            rows.append((k, g, w, inhib, d - w, zero, xfers))
-    return rows
-
-
-# A table indexes its rows by place when they, each tested in about one
-# step per 32-bit word of the packed marking, cost more than _INDEX_COST
-# steps per place to unpack the marking and merge the candidates.  The
-# memo tier weighs a row's transfers, one shift each, by the same rule.
-_INDEX_COST = 4
-
-
-def _table(plan, fields: "_Fields"):
-    """(rows, pick), the firing table of `plan` at the width of `fields`
-    that the search and the termination walk read.  `rows`
-    are the firing rows (`_firing_rows`) of the ops some marking below the
-    limit enables.  `pick` is None if testing them all is cheaper
-    (`_INDEX_COST`); else `pick(m)` gives the rows of the ops with no
-    numeric pre-arc and of those whose first numeric pre-place the packed
-    m marks, in declaration order."""
-    rows = list(filter(None, _firing_rows(plan, fields)))
-    at, size = range(fields.n), fields.size
-    if len(rows) * (size // 4 + 1) <= _INDEX_COST * fields.n:
-        return rows, None
-    always, by_place, read = [], [[] for _ in at], fields.read
-    for row in rows:
-        numeric = plan[row[0]].numeric
-        (by_place[numeric[0][0]] if numeric else always).append(row)
-
-    def pick(m):
-        # rows are (position, ...) tuples: sorting merges by position
-        return sorted(always + [row for p in compress(at, read(m.to_bytes(
-            size, "little"))) for row in by_place[p]])
-    return rows, pick
-
-
-def _memo_loop(plan, rows, pick, goal: str, fields: "_Fields"):
-    """`run(Q, P, stop, T)`, `_search`'s loop on the table (`rows`,
-    `pick`) at the width of `fields`: it expands Q[0], Q[1], ... up to
-    Q[stop], excluded, as Q grows, storing each successor not yet a key of
-    P there with its predecessor and appending it to Q.  It raises
-    `_Widen(m)` before expanding an m with an entry at or above the limit,
-    and returns (i, m) at the first hit, the i-th marking: m == T for
-    "reach", m covering T for "cover", no row enabled for "deadlock"; None
-    once Q runs out or at `stop`.
+    markings, on that width's firing table (`_table`).  It raises
+    `_Widen(m)` before expanding an m with an entry at or above the limit.
 
     It tests each row once per class of markings.  Per place, the class
     says which of the thresholds the arcs test there (each numeric weight,
@@ -179,10 +78,13 @@ def _memo_loop(plan, rows, pick, goal: str, fields: "_Fields"):
     cleared, plus d plus its transfers, by a shift each when they cost no
     more than unpacking the marking (`_INDEX_COST`), else from one unpack,
     as (target shift, source places) `groups`."""
+    plan = net._plan()
+    rows, pick = _table(plan, fields)
     width, size, read = fields.width, fields.size, fields.read
     full, head, guard = (1 << width) - 1, fields.head, fields.guard
     reach, cover = goal == "reach", goal == "cover"
     deadlock = goal == "deadlock"
+    target = _packed_target(goal, target, fields)
     marks = {(p, 1) for row in rows for p in plan[row[0]].inhib}
     for row in rows:
         marks.update(plan[row[0]].numeric)
@@ -208,68 +110,145 @@ def _memo_loop(plan, rows, pick, goal: str, fields: "_Fields"):
     # class key -> [acts, incs] of the rows it enables: lists, as the
     # interpreter keeps up to 2,000 freed tuples of each length for reuse
     memo = {}
-
-    def run(Q, P, stop, T):
-        push = Q.append
-        for i, m in enumerate(islice(Q, stop)):
-            if m & head:
-                raise _Widen(m)
-            if (m == T if reach
-                    else cover and (m | guard) - T & guard == guard):
-                return i, m
-            key = m + c0 & g0
-            if layers:
-                for g, c in layers:
-                    key += m + c & g
-            known = memo.get(key)
-            if known is None:  # the class's first marking: test each row
-                acts, incs = [], []
-                for k, g, w, inhib, d, zero, _ in (
-                        rows if pick is None else pick(m)):
-                    if (m | g) - w & g == g and not m & inhib:
-                        if zero:
-                            acts.append((incs, steps[k]))
-                            incs = []
-                        else:
-                            incs.append(d)
-                memo[key] = [acts, incs]
-            else:
-                acts, incs = known
-            if acts:
-                for before, (d, keep, shifts, groups) in acts:
-                    for e in before:
-                        s = m + e
-                        if s not in P:
-                            P[s] = m
-                            push(s)
-                    s = (m & keep) + d
-                    for src, q in shifts:
-                        s += (m >> src & full) << q
-                    if groups:
-                        u = read(m.to_bytes(size, "little"))
-                        for q, srcs in groups:
-                            s += sum([u[p] for p in srcs]) << q
-                    if s not in P:
-                        P[s] = m
+    parent = {fields.encode(start): None}  # marking -> its predecessor
+    queue = list(parent)  # every visited marking, in the order of expansion
+    push = queue.append
+    for i, m in enumerate(islice(queue, stop)):
+        if m & head:
+            raise _Widen(m)
+        if (m == target if reach
+                else cover and (m | guard) - target & guard == guard):
+            return i + 1, _path(parent, m), fields
+        key = m + c0 & g0
+        if layers:
+            for g, c in layers:
+                key += m + c & g
+        known = memo.get(key)
+        if known is None:  # the class's first marking: test each row
+            acts, incs = [], []
+            for k, g, w, inhib, d, zero, _ in (
+                    rows if pick is None else pick(m)):
+                if (m | g) - w & g == g and not m & inhib:
+                    if zero:
+                        acts.append((incs, steps[k]))
+                        incs = []
+                    else:
+                        incs.append(d)
+            memo[key] = [acts, incs]
+        else:
+            acts, incs = known
+        if acts:
+            for before, (d, keep, shifts, groups) in acts:
+                for e in before:
+                    s = m + e
+                    if s not in parent:
+                        parent[s] = m
                         push(s)
-            elif deadlock and not incs:
-                return i, m
-            for d in incs:
-                s = m + d
-                if s not in P:
-                    P[s] = m
+                s = (m & keep) + d
+                for src, q in shifts:
+                    s += (m >> src & full) << q
+                if groups:
+                    u = read(m.to_bytes(size, "little"))
+                    for q, srcs in groups:
+                        s += sum([u[p] for p in srcs]) << q
+                if s not in parent:
+                    parent[s] = m
                     push(s)
-        return None
+        elif deadlock and not incs:
+            return i + 1, _path(parent, m), fields
+        for d in incs:
+            s = m + d
+            if s not in parent:
+                parent[s] = m
+                push(s)
+    if len(queue) > stop:
+        raise BudgetExceededError(f"expanded={stop}")
+    return len(queue), None, fields
 
-    return run
+
+def _widening(fields: "_Fields", attempt):
+    """`attempt(fields)`, run again from the start at `_Fields.wider` of
+    each `_Widen` it raises: the one retry loop of the protocol."""
+    while True:
+        try:
+            return attempt(fields)
+        except _Widen as e:
+            fields = fields.wider(e.args[0])
+
+
+def _firing_rows(plan, fields: "_Fields") -> list:
+    """Per op of `plan`, its firing row of packed ints at the width of
+    `fields`, led by its position k: (k, g, w, inhib, d, zero, xfers).
+    The op is enabled at m when (m | g) - w & g == g, g the guard bits of
+    its numeric pre-places and w their weights, and not m & inhib, its
+    inhibited fields.  Its successor is m + d, d its packed posts less w
+    (its `_effects` const, packed), less m & zero, its reset places and
+    transfer sources, plus each transfer source's entry in m shifted to
+    its target, as (source shift, target shift) in `xfers` (a source has
+    no numeric arc, so m holds the snapshot `_apply` takes).  An op with a
+    weight at or above the limit has no row: no marking below the limit
+    enables it."""
+    width, limit, full = fields.width, fields.limit, (1 << fields.width) - 1
+    top = 1 << (width - 1)
+    rows = []
+    for k, op in enumerate(plan):
+        g = w = 0
+        for p, x in op.numeric:
+            if x >= limit:
+                break
+            g |= top << p * width
+            w |= x << p * width
+        else:
+            inhib = d = zero = 0
+            for p in op.inhib:
+                inhib |= full << p * width
+            for p, x in op.posts:
+                d += x << p * width
+            for p in op.resets:
+                zero |= full << p * width
+            xfers = []
+            for src, q in op.xfers:
+                zero |= full << src * width
+                xfers.append((src * width, q * width))
+            rows.append((k, g, w, inhib, d - w, zero, xfers))
+    return rows
+
+
+# A table indexes its rows by place when they, each tested in about one
+# step per 32-bit word of the packed marking, cost more than _INDEX_COST
+# steps per place to unpack the marking and merge the candidates.  The
+# search weighs a row's transfers, one shift each, by the same rule.
+_INDEX_COST = 4
+
+
+def _table(plan, fields: "_Fields"):
+    """(rows, pick), the firing table of `plan` at the width of `fields`
+    that the search and the termination walk read.  `rows`
+    are its firing rows (`_firing_rows`).  `pick` is None if testing them
+    all is cheaper (`_INDEX_COST`); else `pick(m)` gives the rows of the
+    ops with no numeric pre-arc and of those whose first numeric pre-place
+    the packed m marks, in declaration order."""
+    rows = _firing_rows(plan, fields)
+    at, size = range(fields.n), fields.size
+    if len(rows) * (size // 4 + 1) <= _INDEX_COST * fields.n:
+        return rows, None
+    always, by_place, read = [], [[] for _ in at], fields.read
+    for row in rows:
+        numeric = plan[row[0]].numeric
+        (by_place[numeric[0][0]] if numeric else always).append(row)
+
+    def pick(m):
+        # rows are (position, ...) tuples: sorting merges by position
+        return sorted(always + [row for p in compress(at, read(m.to_bytes(
+            size, "little"))) for row in by_place[p]])
+    return rows, pick
 
 
 def _path(parent: dict, m) -> list:
-    """The markings `parent` records from the start to `m`."""
+    """The markings `parent` records from `m` back to the start."""
     path = [m]
     while (m := parent[m]) is not None:
         path.append(m)
-    path.reverse()
     return path
 
 

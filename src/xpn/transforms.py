@@ -257,39 +257,31 @@ def _deadlock_clauses(net: Net, cap: int) -> list:
     disabled (a numeric pre-place held under its weight, or an inhibited
     place held nonempty); prune contradictory picks, deduplicate, cap."""
     # a transition's options, in arc order, are ("exact", p, j) for each
-    # j below a numeric arc's weight on p and ("atleast", p, 1) for an
-    # inhibitor arc on p; they are indexed, not listed, so a huge weight
-    # costs nothing before the cap applies.  Per transition: the index of
-    # each arc's first option, (kind, p, low) per arc, and the option
-    # count.  `low` is the least j at or above every numeric weight on p
-    # of a later transition, and at least 1: every later option on p
-    # rejects each exact j >= low alike (an exact j' < weight differs
-    # from it, an inhibitor's "at least 1" holds), so those values draw
-    # subtrees that differ only in p's value.
+    # j below a numeric arc's weight w on p and ("atleast", p, 1) for an
+    # inhibitor arc on p, taken as w = 1; they are indexed, not listed, so
+    # a huge weight costs nothing before the cap applies.  Per transition:
+    # the index of each arc's first option, (kind, p, w) per arc, and the
+    # option count.  An arc of weight w tells a value v of p below w
+    # (option v agrees, or for an inhibitor "at least 1" fails on v = 0)
+    # from one at or above it (no option agrees), and nothing else.
     per_t = []
-    top = 0  # the largest j of any option
-    later: dict = {}  # place -> its largest numeric weight further on
-    for t in reversed(net.transitions):
+    top = 0  # the largest weight
+    for t in net.transitions:
         starts, arcs, total = [], [], 0
         for place, arc in t.pre.items():
-            p = net.place_pos(place)
-            low = max(later.get(p, 0), 1)
             if isinstance(arc, Numeric):
-                kind, count, top = "exact", arc.weight, max(top, arc.weight - 1)
-                # t has no other arc on p, so its other arcs read `later`
-                # as it was
-                later[p] = max(low, arc.weight)
+                kind, w = "exact", arc.weight
             elif isinstance(arc, Inhibitor):
-                kind, count, top = "atleast", 1, max(top, 1)
+                kind, w = "atleast", 1
             else:
                 continue
             starts.append(total)
-            arcs.append((kind, p, low))
-            total += count
+            arcs.append((kind, net.place_pos(place), w))
+            total += w
+            top = max(top, w)
         if not total:
             return []  # that transition is never disabled: no deadlock
         per_t.append((starts, arcs, total))
-    per_t.reverse()
 
     # depth-first over one option per transition, with an explicit stack of
     # (option index, place, previous assignment, previous state, mark) so
@@ -305,14 +297,17 @@ def _deadlock_clauses(net: Net, cap: int) -> list:
     #
     # So the clauses are the distinct completions in depth-first order,
     # and `done` only saves work: a state it skips had every completion
-    # seen.  An exact pick j >= low of a place left unset draws the
-    # completions of the other values >= low of its arc with p's value
-    # changed.  If its subtree reached no completion and skipped no state
-    # (`leaves`, `skips`), neither do theirs, and the arc's rest is
-    # skipped.  If it added c clauses, the rest adds at least c distinct
-    # ones per value, so once c times the values left passes the cap the
-    # cap's error is raised at once.
-    width = (top + 2).bit_length()
+    # seen.  An exact pick v of a place p unset or "at least one", with
+    # values of its arc left, is marked: while its subtree runs, `bounds`
+    # holds the least weight above v among the arcs on p the subtree
+    # meets, `least` the first-completed state the subtree skips.  If every
+    # state it skipped was completed inside it, the subtree of each value
+    # of p below that bound is this one with p's value changed.  Then if
+    # it reached no completion, neither do theirs, and those values are
+    # skipped; if it added c clauses, each of those values adds c distinct
+    # ones, so once c times their count passes the cap the cap's error is
+    # raised at once.
+    width = (top + 1).bit_length()
 
     def code(v):
         return 0 if v is None else 1 if v == ("atleast",) else v[1] + 2
@@ -321,11 +316,12 @@ def _deadlock_clauses(net: Net, cap: int) -> list:
                   len(per_t))
     clauses = []
     seen = set()
-    done = set()  # (level, state) fully explored
+    done = {}  # (level, state) fully explored -> its order of completion
+    bounds = {}  # place of a marked pick -> the least weight above it met
     assign: dict = {}
     state = 0
     picks = []
-    leaves = skips = 0
+    leaves = least = 0
     k = 0  # next option to try for transition len(picks)
     while True:
         i = len(picks)
@@ -339,11 +335,13 @@ def _deadlock_clauses(net: Net, cap: int) -> list:
                         f"more than {cap} deadlock clauses")
                 clauses.append(dict(assign))
         elif k < per_t[i][2]:
-            starts, arcs, total = per_t[i]
+            starts, arcs, _ = per_t[i]
             a = bisect_right(starts, k) - 1
-            kind, p, low = arcs[a]
+            kind, p, w = arcs[a]
             j = k - starts[a] if kind == "exact" else 1
             prev = assign.get(p)
+            if p in bounds and prev[1] < w < bounds[p]:
+                bounds[p] = w
             if kind == "exact":
                 ok = not ((prev == ("atleast",) and j == 0)
                           or (isinstance(prev, tuple) and prev[0] == "exact"
@@ -355,13 +353,12 @@ def _deadlock_clauses(net: Net, cap: int) -> list:
             if ok:
                 nxt = state + ((code(new) - code(prev)) << (p * width))
                 if i >= branch and (i + 1, nxt) in done:
-                    ok, skips = False, skips + 1
+                    ok, least = False, min(least, done[i + 1, nxt])
             if ok:
-                mark = None  # an exact value past `low`, more to come
-                if prev is None and low <= j:
-                    end = starts[a + 1] if a + 1 < len(starts) else total
-                    if k + 1 < end:
-                        mark = (leaves, skips, len(clauses), end)
+                mark = None  # an exact value with more of its arc to come
+                if j + 1 < w and (prev is None or prev == ("atleast",)):
+                    mark = (starts[a], leaves, len(done), least, len(clauses))
+                    bounds[p], least = w, len(done)
                 picks.append((k, p, prev, state, mark))
                 assign[p] = new
                 state = nxt
@@ -369,13 +366,12 @@ def _deadlock_clauses(net: Net, cap: int) -> list:
             elif kind == "exact" and prev and prev[0] == "exact":
                 # only option prev[1] of this arc agrees with `prev`: go
                 # to it if it is still ahead, else past the arc
-                end = starts[a + 1] if a + 1 < len(starts) else total
-                k = min(starts[a] + prev[1] if prev[1] > j else end, end)
+                k = starts[a] + min(prev[1] if prev[1] > j else w, w)
             else:
                 k += 1
             continue
         elif i > branch:
-            done.add((i, state))
+            done[i, state] = len(done)
         if not picks:
             return clauses
         k, p, prev, state, mark = picks.pop()
@@ -383,12 +379,16 @@ def _deadlock_clauses(net: Net, cap: int) -> list:
             del assign[p]
         else:
             assign[p] = prev
-        if mark is not None and mark[1] == skips:
-            if mark[0] == leaves:
-                k = mark[3] - 1  # no other value of the arc completes
-            elif (len(clauses) - mark[2]) * (mark[3] - 1 - k) > cap:
-                raise BudgetExceededError(
-                    f"more than {cap} deadlock clauses")
+        if mark is not None:
+            first, leaves_at, done_at, outer, clauses_at = mark
+            end = first + bounds.pop(p)  # option index of the bound's value
+            if least >= done_at:  # every skipped state was completed inside
+                if leaves_at == leaves:
+                    k = end - 1  # no value below the bound completes
+                elif (len(clauses) - clauses_at) * (end - 1 - k) > cap:
+                    raise BudgetExceededError(
+                        f"more than {cap} deadlock clauses")
+            least = min(least, outer)
         k += 1
 
 

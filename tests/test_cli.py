@@ -470,16 +470,36 @@ def test_dlf_to_reach_runs_out_on_huge_weights(tmp_path):
     # error comes at once
     ("places: p q\ntrans t0: in p*1000000000000 ;\ntrans t1: in q*2 ;\n",
      1, 0),
+    # t1's arc on p tells no value from 2 up to its weight apart, and t2's
+    # weight 2 only those below 2 from those above
+    ("places: p\ntrans t0: in p*1000000000000 ;\n"
+     "trans t1: in p*1000000000000 ;\ntrans t2: in p*2 ;\n", 0, 2),
+    # p's values are picked over t0's "at least one"
+    ("places: p q\ntrans t0: inh p ;\ntrans t1: in p*1000000000000 ;\n"
+     "trans t2: in p*2, in q ;\ntrans t3: inh q ;\n", 0, 1),
+    # p0 = 1's subtree skips a state it completed itself; each p1 from 1
+    # on completes a clause, so the cap's error comes at once
+    ("places: p0 p1\ntrans t0: in p0*2147483648, in p1*10000000000000 ;\n"
+     "trans t1: inh p1 ;\ntrans t2: in p0*10000000000000, inh p1 ;\n"
+     "trans t3: in p0 ;\n", 1, 0),
 ])
-def test_dlf_to_reach_skips_alike_values_of_a_huge_weight(run, text, code,
-                                                          clauses):
-    t0 = time.perf_counter()
-    got, out, err, _ = run("transform", "dlf-to-reach", "n.xpn",
-                           "--clause-cap", "5", files={"n.xpn": text})
-    assert time.perf_counter() - t0 < 1
-    assert (got, err, out.count("_check:")) == (code, "", clauses)
-    if code:
-        assert out == "OUT_OF_BUDGET more than 5 deadlock clauses\n"
+def test_dlf_to_reach_skips_alike_values_of_a_huge_weight(tmp_path, text,
+                                                          code, clauses):
+    # `code` and `clauses` are the answer at --clause-cap 5: the same at
+    # the default cap, and a run-out at a cap below the clause count
+    net = tmp_path / "n.xpn"
+    net.write_text(text)
+    for cap in ("1", "5", None):
+        t0 = time.perf_counter()
+        got, out, err = run_capped("transform", "dlf-to-reach", str(net),
+                                   *(("--clause-cap", cap) if cap else ()))
+        assert time.perf_counter() - t0 < 1
+        if code or clauses > int(cap or 10_000):
+            assert (got, out, err) == (1, f"OUT_OF_BUDGET more than "
+                                          f"{cap or 10_000} deadlock "
+                                          "clauses\n", "")
+        else:
+            assert (got, err, out.count("_check:")) == (0, "", clauses)
 
 
 N4 = 10**4

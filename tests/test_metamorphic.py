@@ -161,7 +161,7 @@ def test_generated_successors_change_no_answer(text, reach, cover,
     marking, at 10**18 every table is scanned whole, and these short
     searches also scan at the module's rule: traces, expansion counts,
     verdicts, tree sizes and budget messages alike.  Each forward search
-    runs the memo tier."""
+    builds its memo."""
     engines = [
         lambda n: bounded_reach(n, reach, max_steps=15_000),
         lambda n: bounded_cover(n, cover, max_steps=15_000),
@@ -169,9 +169,9 @@ def test_generated_successors_change_no_answer(text, reach, cover,
         lambda n: decide_termination(n, max_nodes=15_000),
     ]
 
-    memo_loop, runs = packed._memo_loop, []
-    monkeypatch.setattr(packed, "_memo_loop",
-                        lambda *args: runs.append(args) or memo_loop(*args))
+    search_at, runs = packed._search_at, []
+    monkeypatch.setattr(packed, "_search_at",
+                        lambda *args: runs.append(args) or search_at(*args))
 
     def outcomes():
         got, memo = [], []

@@ -296,9 +296,9 @@ def test_fire_fuzz_against_oracle():
 # and moves transfers by shifts unless the marking is wide; every table
 # indexed by place and every transfer moved from one unpack of the
 # marking; and every table scanned whole with every transfer moved by a
-# shift.  Each search runs the memo tier from its first expansion
+# shift.  Each search builds its memo at its first expansion
 PATCHES = ({}, {"_INDEX_COST": 0}, {"_INDEX_COST": 10**18})
-# the patch of each search in `first_level`, as it builds its memo tier
+# the patch of each search in `first_level`, as it builds its memo
 MEMO_RUNS = []
 
 
@@ -313,18 +313,18 @@ def first_level(net, m, goal, target, budget, patch):
     """What `_search` of `net` from `m` does within `budget` steps, with
     the `xpn.packed` constants in `patch` set: the markings expanded and the
     path to the hit, unpacked, or the budget message.  A search adds
-    `patch` to MEMO_RUNS as it builds its memo tier."""
-    memo_loop = packed._memo_loop
+    `patch` to MEMO_RUNS as it builds its memo (`packed._search_at`)."""
+    search_at = packed._search_at
     with pytest.MonkeyPatch.context() as mp:
         for name, value in patch.items():
             mp.setattr(packed, name, value)
-        mp.setattr(packed, "_memo_loop",
-                   lambda *args: MEMO_RUNS.append(patch) or memo_loop(*args))
+        mp.setattr(packed, "_search_at",
+                   lambda *args: MEMO_RUNS.append(patch) or search_at(*args))
         try:
             expanded, path, fields = _search(net, m, goal, target, budget)
         except BudgetExceededError as e:
             return str(e)
-    return expanded, path and [fields.decode(x) for x in path]
+    return expanded, path and [fields.decode(x) for x in reversed(path)]
 
 
 def assert_first_level(net, m, want, patch):

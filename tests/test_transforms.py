@@ -309,6 +309,18 @@ def test_dlf_clauses_equal_the_naive_enumeration():
     cases = [(parse_net("places: p0 p1\ntrans t0: in p1*2, in p0*3 ;\n"
                         "trans t1: in p1*6 ;\ntrans t2: in p0*4 ;\n"
                         "trans t3: in p1, in p0*4 ;"), 10_000)]
+    # the shapes whose huge weights `dlf-to-reach` once tried one value at
+    # a time: a later weight that tells only the values below 2 apart, p's
+    # values picked over an inhibitor's "at least one", and a subtree
+    # that skips a state it completed itself
+    cases += [(parse_net(text), cap) for text in (
+        "places: p\ntrans t0: in p*12 ;\ntrans t1: in p*12 ;\n"
+        "trans t2: in p*2 ;",
+        "places: p q\ntrans t0: inh p ;\ntrans t1: in p*12 ;\n"
+        "trans t2: in p*2, in q ;\ntrans t3: inh q ;",
+        "places: p0 p1\ntrans t0: in p0*8, in p1*12 ;\ntrans t1: inh p1 ;\n"
+        "trans t2: in p0*12, inh p1 ;\ntrans t3: in p0 ;")
+        for cap in (1, 5, 10_000)]
     for _ in range(1500):
         places = [f"p{i}" for i in range(rng.randint(1, 3))]
         transitions = []

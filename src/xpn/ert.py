@@ -22,10 +22,11 @@ one cost rule decides when a marking tests only the transitions whose
 first numeric pre-place it marks (and those with none).  An ancestor
 subsumes a child when one guard-bit subtraction finds it <= the child and
 one AND finds them equal on the prefix.  A child with an entry near its
-field's limit starts the walk again at a wider field (the widening
-protocol of `packed`).  Markings are decoded only for the recorded nodes,
-once per distinct marking.  The walk checks a certificate where it makes
-it, by the interpreted firing rule.
+field's limit starts the walk again at a wider field, as the forward
+search does: `_walk` hands `packed._widening` the walk at one width,
+`_walk_at`, bound by `partial` to all but the fields.  Markings are
+decoded only for the recorded nodes, once per distinct marking.  The walk
+checks a certificate where it makes it, by the interpreted firing rule.
 
 If no transition adds tokens, the token sum never rises along a run, so
 an ancestor <= a child equals it, and the walk looks the child up among
@@ -33,13 +34,15 @@ the path's markings instead of scanning the path.  No marking repeats on
 a path, so both find the same ancestor and every output is the same.
 
 One depth-first walk serves both entry points, and it keeps only the
-current path.  `decide_termination` runs it for the verdict: the walk stops
-at the first cut and memoises each marking whose subtree completed, so a
-marking met again is counted, not expanded.  `build_ert` runs it to record
-the tree: the walk memoises nothing, stores every node, and goes on past
-the first cut unless told to stop there.  Both number and count the same
-tree nodes against one node budget, so without a shuffle they reach the
-same verdict, budget error included.
+current path.  It is one loop: expand a node (the root first), making and
+testing its children, then pop the path to the next child to expand.
+`decide_termination` runs it for the verdict: the walk stops at the first
+cut and memoises each marking whose subtree completed, so a marking met
+again is counted, not expanded.  `build_ert` runs it to record the tree:
+the walk memoises nothing, makes each node's record with the node, and
+goes on past the first cut unless told to stop there.  Both number and
+count the same tree nodes against one node budget, so without a shuffle
+they reach the same verdict, budget error included.
 
 Eligible nets: every transition's inhibitor pre-places form a downward
 closed set, reset arcs are unrestricted, transfer arcs are absent.
@@ -47,11 +50,13 @@ closed set, reset arcs are unrestricted, transfer arcs are absent.
 
 from __future__ import annotations
 
+from functools import partial
+
 # `classify` and `successors` are no longer called here; they stay
 # importable from this module because the benchmark's tracer wraps
 # `ert.classify` and `ert.successors`
 from .net import (BudgetExceededError, Marking, Net, XpnError, _Value,
-                  _ert_fault, _leq, classify, replay, successors)
+                  _ert_fault, _leq, _set, classify, replay, successors)
 from .packed import _Fields, _Widen, _table, _widening
 from .fmt import _q, _writes_counts
 
@@ -184,18 +189,9 @@ def _walk(net: Net, max_nodes: int, rng, nodes, stop_early: bool):
     Terminating(tree_size) or the checked certificate of the first cut
     (AssertionError if it fails).  `rng` shuffles each node's children.
 
-    Markings are packed ints (`_Fields`) from the root on, and children
-    come from the firing table (`packed._table`).  When a child needs
-    wider fields, the walk starts again there (`packed._widening`) with
-    `rng` and `nodes` as they were given, so it draws, numbers and counts
-    as one walk at that width would.
-
-    `seen` maps each marking on the path to ~its position (a negative
-    int), and each memoised marking to its subtree's node count: one
-    lookup of a child answers both.  On nets that add no tokens
-    (`_adds_no_tokens`, once per walk) a child's ancestor is the path
-    position `seen` holds for it: the frame `_scan` would find, as only an
-    equal marking can subsume the child and none repeats on the path.
+    The walk is `_walk_at` at one field width, which `packed._widening`
+    runs again at each wider one a child needs, from the state `rng` has
+    here, so it draws, numbers and counts as one walk at that width would.
 
     With `nodes` None the walk memoises each marking whose subtree
     completed, with that subtree's node count; this is sound only up to
@@ -207,58 +203,59 @@ def _walk(net: Net, max_nodes: int, rng, nodes, stop_early: bool):
     later occurrence therefore skips the ancestor search and is not
     expanded: its size is added instead.
 
-    With a list `nodes` (holding one slot for the root) the walk memoises
-    nothing, so a marking leaves `seen` with the path, and records the
-    tree: node i's ErtNode goes to `nodes[i]` once its status is final,
-    when it is expanded or made as a cut leaf.  It goes on past the first
-    cut unless `stop_early`, and the nodes made but never expanded stay
-    "inner".  The nodes share one tuple per distinct marking.  Either way
-    `max_nodes` bounds the number of tree nodes made, the root included."""
+    With a list `nodes` the walk memoises nothing and records the tree:
+    node i's ErtNode is `nodes[i]`.  It goes on past the first cut unless
+    `stop_early`.  Either way `max_nodes` bounds the number of tree nodes
+    made, the root included."""
     check_eligible(net)
     if max_nodes < 1:  # the root is the first node counted
         raise _over(max_nodes)
     plan = net._plan()
-    lookup = _adds_no_tokens(plan)
     state = None if rng is None else rng.getstate()
-
-    def attempt(fields):
-        if rng is not None:
-            rng.setstate(state)
-        if nodes is not None:
-            nodes[:] = [None]
-        return _walk_at(net, plan, fields, lookup, max_nodes, rng, nodes,
-                        stop_early)
     return _widening(_Fields.for_net(net, max(net.initial, default=0)),
-                     attempt)
+                     partial(_walk_at, net, plan, _adds_no_tokens(plan),
+                             max_nodes, rng, state, nodes, stop_early))
 
 
-def _walk_at(net: Net, plan, fields: _Fields, lookup: bool, max_nodes: int,
-             rng, nodes, stop_early: bool):
+def _walk_at(net: Net, plan, lookup: bool, max_nodes: int, rng, state,
+             nodes, stop_early: bool, fields: _Fields):
     """`_walk` at the width of `fields`, on the firing table (`_table`)
-    of `plan` there."""
+    of `plan` there, from `rng` set to `state`, with `nodes` holding only
+    the root at first.  One loop expands a node, the root first: it makes
+    the node's children, shuffled, counts each against `max_nodes` and
+    tests it for an ancestor that subsumes it.  Then it pops the path's
+    `todo` lists and frames to the next child to expand, adding the size
+    of each memoised child it meets, and of each completed subtree to its
+    parent's.
+
+    `seen` maps each marking on the path to ~its position (a negative
+    int), and each memoised marking to its subtree's node count: one
+    lookup of a child answers both.  With `lookup` (`_adds_no_tokens`) a
+    child's ancestor is the path position `seen` holds for it: the frame
+    `_scan` would find, as only an equal marking can subsume the child
+    and none repeats on the path.  With a list `nodes` a marking leaves
+    `seen` with the path; each child's ErtNode is made with the child,
+    "inner" or "subsumed", and its status set to "deadlock" if it is
+    expanded and has no child.  They share one tuple per marking."""
+    if rng is not None:
+        rng.setstate(state)
     names = [op.name for op in plan]
     levels = [op.index for op in plan]
     width, guard, head = fields.width, fields.guard, fields.head
     prefix = None if lookup else {i: (1 << i * width) - 1
                                   for i in {0, *levels}}
     rows, pick = _table(plan, fields)
-    seen: dict = {}
+    # the node to expand, the root first: its marking, id and entry
+    m, nid, via, level = fields.encode(net.initial), 0, None, 0
+    seen = {m: ~0}
     path: list = []
     marking: dict = {}  # each packed marking the recorded nodes hold, decoded
+    if nodes is not None:
+        marking[m] = fields.decode(m)
+        nodes[:] = [ErtNode(marking[m], None, None, 0, "inner")]
     count = 1  # tree nodes made so far
     cut = None
-
-    def decoded(m):
-        t = marking.get(m)
-        if t is None:
-            t = marking[m] = fields.decode(m)
-        return t
-
-    def push(nid, m, via, via_index):
-        """Put node `m`, already in `seen` at the path's end, on the path
-        and make its children, raising `_Widen` with one that needs wider
-        fields; return whether the walk stops at a cut among them."""
-        nonlocal count, cut
+    while True:
         succ = []
         for k, g, w, inhib, d, zero, _ in rows if pick is None else pick(m):
             if (m | g) - w & g == g and not m & inhib:
@@ -270,69 +267,66 @@ def _walk_at(net: Net, plan, fields: _Fields, lookup: bool, max_nodes: int,
                 succ.append((k, s))
         if rng is not None:
             rng.shuffle(succ)
-        if nodes is not None:
-            nodes[nid] = ErtNode(decoded(m), path[-1][0] if path else None,
-                                 via, via_index,
-                                 "inner" if succ else "deadlock")
+        if nodes is not None and not succ:
+            # the node is the walk's alone until it returns, and setting
+            # its status costs less than making it again
+            _set(nodes[nid], "status", "deadlock")
         todo = []
-        path.append([nid, m, via, via_index, todo, 1])
+        path.append([nid, m, via, level, todo, 1])
         for k, m2 in succ:
             count += 1
             if count > max_nodes:
                 raise _over(max_nodes)
             at = seen.get(m2)
-            if at is None or at < 0:  # not memoised
-                if lookup:
-                    anc = None if at is None else ~at
-                else:
-                    anc = _scan(path, m2, levels[k], prefix, guard)
-                if anc is not None:
-                    if nodes is not None:
-                        nodes.append(ErtNode(decoded(m2), nid, names[k],
-                                             levels[k], "subsumed",
-                                             path[anc][0]))
-                    cut = cut or _certificate(net, path, anc, names[k])
-                    if stop_early:
-                        return True
-                    continue
-            if nodes is not None:
-                nodes.append(None)
-            todo.append((count - 1, k, m2))
-        todo.reverse()
-        return False
-
-    root = fields.encode(net.initial)
-    seen[root] = ~0
-    stop = push(0, root, None, 0)
-    while not stop and path:
-        top = path[-1]
-        todo, here = top[4], ~len(path)
-        while todo:
-            nid, k, m2 = todo.pop()
-            # a child is never on the path here, or it would have been cut
-            size = seen.setdefault(m2, here)
-            if size < 0:
-                stop = push(nid, m2, names[k], levels[k])
-                break
-            # the tree makes the size - 1 nodes below it here
-            count += size - 1
-            if count > max_nodes:
-                raise _over(max_nodes)
-            top[5] += size
-        else:
-            path.pop()
-            if nodes is None:
-                seen[top[1]] = top[5]
+            if at is not None and at >= 0:  # memoised
+                anc = None
+            elif lookup:
+                anc = None if at is None else ~at
             else:
-                del seen[top[1]]
-            if path:
-                path[-1][5] += top[5]
-    if nodes is not None:
-        for f in path:
-            for nid, k, m2 in f[4]:  # made, never expanded
-                nodes[nid] = ErtNode(decoded(m2), f[0], names[k], levels[k],
-                                     "inner")
-    return cut or Terminating(count)
+                anc = _scan(path, m2, levels[k], prefix, guard)
+            if nodes is not None:
+                t = marking.get(m2)
+                if t is None:
+                    t = marking[m2] = fields.decode(m2)
+                by = None if anc is None else path[anc][0]
+                nodes.append(ErtNode(t, nid, names[k], levels[k],
+                                     "inner" if by is None else "subsumed",
+                                     by))
+            if anc is None:
+                todo.append((count - 1, k, m2))
+                continue
+            cut = cut or _certificate(net, path, anc, names[k])
+            if stop_early:
+                return cut
+        todo.reverse()
+        # pop to the next child to expand; the walk ends with the path
+        while path:
+            top = path[-1]
+            todo, here = top[4], ~len(path)
+            while todo:
+                nid, k, m = todo.pop()
+                # a child is never on the path here, or it would have been cut
+                size = seen.setdefault(m, here)
+                if size < 0:
+                    break
+                # the tree makes the size - 1 nodes below it here
+                count += size - 1
+                if count > max_nodes:
+                    raise _over(max_nodes)
+                top[5] += size
+            else:  # top's subtree is complete
+                path.pop()
+                if nodes is None:
+                    seen[top[1]] = top[5]
+                else:
+                    del seen[top[1]]
+                if path:
+                    path[-1][5] += top[5]
+                continue
+            break
+        else:
+            return cut or Terminating(count)
+        via, level = names[k], levels[k]
 
 
 def build_ert(net: Net, max_nodes: int = 1_000_000, rng=None,
@@ -340,7 +334,7 @@ def build_ert(net: Net, max_nodes: int = 1_000_000, rng=None,
     """Expand the full tree (or stop at the first subsumed leaf when
     `stop_early`).  `rng` shuffles child order; the verdict, checked if
     NonTerminating, is order independent, which tests exploit."""
-    nodes = [None]
+    nodes = []
     verdict = _walk(net, max_nodes, rng, nodes, stop_early)
     return Ert(tuple(nodes), verdict)
 

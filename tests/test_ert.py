@@ -639,3 +639,36 @@ def test_ert_width_byte_stable():
     assert h.hexdigest() == ERT_WIDTH_DIGEST, (
         "a tree or a verdict changed on the width corpus; if the change "
         "is intended, declare it in CHANGES.md and update ERT_WIDTH_DIGEST")
+
+
+@pytest.fixture
+def walk_runs(monkeypatch):
+    """The field width of each walk at one width (`ert._walk_at`) that
+    the entry points run, in the order run."""
+    runs = []
+    walk_at = xpn_ert._walk_at
+
+    def spy(*args):
+        runs.append(args[-1].width)  # the fields, bound last
+        return walk_at(*args)
+    monkeypatch.setattr(xpn_ert, "_walk_at", spy)
+    return runs
+
+
+def test_the_walk_runs_once_per_width_in_increasing_order(walk_runs):
+    # the first seven nets cross 127/128 or 32767/32768 once each; the
+    # four wide nets stay in their first fields, and the full trees of
+    # the last two pass the budget there
+    want = [[8, 16], [16, 32]] * 3 + [[8, 16]] + [[8]] * 4
+    nets = _width_nets()
+    assert len(nets) == len(want)
+    for net, widths in zip(nets, want):
+        del walk_runs[:]
+        decide_termination(net)
+        assert walk_runs == widths, net
+        del walk_runs[:]
+        try:
+            build_ert(net, 5_000, random.Random(3))
+        except BudgetExceededError:
+            assert widths == [8]
+        assert walk_runs == widths, net

@@ -55,6 +55,7 @@ def parse_machine(text: str) -> CounterMachine:
     Exactly one HALT; counters are 1 or 2."""
     states = []
     program: dict = {}
+    jumps = []  # (state, target, line, column) per jump, in program order
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -63,6 +64,7 @@ def parse_machine(text: str) -> CounterMachine:
         if not m or not _NAME_RE.fullmatch(m.group(1)):
             raise ParseError("expected 'STATE: INSTRUCTION'", ln, 1)
         name, body = m.group(1), m.group(2).strip()
+        col = len(raw) - len(raw.lstrip()) + m.start(2) + 1  # body's column
         if name in program:
             raise ParseError(f"duplicate state {name}", ln, 1)
         if body == "HALT":
@@ -79,6 +81,8 @@ def parse_machine(text: str) -> CounterMachine:
                         "expected 'INC c -> q', 'JZDEC c -> qz / qnz' or "
                         "'HALT' (counter 1 or 2)", ln, len(name) + 2)
                 instr = JzDec(int(m.group(1)), m.group(2), m.group(3))
+            jumps += [(name, m.group(g), ln, col + m.start(g))
+                      for g in range(2, m.lastindex + 1)]
         states.append(name)
         program[name] = instr
     if not states:
@@ -87,16 +91,10 @@ def parse_machine(text: str) -> CounterMachine:
     if len(halts) != 1:
         raise ParseError(f"expected exactly one HALT state, found {len(halts)}",
                          1, 1)
-    for q, instr in program.items():
-        targets = ()
-        if isinstance(instr, Inc):
-            targets = (instr.goto,)
-        elif isinstance(instr, JzDec):
-            targets = (instr.goto_zero, instr.goto_nonzero)
-        for tgt in targets:
-            if tgt not in program:
-                raise ParseError(f"state {q} jumps to undefined state {tgt}",
-                                 1, 1)
+    for q, tgt, ln, col in jumps:
+        if tgt not in program:
+            raise ParseError(f"state {q} jumps to undefined state {tgt}",
+                             ln, col)
     return CounterMachine(tuple(states), program)
 
 

@@ -284,16 +284,16 @@ def _deadlock_clauses(net: Net, cap: int) -> list:
         per_t.append((starts, arcs, total))
 
     # depth-first over one option per transition, with an explicit stack of
-    # (option index, place, previous assignment, previous state, mark) so
-    # long nets cannot exhaust the interpreter's recursion limit.  The
-    # completions of a (level, assignment) state depend on nothing else, so
-    # a state already fully explored has all of them in `seen` and is
-    # skipped: many transitions disabled the same way no longer multiply the
-    # search.  `state` encodes `assign` exactly as one int, `width` bits per
-    # place (0 unset, 1 at least one, j + 2 exactly j), updated in place of
-    # hashing the whole assignment at each step.  Up to the first
-    # transition with two ways to be disabled there is one path to each
-    # level, so those levels are neither stored nor looked up.
+    # (option index, previous state, place first set, mark) so long nets
+    # cannot exhaust the interpreter's recursion limit.  `state` is the
+    # partial assignment as one int, `width` bits per place: 0 unset, 1 at
+    # least one, j + 2 exactly j.  The completions of a (level, state) pair
+    # depend on nothing else, so a pair already fully explored has all of
+    # them in `seen` and is skipped: many transitions disabled the same way
+    # no longer multiply the search.  Up to the first transition with two
+    # ways to be disabled there is one path to each level, so those levels
+    # are neither stored nor looked up.  A new clause lists the places the
+    # stack first set, in that order, so they stay in the order first met.
     #
     # So the clauses are the distinct completions in depth-first order,
     # and `done` only saves work: a state it skips had every completion
@@ -308,17 +308,13 @@ def _deadlock_clauses(net: Net, cap: int) -> list:
     # ones, so once c times their count passes the cap the cap's error is
     # raised at once.
     width = (top + 1).bit_length()
-
-    def code(v):
-        return 0 if v is None else 1 if v == ("atleast",) else v[1] + 2
-
+    full = (1 << width) - 1
     branch = next((i for i, (_, _, total) in enumerate(per_t) if total > 1),
                   len(per_t))
     clauses = []
     seen = set()
     done = {}  # (level, state) fully explored -> its order of completion
     bounds = {}  # place of a marked pick -> the least weight above it met
-    assign: dict = {}
     state = 0
     picks = []
     leaves = least = 0
@@ -327,46 +323,45 @@ def _deadlock_clauses(net: Net, cap: int) -> list:
         i = len(picks)
         if i == len(per_t):
             leaves += 1
-            key = frozenset(assign.items())
-            if key not in seen:
-                seen.add(key)
+            if state not in seen:
+                seen.add(state)
                 if len(clauses) >= cap:
                     raise BudgetExceededError(
                         f"more than {cap} deadlock clauses")
-                clauses.append(dict(assign))
+                clauses.append({p: ("exact", c - 2) if c > 1 else ("atleast",)
+                                for _, _, p, _ in picks if p is not None
+                                for c in [state >> p * width & full]})
         elif k < per_t[i][2]:
             starts, arcs, _ = per_t[i]
             a = bisect_right(starts, k) - 1
             kind, p, w = arcs[a]
             j = k - starts[a] if kind == "exact" else 1
-            prev = assign.get(p)
-            if p in bounds and prev[1] < w < bounds[p]:
+            c = state >> p * width & full
+            if p in bounds and c - 2 < w < bounds[p]:
                 bounds[p] = w
             if kind == "exact":
-                ok = not ((prev == ("atleast",) and j == 0)
-                          or (isinstance(prev, tuple) and prev[0] == "exact"
-                              and prev[1] != j))
-                new = ("exact", j)
+                ok = c == 0 or c == j + 2 or (c == 1 and j > 0)
+                new = j + 2
             else:
-                ok = prev != ("exact", 0)
-                new = prev or ("atleast",)
+                ok = c != 2
+                new = c or 1
             if ok:
-                nxt = state + ((code(new) - code(prev)) << (p * width))
+                nxt = state + ((new - c) << p * width)
                 if i >= branch and (i + 1, nxt) in done:
                     ok, least = False, min(least, done[i + 1, nxt])
             if ok:
                 mark = None  # an exact value with more of its arc to come
-                if j + 1 < w and (prev is None or prev == ("atleast",)):
-                    mark = (starts[a], leaves, len(done), least, len(clauses))
+                if j + 1 < w and c < 2:
+                    mark = (p, starts[a], leaves, len(done), least,
+                            len(clauses))
                     bounds[p], least = w, len(done)
-                picks.append((k, p, prev, state, mark))
-                assign[p] = new
+                picks.append((k, state, p if c == 0 else None, mark))
                 state = nxt
                 k = 0
-            elif kind == "exact" and prev and prev[0] == "exact":
-                # only option prev[1] of this arc agrees with `prev`: go
-                # to it if it is still ahead, else past the arc
-                k = starts[a] + min(prev[1] if prev[1] > j else w, w)
+            elif kind == "exact" and c >= 2:
+                # only option c - 2 of this arc agrees with `state`: go to
+                # it if it is still ahead, else past the arc
+                k = starts[a] + (c - 2 if j < c - 2 < w else w)
             else:
                 k += 1
             continue
@@ -374,13 +369,9 @@ def _deadlock_clauses(net: Net, cap: int) -> list:
             done[i, state] = len(done)
         if not picks:
             return clauses
-        k, p, prev, state, mark = picks.pop()
-        if prev is None:
-            del assign[p]
-        else:
-            assign[p] = prev
+        k, state, _, mark = picks.pop()
         if mark is not None:
-            first, leaves_at, done_at, outer, clauses_at = mark
+            p, first, leaves_at, done_at, outer, clauses_at = mark
             end = first + bounds.pop(p)  # option index of the bound's value
             if least >= done_at:  # every skipped state was completed inside
                 if leaves_at == leaves:

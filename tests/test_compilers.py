@@ -66,6 +66,8 @@ def test_parse_machine_comments_and_blanks():
     ("q0: INC 1 -> q0", "exactly one HALT state, found 0", 1),
     ("q0: HALT\nq1: HALT", "exactly one HALT state, found 2", 1),
     ("q0: INC 1 -> nowhere\nqh: HALT", "undefined state nowhere", 1),
+    ("qh: HALT\nq0: INC 1 -> nowhere", "undefined state nowhere", 2),
+    ("qh: HALT\n\nq0: JZDEC 2 -> qh / nowhere", "undefined state nowhere", 3),
     ("", "empty machine", 1),
     ("   \n# only noise\n", "empty machine", 1),
 ])
@@ -74,6 +76,13 @@ def test_parse_machine_errors(text, fragment, line):
         parse_machine(text)
     assert fragment in str(err.value)
     assert err.value.line == line
+
+
+def test_parse_machine_undefined_target_column():
+    # the error points at the target's name, where the jump names it
+    with pytest.raises(ParseError) as err:
+        parse_machine("qh: HALT\n  q0: JZDEC 1 -> qh /nowhere")
+    assert (err.value.line, err.value.col) == (2, 22)
 
 
 def test_simulate_machine_matches_oracle():
